@@ -202,8 +202,7 @@ def node_independent_set_system(n: int, edges: Iterable[Sequence[int]]) -> Indep
         return True
 
     def add_pred(u, members):
-        nbrs = adj[u]
-        return not any(v in nbrs for v in members)
+        return adj[u].isdisjoint(members)
 
     return IndependenceSystem(pred, n, k_param=max(d_max, 1),
                               class_tag="k_extendible",

@@ -2,16 +2,21 @@
 
 Elements are plain integer ids drawn from ``range(n)`` for a ground set of
 size ``n``.  ``ElementSet`` is an ordered set of ids; algorithms rely on its
-insertion order (streaming buckets are drained in arrival order).
+insertion order (streaming buckets are drained in arrival order).  It
+subclasses ``dict`` (every value is None) so that membership tests,
+``len``, iteration and copies run as C-level dict operations: the
+streaming inner loops make on the order of 10^8 membership tests, and a
+Python-level ``__contains__`` wrapper dominated their cost.
 ``Objective`` wraps a raw set function with memoization, call accounting and
 marginal-gain helpers.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 # Absolute tolerance for every inequality test performed by the algorithms.
 EPS = 1e-9
@@ -44,78 +49,73 @@ class ContractViolationError(RuntimeError):
     """A streaming component broke the push/finish outcome contract."""
 
 
-class ElementSet:
+class ElementSet(dict):
     """Ordered collection of distinct element ids.
 
     Iteration follows insertion order.  ``add`` rejects duplicates so that
     algorithmic bookkeeping errors surface immediately.  Equality compares
-    membership only, not order.
+    membership only, not order, and holds against another ``ElementSet``
+    or a ``set``/``frozenset``, never against a plain dict.  Instances are
+    unhashable.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ()
+    __hash__ = None
 
     def __init__(self, items: Iterable[int] = ()):
-        self._items: dict[int, None] = {}
         for u in items:
             self.add(u)
 
     def add(self, u: int) -> None:
-        if u in self._items:
+        if u in self:
             raise DuplicateElementError(f"element {u} already present")
-        self._items[u] = None
+        self[u] = None
 
     def remove(self, u: int) -> None:
-        del self._items[u]
+        del self[u]
 
     def discard(self, u: int) -> None:
-        self._items.pop(u, None)
+        self.pop(u, None)
 
     def copy(self) -> "ElementSet":
         out = ElementSet()
-        out._items = dict(self._items)
+        out.update(self)
         return out
 
     def union(self, *others: Iterable[int]) -> "ElementSet":
         out = self.copy()
         for other in others:
-            for u in other:
-                out._items[u] = None
+            out.update(dict.fromkeys(other))
         return out
 
     def difference(self, other: Iterable[int]) -> "ElementSet":
-        drop = set(other)
-        out = ElementSet()
-        out._items = {u: None for u in self._items if u not in drop}
+        out = self.copy()
+        for u in other:
+            out.pop(u, None)
         return out
 
     def difference_update(self, other: Iterable[int]) -> None:
         for u in other:
-            self._items.pop(u, None)
+            self.pop(u, None)
 
     def sorted_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._items))
-
-    def __contains__(self, u: int) -> bool:
-        return u in self._items
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
+        return tuple(sorted(self))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ElementSet):
-            return self._items.keys() == other._items.keys()
+            return self.keys() == other.keys()
         if isinstance(other, (set, frozenset)):
-            return set(self._items) == other
+            return self.keys() == other
+        if isinstance(other, dict):
+            return False
         return NotImplemented
 
+    def __ne__(self, other) -> bool:
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
     def __repr__(self) -> str:
-        return f"ElementSet({list(self._items)})"
+        return f"ElementSet({list(self)})"
 
 
 def as_sorted_ids(subset: Iterable[int]) -> tuple[int, ...]:
@@ -129,8 +129,9 @@ class Objective:
     """Memoized oracle for a non-negative set function over ``range(n)``.
 
     ``fn`` receives a sorted tuple of element ids and must return a
-    non-negative value (values within ``EPS`` below zero are clamped to
-    zero, anything lower raises ``NumericError``).  Repeated evaluations of
+    finite non-negative value (values within ``EPS`` below zero are clamped
+    to zero; anything lower, and a NaN or infinity from ``fn`` or
+    ``marginal_fn``, raises ``NumericError``).  Repeated evaluations of
     the same subset are served from a bounded LRU cache without touching
     the call counter.
 
@@ -177,6 +178,8 @@ class Objective:
             return hit
         self.evaluations += 1
         val = float(self._fn(key))
+        if not math.isfinite(val):
+            raise NumericError(f"oracle returned non-finite value {val}")
         if val < 0.0:
             if val < -EPS:
                 raise NumericError(f"oracle returned negative value {val}")
@@ -196,7 +199,10 @@ class Objective:
             raise DuplicateElementError(f"element {u} already in subset")
         if self._marginal_fn is not None:
             self.evaluations += 1
-            return float(self._marginal_fn(u, subset))
+            gain = float(self._marginal_fn(u, subset))
+            if not math.isfinite(gain):
+                raise NumericError(f"marginal oracle returned non-finite gain {gain}")
+            return gain
         base = self._key(subset)
         return self.value(base + (u,)) - self.value(base)
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import sub
 from typing import Mapping
 
 import numpy as np
@@ -123,14 +126,15 @@ def make_directed_cut(g: CutGraph) -> Objective:
         return total
 
     def marginal_fn(u, members):
-        gain = out_total[u]
-        for v, w in out_adj[u].items():
-            if v in members:
-                gain -= w
-        for s, w in in_adj[u].items():
-            if s in members:
-                gain -= w
-        return gain
+        # subtracts the weights of u's edges into members, out-edges then
+        # in-edges, each in adjacency order: the same float operations in
+        # the same order as the plain loop, run by C-level iterators
+        contains = members.__contains__
+        out_u = out_adj[u]
+        in_u = in_adj[u]
+        gain = reduce(sub, compress(out_u.values(), map(contains, out_u)),
+                      out_total[u])
+        return reduce(sub, compress(in_u.values(), map(contains, in_u)), gain)
 
     return Objective(fn, g.n_vertices, monotone=False, marginal_fn=marginal_fn)
 

@@ -236,7 +236,7 @@ class ThresholdSieve(StreamingComponent):
         return _best_by_value(self.f, self.candidates), self.kept.copy(), list(self.kept)
 
     def stored_count(self) -> int:
-        count = sum(len(b) for b in self.buckets)
+        count = len(self.kept)  # the buckets partition kept
         if self.candidates is not None:
             count += sum(len(t) for t in self.candidates)
         return count
@@ -276,6 +276,7 @@ class AdaptiveSieve(StreamingComponent):
         self.candidates: list[ElementSet] | None = None
         self._owns_base = shared_base is None
         self.base = ElementSet() if shared_base is None else shared_base
+        self._banded_base_size = 0
         self._trace = trace
 
     @property
@@ -285,9 +286,11 @@ class AdaptiveSieve(StreamingComponent):
         return ApproximationProfile(alpha=float(alpha), gamma=self.tau / 4.0)
 
     def _grow_bands(self):
+        # the base only grows, and the band range is a function of its size
         size = len(self.base)
-        if size == 0:
+        if size == self._banded_base_size:
             return
+        self._banded_base_size = size
         new_ell = math.floor(2 * math.log2(self.k * size) + 3 + _LOG_GUARD)
         while self.ell < new_ell:
             self.buckets.append(ElementSet())
@@ -333,7 +336,7 @@ class AdaptiveSieve(StreamingComponent):
         return _best_by_value(self.f, self.candidates), self.kept.copy(), held
 
     def stored_count(self) -> int:
-        count = sum(len(b) for b in self.buckets)
+        count = len(self.kept)  # the buckets partition kept
         if self._owns_base:
             count += len(self.base)
         if self.candidates is not None:
@@ -438,7 +441,7 @@ class AutoThresholdSieve(StreamingComponent):
     def stored_count(self) -> int:
         count = len(self.base)
         for copy in self.copies.values():
-            count += sum(len(b) for b in copy.buckets)
+            count += len(copy.kept)  # the buckets partition kept
             if copy.candidates is not None:
                 count += sum(len(t) for t in copy.candidates)
         return count

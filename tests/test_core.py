@@ -1,8 +1,12 @@
+import math
+
 import pytest
 
-from substream import (DuplicateElementError, ElementSet, GroundSetError,
-                       Objective, ApproximationProfile, make_directed_cut,
-                       make_modular, CutGraph)
+from substream import (AutoThresholdSieve, DuplicateElementError, ElementSet,
+                       GroundSetError, NumericError, Objective,
+                       ApproximationProfile, ThresholdSieve,
+                       cardinality_system, make_directed_cut, make_modular,
+                       weighted_greedy, CutGraph)
 from substream.prng import SplitMix64
 
 
@@ -25,6 +29,39 @@ def test_element_set_equality_ignores_order():
     assert ElementSet([1, 2]) == ElementSet([2, 1])
     assert ElementSet([1, 2]) == {1, 2}
     assert ElementSet([1]) != ElementSet([1, 2])
+
+
+def test_element_set_not_equal_matches_equality():
+    assert not (ElementSet([1, 2]) != {2, 1})
+    assert not (ElementSet([1, 2]) != frozenset({1, 2}))
+    assert not (ElementSet([1, 2]) != ElementSet([2, 1]))
+    assert ElementSet([1]) != {1, 2}
+    assert ElementSet([1]) != ElementSet([2])
+
+
+def test_element_set_never_equals_a_plain_dict():
+    assert (ElementSet([1]) == {1: None}) is not True
+    assert ({1: None} == ElementSet([1])) is not True
+    assert ElementSet([1]) != {1: None}
+
+
+def test_element_set_ops_keep_type_and_insertion_order():
+    s = ElementSet([4, 0, 2])
+    for out, expect in ((s.copy(), [4, 0, 2]),
+                        (s.union([1, 4], ElementSet([3])), [4, 0, 2, 1, 3]),
+                        (s.difference([0, 9]), [4, 2])):
+        assert type(out) is ElementSet
+        assert list(out) == expect
+        with pytest.raises(DuplicateElementError):
+            out.add(4)
+    assert list(s) == [4, 0, 2]
+
+
+def test_element_set_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(ElementSet([1]))
+    with pytest.raises(TypeError):
+        {ElementSet()}
 
 
 def test_element_set_ops():
@@ -128,3 +165,61 @@ def test_profile_validation():
         ApproximationProfile(alpha=1.0, gamma=-1.0)
     with pytest.raises(ValueError):
         ApproximationProfile(alpha=1.0, gamma=0.0, beta=0.2)
+
+
+# --- non-finite oracle values -------------------------------------------
+
+WEIGHTS = [1.0, 0.0, 2.0, 0.5]  # the placeholder at 1 becomes NaN or inf
+
+
+def _bad_objective(bad: float, fast: bool) -> Objective:
+    w = list(WEIGHTS)
+    w[1] = bad
+    if fast:
+        return make_modular(w)
+    return Objective(lambda ids: sum(w[u] for u in ids), len(w), monotone=True)
+
+
+def _threshold_sieve(f):
+    comp = ThresholdSieve(cardinality_system(4, 2), f, 2.0, 2)
+    comp.push(range(4))
+    return comp.finish().solution
+
+
+def _auto_sieve(f):
+    comp = AutoThresholdSieve(cardinality_system(4, 2), f)
+    comp.push(range(4))
+    return comp.finish().solution
+
+
+def _weighted_greedy(f):
+    return weighted_greedy(f, cardinality_system(4, 2), range(4))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_value_rejects_non_finite(bad):
+    f = Objective(lambda ids: bad, 3, monotone=True)
+    with pytest.raises(NumericError):
+        f.value([0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_marginal_fast_path_rejects_non_finite(bad):
+    f = Objective(lambda ids: 0.0, 3, monotone=True,
+                  marginal_fn=lambda u, members: bad)
+    with pytest.raises(NumericError):
+        f.marginal(0, ())
+
+
+# Each of these used to crash with an unrelated error (NaN: ValueError in
+# the sieves; inf: math domain error or OverflowError) or, for the greedy,
+# silently return a solution chosen by NaN comparisons.
+@pytest.mark.parametrize("fast", [True, False], ids=["marginal_fn", "fn"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("run", [_threshold_sieve, _auto_sieve,
+                                 _weighted_greedy],
+                         ids=["threshold_sieve", "auto_sieve",
+                              "weighted_greedy"])
+def test_algorithms_raise_numeric_error_on_non_finite_oracle(run, bad, fast):
+    with pytest.raises(NumericError):
+        run(_bad_objective(bad, fast))
