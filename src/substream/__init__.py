@@ -1,10 +1,9 @@
 """Streaming maximization of non-negative submodular functions under
 independence-system constraints."""
 
-from .core import (EPS, ApproximationProfile, ContractViolationError,
-                   DuplicateElementError, ElementSet, GroundSetError,
-                   NumericError, Objective, SizeLimitError,
-                   UnsupportedConstraintError)
+from .core import (EPS, ContractViolationError, DuplicateElementError,
+                   ElementSet, GroundSetError, NumericError, Objective,
+                   SizeLimitError, UnsupportedConstraintError)
 from .objectives import (CutGraph, KeywordTable, ReservoirConfig,
                          load_features, load_keyword_table,
                          make_coverage_minus_dispersion, make_directed_cut,

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 
-from .core import (EPS, ApproximationProfile, ElementSet, Objective,
-                   SizeLimitError, UnsupportedConstraintError)
+from .core import (EPS, ElementSet, Objective, SizeLimitError,
+                   UnsupportedConstraintError)
 from .constraints import EXACT_RHO_LIMIT, IndependenceSystem, exact_rho
-from .streaming import StreamingComponent, StreamOutcome
+from .streaming import StreamingComponent, StreamOutcome, _drive
 
 
 def _require_cardinality(sys: IndependenceSystem) -> int:
@@ -27,11 +27,9 @@ def _require_cardinality(sys: IndependenceSystem) -> int:
 class GreedyStream(StreamingComponent):
     """Feasibility-first streaming greedy: keep whatever still fits.
 
-    Value-blind, so it carries no finite quality guarantee (the profile
-    says as much); shipped as the simplest baseline.
+    Value-blind, so it carries no finite quality guarantee; shipped as the
+    simplest baseline.
     """
-
-    profile = ApproximationProfile(alpha=math.inf, gamma=0.0)
 
     def __init__(self, sys: IndependenceSystem, f: Objective):
         super().__init__()
@@ -62,8 +60,6 @@ class SieveGuessStream(StreamingComponent):
     Guesses that fall below the best singleton are deleted and their
     exclusive elements evicted.  The best guess solution wins at the end.
     """
-
-    profile = ApproximationProfile(alpha=math.inf, gamma=0.0)
 
     def __init__(self, sys: IndependenceSystem, f: Objective,
                  epsilon: float = 0.1, rho: int | None = None):
@@ -161,8 +157,6 @@ class PreemptionStream(StreamingComponent):
     later swaps.  Cardinality constraints only.
     """
 
-    profile = ApproximationProfile(alpha=math.inf, gamma=0.0)
-
     def __init__(self, sys: IndependenceSystem, f: Objective,
                  trace: list | None = None):
         super().__init__()
@@ -219,8 +213,6 @@ class RatioSwapStream(StreamingComponent):
     never decreases across a swap.
     """
 
-    profile = ApproximationProfile(alpha=math.inf, gamma=0.0)
-
     def __init__(self, sys: IndependenceSystem, f: Objective):
         super().__init__()
         self.rho = _require_cardinality(sys)
@@ -259,26 +251,21 @@ class RatioSwapStream(StreamingComponent):
         return len(self.solution)
 
 
-def _one_shot(component: StreamingComponent, stream) -> StreamOutcome:
-    component.push(stream)
-    return component.finish()
-
-
 def streaming_greedy(sys: IndependenceSystem, f: Objective,
                      stream) -> StreamOutcome:
-    return _one_shot(GreedyStream(sys, f), stream)
+    return _drive(GreedyStream(sys, f), stream)[0]
 
 
 def sieve_streaming(sys: IndependenceSystem, f: Objective, stream,
                     epsilon: float = 0.1, rho: int | None = None) -> StreamOutcome:
-    return _one_shot(SieveGuessStream(sys, f, epsilon=epsilon, rho=rho), stream)
+    return _drive(SieveGuessStream(sys, f, epsilon=epsilon, rho=rho), stream)[0]
 
 
 def preemption_stream(sys: IndependenceSystem, f: Objective,
                       stream) -> StreamOutcome:
-    return _one_shot(PreemptionStream(sys, f), stream)
+    return _drive(PreemptionStream(sys, f), stream)[0]
 
 
 def ratio_swap_stream(sys: IndependenceSystem, f: Objective,
                       stream) -> StreamOutcome:
-    return _one_shot(RatioSwapStream(sys, f), stream)
+    return _drive(RatioSwapStream(sys, f), stream)[0]

@@ -22,13 +22,10 @@ from .objectives import (CutGraph, load_features, load_keyword_table,
                          make_facility_location, make_logdet, make_modular,
                          make_sqrt_coverage, similarity_from_features,
                          ReservoirConfig)
-from .constraints import (IndependenceSystem, cardinality_system, intersect,
-                          knapsack_system, labeled_limit_system,
-                          node_independent_set_system, planarity_system)
+from .constraints import IndependenceSystem, make_system
 from .offline import repeated_greedy, unweighted_greedy, weighted_greedy
 from .streaming import (AdaptiveSieve, AutoThresholdSieve, CascadeConfig,
-                        StreamingComponent, ThresholdSieve, cascade_run,
-                        _ceil_log2)
+                        ThresholdSieve, cascade_run, _ceil_log2, _drive)
 from .baselines import GreedyStream, SieveGuessStream
 
 RESULT_HEADER = "algorithm,sweep,seed,value,oracle_calls,peak_elements,ms"
@@ -250,47 +247,37 @@ def _build_graph(instance: Mapping, seed: int) -> CutGraph:
     raise ValueError(f"unknown instance spec {instance!r}")
 
 
-def _build_constraint(spec: Mapping, graph: CutGraph | None,
-                      pairs: list[tuple[int, int]] | None,
-                      cost_seed: int) -> IndependenceSystem:
+def _fill_constraint(spec: dict, ground_size: int, graph: CutGraph | None,
+                     pairs: list[tuple[int, int]] | None,
+                     cost_seed: int) -> None:
+    """Fill in the fields of a ``make_system`` spec that it leaves out and
+    the instance determines; explicit fields are kept.
+
+    The second part of an intersection draws random costs from
+    ``cost_seed + 1``.
+    """
     if "intersect" in spec:
-        a, b = spec["intersect"]
-        return intersect(_build_constraint(a, graph, pairs, cost_seed),
-                         _build_constraint(b, graph, pairs, cost_seed + 1))
-    kind = spec["type"]
-    if kind == "node_independent_set":
-        return node_independent_set_system(graph.n_vertices, undirected_pairs(graph))
-    if kind == "cardinality":
-        if spec.get("n") is not None:
-            n = int(spec["n"])
-        elif pairs is not None:
-            n = len(pairs)
-        elif graph is not None:
-            n = graph.n_vertices
-        else:
-            raise ValueError("cardinality spec needs an explicit n here")
-        return cardinality_system(n, int(spec["rho"]))
-    if kind == "planarity":
-        return planarity_system(graph.n_vertices, pairs)
-    if kind == "knapsack":
-        if "costs" in spec:
-            return knapsack_system(spec["costs"], float(spec["budget"]))
+        for offset, part in enumerate(spec["intersect"]):
+            _fill_constraint(part, ground_size, graph, pairs, cost_seed + offset)
+        return
+    kind = spec.get("type")
+    if kind == "cardinality" and spec.get("n") is None:
+        spec["n"] = ground_size
+    elif kind in ("node_independent_set", "planarity") and graph is not None:
+        spec.setdefault("n" if kind == "node_independent_set" else "n_vertices",
+                        graph.n_vertices)
+        if "edges" not in spec:
+            spec["edges"] = undirected_pairs(graph) if pairs is None else pairs
+    elif kind == "knapsack" and "costs" not in spec and pairs is not None:
         rule = spec.get("cost_rule", "degree")
-        if pairs is None:
-            raise ValueError("knapsack cost rules here are edge-based")
         if rule == "degree":
             costs = degree_costs(pairs, graph.n_vertices, int(spec.get("q", 6)))
         elif rule == "random_int":
             costs = random_int_costs(len(pairs), cost_seed)
         else:
             raise ValueError(f"unknown cost rule {rule!r}")
-        mode = spec.get("normalize", "sum_vertices")
-        costs = normalize_costs(costs, mode, graph.n_vertices)
-        return knapsack_system(costs, float(spec["budget"]))
-    if kind == "labeled_limit":
-        return labeled_limit_system(spec["labels"], spec["per_label_limit"],
-                                    int(spec["total_limit"]), spec.get("k_param"))
-    raise ValueError(f"unknown constraint spec {spec!r}")
+        spec["costs"] = normalize_costs(
+            costs, spec.get("normalize", "sum_vertices"), graph.n_vertices)
 
 
 def _apply_constraint_sweep(constraint: dict, param: str, value) -> bool:
@@ -323,11 +310,11 @@ def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
     objective = cfg.get("objective", {"kind": "linear"})
     kind = objective["kind"]
 
+    graph = pairs = None
     if kind in ("facility", "logdet", "coverage_minus_dispersion"):
         feats = load_features(objective["features"])
         lam = float(objective.get("lambda", 0.1))
         sim = similarity_from_features(feats, lam)
-        n = sim.shape[0]
         if kind == "facility":
             res = objective.get("reservoir")
             cfg_res = ReservoirConfig(int(res["r_cap"]), int(res.get("seed", 0))) if res else None
@@ -337,14 +324,12 @@ def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
             factory = lambda: make_logdet(sim, alpha)
         else:
             factory = lambda: make_coverage_minus_dispersion(sim)
-        sys = _build_constraint(constraint, None, None, cost_seed)
-        ground = list(range(n))
+        ground = list(range(sim.shape[0]))
     elif kind == "sqrt_coverage":
         table = load_keyword_table(objective["keywords"])
         factory = lambda: make_sqrt_coverage(table)
-        sys = _build_constraint(constraint, None, None, cost_seed)
         ground = list(range(len(table)))
-    else:
+    elif kind in ("cut", "linear"):
         graph = _build_graph(instance, graph_seed)
         ground_kind = cfg.get("ground")
         if ground_kind is None:
@@ -355,18 +340,22 @@ def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
             if ground_kind != "nodes":
                 raise ValueError("cut objective needs the node ground set")
             factory = lambda: make_directed_cut(graph)
-        elif kind == "linear":
+        else:
             if ground_kind == "edges":
                 weights = [1.0] * len(pairs)
             else:
                 weights = gen_node_weights(graph.n_vertices, weight_seed,
                                            objective.get("node_weights", "uniform"))
             factory = lambda: make_modular(weights)
-        else:
-            raise ValueError(f"unknown objective kind {kind!r}")
-        sys = _build_constraint(constraint, graph, pairs, cost_seed)
         ground = list(range(len(pairs))) if ground_kind == "edges" \
             else list(range(graph.n_vertices))
+    else:
+        raise ValueError(f"unknown objective kind {kind!r}")
+    _fill_constraint(constraint, len(ground), graph, pairs, cost_seed)
+    sys = make_system(constraint)
+    if sys.n != len(ground):
+        raise ValueError(f"constraint covers {sys.n} elements but the "
+                         f"ground set has {len(ground)}")
 
     order = cfg.get("options", {}).get("stream_order", "shuffle")
     stream = list(ground)
@@ -382,16 +371,6 @@ def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
 # algorithm runners
 
 
-def _poll_run(component: StreamingComponent, stream) -> tuple[ElementSet, int]:
-    peak = 0
-    for u in stream:
-        component.push([u])
-        peak = max(peak, component.stored_count())
-    outcome = component.finish()
-    peak = max(peak, component.stored_count())
-    return outcome.solution, peak
-
-
 def _prepass_tau(sys: IndependenceSystem, f: Objective, stream) -> float:
     """Power-of-two threshold in [M, 2M] from a singleton sweep."""
     best = 0.0
@@ -403,39 +382,33 @@ def _prepass_tau(sys: IndependenceSystem, f: Objective, stream) -> float:
     return 2.0 ** _ceil_log2(best)
 
 
-def _prepass_rho_bound(sys: IndependenceSystem, stream) -> int:
-    """Upper bound on the largest independent set: k times a greedy base."""
+def _greedy_rho(sys: IndependenceSystem, stream, scale: int = 1) -> int:
+    """The system's exact rho when known, else ``scale`` times the size of
+    a feasibility-greedy base (at least 1)."""
     if sys.rho_hint is not None:
         return sys.rho_hint
-    base = unweighted_greedy(sys, stream)
-    return max(1, sys.k_param * len(base))
-
-
-def _greedy_rho_estimate(sys: IndependenceSystem, stream) -> int:
-    if sys.rho_hint is not None:
-        return sys.rho_hint
-    return max(1, len(unweighted_greedy(sys, stream)))
+    return max(1, scale * len(unweighted_greedy(sys, stream)))
 
 
 def run_algorithm(name: str, sys: IndependenceSystem, f: Objective,
                   stream, options: Mapping) -> tuple[ElementSet, int]:
     """Execute one named algorithm; returns (solution, peak stored)."""
     if name == "streaming_greedy":
-        return _poll_run(GreedyStream(sys, f), stream)
-    if name == "sieve_streaming":
-        rho = options.get("sieve_rho") or _greedy_rho_estimate(sys, stream)
+        component = GreedyStream(sys, f)
+    elif name == "sieve_streaming":
+        rho = options.get("sieve_rho") or _greedy_rho(sys, stream)
         eps = float(options.get("sieve_epsilon", 0.1))
-        return _poll_run(SieveGuessStream(sys, f, epsilon=eps, rho=rho), stream)
-    if name == "threshold_sieve":
+        component = SieveGuessStream(sys, f, epsilon=eps, rho=rho)
+    elif name == "threshold_sieve":
+        # any upper bound on rho is sound: k times a greedy base is one
         tau = _prepass_tau(sys, f, stream)
-        rho = _prepass_rho_bound(sys, stream)
-        return _poll_run(ThresholdSieve(sys, f, tau, rho), stream)
-    if name == "adaptive_sieve":
-        tau = _prepass_tau(sys, f, stream)
-        return _poll_run(AdaptiveSieve(sys, f, tau), stream)
-    if name == "auto_sieve":
-        return _poll_run(AutoThresholdSieve(sys, f), stream)
-    if name in ("framework", "framework_tau"):
+        component = ThresholdSieve(sys, f, tau,
+                                   _greedy_rho(sys, stream, sys.k_param))
+    elif name == "adaptive_sieve":
+        component = AdaptiveSieve(sys, f, _prepass_tau(sys, f, stream))
+    elif name == "auto_sieve":
+        component = AutoThresholdSieve(sys, f)
+    elif name in ("framework", "framework_tau"):
         copies = int(options.get("cascade_copies", 2))
         iters = options.get("repeated_greedy_iterations")
 
@@ -458,12 +431,15 @@ def run_algorithm(name: str, sys: IndependenceSystem, f: Objective,
         trace = cascade_run(cfg, stream, sys, f, return_trace=True,
                             track_peak=True)
         return trace.best, trace.peak_stored
-    if name == "weighted_greedy":
+    elif name == "weighted_greedy":
         return weighted_greedy(f, sys, stream), len(stream)
-    if name == "repeated_greedy":
+    elif name == "repeated_greedy":
         iters = options.get("repeated_greedy_iterations")
         return repeated_greedy(f, sys, stream, iterations=iters), len(stream)
-    raise ValueError(f"unknown algorithm {name!r}")
+    else:
+        raise ValueError(f"unknown algorithm {name!r}")
+    outcome, peak = _drive(component, stream)
+    return outcome.solution, peak
 
 
 ALGORITHMS = ("streaming_greedy", "sieve_streaming", "threshold_sieve",
@@ -485,6 +461,9 @@ def run_experiment(cfg: Mapping, *, measure_time: bool = True) -> list[ResultRow
     algorithms = list(cfg["algorithms"])
     if not algorithms:
         raise ValueError("config lists no algorithms")
+    for name in algorithms:
+        if name not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {name!r}")
     seeds = [int(s) for s in cfg.get("seeds", [0])]
     if not seeds:
         raise ValueError("config lists no seeds")

@@ -5,6 +5,9 @@ Subcommands:
   bench gen-graph  -- write a seeded random graph as a TSV edge list
   run-stream       -- run one algorithm over a graph file, print a row
   counterexample   -- build and verify an adversarial instance, emit JSON
+
+Exit codes: 0 on success, 1 when a counterexample does not hold, 2 on
+malformed input, reported as one ``substream: error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -16,9 +19,16 @@ import sys as _sys
 from . import bench, counterexamples
 
 
+def _load_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def _cmd_bench_run(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = _load_json(args.config)
     rows = bench.run_experiment(cfg, measure_time=not args.no_timing)
     csv_text = bench.rows_to_csv(rows)
     if args.out:
@@ -32,19 +42,18 @@ def _cmd_bench_run(args) -> int:
 def _cmd_gen_graph(args) -> int:
     if args.model == "er":
         if args.p is None:
-            raise SystemExit("--p is required for the er model")
+            raise ValueError("--p is required for the er model")
         graph = bench.gen_erdos_renyi(args.n, args.p, args.seed)
     else:
         if args.kring is None or args.beta is None:
-            raise SystemExit("--kring and --beta are required for the ws model")
+            raise ValueError("--kring and --beta are required for the ws model")
         graph = bench.gen_watts_strogatz(args.n, args.kring, args.beta, args.seed)
     bench.write_edge_list(graph, args.out)
     return 0
 
 
 def _cmd_run_stream(args) -> int:
-    with open(args.constraint) as fh:
-        constraint = json.load(fh)
+    constraint = _load_json(args.constraint)
     cfg = {
         "instance": {"edge_list": args.graph},
         "objective": {"kind": args.objective},
@@ -122,7 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, KeyError) as exc:
+        message = f"missing config key {exc}" if isinstance(exc, KeyError) \
+            else str(exc)
+        print(f"substream: error: {message}", file=_sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":

@@ -255,6 +255,13 @@ def intersect(a: IndependenceSystem, b: IndependenceSystem) -> IndependenceSyste
                               add_predicate=add_pred)
 
 
+# fields each spec type must carry
+_SPEC_FIELDS = {"cardinality": ("n", "rho"), "knapsack": ("costs", "budget"),
+                "labeled_limit": ("labels", "per_label_limit", "total_limit"),
+                "node_independent_set": ("n", "edges"),
+                "planarity": ("n_vertices", "edges")}
+
+
 def make_system(spec: Mapping) -> IndependenceSystem:
     """Build a system from a JSON-style config mapping.
 
@@ -262,7 +269,7 @@ def make_system(spec: Mapping) -> IndependenceSystem:
     (costs, budget), ``labeled_limit`` (labels, per_label_limit,
     total_limit, optional k_param), ``node_independent_set`` (n, edges),
     ``planarity`` (n_vertices, edges).  ``{"intersect": [specA, specB]}``
-    combines two specs.
+    combines two specs.  A missing field raises ``ValueError`` naming it.
     """
     if "intersect" in spec:
         parts = spec["intersect"]
@@ -270,6 +277,9 @@ def make_system(spec: Mapping) -> IndependenceSystem:
             raise ValueError("intersect expects exactly two specs")
         return intersect(make_system(parts[0]), make_system(parts[1]))
     kind = spec.get("type")
+    for name in _SPEC_FIELDS.get(kind, ()):
+        if spec.get(name) is None:
+            raise ValueError(f"{kind} spec is missing field {name!r}")
     if kind == "cardinality":
         return cardinality_system(int(spec["n"]), int(spec["rho"]))
     if kind == "knapsack":

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 # Absolute tolerance for every inequality test performed by the algorithms.
@@ -208,25 +207,3 @@ class Objective:
 
     def singleton(self, u: int) -> float:
         return self.value((u,))
-
-
-@dataclass(frozen=True)
-class ApproximationProfile:
-    """Quality parameters claimed by an algorithm.
-
-    ``alpha`` and ``gamma`` describe a streaming component (for every
-    feasible T, f(T | union with the summary A) <= alpha * f(S) + gamma);
-    ``beta`` is the offline approximation ratio of a constrained solver.
-    """
-
-    alpha: float
-    gamma: float
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha < 1.0:
-            raise ValueError("alpha must be >= 1")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
-        if self.beta < 1.0:
-            raise ValueError("beta must be >= 1")

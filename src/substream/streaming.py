@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .core import (EPS, ApproximationProfile, ContractViolationError,
-                   DuplicateElementError, ElementSet, Objective)
+from .core import (EPS, ContractViolationError, DuplicateElementError,
+                   ElementSet, Objective)
 from .constraints import IndependenceSystem
 
 # log2 is evaluated in floating point; the nudge keeps floor/ceil stable
@@ -54,27 +54,6 @@ def trace_to_csv(events) -> str:
     for step, event, element, bucket, value in events:
         lines.append(f"{step},{event},{element},{bucket},{value!r}")
     return "\n".join(lines) + "\n"
-
-
-def _drain_interleaved(buckets: list[ElementSet], ell: int, h: int,
-                       sys: IndependenceSystem) -> list[ElementSet]:
-    """Build h candidates; candidate j greedily drains buckets j, j+h, ...
-
-    Buckets are visited in ascending index (descending marginal band) and
-    each bucket in insertion order, so the construction is deterministic
-    and stream-faithful.
-    """
-    cands = []
-    for j in range(h):
-        t = ElementSet()
-        i = j
-        while i <= ell:
-            for u in buckets[i]:
-                if sys.can_add(u, t):
-                    t.add(u)
-            i += h
-        cands.append(t)
-    return cands
 
 
 def _best_by_value(f: Objective, cands: list[ElementSet]) -> ElementSet:
@@ -156,46 +135,41 @@ class StreamingComponent:
         raise NotImplementedError
 
 
-class ThresholdSieve(StreamingComponent):
-    """Banded sieve with a known acceptance threshold and capacity bound.
+class _BandedSieve(StreamingComponent):
+    """Value-banded sieve shared by :class:`ThresholdSieve` and
+    :class:`AdaptiveSieve`.
 
-    ``tau`` must lie in [M, 2M] where M is the largest value of a feasible
-    singleton; ``rho`` is the size of the largest independent set (any
-    upper bound is sound, at the price of extra buckets).  Each arriving
-    element is bucketed by how its marginal gain against everything kept
-    so far compares with ``tau``; each bucket independently keeps a
-    feasibility-greedy base.  At end of stream, ``candidate_count(k)``
-    interleaved candidates are drained from the buckets and the best one
-    is returned.
+    Each arriving element is bucketed by how its marginal gain against
+    everything kept so far compares with ``tau``; each bucket independently
+    keeps a feasibility-greedy base.  Elements whose band falls outside the
+    current range are recorded with their arrival gain in ``out_of_band``.
+    At end of stream, ``candidate_count(k)`` interleaved candidates are
+    drained from the buckets and the best one is returned.  Subclasses set
+    the band range (``ell``, with one bucket per band); ``_grow_bands(u)``
+    runs before each arrival is banded.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float,
-                 rho: int, k: int | None = None, trace: list | None = None):
+                 k: int | None, trace: list | None):
         super().__init__()
         if tau <= 0:
             raise ValueError("tau must be positive")
-        if rho < 1:
-            raise ValueError("rho must be a positive integer")
         self.sys = sys
         self.f = f
         self.tau = float(tau)
-        self.rho = int(rho)
         self.k = int(k if k is not None else sys.k_param)
-        self.ell = bucket_count(self.rho) - 1
         self.h = candidate_count(self.k)
-        self.buckets: list[ElementSet] = [ElementSet() for _ in range(self.ell + 1)]
+        self.ell = -1
+        self.buckets: list[ElementSet] = []
         self.kept = ElementSet()          # union of buckets, arrival order
         self.gain_at_accept: dict[int, float] = {}
+        self.out_of_band: dict[int, float] = {}
         self.candidates: list[ElementSet] | None = None
+        self._owns_base = False
         self._trace = trace
 
-    @property
-    def profile(self) -> ApproximationProfile:
-        # the candidate-drain argument loses a factor 4 always, and a
-        # further factor k on general k-systems
-        scale = self.k if self.sys.class_tag == "k_system" else 1
-        alpha = 4 * scale * self.h * (2 * self.k + 1)
-        return ApproximationProfile(alpha=float(alpha), gamma=self.tau / 4.0)
+    def _grow_bands(self, u: int) -> None:
+        pass
 
     def band_of(self, gain: float) -> int | None:
         """Bucket index for a marginal gain, or None when out of range."""
@@ -207,100 +181,8 @@ class ThresholdSieve(StreamingComponent):
         return i
 
     def process(self, u: int) -> bool:
-        gain = self.f.marginal(u, self.kept)
-        i = self.band_of(gain)
-        if i is None:
-            return False
-        bucket = self.buckets[i]
-        if not self.sys.can_add(u, bucket):
-            return False
-        bucket.add(u)
-        self.kept.add(u)
-        self.gain_at_accept[u] = gain
-        if self._trace is not None:
-            self._trace.append((len(self._seen) - 1, "accept", u, i, gain))
-        return True
-
-    def _ingest(self, u: int) -> list[int]:
-        if self.process(u):
-            return []
-        if self._trace is not None:
-            self._trace.append((len(self._seen) - 1, "evict", u, -1, 0.0))
-        return [u]
-
-    def build_candidates(self) -> list[ElementSet]:
-        return _drain_interleaved(self.buckets, self.ell, self.h, self.sys)
-
-    def _finalize(self):
-        self.candidates = self.build_candidates()
-        return _best_by_value(self.f, self.candidates), self.kept.copy(), list(self.kept)
-
-    def stored_count(self) -> int:
-        count = len(self.kept)  # the buckets partition kept
-        if self.candidates is not None:
-            count += sum(len(t) for t in self.candidates)
-        return count
-
-
-class AdaptiveSieve(StreamingComponent):
-    """Banded sieve that learns its capacity bound on the fly.
-
-    Instead of a known ``rho`` it tracks a feasibility-greedy base of the
-    prefix seen so far and sizes the bucket range from that base, creating
-    deeper buckets lazily as the base grows.  ``tau`` keeps the same [M, 2M]
-    contract as :class:`ThresholdSieve`.
-
-    When ``shared_base`` is given the caller owns the greedy base (and its
-    growth); the sieve only reads it.  Elements whose band falls outside
-    the current range are recorded with their arrival gain in
-    ``out_of_band`` for diagnostics.
-    """
-
-    def __init__(self, sys: IndependenceSystem, f: Objective, tau: float,
-                 k: int | None = None, shared_base: ElementSet | None = None,
-                 trace: list | None = None):
-        super().__init__()
-        if tau <= 0:
-            raise ValueError("tau must be positive")
-        self.sys = sys
-        self.f = f
-        self.tau = float(tau)
-        self.k = int(k if k is not None else sys.k_param)
-        self.h = candidate_count(self.k)
-        self.ell = -1
-        self.buckets: list[ElementSet] = []
-        self.kept = ElementSet()
-        self.gain_at_accept: dict[int, float] = {}
-        self.out_of_band: dict[int, float] = {}
-        self.base_size_after: dict[int, int] = {}
-        self.candidates: list[ElementSet] | None = None
-        self._owns_base = shared_base is None
-        self.base = ElementSet() if shared_base is None else shared_base
-        self._banded_base_size = 0
-        self._trace = trace
-
-    @property
-    def profile(self) -> ApproximationProfile:
-        scale = self.k if self.sys.class_tag == "k_system" else 1
-        alpha = 4 * scale * self.h * (2 * self.k + 1)
-        return ApproximationProfile(alpha=float(alpha), gamma=self.tau / 4.0)
-
-    def _grow_bands(self):
-        # the base only grows, and the band range is a function of its size
-        size = len(self.base)
-        if size == self._banded_base_size:
-            return
-        self._banded_base_size = size
-        new_ell = math.floor(2 * math.log2(self.k * size) + 3 + _LOG_GUARD)
-        while self.ell < new_ell:
-            self.buckets.append(ElementSet())
-            self.ell += 1
-
-    def process(self, u: int) -> bool:
-        if self._owns_base and self.sys.can_add(u, self.base):
-            self.base.add(u)
-        self._grow_bands()
-        self.base_size_after[u] = len(self.base)
+        self._grow_bands(u)
+        # band_of written out: this runs once per arrival per window copy
         gain = self.f.marginal(u, self.kept)
         if gain <= EPS:
             self.out_of_band[u] = gain  # band infinity
@@ -320,13 +202,30 @@ class AdaptiveSieve(StreamingComponent):
         return True
 
     def _ingest(self, u: int) -> list[int]:
-        kept = self.process(u)
-        if kept or (self._owns_base and u in self.base):
+        if self.process(u) or (self._owns_base and u in self.base):
             return []
+        if self._trace is not None:
+            self._trace.append((len(self._seen) - 1, "evict", u, -1, 0.0))
         return [u]
 
     def build_candidates(self) -> list[ElementSet]:
-        return _drain_interleaved(self.buckets, self.ell, self.h, self.sys)
+        """Build h candidates; candidate j greedily drains buckets j, j+h, ...
+
+        Buckets are visited in ascending index (descending marginal band)
+        and each bucket in insertion order, so the construction is
+        deterministic and stream-faithful.
+        """
+        cands = []
+        for j in range(self.h):
+            t = ElementSet()
+            i = j
+            while i <= self.ell:
+                for u in self.buckets[i]:
+                    if self.sys.can_add(u, t):
+                        t.add(u)
+                i += self.h
+            cands.append(t)
+        return cands
 
     def _finalize(self):
         self.candidates = self.build_candidates()
@@ -342,6 +241,63 @@ class AdaptiveSieve(StreamingComponent):
         if self.candidates is not None:
             count += sum(len(t) for t in self.candidates)
         return count
+
+
+class ThresholdSieve(_BandedSieve):
+    """Banded sieve with a known acceptance threshold and capacity bound.
+
+    ``tau`` must lie in [M, 2M] where M is the largest value of a feasible
+    singleton; ``rho`` is the size of the largest independent set (any
+    upper bound is sound, at the price of extra buckets).  The band range
+    is fixed at ``bucket_count(rho)`` buckets.
+    """
+
+    def __init__(self, sys: IndependenceSystem, f: Objective, tau: float,
+                 rho: int, k: int | None = None, trace: list | None = None):
+        super().__init__(sys, f, tau, k, trace)
+        if rho < 1:
+            raise ValueError("rho must be a positive integer")
+        self.rho = int(rho)
+        self.ell = bucket_count(self.rho) - 1
+        self.buckets = [ElementSet() for _ in range(self.ell + 1)]
+
+
+class AdaptiveSieve(_BandedSieve):
+    """Banded sieve that learns its capacity bound on the fly.
+
+    Instead of a known ``rho`` it tracks a feasibility-greedy base of the
+    prefix seen so far and sizes the bucket range from that base, creating
+    deeper buckets lazily as the base grows.  ``tau`` keeps the same [M, 2M]
+    contract as :class:`ThresholdSieve`.
+
+    When ``shared_base`` is given the caller owns the greedy base (and its
+    growth); the sieve only reads it.
+    """
+
+    def __init__(self, sys: IndependenceSystem, f: Objective, tau: float,
+                 k: int | None = None, shared_base: ElementSet | None = None,
+                 trace: list | None = None):
+        super().__init__(sys, f, tau, k, trace)
+        self.base_size_after: dict[int, int] = {}
+        self._owns_base = shared_base is None
+        self.base = ElementSet() if shared_base is None else shared_base
+        self._banded_base_size = 0
+
+    def _grow_bands(self, u: int) -> None:
+        # an owned base is extended first; a shared one was extended by
+        # its owner before this copy saw u
+        if self._owns_base and self.sys.can_add(u, self.base):
+            self.base.add(u)
+        size = len(self.base)
+        self.base_size_after[u] = size
+        # the base only grows, and the band range is a function of its size
+        if size == self._banded_base_size:
+            return
+        self._banded_base_size = size
+        new_ell = math.floor(2 * math.log2(self.k * size) + 3 + _LOG_GUARD)
+        while self.ell < new_ell:
+            self.buckets.append(ElementSet())
+            self.ell += 1
 
 
 class AutoThresholdSieve(StreamingComponent):
@@ -365,16 +321,6 @@ class AutoThresholdSieve(StreamingComponent):
         self.best_singleton = -math.inf
         self.copies: dict[int, AdaptiveSieve] = {}  # exponent -> copy
         self._holders: dict[int, int] = {}
-
-    @property
-    def profile(self) -> ApproximationProfile:
-        scale = self.k if self.sys.class_tag == "k_system" else 1
-        h = candidate_count(self.k)
-        alpha = 4 * scale * h * (2 * self.k + 1)
-        gamma = 0.0
-        if self.best_singleton > 0:
-            gamma = 2.0 ** _ceil_log2(self.best_singleton) / 2.0
-        return ApproximationProfile(alpha=float(alpha), gamma=gamma)
 
     def active_exponents(self) -> range:
         """Exponents i with best_singleton <= 2**i <= window top."""
@@ -445,6 +391,19 @@ class AutoThresholdSieve(StreamingComponent):
             if copy.candidates is not None:
                 count += sum(len(t) for t in copy.candidates)
         return count
+
+
+def _drive(component: StreamingComponent,
+           stream: Iterable[int]) -> tuple[StreamOutcome, int]:
+    """Push a stream one element at a time and finish it; returns the
+    outcome and the peak stored count, polled after every element and once
+    more after the end-of-stream drain."""
+    peak = 0
+    for u in stream:
+        component.push([u])
+        peak = max(peak, component.stored_count())
+    outcome = component.finish()
+    return outcome, max(peak, component.stored_count())
 
 
 @dataclass

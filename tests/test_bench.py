@@ -1,6 +1,7 @@
 import pytest
 
-from substream.bench import (degree_costs, gen_erdos_renyi, gen_node_weights,
+from substream.bench import (build_cell, degree_costs, gen_erdos_renyi,
+                             gen_node_weights,
                              gen_watts_strogatz, load_edge_list,
                              normalize_costs, random_int_costs,
                              rows_to_csv, run_experiment, undirected_pairs,
@@ -212,3 +213,63 @@ def test_framework_entry_runs_and_reports_peak():
 def test_unknown_algorithm_rejected():
     with pytest.raises(ValueError):
         run_experiment(_toy_config(algorithms=["nope"]), measure_time=False)
+
+
+def test_unknown_algorithm_rejected_before_any_cell_is_built(monkeypatch):
+    def no_cells(*args):
+        raise AssertionError("a cell was built")
+
+    monkeypatch.setattr("substream.bench.build_cell", no_cells)
+    with pytest.raises(ValueError, match="'nope'"):
+        run_experiment(_toy_config(algorithms=["weighted_greedy", "nope"]),
+                       measure_time=False)
+
+
+def _facility_config(tmp_path, constraint):
+    path = tmp_path / "feats.csv"
+    rows = [f"{i},{i * 0.5},{(i * 7) % 3}" for i in range(6)]
+    path.write_text("id,f1,f2\n" + "\n".join(rows) + "\n")
+    return {"objective": {"kind": "facility", "features": str(path)},
+            "constraint": constraint, "algorithms": ["streaming_greedy"]}
+
+
+@pytest.mark.parametrize("constraint", [
+    {"type": "node_independent_set", "n": 6, "edges": [[0, 1]]},
+    {"type": "planarity", "n_vertices": 4,
+     "edges": [[0, 1], [1, 2], [2, 3], [3, 0], [0, 2], [1, 3]]},
+    {"type": "cardinality", "rho": 2},
+])
+def test_build_cell_takes_explicit_fields_without_a_graph(tmp_path, constraint):
+    cell = build_cell(_facility_config(tmp_path, constraint), 0, 1)
+    assert cell.sys.n == 6 and sorted(cell.stream) == list(range(6))
+    assert cell.sys.kind == constraint["type"]
+
+
+def test_build_cell_explicit_fields_win_over_the_instance():
+    cfg = _toy_config(constraint={"type": "node_independent_set", "n": 24,
+                                  "edges": [[0, 1]]})
+    sys = build_cell(cfg, 0.3, 1).sys
+    assert sys.is_independent(range(1, 24))
+    assert not sys.is_independent([0, 1])
+
+
+@pytest.mark.parametrize("constraint, field", [
+    ({"type": "node_independent_set"}, "n"),
+    ({"type": "planarity", "n_vertices": 4}, "edges"),
+    ({"type": "knapsack", "budget": 1.0}, "costs"),
+])
+def test_build_cell_names_a_field_it_cannot_derive(tmp_path, constraint, field):
+    with pytest.raises(ValueError, match=f"missing field '{field}'"):
+        build_cell(_facility_config(tmp_path, constraint), 0, 1)
+
+
+@pytest.mark.parametrize("ground, constraint", [
+    ("nodes", {"type": "planarity"}),
+    ("edges", {"type": "node_independent_set"}),
+    ("nodes", {"type": "cardinality", "n": 5, "rho": 2}),
+])
+def test_build_cell_rejects_a_constraint_over_another_ground_set(ground,
+                                                                 constraint):
+    cfg = _toy_config(constraint=constraint, ground=ground)
+    with pytest.raises(ValueError, match="ground set has"):
+        build_cell(cfg, 0.3, 1)

@@ -65,3 +65,47 @@ def test_counterexample_subcommand(tmp_path, capsys):
                  "--epsilon", "0.25"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["holds"] is True and payload["epsilon"] == 0.25
+
+
+def _fails_cleanly(argv, capsys, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("substream: error: ")
+    assert message in err and "Traceback" not in err
+
+
+def test_bench_run_rejects_malformed_input(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    _fails_cleanly(["bench", "run", "--config", str(bad)], capsys, "bad.json")
+    _fails_cleanly(["bench", "run", "--config", str(tmp_path / "missing.json")],
+                   capsys, "missing.json")
+    cfg = {"instance": {"model": "er", "n": 8, "p": 0.3},
+           "constraint": {"type": "cardinality", "rho": 2},
+           "algorithms": ["streaming_greedy"]}
+    for key, value, message in [
+            ("algorithms", ["streaming_greedy", "nope"], "unknown algorithm"),
+            ("constraint", {"type": "nope"}, "unknown constraint"),
+            ("objective", {"kind": "nope"}, "unknown objective kind")]:
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({**cfg, key: value}))
+        _fails_cleanly(["bench", "run", "--config", str(path)], capsys, message)
+
+
+def test_run_stream_rejects_malformed_input(tmp_path, capsys):
+    graph_path = tmp_path / "g.tsv"
+    main(["bench", "gen-graph", "--model", "er", "--n", "8", "--p", "0.3",
+          "--seed", "1", "--out", str(graph_path)])
+    spec = tmp_path / "constraint.json"
+    base = ["run-stream", "--graph", str(graph_path), "--objective", "cut",
+            "--algo", "auto_sieve", "--constraint"]
+    spec.write_text("[")
+    _fails_cleanly(base + [str(spec)], capsys, "constraint.json")
+    spec.write_text(json.dumps({"type": "nope"}))
+    _fails_cleanly(base + [str(spec)], capsys, "unknown constraint")
+    _fails_cleanly(base + [str(tmp_path / "none.json")], capsys, "none.json")
+    with pytest.raises(SystemExit) as exc:
+        main(base[:-3] + ["--algo", "nope", "--constraint", str(spec)])
+    assert exc.value.code == 2

@@ -89,6 +89,21 @@ def test_make_system_dispatch():
     assert combo.k_param == 1 + 2
 
 
+@pytest.mark.parametrize("spec, field", [
+    ({"type": "cardinality", "rho": 2}, "n"),
+    ({"type": "knapsack", "costs": [1.0]}, "budget"),
+    ({"type": "node_independent_set", "n": 3}, "edges"),
+    ({"type": "planarity", "edges": [[0, 1]]}, "n_vertices"),
+    ({"type": "labeled_limit", "labels": [[0]], "total_limit": 1},
+     "per_label_limit"),
+    ({"intersect": [{"type": "cardinality", "n": 2, "rho": 1},
+                    {"type": "knapsack", "budget": 1.0}]}, "costs"),
+])
+def test_make_system_names_missing_field(spec, field):
+    with pytest.raises(ValueError, match=f"missing field '{field}'"):
+        make_system(spec)
+
+
 def test_can_add_agrees_with_membership():
     rng = SplitMix64(99)
     for _ in range(40):

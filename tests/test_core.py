@@ -3,8 +3,7 @@ import math
 import pytest
 
 from substream import (AutoThresholdSieve, DuplicateElementError, ElementSet,
-                       GroundSetError, NumericError, Objective,
-                       ApproximationProfile, ThresholdSieve,
+                       GroundSetError, NumericError, Objective, ThresholdSieve,
                        cardinality_system, make_directed_cut, make_modular,
                        weighted_greedy, CutGraph)
 from substream.prng import SplitMix64
@@ -155,16 +154,6 @@ def test_marginal_fast_path_matches_eval_difference():
         fast = f.marginal(u, members)
         ref = slow.value(members | {u}) - slow.value(members)
         assert abs(fast - ref) <= 1e-9
-
-
-def test_profile_validation():
-    ApproximationProfile(alpha=1.0, gamma=0.0)
-    with pytest.raises(ValueError):
-        ApproximationProfile(alpha=0.5, gamma=0.0)
-    with pytest.raises(ValueError):
-        ApproximationProfile(alpha=1.0, gamma=-1.0)
-    with pytest.raises(ValueError):
-        ApproximationProfile(alpha=1.0, gamma=0.0, beta=0.2)
 
 
 # --- non-finite oracle values -------------------------------------------

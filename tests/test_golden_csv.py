@@ -1,21 +1,26 @@
-"""Byte-for-byte pin of the ``--no-timing`` results CSV on a small
-node-independent-set matrix.
+"""Byte-for-byte pins of the ``--no-timing`` results CSV on two small
+matrices: node independent sets on ER/WS graphs, and the edge-ground
+constraints (cardinality, knapsack cost rules, planarity and their
+intersection) that the bench fills in from the instance.
 
 Performance work must not change a single result bit: any change to an
-objective's summation order, a tie-break or the peak bookkeeping shows up
-here as a diff.  To record the expected file again after a change that is
-meant to alter results, run from the repository root::
+objective's summation order, a tie-break, the peak bookkeeping or the
+fields the bench derives for a constraint spec shows up here as a diff.
+To record an expected file again after a change that is meant to alter
+results, run from the repository root::
 
-    PYTHONPATH=src python tests/test_golden_csv.py > tests/data/golden_nis.csv
+    PYTHONPATH=src python tests/test_golden_csv.py nis > tests/data/golden_nis.csv
+    PYTHONPATH=src python tests/test_golden_csv.py edges > tests/data/golden_edges.csv
 
 and say in the change log why the results moved.
 """
 
+import sys
 from pathlib import Path
 
 from substream.bench import rows_to_csv, run_experiment
 
-GOLDEN = Path(__file__).parent / "data" / "golden_nis.csv"
+DATA = Path(__file__).parent / "data"
 
 ALGORITHMS = ["framework", "framework_tau", "sieve_streaming",
               "streaming_greedy", "threshold_sieve", "adaptive_sieve",
@@ -27,24 +32,64 @@ INSTANCES = {
            "edge_weights": "exp"},
 }
 
+NIS_MATRIX = [
+    (f"{family}-{kind}",
+     {"instance": instance,
+      "objective": {"kind": kind, "node_weights": "exp"},
+      "constraint": {"type": "node_independent_set"},
+      "algorithms": ALGORITHMS,
+      "seeds": [3, 11, 29]})
+    for family, instance in INSTANCES.items()
+    for kind in ("linear", "cut")]
 
-def golden_text() -> str:
-    parts = []
-    for family, instance in INSTANCES.items():
-        for kind in ("linear", "cut"):
-            cfg = {"instance": instance,
-                   "objective": {"kind": kind, "node_weights": "exp"},
-                   "constraint": {"type": "node_independent_set"},
-                   "algorithms": ALGORITHMS,
-                   "seeds": [3, 11, 29]}
-            rows = run_experiment(cfg, measure_time=False)
-            parts.append(f"# {family}-{kind}\n" + rows_to_csv(rows))
-    return "".join(parts)
+EDGE_ALGORITHMS = ["threshold_sieve", "adaptive_sieve", "framework_tau",
+                   "sieve_streaming", "repeated_greedy"]
+
+EDGE_INSTANCES = {
+    "er": {"model": "er", "n": 9, "p": 0.5},
+    "ws": {"model": "ws", "n": 10, "k_ring": 4, "beta": 0.3},
+}
+
+EDGE_CONSTRAINTS = {
+    # n comes from the edge count of the instance
+    "cardinality": {"type": "cardinality", "rho": 4},
+    "degree-knapsack": {"type": "knapsack", "budget": 3.0,
+                        "cost_rule": "degree", "q": 2},
+    # the knapsack half draws its costs from the second cost seed
+    "planarity-random-knapsack": {"intersect": [
+        {"type": "planarity"},
+        {"type": "knapsack", "budget": 0.8, "cost_rule": "random_int",
+         "normalize": "mean_tenth"}]},
+    "planarity": {"type": "planarity"},
+}
+
+EDGE_MATRIX = [
+    (f"{family}-{label}",
+     {"instance": instance,
+      "objective": {"kind": "linear"},
+      "constraint": constraint,
+      "ground": "edges",
+      "algorithms": EDGE_ALGORITHMS,
+      "seeds": [5, 17]})
+    for family, instance in EDGE_INSTANCES.items()
+    for label, constraint in EDGE_CONSTRAINTS.items()]
+
+MATRICES = {"nis": NIS_MATRIX, "edges": EDGE_MATRIX}
+
+
+def golden_text(matrix) -> str:
+    return "".join(f"# {label}\n"
+                   + rows_to_csv(run_experiment(cfg, measure_time=False))
+                   for label, cfg in matrix)
 
 
 def test_no_timing_csv_is_byte_identical():
-    assert golden_text() == GOLDEN.read_text()
+    assert golden_text(NIS_MATRIX) == (DATA / "golden_nis.csv").read_text()
+
+
+def test_edge_ground_csv_is_byte_identical():
+    assert golden_text(EDGE_MATRIX) == (DATA / "golden_edges.csv").read_text()
 
 
 if __name__ == "__main__":
-    print(golden_text(), end="")
+    print(golden_text(MATRICES[sys.argv[1]]), end="")

@@ -4,10 +4,11 @@ import pytest
 
 from substream import (AdaptiveSieve, AutoThresholdSieve, CascadeConfig,
                        ContractViolationError, DuplicateElementError,
-                       ElementSet, GreedyStream, StreamOutcome, ThresholdSieve,
-                       brute_force_opt, cardinality_system, cascade_run,
-                       contract_audit, exact_rho, knapsack_system,
-                       make_modular, repeated_greedy)
+                       ElementSet, GreedyStream, PreemptionStream,
+                       RatioSwapStream, SieveGuessStream, StreamOutcome,
+                       ThresholdSieve, brute_force_opt, cardinality_system,
+                       cascade_run, contract_audit, exact_rho,
+                       knapsack_system, make_modular, repeated_greedy)
 from substream.streaming import _ceil_log2, _floor_log2
 from substream.prng import SplitMix64
 
@@ -339,6 +340,43 @@ def test_contract_audit_threshold_sieve_space():
         report = contract_audit(sieve, stream, sys)
         assert report.ok, report.violations
         assert report.peak_stored <= (sieve.ell + 1 + sieve.h) * rho
+
+
+# every shipped component, built for one instance; tau is the power of
+# two in [M, 2M] for the largest feasible singleton value M
+AUDITED = {
+    "GreedyStream": lambda sys, f, tau: GreedyStream(sys, f),
+    "SieveGuessStream": lambda sys, f, tau: SieveGuessStream(sys, f),
+    "PreemptionStream": lambda sys, f, tau: PreemptionStream(sys, f),
+    "RatioSwapStream": lambda sys, f, tau: RatioSwapStream(sys, f),
+    "ThresholdSieve": lambda sys, f, tau: ThresholdSieve(sys, f, tau,
+                                                         exact_rho(sys)),
+    "AdaptiveSieve": lambda sys, f, tau: AdaptiveSieve(sys, f, tau),
+    "AutoThresholdSieve": lambda sys, f, tau: AutoThresholdSieve(sys, f),
+}
+CARDINALITY_ONLY = ("PreemptionStream", "RatioSwapStream")
+
+
+@pytest.mark.parametrize("name", list(AUDITED))
+def test_contract_audit_over_every_component(name):
+    rng = SplitMix64(50 + list(AUDITED).index(name))
+    kinds = ("cardinality",) if name in CARDINALITY_ONLY else \
+        ("cardinality", "labeled_limit", "knapsack", "node")
+    audited = 0
+    while audited < 30:
+        n = 6 + rng.randrange(9)
+        f = random_modular(rng, n) if audited % 2 else random_cut(rng, n)
+        sys = random_system(rng, n, kinds)
+        m = max_feasible_singleton(sys, f)
+        if m <= 0:
+            continue
+        stream = list(range(n))
+        rng.shuffle(stream)
+        comp = AUDITED[name](sys, f, 2.0 ** _ceil_log2(m))
+        report = contract_audit(comp, stream, sys)
+        assert report.ok, report.violations
+        assert report.pushed == n
+        audited += 1
 
 
 def test_contract_audit_flags_lost_elements():
