@@ -19,6 +19,19 @@ import sys as _sys
 from . import bench, counterexamples
 
 
+def _fail(message: str):
+    print(f"substream: error: {message}", file=_sys.stderr)
+    raise SystemExit(2) from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error like every other input error (subcommand
+    parsers are built from this class too)."""
+
+    def error(self, message):
+        _fail(message)
+
+
 def _load_json(path):
     with open(path) as fh:
         try:
@@ -83,7 +96,7 @@ def _cmd_counterexample(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="substream",
         description="Streaming submodular maximization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -134,10 +147,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError) as exc:
-        message = f"missing config key {exc}" if isinstance(exc, KeyError) \
-            else str(exc)
-        print(f"substream: error: {message}", file=_sys.stderr)
-        raise SystemExit(2) from None
+        _fail(f"missing config key {exc}" if isinstance(exc, KeyError)
+              else str(exc))
 
 
 if __name__ == "__main__":

@@ -3,7 +3,11 @@
 Every system is a downward-closed family over ``range(n)`` exposed through
 a membership predicate, together with a certified exchange parameter
 ``k_param`` and a ``class_tag`` of ``"matroid"``, ``"k_extendible"`` or
-``"k_system"``.  Oracles are immutable; concurrent reads are safe.
+``"k_system"``.  Every oracle is immutable except the planarity system's
+``can_add``, which memoizes answers for the element currently being
+placed.  That memo is not synchronized, but each entry is keyed by the
+element and the member set it answers for, so concurrent queries stay
+exact; at worst they empty each other's entries and repeat a test.
 """
 
 from __future__ import annotations
@@ -213,8 +217,17 @@ def node_independent_set_system(n: int, edges: Iterable[Sequence[int]]) -> Indep
 def planarity_system(n_vertices: int, edge_list: Sequence[Sequence[int]]) -> IndependenceSystem:
     """Edge subsets whose graph is planar; element i stands for edge i.
 
-    Planarity is re-tested from scratch on every membership query, which
-    is affordable at desk scale and keeps the oracle stateless.
+    ``is_independent`` runs the left-right test on the whole subset.
+    ``can_add`` relies on the members being planar already and runs the
+    test only when it can fail: never on at most 8 edges (the smallest
+    non-planar graphs, K3,3 and K5, have 9 and 10), never for a bridge
+    (an endpoint outside the members' graph, or the two endpoints in
+    different components of it), and otherwise only on the one component
+    that the new edge closes a cycle in, after Euler's bound
+    e <= 3v - 6.  Answers for the edge currently being placed are kept,
+    keyed by the edge and the member set, so the many sieve buckets and
+    threshold guesses that hold the same members share one test; the
+    memo is emptied when another edge is asked about.
     """
     edges = []
     seen = set()
@@ -235,8 +248,54 @@ def planarity_system(n_vertices: int, edge_list: Sequence[Sequence[int]]) -> Ind
     def pred(s):
         return planarity_check([edges[i] for i in s])
 
+    memo: dict = {}
+    memo_u = None
+
+    def add_pred(u, members):
+        nonlocal memo_u
+        if len(members) <= 7:
+            return True
+        s = frozenset(members)
+        hit = memo.get((u, s))
+        if hit is not None:
+            return hit
+        if u != memo_u:
+            memo.clear()
+            memo_u = u
+        memo[u, s] = answer = planar_with(u, s)
+        return answer
+
+    def planar_with(u, members):
+        a, b = edges[u]
+        adj: dict = {}
+        for i in members:
+            x, y = edges[i]
+            adj.setdefault(x, []).append(y)
+            adj.setdefault(y, []).append(x)
+        if a not in adj or b not in adj:
+            return True  # a pendant edge
+        comp = {a}
+        todo = [a]
+        while todo:
+            for w in adj[todo.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    todo.append(w)
+        if b not in comp:
+            return True  # joins two components
+        # edges of the component with u; it has at least 3 vertices, since
+        # u is no parallel edge
+        m = sum(len(adj[w]) for w in comp) // 2 + 1
+        if m > 3 * len(comp) - 6:
+            return False
+        if m <= 8:
+            return True
+        return planarity_check([edges[i] for i in members
+                                if edges[i][0] in comp] + [edges[u]])
+
     return IndependenceSystem(pred, len(edges), k_param=3,
-                              class_tag="k_system", kind="planarity")
+                              class_tag="k_system", kind="planarity",
+                              add_predicate=add_pred)
 
 
 def intersect(a: IndependenceSystem, b: IndependenceSystem) -> IndependenceSystem:

@@ -106,6 +106,17 @@ def test_run_stream_rejects_malformed_input(tmp_path, capsys):
     spec.write_text(json.dumps({"type": "nope"}))
     _fails_cleanly(base + [str(spec)], capsys, "unknown constraint")
     _fails_cleanly(base + [str(tmp_path / "none.json")], capsys, "none.json")
+    _fails_cleanly(base[:-3] + ["--algo", "nope", "--constraint", str(spec)],
+                   capsys, "argument --algo: invalid choice: 'nope'")
+
+
+def test_missing_subcommand_fails_cleanly(capsys):
+    _fails_cleanly([], capsys, "required: command")
+    _fails_cleanly(["bench"], capsys, "required: bench_command")
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(base[:-3] + ["--algo", "nope", "--constraint", str(spec)])
-    assert exc.value.code == 2
+        main(["run-stream", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: substream run-stream")

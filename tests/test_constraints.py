@@ -7,6 +7,7 @@ from substream import (ElementSet, GroundSetError, cardinality_system,
                        knapsack_system, labeled_limit_system, make_system,
                        node_independent_set_system, planarity_system,
                        unweighted_greedy)
+from substream.planarity import planarity_check
 from substream.prng import SplitMix64
 
 from helpers import random_independent_set, random_system
@@ -115,6 +116,96 @@ def test_can_add_agrees_with_membership():
                 continue
             expected = sys.is_independent(list(members) + [u])
             assert sys.can_add(u, members) == expected
+
+
+def _subdivide(edges, count, rng):
+    """Replace ``count`` random edges by two-edge paths through new vertices."""
+    edges = list(edges)
+    fresh = 1 + max(max(e) for e in edges)
+    for _ in range(count):
+        u, v = edges.pop(rng.randrange(len(edges)))
+        edges += [(u, fresh), (fresh, v)]
+        fresh += 1
+    return edges
+
+
+def _random_graph(rng, n, p, offset=0):
+    return [(offset + u, offset + v) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < p]
+
+
+def _planarity_instances(rng):
+    k5 = list(combinations(range(5), 2))
+    k33 = [(u, v) for u in range(3) for v in range(3, 6)]
+    yield k5
+    yield k33
+    for count in (1, 2, 4):
+        yield _subdivide(k5, count, rng)
+        yield _subdivide(k33, count, rng)
+    for _ in range(8):
+        yield _random_graph(rng, 6 + rng.randrange(9), rng.uniform(0.3, 0.9))
+    for _ in range(4):
+        # two dense blocks and a few edges between them
+        a, b = 5 + rng.randrange(3), 5 + rng.randrange(3)
+        edges = _random_graph(rng, a, 0.8) + _random_graph(rng, b, 0.8, a)
+        edges += [(rng.randrange(a), a + rng.randrange(b)) for _ in range(3)]
+        yield sorted(set(edges))
+
+
+def _grow_and_compare(sys, edges, rng, extra=lambda u, members: True):
+    """Offer the edges in random order, keeping each one that fits.  After
+    every acceptance, ask ``can_add`` about every non-member in random
+    order.  Some edges are asked again right away, against a random subset
+    of the members and then the members themselves; the first edge is
+    asked once more after all the others."""
+
+    def expected(u, members):
+        return (planarity_check([edges[i] for i in members] + [edges[u]])
+                and extra(u, members))
+
+    members = ElementSet()
+    offers = list(range(len(edges)))
+    rng.shuffle(offers)
+    for offered in offers:
+        if not expected(offered, members):
+            assert not sys.can_add(offered, members)
+            continue
+        assert sys.can_add(offered, members)
+        members.add(offered)
+        others = [u for u in range(len(edges)) if u not in members]
+        rng.shuffle(others)
+        for u in others:
+            asks = [members]
+            if rng.random() < 0.3:
+                asks += [{x for x in members if rng.random() < 0.7},
+                         list(members)]
+            for asked in asks:
+                assert sys.can_add(u, asked) == expected(u, asked), (u, asked)
+        if others:
+            u = others[0]
+            assert sys.can_add(u, members) == expected(u, members)
+
+
+def test_planarity_can_add_agrees_with_full_test():
+    rng = SplitMix64(2024)
+    for edges in _planarity_instances(rng):
+        n_vertices = 1 + max(max(e) for e in edges)
+        _grow_and_compare(planarity_system(n_vertices, edges), edges, rng)
+
+
+def test_planarity_knapsack_can_add_agrees_with_full_test():
+    rng = SplitMix64(77)
+    for edges in _planarity_instances(rng):
+        n_vertices = 1 + max(max(e) for e in edges)
+        costs = [float(rng.randint(1, 4)) for _ in edges]
+        budget = 0.6 * sum(costs)
+        sys = intersect(planarity_system(n_vertices, edges),
+                        knapsack_system(costs, budget))
+
+        def fits(u, members):
+            return sum(costs[x] for x in members) + costs[u] <= budget + 1e-12
+
+        _grow_and_compare(sys, edges, rng, fits)
 
 
 def test_downward_closure_sampled():

@@ -1,7 +1,9 @@
-"""Byte-for-byte pins of the ``--no-timing`` results CSV on two small
-matrices: node independent sets on ER/WS graphs, and the edge-ground
+"""Byte-for-byte pins of the ``--no-timing`` results CSV on three small
+matrices: node independent sets on ER/WS graphs, the edge-ground
 constraints (cardinality, knapsack cost rules, planarity and their
-intersection) that the bench fills in from the instance.
+intersection) that the bench fills in from the instance, and planarity
+on denser ER(20, 0.3) edge graphs, where solutions grow large enough
+that feasibility queries run the full left-right test.
 
 Performance work must not change a single result bit: any change to an
 objective's summation order, a tie-break, the peak bookkeeping or the
@@ -11,6 +13,7 @@ results, run from the repository root::
 
     PYTHONPATH=src python tests/test_golden_csv.py nis > tests/data/golden_nis.csv
     PYTHONPATH=src python tests/test_golden_csv.py edges > tests/data/golden_edges.csv
+    PYTHONPATH=src python tests/test_golden_csv.py planarity > tests/data/golden_planarity.csv
 
 and say in the change log why the results moved.
 """
@@ -74,7 +77,29 @@ EDGE_MATRIX = [
     for family, instance in EDGE_INSTANCES.items()
     for label, constraint in EDGE_CONSTRAINTS.items()]
 
-MATRICES = {"nis": NIS_MATRIX, "edges": EDGE_MATRIX}
+# dense edge graphs, where planarity queries reach the left-right test
+PLANARITY_ALGORITHMS = ["framework", "sieve_streaming", "streaming_greedy",
+                        "repeated_greedy", "auto_sieve"]
+
+PLANARITY_CONSTRAINTS = {
+    "planarity": {"type": "planarity"},
+    "planarity-random-knapsack": {"intersect": [
+        {"type": "planarity"},
+        {"type": "knapsack", "budget": 12.0, "cost_rule": "random_int"}]},
+}
+
+PLANARITY_MATRIX = [
+    (f"er20-{label}",
+     {"instance": {"model": "er", "n": 20, "p": 0.3},
+      "objective": {"kind": "linear"},
+      "constraint": constraint,
+      "ground": "edges",
+      "algorithms": PLANARITY_ALGORITHMS,
+      "seeds": [7, 23]})
+    for label, constraint in PLANARITY_CONSTRAINTS.items()]
+
+MATRICES = {"nis": NIS_MATRIX, "edges": EDGE_MATRIX,
+            "planarity": PLANARITY_MATRIX}
 
 
 def golden_text(matrix) -> str:
@@ -89,6 +114,11 @@ def test_no_timing_csv_is_byte_identical():
 
 def test_edge_ground_csv_is_byte_identical():
     assert golden_text(EDGE_MATRIX) == (DATA / "golden_edges.csv").read_text()
+
+
+def test_dense_planarity_csv_is_byte_identical():
+    assert (golden_text(PLANARITY_MATRIX)
+            == (DATA / "golden_planarity.csv").read_text())
 
 
 if __name__ == "__main__":
