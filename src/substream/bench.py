@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .core import ElementSet, Objective
 from .prng import SplitMix64
 from .objectives import (CutGraph, load_features, load_keyword_table,
@@ -50,32 +52,82 @@ class ResultRow:
 # graph generation and IO
 
 
+# Uniforms drawn at a time by gen_erdos_renyi.
+_ER_BLOCK = 1 << 14
+
+
+def _weight_of(r: float, mode: str) -> float:
+    """The weight a non-unit ``mode`` makes of the uniform draw ``r``."""
+    if mode == "uniform":
+        return r
+    if mode == "exp":
+        # mean-1 exponential; the clamp keeps log() finite
+        return -math.log(max(r, 2.0**-53))
+    raise ValueError(f"unknown weight mode {mode!r}")
+
+
 def _draw_weight(rng: SplitMix64, mode: str) -> float:
     if mode == "unit":
         return 1.0
-    if mode == "uniform":
-        return rng.random()
-    if mode == "exp":
-        # mean-1 exponential; the clamp keeps log() finite
-        return -math.log(max(rng.random(), 2.0**-53))
-    raise ValueError(f"unknown weight mode {mode!r}")
+    return _weight_of(rng.random(), mode)
 
 
 def gen_erdos_renyi(n: int, p: float, seed: int,
                     weight_mode: str = "unit") -> CutGraph:
     """Independent-pairs random graph; each undirected edge appears with
     probability ``p`` and is materialized in both directions, the two
-    directions carrying the same weight (drawn per ``weight_mode``)."""
+    directions carrying the same weight (drawn per ``weight_mode``).
+
+    The pairs ``(i, j)``, ``i < j``, are visited in row order; each takes
+    one uniform draw, and an edge takes the next draw as its weight unless
+    weights are unit.  The draws come in numpy blocks and only edges are
+    visited in Python: between two edges every draw is a pair's.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = SplitMix64(seed)
+    weighted = weight_mode != "unit"
+    npairs = max(n, 0) * (n - 1) // 2
+    hits: list[int] = []       # indices, in row order, of the pairs drawn
+    weights: list[float] = []
+    k = 0                      # pairs decided so far
+    owed = False               # the last edge's weight is the next draw
+    while k < npairs or owed:
+        block = rng.random_block(
+            min(_ER_BLOCK, (1 + weighted) * (npairs - k) + owed))
+        c = 0                  # draws of this block used so far
+        if owed:
+            weights.append(_weight_of(block.item(0), weight_mode))
+            c, owed = 1, False
+        for pos in np.flatnonzero(block < p).tolist():
+            if pos < c:
+                continue       # drawn as the previous edge's weight
+            pair = k + pos - c
+            if pair >= npairs:
+                break
+            hits.append(pair)
+            k, c = pair + 1, pos + 1
+            if weighted:
+                if c == len(block):
+                    owed = True
+                else:
+                    weights.append(_weight_of(block.item(c), weight_mode))
+                    c += 1
+        k = min(npairs, k + len(block) - c)
     edges: list[tuple[int, int, float]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                w = _draw_weight(rng, weight_mode)
-                edges.append((i, j, w))
-                edges.append((j, i, w))
+    if hits:
+        # row i holds pairs starts[i] .. starts[i] + n - i - 2
+        i_all = np.arange(n)
+        starts = i_all * (2 * n - i_all - 1) // 2
+        pair = np.array(hits)
+        rows = np.searchsorted(starts, pair, side="right") - 1
+        cols = pair - starts[rows] + rows + 1
+        if not weighted:
+            weights = [1.0] * len(hits)
+        ids = list(range(n))   # one int object per vertex, shared by its edges
+        for i, j, w in zip(rows.tolist(), cols.tolist(), weights):
+            edges.append((ids[i], ids[j], w))
+            edges.append((ids[j], ids[i], w))
     return CutGraph(n_vertices=n, edges=tuple(edges))
 
 

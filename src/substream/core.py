@@ -14,6 +14,7 @@ marginal-gain helpers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import OrderedDict
 from typing import Callable, Iterable
 
@@ -136,7 +137,11 @@ class Objective:
 
     ``marginal_fn(u, members)``, when provided, must equal
     ``fn(S + u) - fn(S)`` for ``u`` outside ``S``; it is used as a fast
-    path by :meth:`marginal` and counts as a single oracle call.
+    path by :meth:`marginal` and counts as a single oracle call.  Without
+    it, :meth:`marginal` sorts ``S`` once, inserts ``u`` by bisection and
+    looks up ``S + u`` before ``S`` through the same cache, so the LRU
+    order (and with it every evaluation count) is that of two
+    :meth:`value` calls in that order.
 
     Instances are read-only after construction apart from the cache and
     the call counter, which are not synchronized: use one oracle per run
@@ -169,7 +174,10 @@ class Objective:
         return key
 
     def value(self, subset: Iterable[int]) -> float:
-        key = self._key(subset)
+        return self._lookup(self._key(subset))
+
+    def _lookup(self, key: tuple[int, ...]) -> float:
+        """Cached value of a key already validated by :meth:`_key`."""
         cache = self._cache
         hit = cache.get(key)
         if hit is not None:
@@ -203,7 +211,8 @@ class Objective:
                 raise NumericError(f"marginal oracle returned non-finite gain {gain}")
             return gain
         base = self._key(subset)
-        return self.value(base + (u,)) - self.value(base)
+        i = bisect_left(base, u)
+        return self._lookup(base[:i] + (u,) + base[i:]) - self._lookup(base)
 
     def singleton(self, u: int) -> float:
         return self.value((u,))

@@ -143,6 +143,10 @@ def validate_similarity(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("similarity matrix must be square")
+    finite = np.isfinite(m)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0].tolist()
+        raise ValueError(f"similarity entry ({r}, {c}) is not finite: {m[r, c]}")
     if np.any(m < 0):
         raise ValueError("similarity entries must be non-negative")
     if np.max(np.abs(m - m.T)) > 1e-12:
@@ -163,7 +167,7 @@ def make_coverage_minus_dispersion(m: np.ndarray) -> Objective:
 
     def marginal_fn(u, members):
         idx = list(members)
-        inner = float(m[u, idx].sum()) if idx else 0.0
+        inner = float(m[u].take(idx).sum()) if idx else 0.0
         return float(row_sums[u]) - 2.0 * inner - float(m[u, u])
 
     return Objective(fn, m.shape[0], monotone=False, marginal_fn=marginal_fn)
@@ -176,6 +180,10 @@ def make_facility_location(m: np.ndarray,
     With ``estimator`` given, the outer mean runs over a uniform sample of
     ``r_cap`` rows (drawn once, ascending order) rescaled by ``1/r_cap``;
     ``r_cap == n`` reproduces the exact value bit for bit.
+
+    The oracle keeps the sampled rows transposed into its own C-contiguous
+    buffer (n x r_cap floats, n x n without an estimator), so a subset's
+    best similarities are a max over contiguous rows.
     """
     m = validate_similarity(m)
     n = m.shape[0]
@@ -186,33 +194,42 @@ def make_facility_location(m: np.ndarray,
         idx = SplitMix64(estimator.seed).sample_indices(n, estimator.r_cap)
         rows = m[idx, :]
         divisor = len(idx)
+    cols = np.ascontiguousarray(rows.T)
 
     def fn(ids):
         if not ids:
             return 0.0
-        return float(rows[:, list(ids)].max(axis=1).sum()) / divisor
+        return float(cols.take(ids, 0).max(axis=0).sum()) / divisor
 
     return Objective(fn, n, monotone=True)
 
 
 def make_logdet(m: np.ndarray, alpha: float) -> Objective:
-    """Log-determinant diversity of the chosen principal submatrix."""
+    """Log-determinant diversity of the chosen principal submatrix.
+
+    The value of ``S`` is ``log det(I + alpha * m[S, S])``.  The oracle
+    keeps ``I + alpha * m`` in its own n x n buffer and factorizes the
+    principal submatrix taken from it; every entry is the float the
+    per-subset sum would give, since adding an off-diagonal ``0.0`` is
+    exact.
+    """
     m = validate_similarity(m)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    shifted = np.eye(m.shape[0]) + alpha * m
 
     def fn(ids):
         if not ids:
             return 0.0
         if len(ids) > LOGDET_MAX_SUBSET:
             raise SizeLimitError(f"subset larger than {LOGDET_MAX_SUBSET}")
-        idx = list(ids)
-        a = np.eye(len(idx)) + alpha * m[np.ix_(idx, idx)]
+        a = shifted.take(ids, 0).take(ids, 1)
         try:
             chol = np.linalg.cholesky(a)
         except np.linalg.LinAlgError as exc:
-            raise NumericError(f"factorization failed for subset {idx}") from exc
-        return float(2.0 * np.sum(np.log(np.diag(chol))))
+            raise NumericError(
+                f"factorization failed for subset {list(ids)}") from exc
+        return float(2.0 * np.log(chol.diagonal()).sum())
 
     return Objective(fn, m.shape[0], monotone=True)
 
@@ -268,7 +285,11 @@ def load_features(path) -> np.ndarray:
             ident = int(row[0])
             if ident in rows:
                 raise ValueError(f"line {lineno}: duplicate id {ident}")
-            rows[ident] = [float(x) for x in row[1:]]
+            feats = [float(x) for x in row[1:]]
+            for x in feats:
+                if not math.isfinite(x):
+                    raise ValueError(f"line {lineno}: non-finite feature {x}")
+            rows[ident] = feats
     if set(rows) != set(range(len(rows))):
         raise ValueError("feature ids must be exactly 0..n-1")
     return np.array([rows[i] for i in range(len(rows))], dtype=float)

@@ -11,6 +11,8 @@ language, which is what makes benchmark output reproducible.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -33,6 +35,24 @@ class SplitMix64:
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
+
+    def random_block(self, count: int) -> np.ndarray:
+        """The next ``count`` values of :meth:`random` as a float64 array.
+
+        The states are computed with numpy ``uint64`` arithmetic, which
+        wraps modulo 2**64 exactly like the masked Python integers, and the
+        generator advances as ``count`` calls to :meth:`random` would.
+        """
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()

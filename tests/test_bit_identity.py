@@ -7,12 +7,18 @@ up as an exact (``==``) mismatch rather than hiding inside a tolerance.
 
 import math
 
+import numpy as np
 import pytest
 
 from substream import (AdaptiveSieve, AutoThresholdSieve, CutGraph, ElementSet,
-                       ThresholdSieve, contract_audit, make_directed_cut,
-                       node_independent_set_system)
-from substream.bench import gen_erdos_renyi, undirected_pairs
+                       Objective, ReservoirConfig, ThresholdSieve,
+                       contract_audit, make_coverage_minus_dispersion,
+                       make_directed_cut, make_facility_location, make_logdet,
+                       make_system, node_independent_set_system,
+                       similarity_from_features)
+from substream import bench
+from substream.bench import gen_erdos_renyi, run_algorithm, undirected_pairs
+from substream.core import DuplicateElementError, GroundSetError, NumericError
 from substream.prng import SplitMix64
 from substream.streaming import _ceil_log2
 
@@ -128,3 +134,189 @@ def test_stored_count_matches_bucket_sum_at_every_step(seed):
         assert len(pairs) == len(stream) + 1
         assert all(new == old for new, old in pairs)
         assert max(new for new, _ in pairs) > 0
+
+
+def reference_er(n, p, seed, weight_mode):
+    """The Erdos-Renyi generator as one uniform draw per pair in row order,
+    plus one more per edge for non-unit weights."""
+    rng = SplitMix64(seed)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                if weight_mode == "unit":
+                    w = 1.0
+                elif weight_mode == "uniform":
+                    w = rng.random()
+                else:
+                    w = -math.log(max(rng.random(), 2.0**-53))
+                edges.append((i, j, w))
+                edges.append((j, i, w))
+    return edges
+
+
+def test_random_block_matches_scalar_draws():
+    for seed in (0, 1, 2**63, 2**64 - 1, -7):
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        for count in (0, 1, 5, 1000):
+            block = a.random_block(count)
+            assert block.dtype == np.float64
+            assert block.tolist() == [b.random() for _ in range(count)]
+        assert a.next_u64() == b.next_u64()
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 1 << 14])
+@pytest.mark.parametrize("weight_mode", ["unit", "uniform", "exp"])
+def test_erdos_renyi_matches_per_pair_loop(monkeypatch, block, weight_mode):
+    # small blocks put edge draws and their weight draws on block borders
+    monkeypatch.setattr(bench, "_ER_BLOCK", block, raising=False)
+    for n, p, seed in [(1, 0.5, 3), (2, 1.0, 1), (23, 0.0, 4), (23, 0.2, 5),
+                       (23, 0.9, 2**63 + 11), (31, 1.0, 2**64 - 1),
+                       (40, 0.05, 6)]:
+        edges = gen_erdos_renyi(n, p, seed, weight_mode).edges
+        assert list(edges) == reference_er(n, p, seed, weight_mode)
+        assert all(type(w) is float for _, _, w in edges)
+
+
+# ---------------------------------------------------------------------------
+# the feature objectives' value path
+
+
+def reference_facility_fn(m, estimator=None):
+    """Facility location as a column gather from the row-major matrix."""
+    n = m.shape[0]
+    rows, divisor = m, n
+    if estimator is not None:
+        idx = SplitMix64(estimator.seed).sample_indices(n, estimator.r_cap)
+        rows, divisor = m[idx, :], len(idx)
+
+    def fn(ids):
+        if not ids:
+            return 0.0
+        return float(rows[:, list(ids)].max(axis=1).sum()) / divisor
+
+    return fn
+
+
+def reference_logdet_fn(m, alpha):
+    """Log-determinant with the identity added to each gathered block."""
+    def fn(ids):
+        if not ids:
+            return 0.0
+        idx = list(ids)
+        a = np.eye(len(idx)) + alpha * m[np.ix_(idx, idx)]
+        return float(2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(a)))))
+
+    return fn
+
+
+def reference_cmd_marginal(m):
+    """Coverage-minus-dispersion gain with a fancy-indexed row slice."""
+    row_sums = m.sum(axis=1)
+
+    def marginal_fn(u, members):
+        idx = list(members)
+        inner = float(m[u, idx].sum()) if idx else 0.0
+        return float(row_sums[u]) - 2.0 * inner - float(m[u, u])
+
+    return marginal_fn
+
+
+class ThreeSortObjective(Objective):
+    """``Objective`` whose slow-path marginal sorts the subset, then sorts
+    ``S + u`` and ``S`` again inside two ``value`` calls."""
+
+    __slots__ = ()
+
+    def marginal(self, u, subset):
+        if u < 0 or u >= self.n:
+            raise GroundSetError(f"id {u} outside range(0, {self.n})")
+        if u in subset:
+            raise DuplicateElementError(f"element {u} already in subset")
+        if self._marginal_fn is not None:
+            self.evaluations += 1
+            gain = float(self._marginal_fn(u, subset))
+            if not math.isfinite(gain):
+                raise NumericError(f"non-finite gain {gain}")
+            return gain
+        base = self._key(subset)
+        return self.value(base + (u,)) - self.value(base)
+
+
+def feature_similarity(n, seed):
+    """Clustered points, as the feature workloads draw them."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0.0, 10.0, size=(4, 5))
+    points = centres[rng.integers(0, 4, size=n)] + rng.normal(size=(n, 5))
+    return similarity_from_features(points, 0.1)
+
+
+def objective_pairs(sim, cache_entries):
+    """(label, current objective, reference objective) for each feature
+    objective, the reference built from the kernels above."""
+    n = sim.shape[0]
+    res = ReservoirConfig(r_cap=n // 3, seed=5)
+    pairs = [("facility", make_facility_location(sim),
+              reference_facility_fn(sim), None),
+             ("facility-reservoir", make_facility_location(sim, res),
+              reference_facility_fn(sim, res), None),
+             ("logdet", make_logdet(sim, 20.0),
+              reference_logdet_fn(sim, 20.0), None),
+             ("cmd", make_coverage_minus_dispersion(sim),
+              make_coverage_minus_dispersion(sim)._fn,
+              reference_cmd_marginal(sim))]
+    out = []
+    for label, cur, ref_fn, ref_marginal in pairs:
+        new = Objective(cur._fn, n, monotone=cur.monotone,
+                        marginal_fn=cur._marginal_fn,
+                        cache_entries=cache_entries)
+        ref = ThreeSortObjective(ref_fn, n, monotone=cur.monotone,
+                                 marginal_fn=ref_marginal,
+                                 cache_entries=cache_entries)
+        out.append((label, new, ref))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_feature_values_match_reference_kernels(seed):
+    n = 80
+    sim = feature_similarity(n, seed)
+    rng = SplitMix64(seed)
+    subsets = [()] + [(u,) for u in range(n)]
+    for _ in range(120):
+        order = list(range(n))
+        rng.shuffle(order)
+        subsets.append(tuple(sorted(order[:2 + rng.randrange(59)])))
+    for label, new, ref in objective_pairs(sim, cache_entries=64):
+        for ids in subsets:
+            assert new._fn(ids) == ref._fn(ids), (label, ids)
+        for ids in subsets[n + 1:]:
+            members = list(ids)
+            rng.shuffle(members)
+            u = next(x for x in range(n) if x not in ids)
+            for container in (ElementSet, set, tuple):
+                assert (new.marginal(u, container(members))
+                        == ref.marginal(u, container(members))), label
+        assert new.evaluations == ref.evaluations, label
+        assert list(new._cache.items()) == list(ref._cache.items()), label
+
+
+@pytest.mark.parametrize("algorithm", ["framework", "sieve_streaming",
+                                       "threshold_sieve", "auto_sieve",
+                                       "repeated_greedy"])
+def test_feature_runs_match_reference_kernels(algorithm):
+    # a 64-entry cache overflows during every run, so the LRU order of the
+    # two lookups in a slow-path marginal decides the evaluation counts
+    n = 40
+    sim = feature_similarity(n, 7)
+    sys = make_system({"type": "cardinality", "rho": 6, "n": n})
+    stream = list(range(n))
+    SplitMix64(7).shuffle(stream)
+    for label, new, ref in objective_pairs(sim, cache_entries=64):
+        sol_new, peak_new = run_algorithm(algorithm, sys, new, stream, {})
+        sol_ref, peak_ref = run_algorithm(algorithm, sys, ref, stream, {})
+        assert list(sol_new) == list(sol_ref), label
+        assert peak_new == peak_ref, label
+        assert new.evaluations == ref.evaluations, label
+        assert list(new._cache) == list(ref._cache), label
+        assert new.value(sol_new) == ref.value(sol_ref), label

@@ -146,6 +146,15 @@ def test_similarity_matrix_validation():
         make_logdet(neg, alpha=1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_similarity_rejects_non_finite_entries(bad):
+    m = np.array([[1.0, 0.2, 0.3], [0.2, 1.0, bad], [0.3, bad, 1.0]])
+    for make in (make_facility_location, make_coverage_minus_dispersion,
+                 lambda s: make_logdet(s, alpha=1.0)):
+        with pytest.raises(ValueError, match=r"\(1, 2\) is not finite"):
+            make(m)
+
+
 def test_feature_csv_roundtrip(tmp_path):
     path = tmp_path / "features.csv"
     path.write_text("id,f1,f2\n1,0.5,1.5\n0,2.0,3.0\n")
@@ -159,6 +168,14 @@ def test_feature_csv_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,f1\n0,1.0\n2,2.0\n")
     with pytest.raises(ValueError):
+        load_features(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_feature_csv_rejects_non_finite_values(tmp_path, bad):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"id,f1,f2\n0,1.0,2.0\n1,0.5,{bad}\n")
+    with pytest.raises(ValueError, match="line 3: non-finite feature"):
         load_features(path)
 
 
