@@ -14,7 +14,7 @@ import math
 from .core import (EPS, ElementSet, Objective, SizeLimitError,
                    UnsupportedConstraintError)
 from .constraints import EXACT_RHO_LIMIT, IndependenceSystem, exact_rho
-from .streaming import StreamingComponent, StreamOutcome, _drive
+from .streaming import StreamingComponent, StreamOutcome, _drive, _release
 
 
 def _require_cardinality(sys: IndependenceSystem) -> int:
@@ -101,12 +101,7 @@ class SieveGuessStream(StreamingComponent):
                 self.guesses[v] = ElementSet()
         floor = self.best_singleton - EPS
         for v in [g for g in self.guesses if g < floor]:
-            for x in self.guesses[v]:
-                self._holders[x] -= 1
-                if self._holders[x] == 0:
-                    del self._holders[x]
-                    evicted.append(x)
-            del self.guesses[v]
+            _release(self._holders, self.guesses.pop(v), evicted)
         return evicted
 
     def _ingest(self, u: int) -> list[int]:
@@ -186,8 +181,9 @@ class PreemptionStream(StreamingComponent):
                 return []
             self._note("evict", u, gain)
             return [u]
-        cheapest = min(self.solution,
-                       key=lambda x: (self.insert_gain[x], self.arrival_rank(x)))
+        # solution is in arrival order and min keeps the first minimum, so
+        # a tie goes to the earliest arrival
+        cheapest = min(self.solution, key=self.insert_gain.__getitem__)
         if gain >= 2.0 * self.insert_gain[cheapest] - EPS:
             self.solution.remove(cheapest)
             self._record(u, gain)

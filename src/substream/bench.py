@@ -480,8 +480,7 @@ def run_algorithm(name: str, sys: IndependenceSystem, f: Objective,
             factory = lambda: AutoThresholdSieve(sys, f)
         cfg = CascadeConfig(copies=copies, component_factory=factory,
                             offline=offline)
-        trace = cascade_run(cfg, stream, sys, f, return_trace=True,
-                            track_peak=True)
+        trace = cascade_run(cfg, stream, sys, f)
         return trace.best, trace.peak_stored
     elif name == "weighted_greedy":
         return weighted_greedy(f, sys, stream), len(stream)
@@ -490,7 +489,7 @@ def run_algorithm(name: str, sys: IndependenceSystem, f: Objective,
         return repeated_greedy(f, sys, stream, iterations=iters), len(stream)
     else:
         raise ValueError(f"unknown algorithm {name!r}")
-    outcome, peak = _drive(component, stream)
+    outcome, peak, _ = _drive(component, stream)
     return outcome.solution, peak
 
 

@@ -45,9 +45,6 @@ class CutGraph:
             if w < 0:
                 raise ValueError(f"negative edge weight {w}")
 
-    def total_weight(self) -> float:
-        return sum(w for _, _, w in self.edges)
-
 
 @dataclass(frozen=True)
 class KeywordTable:
@@ -143,6 +140,8 @@ def validate_similarity(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("similarity matrix must be square")
+    if m.size == 0:
+        raise ValueError("similarity matrix is empty")
     finite = np.isfinite(m)
     if not finite.all():
         r, c = np.argwhere(~finite)[0].tolist()

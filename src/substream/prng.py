@@ -68,9 +68,6 @@ class SplitMix64:
         """Uniform integer in the inclusive range [lo, hi]."""
         return lo + self.randrange(hi - lo + 1)
 
-    def choice(self, xs):
-        return xs[self.randrange(len(xs))]
-
     def shuffle(self, xs: list) -> None:
         for i in range(len(xs) - 1, 0, -1):
             j = self.randrange(i + 1)

@@ -14,7 +14,7 @@ D, so nothing a component ever received is lost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .core import (EPS, ContractViolationError, DuplicateElementError,
@@ -66,6 +66,16 @@ def _best_by_value(f: Objective, cands: list[ElementSet]) -> ElementSet:
     return best
 
 
+def _release(holders: dict[int, int], members: Iterable[int],
+             evicted: list[int]) -> None:
+    """Drop one hold on each member; a member left with none is evicted."""
+    for x in members:
+        holders[x] -= 1
+        if holders[x] == 0:
+            del holders[x]
+            evicted.append(x)
+
+
 @dataclass
 class StreamOutcome:
     """End-of-stream triple (S, A, D)."""
@@ -91,11 +101,7 @@ class StreamingComponent:
 
     def __init__(self):
         self._seen: set[int] = set()
-        self._ranks: dict[int, int] = {}
         self._finished = False
-
-    def arrival_rank(self, u: int) -> int:
-        return self._ranks[u]
 
     def push(self, batch: Iterable[int]) -> list[int]:
         if self._finished:
@@ -105,7 +111,6 @@ class StreamingComponent:
             if u in self._seen:
                 raise DuplicateElementError(f"element {u} presented twice")
             self._seen.add(u)
-            self._ranks[u] = len(self._ranks)
             evicted.extend(self._ingest(u))
         return evicted
 
@@ -141,12 +146,10 @@ class _BandedSieve(StreamingComponent):
 
     Each arriving element is bucketed by how its marginal gain against
     everything kept so far compares with ``tau``; each bucket independently
-    keeps a feasibility-greedy base.  Elements whose band falls outside the
-    current range are recorded with their arrival gain in ``out_of_band``.
-    At end of stream, ``candidate_count(k)`` interleaved candidates are
-    drained from the buckets and the best one is returned.  Subclasses set
-    the band range (``ell``, with one bucket per band); ``_grow_bands(u)``
-    runs before each arrival is banded.
+    keeps a feasibility-greedy base.  At end of stream, ``candidate_count(k)``
+    interleaved candidates are drained from the buckets and the best one is
+    returned.  Subclasses set the band range (``ell``, with one bucket per
+    band); ``_grow_bands(u)`` runs before each arrival is banded.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float,
@@ -162,8 +165,6 @@ class _BandedSieve(StreamingComponent):
         self.ell = -1
         self.buckets: list[ElementSet] = []
         self.kept = ElementSet()          # union of buckets, arrival order
-        self.gain_at_accept: dict[int, float] = {}
-        self.out_of_band: dict[int, float] = {}
         self.candidates: list[ElementSet] | None = None
         self._owns_base = False
         self._trace = trace
@@ -171,32 +172,19 @@ class _BandedSieve(StreamingComponent):
     def _grow_bands(self, u: int) -> None:
         pass
 
-    def band_of(self, gain: float) -> int | None:
-        """Bucket index for a marginal gain, or None when out of range."""
-        if gain <= EPS:
-            return None  # treated as band infinity
-        i = _floor_log2(self.tau / gain)
-        if i < 0 or i > self.ell:
-            return None
-        return i
-
     def process(self, u: int) -> bool:
         self._grow_bands(u)
-        # band_of written out: this runs once per arrival per window copy
         gain = self.f.marginal(u, self.kept)
         if gain <= EPS:
-            self.out_of_band[u] = gain  # band infinity
-            return False
+            return False  # band infinity
         i = _floor_log2(self.tau / gain)
         if i < 0 or i > self.ell:
-            self.out_of_band[u] = gain
             return False
         bucket = self.buckets[i]
         if not self.sys.can_add(u, bucket):
             return False
         bucket.add(u)
         self.kept.add(u)
-        self.gain_at_accept[u] = gain
         if self._trace is not None:
             self._trace.append((len(self._seen) - 1, "accept", u, i, gain))
         return True
@@ -278,7 +266,6 @@ class AdaptiveSieve(_BandedSieve):
                  k: int | None = None, shared_base: ElementSet | None = None,
                  trace: list | None = None):
         super().__init__(sys, f, tau, k, trace)
-        self.base_size_after: dict[int, int] = {}
         self._owns_base = shared_base is None
         self.base = ElementSet() if shared_base is None else shared_base
         self._banded_base_size = 0
@@ -289,7 +276,6 @@ class AdaptiveSieve(_BandedSieve):
         if self._owns_base and self.sys.can_add(u, self.base):
             self.base.add(u)
         size = len(self.base)
-        self.base_size_after[u] = size
         # the base only grows, and the band range is a function of its size
         if size == self._banded_base_size:
             return
@@ -345,12 +331,7 @@ class AutoThresholdSieve(StreamingComponent):
         window = self.active_exponents()
         for exponent in list(self.copies):
             if exponent not in window:
-                for x in self.copies[exponent].kept:
-                    holders[x] -= 1
-                    if holders[x] == 0:
-                        del holders[x]
-                        evicted.append(x)
-                del self.copies[exponent]
+                _release(holders, self.copies.pop(exponent).kept, evicted)
         for exponent in window:
             if exponent not in self.copies:
                 self.copies[exponent] = AdaptiveSieve(
@@ -393,17 +374,22 @@ class AutoThresholdSieve(StreamingComponent):
         return count
 
 
-def _drive(component: StreamingComponent,
-           stream: Iterable[int]) -> tuple[StreamOutcome, int]:
-    """Push a stream one element at a time and finish it; returns the
-    outcome and the peak stored count, polled after every element and once
-    more after the end-of-stream drain."""
+def _drive(component: StreamingComponent, stream: Iterable[int]
+           ) -> tuple[StreamOutcome, int, list[tuple[int, int]]]:
+    """Push a stream one element at a time and finish it.
+
+    Returns the outcome, the peak stored count (polled after every element
+    and once more after the end-of-stream drain) and the ``(step, element)``
+    evictions in the order ``push`` returned them.
+    """
     peak = 0
-    for u in stream:
-        component.push([u])
+    evictions: list[tuple[int, int]] = []
+    for step, u in enumerate(stream):
+        for x in component.push([u]):
+            evictions.append((step, x))
         peak = max(peak, component.stored_count())
     outcome = component.finish()
-    return outcome, max(peak, component.stored_count())
+    return outcome, max(peak, component.stored_count()), evictions
 
 
 @dataclass
@@ -426,6 +412,10 @@ class CascadeConfig:
 
 @dataclass
 class CascadeTrace:
+    """Result of :func:`cascade_run`: the winning set with its value and
+    label, every labelled candidate, each copy's outcome and the peak number
+    of stored elements."""
+
     best: ElementSet
     best_value: float
     best_label: str
@@ -435,17 +425,17 @@ class CascadeTrace:
 
 
 def cascade_run(cfg: CascadeConfig, stream: Sequence[int],
-                sys: IndependenceSystem, f: Objective, *,
-                return_trace: bool = False,
-                track_peak: bool = False):
+                sys: IndependenceSystem, f: Objective) -> CascadeTrace:
     """Feed the stream through chained components and return the best of
     their solutions and the offline-polished summaries.
 
     Discarded elements cascade: what copy i rejects or later drops is
     pushed to copy i+1, during the stream and again at finish through the
-    residual sets.  With deterministic components and offline solver the
-    whole run is deterministic; value ties resolve to the earliest
-    candidate (lower copy index, streamed solution before polished one).
+    residual sets.  The peak is the stored count summed over all copies,
+    polled after every element and once more after the drain.  With
+    deterministic components and offline solver the whole run is
+    deterministic; value ties resolve to the earliest candidate (lower copy
+    index, streamed solution before polished one).
     """
     comps = [cfg.component_factory() for _ in range(cfg.copies)]
     peak = 0
@@ -455,8 +445,7 @@ def cascade_run(cfg: CascadeConfig, stream: Sequence[int],
             batch = comp.push(batch)
             if not batch:
                 break
-        if track_peak:
-            peak = max(peak, sum(c.stored_count() for c in comps))
+        peak = max(peak, sum(c.stored_count() for c in comps))
     outcomes: list[StreamOutcome] = []
     batch = []
     for comp in comps:
@@ -465,8 +454,7 @@ def cascade_run(cfg: CascadeConfig, stream: Sequence[int],
             raise ContractViolationError("component returned a dependent solution")
         outcomes.append(outcome)
         batch = list(outcome.residual)
-    if track_peak:
-        peak = max(peak, sum(c.stored_count() for c in comps))
+    peak = max(peak, sum(c.stored_count() for c in comps))
 
     candidates: list[tuple[str, ElementSet, float]] = []
     for idx, outcome in enumerate(outcomes, start=1):
@@ -478,10 +466,7 @@ def cascade_run(cfg: CascadeConfig, stream: Sequence[int],
     for label, cand, val in candidates[1:]:
         if val > best_val + EPS:
             best_label, best, best_val = label, cand, val
-    if return_trace:
-        return CascadeTrace(best, best_val, best_label, candidates, outcomes,
-                            peak)
-    return best
+    return CascadeTrace(best, best_val, best_label, candidates, outcomes, peak)
 
 
 @dataclass
@@ -493,10 +478,9 @@ class AuditReport:
     peak_stored: int
     pushed: int
     outcome: StreamOutcome
-    steps: list[tuple[int, int]] = field(repr=False, default_factory=list)
 
 
-def contract_audit(component: StreamingComponent, stream: Sequence[int],
+def contract_audit(component: StreamingComponent, stream: Iterable[int],
                    sys: IndependenceSystem | None = None) -> AuditReport:
     """Replay a stream through a fresh component, checking the protocol.
 
@@ -506,30 +490,22 @@ def contract_audit(component: StreamingComponent, stream: Sequence[int],
     number of stored elements (candidate sets included).  Violations are
     reported, never raised.
     """
+    stream = list(stream)
+    outcome, peak, evictions = _drive(component, stream)
+    position = {u: step for step, u in enumerate(stream)}
     violations: list[str] = []
-    pushed: set[int] = set()
-    evicted: dict[int, int] = {}
-    steps: list[tuple[int, int]] = []
-    peak = 0
-    for step, u in enumerate(stream):
-        pushed.add(u)
-        for x in component.push([u]):
-            if x not in pushed:
-                violations.append(f"step {step}: evicted unknown element {x}")
-            if x in evicted:
-                violations.append(f"step {step}: element {x} evicted twice")
-            evicted[x] = step
-        stored = component.stored_count()
-        steps.append((step, stored))
-        peak = max(peak, stored)
-    outcome = component.finish()
-    peak = max(peak, component.stored_count())
+    evicted: set[int] = set()
+    for step, x in evictions:
+        if x not in position or position[x] > step:
+            violations.append(f"step {step}: evicted unknown element {x}")
+        if x in evicted:
+            violations.append(f"step {step}: element {x} evicted twice")
+        evicted.add(x)
     accounted = set(outcome.summary) | set(outcome.residual)
-    for u in pushed:
+    for u in position:
         if u not in evicted and u not in accounted:
             violations.append(f"element {u} lost (never evicted, not in A or D)")
     if sys is not None and not sys.is_independent(outcome.solution):
         violations.append("solution is not independent")
     return AuditReport(ok=not violations, violations=violations,
-                       peak_stored=peak, pushed=len(pushed),
-                       outcome=outcome, steps=steps)
+                       peak_stored=peak, pushed=len(position), outcome=outcome)

@@ -157,7 +157,7 @@ def test_criterion_06_cascade_bound_with_measured_ratio():
             copies=r,
             component_factory=lambda: ThresholdSieve(sys, f, tau, rho),
             offline=lambda fo, so, ground: repeated_greedy(fo, so, ground))
-        trace = cascade_run(cfg, list(range(n)), sys, f, return_trace=True)
+        trace = cascade_run(cfg, list(range(n)), sys, f)
         _, opt = brute_force_opt(f, sys, range(n))
         probe = ThresholdSieve(sys, f, tau, rho)
         alpha = 4 * probe.k * probe.h * (2 * probe.k + 1)

@@ -101,6 +101,18 @@ def test_preemption_swap_trace_on_g1():
     assert out.summary == set(inst.early) | set(inst.late)
 
 
+def test_preemption_swap_tie_breaks_to_earliest_arrival():
+    # the early block 1, 2, 3 all remember insertion gain 1, so every swap
+    # is a tie among them and must displace the earliest arrival first
+    inst = build_g1(3, 0.01)
+    f = make_directed_cut(inst.graph)
+    sys = cardinality_system(inst.graph.n_vertices, 3)
+    comp = PreemptionStream(sys, f)
+    assert inst.stream == (1, 2, 3, 4, 5, 6, 7, 8, 9)
+    evicted = [comp.push([u]) for u in inst.stream]
+    assert evicted == [[], [], [], [4], [5], [6], [1], [2], [3]]
+
+
 def test_preemption_gain_cache_matches_prefix_marginal():
     # on the adversarial families the remembered insertion gain equals the
     # gain against the currently held earlier arrivals, at every step
@@ -108,12 +120,12 @@ def test_preemption_gain_cache_matches_prefix_marginal():
         f = make_directed_cut(inst.graph)
         sys = cardinality_system(inst.graph.n_vertices, inst.rho)
         comp = PreemptionStream(sys, f)
+        position = {u: i for i, u in enumerate(inst.stream)}
         for u in inst.stream:
             comp.push([u])
             for x in comp.solution:
                 prefix = ElementSet(
-                    s for s in comp.solution
-                    if comp.arrival_rank(s) < comp.arrival_rank(x))
+                    s for s in comp.solution if position[s] < position[x])
                 recomputed = f.marginal(x, prefix)
                 assert abs(comp.insert_gain[x] - recomputed) <= 1e-9
 

@@ -146,6 +146,14 @@ def test_similarity_matrix_validation():
         make_logdet(neg, alpha=1.0)
 
 
+def test_header_only_feature_csv_names_the_empty_similarity_matrix(tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_text("id,f1\n")
+    sim = similarity_from_features(load_features(path), lam=0.5)
+    with pytest.raises(ValueError, match="similarity matrix is empty"):
+        make_logdet(sim, alpha=1.0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_similarity_rejects_non_finite_entries(bad):
     m = np.array([[1.0, 0.2, 0.3], [0.2, 1.0, bad], [0.3, bad, 1.0]])

@@ -9,6 +9,7 @@ from substream import (AdaptiveSieve, AutoThresholdSieve, CascadeConfig,
                        ThresholdSieve, brute_force_opt, cardinality_system,
                        cascade_run, contract_audit, exact_rho,
                        knapsack_system, make_modular, repeated_greedy)
+from substream.core import EPS
 from substream.streaming import _ceil_log2, _floor_log2
 from substream.prng import SplitMix64
 
@@ -30,10 +31,11 @@ def test_log_helpers_guard_exact_powers():
 
 
 def test_band_formula_examples():
-    sieve, _, _ = sieve_for(tau=8.0)
-    assert sieve.band_of(3.0) == 1            # floor(log2(8/3)) = 1
-    assert sieve.band_of(0.0) is None         # non-positive gain
-    assert sieve.band_of(16.0) is None        # floor(log2(1/2)) = -1 < 0
+    sieve, _, _ = sieve_for(tau=8.0, weights=[3.0, 0.0, 16.0] + [1.0] * 5)
+    # gain 3 lands in band floor(log2(8/3)) = 1; a zero gain and gain 16
+    # (floor(log2(1/2)) = -1 < 0) fall outside the range and are evicted
+    assert sieve.push([0, 1, 2]) == [1, 2]
+    assert sieve.buckets == [set(), {0}, set(), set()]
 
 
 def test_parameters_match_formulas():
@@ -52,8 +54,7 @@ def test_candidate_drain_interleaving():
     sieve = ThresholdSieve(sys, f, tau=8.0, rho=4, k=1)
     assert (sieve.ell, sieve.h) == (4, 2)
     out = sieve.finish(range(5))
-    bands = {u: sieve.band_of(weights[u]) for u in range(5)}
-    assert bands == {0: 0, 1: 2, 2: 1, 3: 3, 4: 0}
+    assert sieve.buckets == [{0, 4}, {2}, {1}, {3}, set()]
     c0, c1 = sieve.candidates[0], sieve.candidates[1]
     assert c0 == {0, 4, 1}      # bands 0, 2, 4
     assert c1 == {2, 3}         # bands 1, 3
@@ -92,9 +93,11 @@ def test_telescoping_gain_sum():
         m = max_feasible_singleton(sys, f)
         if m <= 0:
             continue
-        sieve = ThresholdSieve(sys, f, tau=2 * m, rho=exact_rho(sys))
+        events = []
+        sieve = ThresholdSieve(sys, f, tau=2 * m, rho=exact_rho(sys),
+                               trace=events)
         sieve.finish(range(n))
-        total = sum(sieve.gain_at_accept.values())
+        total = sum(e[4] for e in events if e[1] == "accept")
         assert abs(total - (f.value(sieve.kept) - f.value(()))) <= 1e-7
 
 
@@ -127,12 +130,15 @@ def test_candidate_band_mass_bounds():
         m = max_feasible_singleton(sys, f)
         if m <= 0:
             continue
-        sieve = ThresholdSieve(sys, f, 2 * m, rho=exact_rho(sys))
+        events = []
+        sieve = ThresholdSieve(sys, f, 2 * m, rho=exact_rho(sys),
+                               trace=events)
         sieve.finish(range(n))
+        accepted_gain = {e[2]: e[4] for e in events if e[1] == "accept"}
         k, h = sieve.k, sieve.h
         factor = 4 * k if sys.class_tag == "k_system" else 4
         for j, cand in enumerate(sieve.candidates):
-            mass = sum(sieve.gain_at_accept[u]
+            mass = sum(accepted_gain[u]
                        for i in range(j, sieve.ell + 1, h)
                        for u in sieve.buckets[i])
             assert f.value(cand) >= mass / factor - 1e-9
@@ -164,6 +170,12 @@ def test_adaptive_all_singletons_dependent():
     assert set(out.residual) == set()
 
 
+def base_size_at(sieve, u):
+    """Size of an owned greedy base right after ``u`` arrived, for the
+    stream ``range(n)``: the base only grows, in arrival order."""
+    return sum(1 for x in sieve.base if x <= u)
+
+
 def test_adaptive_ignores_low_value_and_dependent_elements():
     rng = SplitMix64(44)
     for _ in range(20):
@@ -177,12 +189,27 @@ def test_adaptive_ignores_low_value_and_dependent_elements():
         sieve = AdaptiveSieve(sys, f, tau)
         sieve.finish(range(n))
         for u in range(n):
-            g = sieve.base_size_after[u]
+            g = base_size_at(sieve, u)
             if not sys.is_independent((u,)):
                 assert u not in sieve.kept
             elif g > 0 and f.singleton(u) <= tau / 2 ** (
                     2 * math.log2(sieve.k * g) + 4):
                 assert u not in sieve.kept
+
+
+def gains_outside_bands(sieve, f, n):
+    """Arrival gain of every element of the stream ``range(n)`` whose band
+    fell outside the sieve's range, replayed from the final state: the gain
+    is taken against the accepted prefix, and the range is the one set by
+    the base size after the element arrived."""
+    gains = {}
+    for u in range(n):
+        gain = f.marginal(u, ElementSet(x for x in sieve.kept if x < u))
+        g = base_size_at(sieve, u)
+        ell = math.floor(2 * math.log2(sieve.k * g) + 3 + 1e-12) if g else -1
+        if gain <= EPS or not 0 <= _floor_log2(sieve.tau / gain) <= ell:
+            gains[u] = gain
+    return gains
 
 
 def test_adaptive_out_of_band_mass_bound():
@@ -199,7 +226,7 @@ def test_adaptive_out_of_band_mass_bound():
         sieve = AdaptiveSieve(sys, f, tau)
         sieve.finish(range(n))
         star, _ = brute_force_opt(f, sys, range(n))
-        mass = sum(sieve.out_of_band.get(u, 0.0) for u in star)
+        mass = sum(gains_outside_bands(sieve, f, n).get(u, 0.0) for u in star)
         assert mass <= tau / 4 + 1e-9
         checked += 1
     assert checked >= 20
@@ -260,14 +287,14 @@ def test_cascade_single_copy_picks_better_candidate():
     # stream order puts weak elements first: greedy keeps {4, 5}, the
     # polished summary of a greedy stream is the same two elements, so the
     # cascade answer equals the better of the two
-    best = cascade_run(cfg, [4, 5, 0, 1, 2, 3], sys, f)
+    best = cascade_run(cfg, [4, 5, 0, 1, 2, 3], sys, f).best
     assert f.value(best) == f.value(ElementSet([4, 5]))
     # with a sieve component the offline pass can recover the top pair
     cfg2 = CascadeConfig(
         copies=1,
         component_factory=lambda: ThresholdSieve(sys, f, tau=8.0, rho=2),
         offline=lambda fo, so, ground: repeated_greedy(fo, so, ground))
-    best2 = cascade_run(cfg2, [4, 5, 0, 1, 2, 3], sys, f)
+    best2 = cascade_run(cfg2, [4, 5, 0, 1, 2, 3], sys, f).best
     assert f.value(best2) == 9.0
 
 
@@ -288,7 +315,7 @@ def test_cascade_beats_bare_component():
             copies=2,
             component_factory=lambda: ThresholdSieve(sys, f, tau, rho),
             offline=lambda fo, so, ground: repeated_greedy(fo, so, ground))
-        best = cascade_run(cfg, list(range(n)), sys, f)
+        best = cascade_run(cfg, list(range(n)), sys, f).best
         assert f.value(best) >= v_bare - 1e-9
 
 
@@ -300,7 +327,7 @@ def test_cascade_elements_flow_to_later_copies():
         copies=3,
         component_factory=lambda: GreedyStream(sys, f),
         offline=lambda fo, so, ground: ElementSet())
-    trace = cascade_run(cfg, list(range(n)), sys, f, return_trace=True)
+    trace = cascade_run(cfg, list(range(n)), sys, f)
     summaries = [set(o.summary) for o in trace.outcomes]
     assert summaries[0] == {0, 1}
     assert summaries[1] == {2, 3}
@@ -317,8 +344,8 @@ def test_cascade_trace_candidate_order_and_determinism():
         copies=2,
         component_factory=lambda: ThresholdSieve(sys, f, tau=16.0, rho=3),
         offline=lambda fo, so, ground: repeated_greedy(fo, so, ground))
-    t1 = cascade_run(cfg, list(range(n)), sys, f, return_trace=True)
-    t2 = cascade_run(cfg, list(range(n)), sys, f, return_trace=True)
+    t1 = cascade_run(cfg, list(range(n)), sys, f)
+    t2 = cascade_run(cfg, list(range(n)), sys, f)
     assert [c[0] for c in t1.candidates] == ["s1", "s1+offline", "s2", "s2+offline"]
     assert sorted(t1.best) == sorted(t2.best)
     assert t1.best_value == t2.best_value
