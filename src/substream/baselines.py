@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .core import (EPS, ElementSet, Objective, SizeLimitError,
+from .core import (EPS, ElementSet, GainState, Objective, SizeLimitError,
                    UnsupportedConstraintError)
 from .constraints import EXACT_RHO_LIMIT, IndependenceSystem, exact_rho
 from .streaming import StreamingComponent, StreamOutcome, _drive, _release
@@ -59,6 +59,10 @@ class SieveGuessStream(StreamingComponent):
     when it fits and its marginal gain clears ``guess / (2 * rho)``.
     Guesses that fall below the best singleton are deleted and their
     exclusive elements evicted.  The best guess solution wins at the end.
+
+    A guess's solution only grows, so each guess holds a gain state from
+    :meth:`Objective.open`; ``guesses`` maps a guess value to its state,
+    whose ``members`` is the solution.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective,
@@ -79,7 +83,7 @@ class SieveGuessStream(StreamingComponent):
         self.rho = int(rho)
         self.anchor: float | None = None
         self.best_singleton = 0.0
-        self.guesses: dict[float, ElementSet] = {}
+        self.guesses: dict[float, GainState] = {}
         self._holders: dict[int, int] = {}
 
     def _grid(self) -> list[float]:
@@ -98,10 +102,10 @@ class SieveGuessStream(StreamingComponent):
         evicted: list[int] = []
         for v in self._grid():
             if v not in self.guesses:
-                self.guesses[v] = ElementSet()
+                self.guesses[v] = self.f.open()
         floor = self.best_singleton - EPS
         for v in [g for g in self.guesses if g < floor]:
-            _release(self._holders, self.guesses.pop(v), evicted)
+            _release(self._holders, self.guesses.pop(v).members, evicted)
         return evicted
 
     def _ingest(self, u: int) -> list[int]:
@@ -114,10 +118,10 @@ class SieveGuessStream(StreamingComponent):
                     self.anchor = value
                 evicted.extend(self._refresh_guesses())
         held = 0
-        for v, sol in self.guesses.items():
-            if (self.f.marginal(u, sol) >= v / (2.0 * self.rho) - EPS
-                    and self.sys.can_add(u, sol)):
-                sol.add(u)
+        for v, state in self.guesses.items():
+            if (state.gain(u) >= v / (2.0 * self.rho) - EPS
+                    and self.sys.can_add(u, state.members)):
+                state.add(u)
                 held += 1
         if held:
             self._holders[u] = self._holders.get(u, 0) + held
@@ -130,7 +134,7 @@ class SieveGuessStream(StreamingComponent):
         best_val = self.f.value(best)
         summary = ElementSet()
         for v in sorted(self.guesses):
-            sol = self.guesses[v]
+            sol = self.guesses[v].members
             val = self.f.value(sol)
             if val > best_val + EPS:
                 best, best_val = sol, val

@@ -8,7 +8,8 @@ subclasses ``dict`` (every value is None) so that membership tests,
 streaming inner loops make on the order of 10^8 membership tests, and a
 Python-level ``__contains__`` wrapper dominated their cost.
 ``Objective`` wraps a raw set function with memoization, call accounting and
-marginal-gain helpers.
+marginal-gain helpers; ``Objective.open`` hands out a grow-only
+``GainState`` that answers gain queries against one growing set.
 """
 
 from __future__ import annotations
@@ -143,17 +144,23 @@ class Objective:
     order (and with it every evaluation count) is that of two
     :meth:`value` calls in that order.
 
+    :meth:`open` returns an empty :class:`GainState` for a set that only
+    grows.  ``open_fn(objective)``, when provided, builds it; objectives
+    that keep a running gain per element (additive and directed cut) pass
+    one.  Without it the state asks :meth:`marginal` for every gain.
+
     Instances are read-only after construction apart from the cache and
     the call counter, which are not synchronized: use one oracle per run
     when running concurrently.
     """
 
     __slots__ = ("n", "monotone", "evaluations", "_fn", "_marginal_fn",
-                 "_cache", "_cache_entries")
+                 "_open_fn", "_cache", "_cache_entries")
 
     def __init__(self, fn: Callable[[tuple[int, ...]], float], n: int, *,
                  monotone: bool,
                  marginal_fn: Callable[[int, Iterable[int]], float] | None = None,
+                 open_fn: Callable[["Objective"], "GainState"] | None = None,
                  cache_entries: int = DEFAULT_CACHE_ENTRIES):
         if n <= 0:
             raise ValueError("ground set must be non-empty")
@@ -164,6 +171,7 @@ class Objective:
         self.evaluations = 0
         self._fn = fn
         self._marginal_fn = marginal_fn
+        self._open_fn = open_fn
         self._cache: OrderedDict[tuple[int, ...], float] = OrderedDict()
         self._cache_entries = cache_entries
 
@@ -216,3 +224,62 @@ class Objective:
 
     def singleton(self, u: int) -> float:
         return self.value((u,))
+
+    def open(self) -> "GainState":
+        """Empty grow-only gain state over this objective."""
+        if self._open_fn is None:
+            return GainState(self)
+        return self._open_fn(self)
+
+
+class GainState:
+    """A set that only grows, with the gain of each element outside it.
+
+    Returned empty by :meth:`Objective.open`.  ``members`` is the set in
+    insertion order; grow it through :meth:`add` only.  ``gain(u)`` is
+    ``f.marginal(u, members)``: the same checks, the same count and, in
+    this generic state, the same float.
+    """
+
+    __slots__ = ("f", "members")
+
+    def __init__(self, f: Objective):
+        self.f = f
+        self.members = ElementSet()
+
+    def gain(self, u: int) -> float:
+        return self.f.marginal(u, self.members)
+
+    def add(self, u: int) -> None:
+        if u < 0 or u >= self.f.n:
+            raise GroundSetError(f"id {u} outside range(0, {self.f.n})")
+        self.members.add(u)
+
+
+class TabulatedGainState(GainState):
+    """Gain state that reads each gain from a per-element table.
+
+    ``gains[u]`` must hold u's gain against ``members`` for every ``u``
+    outside it.  :meth:`gain` keeps the checks of :meth:`Objective.marginal`
+    and counts one evaluation per query, as its fast path does.  This
+    class never writes ``gains``; a subclass whose :meth:`add` updates the
+    table passes in a copy of its own.
+    """
+
+    __slots__ = ("gains",)
+
+    def __init__(self, f: Objective, gains: list[float]):
+        super().__init__(f)
+        self.gains = gains
+
+    def gain(self, u: int) -> float:
+        f = self.f
+        if u < 0 or u >= f.n:
+            raise GroundSetError(f"id {u} outside range(0, {f.n})")
+        if u in self.members:
+            raise DuplicateElementError(f"element {u} already in subset")
+        f.evaluations += 1
+        gain = self.gains[u]
+        if not math.isfinite(gain):
+            raise NumericError(f"marginal oracle returned non-finite gain {gain}")
+        return gain

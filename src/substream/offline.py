@@ -39,12 +39,14 @@ def weighted_greedy(f: Objective, sys: IndependenceSystem,
     Internally lazy: cached gains are upper bounds by submodularity, so an
     entry is only re-evaluated while its bound could still win the round.
     The selection (including smallest-id tie-breaks) matches the naive
-    re-evaluate-everything greedy exactly.
+    re-evaluate-everything greedy exactly.  The solution only grows, so
+    every gain is read from one gain state from :meth:`Objective.open`.
     """
-    sol = ElementSet()
+    gains = f.open()
+    sol = gains.members
     heap: list[tuple[float, int]] = []
     for u in set(ground):
-        heap.append((-f.marginal(u, sol), u))
+        heap.append((-gains.gain(u), u))
     heapq.heapify(heap)
 
     while heap:
@@ -62,14 +64,14 @@ def weighted_greedy(f: Objective, sys: IndependenceSystem,
             heapq.heappop(heap)
             if not sys.can_add(cand, sol):
                 continue  # infeasible now, infeasible forever
-            gain = f.marginal(cand, sol)
+            gain = gains.gain(cand)
             fresh.append((gain, cand))
             if gain > best_gain or (gain == best_gain and cand < best_u):
                 best_gain = gain
                 best_u = cand
         if best_u is None or best_gain <= EPS:
             break
-        sol.add(best_u)
+        gains.add(best_u)
         for gain, cand in fresh:
             if cand != best_u:
                 heapq.heappush(heap, (-gain, cand))

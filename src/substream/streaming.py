@@ -146,10 +146,13 @@ class _BandedSieve(StreamingComponent):
 
     Each arriving element is bucketed by how its marginal gain against
     everything kept so far compares with ``tau``; each bucket independently
-    keeps a feasibility-greedy base.  At end of stream, ``candidate_count(k)``
-    interleaved candidates are drained from the buckets and the best one is
-    returned.  Subclasses set the band range (``ell``, with one bucket per
-    band); ``_grow_bands(u)`` runs before each arrival is banded.
+    keeps a feasibility-greedy base.  Nothing kept is ever dropped, so
+    ``kept`` is the members of one grow-only gain state from
+    :meth:`Objective.open`, which answers every gain query.  At end of
+    stream, ``candidate_count(k)`` interleaved candidates are drained from
+    the buckets and the best one is returned.  Subclasses set the band
+    range (``ell``, with one bucket per band); ``_grow_bands(u)`` runs
+    before each arrival is banded.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float,
@@ -164,7 +167,8 @@ class _BandedSieve(StreamingComponent):
         self.h = candidate_count(self.k)
         self.ell = -1
         self.buckets: list[ElementSet] = []
-        self.kept = ElementSet()          # union of buckets, arrival order
+        self._kept_gains = f.open()
+        self.kept = self._kept_gains.members  # union of buckets, arrival order
         self.candidates: list[ElementSet] | None = None
         self._owns_base = False
         self._trace = trace
@@ -174,7 +178,7 @@ class _BandedSieve(StreamingComponent):
 
     def process(self, u: int) -> bool:
         self._grow_bands(u)
-        gain = self.f.marginal(u, self.kept)
+        gain = self._kept_gains.gain(u)
         if gain <= EPS:
             return False  # band infinity
         i = _floor_log2(self.tau / gain)
@@ -184,7 +188,7 @@ class _BandedSieve(StreamingComponent):
         if not self.sys.can_add(u, bucket):
             return False
         bucket.add(u)
-        self.kept.add(u)
+        self._kept_gains.add(u)
         if self._trace is not None:
             self._trace.append((len(self._seen) - 1, "accept", u, i, gain))
         return True

@@ -50,7 +50,7 @@ def test_sieve_threshold_rejects_small_marginal():
     f = make_modular([10.0, 1.0])
     comp = SieveGuessStream(sys, f, epsilon=0.5, rho=1)
     comp.push([0])
-    high = comp.guesses[10.0]
+    high = comp.guesses[10.0].members
     assert 0 in high
     comp.push([1])
     assert 1 not in high  # 1 < 10 / (2 * 1)

@@ -110,6 +110,16 @@ def test_run_stream_rejects_malformed_input(tmp_path, capsys):
                    capsys, "argument --algo: invalid choice: 'nope'")
 
 
+def test_run_stream_rejects_non_finite_edge_weight(tmp_path, capsys):
+    graph_path = tmp_path / "g.tsv"
+    graph_path.write_text("a\tb\t1.0\nb\tc\tnan\n")
+    spec = tmp_path / "constraint.json"
+    spec.write_text(json.dumps({"type": "node_independent_set"}))
+    _fails_cleanly(["run-stream", "--graph", str(graph_path), "--objective",
+                    "cut", "--algo", "auto_sieve", "--constraint", str(spec)],
+                   capsys, "edge (1, 2) has weight nan")
+
+
 def test_missing_subcommand_fails_cleanly(capsys):
     _fails_cleanly([], capsys, "required: command")
     _fails_cleanly(["bench"], capsys, "required: bench_command")

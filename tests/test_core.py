@@ -5,7 +5,7 @@ import pytest
 from substream import (AutoThresholdSieve, DuplicateElementError, ElementSet,
                        GroundSetError, NumericError, Objective, ThresholdSieve,
                        cardinality_system, make_directed_cut, make_modular,
-                       weighted_greedy, CutGraph)
+                       sieve_streaming, weighted_greedy, CutGraph)
 from substream.prng import SplitMix64
 
 
@@ -181,6 +181,10 @@ def _auto_sieve(f):
     return comp.finish().solution
 
 
+def _sieve_streaming(f):
+    return sieve_streaming(cardinality_system(4, 2), f, range(4)).solution
+
+
 def _weighted_greedy(f):
     return weighted_greedy(f, cardinality_system(4, 2), range(4))
 
@@ -206,9 +210,9 @@ def test_marginal_fast_path_rejects_non_finite(bad):
 @pytest.mark.parametrize("fast", [True, False], ids=["marginal_fn", "fn"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("run", [_threshold_sieve, _auto_sieve,
-                                 _weighted_greedy],
+                                 _sieve_streaming, _weighted_greedy],
                          ids=["threshold_sieve", "auto_sieve",
-                              "weighted_greedy"])
+                              "sieve_streaming", "weighted_greedy"])
 def test_algorithms_raise_numeric_error_on_non_finite_oracle(run, bad, fast):
     with pytest.raises(NumericError):
         run(_bad_objective(bad, fast))

@@ -27,6 +27,12 @@ def test_cut_graph_validation():
         CutGraph(2, [(0, 1, -1.0)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cut_graph_rejects_non_finite_weight(bad):
+    with pytest.raises(ValueError, match=r"edge \(1, 0\) has weight"):
+        CutGraph(2, [(0, 1, 1.0), (1, 0, bad)])
+
+
 def test_directed_cut_examples():
     f = make_directed_cut(CutGraph(3, [(0, 1, 1.0), (1, 2, 2.0)]))
     assert f.value([1]) == 2.0
