@@ -9,10 +9,8 @@ makes runs exactly reproducible.
 
 from __future__ import annotations
 
-import math
-
 from .core import (EPS, ElementSet, GainState, Objective, SizeLimitError,
-                   UnsupportedConstraintError)
+                   UnsupportedConstraintError, first_best)
 from .constraints import EXACT_RHO_LIMIT, IndependenceSystem, exact_rho
 from .streaming import StreamingComponent, StreamOutcome, _drive, _release
 
@@ -130,17 +128,10 @@ class SieveGuessStream(StreamingComponent):
         return evicted
 
     def _finalize(self):
-        best = ElementSet()
-        best_val = self.f.value(best)
-        summary = ElementSet()
-        for v in sorted(self.guesses):
-            sol = self.guesses[v].members
-            val = self.f.value(sol)
-            if val > best_val + EPS:
-                best, best_val = sol, val
-            for x in sol:
-                if x not in summary:
-                    summary.add(x)
+        cands = [ElementSet()]
+        cands += [self.guesses[v].members for v in sorted(self.guesses)]
+        summary = ElementSet().union(*cands)
+        best = cands[first_best(self.f.value(t) for t in cands)]
         return best, summary, list(summary)
 
     def stored_count(self) -> int:
@@ -229,14 +220,14 @@ class RatioSwapStream(StreamingComponent):
                 return []
             return [u]
         current = self.f.value(self.solution)
-        victim = None
-        victim_val = -math.inf
-        for x in self.solution:
+        held = list(self.solution)
+        trial_vals = []
+        for x in held:
             trial = self.solution.difference((x,))
             trial.add(u)
-            val = self.f.value(trial)
-            if val > victim_val + EPS or victim is None:
-                victim, victim_val = x, val
+            trial_vals.append(self.f.value(trial))
+        best = first_best(trial_vals)
+        victim, victim_val = held[best], trial_vals[best]
         if victim_val - current >= current / self.rho - EPS:
             self.solution.remove(victim)
             self.solution.add(u)

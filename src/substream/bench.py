@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ElementSet, Objective
+from .core import ElementSet, Objective, first_best
 from .prng import SplitMix64
 from .objectives import (CutGraph, load_features, load_keyword_table,
                          make_coverage_minus_dispersion, make_directed_cut,
@@ -183,11 +183,18 @@ def load_edge_list(path) -> tuple[CutGraph, dict]:
 
     ``#`` starts a comment line.  Vertices are renumbered densely in first
     appearance order and the mapping is returned alongside the graph;
-    repeated directed edges have their weights summed.
+    repeated directed edges have their weights summed.  Bad weights are
+    errors naming the edge's (last) line and the file's labels.
     """
     mapping: dict = {}
-    weights: dict[tuple[int, int], float] = {}
-    order: list[tuple[int, int]] = []
+    weights: dict[tuple[int, int], float] = {}  # first appearance order
+    last_line: dict[tuple[int, int], int] = {}
+
+    def bad_edge(u, v, what):
+        labels = list(mapping)
+        return ValueError(f"{path}:{last_line[(u, v)]}: edge {labels[u]!r} -> "
+                          f"{labels[v]!r} has {what}")
+
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -208,12 +215,17 @@ def load_edge_list(path) -> tuple[CutGraph, dict]:
             u, v = mapping[u_raw], mapping[v_raw]
             if u == v:
                 raise ValueError(f"{path}:{lineno}: self-loop at {u_raw!r}")
-            if (u, v) not in weights:
-                weights[(u, v)] = 0.0
-                order.append((u, v))
-            weights[(u, v)] += w
+            last_line[(u, v)] = lineno
+            total = weights.get((u, v), 0.0) + w
+            if not math.isfinite(total):  # a bad weight, or an overflow
+                raise bad_edge(u, v, f"weight {w}" if not math.isfinite(w)
+                               else f"summed weight {total}")
+            weights[(u, v)] = total
+    for (u, v), w in weights.items():
+        if w < 0.0:
+            raise bad_edge(u, v, f"summed weight {w}")
     n = max(len(mapping), 1)
-    edges = tuple((u, v, weights[(u, v)]) for (u, v) in order)
+    edges = tuple((u, v, w) for (u, v), w in weights.items())
     return CutGraph(n_vertices=n, edges=edges), mapping
 
 
@@ -448,9 +460,9 @@ def run_algorithm(name: str, sys: IndependenceSystem, f: Objective,
     if name == "streaming_greedy":
         component = GreedyStream(sys, f)
     elif name == "sieve_streaming":
-        rho = options.get("sieve_rho") or _greedy_rho(sys, stream)
         eps = float(options.get("sieve_epsilon", 0.1))
-        component = SieveGuessStream(sys, f, epsilon=eps, rho=rho)
+        component = SieveGuessStream(sys, f, epsilon=eps,
+                                     rho=_greedy_rho(sys, stream))
     elif name == "threshold_sieve":
         # any upper bound on rho is sound: k times a greedy base is one
         tau = _prepass_tau(sys, f, stream)
@@ -461,32 +473,29 @@ def run_algorithm(name: str, sys: IndependenceSystem, f: Objective,
     elif name == "auto_sieve":
         component = AutoThresholdSieve(sys, f)
     elif name in ("framework", "framework_tau"):
-        copies = int(options.get("cascade_copies", 2))
-        iters = options.get("repeated_greedy_iterations")
-
         def offline(fo, so, ground):
             # value greedy and arrival-order first fit complement each
-            # other on summaries; hand back whichever scores higher
-            by_value = repeated_greedy(fo, so, ground, iterations=iters)
+            # other on summaries; first fit wins only beyond EPS, but is
+            # scored first, as the cache's LRU order has always seen it
+            by_value = repeated_greedy(fo, so, ground)
             by_order = unweighted_greedy(so, ground)
-            if fo.value(by_order) > fo.value(by_value):
-                return by_order
-            return by_value
+            order_val = fo.value(by_order)
+            return (by_value, by_order)[first_best(
+                (fo.value(by_value), order_val))]
 
         if name == "framework_tau":
             tau = _prepass_tau(sys, f, stream)
             factory = lambda: AdaptiveSieve(sys, f, tau)
         else:
             factory = lambda: AutoThresholdSieve(sys, f)
-        cfg = CascadeConfig(copies=copies, component_factory=factory,
-                            offline=offline)
+        cfg = CascadeConfig(copies=int(options.get("cascade_copies", 2)),
+                            component_factory=factory, offline=offline)
         trace = cascade_run(cfg, stream, sys, f)
         return trace.best, trace.peak_stored
     elif name == "weighted_greedy":
         return weighted_greedy(f, sys, stream), len(stream)
     elif name == "repeated_greedy":
-        iters = options.get("repeated_greedy_iterations")
-        return repeated_greedy(f, sys, stream, iterations=iters), len(stream)
+        return repeated_greedy(f, sys, stream), len(stream)
     else:
         raise ValueError(f"unknown algorithm {name!r}")
     outcome, peak, _ = _drive(component, stream)
@@ -520,6 +529,9 @@ def run_experiment(cfg: Mapping, *, measure_time: bool = True) -> list[ResultRow
         raise ValueError("config lists no seeds")
     sweep_values = cfg.get("sweep", {}).get("values", [0])
     options = cfg.get("options", {})
+    for key in options:
+        if key not in ("stream_order", "cascade_copies", "sieve_epsilon"):
+            raise ValueError(f"unknown option {key!r}")
 
     rows: list[ResultRow] = []
     for sweep_value in sweep_values:

@@ -91,8 +91,9 @@ def cardinality_system(n: int, rho: int) -> IndependenceSystem:
 def knapsack_system(costs, budget: float) -> IndependenceSystem:
     """Subsets whose total cost stays within the budget.
 
-    Costs must be strictly positive (a zero cost would leave the exchange
-    parameter ceil(c_max / c_min) undefined; clamp to an epsilon first).
+    Costs must be finite and strictly positive (a zero cost would leave
+    the exchange parameter ceil(c_max / c_min) undefined; clamp to an
+    epsilon first); the budget must be positive.
     """
     if isinstance(costs, Mapping):
         if set(costs) != set(range(len(costs))):
@@ -102,10 +103,11 @@ def knapsack_system(costs, budget: float) -> IndependenceSystem:
         c = [float(x) for x in costs]
     if not c:
         raise ValueError("empty ground set")
-    if min(c) <= 0:
-        raise ValueError("knapsack costs must be strictly positive")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    for x in c:
+        if not 0 < x < math.inf:  # also false for NaN
+            raise ValueError(f"knapsack cost {x} is not finite and positive")
+    if not budget > 0:  # also false for NaN
+        raise ValueError(f"budget must be positive, got {budget}")
     k = math.ceil(max(c) / min(c) - 1e-12)
     # rho: the cheapest elements fill the budget first
     rho = 0

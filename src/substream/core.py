@@ -119,6 +119,19 @@ class ElementSet(dict):
         return f"ElementSet({list(self)})"
 
 
+def first_best(values: Iterable[float]) -> int:
+    """Index of the winner among candidate values: a later value replaces
+    the best so far only when it beats it by more than ``EPS``.  Every
+    choice among candidate sets goes through this rule."""
+    best, best_val = -1, -math.inf
+    for i, val in enumerate(values):
+        if val > best_val + EPS:
+            best, best_val = i, val
+    if best < 0:
+        raise ValueError("no values to choose from")
+    return best
+
+
 def as_sorted_ids(subset: Iterable[int]) -> tuple[int, ...]:
     """Canonical sorted-id fingerprint of a subset."""
     if isinstance(subset, ElementSet):

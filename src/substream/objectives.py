@@ -49,7 +49,7 @@ class CutGraph:
 
 @dataclass(frozen=True)
 class KeywordTable:
-    """Per-element keyword sets and non-negative values."""
+    """Per-element keyword sets and finite non-negative values."""
 
     words: tuple[frozenset[str], ...]
     values: tuple[float, ...]
@@ -60,8 +60,9 @@ class KeywordTable:
         object.__setattr__(self, "words", tuple(frozenset(w) for w in self.words))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         for v in self.values:
-            if v < 0:
-                raise ValueError(f"negative keyword value {v}")
+            if not 0.0 <= v < math.inf:  # also false for NaN
+                raise ValueError(f"keyword value {v} is not finite and "
+                                 "non-negative")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -342,6 +343,9 @@ def load_keyword_table(path) -> KeywordTable:
             if ident in rows:
                 raise ValueError(f"line {lineno}: duplicate id {ident}")
             value = float(row[1])
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"line {lineno}: keyword value {value} is "
+                                 "not finite and non-negative")
             words = frozenset(w for w in (row[2].split(";") if len(row) > 2 else ()) if w)
             rows[ident] = (value, words)
     if set(rows) != set(range(len(rows))):

@@ -12,7 +12,7 @@ import heapq
 import math
 from typing import Iterable
 
-from .core import EPS, ElementSet, Objective, SizeLimitError
+from .core import EPS, ElementSet, Objective, SizeLimitError, first_best
 from .constraints import IndependenceSystem
 
 BRUTE_FORCE_LIMIT = 22
@@ -103,7 +103,8 @@ def repeated_greedy(f: Objective, sys: IndependenceSystem,
                     ground: Iterable[int],
                     iterations: int | None = None) -> ElementSet:
     """Greedy rounds on shrinking ground sets, each polished by the
-    unconstrained double greedy; returns the best set seen.
+    unconstrained double greedy; returns the set :func:`first_best`
+    picks among the empty set and every round's two sets, in that order.
 
     The default round count, ceil(sqrt(k)) + 1, matches the shape of the
     reduction's analysis; any positive count is accepted.
@@ -114,20 +115,18 @@ def repeated_greedy(f: Objective, sys: IndependenceSystem,
     if iterations < 1:
         raise ValueError("iterations must be positive")
     remaining = ElementSet(sorted(set(ground)))
-    best = ElementSet()
-    best_val = f.value(best)
+    cands = [ElementSet()]
+    values = [f.value(cands[0])]
     for _ in range(iterations):
         round_sol = weighted_greedy(f, sys, remaining)
         if not round_sol:
             break
         polished = double_greedy(f, round_sol)
         for cand in (round_sol, polished):
-            val = f.value(cand)
-            if val > best_val + EPS:
-                best = cand
-                best_val = val
+            cands.append(cand)
+            values.append(f.value(cand))
         remaining.difference_update(round_sol)
-    return best
+    return cands[first_best(values)]
 
 
 def brute_force_opt(f: Objective, sys: IndependenceSystem,

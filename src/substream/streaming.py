@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .core import (EPS, ContractViolationError, DuplicateElementError,
-                   ElementSet, Objective)
+                   ElementSet, Objective, first_best)
 from .constraints import IndependenceSystem
 
 # log2 is evaluated in floating point; the nudge keeps floor/ceil stable
@@ -54,16 +54,6 @@ def trace_to_csv(events) -> str:
     for step, event, element, bucket, value in events:
         lines.append(f"{step},{event},{element},{bucket},{value!r}")
     return "\n".join(lines) + "\n"
-
-
-def _best_by_value(f: Objective, cands: list[ElementSet]) -> ElementSet:
-    best = cands[0]
-    best_val = f.value(best)
-    for t in cands[1:]:
-        val = f.value(t)
-        if val > best_val + EPS:
-            best, best_val = t, val
-    return best
 
 
 def _release(holders: dict[int, int], members: Iterable[int],
@@ -149,28 +139,29 @@ class _BandedSieve(StreamingComponent):
     keeps a feasibility-greedy base.  Nothing kept is ever dropped, so
     ``kept`` is the members of one grow-only gain state from
     :meth:`Objective.open`, which answers every gain query.  At end of
-    stream, ``candidate_count(k)`` interleaved candidates are drained from
-    the buckets and the best one is returned.  Subclasses set the band
-    range (``ell``, with one bucket per band); ``_grow_bands(u)`` runs
-    before each arrival is banded.
+    stream, :meth:`drain` builds ``candidate_count(sys.k_param)``
+    interleaved candidates from the buckets and returns the best one.
+    Subclasses set the band range (``ell``, with one bucket per band) and
+    may keep elements outside the buckets in ``base``; ``_grow_bands(u)``
+    runs before each arrival is banded.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float,
-                 k: int | None, trace: list | None):
+                 trace: list | None):
         super().__init__()
         if tau <= 0:
             raise ValueError("tau must be positive")
         self.sys = sys
         self.f = f
         self.tau = float(tau)
-        self.k = int(k if k is not None else sys.k_param)
+        self.k = sys.k_param
         self.h = candidate_count(self.k)
         self.ell = -1
         self.buckets: list[ElementSet] = []
         self._kept_gains = f.open()
         self.kept = self._kept_gains.members  # union of buckets, arrival order
+        self.base = ElementSet()
         self.candidates: list[ElementSet] | None = None
-        self._owns_base = False
         self._trace = trace
 
     def _grow_bands(self, u: int) -> None:
@@ -194,18 +185,19 @@ class _BandedSieve(StreamingComponent):
         return True
 
     def _ingest(self, u: int) -> list[int]:
-        if self.process(u) or (self._owns_base and u in self.base):
+        if self.process(u) or u in self.base:
             return []
         if self._trace is not None:
             self._trace.append((len(self._seen) - 1, "evict", u, -1, 0.0))
         return [u]
 
-    def build_candidates(self) -> list[ElementSet]:
-        """Build h candidates; candidate j greedily drains buckets j, j+h, ...
+    def drain(self) -> tuple[ElementSet, float]:
+        """Build the h candidates and return the first best with its value.
 
-        Buckets are visited in ascending index (descending marginal band)
-        and each bucket in insertion order, so the construction is
-        deterministic and stream-faithful.
+        Candidate j greedily drains buckets j, j+h, ...  Buckets are visited
+        in ascending index (descending marginal band) and each bucket in
+        insertion order, so the construction is deterministic and
+        stream-faithful.  The candidates stay in ``candidates``.
         """
         cands = []
         for j in range(self.h):
@@ -217,19 +209,17 @@ class _BandedSieve(StreamingComponent):
                         t.add(u)
                 i += self.h
             cands.append(t)
-        return cands
+        self.candidates = cands
+        values = [self.f.value(t) for t in cands]
+        best = first_best(values)
+        return cands[best], values[best]
 
     def _finalize(self):
-        self.candidates = self.build_candidates()
-        held = list(self.kept)
-        if self._owns_base:
-            held.extend(u for u in self.base if u not in self.kept)
-        return _best_by_value(self.f, self.candidates), self.kept.copy(), held
+        best, _ = self.drain()
+        return best, self.kept.copy(), list(self.kept.union(self.base))
 
     def stored_count(self) -> int:
-        count = len(self.kept)  # the buckets partition kept
-        if self._owns_base:
-            count += len(self.base)
+        count = len(self.kept) + len(self.base)  # the buckets partition kept
         if self.candidates is not None:
             count += sum(len(t) for t in self.candidates)
         return count
@@ -245,8 +235,8 @@ class ThresholdSieve(_BandedSieve):
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float,
-                 rho: int, k: int | None = None, trace: list | None = None):
-        super().__init__(sys, f, tau, k, trace)
+                 rho: int, *, trace: list | None = None):
+        super().__init__(sys, f, tau, trace)
         if rho < 1:
             raise ValueError("rho must be a positive integer")
         self.rho = int(rho)
@@ -263,15 +253,17 @@ class AdaptiveSieve(_BandedSieve):
     contract as :class:`ThresholdSieve`.
 
     When ``shared_base`` is given the caller owns the greedy base (and its
-    growth); the sieve only reads it.
+    growth), drives the sieve through :meth:`process` and :meth:`drain`,
+    and the sieve only reads the base.
     """
 
-    def __init__(self, sys: IndependenceSystem, f: Objective, tau: float,
-                 k: int | None = None, shared_base: ElementSet | None = None,
+    def __init__(self, sys: IndependenceSystem, f: Objective, tau: float, *,
+                 shared_base: ElementSet | None = None,
                  trace: list | None = None):
-        super().__init__(sys, f, tau, k, trace)
+        super().__init__(sys, f, tau, trace)
         self._owns_base = shared_base is None
-        self.base = ElementSet() if shared_base is None else shared_base
+        if shared_base is not None:
+            self.base = shared_base
         self._banded_base_size = 0
 
     def _grow_bands(self, u: int) -> None:
@@ -301,12 +293,11 @@ class AutoThresholdSieve(StreamingComponent):
     greedy base maintained here.
     """
 
-    def __init__(self, sys: IndependenceSystem, f: Objective,
-                 k: int | None = None):
+    def __init__(self, sys: IndependenceSystem, f: Objective):
         super().__init__()
         self.sys = sys
         self.f = f
-        self.k = int(k if k is not None else sys.k_param)
+        self.k = sys.k_param
         self.base = ElementSet()
         self.best_singleton = -math.inf
         self.copies: dict[int, AdaptiveSieve] = {}  # exponent -> copy
@@ -339,8 +330,7 @@ class AutoThresholdSieve(StreamingComponent):
         for exponent in window:
             if exponent not in self.copies:
                 self.copies[exponent] = AdaptiveSieve(
-                    self.sys, self.f, 2.0 ** exponent, self.k,
-                    shared_base=self.base)
+                    self.sys, self.f, 2.0 ** exponent, shared_base=self.base)
         for copy in self.copies.values():
             if copy.process(u):
                 holders[u] += 1
@@ -350,24 +340,12 @@ class AutoThresholdSieve(StreamingComponent):
         return evicted
 
     def _finalize(self):
-        best: ElementSet | None = None
-        best_val = -math.inf
-        summary = ElementSet()
-        for exponent in sorted(self.copies):
-            copy = self.copies[exponent]
-            copy.candidates = copy.build_candidates()
-            cand = _best_by_value(self.f, copy.candidates)
-            val = self.f.value(cand)
-            if val > best_val + EPS:
-                best, best_val = cand, val
-            for x in copy.kept:
-                if x not in summary:
-                    summary.add(x)
-        if best is None:
-            best = ElementSet()
-        held = list(summary)
-        held.extend(u for u in self.base if u not in summary)
-        return best, summary, held
+        copies = [self.copies[exponent] for exponent in sorted(self.copies)]
+        drained = [copy.drain() for copy in copies]  # (winner, value) each
+        best = (drained[first_best(val for _, val in drained)][0] if drained
+                else ElementSet())
+        summary = ElementSet().union(*(copy.kept for copy in copies))
+        return best, summary, list(summary.union(self.base))
 
     def stored_count(self) -> int:
         count = len(self.base)
@@ -438,8 +416,9 @@ def cascade_run(cfg: CascadeConfig, stream: Sequence[int],
     residual sets.  The peak is the stored count summed over all copies,
     polled after every element and once more after the drain.  With
     deterministic components and offline solver the whole run is
-    deterministic; value ties resolve to the earliest candidate (lower copy
-    index, streamed solution before polished one).
+    deterministic.  A later candidate wins only when it beats the best so
+    far by more than ``EPS`` (:func:`first_best`): near-ties resolve to the
+    earliest candidate, lower copy index and streamed before polished.
     """
     comps = [cfg.component_factory() for _ in range(cfg.copies)]
     peak = 0
@@ -466,10 +445,8 @@ def cascade_run(cfg: CascadeConfig, stream: Sequence[int],
                            f.value(outcome.solution)))
         polished = cfg.offline(f, sys, outcome.summary)
         candidates.append((f"s{idx}+offline", polished, f.value(polished)))
-    best_label, best, best_val = candidates[0]
-    for label, cand, val in candidates[1:]:
-        if val > best_val + EPS:
-            best_label, best, best_val = label, cand, val
+    best_label, best, best_val = candidates[first_best(
+        val for _, _, val in candidates)]
     return CascadeTrace(best, best_val, best_label, candidates, outcomes, peak)
 
 

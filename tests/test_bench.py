@@ -98,6 +98,29 @@ def test_load_edge_list_errors(tmp_path):
     assert g.edges == ()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a\tb\t1.0\nb\tc\tnan\n", "g.tsv:2: edge 'b' -> 'c' has weight nan"),
+    ("a\tb\t-inf\n", "g.tsv:1: edge 'a' -> 'b' has weight -inf"),
+    ("a\tb\t1e308\nb\tc\t1.0\na\tb\t1e308\n",
+     "g.tsv:3: edge 'a' -> 'b' has summed weight inf"),
+    ("a\tb\t1.0\na\tb\t-3.0\nb\tc\t-1.0\nb\tc\t2.0\n",
+     "g.tsv:2: edge 'a' -> 'b' has summed weight -2.0"),
+], ids=["nan-line", "inf-line", "overflowing-sum", "negative-sum"])
+def test_load_edge_list_names_the_line_and_labels(tmp_path, text, message):
+    path = tmp_path / "g.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load_edge_list(path)
+    assert str(exc.value).endswith(message)
+
+
+def test_load_edge_list_accepts_a_negative_line_in_a_non_negative_sum(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("a\tb\t-1.0\na\tb\t1.5\n")
+    g, _ = load_edge_list(path)
+    assert g.edges == ((0, 1, 0.5),)
+
+
 def test_cost_rules_and_normalization():
     pairs = [(0, 1), (0, 2), (0, 3), (2, 3)]
     costs = degree_costs(pairs, 4, q=1)
@@ -222,6 +245,16 @@ def test_unknown_algorithm_rejected_before_any_cell_is_built(monkeypatch):
     monkeypatch.setattr("substream.bench.build_cell", no_cells)
     with pytest.raises(ValueError, match="'nope'"):
         run_experiment(_toy_config(algorithms=["weighted_greedy", "nope"]),
+                       measure_time=False)
+
+
+def test_unknown_option_rejected_before_any_cell_is_built(monkeypatch):
+    def no_cells(*args):
+        raise AssertionError("a cell was built")
+
+    monkeypatch.setattr("substream.bench.build_cell", no_cells)
+    with pytest.raises(ValueError, match="unknown option 'sieve_rho'"):
+        run_experiment(_toy_config(options={"sieve_rho": 4}),
                        measure_time=False)
 
 

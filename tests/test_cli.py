@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -94,6 +95,21 @@ def test_bench_run_rejects_malformed_input(tmp_path, capsys):
         _fails_cleanly(["bench", "run", "--config", str(path)], capsys, message)
 
 
+def test_bench_run_rejects_bad_budget_and_unknown_option(tmp_path, capsys):
+    cfg = {"instance": {"model": "er", "n": 10, "p": 0.3},
+           "constraint": {"type": "knapsack", "budget": math.nan},
+           "algorithms": ["framework"]}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(cfg))  # json writes and reads NaN
+    _fails_cleanly(["bench", "run", "--config", str(path)], capsys,
+                   "budget must be positive, got nan")
+    cfg["constraint"]["budget"] = 2.0
+    cfg["options"] = {"cascade_copy": 3}
+    path.write_text(json.dumps(cfg))
+    _fails_cleanly(["bench", "run", "--config", str(path)], capsys,
+                   "unknown option 'cascade_copy'")
+
+
 def test_run_stream_rejects_malformed_input(tmp_path, capsys):
     graph_path = tmp_path / "g.tsv"
     main(["bench", "gen-graph", "--model", "er", "--n", "8", "--p", "0.3",
@@ -117,7 +133,7 @@ def test_run_stream_rejects_non_finite_edge_weight(tmp_path, capsys):
     spec.write_text(json.dumps({"type": "node_independent_set"}))
     _fails_cleanly(["run-stream", "--graph", str(graph_path), "--objective",
                     "cut", "--algo", "auto_sieve", "--constraint", str(spec)],
-                   capsys, "edge (1, 2) has weight nan")
+                   capsys, "g.tsv:2: edge 'b' -> 'c' has weight nan")
 
 
 def test_missing_subcommand_fails_cleanly(capsys):

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import pytest
@@ -32,6 +33,16 @@ def test_knapsack_k_param_example():
 def test_knapsack_rejects_zero_cost():
     with pytest.raises(ValueError):
         knapsack_system([0.0, 1.0], budget=1.0)
+
+
+@pytest.mark.parametrize("costs, budget, message", [
+    ([1.0, 2.0], math.nan, "budget must be positive, got nan"),
+    ([1.0, math.nan], 3.0, "knapsack cost nan is not finite"),
+    ([1.0, math.inf], 3.0, "knapsack cost inf is not finite"),
+])
+def test_knapsack_rejects_non_finite_input(costs, budget, message):
+    with pytest.raises(ValueError, match=message):
+        make_system({"type": "knapsack", "costs": costs, "budget": budget})
 
 
 def test_planarity_k_param_and_membership():

@@ -6,6 +6,7 @@ from substream import (AutoThresholdSieve, DuplicateElementError, ElementSet,
                        GroundSetError, NumericError, Objective, ThresholdSieve,
                        cardinality_system, make_directed_cut, make_modular,
                        sieve_streaming, weighted_greedy, CutGraph)
+from substream.core import EPS, first_best
 from substream.prng import SplitMix64
 
 
@@ -216,3 +217,14 @@ def test_marginal_fast_path_rejects_non_finite(bad):
 def test_algorithms_raise_numeric_error_on_non_finite_oracle(run, bad, fast):
     with pytest.raises(NumericError):
         run(_bad_objective(bad, fast))
+
+
+def test_first_best_replaces_only_beyond_eps():
+    assert first_best([2.0]) == 0
+    assert first_best([1.0, 1.0 + 0.5 * EPS, 1.0]) == 0   # within EPS: keep
+    assert first_best([1.0, 1.0 + 2 * EPS]) == 1          # beyond EPS: win
+    # each step is within EPS of the last, but the third beats the best
+    assert first_best([1.0, 1.0 + 0.6e-9, 1.0 + 1.2e-9]) == 2
+    assert first_best(iter([3.0, 5.0, 5.0])) == 1
+    with pytest.raises(ValueError):
+        first_best([])

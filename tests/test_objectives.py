@@ -124,8 +124,9 @@ def test_sqrt_coverage_examples():
 
 
 def test_keyword_table_validation():
-    with pytest.raises(ValueError):
-        KeywordTable(words=[{"w"}], values=[-1.0])
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="not finite and non-negative"):
+            KeywordTable(words=[{"w"}], values=[bad])
 
 
 def test_similarity_from_features_examples():
@@ -201,3 +202,8 @@ def test_keyword_csv(tmp_path):
     assert table.words[0] == {"alpha", "beta"}
     f = make_sqrt_coverage(table)
     assert abs(f.value([0, 1]) - (math.sqrt(13.0) + 2.0)) <= 1e-12
+    for bad in ("nan", "inf", "-1"):
+        path.write_text(f"0,4.0,alpha\n1,{bad},beta\n")
+        message = f"line 2: keyword value {float(bad)}"
+        with pytest.raises(ValueError, match=message):
+            load_keyword_table(path)

@@ -51,7 +51,7 @@ def test_candidate_drain_interleaving():
     weights = [6.0, 1.6, 3.0, 0.8, 6.5]
     f = make_modular(weights)
     sys = cardinality_system(5, 4)
-    sieve = ThresholdSieve(sys, f, tau=8.0, rho=4, k=1)
+    sieve = ThresholdSieve(sys, f, tau=8.0, rho=4)
     assert (sieve.ell, sieve.h) == (4, 2)
     out = sieve.finish(range(5))
     assert sieve.buckets == [{0, 4}, {2}, {1}, {3}, set()]
