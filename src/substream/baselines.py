@@ -202,6 +202,12 @@ class RatioSwapStream(StreamingComponent):
     The swap victim is the held element whose removal (with the newcomer
     added) leaves the most value; cardinality constraints only.  The value
     never decreases across a swap.
+
+    The solution is the members of one gain state from
+    :meth:`Objective.open`: it fills through
+    ``gain``/``add``, weighs the swaps with ``swap_values`` (each trial is
+    one query, O(1) for the directed cut) and swaps through
+    ``remove``/``add``.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective):
@@ -209,28 +215,28 @@ class RatioSwapStream(StreamingComponent):
         self.rho = _require_cardinality(sys)
         self.sys = sys
         self.f = f
-        self.solution = ElementSet()
+        self.state = f.open()
         self.ever_held = ElementSet()
 
+    @property
+    def solution(self) -> ElementSet:
+        return self.state.members
+
     def _ingest(self, u: int) -> list[int]:
-        if len(self.solution) < self.rho:
-            if self.f.marginal(u, self.solution) >= -EPS:
-                self.solution.add(u)
+        state = self.state
+        if len(state.members) < self.rho:
+            if state.gain(u) >= -EPS:
+                state.add(u)
                 self.ever_held.add(u)
                 return []
             return [u]
-        current = self.f.value(self.solution)
-        held = list(self.solution)
-        trial_vals = []
-        for x in held:
-            trial = self.solution.difference((x,))
-            trial.add(u)
-            trial_vals.append(self.f.value(trial))
+        current = self.f.value(state.members)
+        trial_vals = state.swap_values(u, current)
         best = first_best(trial_vals)
-        victim, victim_val = held[best], trial_vals[best]
-        if victim_val - current >= current / self.rho - EPS:
-            self.solution.remove(victim)
-            self.solution.add(u)
+        if trial_vals[best] - current >= current / self.rho - EPS:
+            victim = list(state.members)[best]
+            state.remove(victim)
+            state.add(u)
             self.ever_held.add(u)
             return [victim]
         return [u]
@@ -239,7 +245,7 @@ class RatioSwapStream(StreamingComponent):
         return self.solution.copy(), self.ever_held.copy(), list(self.solution)
 
     def stored_count(self) -> int:
-        return len(self.solution)
+        return len(self.state.members)
 
 
 def streaming_greedy(sys: IndependenceSystem, f: Objective,

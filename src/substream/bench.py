@@ -454,9 +454,21 @@ def _greedy_rho(sys: IndependenceSystem, stream, scale: int = 1) -> int:
     return max(1, scale * len(unweighted_greedy(sys, stream)))
 
 
+# The keys an experiment's ``options`` may hold.
+OPTIONS = ("stream_order", "cascade_copies", "sieve_epsilon")
+
+
+def _check_options(options: Mapping) -> None:
+    """Reject any ``options`` key outside :data:`OPTIONS`."""
+    for key in options:
+        if key not in OPTIONS:
+            raise ValueError(f"unknown option {key!r}")
+
+
 def run_algorithm(name: str, sys: IndependenceSystem, f: Objective,
                   stream, options: Mapping) -> tuple[ElementSet, int]:
     """Execute one named algorithm; returns (solution, peak stored)."""
+    _check_options(options)
     if name == "streaming_greedy":
         component = GreedyStream(sys, f)
     elif name == "sieve_streaming":
@@ -529,9 +541,7 @@ def run_experiment(cfg: Mapping, *, measure_time: bool = True) -> list[ResultRow
         raise ValueError("config lists no seeds")
     sweep_values = cfg.get("sweep", {}).get("values", [0])
     options = cfg.get("options", {})
-    for key in options:
-        if key not in ("stream_order", "cascade_copies", "sieve_epsilon"):
-            raise ValueError(f"unknown option {key!r}")
+    _check_options(options)
 
     rows: list[ResultRow] = []
     for sweep_value in sweep_values:

@@ -13,6 +13,7 @@ exact; at worst they empty each other's entries and repeat a test.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import GroundSetError, SizeLimitError, UnsupportedConstraintError
@@ -323,6 +324,21 @@ _SPEC_FIELDS = {"cardinality": ("n", "rho"), "knapsack": ("costs", "budget"),
                 "planarity": ("n_vertices", "edges")}
 
 
+def _spec_int(kind: str, name: str, value, where: str = "") -> int:
+    """An integer field of a spec: an integral number, or a float whose
+    value is finite and whole.  ``where`` narrows the error message."""
+    whole = (not isinstance(value, numbers.Real)
+             or isinstance(value, numbers.Integral)
+             or (math.isfinite(value) and float(value).is_integer()))
+    if whole:
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{kind} spec field {name!r}{where} must be an "
+                     f"integer, got {value!r}")
+
+
 def make_system(spec: Mapping) -> IndependenceSystem:
     """Build a system from a JSON-style config mapping.
 
@@ -330,7 +346,9 @@ def make_system(spec: Mapping) -> IndependenceSystem:
     (costs, budget), ``labeled_limit`` (labels, per_label_limit,
     total_limit, optional k_param), ``node_independent_set`` (n, edges),
     ``planarity`` (n_vertices, edges).  ``{"intersect": [specA, specB]}``
-    combines two specs.  A missing field raises ``ValueError`` naming it.
+    combines two specs.  A missing field, or an integer field (n, rho,
+    per_label_limit, total_limit, k_param, n_vertices) holding a NaN,
+    infinite or fractional number, raises ``ValueError`` naming it.
     """
     if "intersect" in spec:
         parts = spec["intersect"]
@@ -341,18 +359,29 @@ def make_system(spec: Mapping) -> IndependenceSystem:
     for name in _SPEC_FIELDS.get(kind, ()):
         if spec.get(name) is None:
             raise ValueError(f"{kind} spec is missing field {name!r}")
+
+    def field(name):
+        return _spec_int(kind, name, spec[name])
+
     if kind == "cardinality":
-        return cardinality_system(int(spec["n"]), int(spec["rho"]))
+        return cardinality_system(field("n"), field("rho"))
     if kind == "knapsack":
         return knapsack_system(spec["costs"], float(spec["budget"]))
     if kind == "labeled_limit":
-        return labeled_limit_system(spec["labels"], spec["per_label_limit"],
-                                    int(spec["total_limit"]),
-                                    spec.get("k_param"))
+        limit = spec["per_label_limit"]
+        if isinstance(limit, Mapping):
+            limit = {lab: _spec_int(kind, "per_label_limit", v,
+                                    f" for label {lab!r}")
+                     for lab, v in limit.items()}
+        else:
+            limit = field("per_label_limit")
+        k_param = None if spec.get("k_param") is None else field("k_param")
+        return labeled_limit_system(spec["labels"], limit,
+                                    field("total_limit"), k_param)
     if kind == "node_independent_set":
-        return node_independent_set_system(int(spec["n"]), spec["edges"])
+        return node_independent_set_system(field("n"), spec["edges"])
     if kind == "planarity":
-        return planarity_system(int(spec["n_vertices"]), spec["edges"])
+        return planarity_system(field("n_vertices"), spec["edges"])
     raise UnsupportedConstraintError(f"unknown constraint spec {spec!r}")
 
 

@@ -8,8 +8,8 @@ subclasses ``dict`` (every value is None) so that membership tests,
 streaming inner loops make on the order of 10^8 membership tests, and a
 Python-level ``__contains__`` wrapper dominated their cost.
 ``Objective`` wraps a raw set function with memoization, call accounting and
-marginal-gain helpers; ``Objective.open`` hands out a grow-only
-``GainState`` that answers gain queries against one growing set.
+marginal-gain helpers; ``Objective.open`` hands out a ``GainState`` that
+answers gain and swap queries against one set as it changes.
 """
 
 from __future__ import annotations
@@ -157,10 +157,11 @@ class Objective:
     order (and with it every evaluation count) is that of two
     :meth:`value` calls in that order.
 
-    :meth:`open` returns an empty :class:`GainState` for a set that only
-    grows.  ``open_fn(objective)``, when provided, builds it; objectives
-    that keep a running gain per element (additive and directed cut) pass
-    one.  Without it the state asks :meth:`marginal` for every gain.
+    :meth:`open` returns an empty :class:`GainState`.
+    ``open_fn(objective)``, when provided, builds it; objectives that keep
+    a running gain per element (additive and directed cut) pass one.
+    Without it the state asks :meth:`marginal` for every gain and
+    :meth:`value` for every swap trial.
 
     Instances are read-only after construction apart from the cache and
     the call counter, which are not synchronized: use one oracle per run
@@ -239,19 +240,23 @@ class Objective:
         return self.value((u,))
 
     def open(self) -> "GainState":
-        """Empty grow-only gain state over this objective."""
+        """Empty gain state over this objective."""
         if self._open_fn is None:
             return GainState(self)
         return self._open_fn(self)
 
 
 class GainState:
-    """A set that only grows, with the gain of each element outside it.
+    """A set with the gain of each element outside it.
 
     Returned empty by :meth:`Objective.open`.  ``members`` is the set in
-    insertion order; grow it through :meth:`add` only.  ``gain(u)`` is
-    ``f.marginal(u, members)``: the same checks, the same count and, in
-    this generic state, the same float.
+    insertion order; change it through :meth:`add` and :meth:`remove`
+    only.  ``gain(u)`` is ``f.marginal(u, members)``: the same checks, the
+    same count and, in this generic state, the same float.
+    :meth:`swap_values` gives the value of every single-element swap, as
+    a swap-based streamer weighs them; each trial is one query, which in
+    this generic state is the :meth:`Objective.value` call it makes (and
+    so free when the cache serves it).
     """
 
     __slots__ = ("f", "members")
@@ -268,6 +273,34 @@ class GainState:
             raise GroundSetError(f"id {u} outside range(0, {self.f.n})")
         self.members.add(u)
 
+    def remove(self, x: int) -> None:
+        self.members.remove(x)
+
+    def _check_outside(self, u: int) -> None:
+        """Raise what :meth:`Objective.marginal` raises for ``u``."""
+        n = self.f.n
+        if u < 0 or u >= n:
+            raise GroundSetError(f"id {u} outside range(0, {n})")
+        if u in self.members:
+            raise DuplicateElementError(f"element {u} already in subset")
+
+    def swap_values(self, u: int, current: float) -> list[float]:
+        """``f(S - x + u)`` for each member ``x`` in member order, where
+        ``current`` is ``f(S)`` and ``u`` is outside ``S``.
+
+        This generic state asks :meth:`Objective.value` for every trial
+        set, so a trial served by its cache is not counted; ``current``
+        is not read.
+        """
+        self._check_outside(u)
+        members, value = self.members, self.f.value
+        out = []
+        for x in members:
+            trial = members.difference((x,))
+            trial.add(u)
+            out.append(value(trial))
+        return out
+
 
 class TabulatedGainState(GainState):
     """Gain state that reads each gain from a per-element table.
@@ -276,7 +309,8 @@ class TabulatedGainState(GainState):
     outside it.  :meth:`gain` keeps the checks of :meth:`Objective.marginal`
     and counts one evaluation per query, as its fast path does.  This
     class never writes ``gains``; a subclass whose :meth:`add` updates the
-    table passes in a copy of its own.
+    table passes in a copy of its own and undoes the update in
+    :meth:`remove`.
     """
 
     __slots__ = ("gains",)

@@ -85,14 +85,11 @@ def w_sequence_total(rho: int) -> float:
 def _build(rho: int, bait_weights: list[float],
            epsilon: float | None) -> CounterInstance:
     n = 3 * rho + 1
-    edges: list[tuple[int, int, float]] = []
-    for i in range(1, rho + 1):
-        edges.append((i, 0, 1.0))
-    for j in range(rho + 1, 2 * rho + 1):
-        for i in range(1, rho + 1):
-            edges.append((j, i, 1.0))
-    for idx, m in enumerate(range(2 * rho + 1, 3 * rho + 1)):
-        edges.append((m, 0, bait_weights[idx]))
+    early = list(range(1, rho + 1))  # one int object per vertex id
+    edges = [(i, 0, 1.0) for i in early]
+    edges += [(j, i, 1.0) for j in range(rho + 1, 2 * rho + 1) for i in early]
+    edges += [(m, 0, w) for m, w in zip(range(2 * rho + 1, 3 * rho + 1),
+                                        bait_weights)]
     graph = CutGraph(n_vertices=n, edges=tuple(edges))
     return CounterInstance(graph=graph, stream=tuple(range(1, n)),
                            rho=rho, epsilon=epsilon)

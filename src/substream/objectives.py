@@ -25,6 +25,11 @@ from .prng import SplitMix64
 LOGDET_MAX_SUBSET = 512
 
 
+def _as_edge(e) -> tuple[int, int, float]:
+    u, v, w = e
+    return int(u), int(v), float(w)
+
+
 @dataclass(frozen=True)
 class CutGraph:
     """Weighted directed graph; vertices are ``0..n_vertices-1``."""
@@ -35,8 +40,12 @@ class CutGraph:
     def __post_init__(self):
         if self.n_vertices <= 0:
             raise ValueError("graph needs at least one vertex")
+        # an edge that is already an exact (int, int, float) tuple is kept
+        # as it is; anything else (bool, numpy scalars, lists) is converted
         object.__setattr__(self, "edges", tuple(
-            (int(u), int(v), float(w)) for u, v, w in self.edges))
+            e if type(e) is tuple and len(e) == 3 and type(e[0]) is int
+            and type(e[1]) is int and type(e[2]) is float else _as_edge(e)
+            for e in self.edges))
         for u, v, w in self.edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -113,9 +122,13 @@ class CutGainState(TabulatedGainState):
 
     Starts from a copy of ``out_total``.  Adding x takes x's out-edge
     weights and then its in-edge weights off each neighbour's entry, in
-    adjacency order: O(deg x) per add and O(1) per gain.  The subtractions
-    run in insertion order, so a gain may differ from the one-off
-    ``marginal_fn`` in the last bits.
+    adjacency order; removing x adds them back in the same order: O(deg x)
+    per add or remove and O(1) per gain.  For a member x, ``gains[x]`` is
+    ``f(S) - f(S - x)``, so a swap trial ``f(S - x + u)`` is
+    ``f(S) - gains[x] + gains[u]`` plus the weight between u and x, which
+    ``gains[u]`` took off: O(1) per trial, counted as one query.  The
+    table is updated in insertion order, so a gain or trial may differ
+    from the one-off ``marginal_fn`` or ``fn`` in the last bits.
     """
 
     __slots__ = ("out_adj", "in_adj")
@@ -135,14 +148,37 @@ class CutGainState(TabulatedGainState):
         for v, w in self.in_adj[u].items():
             gains[v] -= w
 
+    def remove(self, x: int) -> None:
+        super().remove(x)
+        gains = self.gains
+        for v, w in self.out_adj[x].items():
+            gains[v] += w
+        for v, w in self.in_adj[x].items():
+            gains[v] += w
+
+    def swap_values(self, u: int, current: float) -> list[float]:
+        self._check_outside(u)
+        gains, members = self.gains, self.members
+        self.f.evaluations += len(members)
+        gain_u = gains[u]
+        out_u = self.out_adj[u]
+        in_u = self.in_adj[u]
+        return [current - gains[x] + gain_u + out_u.get(x, 0.0)
+                + in_u.get(x, 0.0) for x in members]
+
 
 def make_directed_cut(g: CutGraph) -> Objective:
     """Weight of edges leaving the chosen set; non-monotone in general."""
     out_adj: list[dict[int, float]] = [{} for _ in range(g.n_vertices)]
     in_adj: list[dict[int, float]] = [{} for _ in range(g.n_vertices)]
     for u, v, w in g.edges:
-        out_adj[u][v] = out_adj[u].get(v, 0.0) + w
-        in_adj[v][u] = in_adj[v].get(u, 0.0) + w
+        # parallel arcs sum in edge order; a first arc stores 0.0 + w, as a
+        # sum from 0.0 would, so a weight of -0.0 reads 0.0
+        if v in out_adj[u]:
+            out_adj[u][v] += w
+            in_adj[v][u] += w
+        else:
+            out_adj[u][v] = in_adj[v][u] = 0.0 + w
     out_total = [sum(adj.values()) for adj in out_adj]
 
     def fn(ids):

@@ -4,8 +4,9 @@ from substream.bench import (build_cell, degree_costs, gen_erdos_renyi,
                              gen_node_weights,
                              gen_watts_strogatz, load_edge_list,
                              normalize_costs, random_int_costs,
-                             rows_to_csv, run_experiment, undirected_pairs,
-                             write_edge_list, RESULT_HEADER)
+                             rows_to_csv, run_algorithm, run_experiment,
+                             undirected_pairs, write_edge_list, RESULT_HEADER)
+from substream import make_directed_cut, node_independent_set_system
 from substream.prng import SplitMix64
 
 
@@ -256,6 +257,19 @@ def test_unknown_option_rejected_before_any_cell_is_built(monkeypatch):
     with pytest.raises(ValueError, match="unknown option 'sieve_rho'"):
         run_experiment(_toy_config(options={"sieve_rho": 4}),
                        measure_time=False)
+
+
+@pytest.mark.parametrize("name", ["framework", "streaming_greedy"])
+def test_run_algorithm_rejects_unknown_option(name):
+    g = gen_erdos_renyi(12, 0.3, seed=2)
+    sys = node_independent_set_system(12, undirected_pairs(g))
+    f = make_directed_cut(g)
+    with pytest.raises(ValueError, match="unknown option 'cascade_copy'"):
+        run_algorithm(name, sys, f, list(range(12)), {"cascade_copy": 5})
+    assert f.evaluations == 0  # rejected before anything ran
+    solution, _ = run_algorithm(name, sys, f, list(range(12)),
+                                {"cascade_copies": 1})
+    assert sys.is_independent(solution)
 
 
 def _facility_config(tmp_path, constraint):

@@ -1,6 +1,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from substream import (ElementSet, GroundSetError, cardinality_system,
@@ -114,6 +115,49 @@ def test_make_system_dispatch():
 def test_make_system_names_missing_field(spec, field):
     with pytest.raises(ValueError, match=f"missing field '{field}'"):
         make_system(spec)
+
+
+_INT_FIELD_SPECS = {
+    "n": {"type": "cardinality", "n": 4, "rho": 2},
+    "rho": {"type": "cardinality", "n": 4, "rho": 2},
+    "total_limit": {"type": "labeled_limit", "labels": [["a"], ["b"]],
+                    "per_label_limit": 1, "total_limit": 2},
+    "per_label_limit": {"type": "labeled_limit", "labels": [["a"], ["b"]],
+                        "per_label_limit": 1, "total_limit": 2},
+    "k_param": {"type": "labeled_limit", "labels": [["a"], ["b"]],
+                "per_label_limit": 1, "total_limit": 2, "k_param": 2},
+    "n_vertices": {"type": "planarity", "n_vertices": 3,
+                   "edges": [[0, 1], [1, 2]]},
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 2.7])
+@pytest.mark.parametrize("name", list(_INT_FIELD_SPECS))
+def test_make_system_rejects_non_integer_field(name, bad):
+    spec = dict(_INT_FIELD_SPECS[name])
+    make_system(spec)  # the unchanged spec is valid
+    spec[name] = bad
+    with pytest.raises(ValueError,
+                       match=f"field '{name}' must be an integer, got {bad!r}"):
+        make_system(spec)
+
+
+def test_make_system_integer_fields():
+    assert make_system({"type": "cardinality", "n": 4.0,
+                        "rho": np.int64(2)}).rho_hint == 2
+    sys = make_system({"type": "node_independent_set", "n": 3.0,
+                       "edges": [[0, 1]]})
+    assert sys.n == 3
+    with pytest.raises(ValueError, match="field 'n' must be an integer"):
+        make_system({"type": "node_independent_set", "n": 3.5, "edges": []})
+    spec = dict(_INT_FIELD_SPECS["per_label_limit"],
+                per_label_limit={"a": 1, "b": 1.5})
+    with pytest.raises(ValueError,
+                       match="field 'per_label_limit' for label 'b' must be "
+                             "an integer, got 1.5"):
+        make_system(spec)
+    spec["per_label_limit"] = {"a": 1, "b": 2.0}
+    assert make_system(spec).is_independent([0, 1])
 
 
 def test_can_add_agrees_with_membership():

@@ -108,6 +108,15 @@ def test_verify_g2_reports():
     assert r.bound == pytest.approx(math.e / 4 * r.f_union)
 
 
+@pytest.mark.parametrize("rho", [64, 128])
+def test_verify_g2_holds_at_large_rho(rho):
+    r = verify_ratio_swap_counterexample(rho)
+    assert r.holds, r.checks
+    assert abs(r.f_S - w_sequence_total(rho)) <= 1e-9
+    assert r.f_S <= math.e * rho + 1e-9
+    assert r.f_union >= rho * rho - 1e-9
+
+
 def test_verify_g2_requires_rho_at_least_four():
     with pytest.raises(ValueError):
         verify_ratio_swap_counterexample(3)

@@ -1,4 +1,4 @@
-"""Grow-only gain states from ``Objective.open`` against one-off marginals.
+"""Gain states from ``Objective.open`` against one-off marginals and values.
 
 The cut accumulator subtracts in insertion order, so its gains may differ
 from ``marginal_fn`` in the last bits; they are compared within a
@@ -108,6 +108,11 @@ def test_gain_state_raises_the_errors_marginal_raises(make):
         st.gain(1)
     with pytest.raises(DuplicateElementError):
         st.add(1)
+    for bad in (-1, 3):
+        with pytest.raises(GroundSetError):
+            st.swap_values(bad, f.value(st.members))
+    with pytest.raises(DuplicateElementError):
+        st.swap_values(1, f.value(st.members))
     assert list(st.members) == [1]
 
 
@@ -135,3 +140,86 @@ def test_slow_path_state_returns_marginal_float():
     st = f.open()
     assert type(st) is GainState
     _grow(rng, st, 10, 9, check)
+
+
+def _churn(rng, st, n, steps, check):
+    """Add or remove a random element ``steps`` times, calling ``check``
+    before each step and after the last."""
+    for _ in range(steps):
+        check(st)
+        members = list(st.members)
+        if members and (len(members) == n or rng.random() < 0.4):
+            st.remove(members[rng.randrange(len(members))])
+        else:
+            outside = [u for u in range(n) if u not in st.members]
+            st.add(outside[rng.randrange(len(outside))])
+    check(st)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13, 14])
+def test_cut_swap_values_match_fn_after_adds_and_removes(seed):
+    rng = SplitMix64(seed)
+    n = 14
+    g = _random_graph(rng, n, 0.35)
+    f = make_directed_cut(g)
+    slow = Objective(f._fn, n, monotone=False)
+
+    def close(a, b):
+        return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+    def check(st):
+        members = list(st.members)
+        current = slow.value(members)
+        for u in range(n):
+            if u in st.members:
+                continue
+            assert close(st.gain(u), slow.value(members + [u]) - current)
+            before = f.evaluations
+            trials = st.swap_values(u, current)
+            assert f.evaluations == before + len(members)
+            assert len(trials) == len(members)
+            for x, val in zip(members, trials):
+                rest = [y for y in members if y != x]
+                assert close(val, slow.value(rest + [u]))
+
+    st = f.open()
+    _churn(rng, st, n, 60, check)
+
+
+def test_generic_swap_values_are_value_calls():
+    rng = SplitMix64(15)
+    m = random_similarity(rng, 9)
+    f = make_facility_location(m)
+    ref = make_facility_location(m)
+
+    def check(st):
+        current = ref.value(st.members)
+        assert f.value(st.members) == current
+        for u in range(9):
+            if u not in st.members:
+                trials = st.swap_values(u, current)
+                expect = [ref.value([y for y in st.members if y != x] + [u])
+                          for x in st.members]
+                assert trials == expect
+                assert f.evaluations == ref.evaluations
+
+    st = f.open()
+    _churn(rng, st, 9, 30, check)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_directed_cut(CutGraph(3, [(0, 1, 1.0), (1, 2, 2.0)])),
+    lambda: make_modular([1.0, 2.0, 3.0]),
+], ids=["cut", "modular"])
+def test_removed_element_is_outside_again(make):
+    f = make()
+    st = f.open()
+    st.add(0)
+    st.add(1)
+    st.remove(0)
+    assert list(st.members) == [1]
+    assert st.gain(0) == f.marginal(0, {1})
+    st.add(0)
+    assert list(st.members) == [1, 0]
+    with pytest.raises(KeyError):
+        st.remove(2)

@@ -33,6 +33,64 @@ def test_cut_graph_rejects_non_finite_weight(bad):
         CutGraph(2, [(0, 1, 1.0), (1, 0, bad)])
 
 
+def _legacy_cut_tables(n, edges):
+    """Edges, adjacency and out-weights as a plain conversion of every
+    field and a ``get(..., 0.0) + w`` sum would give them."""
+    edges = tuple((int(u), int(v), float(w)) for u, v, w in edges)
+    out_adj = [{} for _ in range(n)]
+    in_adj = [{} for _ in range(n)]
+    for u, v, w in edges:
+        out_adj[u][v] = out_adj[u].get(v, 0.0) + w
+        in_adj[v][u] = in_adj[v].get(u, 0.0) + w
+    return edges, out_adj, in_adj, [sum(a.values()) for a in out_adj]
+
+
+def _cut_tables(g):
+    st = make_directed_cut(g).open()
+    return g.edges, st.out_adj, st.in_adj, st.gains
+
+
+def _bits(tables):
+    """The tables with every float as its exact bit pattern and sign."""
+    edges, out_adj, in_adj, out_total = tables
+    hexed = lambda d: [(k, w.hex()) for k, w in d.items()]
+    return ([(type(e), type(e[0]), type(e[1]), type(e[2]), e[:2], e[2].hex())
+             for e in edges],
+            [hexed(a) for a in out_adj], [hexed(a) for a in in_adj],
+            [t.hex() for t in out_total])
+
+
+def test_cut_graph_normalizes_mixed_edges_like_a_plain_conversion():
+    exact = [(0, 1, 0.1), (1, 2, 2.0), (0, 1, 0.2), (2, 0, -0.0),
+             (0, 1, 0.3), (3, 2, 1.5), (1, 2, -0.0)]
+    mixed = [(np.int64(0), True, np.float64(0.1)), [1, 2, 2],
+             (False, np.int32(1), 0.2), (2, 0, np.float32(-0.0)),
+             (0, 1, 0.3), (np.uint8(3), 2, 1.5), (True, 2, -0.0)]
+    legacy = _bits(_legacy_cut_tables(4, exact))
+    for edges in (exact, tuple(exact), mixed):
+        assert _bits(_cut_tables(CutGraph(4, edges))) == legacy
+    g = CutGraph(4, tuple(exact))
+    assert all(kept is given for kept, given in zip(g.edges, exact))
+    tables = _cut_tables(g)
+    assert tables[1][0][1] == (0.0 + 0.1) + 0.2 + 0.3  # in edge order
+    assert math.copysign(1.0, tables[1][2][0]) == 1.0  # -0.0 reads 0.0
+    assert math.copysign(1.0, g.edges[3][2]) == -1.0  # the edge keeps it
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1, 1.0), (2, 2, 1.0), (0, 5, 1.0)], "self-loop at vertex 2"),
+    ([(0, 1, 1.0), (np.int64(0), 5, 1.0), (1, 1, 1.0)],
+     r"edge \(0, 5\) outside vertex range"),
+    ([(0, 1, 1.0), (True, False, math.nan), (0, 1, math.inf)],
+     r"edge \(1, 0\) has weight nan"),
+    ([(1, 2, np.float64(math.inf)), (0, 0, 1.0)],
+     r"edge \(1, 2\) has weight inf"),
+])
+def test_cut_graph_names_the_first_bad_edge(edges, message):
+    with pytest.raises(ValueError, match=message):
+        CutGraph(3, edges)
+
+
 def test_directed_cut_examples():
     f = make_directed_cut(CutGraph(3, [(0, 1, 1.0), (1, 2, 2.0)]))
     assert f.value([1]) == 2.0
