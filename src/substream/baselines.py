@@ -9,6 +9,8 @@ makes runs exactly reproducible.
 
 from __future__ import annotations
 
+import heapq
+
 from .core import (EPS, ElementSet, GainState, Objective, SizeLimitError,
                    UnsupportedConstraintError, first_best)
 from .constraints import EXACT_RHO_LIMIT, IndependenceSystem, exact_rho
@@ -145,6 +147,11 @@ class PreemptionStream(StreamingComponent):
     Each held element remembers the marginal gain it had against the part
     of the solution that arrived before it; the cache is never updated by
     later swaps.  Cardinality constraints only.
+
+    The held elements sit in a heap keyed by (insertion gain, insertion
+    count), so the victim, the cheapest held element and among equals the
+    earliest inserted, is found without a scan.  Only the heap's minimum
+    ever leaves the solution, so the heap holds exactly the solution.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective,
@@ -157,11 +164,15 @@ class PreemptionStream(StreamingComponent):
         self.insert_gain: dict[int, float] = {}
         self.ever_held = ElementSet()
         self._trace = trace
+        self._cheapest: list[tuple[float, int, int]] = []
+        self._inserted = 0
 
     def _record(self, u: int, gain: float):
         self.solution.add(u)
         self.insert_gain[u] = gain
         self.ever_held.add(u)
+        self._inserted += 1
+        heapq.heappush(self._cheapest, (gain, self._inserted, u))
 
     def _note(self, event: str, u: int, value: float):
         if self._trace is not None:
@@ -176,10 +187,9 @@ class PreemptionStream(StreamingComponent):
                 return []
             self._note("evict", u, gain)
             return [u]
-        # solution is in arrival order and min keeps the first minimum, so
-        # a tie goes to the earliest arrival
-        cheapest = min(self.solution, key=self.insert_gain.__getitem__)
-        if gain >= 2.0 * self.insert_gain[cheapest] - EPS:
+        cheapest_gain, _, cheapest = self._cheapest[0]
+        if gain >= 2.0 * cheapest_gain - EPS:
+            heapq.heappop(self._cheapest)
             self.solution.remove(cheapest)
             self._record(u, gain)
             self._note("swap", u, gain)

@@ -79,7 +79,12 @@ class IndependenceSystem:
 
 
 def cardinality_system(n: int, rho: int) -> IndependenceSystem:
-    """All subsets of size at most ``rho`` (a uniform matroid)."""
+    """All subsets of size at most ``rho`` (a uniform matroid).
+
+    ``rho`` must be a whole number (a float such as ``3.0`` is taken as
+    3); a NaN, infinite or fractional one raises ``ValueError``.
+    """
+    rho = _spec_int("cardinality", "rho", rho)
     if rho < 1:
         raise ValueError("rho must be positive")
     return IndependenceSystem(
@@ -138,18 +143,26 @@ def labeled_limit_system(labels: Sequence[Iterable], per_label_limit,
 
     Labels may overlap, so this is generally not a matroid.  The default
     exchange parameter is (max labels per element) + 1; pass ``k_param``
-    to override it when a sharper value is known for the instance.
+    to override it when a sharper value is known for the instance.  The
+    limits must be whole numbers (a float such as ``3.0`` is taken as 3);
+    a NaN, infinite or fractional one raises ``ValueError`` naming it.
     """
     labs = [frozenset(l) for l in labels]
     if not labs:
         raise ValueError("empty ground set")
+    kind = "labeled_limit"
+    total_limit = _spec_int(kind, "total_limit", total_limit)
     if total_limit < 1:
         raise ValueError("total_limit must be positive")
     all_labels = frozenset().union(*labs) if labs else frozenset()
     if isinstance(per_label_limit, Mapping):
-        limits = {lab: int(per_label_limit[lab]) for lab in all_labels}
+        checked = {lab: _spec_int(kind, "per_label_limit", v,
+                                  f" for label {lab!r}")
+                   for lab, v in per_label_limit.items()}
+        limits = {lab: checked[lab] for lab in all_labels}
     else:
-        limits = {lab: int(per_label_limit) for lab in all_labels}
+        limits = dict.fromkeys(all_labels, _spec_int(
+            kind, "per_label_limit", per_label_limit))
     if any(v < 1 for v in limits.values()):
         raise ValueError("per-label limits must be positive")
     if k_param is None:
@@ -325,8 +338,9 @@ _SPEC_FIELDS = {"cardinality": ("n", "rho"), "knapsack": ("costs", "budget"),
 
 
 def _spec_int(kind: str, name: str, value, where: str = "") -> int:
-    """An integer field of a spec: an integral number, or a float whose
-    value is finite and whole.  ``where`` narrows the error message."""
+    """An integer field of a spec or a constructor's bound: an integral
+    number, or a float whose value is finite and whole.  ``where`` narrows
+    the error message."""
     whole = (not isinstance(value, numbers.Real)
              or isinstance(value, numbers.Integral)
              or (math.isfinite(value) and float(value).is_integer()))
@@ -364,20 +378,13 @@ def make_system(spec: Mapping) -> IndependenceSystem:
         return _spec_int(kind, name, spec[name])
 
     if kind == "cardinality":
-        return cardinality_system(field("n"), field("rho"))
+        return cardinality_system(field("n"), spec["rho"])
     if kind == "knapsack":
         return knapsack_system(spec["costs"], float(spec["budget"]))
     if kind == "labeled_limit":
-        limit = spec["per_label_limit"]
-        if isinstance(limit, Mapping):
-            limit = {lab: _spec_int(kind, "per_label_limit", v,
-                                    f" for label {lab!r}")
-                     for lab, v in limit.items()}
-        else:
-            limit = field("per_label_limit")
         k_param = None if spec.get("k_param") is None else field("k_param")
-        return labeled_limit_system(spec["labels"], limit,
-                                    field("total_limit"), k_param)
+        return labeled_limit_system(spec["labels"], spec["per_label_limit"],
+                                    spec["total_limit"], k_param)
     if kind == "node_independent_set":
         return node_independent_set_system(field("n"), spec["edges"])
     if kind == "planarity":

@@ -159,9 +159,11 @@ class Objective:
 
     :meth:`open` returns an empty :class:`GainState`.
     ``open_fn(objective)``, when provided, builds it; objectives that keep
-    a running gain per element (additive and directed cut) pass one.
-    Without it the state asks :meth:`marginal` for every gain and
-    :meth:`value` for every swap trial.
+    running sums over the set (additive, directed cut, facility location,
+    log-determinant and coverage-minus-dispersion) pass one, and each
+    ``gain`` of such a state counts one query.  Without it the state asks
+    :meth:`marginal` for every gain, which on the slow path counts only
+    cache misses, and :meth:`value` for every swap trial.
 
     Instances are read-only after construction apart from the cache and
     the call counter, which are not synchronized: use one oracle per run
@@ -240,7 +242,8 @@ class Objective:
         return self.value((u,))
 
     def open(self) -> "GainState":
-        """Empty gain state over this objective."""
+        """Empty gain state over this objective: the one ``open_fn``
+        builds, else the generic :class:`GainState`."""
         if self._open_fn is None:
             return GainState(self)
         return self._open_fn(self)
@@ -251,8 +254,10 @@ class GainState:
 
     Returned empty by :meth:`Objective.open`.  ``members`` is the set in
     insertion order; change it through :meth:`add` and :meth:`remove`
-    only.  ``gain(u)`` is ``f.marginal(u, members)``: the same checks, the
-    same count and, in this generic state, the same float.
+    only.  ``gain(u)`` is ``f.marginal(u, members)`` with the same checks;
+    this generic state returns its float and its count (one per query on a
+    ``marginal_fn``, one per cache miss otherwise), and a state that keeps
+    running sums counts one per query.
     :meth:`swap_values` gives the value of every single-element swap, as
     a swap-based streamer weighs them; each trial is one query, which in
     this generic state is the :meth:`Objective.value` call it makes (and
@@ -330,3 +335,51 @@ class TabulatedGainState(GainState):
         if not math.isfinite(gain):
             raise NumericError(f"marginal oracle returned non-finite gain {gain}")
         return gain
+
+
+class AccumulatingGainState(GainState):
+    """Gain state that keeps running sums over its members.
+
+    A subclass folds one new member into its sums in ``_absorb(u)``, reads
+    u's gain from them in ``_gain(u)`` and empties them in ``_clear()``;
+    ``_absorb`` may raise, and then leaves the state as it was.
+    :meth:`gain` keeps the checks of :meth:`Objective.marginal`, counts one
+    evaluation per query and raises ``NumericError`` on a non-finite gain.
+    :meth:`remove` clears the sums and absorbs the remaining members again
+    in member order; only the swap baselines remove, so that path is cold.
+    Swap trials stay the generic :meth:`Objective.value` loop.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, f: Objective):
+        super().__init__(f)
+        self._clear()
+
+    def gain(self, u: int) -> float:
+        self._check_outside(u)
+        self.f.evaluations += 1
+        gain = self._gain(u)
+        if not math.isfinite(gain):
+            raise NumericError(f"marginal oracle returned non-finite gain {gain}")
+        return gain
+
+    def add(self, u: int) -> None:
+        self._check_outside(u)
+        self._absorb(u)
+        self.members.add(u)
+
+    def remove(self, x: int) -> None:
+        self.members.remove(x)
+        self._clear()
+        for y in self.members:
+            self._absorb(y)
+
+    def _clear(self) -> None:
+        raise NotImplementedError
+
+    def _absorb(self, u: int) -> None:
+        raise NotImplementedError
+
+    def _gain(self, u: int) -> float:
+        raise NotImplementedError

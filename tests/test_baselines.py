@@ -2,13 +2,15 @@ import pytest
 
 from substream import (CutGraph, ElementSet, UnsupportedConstraintError,
                        build_g1, build_g2, cardinality_system,
-                       knapsack_system, make_directed_cut, make_modular,
+                       knapsack_system, make_directed_cut,
+                       make_facility_location, make_modular,
                        preemption_stream, ratio_swap_stream, sieve_streaming,
                        streaming_greedy)
 from substream.baselines import PreemptionStream, RatioSwapStream, SieveGuessStream
+from substream.core import EPS
 from substream.prng import SplitMix64
 
-from helpers import random_cut
+from helpers import random_cut, random_similarity
 
 
 def test_streaming_greedy_examples():
@@ -111,6 +113,62 @@ def test_preemption_swap_tie_breaks_to_earliest_arrival():
     assert inst.stream == (1, 2, 3, 4, 5, 6, 7, 8, 9)
     evicted = [comp.push([u]) for u in inst.stream]
     assert evicted == [[], [], [], [4], [5], [6], [1], [2], [3]]
+
+
+def reference_preemption_trace(rho, f, stream):
+    """The preemption rule with the victim found by a scan: the first
+    minimum of the remembered insertion gains in solution order."""
+    solution = ElementSet()
+    insert_gain = {}
+    trace = []
+    for step, u in enumerate(stream):
+        gain = f.marginal(u, solution)
+        if len(solution) < rho:
+            event = "accept" if gain >= -EPS else "evict"
+            if event == "accept":
+                solution.add(u)
+                insert_gain[u] = gain
+            trace.append((step, event, u, -1, gain))
+            continue
+        cheapest = min(solution, key=insert_gain.__getitem__)
+        if gain >= 2.0 * insert_gain[cheapest] - EPS:
+            solution.remove(cheapest)
+            solution.add(u)
+            insert_gain[u] = gain
+            trace += [(step, "swap", u, -1, gain),
+                      (step, "evict", cheapest, -1, 0.0)]
+        else:
+            trace.append((step, "evict", u, -1, gain))
+    return trace, solution
+
+
+def _g1_case(rho, epsilon):
+    inst = build_g1(rho, epsilon)
+    return (lambda: make_directed_cut(inst.graph), inst.graph.n_vertices,
+            rho, list(inst.stream))
+
+
+def _facility_case():
+    rng = SplitMix64(31)
+    m = random_similarity(rng, 60)
+    stream = list(range(60))
+    rng.shuffle(stream)
+    return lambda: make_facility_location(m), 60, 6, stream
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _g1_case(4, 0.01), lambda: _g1_case(8, 0.05),
+    lambda: _g1_case(150, 0.03), _facility_case,
+], ids=["g1-4", "g1-8", "g1-150", "facility"])
+def test_preemption_victims_match_min_scan(case):
+    make_f, n, rho, stream = case()
+    trace = []
+    comp = PreemptionStream(cardinality_system(n, rho), make_f(), trace=trace)
+    out = comp.finish(stream)
+    ref_trace, ref_solution = reference_preemption_trace(rho, make_f(), stream)
+    assert any(event == "swap" for _, event, *_ in ref_trace)
+    assert trace == ref_trace
+    assert list(out.solution) == list(ref_solution)
 
 
 def test_preemption_gain_cache_matches_prefix_marginal():

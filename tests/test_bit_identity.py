@@ -11,16 +11,17 @@ import numpy as np
 import pytest
 
 from substream import (AdaptiveSieve, AutoThresholdSieve, CutGraph, ElementSet,
-                       Objective, ReservoirConfig, ThresholdSieve,
-                       contract_audit, make_coverage_minus_dispersion,
+                       Objective, RatioSwapStream, ReservoirConfig,
+                       ThresholdSieve, cardinality_system, contract_audit, make_coverage_minus_dispersion,
                        make_directed_cut, make_facility_location, make_logdet,
                        make_system, node_independent_set_system,
                        similarity_from_features)
 from substream import bench
 from substream.bench import gen_erdos_renyi, run_algorithm, undirected_pairs
-from substream.core import DuplicateElementError, GroundSetError, NumericError
+from substream.core import (DuplicateElementError, GainState, GroundSetError,
+                            NumericError)
 from substream.prng import SplitMix64
-from substream.streaming import _ceil_log2
+from substream.streaming import _ceil_log2, _drive
 
 from helpers import max_feasible_singleton
 
@@ -251,9 +252,10 @@ def feature_similarity(n, seed):
     return similarity_from_features(points, 0.1)
 
 
-def objective_pairs(sim, cache_entries):
-    """(label, current objective, reference objective) for each feature
-    objective, the reference built from the kernels above."""
+def feature_objectives(sim, cache_entries):
+    """(label, objective as built, reference objective) for each feature
+    objective, the reference built from the kernels above.  The reference
+    has no ``open_fn``, so its gains take the generic path."""
     n = sim.shape[0]
     res = ReservoirConfig(r_cap=n // 3, seed=5)
     pairs = [("facility", make_facility_location(sim),
@@ -265,16 +267,20 @@ def objective_pairs(sim, cache_entries):
              ("cmd", make_coverage_minus_dispersion(sim),
               make_coverage_minus_dispersion(sim)._fn,
               reference_cmd_marginal(sim))]
-    out = []
-    for label, cur, ref_fn, ref_marginal in pairs:
-        new = Objective(cur._fn, n, monotone=cur.monotone,
-                        marginal_fn=cur._marginal_fn,
-                        cache_entries=cache_entries)
-        ref = ThreeSortObjective(ref_fn, n, monotone=cur.monotone,
-                                 marginal_fn=ref_marginal,
-                                 cache_entries=cache_entries)
-        out.append((label, new, ref))
-    return out
+    return [(label, cur, ThreeSortObjective(ref_fn, n, monotone=cur.monotone,
+                                            marginal_fn=ref_marginal,
+                                            cache_entries=cache_entries))
+            for label, cur, ref_fn, ref_marginal in pairs]
+
+
+def objective_pairs(sim, cache_entries):
+    """(label, current objective, reference objective) for each feature
+    objective; the current one keeps the oracle's kernels but, like the
+    reference, has no ``open_fn``."""
+    return [(label, Objective(cur._fn, cur.n, monotone=cur.monotone,
+                              marginal_fn=cur._marginal_fn,
+                              cache_entries=cache_entries), ref)
+            for label, cur, ref in feature_objectives(sim, cache_entries)]
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -320,3 +326,42 @@ def test_feature_runs_match_reference_kernels(algorithm):
         assert new.evaluations == ref.evaluations, label
         assert list(new._cache) == list(ref._cache), label
         assert new.value(sol_new) == ref.value(sol_ref), label
+
+
+@pytest.mark.parametrize("algorithm", ["framework", "sieve_streaming",
+                                       "threshold_sieve", "auto_sieve",
+                                       "repeated_greedy"])
+def test_feature_gain_state_runs_match_reference_kernels(algorithm):
+    # the objectives as built read every streaming and greedy gain from
+    # their gain states; the references ask the slow path or marginal_fn
+    n = 40
+    sim = feature_similarity(n, 11)
+    sys = make_system({"type": "cardinality", "rho": 6, "n": n})
+    stream = list(range(n))
+    SplitMix64(11).shuffle(stream)
+    for label, cur, ref in feature_objectives(sim, cache_entries=64):
+        assert type(cur.open()) is not GainState, label
+        sol, peak = run_algorithm(algorithm, sys, cur, stream, {})
+        sol_ref, peak_ref = run_algorithm(algorithm, sys, ref, stream, {})
+        assert list(sol) == list(sol_ref), label
+        assert peak == peak_ref, label
+        assert cur.value(sol) == ref.value(sol_ref), label
+
+
+def test_facility_state_ratio_swap_matches_reference_kernels():
+    # the only caller of GainState.remove; the elements most like element
+    # 0 arrive first, so later, more distant ones are swapped in
+    n = 40
+    sim = feature_similarity(n, 13)
+    stream = sorted(range(n), key=lambda u: -sim[0, u])
+    sys = cardinality_system(n, 5)
+    for label, cur, ref in feature_objectives(sim, cache_entries=64)[:2]:
+        out, peak, evictions = _drive(RatioSwapStream(sys, cur), stream)
+        out_ref, peak_ref, evictions_ref = _drive(RatioSwapStream(sys, ref),
+                                                  stream)
+        # a swap evicts a held element instead of the arrival
+        assert any(x != stream[step] for step, x in evictions), label
+        assert evictions == evictions_ref, label
+        assert list(out.solution) == list(out_ref.solution), label
+        assert peak == peak_ref, label
+        assert cur.value(out.solution) == ref.value(out_ref.solution), label

@@ -160,6 +160,36 @@ def test_make_system_integer_fields():
     assert make_system(spec).is_independent([0, 1])
 
 
+_TWO_LABELS = [["a"], ["b"]]
+_BOUNDED_CONSTRUCTORS = {
+    "rho": lambda b: cardinality_system(5, b),
+    "per_label_limit": lambda b: labeled_limit_system(_TWO_LABELS, b, 2),
+    "per_label_limit_map": lambda b: labeled_limit_system(
+        _TWO_LABELS, {"a": 1, "b": b}, 2),
+    "total_limit": lambda b: labeled_limit_system(_TWO_LABELS, 1, b),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 2.7])
+@pytest.mark.parametrize("name", list(_BOUNDED_CONSTRUCTORS))
+def test_constructors_reject_non_integer_bound(name, bad):
+    field = name.removesuffix("_map")
+    with pytest.raises(ValueError, match=f"field '{field}'.*must be an "
+                                         f"integer, got {bad!r}"):
+        _BOUNDED_CONSTRUCTORS[name](bad)
+
+
+def test_constructors_accept_integral_float_bounds():
+    sys = cardinality_system(5, 3.0)
+    assert sys.rho_hint == 3 and type(sys.rho_hint) is int
+    assert sys.is_independent([0, 1, 2]) and not sys.is_independent(range(4))
+    for build in (_BOUNDED_CONSTRUCTORS["per_label_limit"],
+                  _BOUNDED_CONSTRUCTORS["per_label_limit_map"],
+                  _BOUNDED_CONSTRUCTORS["total_limit"]):
+        sys = build(2.0)
+        assert sys.is_independent([0, 1])
+
+
 def test_can_add_agrees_with_membership():
     rng = SplitMix64(99)
     for _ in range(40):

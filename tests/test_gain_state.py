@@ -2,19 +2,25 @@
 
 The cut accumulator subtracts in insertion order, so its gains may differ
 from ``marginal_fn`` in the last bits; they are compared within a
-tolerance scaled by the weight on the element's edges.  The generic state
-must return ``Objective.marginal``'s float exactly.
+tolerance scaled by the weight on the element's edges.  The facility
+state must give ``fn(S + u) - fn(S)`` exactly; the log-determinant and
+coverage-minus-dispersion states sum in member order and are held to
+1e-12 relative.  The generic state must return ``Objective.marginal``'s
+float exactly.
 """
 
 import math
 
+import numpy as np
 import pytest
 
-from substream import (CutGraph, Objective, make_directed_cut,
-                       make_facility_location, make_modular)
+from substream import (CutGraph, KeywordTable, Objective, ReservoirConfig,
+                       make_coverage_minus_dispersion, make_directed_cut,
+                       make_facility_location, make_logdet, make_modular,
+                       make_sqrt_coverage)
 from substream.core import (DuplicateElementError, GainState, GroundSetError,
-                            NumericError, TabulatedGainState)
-from substream.objectives import CutGainState
+                            NumericError, SizeLimitError, TabulatedGainState)
+from substream.objectives import LOGDET_MAX_SUBSET, CutGainState
 from substream.prng import SplitMix64
 
 from helpers import random_similarity
@@ -92,7 +98,9 @@ def test_modular_gain_is_the_weight(seed):
     lambda: make_directed_cut(CutGraph(3, [(0, 1, 1.0), (1, 2, 2.0)])),
     lambda: make_modular([1.0, 2.0, 3.0]),
     lambda: make_facility_location(random_similarity(SplitMix64(7), 3)),
-], ids=["cut", "modular", "facility"])
+    lambda: make_logdet(random_similarity(SplitMix64(7), 3), 2.0),
+    lambda: make_coverage_minus_dispersion(random_similarity(SplitMix64(7), 3)),
+], ids=["cut", "modular", "facility", "logdet", "coverage_minus_dispersion"])
 def test_gain_state_raises_the_errors_marginal_raises(make):
     f = make()
     st = f.open()
@@ -127,9 +135,11 @@ def test_modular_gain_rejects_non_finite_weight(bad):
 
 def test_slow_path_state_returns_marginal_float():
     rng = SplitMix64(9)
-    m = random_similarity(rng, 10)
-    f = make_facility_location(m)
-    ref = make_facility_location(m)
+    table = KeywordTable(
+        words=[{str(rng.randrange(5)), str(rng.randrange(5))} for _ in range(10)],
+        values=[rng.uniform(0.0, 6.0) for _ in range(10)])
+    f = make_sqrt_coverage(table)
+    ref = make_sqrt_coverage(table)
 
     def check(st):
         for u in range(10):
@@ -223,3 +233,80 @@ def test_removed_element_is_outside_again(make):
     assert list(st.members) == [1, 0]
     with pytest.raises(KeyError):
         st.remove(2)
+
+
+FEATURE_OBJECTIVES = {
+    "facility": make_facility_location,
+    "facility_sampled": lambda m: make_facility_location(
+        m, ReservoirConfig(r_cap=5, seed=3)),
+    "logdet": lambda m: make_logdet(m, 2.0),
+    "coverage_minus_dispersion": make_coverage_minus_dispersion,
+}
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+@pytest.mark.parametrize("kind", list(FEATURE_OBJECTIVES))
+def test_feature_gain_matches_value_difference(kind, seed):
+    rng = SplitMix64(seed)
+    n = 12
+    m = random_similarity(rng, n)
+    f = FEATURE_OBJECTIVES[kind](m)
+    generic = FEATURE_OBJECTIVES[kind](m)
+    fn = f._fn
+
+    def check(st):
+        members = list(st.members)
+        current = fn(st.members.sorted_ids())
+        for u in range(n):
+            if u in st.members:
+                continue
+            before = f.evaluations
+            gain = st.gain(u)
+            assert f.evaluations == before + 1
+            expect = fn(tuple(sorted(members + [u]))) - current
+            if kind.startswith("facility"):
+                assert gain == expect
+            else:
+                assert abs(gain - expect) <= 1e-12 * max(1.0, abs(expect))
+            reference = GainState(generic)
+            for x in members:
+                reference.add(x)
+            assert st.swap_values(u, current) == reference.swap_values(
+                u, current)
+
+    st = f.open()
+    assert isinstance(st, GainState) and type(st) is not GainState
+    _grow(rng, st, n, n - 1, check)
+    _churn(rng, f.open(), n, 40, check)
+
+
+def test_logdet_state_refuses_more_than_the_oracle_factorizes():
+    n = LOGDET_MAX_SUBSET + 2
+    f = make_logdet(np.eye(n), 1.0)
+    st = f.open()
+    for u in range(LOGDET_MAX_SUBSET - 1):
+        st.add(u)
+    assert st.gain(n - 1) == math.log(2.0)  # I + I on the diagonal
+    st.add(LOGDET_MAX_SUBSET - 1)
+    with pytest.raises(SizeLimitError):
+        f.marginal(LOGDET_MAX_SUBSET, st.members)
+    with pytest.raises(SizeLimitError):
+        st.gain(LOGDET_MAX_SUBSET)
+    with pytest.raises(SizeLimitError):
+        st.add(LOGDET_MAX_SUBSET)
+    assert len(st.members) == LOGDET_MAX_SUBSET
+
+
+def test_logdet_state_raises_when_the_factorization_fails():
+    # I + 2 * [[0, 1], [1, 0]] = [[1, 2], [2, 1]] has determinant -3
+    f = make_logdet(np.array([[0.0, 1.0], [1.0, 0.0]]), 2.0)
+    st = f.open()
+    assert st.gain(0) == 0.0
+    st.add(0)
+    with pytest.raises(NumericError):
+        f.marginal(1, st.members)
+    with pytest.raises(NumericError):
+        st.gain(1)
+    with pytest.raises(NumericError):
+        st.add(1)
+    assert list(st.members) == [0]
