@@ -161,7 +161,6 @@ class PreemptionStream(StreamingComponent):
         self.sys = sys
         self.f = f
         self.solution = ElementSet()
-        self.insert_gain: dict[int, float] = {}
         self.ever_held = ElementSet()
         self._trace = trace
         self._cheapest: list[tuple[float, int, int]] = []
@@ -169,7 +168,6 @@ class PreemptionStream(StreamingComponent):
 
     def _record(self, u: int, gain: float):
         self.solution.add(u)
-        self.insert_gain[u] = gain
         self.ever_held.add(u)
         self._inserted += 1
         heapq.heappush(self._cheapest, (gain, self._inserted, u))

@@ -467,8 +467,12 @@ def _check_options(options: Mapping) -> None:
 
 def run_algorithm(name: str, sys: IndependenceSystem, f: Objective,
                   stream, options: Mapping) -> tuple[ElementSet, int]:
-    """Execute one named algorithm; returns (solution, peak stored)."""
+    """Execute one named algorithm; returns (solution, peak stored).
+
+    The run uses ``sys.fresh()``, so it starts with no answers kept from
+    earlier runs on the same system."""
     _check_options(options)
+    sys = sys.fresh()
     if name == "streaming_greedy":
         component = GreedyStream(sys, f)
     elif name == "sieve_streaming":

@@ -3,11 +3,14 @@
 Every system is a downward-closed family over ``range(n)`` exposed through
 a membership predicate, together with a certified exchange parameter
 ``k_param`` and a ``class_tag`` of ``"matroid"``, ``"k_extendible"`` or
-``"k_system"``.  Every oracle is immutable except the planarity system's
-``can_add``, which memoizes answers for the element currently being
-placed.  That memo is not synchronized, but each entry is keyed by the
-element and the member set it answers for, so concurrent queries stay
-exact; at worst they empty each other's entries and repeat a test.
+``"k_system"``.  Every oracle is stateless except the planarity system,
+whose ``can_add`` keeps the answers of its tests.  ``fresh()`` returns a
+system with nothing kept (the system itself when it keeps nothing), and
+``bench.run_algorithm`` starts each run with it, so no kept answer
+outlives a run and runs that share a system share none.  Within one
+system the memos are not synchronized, but each entry is keyed by
+everything its answer depends on, so concurrent queries stay exact; at
+worst they empty each other's entries and repeat a test.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ class IndependenceSystem:
     """
 
     __slots__ = ("n", "k_param", "class_tag", "kind", "rho_hint",
-                 "_predicate", "_add_predicate")
+                 "_predicate", "_add_predicate", "_fresh")
 
     def __init__(self, predicate: Callable[[frozenset], bool], n: int, *,
                  k_param: int, class_tag: str, kind: str = "custom",
@@ -56,6 +59,12 @@ class IndependenceSystem:
         self.rho_hint = rho_hint
         self._predicate = predicate
         self._add_predicate = add_predicate
+        self._fresh: Callable[[], IndependenceSystem] | None = None
+
+    def fresh(self) -> IndependenceSystem:
+        """The same family with no answers kept from earlier queries: the
+        system itself unless it keeps some (only planarity does)."""
+        return self if self._fresh is None else self._fresh()
 
     def _checked(self, subset: Iterable[int]) -> frozenset:
         s = frozenset(subset)
@@ -197,15 +206,31 @@ def labeled_limit_system(labels: Sequence[Iterable], per_label_limit,
                               add_predicate=add_pred)
 
 
+def _endpoints(kind: str, e: Sequence, n: int) -> tuple[int, int]:
+    """The two vertices of a graph edge, checked like :func:`_spec_int`
+    and against ``range(n)``; errors name the edge."""
+    u, v = e[0], e[1]
+    if type(u) is not int or type(v) is not int:
+        where = f" in edge {tuple(e)!r}"
+        u = _spec_int(kind, "edges", u, where)
+        v = _spec_int(kind, "edges", v, where)
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) outside vertex range")
+    return u, v
+
+
 def node_independent_set_system(n: int, edges: Iterable[Sequence[int]]) -> IndependenceSystem:
-    """Vertex subsets spanning no edge of the supplied undirected graph."""
+    """Vertex subsets spanning no edge of the supplied undirected graph.
+
+    Endpoints must be whole numbers (a float such as ``3.0`` is taken as
+    3); a NaN, infinite or fractional one raises ``ValueError`` naming
+    the edge.
+    """
     adj: list[set[int]] = [set() for _ in range(n)]
     for e in edges:
-        u, v = int(e[0]), int(e[1])
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) outside vertex range")
+        u, v = _endpoints("node_independent_set", e, n)
         adj[u].add(v)
         adj[v].add(u)
     d_max = max((len(a) for a in adj), default=0)
@@ -234,25 +259,37 @@ def planarity_system(n_vertices: int, edge_list: Sequence[Sequence[int]]) -> Ind
     """Edge subsets whose graph is planar; element i stands for edge i.
 
     ``is_independent`` runs the left-right test on the whole subset.
-    ``can_add`` relies on the members being planar already and runs the
-    test only when it can fail: never on at most 8 edges (the smallest
-    non-planar graphs, K3,3 and K5, have 9 and 10), never for a bridge
-    (an endpoint outside the members' graph, or the two endpoints in
-    different components of it), and otherwise only on the one component
-    that the new edge closes a cycle in, after Euler's bound
-    e <= 3v - 6.  Answers for the edge currently being placed are kept,
-    keyed by the edge and the member set, so the many sieve buckets and
-    threshold guesses that hold the same members share one test; the
-    memo is emptied when another edge is asked about.
+    ``can_add`` relies on the members being planar already.  A graph is
+    planar exactly when each of its biconnected blocks is (Hopcroft and
+    Tarjan, CACM 1973), and adding the edge ab to the members changes only
+    one block: the block of ``members + ab`` that holds ab, which is the
+    union of the members' blocks on the a-b path of their block-cut tree,
+    plus ab (see :func:`merged_block`).  ``can_add`` tests that merged
+    block alone, and only when the test can fail: never on at most 8
+    edges (the smallest non-planar graphs, K3,3 and K5, have 9 and 10),
+    so never for a bridge or a pendant edge, and not when the block
+    already breaks Euler's bound e <= 3v - 6.
+
+    Answers are kept in two memos, both exact.  The first is keyed by the
+    edge and the member set, so the many sieve buckets and threshold
+    guesses that hold the same members share one block pass; it is
+    emptied when another edge is asked about.  The second is keyed by the
+    edge and the merged block's edge set, so member sets that differ only
+    outside that block share one left-right test, also when the same edge
+    arrives again later (cascade copies, later window copies, repeated
+    greedy rounds); it is kept for the life of the system.  ``fresh()``
+    returns the same system with both memos empty, and
+    ``bench.run_algorithm`` starts every run with it, so no answer carries
+    over from one run to the next.
+
+    Endpoints must be whole numbers (a float such as ``3.0`` is taken as
+    3); a NaN, infinite or fractional one raises ``ValueError`` naming
+    the edge.
     """
     edges = []
     seen = set()
     for e in edge_list:
-        u, v = int(e[0]), int(e[1])
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-            raise ValueError(f"edge ({u}, {v}) outside vertex range")
+        u, v = _endpoints("planarity", e, n_vertices)
         key = frozenset((u, v))
         if key in seen:
             raise ValueError(f"parallel edge between {u} and {v}")
@@ -260,12 +297,18 @@ def planarity_system(n_vertices: int, edge_list: Sequence[Sequence[int]]) -> Ind
         edges.append((u, v))
     if not edges:
         raise ValueError("empty ground set")
+    return _planarity(edges)
+
+
+def _planarity(edges: list[tuple[int, int]]) -> IndependenceSystem:
+    """The planarity system over checked edges, with empty memos."""
 
     def pred(s):
         return planarity_check([edges[i] for i in s])
 
     memo: dict = {}
     memo_u = None
+    tested: dict = {}
 
     def add_pred(u, members):
         nonlocal memo_u
@@ -282,36 +325,88 @@ def planarity_system(n_vertices: int, edge_list: Sequence[Sequence[int]]) -> Ind
         return answer
 
     def planar_with(u, members):
-        a, b = edges[u]
-        adj: dict = {}
-        for i in members:
-            x, y = edges[i]
-            adj.setdefault(x, []).append(y)
-            adj.setdefault(y, []).append(x)
-        if a not in adj or b not in adj:
-            return True  # a pendant edge
-        comp = {a}
-        todo = [a]
-        while todo:
-            for w in adj[todo.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    todo.append(w)
-        if b not in comp:
-            return True  # joins two components
-        # edges of the component with u; it has at least 3 vertices, since
-        # u is no parallel edge
-        m = sum(len(adj[w]) for w in comp) // 2 + 1
-        if m > 3 * len(comp) - 6:
-            return False
+        block, n_block = merged_block(edges, u, members)
+        m = len(block) + 1
         if m <= 8:
             return True
-        return planarity_check([edges[i] for i in members
-                                if edges[i][0] in comp] + [edges[u]])
+        if m > 3 * n_block - 6:
+            return False
+        key = (u, frozenset(block))
+        answer = tested.get(key)
+        if answer is None:
+            tested[key] = answer = planarity_check(
+                [edges[i] for i in block] + [edges[u]])
+        return answer
 
-    return IndependenceSystem(pred, len(edges), k_param=3,
-                              class_tag="k_system", kind="planarity",
-                              add_predicate=add_pred)
+    system = IndependenceSystem(pred, len(edges), k_param=3,
+                                class_tag="k_system", kind="planarity",
+                                add_predicate=add_pred)
+    system._fresh = lambda: _planarity(edges)
+    return system
+
+
+def merged_block(edges: Sequence[tuple[int, int]], u: int,
+                 members: Iterable[int]) -> tuple[list[int], int]:
+    """The members in the biconnected block of ``members + u`` that holds
+    edge ``u``, and the number of vertices of that block.
+
+    With (a, b) = ``edges[u]``, that block is the union of the members'
+    blocks on the a-b path of their block-cut tree, plus ab.  One
+    iterative Hopcroft-Tarjan pass with an edge stack finds it: a is the
+    root and b its only child, so the pass walks just the part of the
+    members' graph that b reaches without a, and cuts every block that
+    closes below b off the stack.  What is left when b is done is the
+    merged block; it is empty when ab is a bridge or a pendant edge.  The
+    edges must be distinct and ``u`` no member.
+    """
+    a, b = edges[u]
+    adj: dict = {}
+    for i in members:
+        x, y = edges[i]
+        adj.setdefault(x, []).append(i)
+        adj.setdefault(y, []).append(i)
+    if a not in adj or b not in adj:
+        return [], 2
+    disc = {a: 0, b: 1}
+    low = [0, 1]  # by discovery number
+    block: list[int] = []  # the edge stack
+    # stack height and tree-edge count when each open tree edge was pushed
+    marks = []
+    # tree edges on the stack: one per block vertex other than a and b
+    trees = 0
+    path = [(b, u, iter(adj[b]))]
+    while path:
+        v, via, todo = path[-1]
+        dv = disc[v]
+        for i in todo:
+            if i == via:
+                continue
+            x, y = edges[i]
+            w = y if x == v else x
+            dw = disc.get(w)
+            if dw is None:
+                disc[w] = dw = len(low)
+                low.append(dw)
+                marks.append((len(block), trees))
+                block.append(i)
+                trees += 1
+                path.append((w, i, iter(adj[w])))
+                break
+            if dw < dv:  # a back edge; seen from below it is already stacked
+                block.append(i)
+                if dw < low[dv]:
+                    low[dv] = dw
+        else:
+            path.pop()
+            if path:
+                dp = disc[path[-1][0]]
+                height, count = marks.pop()
+                if low[dv] >= dp:  # v's subtree closes a block without ab
+                    del block[height:]
+                    trees = count
+                elif low[dv] < low[dp]:
+                    low[dp] = low[dv]
+    return block, trees + 2
 
 
 def intersect(a: IndependenceSystem, b: IndependenceSystem) -> IndependenceSystem:
@@ -325,9 +420,12 @@ def intersect(a: IndependenceSystem, b: IndependenceSystem) -> IndependenceSyste
     def add_pred(u, members):
         return a.can_add(u, members) and b.can_add(u, members)
 
-    return IndependenceSystem(pred, a.n, k_param=a.k_param + b.k_param,
-                              class_tag="k_system", kind="intersection",
-                              add_predicate=add_pred)
+    system = IndependenceSystem(pred, a.n, k_param=a.k_param + b.k_param,
+                                class_tag="k_system", kind="intersection",
+                                add_predicate=add_pred)
+    if a._fresh is not None or b._fresh is not None:
+        system._fresh = lambda: intersect(a.fresh(), b.fresh())
+    return system
 
 
 # fields each spec type must carry

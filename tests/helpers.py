@@ -1,6 +1,7 @@
 """Seeded random instance builders shared across the test modules."""
 
-from substream import (CutGraph, cardinality_system, knapsack_system,
+from substream import (CutGraph, cardinality_system, constraints,
+                       knapsack_system,
                        labeled_limit_system, make_directed_cut, make_modular,
                        node_independent_set_system, similarity_from_features)
 from substream.prng import SplitMix64
@@ -121,3 +122,17 @@ def sample_oracles(rng: SplitMix64, n: int = 10):
         ("logdet", make_logdet(sim, alpha=2.0)),
         ("sqrt_coverage", make_sqrt_coverage(table)),
     ]
+
+
+def count_planarity_tests(monkeypatch) -> list[int]:
+    """Wrap ``constraints.planarity_check`` for one test; the returned
+    list gets the edge count of every left-right test made."""
+    calls = []
+    real = constraints.planarity_check
+
+    def counted(edges):
+        calls.append(len(edges))
+        return real(edges)
+
+    monkeypatch.setattr(constraints, "planarity_check", counted)
+    return calls

@@ -171,6 +171,15 @@ def test_preemption_victims_match_min_scan(case):
     assert list(out.solution) == list(ref_solution)
 
 
+def _remembered_gains(comp):
+    """The insertion gain each held element is remembered by, as the
+    victim heap holds it; the heap holds exactly the solution."""
+    gains = {u: gain for gain, _, u in comp._cheapest}
+    assert len(gains) == len(comp._cheapest)
+    assert set(gains) == set(comp.solution)
+    return gains
+
+
 def test_preemption_gain_cache_matches_prefix_marginal():
     # on the adversarial families the remembered insertion gain equals the
     # gain against the currently held earlier arrivals, at every step
@@ -181,11 +190,12 @@ def test_preemption_gain_cache_matches_prefix_marginal():
         position = {u: i for i, u in enumerate(inst.stream)}
         for u in inst.stream:
             comp.push([u])
+            gains = _remembered_gains(comp)
             for x in comp.solution:
                 prefix = ElementSet(
                     s for s in comp.solution if position[s] < position[x])
                 recomputed = f.marginal(x, prefix)
-                assert abs(comp.insert_gain[x] - recomputed) <= 1e-9
+                assert abs(gains[x] - recomputed) <= 1e-9
 
 
 def test_preemption_cache_is_insertion_time_without_swaps():
@@ -202,7 +212,7 @@ def test_preemption_cache_is_insertion_time_without_swaps():
             expect = f.marginal(u, ElementSet(x for x in seen if x in comp.solution))
             comp.push([u])
             if u in comp.solution:
-                assert abs(comp.insert_gain[u] - expect) <= 1e-9
+                assert abs(_remembered_gains(comp)[u] - expect) <= 1e-9
             seen.add(u)
 
 

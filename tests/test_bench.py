@@ -9,6 +9,8 @@ from substream.bench import (build_cell, degree_costs, gen_erdos_renyi,
 from substream import make_directed_cut, node_independent_set_system
 from substream.prng import SplitMix64
 
+from helpers import count_planarity_tests
+
 
 def test_splitmix_reference_stream():
     # first outputs for seed 0; pinned so ports can cross-check the PRNG
@@ -224,6 +226,31 @@ def test_edge_ground_planarity_knapsack_cell():
     # the sweep must actually reach the nested knapsack budget: at least
     # one algorithm sees different values across the two budgets
     assert any(sweeps[0.2] != sweeps[0.8] for sweeps in by_algo.values())
+
+
+@pytest.mark.parametrize("constraint", [
+    {"type": "planarity"},
+    {"intersect": [{"type": "planarity"},
+                   {"type": "knapsack", "budget": 8.0, "cost_rule": "degree",
+                    "normalize": "sum_vertices"}]},
+], ids=["planarity", "planarity-knapsack"])
+def test_planarity_answers_last_one_run(monkeypatch, constraint):
+    # a run on a system that earlier runs have used makes as many
+    # left-right tests as a run on a newly built one
+    calls = count_planarity_tests(monkeypatch)
+    cfg = {"instance": {"model": "er", "n": 14, "p": 0.5},
+           "objective": {"kind": "linear"}, "constraint": constraint}
+    cell = build_cell(cfg, None, 4)
+    counts = []
+    solutions = []
+    for sys in (cell.sys, cell.sys, build_cell(cfg, None, 4).sys):
+        before = len(calls)
+        solution, _ = run_algorithm("framework", sys, cell.objective_factory(),
+                                    cell.stream, {})
+        counts.append(len(calls) - before)
+        solutions.append(solution)
+    assert counts[0] > 0 and counts == [counts[0]] * 3
+    assert solutions == [solutions[0]] * 3
 
 
 def test_framework_entry_runs_and_reports_peak():

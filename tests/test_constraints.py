@@ -1,18 +1,24 @@
 import math
+import re
+import sys as sys_module
+import threading
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from substream import (ElementSet, GroundSetError, cardinality_system,
-                       exact_rho, exchange_witness, intersect,
-                       knapsack_system, labeled_limit_system, make_system,
-                       node_independent_set_system, planarity_system,
-                       unweighted_greedy)
+from substream import (ElementSet, GroundSetError, IndependenceSystem,
+                       cardinality_system, exact_rho, exchange_witness,
+                       intersect, knapsack_system, labeled_limit_system,
+                       make_system, node_independent_set_system,
+                       planarity_system, unweighted_greedy)
+from substream.constraints import merged_block
 from substream.planarity import planarity_check
 from substream.prng import SplitMix64
 
-from helpers import random_independent_set, random_system
+from helpers import (count_planarity_tests, random_independent_set,
+                     random_system)
 
 
 def test_cardinality_basics():
@@ -291,6 +297,212 @@ def test_planarity_knapsack_can_add_agrees_with_full_test():
             return sum(costs[x] for x in members) + costs[u] <= budget + 1e-12
 
         _grow_and_compare(sys, edges, rng, fits)
+
+
+def _oracle_block(edges, u, members):
+    """networkx's biconnected component of ``members + u`` that holds u."""
+    graph = nx.Graph()
+    graph.add_edges_from(edges[i] for i in members)
+    graph.add_edge(*edges[u])
+    ab = frozenset(edges[u])
+    for component in nx.biconnected_component_edges(graph):
+        block = {frozenset(e) for e in component}
+        if ab in block:
+            return block
+    raise AssertionError("no block holds the new edge")
+
+
+def _blocky_graph(rng):
+    """Dense pieces chained by bridges, pendant edges and a separate
+    component, plus random chords among all their vertices."""
+    edges = []
+    pieces = []
+    n = 0
+    for _ in range(1 + rng.randrange(3)):
+        size = 3 + rng.randrange(4)
+        edges += _random_graph(rng, size, 0.7, n)
+        pieces.append(range(n, n + size))
+        n += size
+    for left, right in zip(pieces, pieces[1:]):
+        edges.append((left[rng.randrange(len(left))],
+                      right[rng.randrange(len(right))]))
+    for _ in range(rng.randrange(4)):
+        edges.append((rng.randrange(n), n))
+        n += 1
+    edges += _random_graph(rng, 4, 0.8, n)
+    n += 4
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(6)]
+    distinct = {}
+    for x, y in edges:
+        if x != y:
+            distinct.setdefault(frozenset((x, y)), (x, y) if rng.random() < 0.5
+                                else (y, x))
+    return list(distinct.values())
+
+
+def test_merged_block_matches_networkx():
+    rng = SplitMix64(4242)
+    for _ in range(300):
+        if rng.random() < 0.7:
+            edges = _blocky_graph(rng)
+        else:
+            edges = _random_graph(rng, 3 + rng.randrange(10),
+                                  rng.uniform(0.1, 0.9)) or [(0, 1)]
+        for _ in range(5):
+            u = rng.randrange(len(edges))
+            keep = rng.uniform(0.3, 1.0)
+            members = [i for i in range(len(edges))
+                       if i != u and rng.random() < keep]
+            block, n_block = merged_block(edges, u, members)
+            expected = _oracle_block(edges, u, members)
+            assert len(block) == len(set(block))
+            assert set(block) <= set(members)
+            assert {frozenset(edges[i]) for i in block} | {
+                frozenset(edges[u])} == expected
+            assert n_block == len(set().union(*expected))
+
+
+_K33 = [(x, y) for x in range(3) for y in range(3, 6)]
+
+
+def test_planarity_answers_depend_on_the_block_edges_not_its_vertices():
+    # both member sets are one block on the vertices 0..5 with the same new
+    # edge, and only one of them closes a K3,3; a memo keyed by the block's
+    # vertices would give the second query the first one's answer
+    ab = (0, 3)
+    closes_k33 = [e for e in _K33 if e != ab]
+    stays_planar = [e for e in closes_k33 if e != (1, 4)] + [(0, 1)]
+    edges = _K33 + [(0, 1)]
+    ids = {e: i for i, e in enumerate(edges)}
+    bad = [ids[e] for e in closes_k33]
+    good = [ids[e] for e in stays_planar]
+    for order in ((bad, good), (good, bad)):
+        sys = planarity_system(6, edges)
+        for members in order:
+            assert sys.can_add(ids[ab], members) == (members is good)
+
+
+_K5 = list(combinations(range(5), 2))
+
+
+@pytest.mark.parametrize("block, pendant, ab", [
+    ([e for e in _K5 if e != (0, 1)], (1, 5), (5, 0)),
+    ([e for e in _K5 if e != (0, 1)], (1, 5), (0, 5)),
+    ([e for e in _K33 if e != (0, 3)], (3, 6), (6, 0)),
+    ([e for e in _K33 if e != (0, 3)], (3, 6), (0, 6)),
+])
+def test_planarity_tests_every_block_on_the_path(block, pendant, ab):
+    # the members are a block and a pendant edge hanging from it, and the
+    # new edge closes a cycle through both: either block with ab is planar,
+    # only their merge is a subdivided K5 or K3,3
+    edges = block + [pendant, ab]
+    sys = planarity_system(1 + max(max(e) for e in edges), edges)
+    u = len(edges) - 1
+    for part in block, [pendant]:
+        assert planarity_check(part + [ab])
+    assert not sys.can_add(u, range(u))
+    assert not sys.is_independent(range(len(edges)))
+
+
+def test_planarity_block_answers_are_shared_until_fresh(monkeypatch):
+    calls = count_planarity_tests(monkeypatch)
+    edges = _K33 + [(5, 6), (4, 7)]
+    u = edges.index((0, 3))
+    block = [i for i in range(len(_K33)) if i != u]
+    one, other = block + [len(_K33)], block + [len(_K33) + 1]
+    sys = planarity_system(8, edges)
+    assert not sys.can_add(u, one) and calls == [9]
+    # the members differ outside the block: the answer is kept
+    assert not sys.can_add(u, other) and len(calls) == 1
+    # another edge empties the per-edge memo, the block answer stays
+    assert sys.can_add(len(_K33), other) and len(calls) == 1
+    assert not sys.can_add(u, one) and len(calls) == 1
+    assert not sys.fresh().can_add(u, one) and len(calls) == 2
+
+
+def test_planarity_can_add_stays_exact_under_concurrent_queries():
+    # threads share one system's memos and empty each other's per-edge
+    # entries; every answer must still be the full test's
+    rng = SplitMix64(515)
+    edges = _random_graph(rng, 9, 0.8)
+    sys = planarity_system(9, edges)
+    cases = []
+    for _ in range(300):
+        u = rng.randrange(len(edges))
+        members = [i for i in range(len(edges)) if i != u and rng.random() < 0.5]
+        if planarity_check([edges[i] for i in members]):
+            expected = planarity_check([edges[i] for i in members] + [edges[u]])
+            cases.append((u, frozenset(members), expected))
+    wrong = []
+
+    def ask(offset):
+        for _ in range(20):
+            for u, members, expected in cases[offset:] + cases[:offset]:
+                if sys.can_add(u, members) != expected:
+                    wrong.append((u, members))
+
+    interval = sys_module.getswitchinterval()
+    sys_module.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=ask, args=(37 * k,))
+                   for k in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys_module.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(cases) > 50 and wrong == []
+
+
+def test_fresh_is_the_system_itself_unless_it_keeps_answers():
+    knapsack = knapsack_system([1.0] * 4, 2.0)
+    for sys in (cardinality_system(4, 2), knapsack,
+                labeled_limit_system([["a"]] * 4, 1, 2),
+                node_independent_set_system(4, [(0, 1)]),
+                intersect(cardinality_system(4, 2), knapsack),
+                IndependenceSystem(lambda s: True, 4, k_param=1,
+                                   class_tag="matroid")):
+        assert sys.fresh() is sys
+    square = planarity_system(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    for sys in (square, intersect(square, knapsack),
+                intersect(knapsack, square)):
+        copy = sys.fresh()
+        assert copy is not sys
+        assert (copy.n, copy.k_param, copy.class_tag, copy.kind) == (
+            sys.n, sys.k_param, sys.class_tag, sys.kind)
+        for members in ([0], [0, 1, 2]):
+            assert copy.can_add(3, members) == sys.can_add(3, members)
+
+
+_GRAPH_CONSTRUCTORS = {"planarity": (planarity_system, "n_vertices"),
+                       "node_independent_set": (node_independent_set_system,
+                                                "n")}
+
+
+@pytest.mark.parametrize("bad", [1.5, math.nan, math.inf])
+@pytest.mark.parametrize("kind", list(_GRAPH_CONSTRUCTORS))
+def test_graph_constructors_reject_non_integer_endpoints(kind, bad):
+    build, size = _GRAPH_CONSTRUCTORS[kind]
+    message = re.escape(f"{kind} spec field 'edges' in edge (2, {bad!r}) "
+                        f"must be an integer, got {bad!r}")
+    with pytest.raises(ValueError, match=message):
+        build(3, [(0, 1), (2, bad)])
+    with pytest.raises(ValueError, match=message):
+        make_system({"type": kind, size: 3, "edges": [[0, 1], [2, bad]]})
+
+
+@pytest.mark.parametrize("kind", list(_GRAPH_CONSTRUCTORS))
+def test_graph_constructors_accept_integral_endpoints(kind):
+    build, size = _GRAPH_CONSTRUCTORS[kind]
+    sys = build(3, [(0, 1.0), (np.int64(1), 2)])
+    exact = build(3, [(0, 1), (1, 2)])
+    assert sys.k_param == exact.k_param
+    for subset in ([0], [1], [0, 1]):
+        assert sys.is_independent(subset) == exact.is_independent(subset)
+    spec = make_system({"type": kind, size: 3, "edges": [[0, 1.0], [1, 2]]})
+    assert spec.is_independent([0, 1]) == exact.is_independent([0, 1])
 
 
 def test_downward_closure_sampled():
