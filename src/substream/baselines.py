@@ -119,8 +119,8 @@ class SieveGuessStream(StreamingComponent):
                 evicted.extend(self._refresh_guesses())
         held = 0
         for v, state in self.guesses.items():
-            if (state.gain(u) >= v / (2.0 * self.rho) - EPS
-                    and self.sys.can_add(u, state.members)):
+            if (self.sys.can_add(u, state.members)
+                    and state.gain(u) >= v / (2.0 * self.rho) - EPS):
                 state.add(u)
                 held += 1
         if held:
@@ -145,8 +145,8 @@ class PreemptionStream(StreamingComponent):
     its gain is at least twice that element's remembered insertion gain.
 
     Each held element remembers the marginal gain it had against the part
-    of the solution that arrived before it; the cache is never updated by
-    later swaps.  Cardinality constraints only.
+    of the solution that arrived before it; later swaps do not change the
+    remembered gain.  Cardinality constraints only.
 
     The held elements sit in a heap keyed by (insertion gain, insertion
     count), so the victim, the cheapest held element and among equals the

@@ -491,13 +491,11 @@ def run_algorithm(name: str, sys: IndependenceSystem, f: Objective,
     elif name in ("framework", "framework_tau"):
         def offline(fo, so, ground):
             # value greedy and arrival-order first fit complement each
-            # other on summaries; first fit wins only beyond EPS, but is
-            # scored first, as the cache's LRU order has always seen it
+            # other on summaries; first fit wins only beyond EPS
             by_value = repeated_greedy(fo, so, ground)
             by_order = unweighted_greedy(so, ground)
-            order_val = fo.value(by_order)
             return (by_value, by_order)[first_best(
-                (fo.value(by_value), order_val))]
+                (fo.value(by_value), fo.value(by_order)))]
 
         if name == "framework_tau":
             tau = _prepass_tau(sys, f, stream)

@@ -258,17 +258,18 @@ def node_independent_set_system(n: int, edges: Iterable[Sequence[int]]) -> Indep
 def planarity_system(n_vertices: int, edge_list: Sequence[Sequence[int]]) -> IndependenceSystem:
     """Edge subsets whose graph is planar; element i stands for edge i.
 
-    ``is_independent`` runs the left-right test on the whole subset.
-    ``can_add`` relies on the members being planar already.  A graph is
-    planar exactly when each of its biconnected blocks is (Hopcroft and
-    Tarjan, CACM 1973), and adding the edge ab to the members changes only
-    one block: the block of ``members + ab`` that holds ab, which is the
-    union of the members' blocks on the a-b path of their block-cut tree,
-    plus ab (see :func:`merged_block`).  ``can_add`` tests that merged
-    block alone, and only when the test can fail: never on at most 8
-    edges (the smallest non-planar graphs, K3,3 and K5, have 9 and 10),
-    so never for a bridge or a pendant edge, and not when the block
-    already breaks Euler's bound e <= 3v - 6.
+    ``is_independent`` runs the left-right test on the whole subset, but
+    only beyond 8 edges: the smallest non-planar graphs, K3,3 and K5,
+    have 9 and 10.  ``can_add`` relies on the members being planar
+    already.  A graph is planar exactly when each of its biconnected
+    blocks is (Hopcroft and Tarjan, CACM 1973), and adding the edge ab to
+    the members changes only one block: the block of ``members + ab``
+    that holds ab, which is the union of the members' blocks on the a-b
+    path of their block-cut tree, plus ab (see :func:`merged_block`).
+    ``can_add`` tests that merged block alone, and only when the test
+    can fail: never on at most 8 edges, so never for a bridge or a
+    pendant edge, and not when the block already breaks Euler's bound
+    e <= 3v - 6.
 
     Answers are kept in two memos, both exact.  The first is keyed by the
     edge and the member set, so the many sieve buckets and threshold
@@ -304,7 +305,7 @@ def _planarity(edges: list[tuple[int, int]]) -> IndependenceSystem:
     """The planarity system over checked edges, with empty memos."""
 
     def pred(s):
-        return planarity_check([edges[i] for i in s])
+        return len(s) <= 8 or planarity_check([edges[i] for i in s])
 
     memo: dict = {}
     memo_u = None

@@ -7,7 +7,7 @@ subclasses ``dict`` (every value is None) so that membership tests,
 ``len``, iteration and copies run as C-level dict operations: the
 streaming inner loops make on the order of 10^8 membership tests, and a
 Python-level ``__contains__`` wrapper dominated their cost.
-``Objective`` wraps a raw set function with memoization, call accounting and
+``Objective`` wraps a raw set function with query counting and
 marginal-gain helpers; ``Objective.open`` hands out a ``GainState`` that
 answers gain and swap queries against one set as it changes.
 """
@@ -16,14 +16,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import OrderedDict
 from typing import Callable, Iterable
 
 # Absolute tolerance for every inequality test performed by the algorithms.
 EPS = 1e-9
-
-# Default number of memoized set evaluations kept per oracle (LRU).
-DEFAULT_CACHE_ENTRIES = 1 << 16
 
 
 class GroundSetError(ValueError):
@@ -140,56 +136,53 @@ def as_sorted_ids(subset: Iterable[int]) -> tuple[int, ...]:
 
 
 class Objective:
-    """Memoized oracle for a non-negative set function over ``range(n)``.
+    """Counted oracle for a non-negative set function over ``range(n)``.
 
     ``fn`` receives a sorted tuple of element ids and must return a
     finite non-negative value (values within ``EPS`` below zero are clamped
     to zero; anything lower, and a NaN or infinity from ``fn`` or
-    ``marginal_fn``, raises ``NumericError``).  Repeated evaluations of
-    the same subset are served from a bounded LRU cache without touching
-    the call counter.
+    ``marginal_fn``, raises ``NumericError``).
+
+    ``evaluations`` counts oracle queries, the ``oracle_calls`` of a
+    result row: one per :meth:`value`, :meth:`singleton` and fast-path
+    :meth:`marginal`, two per slow-path :meth:`marginal`, and one per
+    gain or swap trial of a :class:`GainState` (the generic state's gains
+    are :meth:`marginal` calls).  A query counts the same whatever was
+    asked before, also when :meth:`singleton` reads its table.
 
     ``marginal_fn(u, members)``, when provided, must equal
     ``fn(S + u) - fn(S)`` for ``u`` outside ``S``; it is used as a fast
-    path by :meth:`marginal` and counts as a single oracle call.  Without
-    it, :meth:`marginal` sorts ``S`` once, inserts ``u`` by bisection and
-    looks up ``S + u`` before ``S`` through the same cache, so the LRU
-    order (and with it every evaluation count) is that of two
-    :meth:`value` calls in that order.
+    path by :meth:`marginal`.  Without it, :meth:`marginal` sorts ``S``
+    once, inserts ``u`` by bisection and evaluates ``S + u`` and ``S``.
 
     :meth:`open` returns an empty :class:`GainState`.
     ``open_fn(objective)``, when provided, builds it; objectives that keep
     running sums over the set (additive, directed cut, facility location,
-    log-determinant and coverage-minus-dispersion) pass one, and each
-    ``gain`` of such a state counts one query.  Without it the state asks
-    :meth:`marginal` for every gain, which on the slow path counts only
-    cache misses, and :meth:`value` for every swap trial.
+    log-determinant and coverage-minus-dispersion) pass one.  Without it
+    the state asks :meth:`marginal` for every gain and :meth:`value` for
+    every swap trial.
 
-    Instances are read-only after construction apart from the cache and
-    the call counter, which are not synchronized: use one oracle per run
-    when running concurrently.
+    Instances are read-only after construction apart from the call
+    counter and the singleton table, which are not synchronized: use one
+    oracle per run when running concurrently.
     """
 
     __slots__ = ("n", "monotone", "evaluations", "_fn", "_marginal_fn",
-                 "_open_fn", "_cache", "_cache_entries")
+                 "_open_fn", "_singletons")
 
     def __init__(self, fn: Callable[[tuple[int, ...]], float], n: int, *,
                  monotone: bool,
                  marginal_fn: Callable[[int, Iterable[int]], float] | None = None,
-                 open_fn: Callable[["Objective"], "GainState"] | None = None,
-                 cache_entries: int = DEFAULT_CACHE_ENTRIES):
+                 open_fn: Callable[["Objective"], "GainState"] | None = None):
         if n <= 0:
             raise ValueError("ground set must be non-empty")
-        if cache_entries < 1:
-            raise ValueError("cache_entries must be positive")
         self.n = n
         self.monotone = monotone
         self.evaluations = 0
         self._fn = fn
         self._marginal_fn = marginal_fn
         self._open_fn = open_fn
-        self._cache: OrderedDict[tuple[int, ...], float] = OrderedDict()
-        self._cache_entries = cache_entries
+        self._singletons: list[float | None] = [None] * n
 
     def _key(self, subset: Iterable[int]) -> tuple[int, ...]:
         key = as_sorted_ids(subset)
@@ -197,16 +190,9 @@ class Objective:
             raise GroundSetError(f"ids outside range(0, {self.n}): {key}")
         return key
 
-    def value(self, subset: Iterable[int]) -> float:
-        return self._lookup(self._key(subset))
-
-    def _lookup(self, key: tuple[int, ...]) -> float:
-        """Cached value of a key already validated by :meth:`_key`."""
-        cache = self._cache
-        hit = cache.get(key)
-        if hit is not None:
-            cache.move_to_end(key)
-            return hit
+    def _eval(self, key: tuple[int, ...]) -> float:
+        """``fn`` of a key already validated by :meth:`_key`, checked and
+        counted."""
         self.evaluations += 1
         val = float(self._fn(key))
         if not math.isfinite(val):
@@ -215,10 +201,10 @@ class Objective:
             if val < -EPS:
                 raise NumericError(f"oracle returned negative value {val}")
             val = 0.0
-        cache[key] = val
-        if len(cache) > self._cache_entries:
-            cache.popitem(last=False)
         return val
+
+    def value(self, subset: Iterable[int]) -> float:
+        return self._eval(self._key(subset))
 
     __call__ = value
 
@@ -236,10 +222,19 @@ class Objective:
             return gain
         base = self._key(subset)
         i = bisect_left(base, u)
-        return self._lookup(base[:i] + (u,) + base[i:]) - self._lookup(base)
+        return self._eval(base[:i] + (u,) + base[i:]) - self._eval(base)
 
     def singleton(self, u: int) -> float:
-        return self.value((u,))
+        """``value((u,))``, computed on the first call for ``u`` and read
+        from an n-slot table after that; every call counts one query."""
+        if u < 0 or u >= self.n:
+            raise GroundSetError(f"id {u} outside range(0, {self.n})")
+        val = self._singletons[u]
+        if val is None:
+            self._singletons[u] = val = self._eval((u,))
+        else:
+            self.evaluations += 1
+        return val
 
     def open(self) -> "GainState":
         """Empty gain state over this objective: the one ``open_fn``
@@ -255,13 +250,12 @@ class GainState:
     Returned empty by :meth:`Objective.open`.  ``members`` is the set in
     insertion order; change it through :meth:`add` and :meth:`remove`
     only.  ``gain(u)`` is ``f.marginal(u, members)`` with the same checks;
-    this generic state returns its float and its count (one per query on a
-    ``marginal_fn``, one per cache miss otherwise), and a state that keeps
+    this generic state returns its float and its count (one on a
+    ``marginal_fn``, two on the slow path), and a state that keeps
     running sums counts one per query.
     :meth:`swap_values` gives the value of every single-element swap, as
     a swap-based streamer weighs them; each trial is one query, which in
-    this generic state is the :meth:`Objective.value` call it makes (and
-    so free when the cache serves it).
+    this generic state is the :meth:`Objective.value` call it makes.
     """
 
     __slots__ = ("f", "members")
@@ -294,8 +288,7 @@ class GainState:
         ``current`` is ``f(S)`` and ``u`` is outside ``S``.
 
         This generic state asks :meth:`Objective.value` for every trial
-        set, so a trial served by its cache is not counted; ``current``
-        is not read.
+        set; ``current`` is not read.
         """
         self._check_outside(u)
         members, value = self.members, self.f.value

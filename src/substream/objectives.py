@@ -1,7 +1,7 @@
 """Concrete non-negative submodular objectives used by the experiments and
 the adversarial instances.
 
-Every constructor returns a memoized :class:`~substream.core.Objective`
+Every constructor returns a counted :class:`~substream.core.Objective`
 over integer ids ``0..n-1``.  Oracles are immutable after construction and
 safe for concurrent reads.
 """

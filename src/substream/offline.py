@@ -36,8 +36,9 @@ def weighted_greedy(f: Objective, sys: IndependenceSystem,
     """Repeatedly add the feasible element of largest marginal gain.
 
     Stops as soon as no feasible element gains more than the tolerance.
-    Internally lazy: cached gains are upper bounds by submodularity, so an
-    entry is only re-evaluated while its bound could still win the round.
+    Internally lazy: gains from earlier rounds are upper bounds by
+    submodularity, so an entry is only re-evaluated while its bound could
+    still win the round.
     The selection (including smallest-id tie-breaks) matches the naive
     re-evaluate-everything greedy exactly.  The solution only grows, so
     every gain is read from one gain state from :meth:`Objective.open`.

@@ -60,6 +60,18 @@ def test_sieve_threshold_rejects_small_marginal():
     assert out.solution == {0}
 
 
+def test_sieve_asks_no_gain_of_guesses_that_cannot_take_u():
+    sys = cardinality_system(3, 1)
+    f = make_modular([4.0, 3.0, 1.0])
+    comp = SieveGuessStream(sys, f, epsilon=0.5, rho=1)
+    comp.push([0])
+    assert len(comp.guesses) > 1
+    assert all(list(state.members) == [0] for state in comp.guesses.values())
+    before = f.evaluations
+    assert comp.push([1]) == [1]
+    assert f.evaluations == before + 1  # u's singleton only
+
+
 def test_sieve_no_feasible_singleton_returns_empty():
     sys = knapsack_system([5.0, 5.0], budget=1.0)
     f = make_modular([1.0, 1.0])

@@ -1,15 +1,19 @@
 import pytest
 
-from substream.bench import (build_cell, degree_costs, gen_erdos_renyi,
+from substream.bench import (ALGORITHMS, build_cell, degree_costs,
+                             gen_erdos_renyi,
                              gen_node_weights,
                              gen_watts_strogatz, load_edge_list,
                              normalize_costs, random_int_costs,
                              rows_to_csv, run_algorithm, run_experiment,
                              undirected_pairs, write_edge_list, RESULT_HEADER)
-from substream import make_directed_cut, node_independent_set_system
+from substream import (KeywordTable, Objective, cardinality_system,
+                       make_directed_cut, make_facility_location,
+                       make_sqrt_coverage, node_independent_set_system)
+from substream.core import GainState
 from substream.prng import SplitMix64
 
-from helpers import count_planarity_tests
+from helpers import count_planarity_tests, random_similarity
 
 
 def test_splitmix_reference_stream():
@@ -191,6 +195,72 @@ def test_oracle_calls_are_per_cell_deltas():
     value_rows = [r for r in rows if r.algorithm == "weighted_greedy"]
     assert all(r.oracle_calls == 1 for r in greedy_rows)
     assert all(r.oracle_calls > 1 for r in value_rows)
+
+
+def _recount_queries(monkeypatch) -> list[int]:
+    """Wrap the public oracle queries for one test; the returned list
+    holds one running total, counted on outermost calls only: one per
+    ``value``, ``singleton``, fast ``marginal`` and gain-state ``gain``,
+    two per slow ``marginal``, and one per member in ``swap_values``.  The
+    generic state's ``gain`` is left to the ``marginal`` it calls."""
+    total, depth = [0], [0]
+
+    def wrap(cls, name, weight):
+        real = cls.__dict__[name]
+
+        def counted(self, *args):
+            if not depth[0]:
+                total[0] += weight(self, *args)
+            depth[0] += 1
+            try:
+                return real(self, *args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(cls, name, counted)
+
+    one = lambda *_: 1
+    for name in ("value", "__call__", "singleton"):
+        wrap(Objective, name, one)
+    wrap(Objective, "marginal",
+         lambda f, *_: 1 if f._marginal_fn is not None else 2)
+    classes = [GainState]
+    for cls in classes:
+        classes.extend(cls.__subclasses__())
+        if "gain" in cls.__dict__ and cls is not GainState:
+            wrap(cls, "gain", one)
+        if "swap_values" in cls.__dict__:
+            wrap(cls, "swap_values", lambda state, *_: len(state.members))
+    return total
+
+
+def _recount_cells():
+    rng = SplitMix64(31)
+    sim = random_similarity(rng, 14)
+    words = [{str(rng.randrange(6)), str(rng.randrange(6))} for _ in range(14)]
+    table = KeywordTable(words=words,
+                         values=[rng.uniform(0.0, 6.0) for _ in range(14)])
+    graph = gen_erdos_renyi(14, 0.2, 31, weight_mode="exp")
+    return {"cut": (lambda: make_directed_cut(graph),
+                    node_independent_set_system(14, undirected_pairs(graph))),
+            "facility": (lambda: make_facility_location(sim),
+                         cardinality_system(14, 4)),
+            "sqrt_coverage": (lambda: make_sqrt_coverage(table),
+                              cardinality_system(14, 4))}
+
+
+@pytest.mark.parametrize("kind", ["cut", "facility", "sqrt_coverage"])
+def test_oracle_calls_equal_an_independent_recount(monkeypatch, kind):
+    make_f, sys = _recount_cells()[kind]
+    stream = list(range(14))
+    SplitMix64(7).shuffle(stream)
+    total = _recount_queries(monkeypatch)
+    for name in ALGORITHMS:
+        f = make_f()
+        total[0] = 0
+        # the read-back of the solution's value, as a results row makes
+        f.value(run_algorithm(name, sys, f, stream, {})[0])
+        assert f.evaluations == total[0], name
 
 
 def test_constraint_sweep_on_cardinality():

@@ -252,7 +252,7 @@ def feature_similarity(n, seed):
     return similarity_from_features(points, 0.1)
 
 
-def feature_objectives(sim, cache_entries):
+def feature_objectives(sim):
     """(label, objective as built, reference objective) for each feature
     objective, the reference built from the kernels above.  The reference
     has no ``open_fn``, so its gains take the generic path."""
@@ -268,19 +268,17 @@ def feature_objectives(sim, cache_entries):
               make_coverage_minus_dispersion(sim)._fn,
               reference_cmd_marginal(sim))]
     return [(label, cur, ThreeSortObjective(ref_fn, n, monotone=cur.monotone,
-                                            marginal_fn=ref_marginal,
-                                            cache_entries=cache_entries))
+                                            marginal_fn=ref_marginal))
             for label, cur, ref_fn, ref_marginal in pairs]
 
 
-def objective_pairs(sim, cache_entries):
+def objective_pairs(sim):
     """(label, current objective, reference objective) for each feature
     objective; the current one keeps the oracle's kernels but, like the
     reference, has no ``open_fn``."""
     return [(label, Objective(cur._fn, cur.n, monotone=cur.monotone,
-                              marginal_fn=cur._marginal_fn,
-                              cache_entries=cache_entries), ref)
-            for label, cur, ref in feature_objectives(sim, cache_entries)]
+                              marginal_fn=cur._marginal_fn), ref)
+            for label, cur, ref in feature_objectives(sim)]
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -293,7 +291,7 @@ def test_feature_values_match_reference_kernels(seed):
         order = list(range(n))
         rng.shuffle(order)
         subsets.append(tuple(sorted(order[:2 + rng.randrange(59)])))
-    for label, new, ref in objective_pairs(sim, cache_entries=64):
+    for label, new, ref in objective_pairs(sim):
         for ids in subsets:
             assert new._fn(ids) == ref._fn(ids), (label, ids)
         for ids in subsets[n + 1:]:
@@ -304,27 +302,23 @@ def test_feature_values_match_reference_kernels(seed):
                 assert (new.marginal(u, container(members))
                         == ref.marginal(u, container(members))), label
         assert new.evaluations == ref.evaluations, label
-        assert list(new._cache.items()) == list(ref._cache.items()), label
 
 
 @pytest.mark.parametrize("algorithm", ["framework", "sieve_streaming",
                                        "threshold_sieve", "auto_sieve",
                                        "repeated_greedy"])
 def test_feature_runs_match_reference_kernels(algorithm):
-    # a 64-entry cache overflows during every run, so the LRU order of the
-    # two lookups in a slow-path marginal decides the evaluation counts
     n = 40
     sim = feature_similarity(n, 7)
     sys = make_system({"type": "cardinality", "rho": 6, "n": n})
     stream = list(range(n))
     SplitMix64(7).shuffle(stream)
-    for label, new, ref in objective_pairs(sim, cache_entries=64):
+    for label, new, ref in objective_pairs(sim):
         sol_new, peak_new = run_algorithm(algorithm, sys, new, stream, {})
         sol_ref, peak_ref = run_algorithm(algorithm, sys, ref, stream, {})
         assert list(sol_new) == list(sol_ref), label
         assert peak_new == peak_ref, label
         assert new.evaluations == ref.evaluations, label
-        assert list(new._cache) == list(ref._cache), label
         assert new.value(sol_new) == ref.value(sol_ref), label
 
 
@@ -339,7 +333,7 @@ def test_feature_gain_state_runs_match_reference_kernels(algorithm):
     sys = make_system({"type": "cardinality", "rho": 6, "n": n})
     stream = list(range(n))
     SplitMix64(11).shuffle(stream)
-    for label, cur, ref in feature_objectives(sim, cache_entries=64):
+    for label, cur, ref in feature_objectives(sim):
         assert type(cur.open()) is not GainState, label
         sol, peak = run_algorithm(algorithm, sys, cur, stream, {})
         sol_ref, peak_ref = run_algorithm(algorithm, sys, ref, stream, {})
@@ -355,7 +349,7 @@ def test_facility_state_ratio_swap_matches_reference_kernels():
     sim = feature_similarity(n, 13)
     stream = sorted(range(n), key=lambda u: -sim[0, u])
     sys = cardinality_system(n, 5)
-    for label, cur, ref in feature_objectives(sim, cache_entries=64)[:2]:
+    for label, cur, ref in feature_objectives(sim)[:2]:
         out, peak, evictions = _drive(RatioSwapStream(sys, cur), stream)
         out_ref, peak_ref, evictions_ref = _drive(RatioSwapStream(sys, ref),
                                                   stream)

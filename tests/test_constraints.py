@@ -61,6 +61,17 @@ def test_planarity_k_param_and_membership():
     assert sys.is_independent(k4_ids)             # K4 subset is planar
 
 
+def test_planarity_is_independent_tests_only_beyond_8_edges(monkeypatch):
+    calls = count_planarity_tests(monkeypatch)
+    sys = planarity_system(5, list(combinations(range(5), 2)))  # K5
+    for size in range(1, 9):
+        for ids in combinations(range(10), size):
+            assert sys.is_independent(ids)
+    assert calls == []
+    assert sys.is_independent(range(9)) and calls == [9]
+    assert not sys.is_independent(range(10)) and calls == [9, 10]
+
+
 def test_node_independent_set_path_graph():
     sys = node_independent_set_system(3, [(0, 1), (1, 2)])
     assert sys.k_param == 2

@@ -4,10 +4,13 @@ import pytest
 
 from substream import (AutoThresholdSieve, DuplicateElementError, ElementSet,
                        GroundSetError, NumericError, Objective, ThresholdSieve,
-                       cardinality_system, make_directed_cut, make_modular,
+                       cardinality_system, make_directed_cut,
+                       make_facility_location, make_logdet, make_modular,
                        sieve_streaming, weighted_greedy, CutGraph)
 from substream.core import EPS, first_best
 from substream.prng import SplitMix64
+
+from helpers import random_cut, random_modular, random_similarity
 
 
 def test_element_set_preserves_insertion_order():
@@ -112,7 +115,7 @@ def test_unknown_id_raises():
         f.marginal(7, [0])
 
 
-def test_memoization_serves_cache_without_counting():
+def test_value_counts_every_evaluation():
     calls = []
 
     def raw(ids):
@@ -120,19 +123,40 @@ def test_memoization_serves_cache_without_counting():
         return float(len(ids))
 
     f = Objective(raw, 8, monotone=True)
-    v1 = f.value([3, 1])
-    v2 = f.value([1, 3])
-    assert v1 == v2
-    assert f.evaluations == 1
-    assert len(calls) == 1
+    assert f.value([3, 1]) == f.value([1, 3]) == 2.0
+    assert f.evaluations == 2
+    assert calls == [(1, 3), (1, 3)]
 
 
-def test_cache_eviction_keeps_answers_identical():
-    f = Objective(lambda ids: sum(ids) * 0.1, 64, monotone=True,
-                  cache_entries=4)
-    vals = {key: f.value(key) for key in [(1,), (2,), (3,), (4,), (5,), (6,)]}
-    for key, v in vals.items():
-        assert f.value(key) == v  # re-evaluated or cached, same bits
+def test_slow_path_marginal_counts_two():
+    f = Objective(lambda ids: float(sum(ids)), 8, monotone=True)
+    assert f.marginal(5, [3, 1]) == 5.0
+    assert f.marginal(5, [3, 1]) == 5.0
+    assert f.evaluations == 4
+
+
+def _singleton_objective(label):
+    rng = SplitMix64(12)
+    if label == "cut":
+        return random_cut(rng, 9)
+    if label == "modular":
+        return random_modular(rng, 9)
+    sim = random_similarity(rng, 9)
+    if label == "facility":
+        return make_facility_location(sim)
+    return make_logdet(sim, 2.0)
+
+
+@pytest.mark.parametrize("label", ["cut", "modular", "facility", "logdet"])
+def test_singleton_table_matches_fn_and_counts_every_call(label):
+    f = _singleton_objective(label)
+    for u in [*range(f.n), *range(f.n)]:
+        before = f.evaluations
+        assert f.singleton(u) == f._fn((u,))
+        assert f.evaluations == before + 1
+    for bad in (-1, f.n):
+        with pytest.raises(GroundSetError):
+            f.singleton(bad)
 
 
 def test_marginal_fast_path_counts_one_call():
@@ -144,7 +168,6 @@ def test_marginal_fast_path_counts_one_call():
 
 def test_marginal_fast_path_matches_eval_difference():
     rng = SplitMix64(11)
-    from helpers import random_cut
     f = random_cut(rng, 10)
     slow = Objective(f._fn, 10, monotone=False)
     for _ in range(200):

@@ -21,7 +21,7 @@ def test_memoization_transparency():
         for _ in range(60):
             subset = [u for u in range(8) if rng.random() < 0.5]
             first = f.value(subset)
-            again = f.value(subset)       # served from cache
+            again = f.value(subset)       # evaluated again
             assert first == again, name
 
 

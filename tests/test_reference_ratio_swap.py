@@ -26,9 +26,11 @@ class ReferenceRatioSwap:
         self.f = f
         self.solution = ElementSet()
         self.ever_held = ElementSet()
+        self.fills = 0
 
     def push(self, u):
         if len(self.solution) < self.rho:
+            self.fills += 1
             if self.f.marginal(u, self.solution) >= -EPS:
                 self.solution.add(u)
                 self.ever_held.add(u)
@@ -63,17 +65,19 @@ def _compare(make_f, n, rho, stream):
     assert list(out.summary) == list(ref.ever_held)
     fresh = make_f()
     assert fresh.value(out.solution) == fresh.value(ref.solution)
-    return out, f.evaluations, ref.f.evaluations
+    # the same queries, each counted once, except that a fill marginal
+    # without a marginal_fn evaluates two sets where a gain is one query
+    slow_fills = ref.fills if f._marginal_fn is None else 0
+    assert ref.f.evaluations == f.evaluations + slow_fills
+    return out
 
 
 @pytest.mark.parametrize("rho", list(range(4, 33)) + list(range(36, 65, 4)))
 def test_g2_trace_matches_reference(rho):
     inst = build_g2(rho)
-    out, calls, ref_calls = _compare(lambda: make_directed_cut(inst.graph),
-                                     inst.graph.n_vertices, rho, inst.stream)
+    out = _compare(lambda: make_directed_cut(inst.graph),
+                   inst.graph.n_vertices, rho, inst.stream)
     assert set(out.solution) == set(inst.late)
-    # the reference counts only cache misses; every trial is a query here
-    assert calls >= ref_calls
 
 
 def _random_case(kind, seed):
@@ -102,10 +106,7 @@ SEEDS = range(12)
 @pytest.mark.parametrize("kind", ["cut", "modular", "facility"])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_instances_match_reference(kind, seed):
-    out, calls, ref_calls = _compare(*_random_case(kind, seed))
-    if kind != "cut":
-        # the generic trials go through the same cache in the same order
-        assert calls == ref_calls
+    _compare(*_random_case(kind, seed))
 
 
 @pytest.mark.parametrize("kind", ["cut", "modular"])
