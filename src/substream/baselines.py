@@ -13,15 +13,9 @@ import heapq
 
 from .core import (EPS, ElementSet, GainState, Objective, SizeLimitError,
                    UnsupportedConstraintError, first_best)
-from .constraints import EXACT_RHO_LIMIT, IndependenceSystem, exact_rho
+from .constraints import (EXACT_RHO_LIMIT, IndependenceSystem, _spec_int,
+                          exact_rho)
 from .streaming import StreamingComponent, StreamOutcome, _drive, _release
-
-
-def _require_cardinality(sys: IndependenceSystem) -> int:
-    if sys.kind != "cardinality" or sys.rho_hint is None:
-        raise UnsupportedConstraintError(
-            "this algorithm is defined for a cardinality constraint only")
-    return sys.rho_hint
 
 
 class GreedyStream(StreamingComponent):
@@ -63,6 +57,9 @@ class SieveGuessStream(StreamingComponent):
     A guess's solution only grows, so each guess holds a gain state from
     :meth:`Objective.open`; ``guesses`` maps a guess value to its state,
     whose ``members`` is the solution.
+
+    A ``rho`` passed in must be a whole number of at least 1; without one
+    the system's ``rho_hint`` is used, else its exact rho.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective,
@@ -72,6 +69,8 @@ class SieveGuessStream(StreamingComponent):
             raise ValueError("epsilon must be in (0, 1)")
         if rho is None:
             rho = sys.rho_hint
+        elif _spec_int("SieveGuessStream", "rho", rho) < 1:
+            raise ValueError("rho must be a positive integer")
         if rho is None:
             if sys.n > EXACT_RHO_LIMIT:
                 raise SizeLimitError(
@@ -140,13 +139,43 @@ class SieveGuessStream(StreamingComponent):
         return len(self._holders)
 
 
-class PreemptionStream(StreamingComponent):
+class _SwapStream(StreamingComponent):
+    """Fill-then-swap bookkeeping shared by the two swap baselines;
+    cardinality constraints only.
+
+    The solution is the members of one gain state from
+    :meth:`Objective.open`: it fills through ``gain``/``add`` and swaps
+    through ``remove``/``add``.  ``ever_held`` is every element that was
+    ever in the solution, the summary at end of stream.
+    """
+
+    def __init__(self, sys: IndependenceSystem, f: Objective):
+        super().__init__()
+        if sys.kind != "cardinality" or sys.rho_hint is None:
+            raise UnsupportedConstraintError(
+                "this algorithm is defined for a cardinality constraint only")
+        self.rho = sys.rho_hint
+        self.sys = sys
+        self.f = f
+        self.state = f.open()
+        self.solution = self.state.members
+        self.ever_held = ElementSet()
+
+    def _finalize(self):
+        return self.solution.copy(), self.ever_held.copy(), list(self.solution)
+
+    def stored_count(self) -> int:
+        return len(self.solution)
+
+
+class PreemptionStream(_SwapStream):
     """Fill then swap: a newcomer replaces the cheapest held element when
     its gain is at least twice that element's remembered insertion gain.
 
     Each held element remembers the marginal gain it had against the part
     of the solution that arrived before it; later swaps do not change the
-    remembered gain.  Cardinality constraints only.
+    remembered gain.  Every gain is one ``gain`` query on the solution's
+    gain state.
 
     The held elements sit in a heap keyed by (insertion gain, insertion
     count), so the victim, the cheapest held element and among equals the
@@ -156,18 +185,13 @@ class PreemptionStream(StreamingComponent):
 
     def __init__(self, sys: IndependenceSystem, f: Objective,
                  trace: list | None = None):
-        super().__init__()
-        self.rho = _require_cardinality(sys)
-        self.sys = sys
-        self.f = f
-        self.solution = ElementSet()
-        self.ever_held = ElementSet()
+        super().__init__(sys, f)
         self._trace = trace
         self._cheapest: list[tuple[float, int, int]] = []
         self._inserted = 0
 
     def _record(self, u: int, gain: float):
-        self.solution.add(u)
+        self.state.add(u)
         self.ever_held.add(u)
         self._inserted += 1
         heapq.heappush(self._cheapest, (gain, self._inserted, u))
@@ -177,7 +201,7 @@ class PreemptionStream(StreamingComponent):
             self._trace.append((len(self._seen) - 1, event, u, -1, value))
 
     def _ingest(self, u: int) -> list[int]:
-        gain = self.f.marginal(u, self.solution)
+        gain = self.state.gain(u)
         if len(self.solution) < self.rho:
             if gain >= -EPS:
                 self._record(u, gain)
@@ -188,7 +212,7 @@ class PreemptionStream(StreamingComponent):
         cheapest_gain, _, cheapest = self._cheapest[0]
         if gain >= 2.0 * cheapest_gain - EPS:
             heapq.heappop(self._cheapest)
-            self.solution.remove(cheapest)
+            self.state.remove(cheapest)
             self._record(u, gain)
             self._note("swap", u, gain)
             self._note("evict", cheapest, 0.0)
@@ -196,39 +220,16 @@ class PreemptionStream(StreamingComponent):
         self._note("evict", u, gain)
         return [u]
 
-    def _finalize(self):
-        return self.solution.copy(), self.ever_held.copy(), list(self.solution)
 
-    def stored_count(self) -> int:
-        return len(self.solution)
-
-
-class RatioSwapStream(StreamingComponent):
+class RatioSwapStream(_SwapStream):
     """Fill then swap: evaluate the best single replacement for a newcomer
     and take it when the improvement is at least f(S)/rho.
 
     The swap victim is the held element whose removal (with the newcomer
-    added) leaves the most value; cardinality constraints only.  The value
-    never decreases across a swap.
-
-    The solution is the members of one gain state from
-    :meth:`Objective.open`: it fills through
-    ``gain``/``add``, weighs the swaps with ``swap_values`` (each trial is
-    one query, O(1) for the directed cut) and swaps through
-    ``remove``/``add``.
+    added) leaves the most value.  The value never decreases across a
+    swap.  The swaps are weighed with the gain state's ``swap_values``:
+    each trial is one query, O(1) for the directed cut.
     """
-
-    def __init__(self, sys: IndependenceSystem, f: Objective):
-        super().__init__()
-        self.rho = _require_cardinality(sys)
-        self.sys = sys
-        self.f = f
-        self.state = f.open()
-        self.ever_held = ElementSet()
-
-    @property
-    def solution(self) -> ElementSet:
-        return self.state.members
 
     def _ingest(self, u: int) -> list[int]:
         state = self.state
@@ -248,12 +249,6 @@ class RatioSwapStream(StreamingComponent):
             self.ever_held.add(u)
             return [victim]
         return [u]
-
-    def _finalize(self):
-        return self.solution.copy(), self.ever_held.copy(), list(self.solution)
-
-    def stored_count(self) -> int:
-        return len(self.state.members)
 
 
 def streaming_greedy(sys: IndependenceSystem, f: Objective,

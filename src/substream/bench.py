@@ -24,7 +24,7 @@ from .objectives import (CutGraph, load_features, load_keyword_table,
                          make_facility_location, make_logdet, make_modular,
                          make_sqrt_coverage, similarity_from_features,
                          ReservoirConfig)
-from .constraints import IndependenceSystem, make_system
+from .constraints import IndependenceSystem, _spec_int, make_system
 from .offline import repeated_greedy, unweighted_greedy, weighted_greedy
 from .streaming import (AdaptiveSieve, AutoThresholdSieve, CascadeConfig,
                         ThresholdSieve, cascade_run, _ceil_log2, _drive)
@@ -301,12 +301,16 @@ def _build_graph(instance: Mapping, seed: int) -> CutGraph:
     if "edge_list" in instance:
         return load_edge_list(instance["edge_list"])[0]
     model = instance.get("model")
+
+    def field(name):
+        return _spec_int("instance", name, instance[name])
+
     weight_mode = instance.get("edge_weights", "unit")
     if model == "er":
-        return gen_erdos_renyi(int(instance["n"]), float(instance["p"]), seed,
+        return gen_erdos_renyi(field("n"), float(instance["p"]), seed,
                                weight_mode)
     if model == "ws":
-        return gen_watts_strogatz(int(instance["n"]), int(instance["k_ring"]),
+        return gen_watts_strogatz(field("n"), field("k_ring"),
                                   float(instance["beta"]), seed, weight_mode)
     raise ValueError(f"unknown instance spec {instance!r}")
 
@@ -335,7 +339,8 @@ def _fill_constraint(spec: dict, ground_size: int, graph: CutGraph | None,
     elif kind == "knapsack" and "costs" not in spec and pairs is not None:
         rule = spec.get("cost_rule", "degree")
         if rule == "degree":
-            costs = degree_costs(pairs, graph.n_vertices, int(spec.get("q", 6)))
+            costs = degree_costs(pairs, graph.n_vertices,
+                                 _spec_int(kind, "q", spec.get("q", 6)))
         elif rule == "random_int":
             costs = random_int_costs(len(pairs), cost_seed)
         else:
@@ -381,7 +386,9 @@ def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
         sim = similarity_from_features(feats, lam)
         if kind == "facility":
             res = objective.get("reservoir")
-            cfg_res = ReservoirConfig(int(res["r_cap"]), int(res.get("seed", 0))) if res else None
+            cfg_res = None if not res else ReservoirConfig(
+                _spec_int("reservoir", "r_cap", res["r_cap"]),
+                _spec_int("reservoir", "seed", res.get("seed", 0)))
             factory = lambda: make_facility_location(sim, cfg_res)
         elif kind == "logdet":
             alpha = float(objective.get("alpha", 20.0))
@@ -502,7 +509,9 @@ def run_algorithm(name: str, sys: IndependenceSystem, f: Objective,
             factory = lambda: AdaptiveSieve(sys, f, tau)
         else:
             factory = lambda: AutoThresholdSieve(sys, f)
-        cfg = CascadeConfig(copies=int(options.get("cascade_copies", 2)),
+        copies = _spec_int("options", "cascade_copies",
+                           options.get("cascade_copies", 2))
+        cfg = CascadeConfig(copies=copies,
                             component_factory=factory, offline=offline)
         trace = cascade_run(cfg, stream, sys, f)
         return trace.best, trace.peak_stored
@@ -538,7 +547,7 @@ def run_experiment(cfg: Mapping, *, measure_time: bool = True) -> list[ResultRow
     for name in algorithms:
         if name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {name!r}")
-    seeds = [int(s) for s in cfg.get("seeds", [0])]
+    seeds = [_spec_int("config", "seeds", s) for s in cfg.get("seeds", [0])]
     if not seeds:
         raise ValueError("config lists no seeds")
     sweep_values = cfg.get("sweep", {}).get("values", [0])

@@ -491,33 +491,29 @@ def make_system(spec: Mapping) -> IndependenceSystem:
     raise UnsupportedConstraintError(f"unknown constraint spec {spec!r}")
 
 
-def exact_rho(sys: IndependenceSystem, ground: Iterable[int] | None = None) -> int:
+def exact_rho(sys: IndependenceSystem) -> int:
     """Size of the largest independent subset, by pruned enumeration.
 
     Walks the independent sets in id order, extending only while the
     remaining elements could still beat the current best.  Exact but
     limited to ground sets of at most EXACT_RHO_LIMIT elements.
     """
-    ids = sorted(range(sys.n) if ground is None else set(ground))
-    if len(ids) > EXACT_RHO_LIMIT:
+    n = sys.n
+    if n > EXACT_RHO_LIMIT:
         raise SizeLimitError(f"exact rho limited to {EXACT_RHO_LIMIT} elements")
     best = 0
-    members: list[int] = []
-    member_set: set[int] = set()
+    members: set[int] = set()
 
     def extend(pos: int):
         nonlocal best
         best = max(best, len(members))
-        for idx in range(pos, len(ids)):
-            if len(members) + (len(ids) - idx) <= best:
+        for u in range(pos, n):
+            if len(members) + (n - u) <= best:
                 return
-            u = ids[idx]
-            if sys.can_add(u, member_set):
-                members.append(u)
-                member_set.add(u)
-                extend(idx + 1)
-                member_set.discard(u)
-                members.pop()
+            if sys.can_add(u, members):
+                members.add(u)
+                extend(u + 1)
+                members.discard(u)
 
     extend(0)
     return best

@@ -167,17 +167,15 @@ class Objective:
     oracle per run when running concurrently.
     """
 
-    __slots__ = ("n", "monotone", "evaluations", "_fn", "_marginal_fn",
-                 "_open_fn", "_singletons")
+    __slots__ = ("n", "evaluations", "_fn", "_marginal_fn", "_open_fn",
+                 "_singletons")
 
     def __init__(self, fn: Callable[[tuple[int, ...]], float], n: int, *,
-                 monotone: bool,
                  marginal_fn: Callable[[int, Iterable[int]], float] | None = None,
                  open_fn: Callable[["Objective"], "GainState"] | None = None):
         if n <= 0:
             raise ValueError("ground set must be non-empty")
         self.n = n
-        self.monotone = monotone
         self.evaluations = 0
         self._fn = fn
         self._marginal_fn = marginal_fn

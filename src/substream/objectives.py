@@ -113,7 +113,7 @@ def make_modular(weights) -> Objective:
         return w[u]
 
     # a gain never changes as the set grows, so every state reads w itself
-    return Objective(fn, len(w), monotone=True, marginal_fn=marginal_fn,
+    return Objective(fn, len(w), marginal_fn=marginal_fn,
                      open_fn=lambda f: TabulatedGainState(f, w))
 
 
@@ -203,7 +203,7 @@ def make_directed_cut(g: CutGraph) -> Objective:
                       out_total[u])
         return reduce(sub, compress(in_u.values(), map(contains, in_u)), gain)
 
-    return Objective(fn, g.n_vertices, monotone=False, marginal_fn=marginal_fn,
+    return Objective(fn, g.n_vertices, marginal_fn=marginal_fn,
                      open_fn=lambda f: CutGainState(f, out_total, out_adj,
                                                     in_adj))
 
@@ -278,7 +278,7 @@ def make_coverage_minus_dispersion(m: np.ndarray) -> Objective:
         inner = float(m[u].take(idx).sum()) if idx else 0.0
         return float(row_sums[u]) - 2.0 * inner - float(m[u, u])
 
-    return Objective(fn, m.shape[0], monotone=False, marginal_fn=marginal_fn,
+    return Objective(fn, m.shape[0], marginal_fn=marginal_fn,
                      open_fn=lambda f: DispersionGainState(f, m, row_sum_list,
                                                            diagonal))
 
@@ -347,8 +347,7 @@ def make_facility_location(m: np.ndarray,
             return 0.0
         return float(cols.take(ids, 0).max(axis=0).sum()) / divisor
 
-    return Objective(fn, n, monotone=True,
-                     open_fn=lambda f: FacilityGainState(f, cols, divisor))
+    return Objective(fn, n, open_fn=lambda f: FacilityGainState(f, cols, divisor))
 
 
 class LogdetGainState(AccumulatingGainState):
@@ -428,8 +427,7 @@ def make_logdet(m: np.ndarray, alpha: float) -> Objective:
                 f"factorization failed for subset {list(ids)}") from exc
         return float(2.0 * np.log(chol.diagonal()).sum())
 
-    return Objective(fn, m.shape[0], monotone=True,
-                     open_fn=lambda f: LogdetGainState(f, shifted))
+    return Objective(fn, m.shape[0], open_fn=lambda f: LogdetGainState(f, shifted))
 
 
 def make_sqrt_coverage(kw: KeywordTable) -> Objective:
@@ -446,7 +444,7 @@ def make_sqrt_coverage(kw: KeywordTable) -> Objective:
                 totals[w] = totals.get(w, 0.0) + val
         return sum(math.sqrt(t) for t in totals.values())
 
-    return Objective(fn, len(kw), monotone=True)
+    return Objective(fn, len(kw))
 
 
 def similarity_from_features(features, lam: float) -> np.ndarray:

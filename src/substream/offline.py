@@ -101,20 +101,17 @@ def double_greedy(f: Objective, ground: Iterable[int]) -> ElementSet:
 
 
 def repeated_greedy(f: Objective, sys: IndependenceSystem,
-                    ground: Iterable[int],
-                    iterations: int | None = None) -> ElementSet:
+                    ground: Iterable[int]) -> ElementSet:
     """Greedy rounds on shrinking ground sets, each polished by the
     unconstrained double greedy; returns the set :func:`first_best`
     picks among the empty set and every round's two sets, in that order.
 
-    The default round count, ceil(sqrt(k)) + 1, matches the shape of the
-    reduction's analysis; any positive count is accepted.
+    It runs ceil(sqrt(k)) + 1 rounds for the system's exchange parameter
+    k, the count of the reduction's analysis (2 rounds on a matroid), and
+    stops early once a round's greedy set comes out empty.
     """
-    if iterations is None:
-        # ceil(sqrt(k)) + 1, in exact integer arithmetic
-        iterations = math.isqrt(sys.k_param - 1) + 2
-    if iterations < 1:
-        raise ValueError("iterations must be positive")
+    # ceil(sqrt(k)) + 1, in exact integer arithmetic
+    iterations = math.isqrt(sys.k_param - 1) + 2
     remaining = ElementSet(sorted(set(ground)))
     cands = [ElementSet()]
     values = [f.value(cands[0])]

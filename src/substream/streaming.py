@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .core import (EPS, ContractViolationError, DuplicateElementError,
                    ElementSet, Objective, first_best)
-from .constraints import IndependenceSystem
+from .constraints import IndependenceSystem, _spec_int
+from .offline import unweighted_greedy
 
 # log2 is evaluated in floating point; the nudge keeps floor/ceil stable
 # when the argument sits on an exact power of two.
@@ -149,8 +151,8 @@ class _BandedSieve(StreamingComponent):
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float,
                  trace: list | None):
         super().__init__()
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < tau < math.inf:  # also false for NaN
+            raise ValueError(f"tau must be positive and finite, got {tau!r}")
         self.sys = sys
         self.f = f
         self.tau = float(tau)
@@ -194,21 +196,15 @@ class _BandedSieve(StreamingComponent):
     def drain(self) -> tuple[ElementSet, float]:
         """Build the h candidates and return the first best with its value.
 
-        Candidate j greedily drains buckets j, j+h, ...  Buckets are visited
-        in ascending index (descending marginal band) and each bucket in
-        insertion order, so the construction is deterministic and
-        stream-faithful.  The candidates stay in ``candidates``.
+        Candidate j is the feasibility greedy (:func:`unweighted_greedy`)
+        over buckets j, j+h, ...  Buckets are visited in ascending index
+        (descending marginal band) and each bucket in insertion order, so
+        the construction is deterministic and stream-faithful.  The
+        candidates stay in ``candidates``.
         """
-        cands = []
-        for j in range(self.h):
-            t = ElementSet()
-            i = j
-            while i <= self.ell:
-                for u in self.buckets[i]:
-                    if self.sys.can_add(u, t):
-                        t.add(u)
-                i += self.h
-            cands.append(t)
+        cands = [unweighted_greedy(self.sys,
+                                   chain.from_iterable(self.buckets[j::self.h]))
+                 for j in range(self.h)]
         self.candidates = cands
         values = [self.f.value(t) for t in cands]
         best = first_best(values)
@@ -231,15 +227,17 @@ class ThresholdSieve(_BandedSieve):
     ``tau`` must lie in [M, 2M] where M is the largest value of a feasible
     singleton; ``rho`` is the size of the largest independent set (any
     upper bound is sound, at the price of extra buckets).  The band range
-    is fixed at ``bucket_count(rho)`` buckets.
+    is fixed at ``bucket_count(rho)`` buckets.  A ``tau`` that is not
+    positive and finite, or a ``rho`` that is not a whole number of at
+    least 1, raises ``ValueError``.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float,
                  rho: int, *, trace: list | None = None):
         super().__init__(sys, f, tau, trace)
-        if rho < 1:
+        self.rho = _spec_int("ThresholdSieve", "rho", rho)
+        if self.rho < 1:
             raise ValueError("rho must be a positive integer")
-        self.rho = int(rho)
         self.ell = bucket_count(self.rho) - 1
         self.buckets = [ElementSet() for _ in range(self.ell + 1)]
 
@@ -378,8 +376,8 @@ def _drive(component: StreamingComponent, stream: Iterable[int]
 class CascadeConfig:
     """Setup for the monotone-to-general reduction.
 
-    ``copies`` chained components each receive what the previous one
-    discarded; at end of stream every component's summary is additionally
+    ``copies`` chained components, a whole number of at least 1, each
+    receive what the previous one discarded; at end of stream every component's summary is additionally
     polished by ``offline`` and the best of all candidate sets wins.
     """
 
@@ -388,6 +386,7 @@ class CascadeConfig:
     offline: Callable[[Objective, IndependenceSystem, ElementSet], ElementSet]
 
     def __post_init__(self):
+        self.copies = _spec_int("CascadeConfig", "copies", self.copies)
         if self.copies < 1:
             raise ValueError("need at least one component copy")
 
@@ -462,12 +461,13 @@ class AuditReport:
 
 
 def contract_audit(component: StreamingComponent, stream: Iterable[int],
-                   sys: IndependenceSystem | None = None) -> AuditReport:
+                   sys: IndependenceSystem) -> AuditReport:
     """Replay a stream through a fresh component, checking the protocol.
 
     Verifies that no element is dropped twice or lost (everything pushed
     is either discarded or accounted for in summary/residual), that the
-    solution sits inside the summary and is feasible, and reports the peak
+    solution sits inside the summary and is independent in ``sys``, the
+    component's system, and reports the peak
     number of stored elements (candidate sets included).  Violations are
     reported, never raised.
     """
@@ -486,7 +486,7 @@ def contract_audit(component: StreamingComponent, stream: Iterable[int],
     for u in position:
         if u not in evicted and u not in accounted:
             violations.append(f"element {u} lost (never evicted, not in A or D)")
-    if sys is not None and not sys.is_independent(outcome.solution):
+    if not sys.is_independent(outcome.solution):
         violations.append("solution is not independent")
     return AuditReport(ok=not violations, violations=violations,
                        peak_stored=peak, pushed=len(position), outcome=outcome)

@@ -183,6 +183,20 @@ def test_preemption_victims_match_min_scan(case):
     assert list(out.solution) == list(ref_solution)
 
 
+def test_preemption_makes_one_query_per_arrival():
+    # the facility oracle has no marginal_fn: every gain comes from the
+    # solution's gain state, one query each, not from a slow-path marginal
+    # that evaluates S + u and S
+    make_f, n, rho, stream = _facility_case()
+    f = make_f()
+    comp = PreemptionStream(cardinality_system(n, rho), f)
+    for step, u in enumerate(stream, start=1):
+        comp.push([u])
+        assert f.evaluations == step
+    comp.finish()
+    assert f.evaluations == n
+
+
 def _remembered_gains(comp):
     """The insertion gain each held element is remembered by, as the
     victim heap holds it; the heap holds exactly the solution."""

@@ -1,3 +1,7 @@
+import json
+import math
+import re
+
 import pytest
 
 from substream.bench import (ALGORITHMS, build_cell, degree_costs,
@@ -417,3 +421,57 @@ def test_build_cell_rejects_a_constraint_over_another_ground_set(ground,
     cfg = _toy_config(constraint=constraint, ground=ground)
     with pytest.raises(ValueError, match="ground set has"):
         build_cell(cfg, 0.3, 1)
+
+
+def _with(cfg, path, value):
+    """A deep copy of ``cfg`` with the field at ``path`` set to ``value``."""
+    cfg = json.loads(json.dumps(cfg))
+    *parents, last = path
+    target = cfg
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return cfg
+
+
+def _integer_field_cases(tmp_path):
+    """Field name -> (config, path of that integer field) for each integer
+    field a config carries outside the constraint spec's own fields."""
+    er = _toy_config(algorithms=["framework"], seeds=[1],
+                     sweep={"param": "p", "values": [0.2]})
+    ws = _toy_config(instance={"model": "ws", "n": 24, "k_ring": 4,
+                               "beta": 0.3}, sweep={}, seeds=[1])
+    knapsack = _toy_config(constraint={"type": "knapsack", "budget": 2.0,
+                                       "q": 3}, sweep={}, seeds=[1])
+    facility = _facility_config(tmp_path, {"type": "cardinality", "rho": 2})
+    facility["objective"]["reservoir"] = {"r_cap": 3, "seed": 1}
+    return {"n": (er, ("instance", "n")),
+            "k_ring": (ws, ("instance", "k_ring")),
+            "q": (knapsack, ("constraint", "q")),
+            "r_cap": (facility, ("objective", "reservoir", "r_cap")),
+            "seed": (facility, ("objective", "reservoir", "seed")),
+            "cascade_copies": (_with(er, ("options",), {}),
+                               ("options", "cascade_copies")),
+            "seeds": (er, ("seeds", 0))}
+
+
+INTEGER_FIELDS = ["n", "k_ring", "q", "r_cap", "seed", "cascade_copies",
+                  "seeds"]
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan])
+@pytest.mark.parametrize("name", INTEGER_FIELDS)
+def test_integer_fields_reject_fractions_and_nan_by_name(tmp_path, name, bad):
+    cfg, path = _integer_field_cases(tmp_path)[name]
+    message = re.escape(f"field '{name}' must be an integer, got {bad!r}")
+    with pytest.raises(ValueError, match=message):
+        run_experiment(_with(cfg, path, bad), measure_time=False)
+
+
+@pytest.mark.parametrize("name", INTEGER_FIELDS)
+def test_integer_fields_take_whole_floats(tmp_path, name):
+    cfg, path = _integer_field_cases(tmp_path)[name]
+    whole = rows_to_csv(run_experiment(_with(cfg, path, 4.0),
+                                       measure_time=False))
+    assert whole == rows_to_csv(run_experiment(_with(cfg, path, 4),
+                                               measure_time=False))

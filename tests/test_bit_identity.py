@@ -267,7 +267,7 @@ def feature_objectives(sim):
              ("cmd", make_coverage_minus_dispersion(sim),
               make_coverage_minus_dispersion(sim)._fn,
               reference_cmd_marginal(sim))]
-    return [(label, cur, ThreeSortObjective(ref_fn, n, monotone=cur.monotone,
+    return [(label, cur, ThreeSortObjective(ref_fn, n,
                                             marginal_fn=ref_marginal))
             for label, cur, ref_fn, ref_marginal in pairs]
 
@@ -276,7 +276,7 @@ def objective_pairs(sim):
     """(label, current objective, reference objective) for each feature
     objective; the current one keeps the oracle's kernels but, like the
     reference, has no ``open_fn``."""
-    return [(label, Objective(cur._fn, cur.n, monotone=cur.monotone,
+    return [(label, Objective(cur._fn, cur.n,
                               marginal_fn=cur._marginal_fn), ref)
             for label, cur, ref in feature_objectives(sim)]
 

@@ -110,6 +110,22 @@ def test_bench_run_rejects_bad_budget_and_unknown_option(tmp_path, capsys):
                    "unknown option 'cascade_copy'")
 
 
+def test_bench_run_names_an_integer_field_that_is_not_whole(tmp_path,
+                                                            capsys):
+    cfg = {"instance": {"model": "er", "n": 10.5, "p": 0.3},
+           "constraint": {"type": "cardinality", "rho": 2},
+           "algorithms": ["framework"]}
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(cfg))
+    _fails_cleanly(["bench", "run", "--config", str(path)], capsys,
+                   "field 'n' must be an integer, got 10.5")
+    cfg["instance"]["n"] = 10
+    cfg["options"] = {"cascade_copies": math.nan}
+    path.write_text(json.dumps(cfg))
+    _fails_cleanly(["bench", "run", "--config", str(path)], capsys,
+                   "field 'cascade_copies' must be an integer, got nan")
+
+
 def test_run_stream_rejects_malformed_input(tmp_path, capsys):
     graph_path = tmp_path / "g.tsv"
     main(["bench", "gen-graph", "--model", "er", "--n", "8", "--p", "0.3",

@@ -122,14 +122,14 @@ def test_value_counts_every_evaluation():
         calls.append(ids)
         return float(len(ids))
 
-    f = Objective(raw, 8, monotone=True)
+    f = Objective(raw, 8)
     assert f.value([3, 1]) == f.value([1, 3]) == 2.0
     assert f.evaluations == 2
     assert calls == [(1, 3), (1, 3)]
 
 
 def test_slow_path_marginal_counts_two():
-    f = Objective(lambda ids: float(sum(ids)), 8, monotone=True)
+    f = Objective(lambda ids: float(sum(ids)), 8)
     assert f.marginal(5, [3, 1]) == 5.0
     assert f.marginal(5, [3, 1]) == 5.0
     assert f.evaluations == 4
@@ -169,7 +169,7 @@ def test_marginal_fast_path_counts_one_call():
 def test_marginal_fast_path_matches_eval_difference():
     rng = SplitMix64(11)
     f = random_cut(rng, 10)
-    slow = Objective(f._fn, 10, monotone=False)
+    slow = Objective(f._fn, 10)
     for _ in range(200):
         members = {u for u in range(10) if rng.random() < 0.4}
         u = rng.randrange(10)
@@ -190,7 +190,7 @@ def _bad_objective(bad: float, fast: bool) -> Objective:
     w[1] = bad
     if fast:
         return make_modular(w)
-    return Objective(lambda ids: sum(w[u] for u in ids), len(w), monotone=True)
+    return Objective(lambda ids: sum(w[u] for u in ids), len(w))
 
 
 def _threshold_sieve(f):
@@ -215,14 +215,14 @@ def _weighted_greedy(f):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_value_rejects_non_finite(bad):
-    f = Objective(lambda ids: bad, 3, monotone=True)
+    f = Objective(lambda ids: bad, 3)
     with pytest.raises(NumericError):
         f.value([0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_marginal_fast_path_rejects_non_finite(bad):
-    f = Objective(lambda ids: 0.0, 3, monotone=True,
+    f = Objective(lambda ids: 0.0, 3,
                   marginal_fn=lambda u, members: bad)
     with pytest.raises(NumericError):
         f.marginal(0, ())

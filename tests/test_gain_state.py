@@ -52,7 +52,7 @@ def test_cut_gain_matches_marginal_and_slow_path(seed):
     n = 14
     g = _random_graph(rng, n, 0.35)
     f = make_directed_cut(g)
-    slow = Objective(f._fn, n, monotone=False)
+    slow = Objective(f._fn, n)
     edge_weight = [0.0] * n
     for u, v, w in g.edges:
         edge_weight[u] += w
@@ -172,7 +172,7 @@ def test_cut_swap_values_match_fn_after_adds_and_removes(seed):
     n = 14
     g = _random_graph(rng, n, 0.35)
     f = make_directed_cut(g)
-    slow = Objective(f._fn, n, monotone=False)
+    slow = Objective(f._fn, n)
 
     def close(a, b):
         return abs(a - b) <= 1e-12 * max(1.0, abs(b))

@@ -96,7 +96,6 @@ def test_directed_cut_examples():
     assert f.value([1]) == 2.0
     assert f.value([0, 1, 2]) == 0.0
     assert f.value([]) == 0.0
-    assert f.monotone is False
 
 
 def test_directed_cut_matches_edge_enumeration():

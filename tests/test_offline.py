@@ -108,11 +108,11 @@ def test_double_greedy_third_guarantee():
 def test_repeated_greedy_examples():
     f = make_modular([4.0, 3.0, 2.0, 1.0])
     sys = cardinality_system(4, 2)
-    sol = repeated_greedy(f, sys, range(4), iterations=2)
+    sol = repeated_greedy(f, sys, range(4))
     _, opt = brute_force_opt(f, sys, range(4))
     assert f.value(sol) == opt
-    assert repeated_greedy(f, sys, [], iterations=1) == set()
-    mono = repeated_greedy(f, sys, range(4), iterations=1)
+    assert repeated_greedy(f, sys, []) == set()
+    mono = repeated_greedy(f, sys, range(4))
     assert f.value(mono) >= f.value(weighted_greedy(f, sys, range(4))) - 1e-9
 
 

@@ -16,7 +16,7 @@ from helpers import max_feasible_singleton, random_cut, random_modular, random_s
 
 
 def strip_fast_path(f: Objective) -> Objective:
-    return Objective(f._fn, f.n, monotone=f.monotone)
+    return Objective(f._fn, f.n)
 
 
 def reference_fixed_sieve(sys, raw_f, tau, rho, k, stream):

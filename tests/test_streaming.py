@@ -77,6 +77,52 @@ def test_threshold_sieve_outcome_shape():
     assert sys.is_independent(out.solution)
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_banded_sieves_reject_a_non_finite_tau(tau):
+    f = make_modular([1.0] * 4)
+    sys = cardinality_system(4, 2)
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        ThresholdSieve(sys, f, tau, 2)
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        AdaptiveSieve(sys, f, tau)
+
+
+@pytest.mark.parametrize("rho", [2.5, math.nan, math.inf])
+def test_threshold_sieve_rejects_a_rho_that_is_not_whole(rho):
+    f = make_modular([1.0] * 4)
+    with pytest.raises(ValueError, match="field 'rho' must be an integer"):
+        ThresholdSieve(cardinality_system(4, 2), f, 2.0, rho)
+
+
+@pytest.mark.parametrize("rho, message", [
+    (0, "rho must be a positive integer"),
+    (-3, "rho must be a positive integer"),
+    (2.5, "field 'rho' must be an integer, got 2.5"),
+])
+def test_sieve_guess_stream_rejects_a_rho_below_one_or_not_whole(rho,
+                                                                 message):
+    f = make_modular([1.0] * 4)
+    with pytest.raises(ValueError, match=message):
+        SieveGuessStream(cardinality_system(4, 2), f, rho=rho)
+
+
+@pytest.mark.parametrize("copies", [2.5, math.nan])
+def test_cascade_config_rejects_copies_that_are_not_whole(copies):
+    with pytest.raises(ValueError, match="field 'copies' must be an integer"):
+        CascadeConfig(copies=copies, component_factory=lambda: None,
+                      offline=lambda fo, so, ground: ground)
+
+
+def test_whole_float_counts_are_taken_as_ints():
+    f = make_modular([1.0] * 4)
+    sys = cardinality_system(4, 2)
+    assert type(ThresholdSieve(sys, f, 2.0, 3.0).rho) is int
+    assert type(SieveGuessStream(sys, f, rho=3.0).rho) is int
+    cfg = CascadeConfig(copies=2.0, component_factory=lambda: None,
+                        offline=lambda fo, so, ground: ground)
+    assert type(cfg.copies) is int and cfg.copies == 2
+
+
 def test_push_rejects_duplicates():
     sieve, _, _ = sieve_for()
     sieve.push([0])
