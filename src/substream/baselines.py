@@ -253,19 +253,20 @@ class RatioSwapStream(_SwapStream):
 
 def streaming_greedy(sys: IndependenceSystem, f: Objective,
                      stream) -> StreamOutcome:
-    return _drive(GreedyStream(sys, f), stream)[0]
+    return _drive([GreedyStream(sys, f)], stream)[0][0]
 
 
 def sieve_streaming(sys: IndependenceSystem, f: Objective, stream,
                     epsilon: float = 0.1, rho: int | None = None) -> StreamOutcome:
-    return _drive(SieveGuessStream(sys, f, epsilon=epsilon, rho=rho), stream)[0]
+    component = SieveGuessStream(sys, f, epsilon=epsilon, rho=rho)
+    return _drive([component], stream)[0][0]
 
 
 def preemption_stream(sys: IndependenceSystem, f: Objective,
                       stream) -> StreamOutcome:
-    return _drive(PreemptionStream(sys, f), stream)[0]
+    return _drive([PreemptionStream(sys, f)], stream)[0][0]
 
 
 def ratio_swap_stream(sys: IndependenceSystem, f: Objective,
                       stream) -> StreamOutcome:
-    return _drive(RatioSwapStream(sys, f), stream)[0]
+    return _drive([RatioSwapStream(sys, f)], stream)[0][0]

@@ -387,8 +387,7 @@ def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
         if kind == "facility":
             res = objective.get("reservoir")
             cfg_res = None if not res else ReservoirConfig(
-                _spec_int("reservoir", "r_cap", res["r_cap"]),
-                _spec_int("reservoir", "seed", res.get("seed", 0)))
+                res["r_cap"], res.get("seed", 0))
             factory = lambda: make_facility_location(sim, cfg_res)
         elif kind == "logdet":
             alpha = float(objective.get("alpha", 20.0))
@@ -521,7 +520,7 @@ def run_algorithm(name: str, sys: IndependenceSystem, f: Objective,
         return repeated_greedy(f, sys, stream), len(stream)
     else:
         raise ValueError(f"unknown algorithm {name!r}")
-    outcome, peak, _ = _drive(component, stream)
+    (outcome,), peak, _ = _drive([component], stream)
     return outcome.solution, peak
 
 

@@ -34,7 +34,8 @@ class IndependenceSystem:
 
     ``predicate`` decides independence of an id set.  ``add_predicate``,
     when given, must answer "is S + u independent" for independent S; it
-    exists purely as a fast path for the greedy inner loops.
+    serves the greedy inner loops, and node independent sets and label
+    limits derive ``predicate`` from it (:func:`_built_by_adding`).
     ``rho_hint`` is the exact size of the largest independent set when it
     is cheaply known, else None.
     """
@@ -85,6 +86,21 @@ class IndependenceSystem:
         if self._add_predicate is not None:
             return bool(self._add_predicate(u, members))
         return bool(self._predicate(frozenset(members) | {u}))
+
+
+def _built_by_adding(add_pred: Callable) -> Callable[[frozenset], bool]:
+    """Whole-set test of a family defined by its add predicate: a
+    downward-closed family holds S exactly when S can be built one
+    element at a time."""
+    def pred(s):
+        members: set[int] = set()
+        for u in s:
+            if not add_pred(u, members):
+                return False
+            members.add(u)
+        return True
+
+    return pred
 
 
 def cardinality_system(n: int, rho: int) -> IndependenceSystem:
@@ -177,17 +193,6 @@ def labeled_limit_system(labels: Sequence[Iterable], per_label_limit,
     if k_param is None:
         k_param = (max((len(l) for l in labs), default=0)) + 1
 
-    def pred(s):
-        if len(s) > total_limit:
-            return False
-        counts: dict = {}
-        for u in s:
-            for lab in labs[u]:
-                counts[lab] = counts.get(lab, 0) + 1
-                if counts[lab] > limits[lab]:
-                    return False
-        return True
-
     def add_pred(u, members):
         if len(members) + 1 > total_limit:
             return False
@@ -201,9 +206,9 @@ def labeled_limit_system(labels: Sequence[Iterable], per_label_limit,
                         return False
         return True
 
-    return IndependenceSystem(pred, len(labs), k_param=k_param,
-                              class_tag="k_extendible", kind="labeled_limit",
-                              add_predicate=add_pred)
+    return IndependenceSystem(_built_by_adding(add_pred), len(labs),
+                              k_param=k_param, class_tag="k_extendible",
+                              kind="labeled_limit", add_predicate=add_pred)
 
 
 def _endpoints(kind: str, e: Sequence, n: int) -> tuple[int, int]:
@@ -235,22 +240,11 @@ def node_independent_set_system(n: int, edges: Iterable[Sequence[int]]) -> Indep
         adj[v].add(u)
     d_max = max((len(a) for a in adj), default=0)
 
-    def pred(s):
-        for u in s:
-            nbrs = adj[u]
-            if len(nbrs) < len(s):
-                if any(v in s for v in nbrs):
-                    return False
-            else:
-                if any(v in nbrs for v in s if v != u):
-                    return False
-        return True
-
     def add_pred(u, members):
         return adj[u].isdisjoint(members)
 
-    return IndependenceSystem(pred, n, k_param=max(d_max, 1),
-                              class_tag="k_extendible",
+    return IndependenceSystem(_built_by_adding(add_pred), n,
+                              k_param=max(d_max, 1), class_tag="k_extendible",
                               kind="node_independent_set",
                               add_predicate=add_pred)
 

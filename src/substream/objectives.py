@@ -18,6 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .constraints import _spec_int
 from .core import (AccumulatingGainState, NumericError, Objective,
                    SizeLimitError, TabulatedGainState)
 from .prng import SplitMix64
@@ -80,12 +81,16 @@ class KeywordTable:
 
 @dataclass(frozen=True)
 class ReservoirConfig:
-    """Row-sampling setup for estimated facility-location evaluation."""
+    """Row-sampling setup for estimated facility-location evaluation; both
+    fields are whole numbers (a float such as ``3.0`` is taken as 3)."""
 
     r_cap: int
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("r_cap", "seed"):
+            object.__setattr__(self, name, _spec_int(
+                "reservoir", name, getattr(self, name)))
         if self.r_cap <= 0:
             raise ValueError("r_cap must be positive")
 
@@ -410,8 +415,8 @@ def make_logdet(m: np.ndarray, alpha: float) -> Objective:
     relative.
     """
     m = validate_similarity(m)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:  # also false for NaN
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     shifted = np.eye(m.shape[0]) + alpha * m
 
     def fn(ids):
@@ -432,7 +437,9 @@ def make_logdet(m: np.ndarray, alpha: float) -> Objective:
 
 def make_sqrt_coverage(kw: KeywordTable) -> Objective:
     """Square-root keyword coverage: sum over words of the root of the
-    total value contributed by set members carrying that word."""
+    total value contributed by set members carrying that word; words are
+    visited sorted, since set order follows string hashing."""
+    words = [sorted(ws) for ws in kw.words]
 
     def fn(ids):
         totals: dict[str, float] = {}
@@ -440,7 +447,7 @@ def make_sqrt_coverage(kw: KeywordTable) -> Objective:
             val = kw.values[u]
             if val <= 0.0:
                 continue
-            for w in kw.words[u]:
+            for w in words[u]:
                 totals[w] = totals.get(w, 0.0) + val
         return sum(math.sqrt(t) for t in totals.values())
 
@@ -449,8 +456,8 @@ def make_sqrt_coverage(kw: KeywordTable) -> Objective:
 
 def similarity_from_features(features, lam: float) -> np.ndarray:
     """Gaussian-style similarity ``exp(-lam * euclidean distance)``."""
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
+    if not 0 <= lam < math.inf:  # also false for NaN
+        raise ValueError(f"lambda must be non-negative and finite, got {lam!r}")
     feats = np.asarray(features, dtype=float)
     if feats.ndim == 1:
         feats = feats.reshape(-1, 1)

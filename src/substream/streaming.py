@@ -41,6 +41,12 @@ def bucket_count(rho: int) -> int:
     return _floor_log2(4 * rho) + 1
 
 
+def band_top(k: int, base_size: int) -> int:
+    """Deepest band of an adaptive sieve whose greedy base has
+    ``base_size`` elements."""
+    return math.floor(2 * math.log2(k * base_size) + 3 + _LOG_GUARD)
+
+
 def candidate_count(k: int) -> int:
     """Number of interleaved candidate solutions built at end of stream."""
     return _ceil_log2(2 * k + 1)
@@ -143,9 +149,9 @@ class _BandedSieve(StreamingComponent):
     :meth:`Objective.open`, which answers every gain query.  At end of
     stream, :meth:`drain` builds ``candidate_count(sys.k_param)``
     interleaved candidates from the buckets and returns the best one.
-    Subclasses set the band range (``ell``, with one bucket per band) and
-    may keep elements outside the buckets in ``base``; ``_grow_bands(u)``
-    runs before each arrival is banded.
+    :meth:`widen` appends the bands (``ell``, one bucket per band) that
+    :meth:`process` sorts arrivals into; subclasses may keep elements
+    outside the buckets in ``base``.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float,
@@ -166,11 +172,13 @@ class _BandedSieve(StreamingComponent):
         self.candidates: list[ElementSet] | None = None
         self._trace = trace
 
-    def _grow_bands(self, u: int) -> None:
-        pass
+    def widen(self, ell: int) -> None:
+        """Append empty buckets until the deepest band is ``ell``."""
+        while self.ell < ell:
+            self.buckets.append(ElementSet())
+            self.ell += 1
 
     def process(self, u: int) -> bool:
-        self._grow_bands(u)
         gain = self._kept_gains.gain(u)
         if gain <= EPS:
             return False  # band infinity
@@ -238,46 +246,30 @@ class ThresholdSieve(_BandedSieve):
         self.rho = _spec_int("ThresholdSieve", "rho", rho)
         if self.rho < 1:
             raise ValueError("rho must be a positive integer")
-        self.ell = bucket_count(self.rho) - 1
-        self.buckets = [ElementSet() for _ in range(self.ell + 1)]
+        self.widen(bucket_count(self.rho) - 1)
 
 
 class AdaptiveSieve(_BandedSieve):
     """Banded sieve that learns its capacity bound on the fly.
 
     Instead of a known ``rho`` it tracks a feasibility-greedy base of the
-    prefix seen so far and sizes the bucket range from that base, creating
-    deeper buckets lazily as the base grows.  ``tau`` keeps the same [M, 2M]
-    contract as :class:`ThresholdSieve`.
-
-    When ``shared_base`` is given the caller owns the greedy base (and its
-    growth), drives the sieve through :meth:`process` and :meth:`drain`,
-    and the sieve only reads the base.
+    prefix seen so far and widens to ``band_top(k, |base|)`` each time the
+    base grows.  ``tau`` keeps the same [M, 2M] contract as
+    :class:`ThresholdSieve`.  A window copy of :class:`AutoThresholdSieve`
+    is driven through :meth:`process` and :meth:`drain` alone: its own
+    base stays empty and the window widens it.
     """
 
+    # an __init__ of its own: perfbench/tracing.py counts window copies by it
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float, *,
-                 shared_base: ElementSet | None = None,
                  trace: list | None = None):
         super().__init__(sys, f, tau, trace)
-        self._owns_base = shared_base is None
-        if shared_base is not None:
-            self.base = shared_base
-        self._banded_base_size = 0
 
-    def _grow_bands(self, u: int) -> None:
-        # an owned base is extended first; a shared one was extended by
-        # its owner before this copy saw u
-        if self._owns_base and self.sys.can_add(u, self.base):
+    def _ingest(self, u: int) -> list[int]:
+        if self.sys.can_add(u, self.base):
             self.base.add(u)
-        size = len(self.base)
-        # the base only grows, and the band range is a function of its size
-        if size == self._banded_base_size:
-            return
-        self._banded_base_size = size
-        new_ell = math.floor(2 * math.log2(self.k * size) + 3 + _LOG_GUARD)
-        while self.ell < new_ell:
-            self.buckets.append(ElementSet())
-            self.ell += 1
+            self.widen(band_top(self.k, len(self.base)))
+        return super()._ingest(u)
 
 
 class AutoThresholdSieve(StreamingComponent):
@@ -285,10 +277,11 @@ class AutoThresholdSieve(StreamingComponent):
 
     Keeps one :class:`AdaptiveSieve` copy per active power-of-two threshold
     guess.  The guess window follows the best feasible singleton seen so
-    far and the size of the shared greedy base; copies whose guess drops
+    far and the size of a greedy base kept here; copies whose guess drops
     out of the window are deleted (their exclusive elements are evicted),
-    and missing guesses are instantiated on arrival.  All copies share one
-    greedy base maintained here.
+    and missing guesses are instantiated on arrival.  Copies are driven
+    through ``process`` and ``drain``, and widened to ``band_top`` of this
+    base when made and whenever it grows.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective):
@@ -316,6 +309,9 @@ class AutoThresholdSieve(StreamingComponent):
         if self.sys.can_add(u, self.base):
             self.base.add(u)
             holders[u] += 1
+            top = band_top(self.k, len(self.base))
+            for copy in self.copies.values():
+                copy.widen(top)
         if self.sys.is_independent((u,)):
             value = self.f.singleton(u)
             if value > self.best_singleton:
@@ -327,8 +323,9 @@ class AutoThresholdSieve(StreamingComponent):
                 _release(holders, self.copies.pop(exponent).kept, evicted)
         for exponent in window:
             if exponent not in self.copies:
-                self.copies[exponent] = AdaptiveSieve(
-                    self.sys, self.f, 2.0 ** exponent, shared_base=self.base)
+                copy = self.copies[exponent] = AdaptiveSieve(
+                    self.sys, self.f, 2.0 ** exponent)
+                copy.widen(band_top(self.k, len(self.base)))
         for copy in self.copies.values():
             if copy.process(u):
                 holders[u] += 1
@@ -354,22 +351,33 @@ class AutoThresholdSieve(StreamingComponent):
         return count
 
 
-def _drive(component: StreamingComponent, stream: Iterable[int]
-           ) -> tuple[StreamOutcome, int, list[tuple[int, int]]]:
-    """Push a stream one element at a time and finish it.
+def _drive(chain: Sequence[StreamingComponent], stream: Iterable[int]
+           ) -> tuple[list[StreamOutcome], int, list[tuple[int, int]]]:
+    """Push a stream one element at a time through a chain of components.
 
-    Returns the outcome, the peak stored count (polled after every element
-    and once more after the end-of-stream drain) and the ``(step, element)``
-    evictions in the order ``push`` returned them.
+    Each component gets what the one before discarded: the batch its
+    ``push`` returned, and at finish its residual.  Returns every outcome,
+    the peak stored count summed over the chain (polled after every
+    element and once more after the drain) and the last component's
+    ``(step, element)`` evictions in the order ``push`` returned them.
     """
     peak = 0
     evictions: list[tuple[int, int]] = []
     for step, u in enumerate(stream):
-        for x in component.push([u]):
+        batch: list[int] = [u]
+        for comp in chain:
+            batch = comp.push(batch)
+            if not batch:
+                break
+        for x in batch:  # the last component's discards, if it was reached
             evictions.append((step, x))
-        peak = max(peak, component.stored_count())
-    outcome = component.finish()
-    return outcome, max(peak, component.stored_count()), evictions
+        peak = max(peak, sum(c.stored_count() for c in chain))
+    outcomes: list[StreamOutcome] = []
+    batch = []
+    for comp in chain:
+        outcomes.append(comp.finish(batch))
+        batch = list(outcomes[-1].residual)
+    return outcomes, max(peak, sum(c.stored_count() for c in chain)), evictions
 
 
 @dataclass
@@ -410,33 +418,19 @@ def cascade_run(cfg: CascadeConfig, stream: Sequence[int],
     """Feed the stream through chained components and return the best of
     their solutions and the offline-polished summaries.
 
-    Discarded elements cascade: what copy i rejects or later drops is
-    pushed to copy i+1, during the stream and again at finish through the
-    residual sets.  The peak is the stored count summed over all copies,
-    polled after every element and once more after the drain.  With
+    The copies form one :func:`_drive` chain, so what copy i rejects or
+    later drops is pushed to copy i+1, and the peak is summed over all
+    copies.  Every copy's solution must be independent in ``sys``.  With
     deterministic components and offline solver the whole run is
     deterministic.  A later candidate wins only when it beats the best so
     far by more than ``EPS`` (:func:`first_best`): near-ties resolve to the
     earliest candidate, lower copy index and streamed before polished.
     """
     comps = [cfg.component_factory() for _ in range(cfg.copies)]
-    peak = 0
-    for u in stream:
-        batch: list[int] = [u]
-        for comp in comps:
-            batch = comp.push(batch)
-            if not batch:
-                break
-        peak = max(peak, sum(c.stored_count() for c in comps))
-    outcomes: list[StreamOutcome] = []
-    batch = []
-    for comp in comps:
-        outcome = comp.finish(batch)
+    outcomes, peak, _ = _drive(comps, stream)
+    for outcome in outcomes:
         if not sys.is_independent(outcome.solution):
             raise ContractViolationError("component returned a dependent solution")
-        outcomes.append(outcome)
-        batch = list(outcome.residual)
-    peak = max(peak, sum(c.stored_count() for c in comps))
 
     candidates: list[tuple[str, ElementSet, float]] = []
     for idx, outcome in enumerate(outcomes, start=1):
@@ -472,7 +466,7 @@ def contract_audit(component: StreamingComponent, stream: Iterable[int],
     reported, never raised.
     """
     stream = list(stream)
-    outcome, peak, evictions = _drive(component, stream)
+    (outcome,), peak, evictions = _drive([component], stream)
     position = {u: step for step, u in enumerate(stream)}
     violations: list[str] = []
     evicted: set[int] = set()

@@ -104,7 +104,7 @@ def legacy_stored_count(comp):
         return len(comp.base) + sum(buckets_and_candidates(c)
                                     for c in comp.copies.values())
     count = buckets_and_candidates(comp)
-    if isinstance(comp, AdaptiveSieve) and comp._owns_base:
+    if isinstance(comp, AdaptiveSieve):
         count += len(comp.base)
     return count
 
@@ -350,9 +350,9 @@ def test_facility_state_ratio_swap_matches_reference_kernels():
     stream = sorted(range(n), key=lambda u: -sim[0, u])
     sys = cardinality_system(n, 5)
     for label, cur, ref in feature_objectives(sim)[:2]:
-        out, peak, evictions = _drive(RatioSwapStream(sys, cur), stream)
-        out_ref, peak_ref, evictions_ref = _drive(RatioSwapStream(sys, ref),
-                                                  stream)
+        (out,), peak, evictions = _drive([RatioSwapStream(sys, cur)], stream)
+        (out_ref,), peak_ref, evictions_ref = _drive(
+            [RatioSwapStream(sys, ref)], stream)
         # a swap evicts a held element instead of the arrival
         assert any(x != stream[step] for step, x in evictions), label
         assert evictions == evictions_ref, label

@@ -90,6 +90,25 @@ def test_labeled_limit_k_param_and_override():
     assert forced.k_param == 5
 
 
+def test_add_defined_families_match_their_definitions_on_every_subset():
+    # is_independent builds the set through the add predicate; compare it
+    # with the families' definitions on all 2**8 subsets
+    edges = [(0, 1), (1, 2), (2, 3), (4, 5), (0, 5), (6, 7), (3, 7)]
+    nis = node_independent_set_system(8, edges)
+    labels = [{"a"}, {"a", "b"}, {"b"}, {"b", "c"}, {"c"}, set(), {"a", "c"},
+              {"c"}]
+    limits = {"a": 1, "b": 2, "c": 2}
+    lab = labeled_limit_system(labels, limits, total_limit=4)
+    for size in range(9):
+        for s in combinations(range(8), size):
+            spans_edge = any(u in s and v in s for u, v in edges)
+            assert nis.is_independent(s) == (not spans_edge), s
+            within = size <= 4 and all(
+                sum(name in labels[u] for u in s) <= cap
+                for name, cap in limits.items())
+            assert lab.is_independent(s) == within, s
+
+
 def test_intersect_examples():
     a = cardinality_system(6, 2)
     b = cardinality_system(6, 3)

@@ -1,9 +1,12 @@
-"""Byte-for-byte pins of the ``--no-timing`` results CSV on three small
+"""Byte-for-byte pins of the ``--no-timing`` results CSV on four small
 matrices: node independent sets on ER/WS graphs, the edge-ground
 constraints (cardinality, knapsack cost rules, planarity and their
-intersection) that the bench fills in from the instance, and planarity
-on denser ER(20, 0.3) edge graphs, where solutions grow large enough
-that feasibility queries run the full left-right test.
+intersection) that the bench fills in from the instance, planarity on
+denser ER(20, 0.3) edge graphs, where solutions grow large enough that
+feasibility queries run the full left-right test, and the objectives
+read from data files (facility location, exact and sampled, logdet,
+coverage minus dispersion, sqrt coverage) under a cardinality bound and
+explicit label limits.
 
 Performance work must not change a single result bit: any change to an
 objective's summation order, a tie-break, the peak bookkeeping or the
@@ -14,6 +17,7 @@ results, run from the repository root::
     PYTHONPATH=src python tests/test_golden_csv.py nis > tests/data/golden_nis.csv
     PYTHONPATH=src python tests/test_golden_csv.py edges > tests/data/golden_edges.csv
     PYTHONPATH=src python tests/test_golden_csv.py planarity > tests/data/golden_planarity.csv
+    PYTHONPATH=src python tests/test_golden_csv.py features > tests/data/golden_features.csv
 
 and say in the change log why the results moved.
 """
@@ -98,8 +102,49 @@ PLANARITY_MATRIX = [
       "seeds": [7, 23]})
     for label, constraint in PLANARITY_CONSTRAINTS.items()]
 
+# objectives over the 24 elements of tests/data/features.csv and
+# tests/data/keywords.csv
+FEATURE_ALGORITHMS = ["framework", "framework_tau", "sieve_streaming",
+                      "streaming_greedy", "auto_sieve", "repeated_greedy"]
+
+FEATURE_OBJECTIVES = {
+    "facility": {"kind": "facility", "features": str(DATA / "features.csv"),
+                 "lambda": 0.5},
+    "facility-reservoir": {"kind": "facility",
+                           "features": str(DATA / "features.csv"),
+                           "lambda": 0.5,
+                           "reservoir": {"r_cap": 10, "seed": 3}},
+    "logdet": {"kind": "logdet", "features": str(DATA / "features.csv"),
+               "lambda": 0.5, "alpha": 2.0},
+    "cmd": {"kind": "coverage_minus_dispersion",
+            "features": str(DATA / "features.csv"), "lambda": 0.5},
+    "sqrt-coverage": {"kind": "sqrt_coverage",
+                      "keywords": str(DATA / "keywords.csv")},
+}
+
+# labels overlap (every third element carries a second one), so the label
+# limits form no matroid
+FEATURE_CONSTRAINTS = {
+    "cardinality": {"type": "cardinality", "rho": 5},
+    "labeled-limit": {"type": "labeled_limit",
+                      "labels": [["abcd"[u % 4]] + (["e"] if u % 3 == 0 else [])
+                                 for u in range(24)],
+                      "per_label_limit": {"a": 2, "b": 2, "c": 3, "d": 3,
+                                          "e": 2},
+                      "total_limit": 6},
+}
+
+FEATURE_MATRIX = [
+    (f"{label}-{constraint_label}",
+     {"objective": objective,
+      "constraint": constraint,
+      "algorithms": FEATURE_ALGORITHMS,
+      "seeds": [2, 13]})
+    for label, objective in FEATURE_OBJECTIVES.items()
+    for constraint_label, constraint in FEATURE_CONSTRAINTS.items()]
+
 MATRICES = {"nis": NIS_MATRIX, "edges": EDGE_MATRIX,
-            "planarity": PLANARITY_MATRIX}
+            "planarity": PLANARITY_MATRIX, "features": FEATURE_MATRIX}
 
 
 def golden_text(matrix) -> str:
@@ -119,6 +164,11 @@ def test_edge_ground_csv_is_byte_identical():
 def test_dense_planarity_csv_is_byte_identical():
     assert (golden_text(PLANARITY_MATRIX)
             == (DATA / "golden_planarity.csv").read_text())
+
+
+def test_feature_objective_csv_is_byte_identical():
+    assert (golden_text(FEATURE_MATRIX)
+            == (DATA / "golden_features.csv").read_text())
 
 
 if __name__ == "__main__":

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +155,17 @@ def test_facility_estimator_subsample():
         ReservoirConfig(r_cap=0)
 
 
+def test_reservoir_fields_take_whole_numbers_only():
+    assert ReservoirConfig(3.0, 2.0) == ReservoirConfig(3, 2)
+    assert type(ReservoirConfig(3.0).r_cap) is int
+    for name, args in [("r_cap", (2.5,)), ("r_cap", (math.nan,)),
+                       ("r_cap", (math.inf,)), ("seed", (3, 0.5)),
+                       ("seed", (3, math.nan))]:
+        with pytest.raises(ValueError, match=f"field '{name}' must be an "
+                                             "integer"):
+            ReservoirConfig(*args)
+
+
 def test_logdet_examples():
     m = np.eye(2)
     f = make_logdet(m, alpha=1.0)
@@ -194,6 +209,34 @@ def test_similarity_from_features_examples():
     m = similarity_from_features([[0.0], [1.0]], lam=0.1)
     assert abs(m[0, 1] - math.exp(-0.1)) <= 1e-9
     assert m[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_similarity_and_logdet_reject_non_finite_parameters(bad):
+    with pytest.raises(ValueError, match="lambda must be non-negative and "
+                                         "finite"):
+        similarity_from_features([[0.0], [1.0]], lam=bad)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        make_logdet(np.eye(2), alpha=bad)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        make_logdet(np.eye(2), alpha=0.0)
+
+
+def test_sqrt_coverage_value_does_not_follow_string_hashing():
+    # sets of strings iterate in an order that changes with the hash seed
+    script = ("import sys; from substream import load_keyword_table, "
+              "make_sqrt_coverage; f = make_sqrt_coverage("
+              "load_keyword_table(sys.argv[1])); "
+              "print([f.value(range(a, b)) for a in range(f.n) "
+              "for b in range(a + 1, f.n + 1)])")
+    path = Path(__file__).parent / "data" / "keywords.csv"
+    src = str(Path(__file__).parent.parent / "src")
+    values = {subprocess.run(
+        [sys.executable, "-c", script, str(path)], check=True,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONHASHSEED": str(seed),
+             "PYTHONPATH": src}).stdout for seed in range(4)}
+    assert len(values) == 1
 
 
 def test_similarity_rejects_ragged_input():

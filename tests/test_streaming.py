@@ -466,6 +466,43 @@ def test_contract_audit_flags_lost_elements():
     assert any("lost" in v for v in report.violations)
 
 
+def test_contract_audit_flags_an_unknown_eviction():
+    class EvictsAhead(GreedyStream):
+        def _ingest(self, u):
+            return super()._ingest(u) + [u + 1]  # not yet pushed
+
+    sys = cardinality_system(6, 6)
+    report = contract_audit(EvictsAhead(sys, make_modular([1.0] * 6)),
+                            list(range(6)), sys)
+    assert not report.ok
+    assert "step 0: evicted unknown element 1" in report.violations
+
+
+def test_contract_audit_flags_an_element_evicted_twice():
+    class EvictsAgain(GreedyStream):
+        def _ingest(self, u):
+            return [u] if u < 2 else [0]  # element 0 goes at steps 0 and 2
+
+    sys = cardinality_system(6, 6)
+    report = contract_audit(EvictsAgain(sys, make_modular([1.0] * 6)),
+                            list(range(6)), sys)
+    assert not report.ok
+    assert "step 2: element 0 evicted twice" in report.violations
+
+
+def test_contract_audit_flags_a_dependent_solution():
+    class Overfull(GreedyStream):
+        def _ingest(self, u):
+            self.solution.add(u)  # ignores the constraint
+            return []
+
+    sys = cardinality_system(6, 2)
+    report = contract_audit(Overfull(sys, make_modular([1.0] * 6)),
+                            list(range(6)), sys)
+    assert not report.ok
+    assert report.violations == ["solution is not independent"]
+
+
 def test_trace_records_accepts_and_evictions():
     events = []
     sys = cardinality_system(4, 2)
