@@ -13,6 +13,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -81,7 +82,9 @@ def gen_erdos_renyi(n: int, p: float, seed: int,
     The pairs ``(i, j)``, ``i < j``, are visited in row order; each takes
     one uniform draw, and an edge takes the next draw as its weight unless
     weights are unit.  The draws come in numpy blocks and only edges are
-    visited in Python: between two edges every draw is a pair's.
+    visited in Python: between two edges every draw is a pair's.  The
+    edges go to the graph as arrays, ``i -> j`` then ``j -> i`` for each
+    pair drawn.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
@@ -114,21 +117,30 @@ def gen_erdos_renyi(n: int, p: float, seed: int,
                     weights.append(_weight_of(block.item(c), weight_mode))
                     c += 1
         k = min(npairs, k + len(block) - c)
-    edges: list[tuple[int, int, float]] = []
-    if hits:
-        # row i holds pairs starts[i] .. starts[i] + n - i - 2
-        i_all = np.arange(n)
-        starts = i_all * (2 * n - i_all - 1) // 2
-        pair = np.array(hits)
-        rows = np.searchsorted(starts, pair, side="right") - 1
-        cols = pair - starts[rows] + rows + 1
-        if not weighted:
-            weights = [1.0] * len(hits)
-        ids = list(range(n))   # one int object per vertex, shared by its edges
-        for i, j, w in zip(rows.tolist(), cols.tolist(), weights):
-            edges.append((ids[i], ids[j], w))
-            edges.append((ids[j], ids[i], w))
-    return CutGraph(n_vertices=n, edges=tuple(edges))
+    # row i holds pairs starts[i] .. starts[i] + n - i - 2
+    i_all = np.arange(n)
+    starts = i_all * (2 * n - i_all - 1) // 2
+    pair = np.array(hits, dtype=np.int64)
+    rows = np.searchsorted(starts, pair, side="right") - 1
+    cols = pair - starts[rows] + rows + 1
+    return _both_directions(n, rows, cols,
+                            weights if weighted else np.ones(len(hits)))
+
+
+def _pair_array(pairs) -> np.ndarray:
+    """The ``(u, v)`` pairs of a sized collection as an m x 2 int64 array."""
+    return np.fromiter(chain.from_iterable(pairs), np.int64,
+                       2 * len(pairs)).reshape(-1, 2)
+
+
+def _both_directions(n: int, ends_a, ends_b, weights) -> CutGraph:
+    """The graph with edges ``a -> b`` and ``b -> a`` for each undirected
+    edge ``(a, b)`` in turn, both carrying its weight."""
+    src = np.empty(2 * len(ends_a), dtype=np.int64)
+    dst = np.empty_like(src)
+    src[0::2] = dst[1::2] = ends_a
+    src[1::2] = dst[0::2] = ends_b
+    return CutGraph.from_arrays(n, src, dst, np.repeat(weights, 2))
 
 
 def gen_watts_strogatz(n: int, k_ring: int, beta: float, seed: int,
@@ -136,7 +148,9 @@ def gen_watts_strogatz(n: int, k_ring: int, beta: float, seed: int,
     """Ring lattice with ``k_ring`` nearest neighbours per node, each edge
     rewired with probability ``beta`` (resampled targets, no self-loops or
     duplicates).  The undirected edge count is always ``n * k_ring / 2``;
-    both directions of an edge carry the same weight."""
+    both directions of an edge carry the same weight.  Every edge is
+    rewired first, then the weights are drawn in edge order; the edges go
+    to the graph as arrays, ``i -> j`` then ``j -> i`` for each edge."""
     if k_ring % 2 != 0 or k_ring < 2 or k_ring >= n:
         raise ValueError("k_ring must be even, positive and below n")
     if not 0.0 <= beta <= 1.0:
@@ -164,12 +178,9 @@ def gen_watts_strogatz(n: int, k_ring: int, beta: float, seed: int,
                     j = t
                     break
         pairs.append((i, j))
-    edges: list[tuple[int, int, float]] = []
-    for (i, j) in pairs:
-        w = _draw_weight(rng, weight_mode)
-        edges.append((i, j, w))
-        edges.append((j, i, w))
-    return CutGraph(n_vertices=n, edges=tuple(edges))
+    ends = _pair_array(pairs)
+    weights = [_draw_weight(rng, weight_mode) for _ in pairs]
+    return _both_directions(n, ends[:, 0], ends[:, 1], weights)
 
 
 def gen_node_weights(n: int, seed: int, mode: str = "uniform") -> list[float]:
@@ -184,7 +195,9 @@ def load_edge_list(path) -> tuple[CutGraph, dict]:
     ``#`` starts a comment line.  Vertices are renumbered densely in first
     appearance order and the mapping is returned alongside the graph;
     repeated directed edges have their weights summed.  Bad weights are
-    errors naming the edge's (last) line and the file's labels.
+    errors naming the edge's (last) line and the file's labels.  The lines
+    are read one at a time; the summed edges go to the graph as arrays, in
+    the order of their first line.
     """
     mapping: dict = {}
     weights: dict[tuple[int, int], float] = {}  # first appearance order
@@ -224,9 +237,10 @@ def load_edge_list(path) -> tuple[CutGraph, dict]:
     for (u, v), w in weights.items():
         if w < 0.0:
             raise bad_edge(u, v, f"summed weight {w}")
-    n = max(len(mapping), 1)
-    edges = tuple((u, v, w) for (u, v), w in weights.items())
-    return CutGraph(n_vertices=n, edges=edges), mapping
+    ends = _pair_array(weights)
+    graph = CutGraph.from_arrays(max(len(mapping), 1), ends[:, 0], ends[:, 1],
+                                 list(weights.values()))
+    return graph, mapping
 
 
 def write_edge_list(g: CutGraph, path) -> None:
@@ -237,15 +251,13 @@ def write_edge_list(g: CutGraph, path) -> None:
 
 
 def undirected_pairs(g: CutGraph) -> list[tuple[int, int]]:
-    """Distinct undirected edges of a graph, sorted endpoint pairs."""
-    seen = set()
-    pairs = []
-    for u, v, _ in g.edges:
-        key = (min(u, v), max(u, v))
-        if key not in seen:
-            seen.add(key)
-            pairs.append(key)
-    return pairs
+    """Distinct undirected edges of a graph as sorted endpoint pairs, in
+    the order of their first edge."""
+    lo = np.minimum(g.src, g.dst)
+    hi = np.maximum(g.src, g.dst)
+    _, first = np.unique(lo * g.n_vertices + hi, return_index=True)
+    first.sort()
+    return list(zip(lo[first].tolist(), hi[first].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import EPS
 from .objectives import CutGraph, make_directed_cut
 from .constraints import cardinality_system
@@ -84,13 +86,15 @@ def w_sequence_total(rho: int) -> float:
 
 def _build(rho: int, bait_weights: list[float],
            epsilon: float | None) -> CounterInstance:
+    # edges in order: each early vertex to the sink, each planted vertex
+    # to every early one (planted-major), each late vertex to the sink
     n = 3 * rho + 1
-    early = list(range(1, rho + 1))  # one int object per vertex id
-    edges = [(i, 0, 1.0) for i in early]
-    edges += [(j, i, 1.0) for j in range(rho + 1, 2 * rho + 1) for i in early]
-    edges += [(m, 0, w) for m, w in zip(range(2 * rho + 1, 3 * rho + 1),
-                                        bait_weights)]
-    graph = CutGraph(n_vertices=n, edges=tuple(edges))
+    early = np.arange(1, rho + 1)
+    sink = np.zeros(rho, dtype=np.int64)
+    src = np.concatenate((early, np.repeat(early + rho, rho), early + 2 * rho))
+    dst = np.concatenate((sink, np.tile(early, rho), sink))
+    weight = np.concatenate((np.ones(rho + rho * rho), bait_weights))
+    graph = CutGraph.from_arrays(n, src, dst, weight)
     return CounterInstance(graph=graph, stream=tuple(range(1, n)),
                            rho=rho, epsilon=epsilon)
 

@@ -27,35 +27,99 @@ from .prng import SplitMix64
 LOGDET_MAX_SUBSET = 512
 
 
-def _as_edge(e) -> tuple[int, int, float]:
-    u, v, w = e
-    return int(u), int(v), float(w)
+def _check_edge(n: int, u: int, v: int, w: float) -> None:
+    """Raise the error a bad edge ``(u, v, w)`` of an n-vertex graph gets."""
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) outside vertex range")
+    if not 0.0 <= w < math.inf:  # also false for NaN
+        raise ValueError(f"edge ({u}, {v}) has weight {w}; "
+                         "weights must be finite and non-negative")
 
 
-@dataclass(frozen=True)
+def _vertex_count(n_vertices) -> int:
+    n = _spec_int("graph", "n_vertices", n_vertices)
+    if n <= 0:
+        raise ValueError("graph needs at least one vertex")
+    return n
+
+
+def _owned(values, dtype, kinds: str, what: str) -> np.ndarray:
+    """A read-only one-dimensional copy of ``values`` as ``dtype``."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValueError(f"{what} must be one-dimensional")
+    if arr.size and arr.dtype.kind not in kinds:
+        raise TypeError(f"{what} must be numeric, got dtype {arr.dtype}")
+    arr = np.array(arr, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 class CutGraph:
-    """Weighted directed graph; vertices are ``0..n_vertices-1``."""
+    """Weighted directed graph on vertices ``0..n_vertices-1``.
 
-    n_vertices: int
-    edges: tuple[tuple[int, int, float], ...]
+    Edge i runs from ``src[i]`` to ``dst[i]`` with weight ``weight[i]``:
+    three parallel arrays (int64, int64, float64) that the graph owns and
+    that are read-only, so the graph never changes after construction.
+    ``CutGraph(n, edges)`` converts a sequence of ``(u, v, w)`` triples
+    as ``int(u), int(v), float(w)``; :meth:`from_arrays` copies three
+    arrays.  ``n_vertices`` must be a whole number (a float such as
+    ``3.0`` is taken as 3) and positive.  Every edge is checked at once:
+    the first edge that is a self-loop, leaves the vertex range or has a
+    weight that is not finite and non-negative raises ``ValueError``
+    naming it.  A weight of ``-0.0`` is kept as it is.  ``edges`` lists
+    the edges as ``(int, int, float)`` tuples, built anew on each read.
+    """
 
-    def __post_init__(self):
-        if self.n_vertices <= 0:
-            raise ValueError("graph needs at least one vertex")
-        # an edge that is already an exact (int, int, float) tuple is kept
-        # as it is; anything else (bool, numpy scalars, lists) is converted
-        object.__setattr__(self, "edges", tuple(
-            e if type(e) is tuple and len(e) == 3 and type(e[0]) is int
-            and type(e[1]) is int and type(e[2]) is float else _as_edge(e)
-            for e in self.edges))
-        for u, v, w in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range")
-            if not 0.0 <= w < math.inf:  # also false for NaN
-                raise ValueError(f"edge ({u}, {v}) has weight {w}; "
-                                 "weights must be finite and non-negative")
+    __slots__ = ("n_vertices", "src", "dst", "weight")
+
+    def __init__(self, n_vertices: int, edges=()):
+        n = _vertex_count(n_vertices)
+        triples = [(int(u), int(v), float(w)) for u, v, w in edges]
+        try:
+            src, dst = np.array([[u for u, _, _ in triples],
+                                 [v for _, v, _ in triples]], dtype=np.int64)
+        except OverflowError:
+            # an endpoint beyond int64 is out of range; name the first bad edge
+            for e in triples:
+                _check_edge(n, *e)
+            raise
+        self._init(n, src, dst, [w for _, _, w in triples])
+
+    @classmethod
+    def from_arrays(cls, n_vertices: int, src, dst, weight) -> CutGraph:
+        """The graph whose edge i is ``(src[i], dst[i], weight[i])``; the
+        arrays are copied, so the caller may change them afterwards."""
+        g = cls.__new__(cls)
+        g._init(_vertex_count(n_vertices), src, dst, weight)
+        return g
+
+    def _init(self, n: int, src, dst, weight) -> None:
+        src = _owned(src, np.int64, "biu", "src")
+        dst = _owned(dst, np.int64, "biu", "dst")
+        weight = _owned(weight, np.float64, "biuf", "weight")
+        if not len(src) == len(dst) == len(weight):
+            raise ValueError("src, dst and weight must have one entry per edge")
+        bad = src == dst
+        # as uint64 a negative id reads as a huge one
+        bad |= np.maximum(src.view(np.uint64), dst.view(np.uint64)) >= n
+        bad |= ~(weight >= 0.0) | (weight == math.inf)  # negative, NaN, inf
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            _check_edge(n, int(src[i]), int(dst[i]), float(weight[i]))
+        for name, value in (("n_vertices", n), ("src", src), ("dst", dst),
+                            ("weight", weight)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CutGraph is read-only; cannot set {name!r}")
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(zip(self.src.tolist(), self.dst.tolist(),
+                         self.weight.tolist()))
 
 
 @dataclass(frozen=True)
@@ -174,10 +238,20 @@ class CutGainState(TabulatedGainState):
 
 
 def make_directed_cut(g: CutGraph) -> Objective:
-    """Weight of edges leaving the chosen set; non-monotone in general."""
-    out_adj: list[dict[int, float]] = [{} for _ in range(g.n_vertices)]
-    in_adj: list[dict[int, float]] = [{} for _ in range(g.n_vertices)]
-    for u, v, w in g.edges:
+    """Weight of edges leaving the chosen set; non-monotone in general.
+
+    The oracle keeps one dict per vertex of its out-edges and one of its
+    in-edges, keyed by neighbour, filled in edge order.  Every vertex is
+    one int object in all of them (read from the graph's arrays through
+    one list of ids), so a membership test that finds it compares
+    identities.
+    """
+    n = g.n_vertices
+    out_adj: list[dict[int, float]] = [{} for _ in range(n)]
+    in_adj: list[dict[int, float]] = [{} for _ in range(n)]
+    vid = list(range(n)).__getitem__
+    for u, v, w in zip(map(vid, memoryview(g.src)), map(vid, memoryview(g.dst)),
+                       memoryview(g.weight)):
         # parallel arcs sum in edge order; a first arc stores 0.0 + w, as a
         # sum from 0.0 would, so a weight of -0.0 reads 0.0
         if v in out_adj[u]:

@@ -17,7 +17,9 @@ from substream import (AdaptiveSieve, AutoThresholdSieve, CutGraph, ElementSet,
                        make_system, node_independent_set_system,
                        similarity_from_features)
 from substream import bench
-from substream.bench import gen_erdos_renyi, run_algorithm, undirected_pairs
+from substream.bench import (gen_erdos_renyi, gen_watts_strogatz, run_algorithm,
+                             undirected_pairs)
+from substream.counterexamples import build_g1, build_g2, w_sequence
 from substream.core import (DuplicateElementError, GainState, GroundSetError,
                             NumericError)
 from substream.prng import SplitMix64
@@ -177,6 +179,104 @@ def test_erdos_renyi_matches_per_pair_loop(monkeypatch, block, weight_mode):
         edges = gen_erdos_renyi(n, p, seed, weight_mode).edges
         assert list(edges) == reference_er(n, p, seed, weight_mode)
         assert all(type(w) is float for _, _, w in edges)
+
+
+# ---------------------------------------------------------------------------
+# the graph builders' arrays against the tuple loops they replaced
+
+
+def _hexed(edges):
+    """Edges with exact types and every weight as its bit pattern."""
+    return [(type(u), type(v), type(w), u, v, w.hex()) for u, v, w in edges]
+
+
+def reference_counter_edges(rho, bait_weights):
+    """The g1/g2 edge list as the tuple builder made it."""
+    early = list(range(1, rho + 1))
+    edges = [(i, 0, 1.0) for i in early]
+    edges += [(j, i, 1.0) for j in range(rho + 1, 2 * rho + 1) for i in early]
+    edges += [(m, 0, w) for m, w in zip(range(2 * rho + 1, 3 * rho + 1),
+                                        bait_weights)]
+    return edges
+
+
+def reference_ws(n, k_ring, beta, seed, weight_mode):
+    """The Watts-Strogatz generator as the tuple builder made it."""
+    rng = SplitMix64(seed)
+    present = set()
+    lattice = []
+    for i in range(n):
+        for d in range(1, k_ring // 2 + 1):
+            j = (i + d) % n
+            lattice.append((i, j))
+            present.add(frozenset((i, j)))
+    pairs = []
+    for (i, j) in lattice:
+        if rng.random() < beta:
+            key = frozenset((i, j))
+            for _ in range(8 * n):
+                t = rng.randrange(n)
+                new = frozenset((i, t))
+                if t != i and new not in present:
+                    present.discard(key)
+                    present.add(new)
+                    j = t
+                    break
+        pairs.append((i, j))
+    edges = []
+    for (i, j) in pairs:
+        w = bench._draw_weight(rng, weight_mode)
+        edges.append((i, j, w))
+        edges.append((j, i, w))
+    return edges
+
+
+def reference_undirected_pairs(edges):
+    seen = set()
+    pairs = []
+    for u, v, _ in edges:
+        key = (min(u, v), max(u, v))
+        if key not in seen:
+            seen.add(key)
+            pairs.append(key)
+    return pairs
+
+
+@pytest.mark.parametrize("rho", [1, 2, 4, 7, 30, 64])
+def test_counterexample_arrays_match_tuple_builder(rho):
+    for eps in (0.01, 0.0731, 1e-9):
+        g = build_g1(rho, eps).graph
+        assert g.n_vertices == 3 * rho + 1
+        assert _hexed(g.edges) == _hexed(
+            reference_counter_edges(rho, [2.0 + eps] * rho))
+    g = build_g2(rho).graph
+    assert _hexed(g.edges) == _hexed(
+        reference_counter_edges(rho, w_sequence(rho)))
+
+
+@pytest.mark.parametrize("weight_mode", ["unit", "uniform", "exp"])
+def test_random_graph_arrays_match_tuple_builders(weight_mode):
+    for seed in (0, 3, 17, 2**63 + 5):
+        for n, p in [(2, 1.0), (25, 0.0), (25, 0.3), (60, 0.08)]:
+            g = gen_erdos_renyi(n, p, seed, weight_mode)
+            edges = reference_er(n, p, seed, weight_mode)
+            assert _hexed(g.edges) == _hexed(edges)
+            assert undirected_pairs(g) == reference_undirected_pairs(edges)
+        for n, k_ring, beta in [(5, 2, 1.0), (12, 4, 0.0), (30, 6, 0.3),
+                                (40, 8, 1.0)]:
+            g = gen_watts_strogatz(n, k_ring, beta, seed, weight_mode)
+            edges = reference_ws(n, k_ring, beta, seed, weight_mode)
+            assert _hexed(g.edges) == _hexed(edges)
+            assert undirected_pairs(g) == reference_undirected_pairs(edges)
+
+
+def test_undirected_pairs_keep_first_appearance_order():
+    edges = [(3, 1, 1.0), (0, 2, 1.0), (1, 3, 2.0), (2, 0, 1.0), (4, 3, 0.5),
+             (1, 0, 1.0), (3, 4, 1.0), (0, 1, 1.0)]
+    pairs = undirected_pairs(CutGraph(5, edges))
+    assert pairs == reference_undirected_pairs(edges)
+    assert pairs == [(1, 3), (0, 2), (3, 4), (0, 1)]
+    assert all(type(u) is int and type(v) is int for u, v in pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from substream import (CutGraph, KeywordTable, ReservoirConfig,
                        make_coverage_minus_dispersion, make_directed_cut,
                        make_facility_location, make_logdet, make_modular,
                        make_sqrt_coverage, similarity_from_features)
+from substream.bench import gen_erdos_renyi
 from substream.prng import SplitMix64
 
 from helpers import random_similarity
@@ -74,7 +75,14 @@ def test_cut_graph_normalizes_mixed_edges_like_a_plain_conversion():
     for edges in (exact, tuple(exact), mixed):
         assert _bits(_cut_tables(CutGraph(4, edges))) == legacy
     g = CutGraph(4, tuple(exact))
-    assert all(kept is given for kept, given in zip(g.edges, exact))
+    # the graph stores three arrays holding the edges' exact bits
+    assert (g.src.dtype, g.dst.dtype, g.weight.dtype) == (
+        np.int64, np.int64, np.float64)
+    assert g.src.tolist() == [u for u, _, _ in exact]
+    assert g.dst.tolist() == [v for _, v, _ in exact]
+    assert ([w.hex() for w in g.weight.tolist()]
+            == [w.hex() for _, _, w in exact])
+    assert math.copysign(1.0, g.weight[3]) == -1.0  # -0.0 is stored
     tables = _cut_tables(g)
     assert tables[1][0][1] == (0.0 + 0.1) + 0.2 + 0.3  # in edge order
     assert math.copysign(1.0, tables[1][2][0]) == 1.0  # -0.0 reads 0.0
@@ -93,6 +101,67 @@ def test_cut_graph_normalizes_mixed_edges_like_a_plain_conversion():
 def test_cut_graph_names_the_first_bad_edge(edges, message):
     with pytest.raises(ValueError, match=message):
         CutGraph(3, edges)
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, 0])
+def test_cut_graph_needs_a_whole_positive_vertex_count(bad):
+    with pytest.raises(ValueError, match="n_vertices|at least one vertex"):
+        CutGraph(bad, ())
+    with pytest.raises(ValueError, match="n_vertices|at least one vertex"):
+        CutGraph.from_arrays(bad, [], [], [])
+
+
+def test_cut_graph_takes_a_whole_float_vertex_count():
+    g = CutGraph(3.0, [(0, 2, 1.0)])
+    assert g.n_vertices == 3 and type(g.n_vertices) is int
+    assert make_directed_cut(g).value([0]) == 1.0
+
+
+def test_cut_graph_owns_read_only_arrays():
+    src = np.array([0, 1, 2])
+    dst = np.array([1, 2, 0])
+    weight = np.array([1.0, 2.0, 4.0])
+    g = CutGraph.from_arrays(3, src, dst, weight)
+    f = make_directed_cut(g)
+    before = [f.value(s) for s in ([0], [1], [0, 1])]
+    for arr in (g.src, g.dst, g.weight):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    with pytest.raises(AttributeError):
+        g.src = dst
+    src[0], dst[1], weight[2] = 2, 1, 100.0  # the caller's copies only
+    assert g.edges == ((0, 1, 1.0), (1, 2, 2.0), (2, 0, 4.0))
+    g2 = make_directed_cut(g)
+    assert [g2.value(s) for s in ([0], [1], [0, 1])] == before == [1.0, 2.0, 2.0]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cut_tables_from_arrays_match_the_legacy_loop(seed):
+    # parallel arcs, -0.0 weights and arcs in both directions
+    rng = SplitMix64(seed)
+    n = 12
+    edges = []
+    for _ in range(150):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            w = -0.0 if rng.random() < 0.1 else rng.uniform(0.0, 3.0)
+            edges.append((u, v, w))
+    src, dst, weight = (np.array(col) for col in zip(*edges))
+    g = CutGraph.from_arrays(n, src, dst, weight)
+    legacy = _legacy_cut_tables(n, edges)
+    assert len(set(edges)) > len({e[:2] for e in edges})  # parallel arcs
+    assert _bits(_cut_tables(g)) == _bits(legacy)
+    assert _bits(_cut_tables(CutGraph(n, edges))) == _bits(legacy)
+
+
+def test_cut_tables_hold_one_int_object_per_vertex():
+    g = gen_erdos_renyi(300, 0.05, 4, weight_mode="exp")
+    st = make_directed_cut(g).open()
+    vertex = {}
+    for adj in st.out_adj + st.in_adj:
+        for key in adj:
+            assert vertex.setdefault(key, key) is key
+    assert len(vertex) > 256  # beyond the ints Python keeps one object of
 
 
 def test_directed_cut_examples():
