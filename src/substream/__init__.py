@@ -10,9 +10,9 @@ from .objectives import (CutGraph, KeywordTable, ReservoirConfig,
                          make_facility_location, make_logdet, make_modular,
                          make_sqrt_coverage, similarity_from_features)
 from .constraints import (IndependenceSystem, cardinality_system, exact_rho,
-                          exchange_witness, intersect, knapsack_system,
-                          labeled_limit_system, make_system,
-                          node_independent_set_system, planarity_system)
+                          intersect, knapsack_system, labeled_limit_system,
+                          make_system, node_independent_set_system,
+                          planarity_system)
 from .planarity import planarity_check
 from .offline import (brute_force_opt, double_greedy, repeated_greedy,
                       unweighted_greedy, weighted_greedy)

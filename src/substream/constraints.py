@@ -511,17 +511,3 @@ def exact_rho(sys: IndependenceSystem) -> int:
 
     extend(0)
     return best
-
-
-def exchange_witness(sys: IndependenceSystem, a: Iterable[int],
-                     b: Iterable[int]) -> bool:
-    """Whether k * |B without A| >= |A without B| holds.
-
-    ``a`` must be independent; ``b`` is expected to be a greedily built
-    base (not checkable here).  Diagnostic used by the test suite.
-    """
-    a_set = set(a)
-    b_set = set(b)
-    if not sys.is_independent(a_set):
-        raise ValueError("witness requires an independent first set")
-    return sys.k_param * len(b_set - a_set) >= len(a_set - b_set)

@@ -7,15 +7,14 @@ subclasses ``dict`` (every value is None) so that membership tests,
 ``len``, iteration and copies run as C-level dict operations: the
 streaming inner loops make on the order of 10^8 membership tests, and a
 Python-level ``__contains__`` wrapper dominated their cost.
-``Objective`` wraps a raw set function with query counting and
-marginal-gain helpers; ``Objective.open`` hands out a ``GainState`` that
-answers gain and swap queries against one set as it changes.
+``Objective`` wraps a raw set function with query counting;
+``Objective.open`` hands out a ``GainState`` that answers gain, loss and
+swap queries against one set as it changes.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import Callable, Iterable
 
 # Absolute tolerance for every inequality test performed by the algorithms.
@@ -140,45 +139,36 @@ class Objective:
 
     ``fn`` receives a sorted tuple of element ids and must return a
     finite non-negative value (values within ``EPS`` below zero are clamped
-    to zero; anything lower, and a NaN or infinity from ``fn`` or
-    ``marginal_fn``, raises ``NumericError``).
+    to zero; anything lower, and a NaN or infinity, raises
+    ``NumericError``).
 
     ``evaluations`` counts oracle queries, the ``oracle_calls`` of a
-    result row: one per :meth:`value`, :meth:`singleton` and fast-path
-    :meth:`marginal`, two per slow-path :meth:`marginal`, and one per
-    gain or swap trial of a :class:`GainState` (the generic state's gains
-    are :meth:`marginal` calls).  A query counts the same whatever was
-    asked before, also when :meth:`singleton` reads its table.
-
-    ``marginal_fn(u, members)``, when provided, must equal
-    ``fn(S + u) - fn(S)`` for ``u`` outside ``S``; it is used as a fast
-    path by :meth:`marginal`.  Without it, :meth:`marginal` sorts ``S``
-    once, inserts ``u`` by bisection and evaluates ``S + u`` and ``S``.
+    result row: one per :meth:`value`, :meth:`singleton` and gain, loss
+    or swap trial of a :class:`GainState`, two per :meth:`marginal` (the
+    generic state counts the calls it makes).  A query counts the same
+    whatever was asked before, also when :meth:`singleton` reads its table.
 
     :meth:`open` returns an empty :class:`GainState`.
     ``open_fn(objective)``, when provided, builds it; objectives that keep
     running sums over the set (additive, directed cut, facility location,
     log-determinant and coverage-minus-dispersion) pass one.  Without it
     the state asks :meth:`marginal` for every gain and :meth:`value` for
-    every swap trial.
+    every loss and swap trial.
 
     Instances are read-only after construction apart from the call
     counter and the singleton table, which are not synchronized: use one
     oracle per run when running concurrently.
     """
 
-    __slots__ = ("n", "evaluations", "_fn", "_marginal_fn", "_open_fn",
-                 "_singletons")
+    __slots__ = ("n", "evaluations", "_fn", "_open_fn", "_singletons")
 
     def __init__(self, fn: Callable[[tuple[int, ...]], float], n: int, *,
-                 marginal_fn: Callable[[int, Iterable[int]], float] | None = None,
                  open_fn: Callable[["Objective"], "GainState"] | None = None):
         if n <= 0:
             raise ValueError("ground set must be non-empty")
         self.n = n
         self.evaluations = 0
         self._fn = fn
-        self._marginal_fn = marginal_fn
         self._open_fn = open_fn
         self._singletons: list[float | None] = [None] * n
 
@@ -207,20 +197,14 @@ class Objective:
     __call__ = value
 
     def marginal(self, u: int, subset: Iterable[int]) -> float:
-        """Gain of adding ``u`` to ``subset``; may be negative."""
+        """Gain of adding ``u`` to ``subset``, ``value(S + u) - value(S)``:
+        two queries; may be negative."""
         if u < 0 or u >= self.n:
             raise GroundSetError(f"id {u} outside range(0, {self.n})")
-        if u in subset:
+        base = self._key(subset)  # reads a one-shot iterator once
+        if u in base:
             raise DuplicateElementError(f"element {u} already in subset")
-        if self._marginal_fn is not None:
-            self.evaluations += 1
-            gain = float(self._marginal_fn(u, subset))
-            if not math.isfinite(gain):
-                raise NumericError(f"marginal oracle returned non-finite gain {gain}")
-            return gain
-        base = self._key(subset)
-        i = bisect_left(base, u)
-        return self._eval(base[:i] + (u,) + base[i:]) - self._eval(base)
+        return self.value(base + (u,)) - self._eval(base)
 
     def singleton(self, u: int) -> float:
         """``value((u,))``, computed on the first call for ``u`` and read
@@ -243,17 +227,18 @@ class Objective:
 
 
 class GainState:
-    """A set with the gain of each element outside it.
+    """A set with the gain of each element outside it and the loss of
+    each member.
 
     Returned empty by :meth:`Objective.open`.  ``members`` is the set in
     insertion order; change it through :meth:`add` and :meth:`remove`
-    only.  ``gain(u)`` is ``f.marginal(u, members)`` with the same checks;
-    this generic state returns its float and its count (one on a
-    ``marginal_fn``, two on the slow path), and a state that keeps
-    running sums counts one per query.
+    only.  ``gain(u)`` is ``f(S + u) - f(S)`` with the checks of
+    :meth:`Objective.marginal`; ``loss(x)`` is ``f(S) - f(S - x)`` and
+    raises what :meth:`remove` raises for a non-member.  This generic
+    state asks :meth:`Objective.marginal` for a gain and
+    :meth:`Objective.value` for both sets of a loss, two queries each.
     :meth:`swap_values` gives the value of every single-element swap, as
-    a swap-based streamer weighs them; each trial is one query, which in
-    this generic state is the :meth:`Objective.value` call it makes.
+    a swap-based streamer weighs them, one query per trial.
     """
 
     __slots__ = ("f", "members")
@@ -264,6 +249,12 @@ class GainState:
 
     def gain(self, u: int) -> float:
         return self.f.marginal(u, self.members)
+
+    def loss(self, x: int) -> float:
+        members = self.members
+        if x not in members:
+            raise KeyError(x)
+        return self.f.value(members) - self.f.value(members.difference((x,)))
 
     def add(self, u: int) -> None:
         if u < 0 or u >= self.f.n:
@@ -299,14 +290,14 @@ class GainState:
 
 
 class TabulatedGainState(GainState):
-    """Gain state that reads each gain from a per-element table.
+    """Gain state that reads gains and losses from a per-element table.
 
-    ``gains[u]`` must hold u's gain against ``members`` for every ``u``
-    outside it.  :meth:`gain` keeps the checks of :meth:`Objective.marginal`
-    and counts one evaluation per query, as its fast path does.  This
-    class never writes ``gains``; a subclass whose :meth:`add` updates the
-    table passes in a copy of its own and undoes the update in
-    :meth:`remove`.
+    ``gains[u]`` must hold u's gain for every ``u`` outside ``members``
+    and its loss for every member.  :meth:`gain` keeps the checks of
+    :meth:`Objective.marginal`; a gain or loss counts one evaluation and
+    raises ``NumericError`` on a non-finite entry.  This class never
+    writes ``gains``; a subclass whose :meth:`add` updates the table
+    passes in a copy of its own and undoes the update in :meth:`remove`.
     """
 
     __slots__ = ("gains",)
@@ -327,6 +318,15 @@ class TabulatedGainState(GainState):
             raise NumericError(f"marginal oracle returned non-finite gain {gain}")
         return gain
 
+    def loss(self, x: int) -> float:
+        if x not in self.members:
+            raise KeyError(x)
+        self.f.evaluations += 1
+        loss = self.gains[x]
+        if not math.isfinite(loss):
+            raise NumericError(f"marginal oracle returned non-finite loss {loss}")
+        return loss
+
 
 class AccumulatingGainState(GainState):
     """Gain state that keeps running sums over its members.
@@ -337,8 +337,9 @@ class AccumulatingGainState(GainState):
     :meth:`gain` keeps the checks of :meth:`Objective.marginal`, counts one
     evaluation per query and raises ``NumericError`` on a non-finite gain.
     :meth:`remove` clears the sums and absorbs the remaining members again
-    in member order; only the swap baselines remove, so that path is cold.
-    Swap trials stay the generic :meth:`Objective.value` loop.
+    in member order; the swap baselines and the double greedy's pool
+    remove, so that path is cold.  Losses and swap trials stay the
+    generic :meth:`Objective.value` calls.
     """
 
     __slots__ = ()

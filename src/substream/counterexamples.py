@@ -24,10 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS
 from .objectives import CutGraph, make_directed_cut
 from .constraints import cardinality_system
-from .offline import brute_force_opt
 from .baselines import preemption_stream, ratio_swap_stream
 
 
@@ -188,12 +186,3 @@ def verify_ratio_swap_counterexample(rho: int) -> CounterReport:
                        "value_at_most_e_rho": f_s <= math.e * rho + 1e-9,
                        "union_at_least_opt": f_union >= rho * rho - 1e-9})
 
-
-def brute_optimum_matches(family: str, rho: int, epsilon: float = 0.01) -> bool:
-    """For small rho, confirm by enumeration that the planted block is the
-    constrained optimum with value rho^2."""
-    inst = build_g1(rho, epsilon) if family == "g1" else build_g2(rho)
-    f = make_directed_cut(inst.graph)
-    sys = cardinality_system(inst.graph.n_vertices, rho)
-    best, val = brute_force_opt(f, sys, inst.stream)
-    return set(best) == set(inst.planted_opt) and abs(val - rho * rho) <= EPS

@@ -11,9 +11,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import compress
-from operator import sub
 from typing import Mapping
 
 import numpy as np
@@ -178,12 +175,8 @@ def make_modular(weights) -> Objective:
     def fn(ids):
         return sum(w[u] for u in ids)
 
-    def marginal_fn(u, members):
-        return w[u]
-
-    # a gain never changes as the set grows, so every state reads w itself
-    return Objective(fn, len(w), marginal_fn=marginal_fn,
-                     open_fn=lambda f: TabulatedGainState(f, w))
+    # gains and losses never change, so every state reads w itself
+    return Objective(fn, len(w), open_fn=lambda f: TabulatedGainState(f, w))
 
 
 class CutGainState(TabulatedGainState):
@@ -194,11 +187,11 @@ class CutGainState(TabulatedGainState):
     weights and then its in-edge weights off each neighbour's entry, in
     adjacency order; removing x adds them back in the same order: O(deg x)
     per add or remove and O(1) per gain.  For a member x, ``gains[x]`` is
-    ``f(S) - f(S - x)``, so a swap trial ``f(S - x + u)`` is
+    ``f(S) - f(S - x)``, x's loss, so a swap trial ``f(S - x + u)`` is
     ``f(S) - gains[x] + gains[u]`` plus the weight between u and x, which
     ``gains[u]`` took off: O(1) per trial, counted as one query.  The
-    table is updated in insertion order, so a gain or trial may differ
-    from the one-off ``marginal_fn`` or ``fn`` in the last bits.
+    table is updated in insertion order, so a gain, loss or trial may
+    differ from a difference of ``fn`` values in the last bits.
     """
 
     __slots__ = ("out_adj", "in_adj")
@@ -271,18 +264,7 @@ def make_directed_cut(g: CutGraph) -> Objective:
                     total -= w
         return total
 
-    def marginal_fn(u, members):
-        # subtracts the weights of u's edges into members, out-edges then
-        # in-edges, each in adjacency order: the same float operations in
-        # the same order as the plain loop, run by C-level iterators
-        contains = members.__contains__
-        out_u = out_adj[u]
-        in_u = in_adj[u]
-        gain = reduce(sub, compress(out_u.values(), map(contains, out_u)),
-                      out_total[u])
-        return reduce(sub, compress(in_u.values(), map(contains, in_u)), gain)
-
-    return Objective(fn, g.n_vertices, marginal_fn=marginal_fn,
+    return Objective(fn, g.n_vertices,
                      open_fn=lambda f: CutGainState(f, out_total, out_adj,
                                                     in_adj))
 
@@ -309,9 +291,9 @@ class DispersionGainState(AccumulatingGainState):
     of v to the members, ``m[v, x]`` summed in member order.
 
     A gain is ``row_sums[v] - 2 * inner[v] - m[v, v]``, O(1); an add is one
-    O(n) column sum.  ``marginal_fn`` sums the same entries in its own
-    order, so a gain may differ from it in the last bits (the agreement
-    tests allow 1e-12 relative).
+    O(n) column sum.  ``fn`` sums the same entries in its own order, so a
+    gain may differ from a difference of ``fn`` values in the last bits
+    (the agreement tests allow 1e-12 relative).
     """
 
     __slots__ = ("m", "row_sums", "diagonal", "inner")
@@ -336,10 +318,11 @@ class DispersionGainState(AccumulatingGainState):
 def make_coverage_minus_dispersion(m: np.ndarray) -> Objective:
     """Total similarity covered by the set minus similarity inside it.
 
-    Its gain state (:class:`DispersionGainState`) keeps each element's
-    similarity to the set in an n-vector: a gain is O(1) and counts one
-    query, an add is O(n), and gains agree with ``f(S + u) - f(S)`` within
-    1e-12 relative.
+    ``fn`` gathers the chosen rows, then their chosen columns, and sums
+    the block.  Its gain state (:class:`DispersionGainState`) keeps each
+    element's similarity to the set in an n-vector: a gain is O(1) and
+    counts one query, an add is O(n), and gains agree with
+    ``f(S + u) - f(S)`` within 1e-12 relative.
     """
     m = validate_similarity(m)
     row_sums = m.sum(axis=1)
@@ -350,14 +333,9 @@ def make_coverage_minus_dispersion(m: np.ndarray) -> Objective:
         if not ids:
             return 0.0
         idx = list(ids)
-        return float(row_sums[idx].sum() - m[np.ix_(idx, idx)].sum())
+        return float(row_sums[idx].sum() - m.take(idx, 0).take(idx, 1).sum())
 
-    def marginal_fn(u, members):
-        idx = list(members)
-        inner = float(m[u].take(idx).sum()) if idx else 0.0
-        return float(row_sums[u]) - 2.0 * inner - float(m[u, u])
-
-    return Objective(fn, m.shape[0], marginal_fn=marginal_fn,
+    return Objective(fn, m.shape[0],
                      open_fn=lambda f: DispersionGainState(f, m, row_sum_list,
                                                            diagonal))
 
@@ -369,8 +347,8 @@ class FacilityGainState(AccumulatingGainState):
     A gain is the sum of ``max(best, cols[v])`` over the rows, divided and
     less ``value``; an add folds ``cols[v]`` into ``best``.  Both are O(rows).
     The max is exact and the sum runs over a contiguous vector of the same
-    length as the oracle's, so every gain is the float the slow path gives,
-    with or without row sampling.
+    length as the oracle's, so every gain is the float ``f(S + u) - f(S)``
+    gives, with or without row sampling.
     """
 
     __slots__ = ("cols", "divisor", "best", "value", "_scratch")
@@ -407,8 +385,8 @@ def make_facility_location(m: np.ndarray,
     buffer (n x r_cap floats, n x n without an estimator), so a subset's
     best similarities are a max over contiguous rows.  Its gain state
     (:class:`FacilityGainState`) keeps the running best similarity of each
-    row: a gain is O(rows), counts one query and is bit-identical to the
-    slow path's.
+    row: a gain is O(rows), counts one query and is bit-identical to
+    ``f(S + u) - f(S)``.
     """
     m = validate_similarity(m)
     n = m.shape[0]

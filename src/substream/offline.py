@@ -80,24 +80,26 @@ def weighted_greedy(f: Objective, sys: IndependenceSystem,
 
 
 def double_greedy(f: Objective, ground: Iterable[int]) -> ElementSet:
-    """Deterministic unconstrained maximizer with a 1/3 guarantee.
+    """Deterministic unconstrained maximizer with a 1/3 guarantee
+    (Buchbinder, Feldman, Naor and Schwartz, FOCS 2012).
 
-    Sweeps the ground set in ascending id order keeping two sets, the
-    grown one and the not-yet-shrunk one, and settles each element by
-    comparing its add-gain against its removal-gain (ties keep).
+    Sweeps the ground set in ascending id order keeping two gain states:
+    ``keep``, the grown set, starts empty, and ``pool``, the
+    not-yet-shrunk set, starts as the whole ground set.  Each element is
+    kept when its gain to ``keep`` is at least minus its loss from
+    ``pool`` (ties keep), and otherwise removed from ``pool``.
     """
     ids = sorted(set(ground))
-    keep = ElementSet()
-    pool = set(ids)
+    keep = f.open()
+    pool = f.open()
     for u in ids:
-        add_gain = f.marginal(u, keep)
-        pool.discard(u)
-        drop_gain = -f.marginal(u, pool)  # f(pool) - f(pool + u), u currently out
-        if add_gain >= drop_gain - EPS:
+        pool.add(u)
+    for u in ids:
+        if keep.gain(u) >= -pool.loss(u) - EPS:
             keep.add(u)
-            pool.add(u)
-        # else: u stays out of pool for good
-    return keep
+        else:
+            pool.remove(u)
+    return keep.members
 
 
 def repeated_greedy(f: Objective, sys: IndependenceSystem,

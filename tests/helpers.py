@@ -1,9 +1,11 @@
-"""Seeded random instance builders shared across the test modules."""
+"""Seeded random instance builders, references and checks shared across
+the test modules."""
 
-from substream import (CutGraph, cardinality_system, constraints,
-                       knapsack_system,
+from substream import (CutGraph, brute_force_opt, build_g1, build_g2,
+                       cardinality_system, constraints, knapsack_system,
                        labeled_limit_system, make_directed_cut, make_modular,
                        node_independent_set_system, similarity_from_features)
+from substream.core import EPS
 from substream.prng import SplitMix64
 
 
@@ -136,3 +138,50 @@ def count_planarity_tests(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(constraints, "planarity_check", counted)
     return calls
+
+
+def reference_cut_marginal(g):
+    """The cut gain ``f(S + u) - f(S)`` as a plain loop over both
+    adjacency dicts: u's out-weight less its out-edges into the members,
+    then less its in-edges from them, each in adjacency order."""
+    out_adj = [{} for _ in range(g.n_vertices)]
+    in_adj = [{} for _ in range(g.n_vertices)]
+    for u, v, w in g.edges:
+        out_adj[u][v] = out_adj[u].get(v, 0.0) + w
+        in_adj[v][u] = in_adj[v].get(u, 0.0) + w
+    out_total = [sum(adj.values()) for adj in out_adj]
+
+    def marginal(u, members):
+        gain = out_total[u]
+        for v, w in out_adj[u].items():
+            if v in members:
+                gain -= w
+        for s, w in in_adj[u].items():
+            if s in members:
+                gain -= w
+        return gain
+
+    return marginal
+
+
+def brute_optimum_matches(family: str, rho: int, epsilon: float = 0.01) -> bool:
+    """For small rho, confirm by enumeration that the planted block is the
+    constrained optimum with value rho^2."""
+    inst = build_g1(rho, epsilon) if family == "g1" else build_g2(rho)
+    f = make_directed_cut(inst.graph)
+    sys = cardinality_system(inst.graph.n_vertices, rho)
+    best, val = brute_force_opt(f, sys, inst.stream)
+    return set(best) == set(inst.planted_opt) and abs(val - rho * rho) <= EPS
+
+
+def exchange_witness(sys, a, b) -> bool:
+    """Whether k * |B without A| >= |A without B| holds.
+
+    ``a`` must be independent; ``b`` is expected to be a greedily built
+    base (not checkable here).
+    """
+    a_set = set(a)
+    b_set = set(b)
+    if not sys.is_independent(a_set):
+        raise ValueError("witness requires an independent first set")
+    return sys.k_param * len(b_set - a_set) >= len(a_set - b_set)

@@ -12,7 +12,7 @@ from collections import defaultdict
 from substream import (AdaptiveSieve, AutoThresholdSieve, CascadeConfig,
                        ThresholdSieve, brute_force_opt,
                        cardinality_system, cascade_run, contract_audit,
-                       exact_rho, exchange_witness,
+                       exact_rho,
                        labeled_limit_system,
                        repeated_greedy, unweighted_greedy,
                        verify_preemption_counterexample,
@@ -22,10 +22,10 @@ from substream import bench
 from substream.prng import SplitMix64
 from substream.streaming import _ceil_log2
 
-from helpers import (downward_closure_violations, max_feasible_singleton,
-                     random_cut, random_labels, random_modular, random_system,
-                     random_independent_set, sample_oracles,
-                     submodularity_violations)
+from helpers import (downward_closure_violations, exchange_witness,
+                     max_feasible_singleton, random_cut, random_labels,
+                     random_modular, random_system, random_independent_set,
+                     sample_oracles, submodularity_violations)
 
 
 def _report(num: int, description: str, ok: bool, started: float,

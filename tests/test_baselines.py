@@ -10,7 +10,7 @@ from substream.baselines import PreemptionStream, RatioSwapStream, SieveGuessStr
 from substream.core import EPS
 from substream.prng import SplitMix64
 
-from helpers import random_cut, random_similarity
+from helpers import random_cut, random_similarity, reference_cut_marginal
 
 
 def test_streaming_greedy_examples():
@@ -127,14 +127,15 @@ def test_preemption_swap_tie_breaks_to_earliest_arrival():
     assert evicted == [[], [], [], [4], [5], [6], [1], [2], [3]]
 
 
-def reference_preemption_trace(rho, f, stream):
+def reference_preemption_trace(rho, marginal, stream):
     """The preemption rule with the victim found by a scan: the first
-    minimum of the remembered insertion gains in solution order."""
+    minimum of the remembered insertion gains in solution order, each
+    gain ``marginal(u, solution)``."""
     solution = ElementSet()
     insert_gain = {}
     trace = []
     for step, u in enumerate(stream):
-        gain = f.marginal(u, solution)
+        gain = marginal(u, solution)
         if len(solution) < rho:
             event = "accept" if gain >= -EPS else "evict"
             if event == "accept":
@@ -155,17 +156,21 @@ def reference_preemption_trace(rho, f, stream):
 
 
 def _g1_case(rho, epsilon):
+    """(oracle factory, n, rho, stream, reference marginal); the cut's
+    reference is the plain adjacency loop."""
     inst = build_g1(rho, epsilon)
     return (lambda: make_directed_cut(inst.graph), inst.graph.n_vertices,
-            rho, list(inst.stream))
+            rho, list(inst.stream), reference_cut_marginal(inst.graph))
 
 
 def _facility_case():
+    """As ``_g1_case``; facility gains are ``fn`` differences."""
     rng = SplitMix64(31)
     m = random_similarity(rng, 60)
     stream = list(range(60))
     rng.shuffle(stream)
-    return lambda: make_facility_location(m), 60, 6, stream
+    return (lambda: make_facility_location(m), 60, 6, stream,
+            make_facility_location(m).marginal)
 
 
 @pytest.mark.parametrize("case", [
@@ -173,21 +178,20 @@ def _facility_case():
     lambda: _g1_case(150, 0.03), _facility_case,
 ], ids=["g1-4", "g1-8", "g1-150", "facility"])
 def test_preemption_victims_match_min_scan(case):
-    make_f, n, rho, stream = case()
+    make_f, n, rho, stream, marginal = case()
     trace = []
     comp = PreemptionStream(cardinality_system(n, rho), make_f(), trace=trace)
     out = comp.finish(stream)
-    ref_trace, ref_solution = reference_preemption_trace(rho, make_f(), stream)
+    ref_trace, ref_solution = reference_preemption_trace(rho, marginal, stream)
     assert any(event == "swap" for _, event, *_ in ref_trace)
     assert trace == ref_trace
     assert list(out.solution) == list(ref_solution)
 
 
 def test_preemption_makes_one_query_per_arrival():
-    # the facility oracle has no marginal_fn: every gain comes from the
-    # solution's gain state, one query each, not from a slow-path marginal
-    # that evaluates S + u and S
-    make_f, n, rho, stream = _facility_case()
+    # every gain comes from the solution's gain state, one query each,
+    # not from a marginal that evaluates S + u and S
+    make_f, n, rho, stream, _ = _facility_case()
     f = make_f()
     comp = PreemptionStream(cardinality_system(n, rho), f)
     for step, u in enumerate(stream, start=1):

@@ -12,8 +12,9 @@ from substream.bench import (ALGORITHMS, build_cell, degree_costs,
                              rows_to_csv, run_algorithm, run_experiment,
                              undirected_pairs, write_edge_list, RESULT_HEADER)
 from substream import (KeywordTable, Objective, cardinality_system,
-                       make_directed_cut, make_facility_location,
-                       make_sqrt_coverage, node_independent_set_system)
+                       make_coverage_minus_dispersion, make_directed_cut,
+                       make_facility_location, make_sqrt_coverage,
+                       node_independent_set_system)
 from substream.core import GainState
 from substream.prng import SplitMix64
 
@@ -204,9 +205,10 @@ def test_oracle_calls_are_per_cell_deltas():
 def _recount_queries(monkeypatch) -> list[int]:
     """Wrap the public oracle queries for one test; the returned list
     holds one running total, counted on outermost calls only: one per
-    ``value``, ``singleton``, fast ``marginal`` and gain-state ``gain``,
-    two per slow ``marginal``, and one per member in ``swap_values``.  The
-    generic state's ``gain`` is left to the ``marginal`` it calls."""
+    ``value``, ``singleton`` and gain-state ``gain`` or ``loss``, two per
+    ``marginal``, and one per member in ``swap_values``.  The generic
+    state's ``gain`` and ``loss`` are left to the ``marginal`` and
+    ``value`` calls they make."""
     total, depth = [0], [0]
 
     def wrap(cls, name, weight):
@@ -226,13 +228,13 @@ def _recount_queries(monkeypatch) -> list[int]:
     one = lambda *_: 1
     for name in ("value", "__call__", "singleton"):
         wrap(Objective, name, one)
-    wrap(Objective, "marginal",
-         lambda f, *_: 1 if f._marginal_fn is not None else 2)
+    wrap(Objective, "marginal", lambda *_: 2)
     classes = [GainState]
     for cls in classes:
         classes.extend(cls.__subclasses__())
-        if "gain" in cls.__dict__ and cls is not GainState:
-            wrap(cls, "gain", one)
+        for name in ("gain", "loss"):
+            if name in cls.__dict__ and cls is not GainState:
+                wrap(cls, name, one)
         if "swap_values" in cls.__dict__:
             wrap(cls, "swap_values", lambda state, *_: len(state.members))
     return total
@@ -249,11 +251,15 @@ def _recount_cells():
                     node_independent_set_system(14, undirected_pairs(graph))),
             "facility": (lambda: make_facility_location(sim),
                          cardinality_system(14, 4)),
+            "coverage_minus_dispersion": (
+                lambda: make_coverage_minus_dispersion(sim),
+                cardinality_system(14, 4)),
             "sqrt_coverage": (lambda: make_sqrt_coverage(table),
                               cardinality_system(14, 4))}
 
 
-@pytest.mark.parametrize("kind", ["cut", "facility", "sqrt_coverage"])
+@pytest.mark.parametrize("kind", ["cut", "facility", "coverage_minus_dispersion",
+                                  "sqrt_coverage"])
 def test_oracle_calls_equal_an_independent_recount(monkeypatch, kind):
     make_f, sys = _recount_cells()[kind]
     stream = list(range(14))

@@ -20,34 +20,31 @@ from substream import bench
 from substream.bench import (gen_erdos_renyi, gen_watts_strogatz, run_algorithm,
                              undirected_pairs)
 from substream.counterexamples import build_g1, build_g2, w_sequence
-from substream.core import (DuplicateElementError, GainState, GroundSetError,
-                            NumericError)
+from substream.core import DuplicateElementError, GainState, GroundSetError
 from substream.prng import SplitMix64
 from substream.streaming import _ceil_log2, _drive
 
 from helpers import max_feasible_singleton
 
 
-def reference_cut_marginal(g):
-    """The cut marginal as a plain loop over both adjacency dicts."""
+def reference_cut_value(g):
+    """The cut value of a sorted id tuple as a plain loop over the
+    out-adjacency dicts, parallel arcs summed in edge order."""
     out_adj = [{} for _ in range(g.n_vertices)]
-    in_adj = [{} for _ in range(g.n_vertices)]
     for u, v, w in g.edges:
         out_adj[u][v] = out_adj[u].get(v, 0.0) + w
-        in_adj[v][u] = in_adj[v].get(u, 0.0) + w
-    out_total = [sum(adj.values()) for adj in out_adj]
 
-    def marginal_fn(u, members):
-        gain = out_total[u]
-        for v, w in out_adj[u].items():
-            if v in members:
-                gain -= w
-        for s, w in in_adj[u].items():
-            if s in members:
-                gain -= w
-        return gain
+    def value(ids):
+        members = set(ids)
+        total = 0.0
+        for u in ids:
+            total += sum(out_adj[u].values())
+            for v, w in out_adj[u].items():
+                if v in members:
+                    total -= w
+        return total
 
-    return marginal_fn
+    return value
 
 
 def random_exp_digraph(n, p, seed):
@@ -66,16 +63,20 @@ def random_exp_digraph(n, p, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("container", [ElementSet, set, frozenset, tuple])
 def test_cut_marginal_matches_reference_loop_exactly(seed, container):
+    # a marginal is the difference of two values, whatever holds the set
     g = random_exp_digraph(60, 0.15, seed)
-    fast = make_directed_cut(g)._marginal_fn
-    ref = reference_cut_marginal(g)
+    f = make_directed_cut(g)
+    ref = Objective(reference_cut_value(g), 60)
     rng = SplitMix64(seed)
     for _ in range(300):
         order = list(range(60))
         rng.shuffle(order)
-        members = container(order[:rng.randrange(60)])
+        chosen = order[:rng.randrange(60)]
         u = order[-1]
-        assert fast(u, members) == ref(u, members)
+        before = f.evaluations
+        assert (f.marginal(u, container(chosen))
+                == ref.value(chosen + [u]) - ref.value(chosen))
+        assert f.evaluations == before + 2
 
 
 def test_node_is_add_pred_matches_any_form():
@@ -311,36 +312,31 @@ def reference_logdet_fn(m, alpha):
     return fn
 
 
-def reference_cmd_marginal(m):
-    """Coverage-minus-dispersion gain with a fancy-indexed row slice."""
+def reference_cmd_fn(m):
+    """Coverage minus dispersion with the block gathered by ``np.ix_``."""
     row_sums = m.sum(axis=1)
 
-    def marginal_fn(u, members):
-        idx = list(members)
-        inner = float(m[u, idx].sum()) if idx else 0.0
-        return float(row_sums[u]) - 2.0 * inner - float(m[u, u])
+    def fn(ids):
+        if not ids:
+            return 0.0
+        idx = list(ids)
+        return float(row_sums[idx].sum() - m[np.ix_(idx, idx)].sum())
 
-    return marginal_fn
+    return fn
 
 
 class ThreeSortObjective(Objective):
-    """``Objective`` whose slow-path marginal sorts the subset, then sorts
-    ``S + u`` and ``S`` again inside two ``value`` calls."""
+    """``Objective`` whose marginal sorts the subset, then sorts ``S + u``
+    and ``S`` again inside two ``value`` calls."""
 
     __slots__ = ()
 
     def marginal(self, u, subset):
         if u < 0 or u >= self.n:
             raise GroundSetError(f"id {u} outside range(0, {self.n})")
-        if u in subset:
-            raise DuplicateElementError(f"element {u} already in subset")
-        if self._marginal_fn is not None:
-            self.evaluations += 1
-            gain = float(self._marginal_fn(u, subset))
-            if not math.isfinite(gain):
-                raise NumericError(f"non-finite gain {gain}")
-            return gain
         base = self._key(subset)
+        if u in base:
+            raise DuplicateElementError(f"element {u} already in subset")
         return self.value(base + (u,)) - self.value(base)
 
 
@@ -359,25 +355,20 @@ def feature_objectives(sim):
     n = sim.shape[0]
     res = ReservoirConfig(r_cap=n // 3, seed=5)
     pairs = [("facility", make_facility_location(sim),
-              reference_facility_fn(sim), None),
+              reference_facility_fn(sim)),
              ("facility-reservoir", make_facility_location(sim, res),
-              reference_facility_fn(sim, res), None),
-             ("logdet", make_logdet(sim, 20.0),
-              reference_logdet_fn(sim, 20.0), None),
-             ("cmd", make_coverage_minus_dispersion(sim),
-              make_coverage_minus_dispersion(sim)._fn,
-              reference_cmd_marginal(sim))]
-    return [(label, cur, ThreeSortObjective(ref_fn, n,
-                                            marginal_fn=ref_marginal))
-            for label, cur, ref_fn, ref_marginal in pairs]
+              reference_facility_fn(sim, res)),
+             ("logdet", make_logdet(sim, 20.0), reference_logdet_fn(sim, 20.0)),
+             ("cmd", make_coverage_minus_dispersion(sim), reference_cmd_fn(sim))]
+    return [(label, cur, ThreeSortObjective(ref_fn, n))
+            for label, cur, ref_fn in pairs]
 
 
 def objective_pairs(sim):
     """(label, current objective, reference objective) for each feature
     objective; the current one keeps the oracle's kernels but, like the
     reference, has no ``open_fn``."""
-    return [(label, Objective(cur._fn, cur.n,
-                              marginal_fn=cur._marginal_fn), ref)
+    return [(label, Objective(cur._fn, cur.n), ref)
             for label, cur, ref in feature_objectives(sim)]
 
 
@@ -427,7 +418,7 @@ def test_feature_runs_match_reference_kernels(algorithm):
                                        "repeated_greedy"])
 def test_feature_gain_state_runs_match_reference_kernels(algorithm):
     # the objectives as built read every streaming and greedy gain from
-    # their gain states; the references ask the slow path or marginal_fn
+    # their gain states; the references ask ``fn`` differences
     n = 40
     sim = feature_similarity(n, 11)
     sys = make_system({"type": "cardinality", "rho": 6, "n": n})
@@ -443,7 +434,7 @@ def test_feature_gain_state_runs_match_reference_kernels(algorithm):
 
 
 def test_facility_state_ratio_swap_matches_reference_kernels():
-    # the only caller of GainState.remove; the elements most like element
+    # a caller of GainState.remove; the elements most like element
     # 0 arrive first, so later, more distant ones are swapped in
     n = 40
     sim = feature_similarity(n, 13)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from substream import (ElementSet, GroundSetError, IndependenceSystem,
-                       cardinality_system, exact_rho, exchange_witness,
+                       cardinality_system, exact_rho,
                        intersect, knapsack_system, labeled_limit_system,
                        make_system, node_independent_set_system,
                        planarity_system, unweighted_greedy)
@@ -17,8 +17,8 @@ from substream.constraints import merged_block
 from substream.planarity import planarity_check
 from substream.prng import SplitMix64
 
-from helpers import (count_planarity_tests, random_independent_set,
-                     random_system)
+from helpers import (count_planarity_tests, exchange_witness,
+                     random_independent_set, random_system)
 
 
 def test_cardinality_basics():

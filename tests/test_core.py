@@ -135,6 +135,17 @@ def test_slow_path_marginal_counts_two():
     assert f.evaluations == 4
 
 
+@pytest.mark.parametrize("make", [list, lambda ids: (u for u in ids), iter],
+                         ids=["list", "generator", "iterator"])
+def test_marginal_reads_a_one_shot_subset_once(make):
+    f = Objective(lambda ids: len(ids) ** 0.5, 5)
+    assert f.marginal(3, make([1, 2])) == 3 ** 0.5 - 2 ** 0.5
+    assert f.evaluations == 2
+    with pytest.raises(DuplicateElementError):
+        f.marginal(2, make([1, 2]))
+    assert f.evaluations == 2
+
+
 def _singleton_objective(label):
     rng = SplitMix64(12)
     if label == "cut":
@@ -157,27 +168,6 @@ def test_singleton_table_matches_fn_and_counts_every_call(label):
     for bad in (-1, f.n):
         with pytest.raises(GroundSetError):
             f.singleton(bad)
-
-
-def test_marginal_fast_path_counts_one_call():
-    f = make_modular([2.0, 3.0])
-    before = f.evaluations
-    assert f.marginal(1, [0]) == 3.0
-    assert f.evaluations == before + 1
-
-
-def test_marginal_fast_path_matches_eval_difference():
-    rng = SplitMix64(11)
-    f = random_cut(rng, 10)
-    slow = Objective(f._fn, 10)
-    for _ in range(200):
-        members = {u for u in range(10) if rng.random() < 0.4}
-        u = rng.randrange(10)
-        if u in members:
-            continue
-        fast = f.marginal(u, members)
-        ref = slow.value(members | {u}) - slow.value(members)
-        assert abs(fast - ref) <= 1e-9
 
 
 # --- non-finite oracle values -------------------------------------------
@@ -220,17 +210,11 @@ def test_value_rejects_non_finite(bad):
         f.value([0])
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_marginal_fast_path_rejects_non_finite(bad):
-    f = Objective(lambda ids: 0.0, 3,
-                  marginal_fn=lambda u, members: bad)
-    with pytest.raises(NumericError):
-        f.marginal(0, ())
-
-
 # Each of these used to crash with an unrelated error (NaN: ValueError in
 # the sieves; inf: math domain error or OverflowError) or, for the greedy,
-# silently return a solution chosen by NaN comparisons.
+# silently return a solution chosen by NaN comparisons.  The "marginal_fn"
+# case is the additive oracle, which reads its gains from its weight table;
+# the "fn" case has only a value function.
 @pytest.mark.parametrize("fast", [True, False], ids=["marginal_fn", "fn"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("run", [_threshold_sieve, _auto_sieve,

@@ -6,7 +6,8 @@ from substream import (build_g1, build_g2,
                        make_directed_cut, verify_preemption_counterexample,
                        verify_ratio_swap_counterexample, w_sequence,
                        w_sequence_closed_form, w_sequence_total)
-from substream.counterexamples import brute_optimum_matches
+
+from helpers import brute_optimum_matches
 
 
 def test_w_sequence_examples():

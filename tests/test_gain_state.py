@@ -1,12 +1,13 @@
 """Gain states from ``Objective.open`` against one-off marginals and values.
 
-The cut accumulator subtracts in insertion order, so its gains may differ
-from ``marginal_fn`` in the last bits; they are compared within a
-tolerance scaled by the weight on the element's edges.  The facility
-state must give ``fn(S + u) - fn(S)`` exactly; the log-determinant and
+The cut accumulator subtracts in insertion order, so its gains and losses
+may differ from a difference of values in the last bits; they are
+compared within a tolerance.  The facility state must give
+``fn(S + u) - fn(S)`` exactly; the log-determinant and
 coverage-minus-dispersion states sum in member order and are held to
 1e-12 relative.  The generic state must return ``Objective.marginal``'s
-float exactly.
+float exactly, and every state but a tabulated one must return
+``f(S) - f(S - x)`` as a loss exactly.
 """
 
 import math
@@ -23,7 +24,7 @@ from substream.core import (DuplicateElementError, GainState, GroundSetError,
 from substream.objectives import LOGDET_MAX_SUBSET, CutGainState
 from substream.prng import SplitMix64
 
-from helpers import random_similarity
+from helpers import random_similarity, sample_oracles
 
 
 def _random_graph(rng, n, p):
@@ -84,10 +85,12 @@ def test_modular_gain_is_the_weight(seed):
 
     def check(st):
         for u in range(12):
-            if u not in st.members:
-                before = f.evaluations
-                assert st.gain(u) == w[u] == f.marginal(u, st.members)
-                assert f.evaluations == before + 2
+            before = f.evaluations
+            if u in st.members:
+                assert st.loss(u) == w[u]
+            else:
+                assert st.gain(u) == w[u]
+            assert f.evaluations == before + 1
 
     st = f.open()
     assert isinstance(st, TabulatedGainState)
@@ -131,6 +134,9 @@ def test_modular_gain_rejects_non_finite_weight(bad):
     assert st.gain(0) == 1.0
     with pytest.raises(NumericError):
         st.gain(1)
+    st.add(1)
+    with pytest.raises(NumericError):
+        st.loss(1)
 
 
 def test_slow_path_state_returns_marginal_float():
@@ -165,6 +171,65 @@ def _churn(rng, st, n, steps, check):
             st.add(outside[rng.randrange(len(outside))])
     check(st)
 
+
+
+LOSS_LABELS = [label for label, _ in sample_oracles(SplitMix64(0))] + ["plain"]
+
+
+def _loss_oracle(label, seed):
+    """One oracle of a shipped family, or a plain value function."""
+    if label == "plain":
+        return Objective(lambda ids: math.sqrt(1.0 + sum(ids)) - 1.0, 10)
+    return dict(sample_oracles(SplitMix64(seed), 10))[label]
+
+
+def _check_losses(f, st):
+    """Each member's loss against ``f(S) - f(S - x)``, with its count; a
+    non-member's loss raises what its removal raises."""
+    tabulated = isinstance(st, TabulatedGainState)
+    members = list(st.members)
+    for x in members:
+        before = f.evaluations
+        loss = st.loss(x)
+        assert f.evaluations == before + (1 if tabulated else 2)
+        expect = f.value(members) - f.value([y for y in members if y != x])
+        if tabulated:
+            assert abs(loss - expect) <= 1e-12 * max(1.0, abs(expect))
+        else:
+            assert loss == expect
+    for y in (-1, f.n, *(u for u in range(f.n) if u not in st.members)):
+        with pytest.raises(KeyError):
+            st.remove(y)
+        with pytest.raises(KeyError):
+            st.loss(y)
+    assert list(st.members) == members
+
+
+@pytest.mark.parametrize("seed", [41, 42])
+@pytest.mark.parametrize("label", LOSS_LABELS)
+def test_loss_matches_value_difference(label, seed):
+    f = _loss_oracle(label, seed)
+    _churn(SplitMix64(seed), f.open(), f.n, 40, lambda st: _check_losses(f, st))
+
+
+class _RemoveSkipsInEdges(CutGainState):
+    """A broken cut state: removing x gives back x's out-edge weights only."""
+
+    __slots__ = ()
+
+    def remove(self, x):
+        TabulatedGainState.remove(self, x)
+        for v, w in self.out_adj[x].items():
+            self.gains[v] += w
+
+
+def test_loss_check_catches_a_cut_remove_that_skips_in_edges():
+    f = _loss_oracle("directed_cut", 41)
+    fresh = f.open()
+    broken = _RemoveSkipsInEdges(f, fresh.gains, fresh.out_adj, fresh.in_adj)
+    with pytest.raises(AssertionError):
+        _churn(SplitMix64(41), broken, f.n, 40,
+               lambda st: _check_losses(f, st))
 
 @pytest.mark.parametrize("seed", [11, 12, 13, 14])
 def test_cut_swap_values_match_fn_after_adds_and_removes(seed):

@@ -66,9 +66,8 @@ def _compare(make_f, n, rho, stream):
     fresh = make_f()
     assert fresh.value(out.solution) == fresh.value(ref.solution)
     # the same queries, each counted once, except that a fill marginal
-    # without a marginal_fn evaluates two sets where a gain is one query
-    slow_fills = ref.fills if f._marginal_fn is None else 0
-    assert ref.f.evaluations == f.evaluations + slow_fills
+    # evaluates two sets where a gain is one query
+    assert ref.f.evaluations == f.evaluations + ref.fills
     return out
 
 
