@@ -17,9 +17,8 @@ from .planarity import planarity_check
 from .offline import (brute_force_opt, double_greedy, repeated_greedy,
                       unweighted_greedy, weighted_greedy)
 from .streaming import (AdaptiveSieve, AuditReport, AutoThresholdSieve,
-                        CascadeConfig, CascadeTrace, StreamingComponent,
-                        StreamOutcome, ThresholdSieve, cascade_run,
-                        contract_audit)
+                        CascadeTrace, StreamingComponent, StreamOutcome,
+                        ThresholdSieve, cascade_run, contract_audit)
 from .baselines import (GreedyStream, PreemptionStream, RatioSwapStream,
                         SieveGuessStream, preemption_stream,
                         ratio_swap_stream, sieve_streaming, streaming_greedy)

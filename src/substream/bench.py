@@ -27,8 +27,8 @@ from .objectives import (CutGraph, load_features, load_keyword_table,
                          ReservoirConfig)
 from .constraints import IndependenceSystem, _spec_int, make_system
 from .offline import repeated_greedy, unweighted_greedy, weighted_greedy
-from .streaming import (AdaptiveSieve, AutoThresholdSieve, CascadeConfig,
-                        ThresholdSieve, cascade_run, _ceil_log2, _drive)
+from .streaming import (AdaptiveSieve, AutoThresholdSieve, ThresholdSieve,
+                        cascade_run, _ceil_log2, _drive)
 from .baselines import GreedyStream, SieveGuessStream
 
 RESULT_HEADER = "algorithm,sweep,seed,value,oracle_calls,peak_elements,ms"
@@ -472,6 +472,17 @@ def _greedy_rho(sys: IndependenceSystem, stream, scale: int = 1) -> int:
     return max(1, scale * len(unweighted_greedy(sys, stream)))
 
 
+def _framework_offline(f: Objective, sys: IndependenceSystem,
+                       ground: ElementSet) -> ElementSet:
+    """The framework's summary polish: value greedy and arrival-order first
+    fit complement each other on summaries; first fit wins only beyond
+    EPS."""
+    by_value = repeated_greedy(f, sys, ground)
+    by_order = unweighted_greedy(sys, ground)
+    return (by_value, by_order)[first_best(
+        (f.value(by_value), f.value(by_order)))]
+
+
 # The keys an experiment's ``options`` may hold.
 OPTIONS = ("stream_order", "cascade_copies", "sieve_epsilon")
 
@@ -507,14 +518,6 @@ def run_algorithm(name: str, sys: IndependenceSystem, f: Objective,
     elif name == "auto_sieve":
         component = AutoThresholdSieve(sys, f)
     elif name in ("framework", "framework_tau"):
-        def offline(fo, so, ground):
-            # value greedy and arrival-order first fit complement each
-            # other on summaries; first fit wins only beyond EPS
-            by_value = repeated_greedy(fo, so, ground)
-            by_order = unweighted_greedy(so, ground)
-            return (by_value, by_order)[first_best(
-                (fo.value(by_value), fo.value(by_order)))]
-
         if name == "framework_tau":
             tau = _prepass_tau(sys, f, stream)
             factory = lambda: AdaptiveSieve(sys, f, tau)
@@ -522,9 +525,8 @@ def run_algorithm(name: str, sys: IndependenceSystem, f: Objective,
             factory = lambda: AutoThresholdSieve(sys, f)
         copies = _spec_int("options", "cascade_copies",
                            options.get("cascade_copies", 2))
-        cfg = CascadeConfig(copies=copies,
-                            component_factory=factory, offline=offline)
-        trace = cascade_run(cfg, stream, sys, f)
+        trace = cascade_run([factory() for _ in range(copies)], stream,
+                            sys, f, _framework_offline)
         return trace.best, trace.peak_stored
     elif name == "weighted_greedy":
         return weighted_greedy(f, sys, stream), len(stream)

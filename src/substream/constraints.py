@@ -170,7 +170,8 @@ def labeled_limit_system(labels: Sequence[Iterable], per_label_limit,
     exchange parameter is (max labels per element) + 1; pass ``k_param``
     to override it when a sharper value is known for the instance.  The
     limits must be whole numbers (a float such as ``3.0`` is taken as 3);
-    a NaN, infinite or fractional one raises ``ValueError`` naming it.
+    a NaN, infinite or fractional one raises ``ValueError`` naming it, and
+    so does a ``per_label_limit`` mapping that lacks a label in use.
     """
     labs = [frozenset(l) for l in labels]
     if not labs:
@@ -184,6 +185,10 @@ def labeled_limit_system(labels: Sequence[Iterable], per_label_limit,
         checked = {lab: _spec_int(kind, "per_label_limit", v,
                                   f" for label {lab!r}")
                    for lab, v in per_label_limit.items()}
+        missing = all_labels - checked.keys()
+        if missing:
+            raise ValueError(f"{kind} spec field 'per_label_limit' has no "
+                             f"limit for label {min(map(repr, missing))}")
         limits = {lab: checked[lab] for lab in all_labels}
     else:
         limits = dict.fromkeys(all_labels, _spec_int(

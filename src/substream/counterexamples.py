@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .objectives import CutGraph, make_directed_cut
-from .constraints import cardinality_system
+from .constraints import _spec_int, cardinality_system
 from .baselines import preemption_stream, ratio_swap_stream
 
 
@@ -54,10 +54,17 @@ class CounterInstance:
         return tuple(range(2 * self.rho + 1, 3 * self.rho + 1))
 
 
-def w_sequence(rho: int) -> list[float]:
-    """Bait weights for family g2, by the defining recurrence."""
+def _checked_rho(rho) -> int:
+    """``rho`` checked like an integer spec field, and at least 1."""
+    rho = _spec_int("counterexample", "rho", rho)
     if rho < 1:
         raise ValueError("rho must be a positive integer")
+    return rho
+
+
+def w_sequence(rho: int) -> list[float]:
+    """Bait weights for family g2, by the defining recurrence."""
+    rho = _checked_rho(rho)
     ws: list[float] = [2.0]
     for i in range(2, rho + 1):
         ws.append((2 * rho + 1 - i + sum(ws)) / rho)
@@ -66,8 +73,7 @@ def w_sequence(rho: int) -> list[float]:
 
 def w_sequence_closed_form(rho: int) -> list[float]:
     """The same weights via w_i = 2 + sum_j C(i-1, j) rho^-j."""
-    if rho < 1:
-        raise ValueError("rho must be a positive integer")
+    rho = _checked_rho(rho)
     out = []
     for i in range(1, rho + 1):
         acc = 2.0
@@ -98,14 +104,20 @@ def _build(rho: int, bait_weights: list[float],
 
 
 def build_g1(rho: int, epsilon: float = 0.01) -> CounterInstance:
-    if rho < 1:
-        raise ValueError("rho must be a positive integer")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    """Family g1: every bait edge weighs 2 + ``epsilon``.  A ``rho`` that is
+    not a whole number of at least 1 (3.0 is taken as 3), or an ``epsilon``
+    that is not positive and finite, raises ``ValueError`` naming it."""
+    rho = _checked_rho(rho)
+    if not 0 < epsilon < math.inf:  # also false for NaN
+        raise ValueError(f"epsilon must be positive and finite, "
+                         f"got {epsilon!r}")
     return _build(rho, [2.0 + epsilon] * rho, epsilon)
 
 
 def build_g2(rho: int) -> CounterInstance:
+    """Family g2: bait weights from :func:`w_sequence`; ``rho`` is checked
+    like :func:`build_g1`'s."""
+    rho = _checked_rho(rho)
     return _build(rho, w_sequence(rho), None)
 
 
@@ -154,9 +166,11 @@ def verify_preemption_counterexample(rho: int,
 
     The final solution must be exactly the bait block with value
     (2 + epsilon) * rho, never touching the planted optimum, and satisfy
-    f(S) <= ((2 + epsilon) / rho) * f(S union OPT).
+    f(S) <= ((2 + epsilon) / rho) * f(S union OPT).  ``rho`` and
+    ``epsilon`` are checked as in :func:`build_g1`.
     """
     inst = build_g1(rho, epsilon)
+    rho = inst.rho
     f = make_directed_cut(inst.graph)
     sys = cardinality_system(inst.graph.n_vertices, rho)
     outcome = preemption_stream(sys, f, inst.stream)
@@ -173,10 +187,12 @@ def verify_ratio_swap_counterexample(rho: int) -> CounterReport:
     solution must be exactly the bait block with value
     2 rho + rho((1 + 1/rho)^rho - 2) <= e rho, and satisfy
     f(S) <= (e / rho) * f(S union OPT) with f(S union OPT) >= rho^2.
+    ``rho`` is checked as in :func:`build_g1`.
     """
-    if rho < 4:
+    if _checked_rho(rho) < 4:
         raise ValueError("rho must be at least 4 (an integer above 1 + e)")
     inst = build_g2(rho)
+    rho = inst.rho
     f = make_directed_cut(inst.graph)
     sys = cardinality_system(inst.graph.n_vertices, rho)
     outcome = ratio_swap_stream(sys, f, inst.stream)

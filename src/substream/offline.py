@@ -33,49 +33,37 @@ def unweighted_greedy(sys: IndependenceSystem, order: Iterable[int]) -> ElementS
 
 def weighted_greedy(f: Objective, sys: IndependenceSystem,
                     ground: Iterable[int]) -> ElementSet:
-    """Repeatedly add the feasible element of largest marginal gain.
+    """Repeatedly add the feasible element of largest marginal gain,
+    smallest id first on equal gains.
 
     Stops as soon as no feasible element gains more than the tolerance.
-    Internally lazy: gains from earlier rounds are upper bounds by
-    submodularity, so an entry is only re-evaluated while its bound could
-    still win the round.
-    The selection (including smallest-id tie-breaks) matches the naive
-    re-evaluate-everything greedy exactly.  The solution only grows, so
-    every gain is read from one gain state from :meth:`Objective.open`.
+    Internally lazy (Minoux): the heap holds ``(-gain, id)`` keys whose
+    gains, from earlier rounds, are upper bounds by submodularity, and a
+    round pops and re-evaluates entries until the smallest fresh key beats
+    every key still on the heap.  That key is the round's choice, so the
+    selection matches the naive re-evaluate-everything greedy exactly.
+    The solution only grows, so every gain is read from one gain state
+    from :meth:`Objective.open`.
     """
     gains = f.open()
     sol = gains.members
-    heap: list[tuple[float, int]] = []
-    for u in set(ground):
-        heap.append((-gains.gain(u), u))
+    heap = [(-gains.gain(u), u) for u in set(ground)]
     heapq.heapify(heap)
-
-    while heap:
-        if -heap[0][0] <= EPS:
+    while heap and -heap[0][0] > EPS:
+        best, fresh = None, []
+        while heap and (best is None or heap[0] < best):
+            cand = heapq.heappop(heap)[1]
+            if sys.can_add(cand, sol):  # infeasible now, infeasible forever
+                key = (-gains.gain(cand), cand)
+                fresh.append(key)
+                if best is None or key < best:
+                    best = key
+        if best is None or -best[0] <= EPS:
             break
-        best_u = None
-        best_gain = -math.inf
-        fresh: list[tuple[float, int]] = []
-        while heap:
-            bound = -heap[0][0]
-            cand = heap[0][1]
-            if best_u is not None and (bound < best_gain or
-                                       (bound == best_gain and cand > best_u)):
-                break
-            heapq.heappop(heap)
-            if not sys.can_add(cand, sol):
-                continue  # infeasible now, infeasible forever
-            gain = gains.gain(cand)
-            fresh.append((gain, cand))
-            if gain > best_gain or (gain == best_gain and cand < best_u):
-                best_gain = gain
-                best_u = cand
-        if best_u is None or best_gain <= EPS:
-            break
-        gains.add(best_u)
-        for gain, cand in fresh:
-            if cand != best_u:
-                heapq.heappush(heap, (-gain, cand))
+        gains.add(best[1])
+        for key in fresh:
+            if key != best:
+                heapq.heappush(heap, key)
     return sol
 
 

@@ -257,13 +257,13 @@ class AdaptiveSieve(_BandedSieve):
     base grows.  ``tau`` keeps the same [M, 2M] contract as
     :class:`ThresholdSieve`.  A window copy of :class:`AutoThresholdSieve`
     is driven through :meth:`process` and :meth:`drain` alone: its own
-    base stays empty and the window widens it.
+    base stays empty and the window widens it.  Unlike
+    :class:`ThresholdSieve` it takes no ``trace`` list.
     """
 
     # an __init__ of its own: perfbench/tracing.py counts window copies by it
-    def __init__(self, sys: IndependenceSystem, f: Objective, tau: float, *,
-                 trace: list | None = None):
-        super().__init__(sys, f, tau, trace)
+    def __init__(self, sys: IndependenceSystem, f: Objective, tau: float):
+        super().__init__(sys, f, tau, None)
 
     def _ingest(self, u: int) -> list[int]:
         if self.sys.can_add(u, self.base):
@@ -381,25 +381,6 @@ def _drive(chain: Sequence[StreamingComponent], stream: Iterable[int]
 
 
 @dataclass
-class CascadeConfig:
-    """Setup for the monotone-to-general reduction.
-
-    ``copies`` chained components, a whole number of at least 1, each
-    receive what the previous one discarded; at end of stream every component's summary is additionally
-    polished by ``offline`` and the best of all candidate sets wins.
-    """
-
-    copies: int
-    component_factory: Callable[[], StreamingComponent]
-    offline: Callable[[Objective, IndependenceSystem, ElementSet], ElementSet]
-
-    def __post_init__(self):
-        self.copies = _spec_int("CascadeConfig", "copies", self.copies)
-        if self.copies < 1:
-            raise ValueError("need at least one component copy")
-
-
-@dataclass
 class CascadeTrace:
     """Result of :func:`cascade_run`: the winning set with its value and
     label, every labelled candidate, each copy's outcome and the peak number
@@ -413,21 +394,26 @@ class CascadeTrace:
     peak_stored: int
 
 
-def cascade_run(cfg: CascadeConfig, stream: Sequence[int],
-                sys: IndependenceSystem, f: Objective) -> CascadeTrace:
-    """Feed the stream through chained components and return the best of
-    their solutions and the offline-polished summaries.
+def cascade_run(chain: Sequence[StreamingComponent], stream: Sequence[int],
+                sys: IndependenceSystem, f: Objective,
+                offline: Callable[..., ElementSet]) -> CascadeTrace:
+    """Feed the stream through a chain of components and return the best of
+    their solutions and their summaries polished by
+    ``offline(f, sys, summary)``.
 
-    The copies form one :func:`_drive` chain, so what copy i rejects or
-    later drops is pushed to copy i+1, and the peak is summed over all
-    copies.  Every copy's solution must be independent in ``sys``.  With
-    deterministic components and offline solver the whole run is
-    deterministic.  A later candidate wins only when it beats the best so
-    far by more than ``EPS`` (:func:`first_best`): near-ties resolve to the
-    earliest candidate, lower copy index and streamed before polished.
+    The chain, usually r fresh copies of one component, runs as one
+    :func:`_drive` chain, so what copy i rejects or later drops is pushed
+    to copy i+1, and the peak is summed over all copies.  An empty chain
+    raises ``ValueError``.  Every copy's solution must be independent in
+    ``sys``.  With deterministic components and offline solver the whole
+    run is deterministic.  A later candidate wins only when it beats the
+    best so far by more than ``EPS`` (:func:`first_best`): near-ties
+    resolve to the earliest candidate, lower copy index and streamed
+    before polished.
     """
-    comps = [cfg.component_factory() for _ in range(cfg.copies)]
-    outcomes, peak, _ = _drive(comps, stream)
+    if not chain:
+        raise ValueError("need at least one component copy")
+    outcomes, peak, _ = _drive(chain, stream)
     for outcome in outcomes:
         if not sys.is_independent(outcome.solution):
             raise ContractViolationError("component returned a dependent solution")
@@ -436,7 +422,7 @@ def cascade_run(cfg: CascadeConfig, stream: Sequence[int],
     for idx, outcome in enumerate(outcomes, start=1):
         candidates.append((f"s{idx}", outcome.solution,
                            f.value(outcome.solution)))
-        polished = cfg.offline(f, sys, outcome.summary)
+        polished = offline(f, sys, outcome.summary)
         candidates.append((f"s{idx}+offline", polished, f.value(polished)))
     best_label, best, best_val = candidates[first_best(
         val for _, _, val in candidates)]

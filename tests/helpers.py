@@ -1,6 +1,9 @@
 """Seeded random instance builders, references and checks shared across
 the test modules."""
 
+import heapq
+import math
+
 from substream import (CutGraph, brute_force_opt, build_g1, build_g2,
                        cardinality_system, constraints, knapsack_system,
                        labeled_limit_system, make_directed_cut, make_modular,
@@ -185,3 +188,43 @@ def exchange_witness(sys, a, b) -> bool:
     if not sys.is_independent(a_set):
         raise ValueError("witness requires an independent first set")
     return sys.k_param * len(b_set - a_set) >= len(a_set - b_set)
+
+
+def reference_weighted_greedy(f, sys, ground):
+    """The lazy greedy with its round rule written out by hand: largest
+    fresh gain first, smallest id on equal gains, and a round that stops
+    popping once the heap top's bound cannot beat the best so far."""
+    gains = f.open()
+    sol = gains.members
+    heap = []
+    for u in set(ground):
+        heap.append((-gains.gain(u), u))
+    heapq.heapify(heap)
+
+    while heap:
+        if -heap[0][0] <= EPS:
+            break
+        best_u = None
+        best_gain = -math.inf
+        fresh = []
+        while heap:
+            bound = -heap[0][0]
+            cand = heap[0][1]
+            if best_u is not None and (bound < best_gain or
+                                       (bound == best_gain and cand > best_u)):
+                break
+            heapq.heappop(heap)
+            if not sys.can_add(cand, sol):
+                continue  # infeasible now, infeasible forever
+            gain = gains.gain(cand)
+            fresh.append((gain, cand))
+            if gain > best_gain or (gain == best_gain and cand < best_u):
+                best_gain = gain
+                best_u = cand
+        if best_u is None or best_gain <= EPS:
+            break
+        gains.add(best_u)
+        for gain, cand in fresh:
+            if cand != best_u:
+                heapq.heappush(heap, (-gain, cand))
+    return sol

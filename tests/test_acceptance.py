@@ -9,7 +9,7 @@ import math
 import time
 from collections import defaultdict
 
-from substream import (AdaptiveSieve, AutoThresholdSieve, CascadeConfig,
+from substream import (AdaptiveSieve, AutoThresholdSieve,
                        ThresholdSieve, brute_force_opt,
                        cardinality_system, cascade_run, contract_audit,
                        exact_rho,
@@ -153,11 +153,8 @@ def test_criterion_06_cascade_bound_with_measured_ratio():
             continue
         tau = 2.0 * m
         rho = exact_rho(sys)
-        cfg = CascadeConfig(
-            copies=r,
-            component_factory=lambda: ThresholdSieve(sys, f, tau, rho),
-            offline=lambda fo, so, ground: repeated_greedy(fo, so, ground))
-        trace = cascade_run(cfg, list(range(n)), sys, f)
+        chain = [ThresholdSieve(sys, f, tau, rho) for _ in range(r)]
+        trace = cascade_run(chain, list(range(n)), sys, f, repeated_greedy)
         _, opt = brute_force_opt(f, sys, range(n))
         probe = ThresholdSieve(sys, f, tau, rho)
         alpha = 4 * probe.k * probe.h * (2 * probe.k + 1)

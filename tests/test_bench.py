@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from substream.bench import (ALGORITHMS, build_cell, degree_costs,
+from substream.bench import (ALGORITHMS, _prepass_tau, build_cell,
+                             degree_costs,
                              gen_erdos_renyi,
                              gen_node_weights,
                              gen_watts_strogatz, load_edge_list,
@@ -13,7 +14,8 @@ from substream.bench import (ALGORITHMS, build_cell, degree_costs,
                              undirected_pairs, write_edge_list, RESULT_HEADER)
 from substream import (KeywordTable, Objective, cardinality_system,
                        make_coverage_minus_dispersion, make_directed_cut,
-                       make_facility_location, make_sqrt_coverage,
+                       knapsack_system, make_facility_location,
+                       make_modular, make_sqrt_coverage,
                        node_independent_set_system)
 from substream.core import GainState
 from substream.prng import SplitMix64
@@ -339,6 +341,16 @@ def test_framework_entry_runs_and_reports_peak():
     rows = run_experiment(cfg, measure_time=False)
     assert len(rows) == 1
     assert rows[0].peak_elements > 0
+
+
+def test_prepass_tau_when_every_feasible_singleton_is_worth_zero():
+    # element 2 is worth 5 but too heavy on its own; the rest are worth 0
+    f = make_modular([0.0, 0.0, 5.0, 0.0])
+    sys = knapsack_system([1.0, 1.0, 10.0, 1.0], 5.0)
+    assert _prepass_tau(sys, f, range(4)) == 1.0
+    for name in ("threshold_sieve", "adaptive_sieve", "framework_tau"):
+        solution, _ = run_algorithm(name, sys, f, list(range(4)), {})
+        assert f.value(solution) == 0.0
 
 
 def test_unknown_algorithm_rejected():

@@ -126,6 +126,35 @@ def test_bench_run_names_an_integer_field_that_is_not_whole(tmp_path,
                    "field 'cascade_copies' must be an integer, got nan")
 
 
+def test_bench_run_rejects_zero_cascade_copies(tmp_path, capsys):
+    cfg = {"instance": {"model": "er", "n": 10, "p": 0.3},
+           "constraint": {"type": "cardinality", "rho": 2},
+           "algorithms": ["framework"], "options": {"cascade_copies": 0}}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(cfg))
+    _fails_cleanly(["bench", "run", "--config", str(path)], capsys,
+                   "need at least one component copy")
+
+
+@pytest.mark.parametrize("rho, message", [
+    ("2.5", "argument --rho: invalid int value: '2.5'"),
+    ("nan", "argument --rho: invalid int value: 'nan'"),
+    ("0", "rho must be a positive integer"),
+])
+@pytest.mark.parametrize("family", ["g1", "g2"])
+def test_counterexample_rejects_a_bad_rho(capsys, family, rho, message):
+    _fails_cleanly(["counterexample", "--family", family, "--rho", rho],
+                   capsys, message)
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+def test_counterexample_rejects_a_bad_epsilon(capsys, epsilon):
+    _fails_cleanly(["counterexample", "--family", "g1", "--rho", "3",
+                    "--epsilon", epsilon], capsys,
+                   f"epsilon must be positive and finite, "
+                   f"got {float(epsilon)!r}")
+
+
 def test_run_stream_rejects_malformed_input(tmp_path, capsys):
     graph_path = tmp_path / "g.tsv"
     main(["bench", "gen-graph", "--model", "er", "--n", "8", "--p", "0.3",
@@ -138,6 +167,12 @@ def test_run_stream_rejects_malformed_input(tmp_path, capsys):
     spec.write_text(json.dumps({"type": "nope"}))
     _fails_cleanly(base + [str(spec)], capsys, "unknown constraint")
     _fails_cleanly(base + [str(tmp_path / "none.json")], capsys, "none.json")
+    spec.write_text(json.dumps({"type": "labeled_limit",
+                                "labels": [["a"]] * 7 + [["b"]],
+                                "per_label_limit": {"a": 1},
+                                "total_limit": 2}))
+    _fails_cleanly(base + [str(spec)], capsys,
+                   "field 'per_label_limit' has no limit for label 'b'")
     _fails_cleanly(base[:-3] + ["--algo", "nope", "--constraint", str(spec)],
                    capsys, "argument --algo: invalid choice: 'nope'")
 

@@ -239,6 +239,36 @@ def test_can_add_agrees_with_membership():
             assert sys.can_add(u, members) == expected
 
 
+def test_custom_can_add_falls_back_to_the_whole_set_test():
+    # no add predicate: can_add asks is_independent of S + u
+    weights = [3, 1, 4, 1, 5, 9, 2, 6]
+    sys = IndependenceSystem(lambda s: sum(weights[u] for u in s) <= 10, 8,
+                             k_param=2, class_tag="k_system")
+    rng = SplitMix64(101)
+    for _ in range(30):
+        members = random_independent_set(rng, sys)
+        for u in range(sys.n):
+            expected = (u not in members
+                        and sys.is_independent(list(members) + [u]))
+            assert sys.can_add(u, members) is expected
+    for bad in (-1, sys.n):
+        with pytest.raises(GroundSetError):
+            sys.can_add(bad, ())
+
+
+def test_labeled_limit_map_must_cover_every_label():
+    message = ("labeled_limit spec field 'per_label_limit' has no limit for "
+               "label 'b'")
+    with pytest.raises(ValueError, match=message):
+        labeled_limit_system([["a"], ["b"]], {"a": 1}, 2)
+    with pytest.raises(ValueError, match=message):
+        make_system({"type": "labeled_limit", "labels": [["a"], ["b", "c"]],
+                     "per_label_limit": {"a": 1, "c": 1}, "total_limit": 2})
+    # a limit for a label nobody carries is harmless
+    sys = labeled_limit_system([["a"], ["b"]], {"a": 1, "b": 1, "z": 1}, 2)
+    assert sys.is_independent([0, 1])
+
+
 def _subdivide(edges, count, rng):
     """Replace ``count`` random edges by two-edge paths through new vertices."""
     edges = list(edges)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -37,6 +38,52 @@ def test_w_sequence_values_bounded():
 def test_w_sequence_rejects_nonpositive_rho():
     with pytest.raises(ValueError):
         w_sequence(0)
+
+
+RHO_TAKERS = {
+    "build_g1": build_g1,
+    "build_g2": build_g2,
+    "w_sequence": w_sequence,
+    "w_sequence_closed_form": w_sequence_closed_form,
+    "verify_preemption_counterexample": verify_preemption_counterexample,
+    "verify_ratio_swap_counterexample": verify_ratio_swap_counterexample,
+}
+
+
+@pytest.mark.parametrize("name", list(RHO_TAKERS))
+def test_whole_float_rho_is_taken_as_an_int(name):
+    rho = 4.0 if name == "verify_ratio_swap_counterexample" else 3.0
+    got, want = RHO_TAKERS[name](rho), RHO_TAKERS[name](int(rho))
+    if isinstance(got, list):
+        assert got == want
+    elif name.startswith("build"):
+        assert type(got.rho) is int and got.rho == want.rho
+        assert got.stream == want.stream
+        assert got.graph.n_vertices == want.graph.n_vertices
+        for column in ("src", "dst", "weight"):
+            assert (getattr(got.graph, column).tolist()
+                    == getattr(want.graph, column).tolist())
+    else:
+        assert type(got.rho) is int and got == want
+
+
+@pytest.mark.parametrize("bad, message", [
+    (2.5, "counterexample spec field 'rho' must be an integer, got 2.5"),
+    (math.nan, "counterexample spec field 'rho' must be an integer, got nan"),
+    (0, "rho must be a positive integer"),
+])
+@pytest.mark.parametrize("name", list(RHO_TAKERS))
+def test_rho_must_be_a_positive_whole_number(name, bad, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RHO_TAKERS[name](bad)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -1.0, 0.0])
+def test_g1_epsilon_must_be_positive_and_finite(epsilon):
+    message = f"epsilon must be positive and finite, got {epsilon!r}"
+    for build in (build_g1, verify_preemption_counterexample):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(3, epsilon)
 
 
 def test_instance_topology():

@@ -19,8 +19,9 @@ from substream import (CutGraph, KeywordTable, Objective, ReservoirConfig,
                        make_coverage_minus_dispersion, make_directed_cut,
                        make_facility_location, make_logdet, make_modular,
                        make_sqrt_coverage)
-from substream.core import (DuplicateElementError, GainState, GroundSetError,
-                            NumericError, SizeLimitError, TabulatedGainState)
+from substream.core import (AccumulatingGainState, DuplicateElementError,
+                            GainState, GroundSetError, NumericError,
+                            SizeLimitError, TabulatedGainState)
 from substream.objectives import LOGDET_MAX_SUBSET, CutGainState
 from substream.prng import SplitMix64
 
@@ -125,6 +126,46 @@ def test_gain_state_raises_the_errors_marginal_raises(make):
     with pytest.raises(DuplicateElementError):
         st.swap_values(1, f.value(st.members))
     assert list(st.members) == [1]
+
+
+def test_generic_state_add_rejects_an_id_outside_the_ground_set():
+    st = Objective(lambda ids: float(len(ids)), 3).open()
+    assert type(st) is GainState
+    for bad in (-1, 3):
+        with pytest.raises(GroundSetError):
+            st.add(bad)
+    assert not st.members
+
+
+class _SummedGains(AccumulatingGainState):
+    """Accumulating state whose gain is a per-element table entry."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, f, table):
+        self.table = table
+        super().__init__(f)
+
+    def _clear(self):
+        pass
+
+    def _absorb(self, u):
+        pass
+
+    def _gain(self, u):
+        return self.table[u]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_accumulating_gain_rejects_non_finite_gain(bad):
+    table = [1.0, bad, 2.0]
+    f = Objective(lambda ids: sum(table[u] for u in ids), 3,
+                  open_fn=lambda fo: _SummedGains(fo, table))
+    st = f.open()
+    assert st.gain(0) == 1.0
+    with pytest.raises(NumericError, match="non-finite gain"):
+        st.gain(1)
+    assert f.evaluations == 2
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -1,3 +1,5 @@
+import heapq
+
 import pytest
 
 from substream import (CutGraph, ElementSet, SizeLimitError, brute_force_opt,
@@ -7,7 +9,8 @@ from substream import (CutGraph, ElementSet, SizeLimitError, brute_force_opt,
 from substream.core import EPS
 from substream.prng import SplitMix64
 
-from helpers import random_cut, random_modular, random_system
+from helpers import (random_cut, random_modular, random_system,
+                     reference_weighted_greedy, sample_oracles)
 
 
 def naive_weighted_greedy(f, sys, ground):
@@ -80,6 +83,79 @@ def test_lazy_greedy_matches_naive_reference():
         lazy = weighted_greedy(f, sys, range(n))
         naive = naive_weighted_greedy(f, sys, range(n))
         assert lazy == naive, (trial, sorted(lazy), sorted(naive))
+
+
+class _RecordingSystem:
+    """Passes ``can_add`` through and records every query."""
+
+    def __init__(self, sys):
+        self.sys = sys
+        self.queries = []
+
+    def can_add(self, u, members):
+        self.queries.append((u, tuple(members)))
+        return self.sys.can_add(u, members)
+
+
+def _greedy_parity_failures(greedy, seeds):
+    """The (seed, family) instances on which ``greedy`` and
+    :func:`reference_weighted_greedy` differ in solution, evaluations or
+    ``can_add`` queries: one instance per ``sample_oracles`` family and
+    seed, each with its own random system and ground subset."""
+    failures = []
+    for seed in seeds:
+        n = 6 + seed % 7
+        runs = []
+        for impl in (reference_weighted_greedy, greedy):
+            rng = SplitMix64(seed)
+            run = []
+            for label, f in sample_oracles(rng, n):
+                sys = _RecordingSystem(random_system(rng, n))
+                ground = [u for u in range(n) if rng.random() < 0.9]
+                sol = impl(f, sys, ground)
+                run.append((label, list(sol), f.evaluations, sys.queries))
+            runs.append(run)
+        failures += [(seed, ref[0]) for ref, got in zip(*runs) if ref != got]
+    return failures
+
+
+PARITY_SEEDS = range(80)  # 7 families each: 560 instances
+
+
+def test_weighted_greedy_matches_the_hand_written_round_rule():
+    assert not _greedy_parity_failures(weighted_greedy, PARITY_SEEDS)
+
+
+def _stops_at_the_bar_after_an_infeasible_pop(f, sys, ground):
+    """A broken lazy greedy: a round without a feasible best gives up once
+    an infeasible pop leaves a bound at or below EPS on top."""
+    gains = f.open()
+    sol = gains.members
+    heap = [(-gains.gain(u), u) for u in set(ground)]
+    heapq.heapify(heap)
+    while heap and -heap[0][0] > EPS:
+        best, fresh = None, []
+        while heap and (best is None or heap[0] < best):
+            cand = heapq.heappop(heap)[1]
+            if sys.can_add(cand, sol):
+                key = (-gains.gain(cand), cand)
+                fresh.append(key)
+                if best is None or key < best:
+                    best = key
+            elif heap and -heap[0][0] <= EPS:
+                break
+        if best is None or -best[0] <= EPS:
+            break
+        gains.add(best[1])
+        for key in fresh:
+            if key != best:
+                heapq.heappush(heap, key)
+    return sol
+
+
+def test_greedy_parity_catches_a_round_stopped_at_the_bar():
+    assert _greedy_parity_failures(_stops_at_the_bar_after_an_infeasible_pop,
+                                   PARITY_SEEDS)
 
 
 def test_double_greedy_examples():

@@ -12,7 +12,7 @@ as a mismatch.
 
 from hypothesis import assume, given, settings, strategies as st
 
-from substream import (AdaptiveSieve, AutoThresholdSieve, CascadeConfig,
+from substream import (AdaptiveSieve, AutoThresholdSieve,
                        GreedyStream, ThresholdSieve, cascade_run, exact_rho,
                        repeated_greedy)
 from substream.prng import SplitMix64
@@ -83,7 +83,8 @@ def test_cascade_run_matches_reference(case):
     def make():
         return COMPONENTS[kind](sys, f, tau)
 
-    trace = cascade_run(CascadeConfig(copies, make, repeated_greedy), stream, sys, f)
+    trace = cascade_run([make() for _ in range(copies)], stream, sys, f,
+                        repeated_greedy)
     outcomes, candidates, best, peak = reference_cascade(make, copies, stream,
                                                          sys, f)
 

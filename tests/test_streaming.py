@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from substream import (AdaptiveSieve, AutoThresholdSieve, CascadeConfig,
+from substream import (AdaptiveSieve, AutoThresholdSieve,
                        ContractViolationError, DuplicateElementError,
                        ElementSet, GreedyStream, PreemptionStream,
                        RatioSwapStream, SieveGuessStream, StreamOutcome,
@@ -106,21 +106,11 @@ def test_sieve_guess_stream_rejects_a_rho_below_one_or_not_whole(rho,
         SieveGuessStream(cardinality_system(4, 2), f, rho=rho)
 
 
-@pytest.mark.parametrize("copies", [2.5, math.nan])
-def test_cascade_config_rejects_copies_that_are_not_whole(copies):
-    with pytest.raises(ValueError, match="field 'copies' must be an integer"):
-        CascadeConfig(copies=copies, component_factory=lambda: None,
-                      offline=lambda fo, so, ground: ground)
-
-
 def test_whole_float_counts_are_taken_as_ints():
     f = make_modular([1.0] * 4)
     sys = cardinality_system(4, 2)
     assert type(ThresholdSieve(sys, f, 2.0, 3.0).rho) is int
     assert type(SieveGuessStream(sys, f, rho=3.0).rho) is int
-    cfg = CascadeConfig(copies=2.0, component_factory=lambda: None,
-                        offline=lambda fo, so, ground: ground)
-    assert type(cfg.copies) is int and cfg.copies == 2
 
 
 def test_push_rejects_duplicates():
@@ -128,6 +118,15 @@ def test_push_rejects_duplicates():
     sieve.push([0])
     with pytest.raises(DuplicateElementError):
         sieve.push([0])
+
+
+def test_push_after_finish_is_a_contract_violation():
+    sieve, _, _ = sieve_for()
+    sieve.finish([0, 1])
+    with pytest.raises(ContractViolationError, match="already finished"):
+        sieve.push([2])
+    with pytest.raises(ContractViolationError, match="already finished"):
+        sieve.finish()
 
 
 def test_telescoping_gain_sum():
@@ -326,21 +325,15 @@ def test_cascade_single_copy_picks_better_candidate():
     n = 6
     f = make_modular([5.0, 4.0, 3.0, 2.0, 1.0, 0.5])
     sys = cardinality_system(n, 2)
-    cfg = CascadeConfig(
-        copies=1,
-        component_factory=lambda: GreedyStream(sys, f),
-        offline=lambda fo, so, ground: repeated_greedy(fo, so, ground))
     # stream order puts weak elements first: greedy keeps {4, 5}, the
     # polished summary of a greedy stream is the same two elements, so the
     # cascade answer equals the better of the two
-    best = cascade_run(cfg, [4, 5, 0, 1, 2, 3], sys, f).best
+    best = cascade_run([GreedyStream(sys, f)], [4, 5, 0, 1, 2, 3], sys, f,
+                       repeated_greedy).best
     assert f.value(best) == f.value(ElementSet([4, 5]))
     # with a sieve component the offline pass can recover the top pair
-    cfg2 = CascadeConfig(
-        copies=1,
-        component_factory=lambda: ThresholdSieve(sys, f, tau=8.0, rho=2),
-        offline=lambda fo, so, ground: repeated_greedy(fo, so, ground))
-    best2 = cascade_run(cfg2, [4, 5, 0, 1, 2, 3], sys, f).best
+    best2 = cascade_run([ThresholdSieve(sys, f, tau=8.0, rho=2)],
+                        [4, 5, 0, 1, 2, 3], sys, f, repeated_greedy).best
     assert f.value(best2) == 9.0
 
 
@@ -357,11 +350,8 @@ def test_cascade_beats_bare_component():
         rho = exact_rho(sys)
         bare = ThresholdSieve(sys, f, tau, rho)
         v_bare = f.value(bare.finish(range(n)).solution)
-        cfg = CascadeConfig(
-            copies=2,
-            component_factory=lambda: ThresholdSieve(sys, f, tau, rho),
-            offline=lambda fo, so, ground: repeated_greedy(fo, so, ground))
-        best = cascade_run(cfg, list(range(n)), sys, f).best
+        chain = [ThresholdSieve(sys, f, tau, rho) for _ in range(2)]
+        best = cascade_run(chain, list(range(n)), sys, f, repeated_greedy).best
         assert f.value(best) >= v_bare - 1e-9
 
 
@@ -369,11 +359,9 @@ def test_cascade_elements_flow_to_later_copies():
     n = 6
     f = make_modular([1.0] * n)
     sys = cardinality_system(n, 2)
-    cfg = CascadeConfig(
-        copies=3,
-        component_factory=lambda: GreedyStream(sys, f),
-        offline=lambda fo, so, ground: ElementSet())
-    trace = cascade_run(cfg, list(range(n)), sys, f)
+    chain = [GreedyStream(sys, f) for _ in range(3)]
+    trace = cascade_run(chain, list(range(n)), sys, f,
+                        lambda fo, so, ground: ElementSet())
     summaries = [set(o.summary) for o in trace.outcomes]
     assert summaries[0] == {0, 1}
     assert summaries[1] == {2, 3}
@@ -386,15 +374,29 @@ def test_cascade_trace_candidate_order_and_determinism():
     rng = SplitMix64(48)
     f = random_modular(rng, n)
     sys = cardinality_system(n, 3)
-    cfg = CascadeConfig(
-        copies=2,
-        component_factory=lambda: ThresholdSieve(sys, f, tau=16.0, rho=3),
-        offline=lambda fo, so, ground: repeated_greedy(fo, so, ground))
-    t1 = cascade_run(cfg, list(range(n)), sys, f)
-    t2 = cascade_run(cfg, list(range(n)), sys, f)
+    t1, t2 = (cascade_run([ThresholdSieve(sys, f, tau=16.0, rho=3)
+                           for _ in range(2)], list(range(n)), sys, f,
+                          repeated_greedy) for _ in range(2))
     assert [c[0] for c in t1.candidates] == ["s1", "s1+offline", "s2", "s2+offline"]
     assert sorted(t1.best) == sorted(t2.best)
     assert t1.best_value == t2.best_value
+
+
+def test_cascade_needs_a_component():
+    f = make_modular([1.0] * 4)
+    sys = cardinality_system(4, 2)
+    with pytest.raises(ValueError, match="need at least one component copy"):
+        cascade_run([], [0, 1, 2, 3], sys, f, repeated_greedy)
+
+
+def test_cascade_rejects_a_dependent_solution():
+    # the copy keeps three elements where the cascade's system allows one
+    f = make_modular([1.0] * 4)
+    loose = GreedyStream(cardinality_system(4, 3), f)
+    with pytest.raises(ContractViolationError,
+                       match="component returned a dependent solution"):
+        cascade_run([loose], [0, 1, 2, 3], cardinality_system(4, 1), f,
+                    repeated_greedy)
 
 
 def test_contract_audit_threshold_sieve_space():
