@@ -13,8 +13,8 @@ import heapq
 
 from .core import (EPS, ElementSet, GainState, Objective, SizeLimitError,
                    UnsupportedConstraintError, first_best)
-from .constraints import (EXACT_RHO_LIMIT, IndependenceSystem, _spec_int,
-                          exact_rho)
+from .constraints import (EXACT_RHO_LIMIT, FeasibilityState,
+                          IndependenceSystem, _spec_int, exact_rho)
 from .streaming import StreamingComponent, StreamOutcome, _drive, _release
 
 
@@ -22,18 +22,20 @@ class GreedyStream(StreamingComponent):
     """Feasibility-first streaming greedy: keep whatever still fits.
 
     Value-blind, so it carries no finite quality guarantee; shipped as the
-    simplest baseline.
+    simplest baseline.  The solution is the members of one feasibility
+    state from :meth:`IndependenceSystem.open`.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective):
         super().__init__()
         self.sys = sys
         self.f = f
-        self.solution = ElementSet()
+        self._state = sys.open()
+        self.solution = self._state.members
 
     def _ingest(self, u: int) -> list[int]:
-        if self.sys.can_add(u, self.solution):
-            self.solution.add(u)
+        if self._state.can_add(u):
+            self._state.add(u)
             return []
         return [u]
 
@@ -55,8 +57,9 @@ class SieveGuessStream(StreamingComponent):
     exclusive elements evicted.  The best guess solution wins at the end.
 
     A guess's solution only grows, so each guess holds a gain state from
-    :meth:`Objective.open`; ``guesses`` maps a guess value to its state,
-    whose ``members`` is the solution.
+    :meth:`Objective.open` and a feasibility state from
+    :meth:`IndependenceSystem.open`; ``guesses`` maps a guess value to its
+    gain state, whose ``members`` is the solution.
 
     A ``rho`` passed in must be a whole number of at least 1; without one
     the system's ``rho_hint`` is used, else its exact rho.
@@ -83,6 +86,7 @@ class SieveGuessStream(StreamingComponent):
         self.anchor: float | None = None
         self.best_singleton = 0.0
         self.guesses: dict[float, GainState] = {}
+        self._fits: dict[float, FeasibilityState] = {}  # same keys and order
         self._holders: dict[int, int] = {}
 
     def _grid(self) -> list[float]:
@@ -102,8 +106,10 @@ class SieveGuessStream(StreamingComponent):
         for v in self._grid():
             if v not in self.guesses:
                 self.guesses[v] = self.f.open()
+                self._fits[v] = self.sys.open()
         floor = self.best_singleton - EPS
         for v in [g for g in self.guesses if g < floor]:
+            del self._fits[v]
             _release(self._holders, self.guesses.pop(v).members, evicted)
         return evicted
 
@@ -117,10 +123,10 @@ class SieveGuessStream(StreamingComponent):
                     self.anchor = value
                 evicted.extend(self._refresh_guesses())
         held = 0
-        for v, state in self.guesses.items():
-            if (self.sys.can_add(u, state.members)
-                    and state.gain(u) >= v / (2.0 * self.rho) - EPS):
+        for (v, state), fits in zip(self.guesses.items(), self._fits.values()):
+            if fits.can_add(u) and state.gain(u) >= v / (2.0 * self.rho) - EPS:
                 state.add(u)
+                fits.add(u)
                 held += 1
         if held:
             self._holders[u] = self._holders.get(u, 0) + held

@@ -3,8 +3,14 @@
 Every system is a downward-closed family over ``range(n)`` exposed through
 a membership predicate, together with a certified exchange parameter
 ``k_param`` and a ``class_tag`` of ``"matroid"``, ``"k_extendible"`` or
-``"k_system"``.  Every oracle is stateless except the planarity system,
-whose ``can_add`` keeps the answers of its tests.  ``fresh()`` returns a
+``"k_system"``.  ``can_add(u, members)`` works its answer out from the
+whole member set on every call.  A caller whose set only grows asks
+``open()`` for a :class:`FeasibilityState` instead, which keeps running
+summaries of its members (a count, a running cost, per-label counts, a
+bitmask of blocked vertices) and answers ``can_add(u)`` from them.
+
+The oracles are stateless except the planarity system, whose
+``can_add`` keeps the answers of its tests.  ``fresh()`` returns a
 system with nothing kept (the system itself when it keeps nothing), and
 ``bench.run_algorithm`` starts each run with it, so no kept answer
 outlives a run and runs that share a system share none.  Within one
@@ -19,7 +25,8 @@ import math
 import numbers
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import GroundSetError, SizeLimitError, UnsupportedConstraintError
+from .core import (ElementSet, GroundSetError, SizeLimitError,
+                   UnsupportedConstraintError)
 from .planarity import planarity_check
 
 CLASS_TAGS = ("matroid", "k_extendible", "k_system")
@@ -34,19 +41,28 @@ class IndependenceSystem:
 
     ``predicate`` decides independence of an id set.  ``add_predicate``,
     when given, must answer "is S + u independent" for independent S; it
-    serves the greedy inner loops, and node independent sets and label
-    limits derive ``predicate`` from it (:func:`_built_by_adding`).
+    serves :meth:`can_add`, and node independent sets and label limits
+    derive ``predicate`` from it (:func:`_built_by_adding`).
     ``rho_hint`` is the exact size of the largest independent set when it
     is cheaply known, else None.
+
+    :meth:`open` returns an empty :class:`FeasibilityState`.
+    ``open_fn(system)``, when provided, builds it; cardinality, knapsack,
+    label-limit, node-independent-set and intersection systems pass one
+    that keeps running summaries.  ``open_fn`` receives the system rather
+    than closing over it, so a system and its factory form no reference
+    cycle.  Without it the generic state asks the predicates, as
+    :meth:`can_add` does.
     """
 
     __slots__ = ("n", "k_param", "class_tag", "kind", "rho_hint",
-                 "_predicate", "_add_predicate", "_fresh")
+                 "_predicate", "_add_predicate", "_open_fn", "_fresh")
 
     def __init__(self, predicate: Callable[[frozenset], bool], n: int, *,
                  k_param: int, class_tag: str, kind: str = "custom",
                  rho_hint: int | None = None,
-                 add_predicate: Callable[[int, Iterable[int]], bool] | None = None):
+                 add_predicate: Callable[[int, Iterable[int]], bool] | None = None,
+                 open_fn: Callable[[IndependenceSystem], FeasibilityState] | None = None):
         if n <= 0:
             raise ValueError("ground set must be non-empty")
         if k_param < 1:
@@ -60,6 +76,7 @@ class IndependenceSystem:
         self.rho_hint = rho_hint
         self._predicate = predicate
         self._add_predicate = add_predicate
+        self._open_fn = open_fn
         self._fresh: Callable[[], IndependenceSystem] | None = None
 
     def fresh(self) -> IndependenceSystem:
@@ -71,7 +88,7 @@ class IndependenceSystem:
         s = frozenset(subset)
         for u in s:
             if not (0 <= u < self.n):
-                raise GroundSetError(f"id {u} outside range(0, {self.n})")
+                raise _outside(u, self.n)
         return s
 
     def is_independent(self, subset: Iterable[int]) -> bool:
@@ -80,12 +97,182 @@ class IndependenceSystem:
     def can_add(self, u: int, members: Iterable[int]) -> bool:
         """Whether adding ``u`` keeps an already independent set independent."""
         if not (0 <= u < self.n):
-            raise GroundSetError(f"id {u} outside range(0, {self.n})")
+            raise _outside(u, self.n)
         if u in members:
             return False
         if self._add_predicate is not None:
             return bool(self._add_predicate(u, members))
         return bool(self._predicate(frozenset(members) | {u}))
+
+    def open(self) -> FeasibilityState:
+        """Empty feasibility state over this system: the one ``open_fn``
+        builds, else the generic :class:`FeasibilityState`."""
+        if self._open_fn is None:
+            return FeasibilityState(self)
+        return self._open_fn(self)
+
+
+def _outside(u: int, n: int) -> GroundSetError:
+    return GroundSetError(f"id {u} outside range(0, {n})")
+
+
+class FeasibilityState:
+    """An independent set that only grows, with running summaries that
+    answer ``can_add``.
+
+    Returned empty by :meth:`IndependenceSystem.open`.  ``members`` is
+    the set in insertion order; change it through :meth:`add` only.
+    ``can_add(u)`` answers exactly what ``sys.can_add(u, members)``
+    answers and raises what it raises.  ``add(u)`` puts ``u`` in the set
+    and raises ``GroundSetError`` for an id outside ``range(n)`` and
+    ``DuplicateElementError`` for a member; it does not test
+    feasibility, so callers ask :meth:`can_add` first.  This generic
+    state keeps no summary: it calls the system's add predicate, or its
+    whole-set predicate, on the members.
+    """
+
+    __slots__ = ("sys", "n", "members")
+
+    def __init__(self, sys: IndependenceSystem):
+        self.sys = sys
+        self.n = sys.n
+        self.members = ElementSet()
+
+    def can_add(self, u: int) -> bool:
+        if not (0 <= u < self.n):
+            raise _outside(u, self.n)
+        members = self.members
+        if u in members:
+            return False
+        sys = self.sys
+        if sys._add_predicate is not None:
+            return bool(sys._add_predicate(u, members))
+        return bool(sys._predicate(frozenset(members) | {u}))
+
+    def add(self, u: int) -> None:
+        if not (0 <= u < self.n):
+            raise _outside(u, self.n)
+        self.members.add(u)
+
+
+class _CardinalityState(FeasibilityState):
+    """Reads the member count."""
+
+    __slots__ = ("rho",)
+
+    def __init__(self, sys: IndependenceSystem, rho: int):
+        super().__init__(sys)
+        self.rho = rho
+
+    def can_add(self, u: int) -> bool:
+        if not (0 <= u < self.n):
+            raise _outside(u, self.n)
+        members = self.members
+        return u not in members and len(members) < self.rho
+
+
+class _KnapsackState(FeasibilityState):
+    """Keeps the members' running cost, added in insertion order
+    (:func:`_running_sum`)."""
+
+    __slots__ = ("costs", "limit", "cost")
+
+    def __init__(self, sys: IndependenceSystem, costs: list[float],
+                 limit: float):
+        super().__init__(sys)
+        self.costs = costs
+        self.limit = limit
+        self.cost = 0.0
+
+    def can_add(self, u: int) -> bool:
+        if not (0 <= u < self.n):
+            raise _outside(u, self.n)
+        if u in self.members:
+            return False
+        return self.cost + self.costs[u] <= self.limit
+
+    def add(self, u: int) -> None:
+        super().add(u)
+        self.cost += self.costs[u]
+
+
+class _LabelState(FeasibilityState):
+    """Keeps the number of members carrying each label."""
+
+    __slots__ = ("labels", "limits", "total_limit", "counts")
+
+    def __init__(self, sys: IndependenceSystem, labels: list[frozenset],
+                 limits: dict, total_limit: int):
+        super().__init__(sys)
+        self.labels = labels
+        self.limits = limits
+        self.total_limit = total_limit
+        self.counts: dict = {}
+
+    def can_add(self, u: int) -> bool:
+        if not (0 <= u < self.n):
+            raise _outside(u, self.n)
+        members = self.members
+        if u in members or len(members) >= self.total_limit:
+            return False
+        counts, limits = self.counts, self.limits
+        for lab in self.labels[u]:
+            if counts.get(lab, 0) >= limits[lab]:
+                return False
+        return True
+
+    def add(self, u: int) -> None:
+        super().add(u)
+        counts = self.counts
+        for lab in self.labels[u]:
+            counts[lab] = counts.get(lab, 0) + 1
+
+
+class _NodeState(FeasibilityState):
+    """Keeps a bitmask of the vertices that are members or adjacent to
+    one: ``can_add`` reads u's bit, and ``add`` ORs in u's mask, which
+    holds u's neighbours and u itself."""
+
+    __slots__ = ("masks", "blocked")
+
+    def __init__(self, sys: IndependenceSystem, masks: list[int]):
+        super().__init__(sys)
+        self.masks = masks
+        self.blocked = 0
+
+    def can_add(self, u: int) -> bool:
+        if not (0 <= u < self.n):
+            raise _outside(u, self.n)
+        return not self.blocked >> u & 1
+
+    def add(self, u: int) -> None:
+        if not (0 <= u < self.n):
+            raise _outside(u, self.n)
+        self.members.add(u)
+        self.blocked |= self.masks[u]
+
+
+class _PairState(FeasibilityState):
+    """State of an intersection: asks the first part's state before the
+    second's, as the system's add predicate does.  ``members`` is the
+    first part's."""
+
+    __slots__ = ("first", "second")
+
+    def __init__(self, sys: IndependenceSystem, first: FeasibilityState,
+                 second: FeasibilityState):
+        self.sys = sys
+        self.n = sys.n
+        self.first = first
+        self.second = second
+        self.members = first.members
+
+    def can_add(self, u: int) -> bool:
+        return self.first.can_add(u) and self.second.can_add(u)
+
+    def add(self, u: int) -> None:
+        self.first.add(u)
+        self.second.add(u)
 
 
 def _built_by_adding(add_pred: Callable) -> Callable[[frozenset], bool]:
@@ -116,15 +303,19 @@ def cardinality_system(n: int, rho: int) -> IndependenceSystem:
         lambda s: len(s) <= rho, n,
         k_param=1, class_tag="matroid", kind="cardinality",
         rho_hint=min(rho, n),
-        add_predicate=lambda u, members: len(members) < rho)
+        add_predicate=lambda u, members: len(members) < rho,
+        open_fn=lambda system: _CardinalityState(system, rho))
 
 
 def knapsack_system(costs, budget: float) -> IndependenceSystem:
     """Subsets whose total cost stays within the budget.
 
-    Costs must be finite and strictly positive (a zero cost would leave
-    the exchange parameter ceil(c_max / c_min) undefined; clamp to an
-    epsilon first); the budget must be positive.
+    A set's cost is its members' costs added left to right from 0
+    (:func:`_running_sum`), in the set's iteration order; a state from
+    ``open()`` adds them in insertion order.  Costs must be finite and
+    strictly positive (a zero cost would leave the exchange parameter
+    ceil(c_max / c_min) undefined; clamp to an epsilon first); the budget
+    must be positive.
     """
     if isinstance(costs, Mapping):
         if set(costs) != set(range(len(costs))):
@@ -149,15 +340,30 @@ def knapsack_system(costs, budget: float) -> IndependenceSystem:
         acc += x
         rho += 1
 
+    limit = budget + 1e-12
+
     def pred(s):
-        return sum(c[u] for u in s) <= budget + 1e-12
+        return _running_sum(c, s) <= limit
 
     def add_pred(u, members):
-        return sum(c[x] for x in members) + c[u] <= budget + 1e-12
+        return _running_sum(c, members) + c[u] <= limit
 
     return IndependenceSystem(pred, len(c), k_param=max(k, 1),
                               class_tag="k_extendible", kind="knapsack",
-                              rho_hint=rho, add_predicate=add_pred)
+                              rho_hint=rho, add_predicate=add_pred,
+                              open_fn=lambda system: _KnapsackState(
+                                  system, c, limit))
+
+
+def _running_sum(costs: Sequence[float], ids: Iterable[int]) -> float:
+    """``costs[u]`` summed over ``ids`` left to right from 0.  ``sum``
+    compensates float rounding from Python 3.12 on, so a knapsack that
+    used it would answer differently near its budget on different
+    versions."""
+    total = 0.0
+    for u in ids:
+        total += costs[u]
+    return total
 
 
 def labeled_limit_system(labels: Sequence[Iterable], per_label_limit,
@@ -213,7 +419,9 @@ def labeled_limit_system(labels: Sequence[Iterable], per_label_limit,
 
     return IndependenceSystem(_built_by_adding(add_pred), len(labs),
                               k_param=k_param, class_tag="k_extendible",
-                              kind="labeled_limit", add_predicate=add_pred)
+                              kind="labeled_limit", add_predicate=add_pred,
+                              open_fn=lambda system: _LabelState(
+                                  system, labs, limits, total_limit))
 
 
 def _endpoints(kind: str, e: Sequence, n: int) -> tuple[int, int]:
@@ -234,9 +442,12 @@ def _endpoints(kind: str, e: Sequence, n: int) -> tuple[int, int]:
 def node_independent_set_system(n: int, edges: Iterable[Sequence[int]]) -> IndependenceSystem:
     """Vertex subsets spanning no edge of the supplied undirected graph.
 
-    Endpoints must be whole numbers (a float such as ``3.0`` is taken as
-    3); a NaN, infinite or fractional one raises ``ValueError`` naming
-    the edge.
+    Its states keep a bitmask of blocked vertices (:class:`_NodeState`).
+    The neighbour masks they read are built on the first ``open()``, not
+    here, and bound in one step, so concurrent opens see either none or
+    all of them.  Endpoints must be whole numbers (a float such as
+    ``3.0`` is taken as 3); a NaN, infinite or fractional one raises
+    ``ValueError`` naming the edge.
     """
     adj: list[set[int]] = [set() for _ in range(n)]
     for e in edges:
@@ -248,10 +459,21 @@ def node_independent_set_system(n: int, edges: Iterable[Sequence[int]]) -> Indep
     def add_pred(u, members):
         return adj[u].isdisjoint(members)
 
+    masks: list[int] | None = None
+
+    def open_fn(system):
+        nonlocal masks
+        if masks is None:
+            bits = [1 << v for v in range(n)]
+            # distinct bits, so their sum is their union
+            masks = [sum(map(bits.__getitem__, a)) | bits[u]
+                     for u, a in enumerate(adj)]
+        return _NodeState(system, masks)
+
     return IndependenceSystem(_built_by_adding(add_pred), n,
                               k_param=max(d_max, 1), class_tag="k_extendible",
                               kind="node_independent_set",
-                              add_predicate=add_pred)
+                              add_predicate=add_pred, open_fn=open_fn)
 
 
 def planarity_system(n_vertices: int, edge_list: Sequence[Sequence[int]]) -> IndependenceSystem:
@@ -422,7 +644,9 @@ def intersect(a: IndependenceSystem, b: IndependenceSystem) -> IndependenceSyste
 
     system = IndependenceSystem(pred, a.n, k_param=a.k_param + b.k_param,
                                 class_tag="k_system", kind="intersection",
-                                add_predicate=add_pred)
+                                add_predicate=add_pred,
+                                open_fn=lambda system: _PairState(
+                                    system, a.open(), b.open()))
     if a._fresh is not None or b._fresh is not None:
         system._fresh = lambda: intersect(a.fresh(), b.fresh())
     return system

@@ -22,13 +22,14 @@ def unweighted_greedy(sys: IndependenceSystem, order: Iterable[int]) -> ElementS
     """Scan ``order`` and keep every element that preserves independence.
 
     The result is a base of the presented elements: nothing presented can
-    be added to it afterwards.
+    be added to it afterwards.  It only grows, so one feasibility state
+    from :meth:`IndependenceSystem.open` answers every query.
     """
-    out = ElementSet()
+    state = sys.open()
     for u in order:
-        if sys.can_add(u, out):
-            out.add(u)
-    return out
+        if state.can_add(u):
+            state.add(u)
+    return state.members
 
 
 def weighted_greedy(f: Objective, sys: IndependenceSystem,

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 from .core import (EPS, ContractViolationError, DuplicateElementError,
                    ElementSet, Objective, first_best)
-from .constraints import IndependenceSystem, _spec_int
+from .constraints import FeasibilityState, IndependenceSystem, _spec_int
 from .offline import unweighted_greedy
 
 # log2 is evaluated in floating point; the nudge keeps floor/ceil stable
@@ -144,10 +144,11 @@ class _BandedSieve(StreamingComponent):
 
     Each arriving element is bucketed by how its marginal gain against
     everything kept so far compares with ``tau``; each bucket independently
-    keeps a feasibility-greedy base.  Nothing kept is ever dropped, so
-    ``kept`` is the members of one grow-only gain state from
-    :meth:`Objective.open`, which answers every gain query.  At end of
-    stream, :meth:`drain` builds ``candidate_count(sys.k_param)``
+    keeps a feasibility-greedy base, and is the members of its own
+    feasibility state from :meth:`IndependenceSystem.open`.  Nothing kept
+    is ever dropped, so ``kept`` is the members of one grow-only gain
+    state from :meth:`Objective.open`, which answers every gain query.
+    At end of stream, :meth:`drain` builds ``candidate_count(sys.k_param)``
     interleaved candidates from the buckets and returns the best one.
     :meth:`widen` appends the bands (``ell``, one bucket per band) that
     :meth:`process` sorts arrivals into; subclasses may keep elements
@@ -166,6 +167,7 @@ class _BandedSieve(StreamingComponent):
         self.h = candidate_count(self.k)
         self.ell = -1
         self.buckets: list[ElementSet] = []
+        self._bucket_states: list[FeasibilityState] = []  # members: buckets
         self._kept_gains = f.open()
         self.kept = self._kept_gains.members  # union of buckets, arrival order
         self.base = ElementSet()
@@ -175,7 +177,9 @@ class _BandedSieve(StreamingComponent):
     def widen(self, ell: int) -> None:
         """Append empty buckets until the deepest band is ``ell``."""
         while self.ell < ell:
-            self.buckets.append(ElementSet())
+            state = self.sys.open()
+            self._bucket_states.append(state)
+            self.buckets.append(state.members)
             self.ell += 1
 
     def process(self, u: int) -> bool:
@@ -185,8 +189,8 @@ class _BandedSieve(StreamingComponent):
         i = _floor_log2(self.tau / gain)
         if i < 0 or i > self.ell:
             return False
-        bucket = self.buckets[i]
-        if not self.sys.can_add(u, bucket):
+        bucket = self._bucket_states[i]
+        if not bucket.can_add(u):
             return False
         bucket.add(u)
         self._kept_gains.add(u)
@@ -264,10 +268,12 @@ class AdaptiveSieve(_BandedSieve):
     # an __init__ of its own: perfbench/tracing.py counts window copies by it
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float):
         super().__init__(sys, f, tau, None)
+        self._base = sys.open()
+        self.base = self._base.members
 
     def _ingest(self, u: int) -> list[int]:
-        if self.sys.can_add(u, self.base):
-            self.base.add(u)
+        if self._base.can_add(u):
+            self._base.add(u)
             self.widen(band_top(self.k, len(self.base)))
         return super()._ingest(u)
 
@@ -289,7 +295,8 @@ class AutoThresholdSieve(StreamingComponent):
         self.sys = sys
         self.f = f
         self.k = sys.k_param
-        self.base = ElementSet()
+        self._base = sys.open()
+        self.base = self._base.members
         self.best_singleton = -math.inf
         self.copies: dict[int, AdaptiveSieve] = {}  # exponent -> copy
         self._holders: dict[int, int] = {}
@@ -306,8 +313,8 @@ class AutoThresholdSieve(StreamingComponent):
     def _ingest(self, u: int) -> list[int]:
         holders = self._holders
         holders[u] = 0
-        if self.sys.can_add(u, self.base):
-            self.base.add(u)
+        if self._base.can_add(u):
+            self._base.add(u)
             holders[u] += 1
             top = band_top(self.k, len(self.base))
             for copy in self.copies.values():

@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 import sys as sys_module
@@ -13,12 +14,12 @@ from substream import (ElementSet, GroundSetError, IndependenceSystem,
                        intersect, knapsack_system, labeled_limit_system,
                        make_system, node_independent_set_system,
                        planarity_system, unweighted_greedy)
-from substream.constraints import merged_block
+from substream.constraints import FeasibilityState, _NodeState, merged_block
 from substream.planarity import planarity_check
 from substream.prng import SplitMix64
 
 from helpers import (count_planarity_tests, exchange_witness,
-                     random_independent_set, random_system)
+                     random_independent_set, random_labels, random_system)
 
 
 def test_cardinality_basics():
@@ -608,3 +609,218 @@ def test_exact_rho():
     assert exact_rho(sys) == 3
     path = node_independent_set_system(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     assert exact_rho(path) == 3
+
+
+def _state_disagreements(sys, rng, runs=4, open_state=None):
+    """Grow ``runs`` random sets through a state from ``sys.open()`` (or
+    ``open_state()``), offering every element once in random order and
+    adding each one the state accepts.  Before every offer, compare
+    ``state.can_add(u)`` with ``sys.can_add(u, state.members)`` for every
+    id u, members included; return the ``(run, step, u)`` that differ."""
+    open_state = open_state or sys.open
+    bad = []
+    for run in range(runs):
+        state = open_state()
+        order = list(range(sys.n))
+        rng.shuffle(order)
+        for step, offered in enumerate(order):
+            for u in range(sys.n):
+                if state.can_add(u) is not sys.can_add(u, state.members):
+                    bad.append((run, step, u))
+            if state.can_add(offered):
+                state.add(offered)
+    return bad
+
+
+def _state_families(rng):
+    """(label, system) for every family with a state of its own, the
+    generic state's planarity and whole-set systems, and two
+    intersections."""
+    n = 14
+    nis_edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.25]
+    costs = [rng.uniform(0.3, 3.0) for _ in range(n)]
+    labels = random_labels(rng, n, n_labels=4, max_per_element=3)
+    limits = {lab: 1 + rng.randrange(3) for lab in range(4)}
+    planar_edges = _random_graph(rng, 9, 0.7)  # K5 and K3,3 minors abound
+    m = len(planar_edges)
+    n_vertices = 1 + max(max(e) for e in planar_edges)
+    weights = [rng.randint(1, 5) for _ in range(n)]
+    yield "cardinality", cardinality_system(n, 5)
+    yield "knapsack", knapsack_system(costs, 0.4 * sum(costs))
+    yield "labeled_limit", labeled_limit_system(labels, limits, 7)
+    yield "node_independent_set", node_independent_set_system(n, nis_edges)
+    yield "planarity", planarity_system(n_vertices, planar_edges)
+    yield "custom", IndependenceSystem(
+        lambda s: sum(weights[u] for u in s) <= 12, n, k_param=5,
+        class_tag="k_system")
+    yield "planarity & knapsack", intersect(
+        planarity_system(n_vertices, planar_edges),
+        knapsack_system([float(rng.randint(1, 4)) for _ in range(m)],
+                        0.5 * 2.5 * m))
+    yield "node_independent_set & cardinality", intersect(
+        node_independent_set_system(n, nis_edges), cardinality_system(n, 3))
+
+
+def test_every_state_agrees_with_can_add_at_every_step():
+    rng = SplitMix64(1818)
+    for label, sys in _state_families(rng):
+        assert _state_disagreements(sys, rng) == [], label
+
+
+def test_states_keep_members_in_order_and_reject_bad_ids():
+    rng = SplitMix64(1819)
+    for label, sys in _state_families(rng):
+        state = sys.open()
+        added = []
+        for u in range(sys.n):
+            if state.can_add(u):
+                state.add(u)
+                added.append(u)
+        assert isinstance(state.members, ElementSet), label
+        assert list(state.members) == added and len(added) > 1, label
+        assert sys.is_independent(state.members), label
+        for x in added:
+            assert state.can_add(x) is False, (label, x)
+        for bad in (-1, sys.n):
+            with pytest.raises(GroundSetError):
+                state.can_add(bad)
+            with pytest.raises(GroundSetError):
+                sys.can_add(bad, state.members)
+            with pytest.raises(GroundSetError):
+                state.add(bad)
+        assert list(state.members) == added, label
+
+
+def test_states_of_one_system_are_independent_of_each_other():
+    rng = SplitMix64(1820)
+    for label, sys in _state_families(rng):
+        first, second = sys.open(), sys.open()
+        first.add(0)
+        assert list(second.members) == [], label
+        assert second.can_add(0), label
+
+
+def test_node_states_opened_concurrently_stay_exact():
+    # the first open() builds the neighbour masks; threads racing on it
+    # must each get a complete set
+    rng = SplitMix64(1822)
+    edges = [(u, v) for u in range(60) for v in range(u + 1, 60)
+             if rng.random() < 0.1]
+    orders = []
+    for _ in range(6):
+        order = list(range(60))
+        rng.shuffle(order)
+        orders.append(order)
+    wrong = []
+
+    def grow(sys, order):
+        state = sys.open()
+        for u in order:
+            if state.can_add(u) is not sys.can_add(u, state.members):
+                wrong.append(u)
+            if state.can_add(u):
+                state.add(u)
+
+    interval = sys_module.getswitchinterval()
+    sys_module.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            sys = node_independent_set_system(60, edges)
+            workers = [threading.Thread(target=grow, args=(sys, order))
+                       for order in orders]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            assert not any(worker.is_alive() for worker in workers)
+    finally:
+        sys_module.setswitchinterval(interval)
+    assert wrong == []
+
+
+class _StaleMaskState(_NodeState):
+    """A broken node state: ``add`` blocks the new member but not its
+    neighbours."""
+
+    __slots__ = ()
+
+    def add(self, u):
+        self.members.add(u)
+        self.blocked |= 1 << u
+
+
+def test_agreement_check_catches_a_stale_blocked_mask():
+    rng = SplitMix64(1821)
+    edges = [(u, v) for u in range(12) for v in range(u + 1, 12)
+             if rng.random() < 0.3]
+    sys = node_independent_set_system(12, edges)
+    assert _state_disagreements(sys, rng) == []
+    stale = _state_disagreements(
+        sys, rng, open_state=lambda: _StaleMaskState(sys, sys.open().masks))
+    assert stale
+
+
+def test_knapsack_adds_costs_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so the left-to-right sum of these
+    # costs fits the budget; a compensated sum (math.fsum, and sum() on
+    # Python 3.12 and later) is 1e16 + 2 and would not
+    costs = [1e16, 1.0, 1.0]
+    assert math.fsum(costs) > 1e16 + 1e-12
+    sys = knapsack_system(costs, 1e16)
+    assert sys.is_independent([0, 1, 2])
+    assert sys.can_add(2, ElementSet([0, 1]))
+    state = sys.open()
+    state.add(0)
+    state.add(1)
+    assert state.can_add(2)
+
+
+def _cycle_free_builders():
+    square = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    return [
+        lambda: cardinality_system(4, 2),
+        lambda: knapsack_system([1.0] * 4, 2.0),
+        lambda: labeled_limit_system([["a"], ["a", "b"], ["b"], []], 1, 2),
+        lambda: node_independent_set_system(4, [(0, 1)]),
+        lambda: planarity_system(4, square),
+        lambda: IndependenceSystem(lambda s: len(s) <= 2, 4, k_param=1,
+                                   class_tag="matroid"),
+        lambda: intersect(planarity_system(4, square),
+                          knapsack_system([1.0] * 4, 2.0)),
+        lambda: intersect(node_independent_set_system(4, [(0, 1)]),
+                          cardinality_system(4, 2)),
+        lambda: make_system({"type": "cardinality", "n": 4, "rho": 2}),
+    ]
+
+
+def _garbage_after(build):
+    """Objects the cyclic collector finds after building a system, taking
+    a fresh copy, opening a state on each, adding one element and
+    dropping them all, with automatic collection off."""
+    gc.collect()
+    gc.disable()
+    try:
+        sys = build()
+        copy = sys.fresh()
+        for owner in (sys, copy):
+            state = owner.open()
+            state.add(0)
+        del sys, copy, owner, state
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_no_system_forms_a_reference_cycle():
+    for build in _cycle_free_builders():
+        assert _garbage_after(build) == 0
+
+
+def test_reference_cycle_check_sees_a_factory_closing_over_its_system():
+    def build():
+        system = cardinality_system(4, 2)
+        system._open_fn = lambda _: FeasibilityState(system)
+        return system
+
+    assert _garbage_after(build) > 0
