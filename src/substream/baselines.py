@@ -10,6 +10,7 @@ makes runs exactly reproducible.
 from __future__ import annotations
 
 import heapq
+from typing import NamedTuple
 
 from .core import (EPS, ElementSet, GainState, Objective, SizeLimitError,
                    UnsupportedConstraintError, first_best)
@@ -46,6 +47,18 @@ class GreedyStream(StreamingComponent):
         return len(self.solution)
 
 
+class _Guess(NamedTuple):
+    """One guess of :class:`SieveGuessStream`: the gain state and the
+    feasibility state of its solution, which hold the same members."""
+
+    gains: GainState
+    fits: FeasibilityState
+
+    @property
+    def members(self) -> ElementSet:
+        return self.gains.members
+
+
 class SieveGuessStream(StreamingComponent):
     """Threshold-guessing streamer: one growing solution per value guess.
 
@@ -56,10 +69,9 @@ class SieveGuessStream(StreamingComponent):
     Guesses that fall below the best singleton are deleted and their
     exclusive elements evicted.  The best guess solution wins at the end.
 
-    A guess's solution only grows, so each guess holds a gain state from
-    :meth:`Objective.open` and a feasibility state from
-    :meth:`IndependenceSystem.open`; ``guesses`` maps a guess value to its
-    gain state, whose ``members`` is the solution.
+    A guess's solution only grows, so ``guesses`` maps a guess value to a
+    :class:`_Guess`: a gain state from :meth:`Objective.open` and a
+    feasibility state from :meth:`IndependenceSystem.open`, grown together.
 
     A ``rho`` passed in must be a whole number of at least 1; without one
     the system's ``rho_hint`` is used, else its exact rho.
@@ -85,8 +97,7 @@ class SieveGuessStream(StreamingComponent):
         self.rho = int(rho)
         self.anchor: float | None = None
         self.best_singleton = 0.0
-        self.guesses: dict[float, GainState] = {}
-        self._fits: dict[float, FeasibilityState] = {}  # same keys and order
+        self.guesses: dict[float, _Guess] = {}
         self._holders: dict[int, int] = {}
 
     def _grid(self) -> list[float]:
@@ -105,11 +116,9 @@ class SieveGuessStream(StreamingComponent):
         evicted: list[int] = []
         for v in self._grid():
             if v not in self.guesses:
-                self.guesses[v] = self.f.open()
-                self._fits[v] = self.sys.open()
+                self.guesses[v] = _Guess(self.f.open(), self.sys.open())
         floor = self.best_singleton - EPS
         for v in [g for g in self.guesses if g < floor]:
-            del self._fits[v]
             _release(self._holders, self.guesses.pop(v).members, evicted)
         return evicted
 
@@ -123,9 +132,9 @@ class SieveGuessStream(StreamingComponent):
                     self.anchor = value
                 evicted.extend(self._refresh_guesses())
         held = 0
-        for (v, state), fits in zip(self.guesses.items(), self._fits.values()):
-            if fits.can_add(u) and state.gain(u) >= v / (2.0 * self.rho) - EPS:
-                state.add(u)
+        for v, (gains, fits) in self.guesses.items():
+            if fits.can_add(u) and gains.gain(u) >= v / (2.0 * self.rho) - EPS:
+                gains.add(u)
                 fits.add(u)
                 held += 1
         if held:

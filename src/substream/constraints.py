@@ -6,8 +6,8 @@ a membership predicate, together with a certified exchange parameter
 ``"k_system"``.  ``can_add(u, members)`` works its answer out from the
 whole member set on every call.  A caller whose set only grows asks
 ``open()`` for a :class:`FeasibilityState` instead, which keeps running
-summaries of its members (a count, a running cost, per-label counts, a
-bitmask of blocked vertices) and answers ``can_add(u)`` from them.
+summaries of its members (a count, a running cost, a bitmask of blocked
+vertices) and answers ``can_add(u)`` from them.
 
 The oracles are stateless except the planarity system, whose
 ``can_add`` keeps the answers of its tests.  ``fresh()`` returns a
@@ -48,8 +48,8 @@ class IndependenceSystem:
 
     :meth:`open` returns an empty :class:`FeasibilityState`.
     ``open_fn(system)``, when provided, builds it; cardinality, knapsack,
-    label-limit, node-independent-set and intersection systems pass one
-    that keeps running summaries.  ``open_fn`` receives the system rather
+    node-independent-set and intersection systems pass one that keeps
+    running summaries.  ``open_fn`` receives the system rather
     than closing over it, so a system and its factory form no reference
     cycle.  Without it the generic state asks the predicates, as
     :meth:`can_add` does.
@@ -194,38 +194,6 @@ class _KnapsackState(FeasibilityState):
     def add(self, u: int) -> None:
         super().add(u)
         self.cost += self.costs[u]
-
-
-class _LabelState(FeasibilityState):
-    """Keeps the number of members carrying each label."""
-
-    __slots__ = ("labels", "limits", "total_limit", "counts")
-
-    def __init__(self, sys: IndependenceSystem, labels: list[frozenset],
-                 limits: dict, total_limit: int):
-        super().__init__(sys)
-        self.labels = labels
-        self.limits = limits
-        self.total_limit = total_limit
-        self.counts: dict = {}
-
-    def can_add(self, u: int) -> bool:
-        if not (0 <= u < self.n):
-            raise _outside(u, self.n)
-        members = self.members
-        if u in members or len(members) >= self.total_limit:
-            return False
-        counts, limits = self.counts, self.limits
-        for lab in self.labels[u]:
-            if counts.get(lab, 0) >= limits[lab]:
-                return False
-        return True
-
-    def add(self, u: int) -> None:
-        super().add(u)
-        counts = self.counts
-        for lab in self.labels[u]:
-            counts[lab] = counts.get(lab, 0) + 1
 
 
 class _NodeState(FeasibilityState):
@@ -419,9 +387,7 @@ def labeled_limit_system(labels: Sequence[Iterable], per_label_limit,
 
     return IndependenceSystem(_built_by_adding(add_pred), len(labs),
                               k_param=k_param, class_tag="k_extendible",
-                              kind="labeled_limit", add_predicate=add_pred,
-                              open_fn=lambda system: _LabelState(
-                                  system, labs, limits, total_limit))
+                              kind="labeled_limit", add_predicate=add_pred)
 
 
 def _endpoints(kind: str, e: Sequence, n: int) -> tuple[int, int]:
@@ -442,11 +408,10 @@ def _endpoints(kind: str, e: Sequence, n: int) -> tuple[int, int]:
 def node_independent_set_system(n: int, edges: Iterable[Sequence[int]]) -> IndependenceSystem:
     """Vertex subsets spanning no edge of the supplied undirected graph.
 
-    Its states keep a bitmask of blocked vertices (:class:`_NodeState`).
-    The neighbour masks they read are built on the first ``open()``, not
-    here, and bound in one step, so concurrent opens see either none or
-    all of them.  Endpoints must be whole numbers (a float such as
-    ``3.0`` is taken as 3); a NaN, infinite or fractional one raises
+    Its states keep a bitmask of blocked vertices (:class:`_NodeState`)
+    and read the neighbour masks built here, one per vertex, holding its
+    neighbours and itself.  Endpoints must be whole numbers (a float such
+    as ``3.0`` is taken as 3); a NaN, infinite or fractional one raises
     ``ValueError`` naming the edge.
     """
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -455,25 +420,18 @@ def node_independent_set_system(n: int, edges: Iterable[Sequence[int]]) -> Indep
         adj[u].add(v)
         adj[v].add(u)
     d_max = max((len(a) for a in adj), default=0)
+    bits = [1 << v for v in range(n)]
+    # distinct bits, so their sum is their union
+    masks = [sum(map(bits.__getitem__, a)) | bits[u] for u, a in enumerate(adj)]
 
     def add_pred(u, members):
         return adj[u].isdisjoint(members)
 
-    masks: list[int] | None = None
-
-    def open_fn(system):
-        nonlocal masks
-        if masks is None:
-            bits = [1 << v for v in range(n)]
-            # distinct bits, so their sum is their union
-            masks = [sum(map(bits.__getitem__, a)) | bits[u]
-                     for u, a in enumerate(adj)]
-        return _NodeState(system, masks)
-
     return IndependenceSystem(_built_by_adding(add_pred), n,
                               k_param=max(d_max, 1), class_tag="k_extendible",
                               kind="node_independent_set",
-                              add_predicate=add_pred, open_fn=open_fn)
+                              add_predicate=add_pred,
+                              open_fn=lambda system: _NodeState(system, masks))
 
 
 def planarity_system(n_vertices: int, edge_list: Sequence[Sequence[int]]) -> IndependenceSystem:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .core import (EPS, ContractViolationError, DuplicateElementError,
                    ElementSet, Objective, first_best)
@@ -144,16 +144,19 @@ class _BandedSieve(StreamingComponent):
 
     Each arriving element is bucketed by how its marginal gain against
     everything kept so far compares with ``tau``; each bucket independently
-    keeps a feasibility-greedy base, and is the members of its own
-    feasibility state from :meth:`IndependenceSystem.open`.  Nothing kept
-    is ever dropped, so ``kept`` is the members of one grow-only gain
-    state from :meth:`Objective.open`, which answers every gain query.
-    At end of stream, :meth:`drain` builds ``candidate_count(sys.k_param)``
-    interleaved candidates from the buckets and returns the best one.
-    :meth:`widen` appends the bands (``ell``, one bucket per band) that
-    :meth:`process` sorts arrivals into; subclasses may keep elements
-    outside the buckets in ``base``.
+    keeps a feasibility-greedy base in a feasibility state from
+    :meth:`IndependenceSystem.open`, and ``buckets`` lists their members.
+    Nothing kept is ever dropped, so ``kept`` is the members of one
+    grow-only gain state from :meth:`Objective.open`, which answers every
+    gain query.  At end of stream, :meth:`drain` builds
+    ``candidate_count(sys.k_param)`` interleaved candidates from the
+    buckets and returns the best one.  :meth:`widen` appends the bands
+    (``ell``, one bucket per band) that :meth:`process` sorts arrivals
+    into; ``base`` holds what a subclass keeps outside the buckets, and is
+    empty unless one does.
     """
+
+    base: Collection[int] = ()
 
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float,
                  trace: list | None):
@@ -166,21 +169,22 @@ class _BandedSieve(StreamingComponent):
         self.k = sys.k_param
         self.h = candidate_count(self.k)
         self.ell = -1
-        self.buckets: list[ElementSet] = []
-        self._bucket_states: list[FeasibilityState] = []  # members: buckets
+        self._bucket_states: list[FeasibilityState] = []
         self._kept_gains = f.open()
         self.kept = self._kept_gains.members  # union of buckets, arrival order
-        self.base = ElementSet()
         self.candidates: list[ElementSet] | None = None
         self._trace = trace
 
     def widen(self, ell: int) -> None:
         """Append empty buckets until the deepest band is ``ell``."""
         while self.ell < ell:
-            state = self.sys.open()
-            self._bucket_states.append(state)
-            self.buckets.append(state.members)
+            self._bucket_states.append(self.sys.open())
             self.ell += 1
+
+    @property
+    def buckets(self) -> list[ElementSet]:
+        """Each bucket's members, deepest band last."""
+        return [state.members for state in self._bucket_states]
 
     def process(self, u: int) -> bool:
         gain = self._kept_gains.gain(u)
@@ -214,8 +218,9 @@ class _BandedSieve(StreamingComponent):
         the construction is deterministic and stream-faithful.  The
         candidates stay in ``candidates``.
         """
+        buckets = self.buckets
         cands = [unweighted_greedy(self.sys,
-                                   chain.from_iterable(self.buckets[j::self.h]))
+                                   chain.from_iterable(buckets[j::self.h]))
                  for j in range(self.h)]
         self.candidates = cands
         values = [self.f.value(t) for t in cands]
@@ -260,20 +265,23 @@ class AdaptiveSieve(_BandedSieve):
     prefix seen so far and widens to ``band_top(k, |base|)`` each time the
     base grows.  ``tau`` keeps the same [M, 2M] contract as
     :class:`ThresholdSieve`.  A window copy of :class:`AutoThresholdSieve`
-    is driven through :meth:`process` and :meth:`drain` alone: its own
-    base stays empty and the window widens it.  Unlike
+    is driven through :meth:`process` and :meth:`drain` alone: it opens
+    no base of its own, and the window widens it.  Unlike
     :class:`ThresholdSieve` it takes no ``trace`` list.
     """
 
     # an __init__ of its own: perfbench/tracing.py counts window copies by it
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float):
         super().__init__(sys, f, tau, None)
-        self._base = sys.open()
-        self.base = self._base.members
+        self._base: FeasibilityState | None = None  # opened on the first push
 
     def _ingest(self, u: int) -> list[int]:
-        if self._base.can_add(u):
-            self._base.add(u)
+        state = self._base
+        if state is None:
+            state = self._base = self.sys.open()
+            self.base = state.members
+        if state.can_add(u):
+            state.add(u)
             self.widen(band_top(self.k, len(self.base)))
         return super()._ingest(u)
 

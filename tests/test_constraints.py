@@ -701,44 +701,6 @@ def test_states_of_one_system_are_independent_of_each_other():
         assert second.can_add(0), label
 
 
-def test_node_states_opened_concurrently_stay_exact():
-    # the first open() builds the neighbour masks; threads racing on it
-    # must each get a complete set
-    rng = SplitMix64(1822)
-    edges = [(u, v) for u in range(60) for v in range(u + 1, 60)
-             if rng.random() < 0.1]
-    orders = []
-    for _ in range(6):
-        order = list(range(60))
-        rng.shuffle(order)
-        orders.append(order)
-    wrong = []
-
-    def grow(sys, order):
-        state = sys.open()
-        for u in order:
-            if state.can_add(u) is not sys.can_add(u, state.members):
-                wrong.append(u)
-            if state.can_add(u):
-                state.add(u)
-
-    interval = sys_module.getswitchinterval()
-    sys_module.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            sys = node_independent_set_system(60, edges)
-            workers = [threading.Thread(target=grow, args=(sys, order))
-                       for order in orders]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=60)
-            assert not any(worker.is_alive() for worker in workers)
-    finally:
-        sys_module.setswitchinterval(interval)
-    assert wrong == []
-
-
 class _StaleMaskState(_NodeState):
     """A broken node state: ``add`` blocks the new member but not its
     neighbours."""
