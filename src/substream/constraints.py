@@ -3,26 +3,30 @@
 Every system is a downward-closed family over ``range(n)`` exposed through
 a membership predicate, together with a certified exchange parameter
 ``k_param`` and a ``class_tag`` of ``"matroid"``, ``"k_extendible"`` or
-``"k_system"``.  ``can_add(u, members)`` works its answer out from the
-whole member set on every call.  A caller whose set only grows asks
-``open()`` for a :class:`FeasibilityState` instead, which keeps running
-summaries of its members (a count, a running cost, a bitmask of blocked
-vertices) and answers ``can_add(u)`` from them.
+``"k_system"``.  The predicate defines the family, and
+``can_add(u, members)`` asks it about the whole set ``members + u`` on
+every call.  A caller whose set only grows asks ``open()`` for a
+:class:`FeasibilityState` instead: the one incremental path.  A state
+keeps running summaries of its members (a count, a running cost, a
+bitmask of blocked vertices, a memoized block test) and answers
+``can_add(u)`` from them, exactly as the predicate would.
 
-The oracles are stateless except the planarity system, whose
-``can_add`` keeps the answers of its tests.  ``fresh()`` returns a
-system with nothing kept (the system itself when it keeps nothing), and
-``bench.run_algorithm`` starts each run with it, so no kept answer
-outlives a run and runs that share a system share none.  Within one
-system the memos are not synchronized, but each entry is keyed by
-everything its answer depends on, so concurrent queries stay exact; at
-worst they empty each other's entries and repeat a test.
+The oracles are stateless except the planarity system, whose states
+keep the answers of their block tests in memos shared by every state of
+one system.  ``fresh()`` returns a system with nothing kept (the system
+itself when it keeps nothing), and ``bench.run_algorithm`` starts each
+run with it, so no kept answer outlives a run and runs that share a
+system share none.  Within one system the memos are not synchronized,
+but each entry is keyed by everything its answer depends on, so
+concurrent queries stay exact; at worst they empty each other's entries
+and repeat a test.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (ElementSet, GroundSetError, SizeLimitError,
@@ -39,30 +43,30 @@ EXACT_RHO_LIMIT = 20
 class IndependenceSystem:
     """Membership oracle for a downward-closed set family.
 
-    ``predicate`` decides independence of an id set.  ``add_predicate``,
-    when given, must answer "is S + u independent" for independent S; it
-    serves :meth:`can_add`, and node independent sets and label limits
-    derive ``predicate`` from it (:func:`_built_by_adding`).
+    ``predicate`` decides independence of an id set and defines the
+    family; :meth:`can_add` and :meth:`is_independent` ask it.
     ``rho_hint`` is the exact size of the largest independent set when it
-    is cheaply known, else None.
+    is cheaply known, else None.  ``n`` and ``k_param`` must be whole
+    numbers (a float such as ``3.0`` is taken as 3); a NaN, infinite or
+    fractional one raises ``ValueError`` naming it.
 
     :meth:`open` returns an empty :class:`FeasibilityState`.
-    ``open_fn(system)``, when provided, builds it; cardinality, knapsack,
-    node-independent-set and intersection systems pass one that keeps
-    running summaries.  ``open_fn`` receives the system rather
-    than closing over it, so a system and its factory form no reference
-    cycle.  Without it the generic state asks the predicates, as
-    :meth:`can_add` does.
+    ``open_fn(system)``, when provided, builds it; every family but label
+    limits passes one that builds a state of its own.  ``open_fn`` receives
+    the system rather than closing over it, so a system and its factory
+    form no reference cycle.  Without it the generic state asks
+    :meth:`can_add`.
     """
 
     __slots__ = ("n", "k_param", "class_tag", "kind", "rho_hint",
-                 "_predicate", "_add_predicate", "_open_fn", "_fresh")
+                 "_predicate", "_open_fn", "_fresh")
 
     def __init__(self, predicate: Callable[[frozenset], bool], n: int, *,
                  k_param: int, class_tag: str, kind: str = "custom",
                  rho_hint: int | None = None,
-                 add_predicate: Callable[[int, Iterable[int]], bool] | None = None,
                  open_fn: Callable[[IndependenceSystem], FeasibilityState] | None = None):
+        n = _spec_int(kind, "n", n)
+        k_param = _spec_int(kind, "k_param", k_param)
         if n <= 0:
             raise ValueError("ground set must be non-empty")
         if k_param < 1:
@@ -70,12 +74,11 @@ class IndependenceSystem:
         if class_tag not in CLASS_TAGS:
             raise ValueError(f"class_tag must be one of {CLASS_TAGS}")
         self.n = n
-        self.k_param = int(k_param)
+        self.k_param = k_param
         self.class_tag = class_tag
         self.kind = kind
         self.rho_hint = rho_hint
         self._predicate = predicate
-        self._add_predicate = add_predicate
         self._open_fn = open_fn
         self._fresh: Callable[[], IndependenceSystem] | None = None
 
@@ -95,13 +98,13 @@ class IndependenceSystem:
         return bool(self._predicate(self._checked(subset)))
 
     def can_add(self, u: int, members: Iterable[int]) -> bool:
-        """Whether adding ``u`` keeps an already independent set independent."""
+        """Whether ``members + u`` is independent, for a non-member ``u``,
+        by asking the predicate about the whole set.  Every state from
+        :meth:`open` must answer the same."""
         if not (0 <= u < self.n):
             raise _outside(u, self.n)
         if u in members:
             return False
-        if self._add_predicate is not None:
-            return bool(self._add_predicate(u, members))
         return bool(self._predicate(frozenset(members) | {u}))
 
     def open(self) -> FeasibilityState:
@@ -127,8 +130,8 @@ class FeasibilityState:
     and raises ``GroundSetError`` for an id outside ``range(n)`` and
     ``DuplicateElementError`` for a member; it does not test
     feasibility, so callers ask :meth:`can_add` first.  This generic
-    state keeps no summary: it calls the system's add predicate, or its
-    whole-set predicate, on the members.
+    state keeps no summary: it asks the system's :meth:`can_add` about
+    the members.
     """
 
     __slots__ = ("sys", "n", "members")
@@ -139,15 +142,7 @@ class FeasibilityState:
         self.members = ElementSet()
 
     def can_add(self, u: int) -> bool:
-        if not (0 <= u < self.n):
-            raise _outside(u, self.n)
-        members = self.members
-        if u in members:
-            return False
-        sys = self.sys
-        if sys._add_predicate is not None:
-            return bool(sys._add_predicate(u, members))
-        return bool(sys._predicate(frozenset(members) | {u}))
+        return self.sys.can_add(u, self.members)
 
     def add(self, u: int) -> None:
         if not (0 <= u < self.n):
@@ -220,10 +215,28 @@ class _NodeState(FeasibilityState):
         self.blocked |= self.masks[u]
 
 
+class _PlanarityState(FeasibilityState):
+    """Asks the system's memoized block test (see
+    :func:`planarity_system`), whose memos every state of one system
+    shares."""
+
+    __slots__ = ("block_test",)
+
+    def __init__(self, sys: IndependenceSystem,
+                 block_test: Callable[[int, ElementSet], bool]):
+        super().__init__(sys)
+        self.block_test = block_test
+
+    def can_add(self, u: int) -> bool:
+        if not (0 <= u < self.n):
+            raise _outside(u, self.n)
+        members = self.members
+        return u not in members and self.block_test(u, members)
+
+
 class _PairState(FeasibilityState):
     """State of an intersection: asks the first part's state before the
-    second's, as the system's add predicate does.  ``members`` is the
-    first part's."""
+    second's.  ``members`` is the first part's."""
 
     __slots__ = ("first", "second")
 
@@ -243,27 +256,13 @@ class _PairState(FeasibilityState):
         self.second.add(u)
 
 
-def _built_by_adding(add_pred: Callable) -> Callable[[frozenset], bool]:
-    """Whole-set test of a family defined by its add predicate: a
-    downward-closed family holds S exactly when S can be built one
-    element at a time."""
-    def pred(s):
-        members: set[int] = set()
-        for u in s:
-            if not add_pred(u, members):
-                return False
-            members.add(u)
-        return True
-
-    return pred
-
-
 def cardinality_system(n: int, rho: int) -> IndependenceSystem:
     """All subsets of size at most ``rho`` (a uniform matroid).
 
     ``rho`` must be a whole number (a float such as ``3.0`` is taken as
     3); a NaN, infinite or fractional one raises ``ValueError``.
     """
+    n = _spec_int("cardinality", "n", n)
     rho = _spec_int("cardinality", "rho", rho)
     if rho < 1:
         raise ValueError("rho must be positive")
@@ -271,7 +270,6 @@ def cardinality_system(n: int, rho: int) -> IndependenceSystem:
         lambda s: len(s) <= rho, n,
         k_param=1, class_tag="matroid", kind="cardinality",
         rho_hint=min(rho, n),
-        add_predicate=lambda u, members: len(members) < rho,
         open_fn=lambda system: _CardinalityState(system, rho))
 
 
@@ -313,12 +311,9 @@ def knapsack_system(costs, budget: float) -> IndependenceSystem:
     def pred(s):
         return _running_sum(c, s) <= limit
 
-    def add_pred(u, members):
-        return _running_sum(c, members) + c[u] <= limit
-
     return IndependenceSystem(pred, len(c), k_param=max(k, 1),
                               class_tag="k_extendible", kind="knapsack",
-                              rho_hint=rho, add_predicate=add_pred,
+                              rho_hint=rho,
                               open_fn=lambda system: _KnapsackState(
                                   system, c, limit))
 
@@ -372,22 +367,13 @@ def labeled_limit_system(labels: Sequence[Iterable], per_label_limit,
     if k_param is None:
         k_param = (max((len(l) for l in labs), default=0)) + 1
 
-    def add_pred(u, members):
-        if len(members) + 1 > total_limit:
-            return False
-        for lab in labs[u]:
-            cap = limits[lab] - 1
-            count = 0
-            for x in members:
-                if lab in labs[x]:
-                    count += 1
-                    if count > cap:
-                        return False
-        return True
+    def pred(s):
+        counts = Counter(lab for u in s for lab in labs[u])
+        return (len(s) <= total_limit
+                and all(counts[lab] <= limits[lab] for lab in counts))
 
-    return IndependenceSystem(_built_by_adding(add_pred), len(labs),
-                              k_param=k_param, class_tag="k_extendible",
-                              kind="labeled_limit", add_predicate=add_pred)
+    return IndependenceSystem(pred, len(labs), k_param=k_param,
+                              class_tag="k_extendible", kind=kind)
 
 
 def _endpoints(kind: str, e: Sequence, n: int) -> tuple[int, int]:
@@ -410,10 +396,11 @@ def node_independent_set_system(n: int, edges: Iterable[Sequence[int]]) -> Indep
 
     Its states keep a bitmask of blocked vertices (:class:`_NodeState`)
     and read the neighbour masks built here, one per vertex, holding its
-    neighbours and itself.  Endpoints must be whole numbers (a float such
-    as ``3.0`` is taken as 3); a NaN, infinite or fractional one raises
-    ``ValueError`` naming the edge.
+    neighbours and itself.  ``n`` and the endpoints must be whole numbers
+    (a float such as ``3.0`` is taken as 3); a NaN, infinite or
+    fractional one raises ``ValueError`` naming the field or the edge.
     """
+    n = _spec_int("node_independent_set", "n", n)
     adj: list[set[int]] = [set() for _ in range(n)]
     for e in edges:
         u, v = _endpoints("node_independent_set", e, n)
@@ -424,48 +411,50 @@ def node_independent_set_system(n: int, edges: Iterable[Sequence[int]]) -> Indep
     # distinct bits, so their sum is their union
     masks = [sum(map(bits.__getitem__, a)) | bits[u] for u, a in enumerate(adj)]
 
-    def add_pred(u, members):
-        return adj[u].isdisjoint(members)
+    def pred(s):
+        return all(adj[u].isdisjoint(s) for u in s)
 
-    return IndependenceSystem(_built_by_adding(add_pred), n,
+    return IndependenceSystem(pred, n,
                               k_param=max(d_max, 1), class_tag="k_extendible",
                               kind="node_independent_set",
-                              add_predicate=add_pred,
                               open_fn=lambda system: _NodeState(system, masks))
 
 
 def planarity_system(n_vertices: int, edge_list: Sequence[Sequence[int]]) -> IndependenceSystem:
     """Edge subsets whose graph is planar; element i stands for edge i.
 
-    ``is_independent`` runs the left-right test on the whole subset, but
-    only beyond 8 edges: the smallest non-planar graphs, K3,3 and K5,
-    have 9 and 10.  ``can_add`` relies on the members being planar
+    ``is_independent`` and ``can_add`` run the left-right test on the
+    whole subset, but only beyond 8 edges: the smallest non-planar
+    graphs, K3,3 and K5, have 9 and 10.  A state from ``open()``
+    (:class:`_PlanarityState`) relies on its members being planar
     already.  A graph is planar exactly when each of its biconnected
     blocks is (Hopcroft and Tarjan, CACM 1973), and adding the edge ab to
     the members changes only one block: the block of ``members + ab``
     that holds ab, which is the union of the members' blocks on the a-b
     path of their block-cut tree, plus ab (see :func:`merged_block`).
-    ``can_add`` tests that merged block alone, and only when the test
-    can fail: never on at most 8 edges, so never for a bridge or a
-    pendant edge, and not when the block already breaks Euler's bound
+    The state's ``can_add`` tests that merged block alone, and only when
+    the test can fail: never on at most 8 edges, so never for a bridge or
+    a pendant edge, and not when the block already breaks Euler's bound
     e <= 3v - 6.
 
-    Answers are kept in two memos, both exact.  The first is keyed by the
-    edge and the member set, so the many sieve buckets and threshold
-    guesses that hold the same members share one block pass; it is
-    emptied when another edge is asked about.  The second is keyed by the
-    edge and the merged block's edge set, so member sets that differ only
-    outside that block share one left-right test, also when the same edge
-    arrives again later (cascade copies, later window copies, repeated
-    greedy rounds); it is kept for the life of the system.  ``fresh()``
-    returns the same system with both memos empty, and
-    ``bench.run_algorithm`` starts every run with it, so no answer carries
-    over from one run to the next.
+    The block answers are kept in two memos, both exact, that every
+    state of the system shares.  The first is keyed by the edge and the
+    member set, so the many sieve buckets and threshold guesses that hold
+    the same members share one block pass; it is emptied when another
+    edge is asked about.  The second is keyed by the edge and the merged
+    block's edge set, so member sets that differ only outside that block
+    share one left-right test, also when the same edge arrives again
+    later (cascade copies, later window copies, repeated greedy rounds);
+    it is kept for the life of the system.  ``fresh()`` returns the same
+    system with both memos empty, and ``bench.run_algorithm`` starts
+    every run with it, so no answer carries over from one run to the
+    next.
 
-    Endpoints must be whole numbers (a float such as ``3.0`` is taken as
-    3); a NaN, infinite or fractional one raises ``ValueError`` naming
-    the edge.
+    ``n_vertices`` and the endpoints must be whole numbers (a float such
+    as ``3.0`` is taken as 3); a NaN, infinite or fractional one raises
+    ``ValueError`` naming the field or the edge.
     """
+    n_vertices = _spec_int("planarity", "n_vertices", n_vertices)
     edges = []
     seen = set()
     for e in edge_list:
@@ -490,7 +479,7 @@ def _planarity(edges: list[tuple[int, int]]) -> IndependenceSystem:
     memo_u = None
     tested: dict = {}
 
-    def add_pred(u, members):
+    def block_test(u, members):
         nonlocal memo_u
         if len(members) <= 7:
             return True
@@ -520,7 +509,8 @@ def _planarity(edges: list[tuple[int, int]]) -> IndependenceSystem:
 
     system = IndependenceSystem(pred, len(edges), k_param=3,
                                 class_tag="k_system", kind="planarity",
-                                add_predicate=add_pred)
+                                open_fn=lambda system: _PlanarityState(
+                                    system, block_test))
     system._fresh = lambda: _planarity(edges)
     return system
 
@@ -597,12 +587,8 @@ def intersect(a: IndependenceSystem, b: IndependenceSystem) -> IndependenceSyste
     def pred(s):
         return a.is_independent(s) and b.is_independent(s)
 
-    def add_pred(u, members):
-        return a.can_add(u, members) and b.can_add(u, members)
-
     system = IndependenceSystem(pred, a.n, k_param=a.k_param + b.k_param,
                                 class_tag="k_system", kind="intersection",
-                                add_predicate=add_pred,
                                 open_fn=lambda system: _PairState(
                                     system, a.open(), b.open()))
     if a._fresh is not None or b._fresh is not None:

@@ -44,9 +44,11 @@ def weighted_greedy(f: Objective, sys: IndependenceSystem,
     every key still on the heap.  That key is the round's choice, so the
     selection matches the naive re-evaluate-everything greedy exactly.
     The solution only grows, so every gain is read from one gain state
-    from :meth:`Objective.open`.
+    from :meth:`Objective.open`, and every feasibility query is asked of
+    one feasibility state from :meth:`IndependenceSystem.open` beside it.
     """
     gains = f.open()
+    fits = sys.open()
     sol = gains.members
     heap = [(-gains.gain(u), u) for u in set(ground)]
     heapq.heapify(heap)
@@ -54,7 +56,7 @@ def weighted_greedy(f: Objective, sys: IndependenceSystem,
         best, fresh = None, []
         while heap and (best is None or heap[0] < best):
             cand = heapq.heappop(heap)[1]
-            if sys.can_add(cand, sol):  # infeasible now, infeasible forever
+            if fits.can_add(cand):  # infeasible now, infeasible forever
                 key = (-gains.gain(cand), cand)
                 fresh.append(key)
                 if best is None or key < best:
@@ -62,6 +64,7 @@ def weighted_greedy(f: Objective, sys: IndependenceSystem,
         if best is None or -best[0] <= EPS:
             break
         gains.add(best[1])
+        fits.add(best[1])
         for key in fresh:
             if key != best:
                 heapq.heappush(heap, key)

@@ -77,6 +77,15 @@ def random_independent_set(rng: SplitMix64, sys, keep_prob: float = 0.5):
     return out
 
 
+def state_holding(sys, members):
+    """A feasibility state of ``sys`` holding ``members``, added in their
+    order without feasibility checks."""
+    state = sys.open()
+    for u in members:
+        state.add(u)
+    return state
+
+
 def submodularity_violations(f, rng: SplitMix64, samples: int,
                              tol: float = 1e-9) -> int:
     """Count sampled (A subset of B, u outside B) triples violating the

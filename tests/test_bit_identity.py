@@ -24,7 +24,7 @@ from substream.core import DuplicateElementError, GainState, GroundSetError
 from substream.prng import SplitMix64
 from substream.streaming import _ceil_log2, _drive
 
-from helpers import max_feasible_singleton
+from helpers import max_feasible_singleton, state_holding
 
 
 def reference_cut_value(g):
@@ -79,7 +79,7 @@ def test_cut_marginal_matches_reference_loop_exactly(seed, container):
         assert f.evaluations == before + 2
 
 
-def test_node_is_add_pred_matches_any_form():
+def test_node_can_add_matches_any_form():
     rng = SplitMix64(5)
     g = gen_erdos_renyi(50, 0.1, 5)
     pairs = undirected_pairs(g)
@@ -87,12 +87,19 @@ def test_node_is_add_pred_matches_any_form():
     for a, b in pairs:
         nbrs[a].add(b)
         nbrs[b].add(a)
-    add_pred = node_independent_set_system(50, pairs)._add_predicate
+    sys = node_independent_set_system(50, pairs)
     for _ in range(500):
-        members = ElementSet(x for x in range(50) if rng.random() < 0.1)
+        order = list(range(50))
+        rng.shuffle(order)
+        members = ElementSet()
+        for x in order:
+            if rng.random() < 0.1 and nbrs[x].isdisjoint(members):
+                members.add(x)
         u = rng.randrange(50)
+        expected = u not in members and not any(v in nbrs[u] for v in members)
         for m in (members, set(members), tuple(members)):
-            assert add_pred(u, m) == (not any(v in nbrs[u] for v in m))
+            assert sys.can_add(u, m) == expected
+            assert state_holding(sys, m).can_add(u) == expected
 
 
 def legacy_stored_count(comp):

@@ -14,12 +14,14 @@ from substream import (ElementSet, GroundSetError, IndependenceSystem,
                        intersect, knapsack_system, labeled_limit_system,
                        make_system, node_independent_set_system,
                        planarity_system, unweighted_greedy)
-from substream.constraints import FeasibilityState, _NodeState, merged_block
+from substream.constraints import (FeasibilityState, _KnapsackState,
+                                   _NodeState, _PlanarityState, merged_block)
 from substream.planarity import planarity_check
 from substream.prng import SplitMix64
 
 from helpers import (count_planarity_tests, exchange_witness,
-                     random_independent_set, random_labels, random_system)
+                     random_independent_set, random_labels, random_system,
+                     state_holding)
 
 
 def test_cardinality_basics():
@@ -91,9 +93,9 @@ def test_labeled_limit_k_param_and_override():
     assert forced.k_param == 5
 
 
-def test_add_defined_families_match_their_definitions_on_every_subset():
-    # is_independent builds the set through the add predicate; compare it
-    # with the families' definitions on all 2**8 subsets
+def test_node_and_label_predicates_match_their_definitions_on_every_subset():
+    # compare is_independent with the families' definitions, written out
+    # by hand, on all 2**8 subsets
     edges = [(0, 1), (1, 2), (2, 3), (4, 5), (0, 5), (6, 7), (3, 7)]
     nis = node_independent_set_system(8, edges)
     labels = [{"a"}, {"a", "b"}, {"b"}, {"b", "c"}, {"c"}, set(), {"a", "c"},
@@ -216,6 +218,51 @@ def test_constructors_reject_non_integer_bound(name, bad):
         _BOUNDED_CONSTRUCTORS[name](bad)
 
 
+def _true(s):
+    return True
+
+
+_SYSTEM_INT_ARGS = {
+    "n=2.5": (lambda: IndependenceSystem(_true, 2.5, k_param=1,
+                                         class_tag="matroid"), "custom", "n"),
+    "n=nan": (lambda: IndependenceSystem(_true, math.nan, k_param=1,
+                                         class_tag="matroid"), "custom", "n"),
+    "k_param=1.7": (lambda: IndependenceSystem(_true, 3, k_param=1.7,
+                                               class_tag="matroid"),
+                    "custom", "k_param"),
+    "k_param=nan": (lambda: IndependenceSystem(_true, 3, k_param=math.nan,
+                                               class_tag="matroid"),
+                    "custom", "k_param"),
+    "labeled k_param=2.5": (lambda: labeled_limit_system(
+        _TWO_LABELS, 1, 2, k_param=2.5), "labeled_limit", "k_param"),
+    "cardinality n=4.5": (lambda: cardinality_system(4.5, 2),
+                          "cardinality", "n"),
+    "node_independent_set n=2.5": (lambda: node_independent_set_system(
+        2.5, [(0, 1)]), "node_independent_set", "n"),
+    "planarity n_vertices=2.5": (lambda: planarity_system(
+        2.5, [(0, 1), (1, 2)]), "planarity", "n_vertices"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SYSTEM_INT_ARGS))
+def test_systems_reject_non_integer_n_and_k_param(case):
+    build, kind, field = _SYSTEM_INT_ARGS[case]
+    with pytest.raises(ValueError, match=f"^{kind} spec field '{field}' "
+                                         "must be an integer"):
+        build()
+
+
+def test_systems_take_integral_n_and_k_param_as_int():
+    sys = IndependenceSystem(_true, 3.0, k_param=np.int64(2),
+                             class_tag="matroid")
+    assert (sys.n, sys.k_param) == (3, 2)
+    assert type(sys.n) is int and type(sys.k_param) is int
+    with pytest.raises(GroundSetError):
+        sys.can_add(3, ())
+    sys = cardinality_system(4.0, 5)
+    assert (sys.n, sys.rho_hint) == (4, 4) and type(sys.rho_hint) is int
+
+
 def test_constructors_accept_integral_float_bounds():
     sys = cardinality_system(5, 3.0)
     assert sys.rho_hint == 3 and type(sys.rho_hint) is int
@@ -241,7 +288,8 @@ def test_can_add_agrees_with_membership():
 
 
 def test_custom_can_add_falls_back_to_the_whole_set_test():
-    # no add predicate: can_add asks is_independent of S + u
+    # a custom system has no state of its own: can_add asks
+    # is_independent of S + u
     weights = [3, 1, 4, 1, 5, 9, 2, 6]
     sys = IndependenceSystem(lambda s: sum(weights[u] for u in s) <= 10, 8,
                              k_param=2, class_tag="k_system")
@@ -306,10 +354,11 @@ def _planarity_instances(rng):
 
 def _grow_and_compare(sys, edges, rng, extra=lambda u, members: True):
     """Offer the edges in random order, keeping each one that fits.  After
-    every acceptance, ask ``can_add`` about every non-member in random
-    order.  Some edges are asked again right away, against a random subset
-    of the members and then the members themselves; the first edge is
-    asked once more after all the others."""
+    every acceptance, ask a state holding the members (:func:`state_holding`)
+    about every non-member in random order.  Some edges are asked again
+    right away, of states holding a random subset of the members and then
+    the members themselves; the first edge is asked once more after all
+    the others."""
 
     def expected(u, members):
         return (planarity_check([edges[i] for i in members] + [edges[u]])
@@ -320,9 +369,9 @@ def _grow_and_compare(sys, edges, rng, extra=lambda u, members: True):
     rng.shuffle(offers)
     for offered in offers:
         if not expected(offered, members):
-            assert not sys.can_add(offered, members)
+            assert not state_holding(sys, members).can_add(offered)
             continue
-        assert sys.can_add(offered, members)
+        assert state_holding(sys, members).can_add(offered)
         members.add(offered)
         others = [u for u in range(len(edges)) if u not in members]
         rng.shuffle(others)
@@ -332,10 +381,12 @@ def _grow_and_compare(sys, edges, rng, extra=lambda u, members: True):
                 asks += [{x for x in members if rng.random() < 0.7},
                          list(members)]
             for asked in asks:
-                assert sys.can_add(u, asked) == expected(u, asked), (u, asked)
+                assert (state_holding(sys, asked).can_add(u)
+                        == expected(u, asked)), (u, asked)
         if others:
             u = others[0]
-            assert sys.can_add(u, members) == expected(u, members)
+            assert (state_holding(sys, members).can_add(u)
+                    == expected(u, members))
 
 
 def test_planarity_can_add_agrees_with_full_test():
@@ -440,7 +491,8 @@ def test_planarity_answers_depend_on_the_block_edges_not_its_vertices():
     for order in ((bad, good), (good, bad)):
         sys = planarity_system(6, edges)
         for members in order:
-            assert sys.can_add(ids[ab], members) == (members is good)
+            assert (state_holding(sys, members).can_add(ids[ab])
+                    == (members is good))
 
 
 _K5 = list(combinations(range(5), 2))
@@ -461,7 +513,7 @@ def test_planarity_tests_every_block_on_the_path(block, pendant, ab):
     u = len(edges) - 1
     for part in block, [pendant]:
         assert planarity_check(part + [ab])
-    assert not sys.can_add(u, range(u))
+    assert not state_holding(sys, range(u)).can_add(u)
     assert not sys.is_independent(range(len(edges)))
 
 
@@ -472,18 +524,19 @@ def test_planarity_block_answers_are_shared_until_fresh(monkeypatch):
     block = [i for i in range(len(_K33)) if i != u]
     one, other = block + [len(_K33)], block + [len(_K33) + 1]
     sys = planarity_system(8, edges)
-    assert not sys.can_add(u, one) and calls == [9]
+    assert not state_holding(sys, one).can_add(u) and calls == [9]
     # the members differ outside the block: the answer is kept
-    assert not sys.can_add(u, other) and len(calls) == 1
+    assert not state_holding(sys, other).can_add(u) and len(calls) == 1
     # another edge empties the per-edge memo, the block answer stays
-    assert sys.can_add(len(_K33), other) and len(calls) == 1
-    assert not sys.can_add(u, one) and len(calls) == 1
-    assert not sys.fresh().can_add(u, one) and len(calls) == 2
+    assert state_holding(sys, other).can_add(len(_K33)) and len(calls) == 1
+    assert not state_holding(sys, one).can_add(u) and len(calls) == 1
+    assert not state_holding(sys.fresh(), one).can_add(u) and len(calls) == 2
 
 
 def test_planarity_can_add_stays_exact_under_concurrent_queries():
-    # threads share one system's memos and empty each other's per-edge
-    # entries; every answer must still be the full test's
+    # threads ask states of one system, which share its memos and empty
+    # each other's per-edge entries; every answer must still be the full
+    # test's
     rng = SplitMix64(515)
     edges = _random_graph(rng, 9, 0.8)
     sys = planarity_system(9, edges)
@@ -493,14 +546,14 @@ def test_planarity_can_add_stays_exact_under_concurrent_queries():
         members = [i for i in range(len(edges)) if i != u and rng.random() < 0.5]
         if planarity_check([edges[i] for i in members]):
             expected = planarity_check([edges[i] for i in members] + [edges[u]])
-            cases.append((u, frozenset(members), expected))
+            cases.append((u, state_holding(sys, members), expected))
     wrong = []
 
     def ask(offset):
         for _ in range(20):
-            for u, members, expected in cases[offset:] + cases[:offset]:
-                if sys.can_add(u, members) != expected:
-                    wrong.append((u, members))
+            for u, state, expected in cases[offset:] + cases[:offset]:
+                if state.can_add(u) != expected:
+                    wrong.append((u, list(state.members)))
 
     interval = sys_module.getswitchinterval()
     sys_module.setswitchinterval(1e-6)
@@ -534,7 +587,8 @@ def test_fresh_is_the_system_itself_unless_it_keeps_answers():
         assert (copy.n, copy.k_param, copy.class_tag, copy.kind) == (
             sys.n, sys.k_param, sys.class_tag, sys.kind)
         for members in ([0], [0, 1, 2]):
-            assert copy.can_add(3, members) == sys.can_add(3, members)
+            assert (state_holding(copy, members).can_add(3)
+                    == state_holding(sys, members).can_add(3))
 
 
 _GRAPH_CONSTRUCTORS = {"planarity": (planarity_system, "n_vertices"),
@@ -615,8 +669,9 @@ def _state_disagreements(sys, rng, runs=4, open_state=None):
     """Grow ``runs`` random sets through a state from ``sys.open()`` (or
     ``open_state()``), offering every element once in random order and
     adding each one the state accepts.  Before every offer, compare
-    ``state.can_add(u)`` with ``sys.can_add(u, state.members)`` for every
-    id u, members included; return the ``(run, step, u)`` that differ."""
+    ``state.can_add(u)`` with ``sys.can_add(u, state.members)``, which
+    asks the family's whole-set predicate, for every id u, members
+    included; return the ``(run, step, u)`` that differ."""
     open_state = open_state or sys.open
     bad = []
     for run in range(runs):
@@ -634,7 +689,7 @@ def _state_disagreements(sys, rng, runs=4, open_state=None):
 
 def _state_families(rng):
     """(label, system) for every family with a state of its own, the
-    generic state's planarity and whole-set systems, and two
+    generic state's label limits and whole-set systems, and two
     intersections."""
     n = 14
     nis_edges = [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -721,6 +776,36 @@ def test_agreement_check_catches_a_stale_blocked_mask():
     stale = _state_disagreements(
         sys, rng, open_state=lambda: _StaleMaskState(sys, sys.open().masks))
     assert stale
+
+
+def test_agreement_check_catches_a_block_test_that_always_fits():
+    rng = SplitMix64(1822)
+    edges = _random_graph(rng, 9, 0.7)
+    sys = planarity_system(9, edges)
+    assert _state_disagreements(sys, rng) == []
+    lax = _state_disagreements(
+        sys, rng, open_state=lambda: _PlanarityState(sys, lambda u, m: True))
+    assert lax
+
+
+class _CostlessState(_KnapsackState):
+    """A broken knapsack state: ``add`` skips the new member's cost."""
+
+    __slots__ = ()
+
+    def add(self, u):
+        FeasibilityState.add(self, u)
+
+
+def test_agreement_check_catches_a_knapsack_state_that_skips_costs():
+    rng = SplitMix64(1823)
+    costs = [rng.uniform(0.3, 3.0) for _ in range(12)]
+    sys = knapsack_system(costs, 0.4 * sum(costs))
+    assert _state_disagreements(sys, rng) == []
+    costless = _state_disagreements(
+        sys, rng, open_state=lambda: _CostlessState(sys, costs,
+                                                    sys.open().limit))
+    assert costless
 
 
 def test_knapsack_adds_costs_left_to_right():

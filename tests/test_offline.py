@@ -86,7 +86,9 @@ def test_lazy_greedy_matches_naive_reference():
 
 
 class _RecordingSystem:
-    """Passes ``can_add`` through and records every query."""
+    """Passes ``can_add`` and ``open`` through and records every
+    feasibility query, of the system or of a state it opened, as
+    ``(u, members)``."""
 
     def __init__(self, sys):
         self.sys = sys
@@ -95,6 +97,26 @@ class _RecordingSystem:
     def can_add(self, u, members):
         self.queries.append((u, tuple(members)))
         return self.sys.can_add(u, members)
+
+    def open(self):
+        return _RecordingState(self.sys.open(), self.queries)
+
+
+class _RecordingState:
+    """Passes a feasibility state through and records its ``can_add``
+    queries into ``queries``."""
+
+    def __init__(self, state, queries):
+        self.state = state
+        self.members = state.members
+        self.queries = queries
+
+    def can_add(self, u):
+        self.queries.append((u, tuple(self.members)))
+        return self.state.can_add(u)
+
+    def add(self, u):
+        self.state.add(u)
 
 
 def _greedy_parity_failures(greedy, seeds):
@@ -130,6 +152,7 @@ def _stops_at_the_bar_after_an_infeasible_pop(f, sys, ground):
     """A broken lazy greedy: a round without a feasible best gives up once
     an infeasible pop leaves a bound at or below EPS on top."""
     gains = f.open()
+    fits = sys.open()
     sol = gains.members
     heap = [(-gains.gain(u), u) for u in set(ground)]
     heapq.heapify(heap)
@@ -137,7 +160,7 @@ def _stops_at_the_bar_after_an_infeasible_pop(f, sys, ground):
         best, fresh = None, []
         while heap and (best is None or heap[0] < best):
             cand = heapq.heappop(heap)[1]
-            if sys.can_add(cand, sol):
+            if fits.can_add(cand):
                 key = (-gains.gain(cand), cand)
                 fresh.append(key)
                 if best is None or key < best:
@@ -147,6 +170,7 @@ def _stops_at_the_bar_after_an_infeasible_pop(f, sys, ground):
         if best is None or -best[0] <= EPS:
             break
         gains.add(best[1])
+        fits.add(best[1])
         for key in fresh:
             if key != best:
                 heapq.heappush(heap, key)
