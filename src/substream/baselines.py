@@ -72,6 +72,10 @@ class SieveGuessStream(StreamingComponent):
     A guess's solution only grows, so ``guesses`` maps a guess value to a
     :class:`_Guess`: a gain state from :meth:`Objective.open` and a
     feasibility state from :meth:`IndependenceSystem.open`, grown together.
+    The guesses whose feasibility state can take an arrival are listed
+    first, and one :meth:`Objective.gains` call answers all their gains,
+    so a full guess pays no gain query and an error leaves every guess
+    without the element.
 
     A ``rho`` passed in must be a whole number of at least 1; without one
     the system's ``rho_hint`` is used, else its exact rho.
@@ -132,10 +136,13 @@ class SieveGuessStream(StreamingComponent):
                     self.anchor = value
                 evicted.extend(self._refresh_guesses())
         held = 0
-        for v, (gains, fits) in self.guesses.items():
-            if fits.can_add(u) and gains.gain(u) >= v / (2.0 * self.rho) - EPS:
-                gains.add(u)
-                fits.add(u)
+        takers = [(v, guess) for v, guess in self.guesses.items()
+                  if guess.fits.can_add(u)]
+        gains = self.f.gains(u, [guess.gains for _, guess in takers])
+        for (v, guess), gain in zip(takers, gains):
+            if gain >= v / (2.0 * self.rho) - EPS:
+                guess.gains.add(u)
+                guess.fits.add(u)
                 held += 1
         if held:
             self._holders[u] = self._holders.get(u, 0) + held

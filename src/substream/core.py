@@ -155,6 +155,11 @@ class Objective:
     the state asks :meth:`marginal` for every gain and :meth:`value` for
     every loss and swap trial.
 
+    :meth:`gains` asks many states for one element's gain at once, as
+    the threshold copies of a sieve do; it counts one query per state
+    with running sums or a table, and the two of each :meth:`marginal`
+    call for generic states.
+
     Instances are read-only after construction apart from the call
     counter and the singleton table, which are not synchronized: use one
     oracle per run when running concurrently.
@@ -225,6 +230,19 @@ class Objective:
             return GainState(self)
         return self._open_fn(self)
 
+    def gains(self, u: int, states: list["GainState"]) -> list[float]:
+        """``[s.gain(u) for s in states]`` in one call, equal float for
+        float, for states that all come from this objective's
+        :meth:`open`.
+
+        It counts what those calls count and raises what the first
+        failing one raises.  The states' class answers the batch
+        (:meth:`GainState.gains_of`).
+        """
+        if not states:
+            return []
+        return type(states[0]).gains_of(u, states)
+
 
 class GainState:
     """A set with the gain of each element outside it and the loss of
@@ -249,6 +267,19 @@ class GainState:
 
     def gain(self, u: int) -> float:
         return self.f.marginal(u, self.members)
+
+    @classmethod
+    def gains_of(cls, u: int, states: list["GainState"]) -> list[float]:
+        """:meth:`Objective.gains` for states of this class: one
+        :meth:`gain` call per state.
+
+        A subclass may answer the batch at once when ``u`` is in range and
+        outside every state and every gain is finite, counting one query
+        per state.  Otherwise it calls this loop, which raises and counts
+        what the first failing state raises and counts; a gain never
+        changes its state, so nothing else needs undoing.
+        """
+        return [s.gain(u) for s in states]
 
     def loss(self, x: int) -> float:
         members = self.members
@@ -295,9 +326,11 @@ class TabulatedGainState(GainState):
     ``gains[u]`` must hold u's gain for every ``u`` outside ``members``
     and its loss for every member.  :meth:`gain` keeps the checks of
     :meth:`Objective.marginal`; a gain or loss counts one evaluation and
-    raises ``NumericError`` on a non-finite entry.  This class never
-    writes ``gains``; a subclass whose :meth:`add` updates the table
-    passes in a copy of its own and undoes the update in :meth:`remove`.
+    raises ``NumericError`` on a non-finite entry.  A batch
+    (:meth:`Objective.gains`) reads every state's entry in one pass.
+    This class never writes ``gains``; a subclass whose :meth:`add`
+    updates the table passes in a copy of its own and undoes the update
+    in :meth:`remove`.
     """
 
     __slots__ = ("gains",)
@@ -317,6 +350,17 @@ class TabulatedGainState(GainState):
         if not math.isfinite(gain):
             raise NumericError(f"marginal oracle returned non-finite gain {gain}")
         return gain
+
+    @classmethod
+    def gains_of(cls, u: int, states: list[GainState]) -> list[float]:
+        f = states[0].f
+        if 0 <= u < f.n:
+            # members are skipped, so a short list means u is in a state
+            out = [s.gains[u] for s in states if u not in s.members]
+            if len(out) == len(states) and math.isfinite(sum(out)):
+                f.evaluations += len(out)
+                return out
+        return super().gains_of(u, states)
 
     def loss(self, x: int) -> float:
         if x not in self.members:
@@ -339,7 +383,10 @@ class AccumulatingGainState(GainState):
     :meth:`remove` clears the sums and absorbs the remaining members again
     in member order; the swap baselines and the double greedy's pool
     remove, so that path is cold.  Losses and swap trials stay the
-    generic :meth:`Objective.value` calls.
+    generic :meth:`Objective.value` calls.  A batch
+    (:meth:`Objective.gains`) checks u once for every state and reads the
+    gains through ``_gains(u, states)``, one ``_gain`` per state unless a
+    subclass reads them at once.
     """
 
     __slots__ = ()
@@ -355,6 +402,26 @@ class AccumulatingGainState(GainState):
         if not math.isfinite(gain):
             raise NumericError(f"marginal oracle returned non-finite gain {gain}")
         return gain
+
+    @classmethod
+    def gains_of(cls, u: int, states: list[GainState]) -> list[float]:
+        f = states[0].f
+        if 0 <= u < f.n and not any([u in s.members for s in states]):
+            try:
+                out = cls._gains(u, states)
+            except (ValueError, ArithmeticError):
+                pass  # replayed state by state below
+            else:
+                if math.isfinite(sum(out)):
+                    f.evaluations += len(out)
+                    return out
+        return super().gains_of(u, states)
+
+    @staticmethod
+    def _gains(u: int, states: list[AccumulatingGainState]) -> list[float]:
+        """``_gain(u)`` of each state, which the batch has checked;
+        a subclass may read them all at once."""
+        return [s._gain(u) for s in states]
 
     def add(self, u: int) -> None:
         self._check_outside(u)

@@ -348,7 +348,9 @@ class FacilityGainState(AccumulatingGainState):
     less ``value``; an add folds ``cols[v]`` into ``best``.  Both are O(rows).
     The max is exact and the sum runs over a contiguous vector of the same
     length as the oracle's, so every gain is the float ``f(S + u) - f(S)``
-    gives, with or without row sampling.
+    gives, with or without row sampling.  A batch (:meth:`Objective.gains`)
+    stacks the states' ``best`` rows and takes one max and one row-wise
+    sum, float for float the same gains.
     """
 
     __slots__ = ("cols", "divisor", "best", "value", "_scratch")
@@ -371,6 +373,18 @@ class FacilityGainState(AccumulatingGainState):
     def _gain(self, u: int) -> float:
         covered = np.maximum(self.best, self.cols[u], out=self._scratch)
         return float(covered.sum()) / self.divisor - self.value
+
+    @staticmethod
+    def _gains(u: int, states: list[FacilityGainState]) -> list[float]:
+        # one (states x rows) max; each row sums as the single-state
+        # vector does, contiguous and pairwise, so every gain is the same
+        first = states[0]
+        covered = np.concatenate([s.best for s in states]).reshape(
+            len(states), -1)
+        np.maximum(covered, first.cols[u], out=covered)
+        divisor = first.divisor
+        return [total / divisor - s.value
+                for total, s in zip(covered.sum(axis=1).tolist(), states)]
 
 
 def make_facility_location(m: np.ndarray,
@@ -421,7 +435,9 @@ class LogdetGainState(AccumulatingGainState):
     positive (the factorization of ``S + v`` failed) raises
     ``NumericError``, as the oracle does.  The factorization runs in member
     order, not sorted order, so a gain may differ from ``f(S + v) - f(S)``
-    in the last bits (the agreement tests allow 1e-12 relative).
+    in the last bits (the agreement tests allow 1e-12 relative).  A batch
+    (:meth:`Objective.gains`) still takes ``math.log`` state by state:
+    numpy's ``log`` may differ from it in the last bit.
     """
 
     __slots__ = ("shifted", "factor", "resid")

@@ -19,7 +19,7 @@ from itertools import chain
 from typing import Callable, Collection, Iterable, Sequence
 
 from .core import (EPS, ContractViolationError, DuplicateElementError,
-                   ElementSet, Objective, first_best)
+                   ElementSet, GainState, Objective, first_best)
 from .constraints import FeasibilityState, IndependenceSystem, _spec_int
 from .offline import unweighted_greedy
 
@@ -151,9 +151,9 @@ class _BandedSieve(StreamingComponent):
     gain query.  At end of stream, :meth:`drain` builds
     ``candidate_count(sys.k_param)`` interleaved candidates from the
     buckets and returns the best one.  :meth:`widen` appends the bands
-    (``ell``, one bucket per band) that :meth:`process` sorts arrivals
-    into; ``base`` holds what a subclass keeps outside the buckets, and is
-    empty unless one does.
+    (``ell``, one bucket per band) that :meth:`process` and :meth:`place`
+    sort arrivals into; ``base`` holds what a subclass keeps outside the
+    buckets, and is empty unless one does.
     """
 
     base: Collection[int] = ()
@@ -187,7 +187,14 @@ class _BandedSieve(StreamingComponent):
         return [state.members for state in self._bucket_states]
 
     def process(self, u: int) -> bool:
-        gain = self._kept_gains.gain(u)
+        return self.place(u, self._kept_gains.gain(u))
+
+    def place(self, u: int, gain: float) -> bool:
+        """Add ``u`` to the bucket of the band that ``gain``, u's gain
+        against ``kept``, falls in, if that bucket can take it; returns
+        whether it did.  :meth:`process` asks the gain itself; the
+        AutoThreshold window asks every copy's at once and passes it in.
+        """
         if gain <= EPS:
             return False  # band infinity
         i = _floor_log2(self.tau / gain)
@@ -265,7 +272,7 @@ class AdaptiveSieve(_BandedSieve):
     prefix seen so far and widens to ``band_top(k, |base|)`` each time the
     base grows.  ``tau`` keeps the same [M, 2M] contract as
     :class:`ThresholdSieve`.  A window copy of :class:`AutoThresholdSieve`
-    is driven through :meth:`process` and :meth:`drain` alone: it opens
+    is driven through :meth:`place` and :meth:`drain` alone: it opens
     no base of its own, and the window widens it.  Unlike
     :class:`ThresholdSieve` it takes no ``trace`` list.
     """
@@ -294,8 +301,14 @@ class AutoThresholdSieve(StreamingComponent):
     far and the size of a greedy base kept here; copies whose guess drops
     out of the window are deleted (their exclusive elements are evicted),
     and missing guesses are instantiated on arrival.  Copies are driven
-    through ``process`` and ``drain``, and widened to ``band_top`` of this
+    through ``place`` and ``drain``, and widened to ``band_top`` of this
     base when made and whenever it grows.
+
+    Each arrival's gain against every copy's kept set comes from one
+    :meth:`Objective.gains` call, asked before any copy takes it, so an
+    error leaves every copy without the element.  ``_live`` lists the
+    copies in ``copies`` order and ``_live_states`` their kept gain
+    states; both are rebuilt only when a copy is made or dropped.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective):
@@ -307,6 +320,8 @@ class AutoThresholdSieve(StreamingComponent):
         self.base = self._base.members
         self.best_singleton = -math.inf
         self.copies: dict[int, AdaptiveSieve] = {}  # exponent -> copy
+        self._live: list[AdaptiveSieve] = []
+        self._live_states: list[GainState] = []
         self._holders: dict[int, int] = {}
 
     def active_exponents(self) -> range:
@@ -333,16 +348,23 @@ class AutoThresholdSieve(StreamingComponent):
                 self.best_singleton = value
         evicted: list[int] = []
         window = self.active_exponents()
+        changed = False
         for exponent in list(self.copies):
             if exponent not in window:
                 _release(holders, self.copies.pop(exponent).kept, evicted)
+                changed = True
         for exponent in window:
             if exponent not in self.copies:
                 copy = self.copies[exponent] = AdaptiveSieve(
                     self.sys, self.f, 2.0 ** exponent)
                 copy.widen(band_top(self.k, len(self.base)))
-        for copy in self.copies.values():
-            if copy.process(u):
+                changed = True
+        if changed:
+            self._live = list(self.copies.values())
+            self._live_states = [copy._kept_gains for copy in self._live]
+        gains = self.f.gains(u, self._live_states)
+        for copy, gain in zip(self._live, gains):
+            if copy.place(u, gain):
                 holders[u] += 1
         if holders[u] == 0:
             del holders[u]

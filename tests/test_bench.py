@@ -208,17 +208,21 @@ def _recount_queries(monkeypatch) -> list[int]:
     """Wrap the public oracle queries for one test; the returned list
     holds one running total, counted on outermost calls only: one per
     ``value``, ``singleton`` and gain-state ``gain`` or ``loss``, two per
-    ``marginal``, and one per member in ``swap_values``.  The generic
-    state's ``gain`` and ``loss`` are left to the ``marginal`` and
-    ``value`` calls they make."""
+    ``marginal``, one per member in ``swap_values`` and one per state in
+    ``gains``.  The generic state's ``gain`` and ``loss``, and a ``gains``
+    over generic states, are left to the ``marginal`` and ``value`` calls
+    they make."""
     total, depth = [0], [0]
 
     def wrap(cls, name, weight):
         real = cls.__dict__[name]
 
         def counted(self, *args):
+            weighed = weight(self, *args)
+            if weighed is None:  # counted by the queries it makes
+                return real(self, *args)
             if not depth[0]:
-                total[0] += weight(self, *args)
+                total[0] += weighed
             depth[0] += 1
             try:
                 return real(self, *args)
@@ -231,6 +235,8 @@ def _recount_queries(monkeypatch) -> list[int]:
     for name in ("value", "__call__", "singleton"):
         wrap(Objective, name, one)
     wrap(Objective, "marginal", lambda *_: 2)
+    wrap(Objective, "gains", lambda f, u, states: (
+        None if states and type(states[0]) is GainState else len(states)))
     classes = [GainState]
     for cls in classes:
         classes.extend(cls.__subclasses__())

@@ -7,7 +7,9 @@ compared within a tolerance.  The facility state must give
 coverage-minus-dispersion states sum in member order and are held to
 1e-12 relative.  The generic state must return ``Objective.marginal``'s
 float exactly, and every state but a tabulated one must return
-``f(S) - f(S - x)`` as a loss exactly.
+``f(S) - f(S - x)`` as a loss exactly.  A batch (``Objective.gains``)
+must give each state's own gain exactly, count what one ``gain`` call per
+state counts and raise what the first failing state raises.
 """
 
 import math
@@ -16,9 +18,10 @@ import numpy as np
 import pytest
 
 from substream import (CutGraph, KeywordTable, Objective, ReservoirConfig,
-                       make_coverage_minus_dispersion, make_directed_cut,
-                       make_facility_location, make_logdet, make_modular,
-                       make_sqrt_coverage)
+                       cardinality_system, make_coverage_minus_dispersion,
+                       make_directed_cut, make_facility_location, make_logdet,
+                       make_modular, make_sqrt_coverage)
+from substream.baselines import SieveGuessStream
 from substream.core import (AccumulatingGainState, DuplicateElementError,
                             GainState, GroundSetError, NumericError,
                             SizeLimitError, TabulatedGainState)
@@ -416,3 +419,153 @@ def test_logdet_state_raises_when_the_factorization_fails():
     with pytest.raises(NumericError):
         st.add(1)
     assert list(st.members) == [0]
+
+
+# ---------------------------------------------------------------------------
+# batched gains: Objective.gains against one gain call per state
+
+
+def _batch_oracles(seed):
+    """One oracle of each family with a batched or generic gain path, on
+    40 elements; the sampled facility keeps 17 of the 40 rows."""
+    rng = SplitMix64(seed)
+    n = 40
+    sim = random_similarity(rng, n)
+    table = KeywordTable(
+        words=[{str(rng.randrange(6)), str(rng.randrange(6))} for _ in range(n)],
+        values=[rng.uniform(0.0, 6.0) for _ in range(n)])
+    return {
+        "modular": make_modular([rng.uniform(0.0, 5.0) for _ in range(n)]),
+        "cut": make_directed_cut(_random_graph(rng, n, 0.15)),
+        "facility": make_facility_location(sim),
+        "facility_sampled": make_facility_location(
+            sim, ReservoirConfig(r_cap=17, seed=3)),
+        "logdet": make_logdet(sim, 2.0),
+        "coverage_minus_dispersion": make_coverage_minus_dispersion(sim),
+        "sqrt_coverage": make_sqrt_coverage(table),
+    }
+
+
+BATCH_KINDS = list(_batch_oracles(0))
+
+
+@pytest.mark.parametrize("count", [1, 9, 45])
+@pytest.mark.parametrize("kind", BATCH_KINDS)
+def test_batched_gains_equal_one_gain_call_per_state(kind, count):
+    rng = SplitMix64(100 + count)
+    f = _batch_oracles(count)[kind]
+    n = f.n
+    states = [f.open() for _ in range(count)]
+    assert f.gains(0, []) == [] and f.evaluations == 0
+    for _ in range(3 * count + 20):
+        # grow one state at a time, so the sizes differ and some stay empty
+        st = states[rng.randrange(count)]
+        outside = [u for u in range(n) if u not in st.members]
+        if len(outside) > n // 2:
+            st.add(outside[rng.randrange(len(outside))])
+        for u in (rng.randrange(n) for _ in range(4)):
+            asked = [s for s in states if u not in s.members]
+            before = f.evaluations
+            batch = f.gains(u, asked)
+            middle = f.evaluations
+            single = [s.gain(u) for s in asked]
+            assert batch == single
+            assert [type(g) for g in batch] == [type(g) for g in single]
+            assert middle - before == f.evaluations - middle
+
+
+def _outcome(f, call):
+    """(error type, message, queries counted) of a call that must raise."""
+    before = f.evaluations
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value), f.evaluations - before
+
+
+def _assert_same_failure(f, u, states, error):
+    batch = _outcome(f, lambda: f.gains(u, states))
+    assert batch[0] is error
+    assert batch == _outcome(f, lambda: [s.gain(u) for s in states])
+
+
+@pytest.mark.parametrize("kind", BATCH_KINDS)
+def test_batched_gains_raise_what_the_first_failing_state_raises(kind):
+    f = _batch_oracles(7)[kind]
+    states = [f.open() for _ in range(5)]
+    states[2].add(3)
+    states[4].add(0)
+    for bad in (-1, f.n):
+        _assert_same_failure(f, bad, states, GroundSetError)
+    for member in (3, 0):
+        _assert_same_failure(f, member, states, DuplicateElementError)
+
+
+def test_batched_gains_raise_on_a_non_finite_table_entry():
+    f = make_modular([1.0, math.nan, 2.0])
+    states = [f.open() for _ in range(3)]
+    _assert_same_failure(f, 1, states, NumericError)
+    states[2].add(1)  # the first state fails before the member is reached
+    _assert_same_failure(f, 1, states, NumericError)
+    states[0].add(1)
+    _assert_same_failure(f, 1, states, DuplicateElementError)
+
+
+def test_batched_gains_raise_on_a_non_finite_facility_gain():
+    f = _batch_oracles(7)["facility"]
+    states = [f.open() for _ in range(4)]
+    for i, st in enumerate(states):
+        st.add(i)
+    states[2].value = math.nan
+    _assert_same_failure(f, 9, states, NumericError)
+
+
+def test_batched_gains_raise_when_a_logdet_factorization_fails():
+    # I + 2 * [[0, 1], [1, 0]] = [[1, 2], [2, 1]] has determinant -3
+    f = make_logdet(np.array([[0.0, 1.0], [1.0, 0.0]]), 2.0)
+    states = [f.open() for _ in range(3)]
+    states[1].add(0)
+    _assert_same_failure(f, 1, states, NumericError)
+    big = make_logdet(np.eye(LOGDET_MAX_SUBSET + 1), 1.0)
+    full = big.open()
+    for u in range(LOGDET_MAX_SUBSET):
+        full.add(u)
+    _assert_same_failure(big, LOGDET_MAX_SUBSET, [big.open(), full],
+                         SizeLimitError)
+
+
+class _PoisonedGains(AccumulatingGainState):
+    """Modular gains, except that element 3's gain is NaN in a state
+    that does not hold element 0."""
+
+    __slots__ = ("weights",)
+
+    def __init__(self, f, weights):
+        self.weights = weights
+        super().__init__(f)
+
+    def _clear(self):
+        pass
+
+    def _absorb(self, u):
+        pass
+
+    def _gain(self, u):
+        if u == 3 and 0 not in self.members:
+            return math.nan
+        return self.weights[u]
+
+
+def test_sieve_guesses_leave_an_element_whose_batch_fails():
+    weights = [0.2, 1.0, 1.0, 1.0]
+    f = Objective(lambda ids: sum(weights[u] for u in ids), 4,
+                  open_fn=lambda fo: _PoisonedGains(fo, weights))
+    stream = SieveGuessStream(cardinality_system(4, 3), f, rho=3)
+    stream.push([1, 0])
+    holding_zero = [v for v, g in stream.guesses.items() if 0 in g.members]
+    # the lowest guesses take 0 and come first, so one gain call per
+    # guess would add 3 to them before a later guess raised
+    assert holding_zero == list(stream.guesses)[:len(holding_zero)]
+    assert 0 < len(holding_zero) < len(stream.guesses)
+    with pytest.raises(NumericError):
+        stream.push([3])
+    assert all(3 not in g.members for g in stream.guesses.values())

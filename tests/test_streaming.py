@@ -286,6 +286,27 @@ def test_auto_sieve_window_example():
     assert sorted(auto.copies) == list(range(3, 10))
 
 
+def test_auto_sieve_window_lists_follow_the_copies():
+    # weights grow along the stream, so the window climbs: each step may
+    # make copies, drop copies, both or neither
+    rng = SplitMix64(61)
+    n = 80
+    f = make_modular([rng.uniform(0.5, 1.5) * 1.1 ** i for i in range(n)])
+    auto = AutoThresholdSieve(cardinality_system(n, 3), f)
+    only_dropped = 0
+    for u in range(n):
+        before = set(auto.copies)
+        auto.push([u])
+        after = set(auto.copies)
+        only_dropped += after < before
+        copies = list(auto.copies.values())
+        assert len(auto._live) == len(copies) == len(auto._live_states)
+        assert all(a is b for a, b in zip(auto._live, copies))
+        assert all(s is c._kept_gains
+                   for s, c in zip(auto._live_states, copies))
+    assert only_dropped > 0
+
+
 def test_auto_sieve_no_feasible_singletons():
     sys = knapsack_system([5.0, 5.0], budget=1.0)
     f = make_modular([1.0, 2.0])
