@@ -7,6 +7,21 @@ consistent left/right partition using a stack of conflict pairs.  Both DFS
 passes are iterative, so edge sets of any size are handled without
 touching the interpreter recursion limit.
 
+Everything is kept in flat lists.  Vertices are renumbered ``0..nv-1`` in
+first-seen order and edges by their position in the input.  Each per-edge
+table (orientation ``src``/``dst``, ``lowpt``, ``lowpt2``, ``nesting``,
+``lowpt_edge``, ``ref``, the stack bottom) is a list indexed by edge id;
+``height`` and the parent edge are lists indexed by vertex id.  ``-1``
+stands for "none": the parent edge of a root, an end of an empty
+interval, an unset ``ref``.  A conflict pair is one list ``[left.low,
+left.high, right.low, right.high]``.  It is swapped and trimmed in place,
+so a stack bottom (the pair that was on top when an edge was started) can
+still be compared by identity.  ``ref`` has one spare slot at the end:
+the algorithm may set the ``ref`` of an empty interval end, and that
+write lands at index -1, where no read looks.  Each DFS keeps an iterator
+over the edges of every vertex on its path; lowpoints and nesting depths
+are settled between the two, children before parents.
+
 Only the boolean answer is produced; no embedding is constructed.
 """
 
@@ -15,284 +30,237 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Sequence
 
 
-class _Interval:
-    """Run of back edges that must share one side of the tree."""
+def _index(edges: Iterable[Sequence[Hashable]]):
+    """Check a simple undirected edge list and number it.
 
-    __slots__ = ("low", "high")
-
-    def __init__(self, low=None, high=None):
-        self.low = low
-        self.high = high
-
-    def empty(self):
-        return self.low is None and self.high is None
-
-    def copy(self):
-        return _Interval(self.low, self.high)
-
-
-class _ConflictPair:
-    """Two intervals forced onto opposite sides."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left=None, right=None):
-        self.left = left if left is not None else _Interval()
-        self.right = right if right is not None else _Interval()
-
-    def swap(self):
-        self.left, self.right = self.right, self.left
-
-
-def _normalize(edges: Iterable[Sequence[Hashable]]):
-    """Validate and deduplicate an undirected simple edge list."""
+    Returns ``(tips, adj)``: the XOR of the two vertex ids of each edge,
+    so that ``tips[x] ^ v`` is the end of edge x other than v, and the ids
+    of the edges at each vertex, in input order.
+    """
+    ids: dict = {}
     seen = set()
-    out = []
-    for e in edges:
-        u, v = e[0], e[1]
+    tips = []
+    adj: list[list[int]] = []
+    for x, e in enumerate(edges):
+        try:
+            u, v = e[0], e[1]
+        except (IndexError, TypeError):
+            raise ValueError(
+                f"edge {e!r} is not a sequence of two endpoints") from None
         if u == v:
             raise ValueError(f"self-loop at vertex {u!r}")
-        key = frozenset((u, v))
-        if key in seen:
+        if (u, v) in seen or (v, u) in seen:
             raise ValueError(f"parallel edge between {u!r} and {v!r}")
-        seen.add(key)
-        out.append((u, v))
-    return out
+        seen.add((u, v))
+        a = ids.get(u)
+        if a is None:
+            a = ids[u] = len(adj)
+            adj.append([x])
+        else:
+            adj[a].append(x)
+        b = ids.get(v)
+        if b is None:
+            b = ids[v] = len(adj)
+            adj.append([x])
+        else:
+            adj[b].append(x)
+        tips.append(a ^ b)
+    return tips, adj
 
 
 def planarity_check(edges: Iterable[Sequence[Hashable]]) -> bool:
     """True iff the graph consisting of exactly these edges is planar.
 
     ``edges`` is a simple undirected edge list; self-loops and parallel
-    edges are rejected.  Vertices are whatever hashable endpoints the
-    edges mention, so isolated vertices never enter the picture (they
-    cannot affect planarity).
+    edges are rejected, and so is an edge with fewer than two endpoints
+    (fields past the second are ignored).  Vertices are whatever hashable
+    endpoints the edges mention, so isolated vertices never enter the
+    picture (they cannot affect planarity).
     """
-    edge_list = _normalize(edges)
-    if not edge_list:
+    tips, adj = _index(edges)
+    m = len(tips)
+    nv = len(adj)
+    if not m:
         return True
-
-    adj: dict[Hashable, list] = {}
-    for u, v in edge_list:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
-    n = len(adj)
-    if n > 2 and len(edge_list) > 3 * n - 6:
+    if nv > 2 and m > 3 * nv - 6:
         return False
 
-    height: dict[Hashable, int] = {}
-    lowpt: dict[tuple, int] = {}
-    lowpt2: dict[tuple, int] = {}
-    nesting: dict[tuple, int] = {}
-    parent_edge: dict[Hashable, tuple | None] = {}
-    oriented: dict[Hashable, list] = {v: [] for v in adj}
-    directed = set()
-
-    roots = []
-    for root in adj:
-        if root in height:
+    # First DFS: orient every edge away from the root and list the
+    # vertices in discovery order.
+    height = [-1] * nv
+    parent = [-1] * nv
+    src = [-1] * m
+    dst = [-1] * m
+    lowpt = [0] * m
+    lowpt2 = [0] * m
+    out: list[list[int]] = [[] for _ in range(nv)]
+    order = []
+    for root in range(nv):
+        if height[root] >= 0:
             continue
         height[root] = 0
-        parent_edge[root] = None
-        roots.append(root)
-        _orient_from(root, adj, height, lowpt, lowpt2, nesting,
-                     parent_edge, oriented, directed)
-
-    ordered = {v: sorted(ws, key=lambda w: nesting[(v, w)])
-               for v, ws in oriented.items()}
-
-    state = _TestState(height, lowpt, parent_edge, ordered)
-    for root in roots:
-        if not state.run(root):
-            return False
-    return True
-
-
-def _orient_from(root, adj, height, lowpt, lowpt2, nesting,
-                 parent_edge, oriented, directed):
-    """Iterative DFS orientation computing lowpoints and nesting depth."""
-    stack = [root]
-    index = {root: 0}
-    resume = set()
-
-    while stack:
-        v = stack.pop()
-        e = parent_edge[v]
-        neighbors = adj[v]
-        i = index[v]
-        descended = False
-        while i < len(neighbors):
-            w = neighbors[i]
-            vw = (v, w)
-            if vw not in resume:
-                if vw in directed or (w, v) in directed:
-                    i += 1
-                    continue
-                directed.add(vw)
-                oriented[v].append(w)
-                lowpt[vw] = height[v]
-                lowpt2[vw] = height[v]
-                if w not in height:
-                    # tree edge: descend into w, come back to vw afterwards
-                    parent_edge[w] = vw
-                    height[w] = height[v] + 1
-                    index[v] = i
-                    index[w] = 0
-                    resume.add(vw)
-                    stack.append(v)
-                    stack.append(w)
-                    descended = True
-                    break
-                lowpt[vw] = height[w]
-            else:
-                resume.discard(vw)
-            nesting[vw] = 2 * lowpt[vw]
-            if lowpt2[vw] < height[v]:
-                nesting[vw] += 1
-            if e is not None:
-                if lowpt[vw] < lowpt[e]:
-                    lowpt2[e] = min(lowpt[e], lowpt2[vw])
-                    lowpt[e] = lowpt[vw]
-                elif lowpt[vw] > lowpt[e]:
-                    lowpt2[e] = min(lowpt2[e], lowpt[vw])
-                else:
-                    lowpt2[e] = min(lowpt2[e], lowpt2[vw])
-            i += 1
-        if not descended:
-            index[v] = i
-
-
-class _TestState:
-    """Second DFS: maintain conflict pairs and reject on a forced clash."""
-
-    __slots__ = ("height", "lowpt", "parent_edge", "ordered",
-                 "stack", "stack_bottom", "lowpt_edge", "ref")
-
-    def __init__(self, height, lowpt, parent_edge, ordered):
-        self.height = height
-        self.lowpt = lowpt
-        self.parent_edge = parent_edge
-        self.ordered = ordered
-        self.stack: list[_ConflictPair] = []
-        self.stack_bottom: dict[tuple, _ConflictPair | None] = {}
-        self.lowpt_edge: dict[tuple, tuple] = {}
-        self.ref: dict[tuple, tuple | None] = {}
-
-    def _top(self):
-        return self.stack[-1] if self.stack else None
-
-    def _conflicting(self, interval, b):
-        return (not interval.empty()
-                and self.lowpt[interval.high] > self.lowpt[b])
-
-    def run(self, root) -> bool:
-        dfs = [root]
-        index = {root: 0}
-        resume = set()
-
+        order.append(root)
+        dfs = [(root, iter(adj[root]))]
         while dfs:
-            v = dfs.pop()
-            e = self.parent_edge[v]
-            out_edges = self.ordered[v]
-            i = index[v]
-            descended = False
-            while i < len(out_edges):
-                w = out_edges[i]
-                ei = (v, w)
-                if ei not in resume:
-                    self.stack_bottom[ei] = self._top()
-                    if ei == self.parent_edge[w]:
-                        # tree edge: process subtree first
-                        index[v] = i
-                        index[w] = 0
-                        resume.add(ei)
-                        dfs.append(v)
-                        dfs.append(w)
-                        descended = True
-                        break
-                    self.lowpt_edge[ei] = ei
-                    self.stack.append(_ConflictPair(right=_Interval(ei, ei)))
-                else:
-                    resume.discard(ei)
-                if self.lowpt[ei] < self.height[v]:
-                    # ei has a return edge below v
-                    if w == out_edges[0]:
-                        self.lowpt_edge[e] = self.lowpt_edge[ei]
-                    elif not self._add_constraints(ei, e):
-                        return False
-                i += 1
-            if descended:
-                continue
-            index[v] = i
-            if e is not None:
-                self._trim_back_edges(e)
-        return True
+            v, todo = dfs[-1]
+            hv = height[v]
+            for x in todo:
+                if src[x] >= 0:
+                    continue  # oriented from its other end already
+                w = tips[x] ^ v
+                src[x] = v
+                dst[x] = w
+                out[v].append(x)
+                lowpt2[x] = hv
+                if height[w] < 0:
+                    # tree edge: descend into w
+                    lowpt[x] = hv
+                    parent[w] = x
+                    height[w] = hv + 1
+                    order.append(w)
+                    dfs.append((w, iter(adj[w])))
+                    break
+                lowpt[x] = height[w]
+            else:
+                dfs.pop()
 
-    def _add_constraints(self, ei, e) -> bool:
-        lowpt = self.lowpt
-        merged = _ConflictPair()
+    # Lowpoints and nesting depths, children before parents; then sort
+    # each vertex's out-edges by nesting depth.
+    nesting = [0] * m
+    for v in reversed(order):
+        e = parent[v]
+        hv = height[v]
+        edges_out = out[v]
+        for x in edges_out:
+            lx = lowpt[x]
+            nesting[x] = 2 * lx + (lowpt2[x] < hv)
+            if e >= 0:
+                le = lowpt[e]
+                if lx < le:
+                    lowpt2[e] = le if le < lowpt2[x] else lowpt2[x]
+                    lowpt[e] = lx
+                elif lx > le:
+                    if lx < lowpt2[e]:
+                        lowpt2[e] = lx
+                elif lowpt2[x] < lowpt2[e]:
+                    lowpt2[e] = lowpt2[x]
+        edges_out.sort(key=nesting.__getitem__)
+
+    # Second DFS: visit out-edges by nesting depth and keep the conflict
+    # pairs of the back edges seen so far.
+    stack: list[list[int]] = []
+    bottom: list = [None] * m
+    lowpt_edge = [-1] * m
+    ref = [-1] * (m + 1)
+
+    def add_constraints(ei, e):
+        """Fold the return edges of ``ei``, an out-edge of the head of
+        ``e``, into the stack; False when they cannot be placed."""
+        merged = [-1, -1, -1, -1]
+        stop = bottom[ei]
+        low_e = lowpt[e]
         # merge return edges of ei into the right interval
         while True:
-            q = self.stack.pop()
-            if not q.left.empty():
-                q.swap()
-            if not q.left.empty():
-                return False
-            if lowpt[q.right.low] > lowpt[e]:
-                if merged.right.empty():
-                    merged.right = q.right.copy()
+            q = stack.pop()
+            if q[0] != -1 or q[1] != -1:
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+                if q[0] != -1 or q[1] != -1:
+                    return False
+            if lowpt[q[2]] > low_e:
+                if merged[2] == -1 and merged[3] == -1:
+                    merged[3] = q[3]
                 else:
-                    self.ref[merged.right.low] = q.right.high
-                merged.right.low = q.right.low
+                    ref[merged[2]] = q[3]
+                merged[2] = q[2]
             else:
                 # all of q returns to lowpt(e): align with the parent chain
-                self.ref[q.right.low] = self.lowpt_edge[e]
-            if self._top() is self.stack_bottom[ei]:
+                ref[q[2]] = lowpt_edge[e]
+            if (stack[-1] if stack else None) is stop:
                 break
         # merge conflicting return edges of earlier siblings into the left
-        while (self._conflicting(self._top().left, ei)
-               or self._conflicting(self._top().right, ei)):
-            q = self.stack.pop()
-            if self._conflicting(q.right, ei):
-                q.swap()
-            if self._conflicting(q.right, ei):
-                return False
-            self.ref[merged.right.low] = q.right.high
-            if q.right.low is not None:
-                merged.right.low = q.right.low
-            if merged.left.empty():
-                merged.left = q.left.copy()
+        low_i = lowpt[ei]
+        while True:
+            q = stack[-1]
+            if not ((q[0] != -1 or q[1] != -1) and lowpt[q[1]] > low_i
+                    or (q[2] != -1 or q[3] != -1) and lowpt[q[3]] > low_i):
+                break
+            stack.pop()
+            if (q[2] != -1 or q[3] != -1) and lowpt[q[3]] > low_i:
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+                if (q[2] != -1 or q[3] != -1) and lowpt[q[3]] > low_i:
+                    return False
+            ref[merged[2]] = q[3]
+            if q[2] != -1:
+                merged[2] = q[2]
+            if merged[0] == -1 and merged[1] == -1:
+                merged[1] = q[1]
             else:
-                self.ref[merged.left.low] = q.left.high
-            merged.left.low = q.left.low
-        if not (merged.left.empty() and merged.right.empty()):
-            self.stack.append(merged)
+                ref[merged[0]] = q[1]
+            merged[0] = q[0]
+        if merged != [-1, -1, -1, -1]:
+            stack.append(merged)
         return True
 
-    def _lowest(self, pair):
-        if pair.left.empty():
-            return self.lowpt[pair.right.low]
-        if pair.right.empty():
-            return self.lowpt[pair.left.low]
-        return min(self.lowpt[pair.left.low], self.lowpt[pair.right.low])
+    def trim_back_edges(e):
+        """Drop back edges that return to the tail of ``e``."""
+        u = src[e]
+        height_u = height[u]
+        while stack:
+            q = stack[-1]
+            if q[0] == -1 and q[1] == -1:
+                lowest = lowpt[q[2]]
+            elif q[2] == -1 and q[3] == -1:
+                lowest = lowpt[q[0]]
+            else:
+                lowest = min(lowpt[q[0]], lowpt[q[2]])
+            if lowest != height_u:
+                break
+            stack.pop()
+        if stack:
+            q = stack[-1]
+            while q[1] != -1 and dst[q[1]] == u:
+                q[1] = ref[q[1]]
+            if q[1] == -1 and q[0] != -1:
+                ref[q[0]] = q[2]
+                q[0] = -1
+            while q[3] != -1 and dst[q[3]] == u:
+                q[3] = ref[q[3]]
+            if q[3] == -1 and q[2] != -1:
+                ref[q[2]] = q[0]
+                q[2] = -1
 
-    def _trim_back_edges(self, e):
-        """Drop back edges that return to the endpoint ``e`` leads into."""
-        u = e[0]
-        height_u = self.height[u]
-        while self.stack and self._lowest(self._top()) == height_u:
-            self.stack.pop()
-        if self.stack:
-            p = self.stack.pop()
-            while p.left.high is not None and p.left.high[1] == u:
-                p.left.high = self.ref.get(p.left.high)
-            if p.left.high is None and p.left.low is not None:
-                self.ref[p.left.low] = p.right.low
-                p.left.low = None
-            while p.right.high is not None and p.right.high[1] == u:
-                p.right.high = self.ref.get(p.right.high)
-            if p.right.high is None and p.right.low is not None:
-                self.ref[p.right.low] = p.left.low
-                p.right.low = None
-            self.stack.append(p)
+    for root in order:
+        if parent[root] >= 0:
+            continue
+        dfs = [(root, iter(out[root]))]
+        while dfs:
+            v, todo = dfs[-1]
+            e = parent[v]
+            for x in todo:
+                bottom[x] = stack[-1] if stack else None
+                w = dst[x]
+                if parent[w] == x:
+                    # tree edge: process the subtree first
+                    dfs.append((w, iter(out[w])))
+                    break
+                lowpt_edge[x] = x
+                stack.append([-1, -1, x, x])
+                if lowpt[x] < height[v]:
+                    # x returns below v
+                    if x == out[v][0]:
+                        lowpt_edge[e] = x
+                    elif not add_constraints(x, e):
+                        return False
+            else:
+                dfs.pop()
+                if e < 0:
+                    continue
+                trim_back_edges(e)
+                u = src[e]
+                if lowpt[e] < height[u]:
+                    # the subtree of e returns below u
+                    if e == out[u][0]:
+                        lowpt_edge[parent[u]] = lowpt_edge[e]
+                    elif not add_constraints(e, parent[u]):
+                        return False
+    return True
