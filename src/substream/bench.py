@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ElementSet, Objective, first_best
+from .core import ElementSet, NumericError, Objective, first_best
 from .prng import SplitMix64
 from .objectives import (CutGraph, load_features, load_keyword_table,
                          make_coverage_minus_dispersion, make_directed_cut,
@@ -461,6 +461,8 @@ def _prepass_tau(sys: IndependenceSystem, f: Objective, stream) -> float:
             best = max(best, f.singleton(u))
     if best <= 0.0:
         return 1.0  # degenerate instance; any threshold rejects everything
+    if best > 2.0 ** 1023:  # no finite power of two lies in [M, 2M]
+        raise NumericError(f"best singleton value {best} is above 2**1023")
     return 2.0 ** _ceil_log2(best)
 
 

@@ -8,8 +8,9 @@ a membership predicate, together with a certified exchange parameter
 every call.  A caller whose set only grows asks ``open()`` for a
 :class:`FeasibilityState` instead: the one incremental path.  A state
 keeps running summaries of its members (a count, a running cost, a
-bitmask of blocked vertices, a memoized block test) and answers
-``can_add(u)`` from them, exactly as the predicate would.
+bitmask of blocked vertices built from the neighbour masks that the node
+predicate reads too, a memoized block test) and answers ``can_add(u)``
+from them, exactly as the predicate would.
 
 The oracles are stateless except the planarity system, whose states
 keep the answers of their block tests in memos shared by every state of
@@ -194,7 +195,7 @@ class _KnapsackState(FeasibilityState):
 class _NodeState(FeasibilityState):
     """Keeps a bitmask of the vertices that are members or adjacent to
     one: ``can_add`` reads u's bit, and ``add`` ORs in u's mask, which
-    holds u's neighbours and u itself."""
+    holds u's neighbours and u itself (the masks the predicate reads)."""
 
     __slots__ = ("masks", "blocked")
 
@@ -206,7 +207,10 @@ class _NodeState(FeasibilityState):
     def can_add(self, u: int) -> bool:
         if not (0 <= u < self.n):
             raise _outside(u, self.n)
-        return not self.blocked >> u & 1
+        try:
+            return not self.blocked >> u & 1
+        except OverflowError:  # a numpy id shifts only a fixed-width int
+            return not self.blocked >> int(u) & 1
 
     def add(self, u: int) -> None:
         if not (0 <= u < self.n):
@@ -394,11 +398,11 @@ def _endpoints(kind: str, e: Sequence, n: int) -> tuple[int, int]:
 def node_independent_set_system(n: int, edges: Iterable[Sequence[int]]) -> IndependenceSystem:
     """Vertex subsets spanning no edge of the supplied undirected graph.
 
-    Its states keep a bitmask of blocked vertices (:class:`_NodeState`)
-    and read the neighbour masks built here, one per vertex, holding its
-    neighbours and itself.  ``n`` and the endpoints must be whole numbers
-    (a float such as ``3.0`` is taken as 3); a NaN, infinite or
-    fractional one raises ``ValueError`` naming the field or the edge.
+    The predicate and the states (:class:`_NodeState`) read one bitmask
+    per vertex, holding its neighbours and itself, and nothing else.
+    ``n`` and the endpoints must be whole numbers (a float such as
+    ``3.0`` is taken as 3); a NaN, infinite or fractional one raises
+    ``ValueError`` naming the field or the edge.
     """
     n = _spec_int("node_independent_set", "n", n)
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -412,7 +416,13 @@ def node_independent_set_system(n: int, edges: Iterable[Sequence[int]]) -> Indep
     masks = [sum(map(bits.__getitem__, a)) | bits[u] for u, a in enumerate(adj)]
 
     def pred(s):
-        return all(adj[u].isdisjoint(s) for u in s)
+        union = 0
+        for u in s:
+            union |= 1 << int(u)  # 1 << np.int64(100) is np.int64(0)
+        for u in s:  # each mask meets the members only at its own bit
+            if masks[u] & union != 1 << int(u):
+                return False
+        return True
 
     return IndependenceSystem(pred, n,
                               k_param=max(d_max, 1), class_tag="k_extendible",

@@ -197,7 +197,10 @@ class _BandedSieve(StreamingComponent):
         """
         if gain <= EPS:
             return False  # band infinity
-        i = _floor_log2(self.tau / gain)
+        try:
+            i = _floor_log2(self.tau / gain)
+        except (OverflowError, ValueError):  # ratio inf or 0: off every band
+            return False
         if i < 0 or i > self.ell:
             return False
         bucket = self._bucket_states[i]
@@ -331,7 +334,7 @@ class AutoThresholdSieve(StreamingComponent):
         lo = _ceil_log2(self.best_singleton)
         width = 2 * math.log2(self.k * len(self.base)) + 5
         hi = math.floor(math.log2(self.best_singleton) + width + _LOG_GUARD)
-        return range(lo, hi + 1)
+        return range(lo, min(hi, 1023) + 1)  # 2.0 ** 1024 overflows
 
     def _ingest(self, u: int) -> list[int]:
         holders = self._holders

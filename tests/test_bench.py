@@ -17,7 +17,7 @@ from substream import (KeywordTable, Objective, cardinality_system,
                        knapsack_system, make_facility_location,
                        make_modular, make_sqrt_coverage,
                        node_independent_set_system)
-from substream.core import GainState
+from substream.core import GainState, NumericError
 from substream.prng import SplitMix64
 
 from helpers import count_planarity_tests, random_similarity
@@ -357,6 +357,23 @@ def test_prepass_tau_when_every_feasible_singleton_is_worth_zero():
     for name in ("threshold_sieve", "adaptive_sieve", "framework_tau"):
         solution, _ = run_algorithm(name, sys, f, list(range(4)), {})
         assert f.value(solution) == 0.0
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_values_near_the_float_maximum_overflow_no_algorithm(name):
+    # 1e307 / 1e-5 overflows to inf, and the guesses above 2**1023 do too
+    sys = cardinality_system(3, 2)
+    f = make_modular([1e-5, 1e307, 1.0])
+    solution, _ = run_algorithm(name, sys, f, [0, 1, 2], {})
+    assert sys.is_independent(solution) and 1 in solution
+    # no finite power of two lies in [M, 2M] for M = 1e308 > 2**1023
+    f = make_modular([1e-5, 1e308, 1.0])
+    try:
+        solution, _ = run_algorithm(name, sys, f, [0, 1, 2], {})
+    except NumericError as error:
+        assert "1e+308" in str(error)
+    else:
+        assert sys.is_independent(solution)
 
 
 def test_unknown_algorithm_rejected():

@@ -3,6 +3,7 @@ import math
 import re
 import sys as sys_module
 import threading
+import tracemalloc
 from itertools import combinations
 
 import networkx as nx
@@ -110,6 +111,94 @@ def test_node_and_label_predicates_match_their_definitions_on_every_subset():
                 sum(name in labels[u] for u in s) <= cap
                 for name, cap in limits.items())
             assert lab.is_independent(s) == within, s
+
+
+def _edge_list_graph(rng, n, m, isolated=5):
+    """``m`` random edges over the first ``n - isolated`` vertices, with
+    some of them listed again as given and some reversed."""
+    edges = []
+    for _ in range(m):
+        u, v = rng.sample_indices(n - isolated, 2)
+        if rng.random() < 0.5:
+            u, v = v, u
+        edges.append((u, v))
+        if rng.random() < 0.1:
+            edges.append((u, v))
+        if rng.random() < 0.1:
+            edges.append((v, u))
+    return edges
+
+
+def test_node_predicate_and_states_match_the_edge_list():
+    # the edge list is the reference: a set is independent when it holds
+    # both ends of no edge.  Ids run past 64 and 256, so masks span
+    # several machine words
+    rng = SplitMix64(1824)
+    for n, m in ((70, 160), (300, 700)):
+        edges = _edge_list_graph(rng, n, m)
+        sys = node_independent_set_system(n, edges)
+
+        def independent(s):
+            return not any(u in s and v in s for u, v in edges)
+
+        for u, v in edges[:50]:
+            assert not sys.is_independent((u, v)), (u, v)
+        for _ in range(50):
+            s = set(rng.sample_indices(n, 1 + rng.randrange(4)))
+            assert sys.is_independent(s) == independent(s), s
+        for _ in range(3):
+            state = sys.open()
+            order = list(range(n))
+            rng.shuffle(order)
+            for u in order:
+                members = state.members
+                fits = independent(set(members) | {u})
+                assert sys.is_independent(list(members) + [u]) == fits, u
+                assert sys.can_add(u, members) == fits, u
+                assert state.can_add(u) == fits, u
+                if fits:
+                    state.add(u)
+            assert sys.is_independent(state.members)
+            isolated = range(n - 5, n)
+            assert set(isolated) <= set(state.members), isolated
+
+
+def test_node_systems_answer_numpy_ids_as_python_ints():
+    # 1 << np.int64(100) is np.int64(0), and shifting a Python int of more
+    # than 64 bits by a numpy id overflows
+    sys = node_independent_set_system(200, [(i, i + 1) for i in range(199)])
+    assert not sys.is_independent(np.array([100, 101]))
+    for ids in ([64, 66], [64, 65], [100, 102, 199], [150, 152, 153]):
+        assert sys.is_independent(np.array(ids)) is sys.is_independent(ids)
+    state = sys.open()
+    state.add(np.int64(100))
+    state.add(np.int64(70))
+    assert list(state.members) == [100, 70]
+    for u in (64, 69, 71, 99, 101, 102, 199):
+        expected = u not in (69, 71, 99, 101)
+        assert state.can_add(np.int64(u)) is expected, u
+        assert state.can_add(u) is expected, u
+        assert sys.can_add(np.int64(u), state.members) is expected, u
+        assert sys.can_add(np.int64(u), [100, 70]) is expected, u
+    state.add(np.int64(199))
+    assert not state.can_add(np.int64(198)) and state.can_add(np.int64(197))
+
+
+def test_node_system_keeps_only_its_masks():
+    # one mask per vertex, as wide as its highest neighbour id: about
+    # 0.05 MiB here, where neighbour sets would keep about 4 MiB more
+    rng = SplitMix64(1825)
+    pairs = list(combinations(range(500), 2))
+    edges = [pairs[i] for i in rng.sample_indices(len(pairs), 25_000)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sys = node_independent_set_system(500, edges)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sys.k_param > 1
+    assert kept < 0.5 * 2**20, kept
 
 
 def test_intersect_examples():

@@ -67,6 +67,15 @@ def test_zero_marginal_is_rejected():
     assert out.solution == set() and out.summary == set()
 
 
+def test_gain_ratios_that_overflow_or_underflow_fall_off_every_band():
+    # tau / gain is inf for the 1e-5 gain, beyond the deepest band
+    sieve, _, _ = sieve_for(n=3, tau=1e307, weights=[1e-5, 1e307, 1.0])
+    assert sieve.finish(range(3)).summary == {1}
+    # and 0 for the 1e300 gain, above band 0 as the gain of 1 is
+    sieve, _, _ = sieve_for(n=2, tau=1e-30, weights=[1e300, 1.0])
+    assert sieve.push([0, 1]) == [0, 1]
+
+
 def test_threshold_sieve_outcome_shape():
     sieve, sys, f = sieve_for(n=6, rho=2, tau=2.0)
     evicted = sieve.push([0, 1, 2])
