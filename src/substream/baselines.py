@@ -103,6 +103,7 @@ class SieveGuessStream(StreamingComponent):
         self.best_singleton = 0.0
         self.guesses: dict[float, _Guess] = {}
         self._holders: dict[int, int] = {}
+        self._empty = sys.open()  # never takes an element: the singleton test
 
     def _grid(self) -> list[float]:
         """Guess values currently in the window [best, 2 * rho * best]."""
@@ -128,7 +129,7 @@ class SieveGuessStream(StreamingComponent):
 
     def _ingest(self, u: int) -> list[int]:
         evicted: list[int] = []
-        if self.sys.is_independent((u,)):
+        if self._empty.can_add(u):
             value = self.f.singleton(u)
             if value > self.best_singleton + EPS:
                 self.best_singleton = value

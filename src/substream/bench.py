@@ -456,8 +456,9 @@ def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
 def _prepass_tau(sys: IndependenceSystem, f: Objective, stream) -> float:
     """Power-of-two threshold in [M, 2M] from a singleton sweep."""
     best = 0.0
+    empty = sys.open()  # never takes an element: the singleton test
     for u in stream:
-        if sys.is_independent((u,)):
+        if empty.can_add(u):
             best = max(best, f.singleton(u))
     if best <= 0.0:
         return 1.0  # degenerate instance; any threshold rejects everything

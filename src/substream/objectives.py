@@ -186,7 +186,11 @@ class CutGainState(TabulatedGainState):
     Starts from a copy of ``out_total``.  Adding x takes x's out-edge
     weights and then its in-edge weights off each neighbour's entry, in
     adjacency order; removing x adds them back in the same order: O(deg x)
-    per add or remove and O(1) per gain.  For a member x, ``gains[x]`` is
+    per add or remove and O(1) per gain.  When x's two dicts are one
+    shared dict (:func:`make_directed_cut`), one walk takes ``w`` off
+    twice, ``gains[v] - w - w``: each entry gets the same two operations
+    in the same order as in two walks, and no entry reads another, so
+    every gain keeps its bits.  For a member x, ``gains[x]`` is
     ``f(S) - f(S - x)``, x's loss, so a swap trial ``f(S - x + u)`` is
     ``f(S) - gains[x] + gains[u]`` plus the weight between u and x, which
     ``gains[u]`` took off: O(1) per trial, counted as one query.  The
@@ -206,17 +210,29 @@ class CutGainState(TabulatedGainState):
     def add(self, u: int) -> None:
         super().add(u)
         gains = self.gains
-        for v, w in self.out_adj[u].items():
+        out_u = self.out_adj[u]
+        in_u = self.in_adj[u]
+        if out_u is in_u:
+            for v, w in out_u.items():
+                gains[v] = gains[v] - w - w
+            return
+        for v, w in out_u.items():
             gains[v] -= w
-        for v, w in self.in_adj[u].items():
+        for v, w in in_u.items():
             gains[v] -= w
 
     def remove(self, x: int) -> None:
         super().remove(x)
         gains = self.gains
-        for v, w in self.out_adj[x].items():
+        out_x = self.out_adj[x]
+        in_x = self.in_adj[x]
+        if out_x is in_x:
+            for v, w in out_x.items():
+                gains[v] = gains[v] + w + w
+            return
+        for v, w in out_x.items():
             gains[v] += w
-        for v, w in self.in_adj[x].items():
+        for v, w in in_x.items():
             gains[v] += w
 
     def swap_values(self, u: int, current: float) -> list[float]:
@@ -237,7 +253,12 @@ def make_directed_cut(g: CutGraph) -> Objective:
     in-edges, keyed by neighbour, filled in edge order.  Every vertex is
     one int object in all of them (read from the graph's arrays through
     one list of ids), so a membership test that finds it compares
-    identities.
+    identities.  A vertex whose two dicts are equal, as every vertex of a
+    graph that stores each edge both ways with one weight, keeps one dict
+    under both names, and :class:`CutGainState` walks it once.  Equal
+    dicts may differ in order, but a walk touches each neighbour's entry
+    once per dict and no entry reads another, so the order does not reach
+    a gain.
     """
     n = g.n_vertices
     out_adj: list[dict[int, float]] = [{} for _ in range(n)]
@@ -252,6 +273,7 @@ def make_directed_cut(g: CutGraph) -> Objective:
             in_adj[v][u] += w
         else:
             out_adj[u][v] = in_adj[v][u] = 0.0 + w
+    in_adj = [out if out == inn else inn for out, inn in zip(out_adj, in_adj)]
     out_total = [sum(adj.values()) for adj in out_adj]
 
     def fn(ids):

@@ -19,7 +19,8 @@ from itertools import chain
 from typing import Callable, Collection, Iterable, Sequence
 
 from .core import (EPS, ContractViolationError, DuplicateElementError,
-                   ElementSet, GainState, Objective, first_best)
+                   ElementSet, GainState, NumericError, Objective,
+                   first_best)
 from .constraints import FeasibilityState, IndependenceSystem, _spec_int
 from .offline import unweighted_greedy
 
@@ -146,6 +147,9 @@ class _BandedSieve(StreamingComponent):
     everything kept so far compares with ``tau``; each bucket independently
     keeps a feasibility-greedy base in a feasibility state from
     :meth:`IndependenceSystem.open`, and ``buckets`` lists their members.
+    A bucket's state is opened the first time an element reaches its
+    band, so a band that never takes one costs no state (``buckets``
+    reports it as an empty :class:`ElementSet`).
     Nothing kept is ever dropped, so ``kept`` is the members of one
     grow-only gain state from :meth:`Objective.open`, which answers every
     gain query.  At end of stream, :meth:`drain` builds
@@ -169,7 +173,7 @@ class _BandedSieve(StreamingComponent):
         self.k = sys.k_param
         self.h = candidate_count(self.k)
         self.ell = -1
-        self._bucket_states: list[FeasibilityState] = []
+        self._bucket_states: list[FeasibilityState | None] = []
         self._kept_gains = f.open()
         self.kept = self._kept_gains.members  # union of buckets, arrival order
         self.candidates: list[ElementSet] | None = None
@@ -178,13 +182,14 @@ class _BandedSieve(StreamingComponent):
     def widen(self, ell: int) -> None:
         """Append empty buckets until the deepest band is ``ell``."""
         while self.ell < ell:
-            self._bucket_states.append(self.sys.open())
+            self._bucket_states.append(None)
             self.ell += 1
 
     @property
     def buckets(self) -> list[ElementSet]:
         """Each bucket's members, deepest band last."""
-        return [state.members for state in self._bucket_states]
+        return [ElementSet() if state is None else state.members
+                for state in self._bucket_states]
 
     def process(self, u: int) -> bool:
         return self.place(u, self._kept_gains.gain(u))
@@ -204,6 +209,8 @@ class _BandedSieve(StreamingComponent):
         if i < 0 or i > self.ell:
             return False
         bucket = self._bucket_states[i]
+        if bucket is None:
+            bucket = self._bucket_states[i] = self.sys.open()
         if not bucket.can_add(u):
             return False
         bucket.add(u)
@@ -312,6 +319,10 @@ class AutoThresholdSieve(StreamingComponent):
     error leaves every copy without the element.  ``_live`` lists the
     copies in ``copies`` order and ``_live_states`` their kept gain
     states; both are rebuilt only when a copy is made or dropped.
+    Whether an arrival is a feasible singleton is asked of one state that
+    never takes an element.  A feasible singleton worth more than
+    ``2**1023`` raises ``NumericError``, since no finite power-of-two
+    guess lies at or above it.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective):
@@ -321,6 +332,7 @@ class AutoThresholdSieve(StreamingComponent):
         self.k = sys.k_param
         self._base = sys.open()
         self.base = self._base.members
+        self._empty = sys.open()  # never takes an element
         self.best_singleton = -math.inf
         self.copies: dict[int, AdaptiveSieve] = {}  # exponent -> copy
         self._live: list[AdaptiveSieve] = []
@@ -345,9 +357,12 @@ class AutoThresholdSieve(StreamingComponent):
             top = band_top(self.k, len(self.base))
             for copy in self.copies.values():
                 copy.widen(top)
-        if self.sys.is_independent((u,)):
+        if self._empty.can_add(u):
             value = self.f.singleton(u)
             if value > self.best_singleton:
+                if value > 2.0 ** 1023:
+                    raise NumericError(
+                        f"best singleton value {value} is above 2**1023")
                 self.best_singleton = value
         evicted: list[int] = []
         window = self.active_exponents()

@@ -8,7 +8,7 @@ from substream import (CutGraph, brute_force_opt, build_g1, build_g2,
                        cardinality_system, constraints, knapsack_system,
                        labeled_limit_system, make_directed_cut, make_modular,
                        node_independent_set_system, similarity_from_features)
-from substream.core import EPS
+from substream.core import EPS, TabulatedGainState
 from substream.prng import SplitMix64
 
 
@@ -174,6 +174,51 @@ def reference_cut_marginal(g):
         return gain
 
     return marginal
+
+
+class TwoLoopCutGainState(TabulatedGainState):
+    """Reference cut gain state: adding x walks x's out-edges and then its
+    in-edges, taking each weight off its neighbour's entry, and removing
+    x walks both again to add them back, whether or not the two dicts
+    hold the same edges."""
+
+    __slots__ = ("out_adj", "in_adj")
+
+    def __init__(self, f, g):
+        out_adj = [{} for _ in range(g.n_vertices)]
+        in_adj = [{} for _ in range(g.n_vertices)]
+        for u, v, w in g.edges:
+            out_adj[u][v] = out_adj[u].get(v, 0.0) + w
+            in_adj[v][u] = in_adj[v].get(u, 0.0) + w
+        super().__init__(f, [sum(adj.values()) for adj in out_adj])
+        self.out_adj = out_adj
+        self.in_adj = in_adj
+
+    def add(self, u):
+        super().add(u)
+        gains = self.gains
+        for v, w in self.out_adj[u].items():
+            gains[v] -= w
+        for v, w in self.in_adj[u].items():
+            gains[v] -= w
+
+    def remove(self, x):
+        super().remove(x)
+        gains = self.gains
+        for v, w in self.out_adj[x].items():
+            gains[v] += w
+        for v, w in self.in_adj[x].items():
+            gains[v] += w
+
+    def swap_values(self, u, current):
+        self._check_outside(u)
+        gains, members = self.gains, self.members
+        self.f.evaluations += len(members)
+        gain_u = gains[u]
+        out_u = self.out_adj[u]
+        in_u = self.in_adj[u]
+        return [current - gains[x] + gain_u + out_u.get(x, 0.0)
+                + in_u.get(x, 0.0) for x in members]
 
 
 def brute_optimum_matches(family: str, rho: int, epsilon: float = 0.01) -> bool:

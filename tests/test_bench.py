@@ -376,6 +376,18 @@ def test_values_near_the_float_maximum_overflow_no_algorithm(name):
         assert sys.is_independent(solution)
 
 
+@pytest.mark.parametrize("name", ["threshold_sieve", "adaptive_sieve",
+                                  "framework_tau", "auto_sieve", "framework"])
+def test_every_threshold_algorithm_raises_above_the_largest_guess(name):
+    sys = cardinality_system(3, 2)
+    f = make_modular([1e-5, 2.0 ** 1023, 1.0])  # the largest guess fits
+    solution, _ = run_algorithm(name, sys, f, [0, 1, 2], {})
+    assert list(solution) == [1]
+    f = make_modular([1e-5, 1e308, 1.0])
+    with pytest.raises(NumericError, match=r"value 1e\+308 is above 2\*\*1023"):
+        run_algorithm(name, sys, f, [0, 1, 2], {})
+
+
 def test_unknown_algorithm_rejected():
     with pytest.raises(ValueError):
         run_experiment(_toy_config(algorithms=["nope"]), measure_time=False)

@@ -845,6 +845,34 @@ def test_states_of_one_system_are_independent_of_each_other():
         assert second.can_add(0), label
 
 
+def test_an_empty_state_answers_the_singleton_test():
+    rng = SplitMix64(1824)
+    costs = [rng.uniform(0.3, 3.0) for _ in range(14)]
+    nis_edges = [(u, v) for u in range(14) for v in range(u + 1, 14)
+                 if rng.random() < 0.25]
+    families = [*_state_families(rng),
+                ("knapsack over costly singletons", knapsack_system(costs, 1.5)),
+                ("node_independent_set & costly knapsack", intersect(
+                    node_independent_set_system(14, nis_edges),
+                    knapsack_system(costs, 1.5)))]
+    rejected = 0
+    for label, sys in families:
+        empty = sys.open()
+        for u in range(sys.n):
+            for uid in (u, np.int64(u)):
+                answer = empty.can_add(uid)
+                assert answer is sys.is_independent((uid,)), (label, u)
+            rejected += not answer
+        for bad in (-1, sys.n):
+            with pytest.raises(GroundSetError) as by_state:
+                empty.can_add(bad)
+            with pytest.raises(GroundSetError) as by_system:
+                sys.is_independent((bad,))
+            assert str(by_state.value) == str(by_system.value), label
+        assert list(empty.members) == [], label
+    assert rejected > 0
+
+
 class _StaleMaskState(_NodeState):
     """A broken node state: ``add`` blocks the new member but not its
     neighbours."""

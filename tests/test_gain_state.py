@@ -22,13 +22,14 @@ from substream import (CutGraph, KeywordTable, Objective, ReservoirConfig,
                        make_directed_cut, make_facility_location, make_logdet,
                        make_modular, make_sqrt_coverage)
 from substream.baselines import SieveGuessStream
+from substream.bench import gen_erdos_renyi, gen_watts_strogatz
 from substream.core import (AccumulatingGainState, DuplicateElementError,
                             GainState, GroundSetError, NumericError,
                             SizeLimitError, TabulatedGainState)
 from substream.objectives import LOGDET_MAX_SUBSET, CutGainState
 from substream.prng import SplitMix64
 
-from helpers import random_similarity, sample_oracles
+from helpers import TwoLoopCutGainState, random_similarity, sample_oracles
 
 
 def _random_graph(rng, n, p):
@@ -569,3 +570,108 @@ def test_sieve_guesses_leave_an_element_whose_batch_fails():
     with pytest.raises(NumericError):
         stream.push([3])
     assert all(3 not in g.members for g in stream.guesses.values())
+
+
+CUT_KINDS = ["symmetric", "directed", "mixed", "erdos_renyi", "watts_strogatz"]
+
+
+def _cut_graph(rng, kind, n=16):
+    """A graph of one kind: every edge stored both ways with one weight,
+    arcs drawn one way at a time, or a mix of both halves.  The mix joins
+    a symmetric part on the lower half of the vertices, whose reverse arcs
+    come later in shuffled order, to an upper half with one-way arcs,
+    unequal weights in the two directions, parallel arcs and zero weights
+    of either sign."""
+    if kind == "erdos_renyi":
+        return gen_erdos_renyi(n, 0.3, rng.randrange(1000), weight_mode="exp")
+    if kind == "watts_strogatz":
+        return gen_watts_strogatz(n, 4, 0.3, rng.randrange(1000),
+                                  weight_mode="exp")
+    edges, later = [], []
+    for u in range(n):
+        for v in range(u + 1, n):
+            w = rng.uniform(0.0, 5.0)
+            if kind == "directed":
+                for a, b in ((u, v), (v, u)):
+                    if rng.random() < 0.3:
+                        edges.append((a, b, rng.uniform(0.0, 5.0)))
+            elif kind == "symmetric" or v < n // 2:
+                if rng.random() < 0.4:
+                    edges.append((u, v, w))
+                    (edges if kind == "symmetric" else later).append((v, u, w))
+            elif u >= n // 2:
+                pick = rng.randrange(6)
+                if pick == 0:  # one way
+                    edges.append((u, v, w) if rng.random() < 0.5 else (v, u, w))
+                elif pick == 1:  # unequal weights
+                    edges += [(u, v, w), (v, u, w + 1.0)]
+                elif pick == 2:  # parallel arcs, in both directions
+                    x = rng.uniform(0.0, 5.0)
+                    edges += [(u, v, w), (v, u, x), (u, v, x), (v, u, w)]
+                elif pick == 3:  # zero weights
+                    edges += [(u, v, 0.0), (v, u, -0.0 if w < 2.5 else 0.0)]
+                elif pick == 4:
+                    edges += [(u, v, w), (v, u, w)]
+    rng.shuffle(later)
+    return CutGraph(n, tuple(edges + later))
+
+
+def _same_cut_state(f, st, ref):
+    """Gains, losses and swap trials of ``st`` equal the reference's."""
+    assert [x.hex() for x in st.gains] == [x.hex() for x in ref.gains]
+    members = list(st.members)
+    assert list(ref.members) == members
+    for x in members:
+        assert st.loss(x) == ref.loss(x)
+    current = f.value(members)
+    for u in range(f.n):
+        if u not in st.members:
+            assert st.gain(u) == ref.gain(u)
+            assert st.swap_values(u, current) == ref.swap_values(u, current)
+
+
+@pytest.mark.parametrize("seed", [51, 52, 53])
+@pytest.mark.parametrize("kind", CUT_KINDS)
+def test_cut_state_matches_the_two_loop_reference_exactly(kind, seed):
+    rng = SplitMix64(seed)
+    g = _cut_graph(rng, kind)
+    f = make_directed_cut(g)
+    st, ref = f.open(), TwoLoopCutGainState(f, g)
+    n = g.n_vertices
+    for _ in range(80):
+        _same_cut_state(f, st, ref)
+        members = list(st.members)
+        if members and (len(members) == n or rng.random() < 0.4):
+            x = members[rng.randrange(len(members))]
+            st.remove(x)
+            ref.remove(x)
+        else:
+            outside = [u for u in range(n) if u not in st.members]
+            u = outside[rng.randrange(len(outside))]
+            st.add(u)
+            ref.add(u)
+    _same_cut_state(f, st, ref)
+
+
+@pytest.mark.parametrize("kind", CUT_KINDS)
+def test_cut_shares_a_dict_exactly_where_the_two_dicts_are_equal(kind):
+    g = _cut_graph(SplitMix64(7), kind)
+    f = make_directed_cut(g)
+    st, ref = f.open(), TwoLoopCutGainState(f, g)
+    n = g.n_vertices
+    for v in range(n):
+        # the same edges in the same order as the reference tables
+        assert list(st.out_adj[v].items()) == list(ref.out_adj[v].items())
+        if st.in_adj[v] is not st.out_adj[v]:
+            assert list(st.in_adj[v].items()) == list(ref.in_adj[v].items())
+    shared = [st.in_adj[v] is st.out_adj[v] for v in range(n)]
+    assert shared == [ref.in_adj[v] == ref.out_adj[v] for v in range(n)]
+    if kind == "directed":
+        assert not any(shared)
+    elif kind == "mixed":
+        assert any(shared) and not all(shared)
+        # equal dicts whose edges came in different orders are shared too
+        assert any(list(ref.in_adj[v]) != list(ref.out_adj[v])
+                   for v in range(n) if shared[v])
+    else:
+        assert all(shared)

@@ -8,7 +8,8 @@ from substream import (AdaptiveSieve, AutoThresholdSieve,
                        RatioSwapStream, SieveGuessStream, StreamOutcome,
                        ThresholdSieve, brute_force_opt, cardinality_system,
                        cascade_run, contract_audit, exact_rho,
-                       knapsack_system, make_modular, repeated_greedy)
+                       knapsack_system, make_modular,
+                       node_independent_set_system, repeated_greedy)
 from substream.core import EPS
 from substream.streaming import _ceil_log2, _floor_log2
 from substream.prng import SplitMix64
@@ -314,6 +315,52 @@ def test_auto_sieve_window_lists_follow_the_copies():
         assert all(s is c._kept_gains
                    for s, c in zip(auto._live_states, copies))
     assert only_dropped > 0
+
+
+def _record_opens(sys):
+    """Make ``sys.open()`` append every state it returns to the list
+    returned."""
+    opened = []
+    build = sys._open_fn
+
+    def open_fn(system):
+        opened.append(build(system))
+        return opened[-1]
+
+    sys._open_fn = open_fn
+    return opened
+
+
+def test_threshold_sieve_opens_a_bucket_state_on_its_first_element():
+    sieve, sys, _ = sieve_for(tau=8.0, weights=[3.0, 0.0, 16.0, 2.5] + [1.0] * 4)
+    opened = _record_opens(sys)
+    sieve.push([1, 2])  # both off every band
+    assert opened == []
+    assert sieve.buckets == [set(), set(), set(), set()]
+    sieve.push([0, 3])  # gains 3 and 2.5 share band 1
+    assert [list(state.members) for state in opened] == [[0, 3]]
+    assert all(type(b) is ElementSet for b in sieve.buckets)
+    assert sieve.buckets == [set(), {0, 3}, set(), set()]
+
+
+def test_window_run_opens_states_only_for_bands_that_take_an_element():
+    rng = SplitMix64(62)
+    n = 60
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < 0.1]
+    sys = node_independent_set_system(n, edges)
+    f = random_cut(rng, n, 0.2)
+    opened = _record_opens(sys)
+    auto = AutoThresholdSieve(sys, f)
+    stream = list(range(n))
+    rng.shuffle(stream)
+    auto.push(stream)
+    # one state never takes an element: the one that tests singletons
+    assert [len(state.members) == 0 for state in opened].count(True) == 1
+    bands = sum(copy.ell + 1 for copy in auto.copies.values())
+    used = sum(1 for copy in auto.copies.values() for b in copy.buckets if b)
+    assert 0 < used < bands
+    assert len(opened) >= 2 + used  # the base and the singleton test too
 
 
 def test_auto_sieve_no_feasible_singletons():
