@@ -16,7 +16,7 @@ from .core import (EPS, ElementSet, GainState, Objective, SizeLimitError,
                    UnsupportedConstraintError, first_best)
 from .constraints import (EXACT_RHO_LIMIT, FeasibilityState,
                           IndependenceSystem, _spec_int, exact_rho)
-from .streaming import StreamingComponent, StreamOutcome, _drive, _release
+from .streaming import StreamingComponent, StreamOutcome, _drive, _unheld
 
 
 class GreedyStream(StreamingComponent):
@@ -41,7 +41,7 @@ class GreedyStream(StreamingComponent):
         return [u]
 
     def _finalize(self):
-        return self.solution.copy(), self.solution.copy(), list(self.solution)
+        return self.solution.copy(), self.solution.copy()
 
     def stored_count(self) -> int:
         return len(self.solution)
@@ -66,8 +66,9 @@ class SieveGuessStream(StreamingComponent):
     singleton and spanning up to ``2 * rho`` times the best singleton seen
     (the window top itself is always a guess).  A guess accepts an element
     when it fits and its marginal gain clears ``guess / (2 * rho)``.
-    Guesses that fall below the best singleton are deleted and their
-    exclusive elements evicted.  The best guess solution wins at the end.
+    Guesses that fall below the best singleton are deleted; an element
+    leaves when no guess holds it any more.  The best guess solution wins
+    at the end.
 
     A guess's solution only grows, so ``guesses`` maps a guess value to a
     :class:`_Guess`: a gain state from :meth:`Objective.open` and a
@@ -102,7 +103,7 @@ class SieveGuessStream(StreamingComponent):
         self.anchor: float | None = None
         self.best_singleton = 0.0
         self.guesses: dict[float, _Guess] = {}
-        self._holders: dict[int, int] = {}
+        self._held = 0  # distinct elements in the guesses' members
         self._empty = sys.open()  # never takes an element: the singleton test
 
     def _grid(self) -> list[float]:
@@ -124,7 +125,9 @@ class SieveGuessStream(StreamingComponent):
                 self.guesses[v] = _Guess(self.f.open(), self.sys.open())
         floor = self.best_singleton - EPS
         for v in [g for g in self.guesses if g < floor]:
-            _release(self._holders, self.guesses.pop(v).members, evicted)
+            evicted += _unheld(self.guesses.pop(v).members,
+                               [g.members for g in self.guesses.values()])
+        self._held -= len(evicted)
         return evicted
 
     def _ingest(self, u: int) -> list[int]:
@@ -136,7 +139,7 @@ class SieveGuessStream(StreamingComponent):
                 if self.anchor is None:
                     self.anchor = value
                 evicted.extend(self._refresh_guesses())
-        held = 0
+        taken = False
         takers = [(v, guess) for v, guess in self.guesses.items()
                   if guess.fits.can_add(u)]
         gains = self.f.gains(u, [guess.gains for _, guess in takers])
@@ -144,9 +147,9 @@ class SieveGuessStream(StreamingComponent):
             if gain >= v / (2.0 * self.rho) - EPS:
                 guess.gains.add(u)
                 guess.fits.add(u)
-                held += 1
-        if held:
-            self._holders[u] = self._holders.get(u, 0) + held
+                taken = True
+        if taken:
+            self._held += 1
         else:
             evicted.append(u)
         return evicted
@@ -154,12 +157,11 @@ class SieveGuessStream(StreamingComponent):
     def _finalize(self):
         cands = [ElementSet()]
         cands += [self.guesses[v].members for v in sorted(self.guesses)]
-        summary = ElementSet().union(*cands)
         best = cands[first_best(self.f.value(t) for t in cands)]
-        return best, summary, list(summary)
+        return best, ElementSet().union(*cands)
 
     def stored_count(self) -> int:
-        return len(self._holders)
+        return self._held
 
 
 class _SwapStream(StreamingComponent):
@@ -185,7 +187,7 @@ class _SwapStream(StreamingComponent):
         self.ever_held = ElementSet()
 
     def _finalize(self):
-        return self.solution.copy(), self.ever_held.copy(), list(self.solution)
+        return self.solution.copy(), self.ever_held.copy()
 
     def stored_count(self) -> int:
         return len(self.solution)
@@ -200,10 +202,10 @@ class PreemptionStream(_SwapStream):
     remembered gain.  Every gain is one ``gain`` query on the solution's
     gain state.
 
-    The held elements sit in a heap keyed by (insertion gain, insertion
-    count), so the victim, the cheapest held element and among equals the
-    earliest inserted, is found without a scan.  Only the heap's minimum
-    ever leaves the solution, so the heap holds exactly the solution.
+    The held elements sit in a heap keyed by (insertion gain,
+    ``len(ever_held)`` after it), so the victim, the cheapest held element
+    and among equals the earliest inserted, is found without a scan; only
+    the heap's minimum leaves, so the heap holds exactly the solution.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective,
@@ -211,13 +213,11 @@ class PreemptionStream(_SwapStream):
         super().__init__(sys, f)
         self._trace = trace
         self._cheapest: list[tuple[float, int, int]] = []
-        self._inserted = 0
 
     def _record(self, u: int, gain: float):
         self.state.add(u)
         self.ever_held.add(u)
-        self._inserted += 1
-        heapq.heappush(self._cheapest, (gain, self._inserted, u))
+        heapq.heappush(self._cheapest, (gain, len(self.ever_held), u))
 
     def _note(self, event: str, u: int, value: float):
         if self._trace is not None:

@@ -566,7 +566,12 @@ def run_experiment(cfg: Mapping, *, measure_time: bool = True) -> list[ResultRow
     seeds = [_spec_int("config", "seeds", s) for s in cfg.get("seeds", [0])]
     if not seeds:
         raise ValueError("config lists no seeds")
-    sweep_values = cfg.get("sweep", {}).get("values", [0])
+    sweep = cfg.get("sweep") or {}  # an empty sweep is the same as none
+    if sweep and sweep.get("param") is None:
+        raise ValueError("config sweep names no param")
+    if sweep and not sweep.get("values"):
+        raise ValueError("config sweep lists no values")
+    sweep_values = sweep.get("values", [0])
     options = cfg.get("options", {})
     _check_options(options)
 

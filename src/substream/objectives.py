@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .constraints import _spec_int
+from .constraints import _endpoints, _spec_int
 from .core import (AccumulatingGainState, NumericError, Objective,
                    SizeLimitError, TabulatedGainState)
 from .prng import SplitMix64
@@ -26,10 +26,7 @@ LOGDET_MAX_SUBSET = 512
 
 def _check_edge(n: int, u: int, v: int, w: float) -> None:
     """Raise the error a bad edge ``(u, v, w)`` of an n-vertex graph gets."""
-    if u == v:
-        raise ValueError(f"self-loop at vertex {u}")
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"edge ({u}, {v}) outside vertex range")
+    _endpoints("graph", (u, v), n)
     if not 0.0 <= w < math.inf:  # also false for NaN
         raise ValueError(f"edge ({u}, {v}) has weight {w}; "
                          "weights must be finite and non-negative")
@@ -62,24 +59,30 @@ class CutGraph:
     that are read-only, so the graph never changes after construction.
     ``CutGraph(n, edges)`` converts a sequence of ``(u, v, w)`` triples
     as ``int(u), int(v), float(w)``; :meth:`from_arrays` copies three
-    arrays.  ``n_vertices`` must be a whole number (a float such as
-    ``3.0`` is taken as 3) and positive.  Every edge is checked at once:
-    the first edge that is a self-loop, leaves the vertex range or has a
-    weight that is not finite and non-negative raises ``ValueError``
-    naming it.  A weight of ``-0.0`` is kept as it is.  ``edges`` lists
-    the edges as ``(int, int, float)`` tuples, built anew on each read.
+    arrays.  ``n_vertices`` and the endpoints must be whole numbers (a
+    float such as ``3.0`` is taken as 3), ``n_vertices`` positive.  Every
+    edge is checked at once: the first edge that has a fractional
+    endpoint, is a self-loop, leaves the vertex range or has a weight
+    that is not finite and non-negative raises ``ValueError`` naming it.
+    A weight of ``-0.0`` is kept as it is.  ``edges`` lists the edges as
+    ``(int, int, float)`` tuples, built anew on each read.
     """
 
     __slots__ = ("n_vertices", "src", "dst", "weight")
 
     def __init__(self, n_vertices: int, edges=()):
         n = _vertex_count(n_vertices)
-        triples = [(int(u), int(v), float(w)) for u, v, w in edges]
+        triples: list[tuple[int, int, float]] = []
         try:
+            for e in edges:
+                u, v, w = e
+                if type(u) is not int or type(v) is not int:
+                    u, v = _endpoints("graph", e, n)
+                triples.append((u, v, float(w)))
             src, dst = np.array([[u for u, _, _ in triples],
                                  [v for _, v, _ in triples]], dtype=np.int64)
-        except OverflowError:
-            # an endpoint beyond int64 is out of range; name the first bad edge
+        except (OverflowError, ValueError):
+            # a bad endpoint, or one beyond int64: name the first bad edge
             for e in triples:
                 _check_edge(n, *e)
             raise
@@ -575,10 +578,12 @@ def load_features(path) -> np.ndarray:
                 continue
             if len(row) - 1 != width:
                 raise ValueError(f"line {lineno}: expected {width} features")
-            ident = int(row[0])
+            try:
+                ident, feats = int(row[0]), [float(x) for x in row[1:]]
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             if ident in rows:
                 raise ValueError(f"line {lineno}: duplicate id {ident}")
-            feats = [float(x) for x in row[1:]]
             for x in feats:
                 if not math.isfinite(x):
                     raise ValueError(f"line {lineno}: non-finite feature {x}")
@@ -598,10 +603,12 @@ def load_keyword_table(path) -> KeywordTable:
                 continue
             if len(row) < 2:
                 raise ValueError(f"line {lineno}: expected id,value,words")
-            ident = int(row[0])
+            try:
+                ident, value = int(row[0]), float(row[1])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             if ident in rows:
                 raise ValueError(f"line {lineno}: duplicate id {ident}")
-            value = float(row[1])
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"line {lineno}: keyword value {value} is "
                                  "not finite and non-negative")

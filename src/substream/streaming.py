@@ -65,14 +65,10 @@ def trace_to_csv(events) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _release(holders: dict[int, int], members: Iterable[int],
-             evicted: list[int]) -> None:
-    """Drop one hold on each member; a member left with none is evicted."""
-    for x in members:
-        holders[x] -= 1
-        if holders[x] == 0:
-            del holders[x]
-            evicted.append(x)
+def _unheld(members: Iterable[int],
+            holders: Sequence[Collection[int]]) -> list[int]:
+    """The members that no holder set contains, in member order."""
+    return [x for x in members if not any(x in held for held in holders)]
 
 
 @dataclass
@@ -94,9 +90,13 @@ class StreamingComponent:
     """Base class implementing the push/finish bookkeeping.
 
     Subclasses implement ``_ingest(u) -> list`` (returning immediate
-    evictions), ``_finalize() -> (solution, summary, held)`` and
-    ``stored_count()``.
+    evictions), ``_finalize() -> (solution, summary)`` and
+    ``stored_count()``; ``base`` holds what a component keeps outside its
+    summary.  The residual is the last batch's evictions outside the
+    summary, then the ``base`` elements outside it.
     """
+
+    base: Collection[int] = ()
 
     def __init__(self):
         self._seen: set[int] = set()
@@ -116,17 +116,10 @@ class StreamingComponent:
     def finish(self, batch: Iterable[int] = ()) -> StreamOutcome:
         evicted = self.push(batch)
         self._finished = True
-        solution, summary, held = self._finalize()
-        # Evictions triggered while draining the final batch belong in the
-        # residual, except for elements that made the summary anyway
-        # (swap-style components both evict and remember an element).
-        residual = ElementSet()
-        for u in evicted:
-            if u not in summary:
-                residual.add(u)
-        for u in held:
-            if u not in summary and u not in residual:
-                residual.add(u)
+        solution, summary = self._finalize()
+        # a swap-style component may both evict and remember an element
+        residual = ElementSet(u for u in evicted if u not in summary).union(
+            u for u in self.base if u not in summary)
         return StreamOutcome(solution, summary, residual)
 
     def _ingest(self, u: int) -> list[int]:
@@ -155,12 +148,10 @@ class _BandedSieve(StreamingComponent):
     gain query.  At end of stream, :meth:`drain` builds
     ``candidate_count(sys.k_param)`` interleaved candidates from the
     buckets and returns the best one.  :meth:`widen` appends the bands
-    (``ell``, one bucket per band) that :meth:`process` and :meth:`place`
-    sort arrivals into; ``base`` holds what a subclass keeps outside the
-    buckets, and is empty unless one does.
+    (``ell``, one bucket per band) that :meth:`place` sorts arrivals
+    into.  An arrival that no bucket takes is evicted unless ``base``
+    (what :class:`AdaptiveSieve` keeps outside the buckets) holds it.
     """
-
-    base: Collection[int] = ()
 
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float,
                  trace: list | None):
@@ -191,14 +182,11 @@ class _BandedSieve(StreamingComponent):
         return [ElementSet() if state is None else state.members
                 for state in self._bucket_states]
 
-    def process(self, u: int) -> bool:
-        return self.place(u, self._kept_gains.gain(u))
-
     def place(self, u: int, gain: float) -> bool:
         """Add ``u`` to the bucket of the band that ``gain``, u's gain
         against ``kept``, falls in, if that bucket can take it; returns
-        whether it did.  :meth:`process` asks the gain itself; the
-        AutoThreshold window asks every copy's at once and passes it in.
+        whether it did.  A pushed sieve asks its own gain state for the
+        gain; the AutoThreshold window asks every copy's at once.
         """
         if gain <= EPS:
             return False  # band infinity
@@ -220,7 +208,7 @@ class _BandedSieve(StreamingComponent):
         return True
 
     def _ingest(self, u: int) -> list[int]:
-        if self.process(u) or u in self.base:
+        if self.place(u, self._kept_gains.gain(u)) or u in self.base:
             return []
         if self._trace is not None:
             self._trace.append((len(self._seen) - 1, "evict", u, -1, 0.0))
@@ -246,7 +234,7 @@ class _BandedSieve(StreamingComponent):
 
     def _finalize(self):
         best, _ = self.drain()
-        return best, self.kept.copy(), list(self.kept.union(self.base))
+        return best, self.kept.copy()
 
     def stored_count(self) -> int:
         count = len(self.kept) + len(self.base)  # the buckets partition kept
@@ -309,10 +297,11 @@ class AutoThresholdSieve(StreamingComponent):
     Keeps one :class:`AdaptiveSieve` copy per active power-of-two threshold
     guess.  The guess window follows the best feasible singleton seen so
     far and the size of a greedy base kept here; copies whose guess drops
-    out of the window are deleted (their exclusive elements are evicted),
-    and missing guesses are instantiated on arrival.  Copies are driven
-    through ``place`` and ``drain``, and widened to ``band_top`` of this
-    base when made and whenever it grows.
+    out of the window are deleted, and missing guesses are instantiated
+    on arrival.  An element leaves when neither the base nor any copy
+    holds it any more.  Copies are driven through ``place`` and
+    ``drain``, and widened to ``band_top`` of this base when made and
+    whenever it grows.
 
     Each arrival's gain against every copy's kept set comes from one
     :meth:`Objective.gains` call, asked before any copy takes it, so an
@@ -337,7 +326,6 @@ class AutoThresholdSieve(StreamingComponent):
         self.copies: dict[int, AdaptiveSieve] = {}  # exponent -> copy
         self._live: list[AdaptiveSieve] = []
         self._live_states: list[GainState] = []
-        self._holders: dict[int, int] = {}
 
     def active_exponents(self) -> range:
         """Exponents i with best_singleton <= 2**i <= window top."""
@@ -349,11 +337,9 @@ class AutoThresholdSieve(StreamingComponent):
         return range(lo, min(hi, 1023) + 1)  # 2.0 ** 1024 overflows
 
     def _ingest(self, u: int) -> list[int]:
-        holders = self._holders
-        holders[u] = 0
-        if self._base.can_add(u):
+        held = self._base.can_add(u)
+        if held:
             self._base.add(u)
-            holders[u] += 1
             top = band_top(self.k, len(self.base))
             for copy in self.copies.values():
                 copy.widen(top)
@@ -369,7 +355,8 @@ class AutoThresholdSieve(StreamingComponent):
         changed = False
         for exponent in list(self.copies):
             if exponent not in window:
-                _release(holders, self.copies.pop(exponent).kept, evicted)
+                evicted += _unheld(self.copies.pop(exponent).kept, [
+                    self.base, *(c.kept for c in self.copies.values())])
                 changed = True
         for exponent in window:
             if exponent not in self.copies:
@@ -383,9 +370,8 @@ class AutoThresholdSieve(StreamingComponent):
         gains = self.f.gains(u, self._live_states)
         for copy, gain in zip(self._live, gains):
             if copy.place(u, gain):
-                holders[u] += 1
-        if holders[u] == 0:
-            del holders[u]
+                held = True
+        if not held:
             evicted.append(u)
         return evicted
 
@@ -394,8 +380,7 @@ class AutoThresholdSieve(StreamingComponent):
         drained = [copy.drain() for copy in copies]  # (winner, value) each
         best = (drained[first_best(val for _, val in drained)][0] if drained
                 else ElementSet())
-        summary = ElementSet().union(*(copy.kept for copy in copies))
-        return best, summary, list(summary.union(self.base))
+        return best, ElementSet().union(*(copy.kept for copy in copies))
 
     def stored_count(self) -> int:
         count = len(self.base)

@@ -413,6 +413,32 @@ def test_unknown_option_rejected_before_any_cell_is_built(monkeypatch):
                        measure_time=False)
 
 
+@pytest.mark.parametrize("sweep, message", [
+    ({"param": "p", "values": []}, "config sweep lists no values"),
+    ({"param": "p"}, "config sweep lists no values"),
+    ({"values": [0.1, 0.3]}, "config sweep names no param"),
+])
+def test_malformed_sweep_rejected_before_any_cell_is_built(monkeypatch, sweep,
+                                                           message):
+    def no_cells(*args):
+        raise AssertionError("a cell was built")
+
+    monkeypatch.setattr("substream.bench.build_cell", no_cells)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(_toy_config(sweep=sweep), measure_time=False)
+
+
+def test_an_empty_sweep_is_no_sweep_and_build_cell_takes_a_bare_param():
+    rows = run_experiment(_toy_config(sweep={}), measure_time=False)
+    cfg = _toy_config()
+    del cfg["sweep"]
+    assert rows == run_experiment(cfg, measure_time=False)
+    assert {r.sweep for r in rows} == {0}
+    bare = build_cell(_toy_config(sweep={"param": "p"}), 0.3, 1)
+    assert bare.sweep == 0.3
+    assert bare.stream == build_cell(_toy_config(), 0.3, 1).stream
+
+
 @pytest.mark.parametrize("name", ["framework", "streaming_greedy"])
 def test_run_algorithm_rejects_unknown_option(name):
     g = gen_erdos_renyi(12, 0.3, seed=2)

@@ -95,6 +95,21 @@ def test_bench_run_rejects_malformed_input(tmp_path, capsys):
         _fails_cleanly(["bench", "run", "--config", str(path)], capsys, message)
 
 
+@pytest.mark.parametrize("sweep, message", [
+    ({"param": "p", "values": []}, "config sweep lists no values"),
+    ({"param": "p"}, "config sweep lists no values"),
+    ({"values": [0.2]}, "config sweep names no param"),
+])
+def test_bench_run_rejects_a_malformed_sweep(tmp_path, capsys, sweep,
+                                             message):
+    cfg = {"instance": {"model": "er", "n": 8, "p": 0.3},
+           "constraint": {"type": "cardinality", "rho": 2},
+           "algorithms": ["streaming_greedy"], "sweep": sweep}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    _fails_cleanly(["bench", "run", "--config", str(path)], capsys, message)
+
+
 def test_bench_run_rejects_bad_budget_and_unknown_option(tmp_path, capsys):
     cfg = {"instance": {"model": "er", "n": 10, "p": 0.3},
            "constraint": {"type": "knapsack", "budget": math.nan},

@@ -97,10 +97,24 @@ def test_cut_graph_normalizes_mixed_edges_like_a_plain_conversion():
      r"edge \(1, 0\) has weight nan"),
     ([(1, 2, np.float64(math.inf)), (0, 0, 1.0)],
      r"edge \(1, 2\) has weight inf"),
+    ([(0.7, 1, 1.0), (2, 3.9, 2.0)],
+     r"in edge \(0\.7, 1, 1\.0\) must be an integer, got 0\.7"),
+    ([(0, 1, 1.0), (2, 1.5, 1.0), (1, 1, 1.0)],
+     r"in edge \(2, 1\.5, 1\.0\) must be an integer, got 1\.5"),
+    ([(0, 1, 1.0), (np.float64(0.5), 2, 1.0)],
+     r"must be an integer, got (np\.float64\()?0\.5"),
+    ([(0, 0, 1.0), (0.7, 1, 1.0)], "self-loop at vertex 0"),
+    ([(0, 1, math.nan), (2, math.nan, 1.0)], r"edge \(0, 1\) has weight nan"),
 ])
 def test_cut_graph_names_the_first_bad_edge(edges, message):
     with pytest.raises(ValueError, match=message):
         CutGraph(3, edges)
+
+
+def test_cut_graph_takes_whole_float_endpoints():
+    g = CutGraph(4, [(3.0, 1, 1.0), (np.float64(2.0), 0.0, 2.0)])
+    assert g.edges == ((3, 1, 1.0), (2, 0, 2.0))
+    assert g.edges == CutGraph(4, [(3, 1, 1.0), (2, 0, 2.0)]).edges
 
 
 @pytest.mark.parametrize("bad", [2.5, math.nan, 0])
@@ -363,6 +377,18 @@ def test_feature_csv_rejects_non_finite_values(tmp_path, bad):
         load_features(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("id,f1\n0,1.0\nx,2.0\n", "line 3: .*'x'"),
+    ("id,f1,f2\n0,zz,1.0\n", "line 2: .*'zz'"),
+    ("id,f1\n0,1.0\n\n2.5,1.0\n", "line 4: .*'2.5'"),
+])
+def test_feature_csv_parse_errors_name_their_line(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_features(path)
+
+
 def test_keyword_csv(tmp_path):
     path = tmp_path / "kw.csv"
     path.write_text("0,4.0,alpha;beta\n1,9.0,alpha\n")
@@ -376,3 +402,14 @@ def test_keyword_csv(tmp_path):
         message = f"line 2: keyword value {float(bad)}"
         with pytest.raises(ValueError, match=message):
             load_keyword_table(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0,4.0,alpha\n1,abc,beta\n", "line 2: .*'abc'"),
+    ("# ids\n0,4.0,alpha\nx,1.0,beta\n", "line 3: .*'x'"),
+])
+def test_keyword_csv_parse_errors_name_their_line(tmp_path, text, message):
+    path = tmp_path / "kw.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_keyword_table(path)
