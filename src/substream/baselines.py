@@ -13,7 +13,7 @@ import heapq
 from typing import NamedTuple
 
 from .core import (EPS, ElementSet, GainState, Objective, SizeLimitError,
-                   UnsupportedConstraintError, first_best)
+                   UnsupportedConstraintError, first_best, values_once)
 from .constraints import (EXACT_RHO_LIMIT, FeasibilityState,
                           IndependenceSystem, _spec_int, exact_rho)
 from .streaming import StreamingComponent, StreamOutcome, _drive, _unheld
@@ -60,15 +60,32 @@ class _Guess(NamedTuple):
 
 
 class SieveGuessStream(StreamingComponent):
-    """Threshold-guessing streamer: one growing solution per value guess.
+    """Threshold-guessing streamer: one growing solution per value guess,
+    with the guess pruning of Sieve-Streaming++ (Kazemi et al., ICML 2019).
 
     Guesses form a geometric grid anchored at the first positive feasible
     singleton and spanning up to ``2 * rho`` times the best singleton seen
     (the window top itself is always a guess).  A guess accepts an element
     when it fits and its marginal gain clears ``guess / (2 * rho)``.
-    Guesses that fall below the best singleton are deleted; an element
-    leaves when no guess holds it any more.  The best guess solution wins
-    at the end.
+    An element leaves when no guess holds it any more.  The best guess
+    solution, or the empty set, wins at the end; each distinct candidate
+    is valued once (:func:`values_once`).
+
+    Pruning.  ``lower_bound`` (LB) needs no oracle call: when guess v
+    takes an element, LB rises to at least
+    ``min(v, |S_v| * (v / (2 * rho) - EPS))``.  Every gain S_v accepted
+    cleared ``v / (2 * rho) - EPS``, so for non-negative f the second
+    term is at most f(S_v), and so is v when it is the smaller one.
+    After the take every guess below LB is dropped, and no guess below
+    ``max(best_singleton - EPS, LB)`` is made or kept.  The guarantee
+    stands: some guess v* has OPT/(1+epsilon) <= v* <= OPT.  If v* is
+    dropped below LB, then LB > v*, and the guess that set LB holds a
+    set worth at least LB; it has v >= LB, so only the singleton floor
+    drops it, once a singleton worth more than v >= LB arrives.  The
+    ``min(v, ...)`` keeps that guess: with a greedy ``rho`` below the
+    true one, ``|S_v|`` can exceed ``2 * rho``, and the product alone
+    would exceed every guess.  Drops evict through the members no
+    remaining guess holds, guess by guess in dict order.
 
     A guess's solution only grows, so ``guesses`` maps a guess value to a
     :class:`_Guess`: a gain state from :meth:`Objective.open` and a
@@ -102,33 +119,41 @@ class SieveGuessStream(StreamingComponent):
         self.rho = int(rho)
         self.anchor: float | None = None
         self.best_singleton = 0.0
+        self.lower_bound = 0.0
         self.guesses: dict[float, _Guess] = {}
         self._held = 0  # distinct elements in the guesses' members
         self._empty = sys.open()  # never takes an element: the singleton test
 
+    def _floor(self) -> float:
+        return max(self.best_singleton - EPS, self.lower_bound)
+
     def _grid(self) -> list[float]:
-        """Guess values currently in the window [best, 2 * rho * best]."""
+        """Guess values currently in the window [floor, 2 * rho * best]."""
         top = 2.0 * self.rho * self.best_singleton
+        floor = self._floor()
         values = []
         v = self.anchor
         while v < top - EPS:
-            if v >= self.best_singleton - EPS:
+            if v >= floor:
                 values.append(v)
             v *= 1.0 + self.epsilon
-        values.append(top)
+        values.append(top)  # top >= LB: LB is at most a held guess
         return values
 
-    def _refresh_guesses(self) -> list[int]:
+    def _drop_below(self, floor: float) -> list[int]:
+        """Drop every guess below ``floor``; returns the evicted members."""
         evicted: list[int] = []
-        for v in self._grid():
-            if v not in self.guesses:
-                self.guesses[v] = _Guess(self.f.open(), self.sys.open())
-        floor = self.best_singleton - EPS
         for v in [g for g in self.guesses if g < floor]:
             evicted += _unheld(self.guesses.pop(v).members,
                                [g.members for g in self.guesses.values()])
         self._held -= len(evicted)
         return evicted
+
+    def _refresh_guesses(self) -> list[int]:
+        for v in self._grid():
+            if v not in self.guesses:
+                self.guesses[v] = _Guess(self.f.open(), self.sys.open())
+        return self._drop_below(self._floor())
 
     def _ingest(self, u: int) -> list[int]:
         evicted: list[int] = []
@@ -140,16 +165,22 @@ class SieveGuessStream(StreamingComponent):
                     self.anchor = value
                 evicted.extend(self._refresh_guesses())
         taken = False
+        bound = self.lower_bound
         takers = [(v, guess) for v, guess in self.guesses.items()
                   if guess.fits.can_add(u)]
         gains = self.f.gains(u, [guess.gains for _, guess in takers])
         for (v, guess), gain in zip(takers, gains):
-            if gain >= v / (2.0 * self.rho) - EPS:
+            threshold = v / (2.0 * self.rho) - EPS
+            if gain >= threshold:
                 guess.gains.add(u)
                 guess.fits.add(u)
                 taken = True
+                bound = max(bound, min(v, len(guess.members) * threshold))
         if taken:
             self._held += 1
+            if bound > self.lower_bound:
+                self.lower_bound = bound
+                evicted += self._drop_below(bound)
         else:
             evicted.append(u)
         return evicted
@@ -157,7 +188,7 @@ class SieveGuessStream(StreamingComponent):
     def _finalize(self):
         cands = [ElementSet()]
         cands += [self.guesses[v].members for v in sorted(self.guesses)]
-        best = cands[first_best(self.f.value(t) for t in cands)]
+        best = cands[first_best(values_once(self.f, cands))]
         return best, ElementSet().union(*cands)
 
     def stored_count(self) -> int:

@@ -371,11 +371,21 @@ def _apply_constraint_sweep(constraint: dict, param: str, value) -> bool:
     return False
 
 
+def _sweep_of(cfg: Mapping) -> Mapping:
+    """A config's sweep; a missing or empty one is ``{}``.  A sweep that
+    is not a mapping raises ``ValueError``."""
+    sweep = cfg.get("sweep") or {}  # an empty sweep is the same as none
+    if not isinstance(sweep, Mapping):
+        raise ValueError(f"config sweep must be a mapping with param and "
+                         f"values, got {sweep!r}")
+    return sweep
+
+
 def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
     """Materialize the (sweep value, seed) point of a config."""
     instance = dict(cfg.get("instance", {}))
     constraint = json.loads(json.dumps(cfg["constraint"]))  # deep copy
-    param = cfg.get("sweep", {}).get("param")
+    param = _sweep_of(cfg).get("param")
     if param is not None:
         if param in instance:
             instance[param] = sweep_value
@@ -566,12 +576,15 @@ def run_experiment(cfg: Mapping, *, measure_time: bool = True) -> list[ResultRow
     seeds = [_spec_int("config", "seeds", s) for s in cfg.get("seeds", [0])]
     if not seeds:
         raise ValueError("config lists no seeds")
-    sweep = cfg.get("sweep") or {}  # an empty sweep is the same as none
+    sweep = _sweep_of(cfg)
     if sweep and sweep.get("param") is None:
         raise ValueError("config sweep names no param")
     if sweep and not sweep.get("values"):
         raise ValueError("config sweep lists no values")
     sweep_values = sweep.get("values", [0])
+    if not isinstance(sweep_values, (list, tuple)):
+        raise ValueError(f"config sweep values must be a list, "
+                         f"got {sweep_values!r}")
     options = cfg.get("options", {})
     _check_options(options)
 

@@ -127,6 +127,22 @@ def first_best(values: Iterable[float]) -> int:
     return best
 
 
+def values_once(f: "Objective", sets: Iterable[Iterable[int]]) -> list[float]:
+    """``[f.value(s) for s in sets]``, asking :meth:`Objective.value` once
+    per distinct set.  Sets are keyed by their sorted ids, the tuple that
+    ``value`` passes to ``fn``, so equal keys get equal bits; the values
+    live only for this call."""
+    known: dict[tuple[int, ...], float] = {}
+    values = []
+    for s in sets:
+        key = as_sorted_ids(s)
+        val = known.get(key)
+        if val is None:
+            val = known[key] = f.value(key)
+        values.append(val)
+    return values
+
+
 def as_sorted_ids(subset: Iterable[int]) -> tuple[int, ...]:
     """Canonical sorted-id fingerprint of a subset."""
     if isinstance(subset, ElementSet):

@@ -24,11 +24,12 @@ from .prng import SplitMix64
 LOGDET_MAX_SUBSET = 512
 
 
-def _check_edge(n: int, u: int, v: int, w: float) -> None:
-    """Raise the error a bad edge ``(u, v, w)`` of an n-vertex graph gets."""
+def _check_edge(n: int, u: int, v: int, w) -> None:
+    """Raise the error a bad edge ``(u, v, w)`` of an n-vertex graph gets;
+    a weight that is not a float is bad."""
     _endpoints("graph", (u, v), n)
-    if not 0.0 <= w < math.inf:  # also false for NaN
-        raise ValueError(f"edge ({u}, {v}) has weight {w}; "
+    if type(w) is not float or not 0.0 <= w < math.inf:  # also for NaN
+        raise ValueError(f"edge ({u}, {v}) has weight {w!r}; "
                          "weights must be finite and non-negative")
 
 
@@ -63,9 +64,9 @@ class CutGraph:
     float such as ``3.0`` is taken as 3), ``n_vertices`` positive.  Every
     edge is checked at once: the first edge that has a fractional
     endpoint, is a self-loop, leaves the vertex range or has a weight
-    that is not finite and non-negative raises ``ValueError`` naming it.
-    A weight of ``-0.0`` is kept as it is.  ``edges`` lists the edges as
-    ``(int, int, float)`` tuples, built anew on each read.
+    that is not a finite non-negative number raises ``ValueError`` naming
+    it.  A weight of ``-0.0`` is kept as it is.  ``edges`` lists the
+    edges as ``(int, int, float)`` tuples, built anew on each read.
     """
 
     __slots__ = ("n_vertices", "src", "dst", "weight")
@@ -78,11 +79,15 @@ class CutGraph:
                 u, v, w = e
                 if type(u) is not int or type(v) is not int:
                     u, v = _endpoints("graph", e, n)
-                triples.append((u, v, float(w)))
+                try:
+                    w = float(w)
+                finally:  # a weight that float() rejects is named below
+                    triples.append((u, v, w))
             src, dst = np.array([[u for u, _, _ in triples],
                                  [v for _, v, _ in triples]], dtype=np.int64)
-        except (OverflowError, ValueError):
-            # a bad endpoint, or one beyond int64: name the first bad edge
+        except (OverflowError, TypeError, ValueError):
+            # a bad endpoint or weight, or an endpoint beyond int64: name
+            # the first bad edge
             for e in triples:
                 _check_edge(n, *e)
             raise

@@ -12,7 +12,8 @@ import heapq
 import math
 from typing import Iterable
 
-from .core import EPS, ElementSet, Objective, SizeLimitError, first_best
+from .core import (EPS, ElementSet, Objective, SizeLimitError, first_best,
+                   values_once)
 from .constraints import IndependenceSystem
 
 BRUTE_FORCE_LIMIT = 22
@@ -98,7 +99,8 @@ def repeated_greedy(f: Objective, sys: IndependenceSystem,
                     ground: Iterable[int]) -> ElementSet:
     """Greedy rounds on shrinking ground sets, each polished by the
     unconstrained double greedy; returns the set :func:`first_best`
-    picks among the empty set and every round's two sets, in that order.
+    picks among the empty set and every round's two sets, in that order,
+    each distinct set valued once (:func:`values_once`).
 
     It runs ceil(sqrt(k)) + 1 rounds for the system's exchange parameter
     k, the count of the reduction's analysis (2 rounds on a matroid), and
@@ -108,17 +110,13 @@ def repeated_greedy(f: Objective, sys: IndependenceSystem,
     iterations = math.isqrt(sys.k_param - 1) + 2
     remaining = ElementSet(sorted(set(ground)))
     cands = [ElementSet()]
-    values = [f.value(cands[0])]
     for _ in range(iterations):
         round_sol = weighted_greedy(f, sys, remaining)
         if not round_sol:
             break
-        polished = double_greedy(f, round_sol)
-        for cand in (round_sol, polished):
-            cands.append(cand)
-            values.append(f.value(cand))
+        cands += [round_sol, double_greedy(f, round_sol)]
         remaining.difference_update(round_sol)
-    return cands[first_best(values)]
+    return cands[first_best(values_once(f, cands))]
 
 
 def brute_force_opt(f: Objective, sys: IndependenceSystem,

@@ -20,7 +20,7 @@ from typing import Callable, Collection, Iterable, Sequence
 
 from .core import (EPS, ContractViolationError, DuplicateElementError,
                    ElementSet, GainState, NumericError, Objective,
-                   first_best)
+                   first_best, values_once)
 from .constraints import FeasibilityState, IndependenceSystem, _spec_int
 from .offline import unweighted_greedy
 
@@ -214,21 +214,25 @@ class _BandedSieve(StreamingComponent):
             self._trace.append((len(self._seen) - 1, "evict", u, -1, 0.0))
         return [u]
 
-    def drain(self) -> tuple[ElementSet, float]:
-        """Build the h candidates and return the first best with its value.
+    def build_candidates(self) -> list[ElementSet]:
+        """Build the h candidates and keep them in ``candidates``.
 
         Candidate j is the feasibility greedy (:func:`unweighted_greedy`)
         over buckets j, j+h, ...  Buckets are visited in ascending index
         (descending marginal band) and each bucket in insertion order, so
-        the construction is deterministic and stream-faithful.  The
-        candidates stay in ``candidates``.
+        the construction is deterministic and stream-faithful.
         """
         buckets = self.buckets
-        cands = [unweighted_greedy(self.sys,
-                                   chain.from_iterable(buckets[j::self.h]))
-                 for j in range(self.h)]
-        self.candidates = cands
-        values = [self.f.value(t) for t in cands]
+        self.candidates = [unweighted_greedy(
+            self.sys, chain.from_iterable(buckets[j::self.h]))
+            for j in range(self.h)]
+        return self.candidates
+
+    def drain(self) -> tuple[ElementSet, float]:
+        """Build the candidates and return the first best with its value;
+        each distinct candidate is valued once (:func:`values_once`)."""
+        cands = self.build_candidates()
+        values = values_once(self.f, cands)
         best = first_best(values)
         return cands[best], values[best]
 
@@ -270,9 +274,9 @@ class AdaptiveSieve(_BandedSieve):
     prefix seen so far and widens to ``band_top(k, |base|)`` each time the
     base grows.  ``tau`` keeps the same [M, 2M] contract as
     :class:`ThresholdSieve`.  A window copy of :class:`AutoThresholdSieve`
-    is driven through :meth:`place` and :meth:`drain` alone: it opens
-    no base of its own, and the window widens it.  Unlike
-    :class:`ThresholdSieve` it takes no ``trace`` list.
+    is driven through :meth:`place` and :meth:`build_candidates` alone:
+    it opens no base of its own, and the window widens and drains it.
+    Unlike :class:`ThresholdSieve` it takes no ``trace`` list.
     """
 
     # an __init__ of its own: perfbench/tracing.py counts window copies by it
@@ -300,8 +304,13 @@ class AutoThresholdSieve(StreamingComponent):
     out of the window are deleted, and missing guesses are instantiated
     on arrival.  An element leaves when neither the base nor any copy
     holds it any more.  Copies are driven through ``place`` and
-    ``drain``, and widened to ``band_top`` of this base when made and
-    whenever it grows.
+    ``build_candidates``, and widened to ``band_top`` of this base when
+    made and whenever it grows.  At end of stream every copy's candidates
+    are built first and each distinct candidate is valued once across all
+    copies (:func:`values_once`); each copy's winner is then picked as
+    its own ``drain`` would pick it, and the first best winner wins.
+    ``stored_count()`` reads a running count: one per element a copy
+    places, less a dropped copy's kept set, plus the candidates once built.
 
     Each arrival's gain against every copy's kept set comes from one
     :meth:`Objective.gains` call, asked before any copy takes it, so an
@@ -326,6 +335,7 @@ class AutoThresholdSieve(StreamingComponent):
         self.copies: dict[int, AdaptiveSieve] = {}  # exponent -> copy
         self._live: list[AdaptiveSieve] = []
         self._live_states: list[GainState] = []
+        self._stored = 0  # the copies' kept elements, then their candidates
 
     def active_exponents(self) -> range:
         """Exponents i with best_singleton <= 2**i <= window top."""
@@ -355,7 +365,9 @@ class AutoThresholdSieve(StreamingComponent):
         changed = False
         for exponent in list(self.copies):
             if exponent not in window:
-                evicted += _unheld(self.copies.pop(exponent).kept, [
+                dropped = self.copies.pop(exponent).kept
+                self._stored -= len(dropped)
+                evicted += _unheld(dropped, [
                     self.base, *(c.kept for c in self.copies.values())])
                 changed = True
         for exponent in window:
@@ -371,24 +383,29 @@ class AutoThresholdSieve(StreamingComponent):
         for copy, gain in zip(self._live, gains):
             if copy.place(u, gain):
                 held = True
+                self._stored += 1
         if not held:
             evicted.append(u)
         return evicted
 
     def _finalize(self):
         copies = [self.copies[exponent] for exponent in sorted(self.copies)]
-        drained = [copy.drain() for copy in copies]  # (winner, value) each
-        best = (drained[first_best(val for _, val in drained)][0] if drained
+        cands = [copy.build_candidates() for copy in copies]
+        self._stored += sum(len(t) for t in chain.from_iterable(cands))
+        values = values_once(self.f, chain.from_iterable(cands))
+        winners: list[tuple[ElementSet, float]] = []  # each copy's drain
+        start = 0
+        for own in cands:
+            own_values = values[start:start + len(own)]
+            start += len(own)
+            best = first_best(own_values)
+            winners.append((own[best], own_values[best]))
+        best = (winners[first_best(val for _, val in winners)][0] if winners
                 else ElementSet())
         return best, ElementSet().union(*(copy.kept for copy in copies))
 
     def stored_count(self) -> int:
-        count = len(self.base)
-        for copy in self.copies.values():
-            count += len(copy.kept)  # the buckets partition kept
-            if copy.candidates is not None:
-                count += sum(len(t) for t in copy.candidates)
-        return count
+        return len(self.base) + self._stored
 
 
 def _drive(chain: Sequence[StreamingComponent], stream: Iterable[int]

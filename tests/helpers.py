@@ -8,7 +8,7 @@ from substream import (CutGraph, brute_force_opt, build_g1, build_g2,
                        cardinality_system, constraints, knapsack_system,
                        labeled_limit_system, make_directed_cut, make_modular,
                        node_independent_set_system, similarity_from_features)
-from substream.core import EPS, TabulatedGainState
+from substream.core import EPS, ElementSet, TabulatedGainState, first_best
 from substream.prng import SplitMix64
 
 
@@ -67,7 +67,6 @@ def max_feasible_singleton(sys, f):
 
 
 def random_independent_set(rng: SplitMix64, sys, keep_prob: float = 0.5):
-    from substream import ElementSet
     order = list(range(sys.n))
     rng.shuffle(order)
     out = ElementSet()
@@ -282,3 +281,33 @@ def reference_weighted_greedy(f, sys, ground):
             if cand != best_u:
                 heapq.heappush(heap, (-gain, cand))
     return sol
+
+
+def reference_drain(sieve):
+    """The banded sieve's drain with one value query per candidate:
+    ``(winner, value)``."""
+    cands = sieve.build_candidates()
+    values = [sieve.f.value(t) for t in cands]
+    best = first_best(values)
+    return cands[best], values[best]
+
+
+def reference_window_finalize(window):
+    """The AutoThreshold window's end of stream as one drain per copy,
+    each valuing its own candidates: ``(winner, value)``, or the empty
+    set and None without copies."""
+    copies = [window.copies[e] for e in sorted(window.copies)]
+    drained = [reference_drain(copy) for copy in copies]
+    if not drained:
+        return ElementSet(), None
+    return drained[first_best(val for _, val in drained)]
+
+
+def reference_guess_finalize(stream):
+    """The guess streamer's end of stream with one value query for the
+    empty set and one per guess: ``(winner, value)``."""
+    cands = [ElementSet()]
+    cands += [stream.guesses[v].members for v in sorted(stream.guesses)]
+    values = [stream.f.value(t) for t in cands]
+    best = first_best(values)
+    return cands[best], values[best]

@@ -417,6 +417,9 @@ def test_unknown_option_rejected_before_any_cell_is_built(monkeypatch):
     ({"param": "p", "values": []}, "config sweep lists no values"),
     ({"param": "p"}, "config sweep lists no values"),
     ({"values": [0.1, 0.3]}, "config sweep names no param"),
+    ([0.1], r"config sweep must be a mapping .*, got \[0\.1\]"),
+    ({"param": "p", "values": 0.3}, "sweep values must be a list, got 0.3"),
+    ({"param": "p", "values": "ab"}, "sweep values must be a list, got 'ab'"),
 ])
 def test_malformed_sweep_rejected_before_any_cell_is_built(monkeypatch, sweep,
                                                            message):
@@ -426,6 +429,11 @@ def test_malformed_sweep_rejected_before_any_cell_is_built(monkeypatch, sweep,
     monkeypatch.setattr("substream.bench.build_cell", no_cells)
     with pytest.raises(ValueError, match=message):
         run_experiment(_toy_config(sweep=sweep), measure_time=False)
+
+
+def test_build_cell_rejects_a_sweep_that_is_not_a_mapping():
+    with pytest.raises(ValueError, match="config sweep must be a mapping"):
+        build_cell(_toy_config(sweep=["p", 0.3]), 0.3, 1)
 
 
 def test_an_empty_sweep_is_no_sweep_and_build_cell_takes_a_bare_param():

@@ -99,6 +99,8 @@ def test_bench_run_rejects_malformed_input(tmp_path, capsys):
     ({"param": "p", "values": []}, "config sweep lists no values"),
     ({"param": "p"}, "config sweep lists no values"),
     ({"values": [0.2]}, "config sweep names no param"),
+    ({"param": "p", "values": 0.3}, "config sweep values must be a list"),
+    ([0.2], "config sweep must be a mapping"),
 ])
 def test_bench_run_rejects_a_malformed_sweep(tmp_path, capsys, sweep,
                                              message):

@@ -105,6 +105,10 @@ def test_cut_graph_normalizes_mixed_edges_like_a_plain_conversion():
      r"must be an integer, got (np\.float64\()?0\.5"),
     ([(0, 0, 1.0), (0.7, 1, 1.0)], "self-loop at vertex 0"),
     ([(0, 1, math.nan), (2, math.nan, 1.0)], r"edge \(0, 1\) has weight nan"),
+    ([(0, 2, 1.0), (0, 1, "x")], r"edge \(0, 1\) has weight 'x'"),
+    ([(0, 2, 1.0), (2, 1, None)], r"edge \(2, 1\) has weight None"),
+    ([(1, 1, 1.0), (0, 1, "x")], "self-loop at vertex 1"),
+    ([(0, 1, None), (0.5, 1, 1.0)], r"edge \(0, 1\) has weight None"),
 ])
 def test_cut_graph_names_the_first_bad_edge(edges, message):
     with pytest.raises(ValueError, match=message):

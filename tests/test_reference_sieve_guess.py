@@ -7,11 +7,14 @@ A guess that is gone afterwards was dropped; a member of a dropped guess
 leaves once no guess holds it, that is at the last dropped guess holding
 it, provided no surviving guess does.  The arrival itself leaves when no
 guess took it.  The stored count is the size of the union of the guesses'
-members.
+members.  Guesses drop below the best singleton and below the running
+lower bound alike, so the same replay covers both rules.
 """
 
-from substream import make_modular
-from substream.baselines import SieveGuessStream
+from substream import make_modular, node_independent_set_system
+from substream.baselines import SieveGuessStream, sieve_streaming
+from substream.bench import _greedy_rho
+from substream.core import EPS
 from substream.prng import SplitMix64
 
 from helpers import max_feasible_singleton, random_cut, random_modular, random_system
@@ -71,3 +74,47 @@ def test_sieve_guess_evictions_and_count_follow_the_members():
         checked += 1
     assert drop_evictions > 0
 
+
+
+def test_lower_bound_drops_follow_the_members_and_keep_the_holder():
+    # the replay above, counting the drops that only the running lower
+    # bound explains: a dropped guess at or above the singleton floor
+    rng = SplitMix64(16_180)
+    checked = 0
+    bound_drops = 0
+    while checked < 40:
+        n = 8 + rng.randrange(9)
+        f = random_modular(rng, n) if checked % 2 else random_cut(rng, n)
+        sys = random_system(rng, n)
+        if max_feasible_singleton(sys, f) <= 0:
+            continue
+        stream = list(range(n))
+        rng.shuffle(stream)
+        sieve = SieveGuessStream(sys, f, epsilon=(0.1, 0.5)[rng.randrange(2)])
+        for u in stream:
+            before = snapshot(sieve)
+            evicted = sieve.push([u])
+            after = snapshot(sieve)
+            assert evicted == expected_evictions(before, after, u)
+            assert sieve.stored_count() == len(set().union(*after.values()))
+            floor = max(sieve.best_singleton - EPS, sieve.lower_bound)
+            assert all(v >= floor for v in after)
+            bound_drops += sum(v not in after
+                               and v >= sieve.best_singleton - EPS
+                               for v in before)
+        outcome = sieve.finish()
+        assert f.value(outcome.solution) >= sieve.lower_bound
+        checked += 1
+    assert bound_drops > 0
+
+
+def test_the_guess_that_sets_the_lower_bound_is_kept():
+    # a star whose centre streams first: the greedy rho is 1, so each guess
+    # takes all 11 leaves and |S_v| * v / 2 alone would pass every guess
+    sys = node_independent_set_system(12, [(0, v) for v in range(1, 12)])
+    f = make_modular([0.1] + [1.0] * 11)
+    stream = list(range(12))
+    rho = _greedy_rho(sys, stream)
+    assert rho == 1
+    outcome = sieve_streaming(sys, f, stream, rho=rho)
+    assert f.value(outcome.solution) == 11.0
