@@ -202,7 +202,10 @@ class _SwapStream(StreamingComponent):
     The solution is the members of one gain state from
     :meth:`Objective.open`: it fills through ``gain``/``add`` and swaps
     through ``remove``/``add``.  ``ever_held`` is every element that was
-    ever in the solution, the summary at end of stream.
+    ever in the solution, the summary at end of stream.  Both fill alike:
+    below ``rho`` elements an arrival is taken (:meth:`_take`) when its
+    gain is at least ``-EPS``; a subclass writes only ``_swap_in``, which
+    gets each arrival once the solution is full.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective):
@@ -216,6 +219,22 @@ class _SwapStream(StreamingComponent):
         self.state = f.open()
         self.solution = self.state.members
         self.ever_held = ElementSet()
+
+    def _take(self, u: int, gain: float) -> None:
+        """Put ``u``, weighed by ``gain``, in the solution."""
+        self.state.add(u)
+        self.ever_held.add(u)
+
+    def _ingest(self, u: int) -> list[int]:
+        if len(self.solution) >= self.rho:
+            return self._swap_in(u)
+        gain = self.state.gain(u)
+        if gain >= -EPS:
+            self._take(u, gain)
+            self._note("accept", u, -1, gain)
+            return []
+        self._note("evict", u, -1, gain)
+        return [u]
 
     def _finalize(self):
         return self.solution.copy(), self.ever_held.copy()
@@ -242,36 +261,24 @@ class PreemptionStream(_SwapStream):
     def __init__(self, sys: IndependenceSystem, f: Objective,
                  trace: list | None = None):
         super().__init__(sys, f)
-        self._trace = trace
+        self.trace = trace
         self._cheapest: list[tuple[float, int, int]] = []
 
-    def _record(self, u: int, gain: float):
-        self.state.add(u)
-        self.ever_held.add(u)
+    def _take(self, u: int, gain: float) -> None:
+        super()._take(u, gain)
         heapq.heappush(self._cheapest, (gain, len(self.ever_held), u))
 
-    def _note(self, event: str, u: int, value: float):
-        if self._trace is not None:
-            self._trace.append((len(self._seen) - 1, event, u, -1, value))
-
-    def _ingest(self, u: int) -> list[int]:
+    def _swap_in(self, u: int) -> list[int]:
         gain = self.state.gain(u)
-        if len(self.solution) < self.rho:
-            if gain >= -EPS:
-                self._record(u, gain)
-                self._note("accept", u, gain)
-                return []
-            self._note("evict", u, gain)
-            return [u]
         cheapest_gain, _, cheapest = self._cheapest[0]
         if gain >= 2.0 * cheapest_gain - EPS:
             heapq.heappop(self._cheapest)
             self.state.remove(cheapest)
-            self._record(u, gain)
-            self._note("swap", u, gain)
-            self._note("evict", cheapest, 0.0)
+            self._take(u, gain)
+            self._note("swap", u, -1, gain)
+            self._note("evict", cheapest, -1, 0.0)
             return [cheapest]
-        self._note("evict", u, gain)
+        self._note("evict", u, -1, gain)
         return [u]
 
 
@@ -285,22 +292,15 @@ class RatioSwapStream(_SwapStream):
     each trial is one query, O(1) for the directed cut.
     """
 
-    def _ingest(self, u: int) -> list[int]:
+    def _swap_in(self, u: int) -> list[int]:
         state = self.state
-        if len(state.members) < self.rho:
-            if state.gain(u) >= -EPS:
-                state.add(u)
-                self.ever_held.add(u)
-                return []
-            return [u]
         current = self.f.value(state.members)
         trial_vals = state.swap_values(u, current)
         best = first_best(trial_vals)
         if trial_vals[best] - current >= current / self.rho - EPS:
             victim = list(state.members)[best]
             state.remove(victim)
-            state.add(u)
-            self.ever_held.add(u)
+            self._take(u, trial_vals[best] - current)
             return [victim]
         return [u]
 

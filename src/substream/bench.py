@@ -481,7 +481,7 @@ def _greedy_rho(sys: IndependenceSystem, stream, scale: int = 1) -> int:
     """The system's exact rho when known, else ``scale`` times the size of
     a feasibility-greedy base (at least 1)."""
     if sys.rho_hint is not None:
-        return sys.rho_hint
+        return max(1, sys.rho_hint)
     return max(1, scale * len(unweighted_greedy(sys, stream)))
 
 
@@ -497,7 +497,7 @@ def _framework_offline(f: Objective, sys: IndependenceSystem,
 
 
 # The keys an experiment's ``options`` may hold.
-OPTIONS = ("stream_order", "cascade_copies", "sieve_epsilon")
+OPTIONS = ("stream_order", "cascade_copies")
 
 
 def _check_options(options: Mapping) -> None:
@@ -518,9 +518,7 @@ def run_algorithm(name: str, sys: IndependenceSystem, f: Objective,
     if name == "streaming_greedy":
         component = GreedyStream(sys, f)
     elif name == "sieve_streaming":
-        eps = float(options.get("sieve_epsilon", 0.1))
-        component = SieveGuessStream(sys, f, epsilon=eps,
-                                     rho=_greedy_rho(sys, stream))
+        component = SieveGuessStream(sys, f, rho=_greedy_rho(sys, stream))
     elif name == "threshold_sieve":
         # any upper bound on rho is sound: k times a greedy base is one
         tau = _prepass_tau(sys, f, stream)

@@ -127,12 +127,13 @@ def first_best(values: Iterable[float]) -> int:
     return best
 
 
-def values_once(f: "Objective", sets: Iterable[Iterable[int]]) -> list[float]:
+def values_once(f: "Objective", sets: Iterable[Iterable[int]],
+                known: dict | None = None) -> list[float]:
     """``[f.value(s) for s in sets]``, asking :meth:`Objective.value` once
     per distinct set.  Sets are keyed by their sorted ids, the tuple that
     ``value`` passes to ``fn``, so equal keys get equal bits; the values
-    live only for this call."""
-    known: dict[tuple[int, ...], float] = {}
+    live in the memo ``known`` if one is passed, else only for this call."""
+    known = {} if known is None else known
     values = []
     for s in sets:
         key = as_sorted_ids(s)

@@ -93,14 +93,22 @@ class StreamingComponent:
     evictions), ``_finalize() -> (solution, summary)`` and
     ``stored_count()``; ``base`` holds what a component keeps outside its
     summary.  The residual is the last batch's evictions outside the
-    summary, then the ``base`` elements outside it.
+    summary, then the ``base`` elements outside it.  A ``trace`` list,
+    when a component takes one, records its events through :meth:`_note`.
     """
 
     base: Collection[int] = ()
+    trace: list | None = None
 
     def __init__(self):
         self._seen: set[int] = set()
         self._finished = False
+
+    def _note(self, event: str, u: int, bucket: int, value: float) -> None:
+        """Append ``(step, event, u, bucket, value)`` to ``trace``, if one
+        is attached; ``step`` is the index of the arrival being ingested."""
+        if self.trace is not None:
+            self.trace.append((len(self._seen) - 1, event, u, bucket, value))
 
     def push(self, batch: Iterable[int]) -> list[int]:
         if self._finished:
@@ -153,8 +161,7 @@ class _BandedSieve(StreamingComponent):
     (what :class:`AdaptiveSieve` keeps outside the buckets) holds it.
     """
 
-    def __init__(self, sys: IndependenceSystem, f: Objective, tau: float,
-                 trace: list | None):
+    def __init__(self, sys: IndependenceSystem, f: Objective, tau: float):
         super().__init__()
         if not 0.0 < tau < math.inf:  # also false for NaN
             raise ValueError(f"tau must be positive and finite, got {tau!r}")
@@ -168,7 +175,6 @@ class _BandedSieve(StreamingComponent):
         self._kept_gains = f.open()
         self.kept = self._kept_gains.members  # union of buckets, arrival order
         self.candidates: list[ElementSet] | None = None
-        self._trace = trace
 
     def widen(self, ell: int) -> None:
         """Append empty buckets until the deepest band is ``ell``."""
@@ -203,15 +209,13 @@ class _BandedSieve(StreamingComponent):
             return False
         bucket.add(u)
         self._kept_gains.add(u)
-        if self._trace is not None:
-            self._trace.append((len(self._seen) - 1, "accept", u, i, gain))
+        self._note("accept", u, i, gain)
         return True
 
     def _ingest(self, u: int) -> list[int]:
         if self.place(u, self._kept_gains.gain(u)) or u in self.base:
             return []
-        if self._trace is not None:
-            self._trace.append((len(self._seen) - 1, "evict", u, -1, 0.0))
+        self._note("evict", u, -1, 0.0)
         return [u]
 
     def build_candidates(self) -> list[ElementSet]:
@@ -228,11 +232,12 @@ class _BandedSieve(StreamingComponent):
             for j in range(self.h)]
         return self.candidates
 
-    def drain(self) -> tuple[ElementSet, float]:
+    def drain(self, known: dict | None = None) -> tuple[ElementSet, float]:
         """Build the candidates and return the first best with its value;
-        each distinct candidate is valued once (:func:`values_once`)."""
+        each distinct candidate is valued once (:func:`values_once`), in
+        every drain that shares the memo ``known``."""
         cands = self.build_candidates()
-        values = values_once(self.f, cands)
+        values = values_once(self.f, cands, known)
         best = first_best(values)
         return cands[best], values[best]
 
@@ -260,7 +265,8 @@ class ThresholdSieve(_BandedSieve):
 
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float,
                  rho: int, *, trace: list | None = None):
-        super().__init__(sys, f, tau, trace)
+        super().__init__(sys, f, tau)
+        self.trace = trace
         self.rho = _spec_int("ThresholdSieve", "rho", rho)
         if self.rho < 1:
             raise ValueError("rho must be a positive integer")
@@ -274,14 +280,14 @@ class AdaptiveSieve(_BandedSieve):
     prefix seen so far and widens to ``band_top(k, |base|)`` each time the
     base grows.  ``tau`` keeps the same [M, 2M] contract as
     :class:`ThresholdSieve`.  A window copy of :class:`AutoThresholdSieve`
-    is driven through :meth:`place` and :meth:`build_candidates` alone:
-    it opens no base of its own, and the window widens and drains it.
-    Unlike :class:`ThresholdSieve` it takes no ``trace`` list.
+    is driven through :meth:`place` and :meth:`drain` alone: it opens no
+    base of its own, and the window widens it.  Unlike
+    :class:`ThresholdSieve` it takes no ``trace`` list.
     """
 
     # an __init__ of its own: perfbench/tracing.py counts window copies by it
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float):
-        super().__init__(sys, f, tau, None)
+        super().__init__(sys, f, tau)
         self._base: FeasibilityState | None = None  # opened on the first push
 
     def _ingest(self, u: int) -> list[int]:
@@ -300,15 +306,14 @@ class AutoThresholdSieve(StreamingComponent):
 
     Keeps one :class:`AdaptiveSieve` copy per active power-of-two threshold
     guess.  The guess window follows the best feasible singleton seen so
-    far and the size of a greedy base kept here; copies whose guess drops
-    out of the window are deleted, and missing guesses are instantiated
-    on arrival.  An element leaves when neither the base nor any copy
-    holds it any more.  Copies are driven through ``place`` and
-    ``build_candidates``, and widened to ``band_top`` of this base when
-    made and whenever it grows.  At end of stream every copy's candidates
-    are built first and each distinct candidate is valued once across all
-    copies (:func:`values_once`); each copy's winner is then picked as
-    its own ``drain`` would pick it, and the first best winner wins.
+    far and the size of a greedy base kept here, so :meth:`_move` runs
+    only when one of those two grows: it drops the copies whose guess
+    left the window, makes the missing ones and widens every copy to
+    ``band_top`` of this base.  An element leaves when neither the base
+    nor any copy holds it any more.  Copies are driven through ``place``
+    and ``drain``; at end of stream they drain in exponent order with one
+    shared memo, so each distinct candidate is valued once across the
+    window (:func:`values_once`), and the first best winner wins.
     ``stored_count()`` reads a running count: one per element a copy
     places, less a dropped copy's kept set, plus the candidates once built.
 
@@ -316,11 +321,11 @@ class AutoThresholdSieve(StreamingComponent):
     :meth:`Objective.gains` call, asked before any copy takes it, so an
     error leaves every copy without the element.  ``_live`` lists the
     copies in ``copies`` order and ``_live_states`` their kept gain
-    states; both are rebuilt only when a copy is made or dropped.
-    Whether an arrival is a feasible singleton is asked of one state that
-    never takes an element.  A feasible singleton worth more than
-    ``2**1023`` raises ``NumericError``, since no finite power-of-two
-    guess lies at or above it.
+    states; :meth:`_move` rebuilds both.  Whether an arrival is a
+    feasible singleton is asked of one state that never takes an
+    element.  A feasible singleton worth more than ``2**1023`` raises
+    ``NumericError``, since no finite power-of-two guess lies at or
+    above it.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective):
@@ -338,21 +343,40 @@ class AutoThresholdSieve(StreamingComponent):
         self._stored = 0  # the copies' kept elements, then their candidates
 
     def active_exponents(self) -> range:
-        """Exponents i with best_singleton <= 2**i <= window top."""
-        if not self.base or self.best_singleton <= EPS:
+        """Exponents i with best_singleton <= 2**i <= window top; the base
+        holds an element once a feasible singleton is worth over ``EPS``."""
+        if self.best_singleton <= EPS:
             return range(0)
         lo = _ceil_log2(self.best_singleton)
         width = 2 * math.log2(self.k * len(self.base)) + 5
         hi = math.floor(math.log2(self.best_singleton) + width + _LOG_GUARD)
         return range(lo, min(hi, 1023) + 1)  # 2.0 ** 1024 overflows
 
+    def _move(self) -> list[int]:
+        """Fit the copies to the window after ``best_singleton`` or the
+        base grew; returns what only the dropped copies held."""
+        window = self.active_exponents()
+        evicted: list[int] = []
+        for exponent in [e for e in self.copies if e not in window]:
+            dropped = self.copies.pop(exponent).kept
+            self._stored -= len(dropped)
+            evicted += _unheld(dropped, [
+                self.base, *(c.kept for c in self.copies.values())])
+        top = band_top(self.k, len(self.base))
+        for exponent in window:
+            copy = self.copies.get(exponent)
+            if copy is None:
+                copy = self.copies[exponent] = AdaptiveSieve(
+                    self.sys, self.f, 2.0 ** exponent)
+            copy.widen(top)
+        self._live = list(self.copies.values())
+        self._live_states = [copy._kept_gains for copy in self._live]
+        return evicted
+
     def _ingest(self, u: int) -> list[int]:
-        held = self._base.can_add(u)
+        held = moved = self._base.can_add(u)
         if held:
             self._base.add(u)
-            top = band_top(self.k, len(self.base))
-            for copy in self.copies.values():
-                copy.widen(top)
         if self._empty.can_add(u):
             value = self.f.singleton(u)
             if value > self.best_singleton:
@@ -360,25 +384,8 @@ class AutoThresholdSieve(StreamingComponent):
                     raise NumericError(
                         f"best singleton value {value} is above 2**1023")
                 self.best_singleton = value
-        evicted: list[int] = []
-        window = self.active_exponents()
-        changed = False
-        for exponent in list(self.copies):
-            if exponent not in window:
-                dropped = self.copies.pop(exponent).kept
-                self._stored -= len(dropped)
-                evicted += _unheld(dropped, [
-                    self.base, *(c.kept for c in self.copies.values())])
-                changed = True
-        for exponent in window:
-            if exponent not in self.copies:
-                copy = self.copies[exponent] = AdaptiveSieve(
-                    self.sys, self.f, 2.0 ** exponent)
-                copy.widen(band_top(self.k, len(self.base)))
-                changed = True
-        if changed:
-            self._live = list(self.copies.values())
-            self._live_states = [copy._kept_gains for copy in self._live]
+                moved = True
+        evicted = self._move() if moved else []
         gains = self.f.gains(u, self._live_states)
         for copy, gain in zip(self._live, gains):
             if copy.place(u, gain):
@@ -390,16 +397,9 @@ class AutoThresholdSieve(StreamingComponent):
 
     def _finalize(self):
         copies = [self.copies[exponent] for exponent in sorted(self.copies)]
-        cands = [copy.build_candidates() for copy in copies]
-        self._stored += sum(len(t) for t in chain.from_iterable(cands))
-        values = values_once(self.f, chain.from_iterable(cands))
-        winners: list[tuple[ElementSet, float]] = []  # each copy's drain
-        start = 0
-        for own in cands:
-            own_values = values[start:start + len(own)]
-            start += len(own)
-            best = first_best(own_values)
-            winners.append((own[best], own_values[best]))
+        known: dict[tuple[int, ...], float] = {}
+        winners = [copy.drain(known) for copy in copies]
+        self._stored += sum(len(t) for copy in copies for t in copy.candidates)
         best = (winners[first_best(val for _, val in winners)][0] if winners
                 else ElementSet())
         return best, ElementSet().union(*(copy.kept for copy in copies))

@@ -411,6 +411,9 @@ def test_unknown_option_rejected_before_any_cell_is_built(monkeypatch):
     with pytest.raises(ValueError, match="unknown option 'sieve_rho'"):
         run_experiment(_toy_config(options={"sieve_rho": 4}),
                        measure_time=False)
+    with pytest.raises(ValueError, match="unknown option 'sieve_epsilon'"):
+        run_experiment(_toy_config(options={"sieve_epsilon": 0.1}),
+                       measure_time=False)
 
 
 @pytest.mark.parametrize("sweep, message", [
@@ -445,6 +448,24 @@ def test_an_empty_sweep_is_no_sweep_and_build_cell_takes_a_bare_param():
     bare = build_cell(_toy_config(sweep={"param": "p"}), 0.3, 1)
     assert bare.sweep == 0.3
     assert bare.stream == build_cell(_toy_config(), 0.3, 1).stream
+
+
+def test_every_algorithm_returns_the_empty_set_when_no_element_fits():
+    # no element fits, so the knapsack's rho hint is 0; a sieve's capacity
+    # bound must be at least 1
+    cfg = _toy_config(
+        instance={"model": "er", "n": 6, "p": 0.4}, ground="nodes",
+        constraint={"type": "knapsack", "budget": 1.0, "costs": [2.0] * 6},
+        algorithms=list(ALGORITHMS), sweep={}, seeds=[1])
+    rows = run_experiment(cfg, measure_time=False)
+    assert sorted(r.algorithm for r in rows) == sorted(ALGORITHMS)
+    assert all(r.value == 0.0 for r in rows)
+
+
+def test_stream_order_id_streams_the_ground_set_in_id_order():
+    cfg = _toy_config(options={"stream_order": "id"})
+    assert build_cell(cfg, 0.3, 1).stream == list(range(24))
+    assert build_cell(_toy_config(), 0.3, 1).stream != list(range(24))
 
 
 @pytest.mark.parametrize("name", ["framework", "streaming_greedy"])

@@ -23,6 +23,20 @@ def test_gen_graph_and_run_stream(tmp_path, capsys):
     assert len(out.splitlines()) == 2
 
 
+@pytest.mark.parametrize("order, value", [("id", 22.0), ("shuffle", 27.0)])
+def test_run_stream_follows_the_stream_order(tmp_path, capsys, order, value):
+    graph_path = tmp_path / "g.tsv"
+    main(["bench", "gen-graph", "--model", "er", "--n", "30", "--p", "0.2",
+          "--seed", "1", "--out", str(graph_path)])
+    spec_path = tmp_path / "cardinality.json"
+    spec_path.write_text(json.dumps({"type": "cardinality", "rho": 5}))
+    assert main(["run-stream", "--graph", str(graph_path),
+                 "--objective", "cut", "--constraint", str(spec_path),
+                 "--algo", "streaming_greedy", "--stream-order", order]) == 0
+    row = capsys.readouterr().out.splitlines()[-1]
+    assert float(row.split(",")[3]) == value
+
+
 def test_gen_graph_ws_requires_parameters(tmp_path):
     with pytest.raises(SystemExit):
         main(["bench", "gen-graph", "--model", "ws", "--n", "12",
