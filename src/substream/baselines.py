@@ -13,9 +13,10 @@ import heapq
 from typing import NamedTuple
 
 from .core import (EPS, ElementSet, GainState, Objective, SizeLimitError,
-                   UnsupportedConstraintError, first_best, values_once)
+                   UnsupportedConstraintError, _spec_count, first_best,
+                   values_once)
 from .constraints import (EXACT_RHO_LIMIT, FeasibilityState,
-                          IndependenceSystem, _spec_int, exact_rho)
+                          IndependenceSystem, exact_rho)
 from .streaming import StreamingComponent, StreamOutcome, _drive, _unheld
 
 
@@ -28,9 +29,7 @@ class GreedyStream(StreamingComponent):
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective):
-        super().__init__()
-        self.sys = sys
-        self.f = f
+        super().__init__(sys, f)
         self._state = sys.open()
         self.solution = self._state.members
 
@@ -101,20 +100,16 @@ class SieveGuessStream(StreamingComponent):
 
     def __init__(self, sys: IndependenceSystem, f: Objective,
                  epsilon: float = 0.1, rho: int | None = None):
-        super().__init__()
+        super().__init__(sys, f)
         if not 0.0 < epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
-        if rho is None:
-            rho = sys.rho_hint
-        elif _spec_int("SieveGuessStream", "rho", rho) < 1:
-            raise ValueError("rho must be a positive integer")
+        rho = (sys.rho_hint if rho is None
+               else _spec_count("SieveGuessStream", "rho", rho))
         if rho is None:
             if sys.n > EXACT_RHO_LIMIT:
                 raise SizeLimitError(
                     "rho unknown and too large to brute force; pass rho=")
             rho = exact_rho(sys)
-        self.sys = sys
-        self.f = f
         self.epsilon = float(epsilon)
         self.rho = int(rho)
         self.anchor: float | None = None
@@ -209,13 +204,11 @@ class _SwapStream(StreamingComponent):
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective):
-        super().__init__()
+        super().__init__(sys, f)
         if sys.kind != "cardinality" or sys.rho_hint is None:
             raise UnsupportedConstraintError(
                 "this algorithm is defined for a cardinality constraint only")
         self.rho = sys.rho_hint
-        self.sys = sys
-        self.f = f
         self.state = f.open()
         self.solution = self.state.members
         self.ever_held = ElementSet()

@@ -18,14 +18,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ElementSet, NumericError, Objective, first_best
+from .core import ElementSet, NumericError, Objective, _spec_int, first_best
 from .prng import SplitMix64
 from .objectives import (CutGraph, load_features, load_keyword_table,
                          make_coverage_minus_dispersion, make_directed_cut,
                          make_facility_location, make_logdet, make_modular,
                          make_sqrt_coverage, similarity_from_features,
                          ReservoirConfig)
-from .constraints import IndependenceSystem, _spec_int, make_system
+from .constraints import IndependenceSystem, make_system
 from .offline import repeated_greedy, unweighted_greedy, weighted_greedy
 from .streaming import (AdaptiveSieve, AutoThresholdSieve, ThresholdSieve,
                         cascade_run, _ceil_log2, _drive)
@@ -289,9 +289,10 @@ def degree_costs(pairs: Sequence[tuple[int, int]], n_vertices: int,
     return [float(max(1, deg[u] - q)) for u, _ in pairs]
 
 
-def random_int_costs(count: int, seed: int, low: int = 1, high: int = 5) -> list[float]:
+def random_int_costs(count: int, seed: int) -> list[float]:
+    """``count`` whole costs drawn uniformly from 1 to 5."""
     rng = SplitMix64(seed)
-    return [float(rng.randint(low, high)) for _ in range(count)]
+    return [float(rng.randint(1, 5)) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -371,19 +372,39 @@ def _apply_constraint_sweep(constraint: dict, param: str, value) -> bool:
     return False
 
 
+def _shaped(name: str, value, shape: type = Mapping):
+    """``value``, which must be a mapping, or a list (a tuple too) when
+    ``shape`` is ``list``; anything else raises ``ValueError`` naming the
+    config section ``name``."""
+    if isinstance(value, (list, tuple) if shape is list else Mapping):
+        return value
+    what = "list" if shape is list else "mapping of names to values"
+    raise ValueError(f"{name} must be a {what}, got {value!r}")
+
+
 def _sweep_of(cfg: Mapping) -> Mapping:
-    """A config's sweep; a missing or empty one is ``{}``.  A sweep that
-    is not a mapping raises ``ValueError``."""
-    sweep = cfg.get("sweep") or {}  # an empty sweep is the same as none
-    if not isinstance(sweep, Mapping):
-        raise ValueError(f"config sweep must be a mapping with param and "
-                         f"values, got {sweep!r}")
-    return sweep
+    """A config's sweep; a missing or empty one is ``{}``."""
+    return _shaped("config sweep", cfg.get("sweep") or {})  # empty is none
+
+
+def _check_constraint(spec) -> None:
+    """Raise ``ValueError`` unless the constraint spec is a mapping and an
+    intersection's parts are a list of such specs."""
+    if "intersect" in _shaped("config constraint", spec):
+        for part in _shaped("config constraint intersect", spec["intersect"],
+                            list):
+            _check_constraint(part)
 
 
 def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
-    """Materialize the (sweep value, seed) point of a config."""
-    instance = dict(cfg.get("instance", {}))
+    """Materialize the (sweep value, seed) point of a config.
+
+    ``ground`` picks the ground set of a cut or linear objective:
+    ``"nodes"`` or ``"edges"``, by default edges for planarity and
+    knapsack constraints and their intersections; any other value raises
+    ``ValueError``."""
+    instance = dict(_shaped("config instance", cfg.get("instance", {})))
+    _check_constraint(cfg["constraint"])
     constraint = json.loads(json.dumps(cfg["constraint"]))  # deep copy
     param = _sweep_of(cfg).get("param")
     if param is not None:
@@ -398,7 +419,8 @@ def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
     cost_seed = rng.next_u64()
     shuffle_seed = rng.next_u64()
 
-    objective = cfg.get("objective", {"kind": "linear"})
+    objective = _shaped("config objective",
+                        cfg.get("objective", {"kind": "linear"}))
     kind = objective["kind"]
 
     graph = pairs = None
@@ -427,6 +449,9 @@ def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
         if ground_kind is None:
             ground_kind = "edges" if constraint.get("type") in ("planarity", "knapsack") \
                 or "intersect" in constraint else "nodes"
+        elif ground_kind not in ("nodes", "edges"):
+            raise ValueError(f"unknown ground {ground_kind!r}; "
+                             "expected 'nodes' or 'edges'")
         pairs = undirected_pairs(graph) if ground_kind == "edges" else None
         if kind == "cut":
             if ground_kind != "nodes":
@@ -449,7 +474,8 @@ def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
         raise ValueError(f"constraint covers {sys.n} elements but the "
                          f"ground set has {len(ground)}")
 
-    order = cfg.get("options", {}).get("stream_order", "shuffle")
+    options = _shaped("config options", cfg.get("options", {}))
+    order = options.get("stream_order", "shuffle")
     stream = list(ground)
     if order == "shuffle":
         SplitMix64(shuffle_seed).shuffle(stream)
@@ -565,13 +591,15 @@ def run_experiment(cfg: Mapping, *, measure_time: bool = True) -> list[ResultRow
     ``measure_time=False`` the ms column is zeroed, making the emitted CSV
     a pure function of the config.
     """
-    algorithms = list(cfg["algorithms"])
+    _shaped("config", cfg)
+    algorithms = list(_shaped("config algorithms", cfg["algorithms"], list))
     if not algorithms:
         raise ValueError("config lists no algorithms")
     for name in algorithms:
         if name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {name!r}")
-    seeds = [_spec_int("config", "seeds", s) for s in cfg.get("seeds", [0])]
+    seeds = [_spec_int("config", "seeds", s)
+             for s in _shaped("config seeds", cfg.get("seeds", [0]), list)]
     if not seeds:
         raise ValueError("config lists no seeds")
     sweep = _sweep_of(cfg)
@@ -579,11 +607,9 @@ def run_experiment(cfg: Mapping, *, measure_time: bool = True) -> list[ResultRow
         raise ValueError("config sweep names no param")
     if sweep and not sweep.get("values"):
         raise ValueError("config sweep lists no values")
-    sweep_values = sweep.get("values", [0])
-    if not isinstance(sweep_values, (list, tuple)):
-        raise ValueError(f"config sweep values must be a list, "
-                         f"got {sweep_values!r}")
-    options = cfg.get("options", {})
+    sweep_values = _shaped("config sweep values", sweep.get("values", [0]),
+                           list)
+    options = _shaped("config options", cfg.get("options", {}))
     _check_options(options)
 
     rows: list[ResultRow] = []

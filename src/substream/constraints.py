@@ -26,12 +26,12 @@ and repeat a test.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import Counter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (ElementSet, GroundSetError, SizeLimitError,
-                   UnsupportedConstraintError)
+                   UnsupportedConstraintError, _outside, _spec_count,
+                   _spec_int)
 from .planarity import planarity_check
 
 CLASS_TAGS = ("matroid", "k_extendible", "k_system")
@@ -47,9 +47,9 @@ class IndependenceSystem:
     ``predicate`` decides independence of an id set and defines the
     family; :meth:`can_add` and :meth:`is_independent` ask it.
     ``rho_hint`` is the exact size of the largest independent set when it
-    is cheaply known, else None.  ``n`` and ``k_param`` must be whole
-    numbers (a float such as ``3.0`` is taken as 3); a NaN, infinite or
-    fractional one raises ``ValueError`` naming it.
+    is cheaply known, else None.  ``n`` and ``k_param`` (at least 1) must
+    be whole numbers (``3.0`` is taken as 3); a NaN, infinite, fractional
+    or smaller one raises ``ValueError`` naming it.
 
     :meth:`open` returns an empty :class:`FeasibilityState`.
     ``open_fn(system)``, when provided, builds it; every family but label
@@ -67,11 +67,9 @@ class IndependenceSystem:
                  rho_hint: int | None = None,
                  open_fn: Callable[[IndependenceSystem], FeasibilityState] | None = None):
         n = _spec_int(kind, "n", n)
-        k_param = _spec_int(kind, "k_param", k_param)
+        k_param = _spec_count(kind, "k_param", k_param)
         if n <= 0:
             raise ValueError("ground set must be non-empty")
-        if k_param < 1:
-            raise ValueError("k_param must be a positive integer")
         if class_tag not in CLASS_TAGS:
             raise ValueError(f"class_tag must be one of {CLASS_TAGS}")
         self.n = n
@@ -114,10 +112,6 @@ class IndependenceSystem:
         if self._open_fn is None:
             return FeasibilityState(self)
         return self._open_fn(self)
-
-
-def _outside(u: int, n: int) -> GroundSetError:
-    return GroundSetError(f"id {u} outside range(0, {n})")
 
 
 class FeasibilityState:
@@ -267,9 +261,7 @@ def cardinality_system(n: int, rho: int) -> IndependenceSystem:
     3); a NaN, infinite or fractional one raises ``ValueError``.
     """
     n = _spec_int("cardinality", "n", n)
-    rho = _spec_int("cardinality", "rho", rho)
-    if rho < 1:
-        raise ValueError("rho must be positive")
+    rho = _spec_count("cardinality", "rho", rho)
     return IndependenceSystem(
         lambda s: len(s) <= rho, n,
         k_param=1, class_tag="matroid", kind="cardinality",
@@ -342,21 +334,20 @@ def labeled_limit_system(labels: Sequence[Iterable], per_label_limit,
     Labels may overlap, so this is generally not a matroid.  The default
     exchange parameter is (max labels per element) + 1; pass ``k_param``
     to override it when a sharper value is known for the instance.  The
-    limits must be whole numbers (a float such as ``3.0`` is taken as 3);
-    a NaN, infinite or fractional one raises ``ValueError`` naming it, and
-    so does a ``per_label_limit`` mapping that lacks a label in use.
+    limits must be whole numbers of at least 1 (a float such as ``3.0`` is
+    taken as 3); a NaN, infinite, fractional or smaller one raises
+    ``ValueError`` naming it, and so does a ``per_label_limit`` mapping
+    that lacks a label in use.
     """
     labs = [frozenset(l) for l in labels]
     if not labs:
         raise ValueError("empty ground set")
     kind = "labeled_limit"
-    total_limit = _spec_int(kind, "total_limit", total_limit)
-    if total_limit < 1:
-        raise ValueError("total_limit must be positive")
+    total_limit = _spec_count(kind, "total_limit", total_limit)
     all_labels = frozenset().union(*labs) if labs else frozenset()
     if isinstance(per_label_limit, Mapping):
-        checked = {lab: _spec_int(kind, "per_label_limit", v,
-                                  f" for label {lab!r}")
+        checked = {lab: _spec_count(kind, "per_label_limit", v,
+                                    f" for label {lab!r}")
                    for lab, v in per_label_limit.items()}
         missing = all_labels - checked.keys()
         if missing:
@@ -364,10 +355,8 @@ def labeled_limit_system(labels: Sequence[Iterable], per_label_limit,
                              f"limit for label {min(map(repr, missing))}")
         limits = {lab: checked[lab] for lab in all_labels}
     else:
-        limits = dict.fromkeys(all_labels, _spec_int(
+        limits = dict.fromkeys(all_labels, _spec_count(
             kind, "per_label_limit", per_label_limit))
-    if any(v < 1 for v in limits.values()):
-        raise ValueError("per-label limits must be positive")
     if k_param is None:
         k_param = (max((len(l) for l in labs), default=0)) + 1
 
@@ -613,22 +602,6 @@ _SPEC_FIELDS = {"cardinality": ("n", "rho"), "knapsack": ("costs", "budget"),
                 "planarity": ("n_vertices", "edges")}
 
 
-def _spec_int(kind: str, name: str, value, where: str = "") -> int:
-    """An integer field of a spec or a constructor's bound: an integral
-    number, or a float whose value is finite and whole.  ``where`` narrows
-    the error message."""
-    whole = (not isinstance(value, numbers.Real)
-             or isinstance(value, numbers.Integral)
-             or (math.isfinite(value) and float(value).is_integer()))
-    if whole:
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(f"{kind} spec field {name!r}{where} must be an "
-                     f"integer, got {value!r}")
-
-
 def make_system(spec: Mapping) -> IndependenceSystem:
     """Build a system from a JSON-style config mapping.
 
@@ -649,22 +622,17 @@ def make_system(spec: Mapping) -> IndependenceSystem:
     for name in _SPEC_FIELDS.get(kind, ()):
         if spec.get(name) is None:
             raise ValueError(f"{kind} spec is missing field {name!r}")
-
-    def field(name):
-        return _spec_int(kind, name, spec[name])
-
     if kind == "cardinality":
-        return cardinality_system(field("n"), spec["rho"])
+        return cardinality_system(spec["n"], spec["rho"])
     if kind == "knapsack":
         return knapsack_system(spec["costs"], float(spec["budget"]))
     if kind == "labeled_limit":
-        k_param = None if spec.get("k_param") is None else field("k_param")
         return labeled_limit_system(spec["labels"], spec["per_label_limit"],
-                                    spec["total_limit"], k_param)
+                                    spec["total_limit"], spec.get("k_param"))
     if kind == "node_independent_set":
-        return node_independent_set_system(field("n"), spec["edges"])
+        return node_independent_set_system(spec["n"], spec["edges"])
     if kind == "planarity":
-        return planarity_system(field("n_vertices"), spec["edges"])
+        return planarity_system(spec["n_vertices"], spec["edges"])
     raise UnsupportedConstraintError(f"unknown constraint spec {spec!r}")
 
 

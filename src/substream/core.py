@@ -15,6 +15,7 @@ swap queries against one set as it changes.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Iterable
 
 # Absolute tolerance for every inequality test performed by the algorithms.
@@ -43,6 +44,35 @@ class UnsupportedConstraintError(ValueError):
 
 class ContractViolationError(RuntimeError):
     """A streaming component broke the push/finish outcome contract."""
+
+
+def _outside(u: int, n: int) -> GroundSetError:
+    return GroundSetError(f"id {u} outside range(0, {n})")
+
+
+def _spec_int(kind: str, name: str, value, where: str = "") -> int:
+    """An integer field of a spec or a constructor's bound: an integral
+    number, or a float whose value is finite and whole.  ``where`` narrows
+    the error message."""
+    whole = (not isinstance(value, numbers.Real)
+             or isinstance(value, numbers.Integral)
+             or (math.isfinite(value) and float(value).is_integer()))
+    if whole:
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{kind} spec field {name!r}{where} must be an "
+                     f"integer, got {value!r}")
+
+
+def _spec_count(kind: str, name: str, value, where: str = "") -> int:
+    """A whole-number field (:func:`_spec_int`, with the same ``where``)
+    that must be at least 1."""
+    count = _spec_int(kind, name, value, where)
+    if count < 1:
+        raise ValueError(f"{name}{where} must be a positive integer")
+    return count
 
 
 class ElementSet(dict):
@@ -152,7 +182,8 @@ def as_sorted_ids(subset: Iterable[int]) -> tuple[int, ...]:
 
 
 class Objective:
-    """Counted oracle for a non-negative set function over ``range(n)``.
+    """Counted oracle for a non-negative set function over ``range(n)``;
+    ``n`` is a whole number (:func:`_spec_int`) of at least 1.
 
     ``fn`` receives a sorted tuple of element ids and must return a
     finite non-negative value (values within ``EPS`` below zero are clamped
@@ -186,6 +217,7 @@ class Objective:
 
     def __init__(self, fn: Callable[[tuple[int, ...]], float], n: int, *,
                  open_fn: Callable[["Objective"], "GainState"] | None = None):
+        n = _spec_int("Objective", "n", n)
         if n <= 0:
             raise ValueError("ground set must be non-empty")
         self.n = n
@@ -222,7 +254,7 @@ class Objective:
         """Gain of adding ``u`` to ``subset``, ``value(S + u) - value(S)``:
         two queries; may be negative."""
         if u < 0 or u >= self.n:
-            raise GroundSetError(f"id {u} outside range(0, {self.n})")
+            raise _outside(u, self.n)
         base = self._key(subset)  # reads a one-shot iterator once
         if u in base:
             raise DuplicateElementError(f"element {u} already in subset")
@@ -232,7 +264,7 @@ class Objective:
         """``value((u,))``, computed on the first call for ``u`` and read
         from an n-slot table after that; every call counts one query."""
         if u < 0 or u >= self.n:
-            raise GroundSetError(f"id {u} outside range(0, {self.n})")
+            raise _outside(u, self.n)
         val = self._singletons[u]
         if val is None:
             self._singletons[u] = val = self._eval((u,))
@@ -306,7 +338,7 @@ class GainState:
 
     def add(self, u: int) -> None:
         if u < 0 or u >= self.f.n:
-            raise GroundSetError(f"id {u} outside range(0, {self.f.n})")
+            raise _outside(u, self.f.n)
         self.members.add(u)
 
     def remove(self, x: int) -> None:
@@ -316,7 +348,7 @@ class GainState:
         """Raise what :meth:`Objective.marginal` raises for ``u``."""
         n = self.f.n
         if u < 0 or u >= n:
-            raise GroundSetError(f"id {u} outside range(0, {n})")
+            raise _outside(u, n)
         if u in self.members:
             raise DuplicateElementError(f"element {u} already in subset")
 
@@ -359,7 +391,7 @@ class TabulatedGainState(GainState):
     def gain(self, u: int) -> float:
         f = self.f
         if u < 0 or u >= f.n:
-            raise GroundSetError(f"id {u} outside range(0, {f.n})")
+            raise _outside(u, f.n)
         if u in self.members:
             raise DuplicateElementError(f"element {u} already in subset")
         f.evaluations += 1

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .objectives import CutGraph, make_directed_cut
-from .constraints import _spec_int, cardinality_system
+from .constraints import cardinality_system
 from .baselines import preemption_stream, ratio_swap_stream
+from .core import _spec_count
 
 
 @dataclass(frozen=True)
@@ -54,17 +55,9 @@ class CounterInstance:
         return tuple(range(2 * self.rho + 1, 3 * self.rho + 1))
 
 
-def _checked_rho(rho) -> int:
-    """``rho`` checked like an integer spec field, and at least 1."""
-    rho = _spec_int("counterexample", "rho", rho)
-    if rho < 1:
-        raise ValueError("rho must be a positive integer")
-    return rho
-
-
 def w_sequence(rho: int) -> list[float]:
     """Bait weights for family g2, by the defining recurrence."""
-    rho = _checked_rho(rho)
+    rho = _spec_count("counterexample", "rho", rho)
     ws: list[float] = [2.0]
     for i in range(2, rho + 1):
         ws.append((2 * rho + 1 - i + sum(ws)) / rho)
@@ -73,7 +66,7 @@ def w_sequence(rho: int) -> list[float]:
 
 def w_sequence_closed_form(rho: int) -> list[float]:
     """The same weights via w_i = 2 + sum_j C(i-1, j) rho^-j."""
-    rho = _checked_rho(rho)
+    rho = _spec_count("counterexample", "rho", rho)
     out = []
     for i in range(1, rho + 1):
         acc = 2.0
@@ -107,7 +100,7 @@ def build_g1(rho: int, epsilon: float = 0.01) -> CounterInstance:
     """Family g1: every bait edge weighs 2 + ``epsilon``.  A ``rho`` that is
     not a whole number of at least 1 (3.0 is taken as 3), or an ``epsilon``
     that is not positive and finite, raises ``ValueError`` naming it."""
-    rho = _checked_rho(rho)
+    rho = _spec_count("counterexample", "rho", rho)
     if not 0 < epsilon < math.inf:  # also false for NaN
         raise ValueError(f"epsilon must be positive and finite, "
                          f"got {epsilon!r}")
@@ -117,7 +110,7 @@ def build_g1(rho: int, epsilon: float = 0.01) -> CounterInstance:
 def build_g2(rho: int) -> CounterInstance:
     """Family g2: bait weights from :func:`w_sequence`; ``rho`` is checked
     like :func:`build_g1`'s."""
-    rho = _checked_rho(rho)
+    rho = _spec_count("counterexample", "rho", rho)
     return _build(rho, w_sequence(rho), None)
 
 
@@ -141,9 +134,14 @@ class CounterReport:
                 "bound": self.bound, "holds": self.holds}
 
 
-def _report(family, inst, outcome, f, expected_value, ratio_factor,
+def _report(family, inst, stream_fn, expected_value, ratio_factor,
             extra_checks) -> CounterReport:
-    sol = outcome.solution
+    """Run ``stream_fn(sys, f, stream)`` on the instance's directed cut
+    under a cardinality constraint of ``inst.rho`` and check its solution;
+    ``extra_checks(f_S, f_opt, f_union)`` adds family-specific checks."""
+    f = make_directed_cut(inst.graph)
+    sys = cardinality_system(inst.graph.n_vertices, inst.rho)
+    sol = stream_fn(sys, f, inst.stream).solution
     f_s = f.value(sol)
     f_opt = f.value(inst.planted_opt)
     f_union = f.value(set(sol) | set(inst.planted_opt))
@@ -171,12 +169,8 @@ def verify_preemption_counterexample(rho: int,
     """
     inst = build_g1(rho, epsilon)
     rho = inst.rho
-    f = make_directed_cut(inst.graph)
-    sys = cardinality_system(inst.graph.n_vertices, rho)
-    outcome = preemption_stream(sys, f, inst.stream)
-    expected = (2.0 + epsilon) * rho
-    return _report("g1", inst, outcome, f, expected, (2.0 + epsilon) / rho,
-                   lambda f_s, f_opt, f_union: {
+    return _report("g1", inst, preemption_stream, (2.0 + epsilon) * rho,
+                   (2.0 + epsilon) / rho, lambda f_s, f_opt, f_union: {
                        "opt_value": abs(f_opt - rho * rho) <= 1e-9})
 
 
@@ -189,16 +183,12 @@ def verify_ratio_swap_counterexample(rho: int) -> CounterReport:
     f(S) <= (e / rho) * f(S union OPT) with f(S union OPT) >= rho^2.
     ``rho`` is checked as in :func:`build_g1`.
     """
-    if _checked_rho(rho) < 4:
+    if _spec_count("counterexample", "rho", rho) < 4:
         raise ValueError("rho must be at least 4 (an integer above 1 + e)")
     inst = build_g2(rho)
     rho = inst.rho
-    f = make_directed_cut(inst.graph)
-    sys = cardinality_system(inst.graph.n_vertices, rho)
-    outcome = ratio_swap_stream(sys, f, inst.stream)
-    expected = w_sequence_total(rho)
-    return _report("g2", inst, outcome, f, expected, math.e / rho,
-                   lambda f_s, f_opt, f_union: {
+    return _report("g2", inst, ratio_swap_stream, w_sequence_total(rho),
+                   math.e / rho, lambda f_s, f_opt, f_union: {
                        "value_at_most_e_rho": f_s <= math.e * rho + 1e-9,
                        "union_at_least_opt": f_union >= rho * rho - 1e-9})
 

@@ -15,9 +15,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .constraints import _endpoints, _spec_int
+from .constraints import _endpoints
 from .core import (AccumulatingGainState, NumericError, Objective,
-                   SizeLimitError, TabulatedGainState)
+                   SizeLimitError, TabulatedGainState, _spec_count, _spec_int)
 from .prng import SplitMix64
 
 # Largest subset a log-determinant oracle will factorize.
@@ -31,13 +31,6 @@ def _check_edge(n: int, u: int, v: int, w) -> None:
     if type(w) is not float or not 0.0 <= w < math.inf:  # also for NaN
         raise ValueError(f"edge ({u}, {v}) has weight {w!r}; "
                          "weights must be finite and non-negative")
-
-
-def _vertex_count(n_vertices) -> int:
-    n = _spec_int("graph", "n_vertices", n_vertices)
-    if n <= 0:
-        raise ValueError("graph needs at least one vertex")
-    return n
 
 
 def _owned(values, dtype, kinds: str, what: str) -> np.ndarray:
@@ -72,7 +65,7 @@ class CutGraph:
     __slots__ = ("n_vertices", "src", "dst", "weight")
 
     def __init__(self, n_vertices: int, edges=()):
-        n = _vertex_count(n_vertices)
+        n = _spec_count("graph", "n_vertices", n_vertices)
         triples: list[tuple[int, int, float]] = []
         try:
             for e in edges:
@@ -98,7 +91,8 @@ class CutGraph:
         """The graph whose edge i is ``(src[i], dst[i], weight[i])``; the
         arrays are copied, so the caller may change them afterwards."""
         g = cls.__new__(cls)
-        g._init(_vertex_count(n_vertices), src, dst, weight)
+        g._init(_spec_count("graph", "n_vertices", n_vertices), src, dst,
+                weight)
         return g
 
     def _init(self, n: int, src, dst, weight) -> None:
@@ -157,11 +151,10 @@ class ReservoirConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("r_cap", "seed"):
-            object.__setattr__(self, name, _spec_int(
-                "reservoir", name, getattr(self, name)))
-        if self.r_cap <= 0:
-            raise ValueError("r_cap must be positive")
+        object.__setattr__(self, "r_cap",
+                           _spec_count("reservoir", "r_cap", self.r_cap))
+        object.__setattr__(self, "seed",
+                           _spec_int("reservoir", "seed", self.seed))
 
 
 def _as_weight_list(weights) -> list[float]:

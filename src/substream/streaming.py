@@ -20,8 +20,8 @@ from typing import Callable, Collection, Iterable, Sequence
 
 from .core import (EPS, ContractViolationError, DuplicateElementError,
                    ElementSet, GainState, NumericError, Objective,
-                   first_best, values_once)
-from .constraints import FeasibilityState, IndependenceSystem, _spec_int
+                   _spec_count, first_best, values_once)
+from .constraints import FeasibilityState, IndependenceSystem
 from .offline import unweighted_greedy
 
 # log2 is evaluated in floating point; the nudge keeps floor/ceil stable
@@ -87,7 +87,8 @@ class StreamOutcome:
 
 
 class StreamingComponent:
-    """Base class implementing the push/finish bookkeeping.
+    """Base class implementing the push/finish bookkeeping over the
+    system ``sys`` and the objective ``f`` a component is built with.
 
     Subclasses implement ``_ingest(u) -> list`` (returning immediate
     evictions), ``_finalize() -> (solution, summary)`` and
@@ -100,7 +101,9 @@ class StreamingComponent:
     base: Collection[int] = ()
     trace: list | None = None
 
-    def __init__(self):
+    def __init__(self, sys: IndependenceSystem, f: Objective):
+        self.sys = sys
+        self.f = f
         self._seen: set[int] = set()
         self._finished = False
 
@@ -162,11 +165,9 @@ class _BandedSieve(StreamingComponent):
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float):
-        super().__init__()
+        super().__init__(sys, f)
         if not 0.0 < tau < math.inf:  # also false for NaN
             raise ValueError(f"tau must be positive and finite, got {tau!r}")
-        self.sys = sys
-        self.f = f
         self.tau = float(tau)
         self.k = sys.k_param
         self.h = candidate_count(self.k)
@@ -267,9 +268,7 @@ class ThresholdSieve(_BandedSieve):
                  rho: int, *, trace: list | None = None):
         super().__init__(sys, f, tau)
         self.trace = trace
-        self.rho = _spec_int("ThresholdSieve", "rho", rho)
-        if self.rho < 1:
-            raise ValueError("rho must be a positive integer")
+        self.rho = _spec_count("ThresholdSieve", "rho", rho)
         self.widen(bucket_count(self.rho) - 1)
 
 
@@ -329,9 +328,7 @@ class AutoThresholdSieve(StreamingComponent):
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective):
-        super().__init__()
-        self.sys = sys
-        self.f = f
+        super().__init__(sys, f)
         self.k = sys.k_param
         self._base = sys.open()
         self.base = self._base.members

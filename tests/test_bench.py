@@ -531,6 +531,20 @@ def test_build_cell_rejects_a_constraint_over_another_ground_set(ground,
         build_cell(cfg, 0.3, 1)
 
 
+@pytest.mark.parametrize("objective", ["cut", "linear"])
+@pytest.mark.parametrize("ground", ["edge", "node", "vertices"])
+def test_build_cell_rejects_an_unknown_ground(objective, ground):
+    cfg = _toy_config(objective={"kind": objective}, ground=ground)
+    with pytest.raises(ValueError, match=f"unknown ground {ground!r}"):
+        build_cell(cfg, 0.3, 1)
+
+
+def test_run_experiment_rejects_a_config_that_is_not_a_mapping():
+    with pytest.raises(ValueError, match=r"^config must be a mapping of "
+                                         r"names to values, got \[1\]$"):
+        run_experiment([1])
+
+
 def _with(cfg, path, value):
     """A deep copy of ``cfg`` with the field at ``path`` set to ``value``."""
     cfg = json.loads(json.dumps(cfg))

@@ -103,7 +103,20 @@ def test_bench_run_rejects_malformed_input(tmp_path, capsys):
     for key, value, message in [
             ("algorithms", ["streaming_greedy", "nope"], "unknown algorithm"),
             ("constraint", {"type": "nope"}, "unknown constraint"),
-            ("objective", {"kind": "nope"}, "unknown objective kind")]:
+            ("objective", {"kind": "nope"}, "unknown objective kind"),
+            ("ground", "edge", "unknown ground 'edge'"),
+            ("seeds", 3, "config seeds must be a list, got 3"),
+            ("algorithms", "streaming_greedy",
+             "config algorithms must be a list"),
+            ("constraint", ["cardinality"],
+             "config constraint must be a mapping"),
+            ("constraint", {"intersect": [1, 2]},
+             "config constraint must be a mapping of names to values, got 1"),
+            ("constraint", {"intersect": 2},
+             "config constraint intersect must be a list, got 2"),
+            ("instance", [1], "config instance must be a mapping"),
+            ("objective", "cut", "config objective must be a mapping"),
+            ("options", ["id"], "config options must be a mapping")]:
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps({**cfg, key: value}))
         _fails_cleanly(["bench", "run", "--config", str(path)], capsys, message)

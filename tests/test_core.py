@@ -3,10 +3,13 @@ import math
 import pytest
 
 from substream import (AutoThresholdSieve, DuplicateElementError, ElementSet,
-                       GroundSetError, NumericError, Objective, ThresholdSieve,
-                       cardinality_system, make_directed_cut,
+                       GroundSetError, IndependenceSystem, NumericError,
+                       Objective, ReservoirConfig, SieveGuessStream,
+                       ThresholdSieve, build_g1, build_g2, cardinality_system,
+                       labeled_limit_system, make_directed_cut,
                        make_facility_location, make_logdet, make_modular,
-                       sieve_streaming, weighted_greedy, CutGraph)
+                       sieve_streaming, verify_ratio_swap_counterexample,
+                       w_sequence, weighted_greedy, CutGraph)
 from substream.core import EPS, first_best
 from substream.prng import SplitMix64
 
@@ -235,3 +238,64 @@ def test_first_best_replaces_only_beyond_eps():
     assert first_best(iter([3.0, 5.0, 5.0])) == 1
     with pytest.raises(ValueError):
         first_best([])
+
+
+# every whole-count field, with the name its error gives
+_TWO_LABELS = [["a"], ["b"]]
+_COUNT_FIELDS = {
+    "IndependenceSystem.k_param": ("k_param", lambda b: IndependenceSystem(
+        lambda s: True, 3, k_param=b, class_tag="matroid")),
+    "labeled_limit_system.k_param": ("k_param", lambda b:
+                                     labeled_limit_system(_TWO_LABELS, 1, 2,
+                                                          k_param=b)),
+    "labeled_limit_system.total_limit": ("total_limit", lambda b:
+                                         labeled_limit_system(_TWO_LABELS,
+                                                              1, b)),
+    "labeled_limit_system.per_label_limit": ("per_label_limit", lambda b:
+                                             labeled_limit_system(
+                                                 _TWO_LABELS, b, 2)),
+    "labeled_limit_system.per_label_limit_map": (
+        "per_label_limit for label 'b'", lambda b: labeled_limit_system(
+            _TWO_LABELS, {"a": 1, "b": b}, 2)),
+    "cardinality_system.rho": ("rho", lambda b: cardinality_system(5, b)),
+    "ThresholdSieve.rho": ("rho", lambda b: ThresholdSieve(
+        cardinality_system(4, 2), make_modular([1.0] * 4), 1.0, b)),
+    "SieveGuessStream.rho": ("rho", lambda b: SieveGuessStream(
+        cardinality_system(4, 2), make_modular([1.0] * 4), rho=b)),
+    "build_g1.rho": ("rho", build_g1),
+    "build_g2.rho": ("rho", build_g2),
+    "w_sequence.rho": ("rho", w_sequence),
+    "verify_ratio_swap_counterexample.rho": (
+        "rho", verify_ratio_swap_counterexample),
+    "CutGraph.n_vertices": ("n_vertices", lambda b: CutGraph(b, ())),
+    "CutGraph.from_arrays.n_vertices": (
+        "n_vertices", lambda b: CutGraph.from_arrays(b, [], [], [])),
+    "ReservoirConfig.r_cap": ("r_cap", ReservoirConfig),
+}
+
+
+@pytest.mark.parametrize("bad", [0, -1, 0.0])
+@pytest.mark.parametrize("case", list(_COUNT_FIELDS))
+def test_a_whole_count_below_one_is_rejected(case, bad):
+    name, build = _COUNT_FIELDS[case]
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be a positive integer$"):
+        build(bad)
+
+
+def test_objective_takes_a_whole_float_ground_set_size():
+    f = Objective(lambda ids: float(len(ids)), 3.0)
+    assert f.n == 3 and type(f.n) is int
+    assert f.value([0, 2]) == 2.0
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf])
+def test_objective_rejects_a_fractional_ground_set_size(bad):
+    with pytest.raises(ValueError, match="field 'n' must be an integer"):
+        Objective(lambda ids: 0.0, bad)
+
+
+@pytest.mark.parametrize("bad", [0, -2, 0.0])
+def test_objective_rejects_an_empty_ground_set(bad):
+    with pytest.raises(ValueError, match="ground set must be non-empty"):
+        Objective(lambda ids: 0.0, bad)

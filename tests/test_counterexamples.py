@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from substream import (build_g1, build_g2,
+from substream import (build_g1, build_g2, counterexamples,
                        make_directed_cut, verify_preemption_counterexample,
                        verify_ratio_swap_counterexample, w_sequence,
                        w_sequence_closed_form, w_sequence_total)
@@ -154,6 +154,20 @@ def test_verify_g2_reports():
     assert abs(r.f_S - expected) <= 1e-9
     assert r.f_S <= math.e * 4 + 1e-9
     assert r.bound == pytest.approx(math.e / 4 * r.f_union)
+
+
+def test_each_verifier_runs_its_own_swap_baseline(monkeypatch):
+    # both baselines end with the bait block on g2, so the report alone
+    # does not tell which one ran
+    ran = []
+    for name in ("preemption_stream", "ratio_swap_stream"):
+        real = getattr(counterexamples, name)
+        monkeypatch.setattr(counterexamples, name,
+                            lambda *args, real=real, name=name:
+                            ran.append(name) or real(*args))
+    verify_preemption_counterexample(4)
+    verify_ratio_swap_counterexample(4)
+    assert ran == ["preemption_stream", "ratio_swap_stream"]
 
 
 @pytest.mark.parametrize("rho", [64, 128])
