@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 from itertools import chain
@@ -18,7 +19,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ElementSet, NumericError, Objective, _spec_int, first_best
+from .core import (ElementSet, NumericError, Objective, _running_sum,
+                   _spec_int, first_best)
 from .prng import SplitMix64
 from .objectives import (CutGraph, load_features, load_keyword_table,
                          make_coverage_minus_dispersion, make_directed_cut,
@@ -267,7 +269,7 @@ def undirected_pairs(g: CutGraph) -> list[tuple[int, int]]:
 def normalize_costs(costs: Sequence[float], mode: str, n_vertices: int) -> list[float]:
     """Rescale costs; ``sum_vertices`` makes them sum to the vertex count,
     ``mean_tenth`` makes the mean cost 1/10."""
-    total = sum(costs)
+    total = _running_sum(costs)
     if total <= 0:
         raise ValueError("cannot normalize non-positive cost mass")
     if mode == "sum_vertices":
@@ -312,7 +314,7 @@ class Cell:
 
 def _build_graph(instance: Mapping, seed: int) -> CutGraph:
     if "edge_list" in instance:
-        return load_edge_list(instance["edge_list"])[0]
+        return load_edge_list(_path("instance", instance, "edge_list"))[0]
     model = instance.get("model")
 
     def field(name):
@@ -328,19 +330,35 @@ def _build_graph(instance: Mapping, seed: int) -> CutGraph:
     raise ValueError(f"unknown instance spec {instance!r}")
 
 
+def _path(section: str, fields: Mapping, name: str):
+    """``fields[name]``, which must name a file: a ``str`` or
+    ``os.PathLike``.  Anything else raises ``ValueError`` naming the field;
+    ``open`` would take an int as a file descriptor."""
+    value = fields[name]
+    if isinstance(value, (str, os.PathLike)):
+        return value
+    raise ValueError(f"config {section} field {name!r} must be a path, "
+                     f"got {value!r}")
+
+
+def _leaves(spec, offset: int = 0):
+    """``(leaf, cost-seed offset)`` for each leaf of a constraint spec,
+    depth first; part i of an intersection adds i to the offset.  A node
+    that is not a mapping, or parts that are not a list, raise."""
+    if "intersect" not in _shaped("config constraint", spec):
+        yield spec, offset
+        return
+    parts = _shaped("config constraint intersect", spec["intersect"], list)
+    for i, part in enumerate(parts):
+        yield from _leaves(part, offset + i)
+
+
 def _fill_constraint(spec: dict, ground_size: int, graph: CutGraph | None,
                      pairs: list[tuple[int, int]] | None,
                      cost_seed: int) -> None:
-    """Fill in the fields of a ``make_system`` spec that it leaves out and
-    the instance determines; explicit fields are kept.
-
-    The second part of an intersection draws random costs from
-    ``cost_seed + 1``.
-    """
-    if "intersect" in spec:
-        for offset, part in enumerate(spec["intersect"]):
-            _fill_constraint(part, ground_size, graph, pairs, cost_seed + offset)
-        return
+    """Fill in the fields of a leaf spec (:func:`_leaves`) that it leaves
+    out and the instance determines; explicit fields are kept.  Random
+    costs come from ``cost_seed``: the cell's, plus the leaf's offset."""
     kind = spec.get("type")
     if kind == "cardinality" and spec.get("n") is None:
         spec["n"] = ground_size
@@ -362,16 +380,6 @@ def _fill_constraint(spec: dict, ground_size: int, graph: CutGraph | None,
             costs, spec.get("normalize", "sum_vertices"), graph.n_vertices)
 
 
-def _apply_constraint_sweep(constraint: dict, param: str, value) -> bool:
-    if param in constraint:
-        constraint[param] = value
-        return True
-    if "intersect" in constraint:
-        return any(_apply_constraint_sweep(part, param, value)
-                   for part in constraint["intersect"])
-    return False
-
-
 def _shaped(name: str, value, shape: type = Mapping):
     """``value``, which must be a mapping, or a list (a tuple too) when
     ``shape`` is ``list``; anything else raises ``ValueError`` naming the
@@ -387,31 +395,25 @@ def _sweep_of(cfg: Mapping) -> Mapping:
     return _shaped("config sweep", cfg.get("sweep") or {})  # empty is none
 
 
-def _check_constraint(spec) -> None:
-    """Raise ``ValueError`` unless the constraint spec is a mapping and an
-    intersection's parts are a list of such specs."""
-    if "intersect" in _shaped("config constraint", spec):
-        for part in _shaped("config constraint intersect", spec["intersect"],
-                            list):
-            _check_constraint(part)
-
-
 def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
     """Materialize the (sweep value, seed) point of a config.
 
-    ``ground`` picks the ground set of a cut or linear objective:
-    ``"nodes"`` or ``"edges"``, by default edges for planarity and
-    knapsack constraints and their intersections; any other value raises
-    ``ValueError``."""
+    The sweep parameter goes to the instance, else to the first
+    constraint leaf (:func:`_leaves`) that holds it.  ``ground`` is
+    ``"nodes"`` or ``"edges"`` for a cut or linear objective, by default
+    edges for planarity and knapsack constraints and their intersections;
+    the other objectives have one ground set, ``"nodes"``.  An unknown
+    ground, or a file field that is not a path (:func:`_path`), raises."""
     instance = dict(_shaped("config instance", cfg.get("instance", {})))
-    _check_constraint(cfg["constraint"])
     constraint = json.loads(json.dumps(cfg["constraint"]))  # deep copy
+    leaves = list(_leaves(constraint))
     param = _sweep_of(cfg).get("param")
     if param is not None:
-        if param in instance:
-            instance[param] = sweep_value
-        elif not _apply_constraint_sweep(constraint, param, sweep_value):
+        specs = [instance, *(leaf for leaf, _ in leaves)]
+        holder = next((spec for spec in specs if param in spec), None)
+        if holder is None:
             raise ValueError(f"sweep parameter {param!r} matches no config key")
+        holder[param] = sweep_value
 
     rng = SplitMix64(seed)
     graph_seed = rng.next_u64()
@@ -422,10 +424,15 @@ def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
     objective = _shaped("config objective",
                         cfg.get("objective", {"kind": "linear"}))
     kind = objective["kind"]
+    grounds = ("nodes", "edges") if kind in ("cut", "linear") else ("nodes",)
+    ground_kind = cfg.get("ground")
+    if ground_kind is not None and ground_kind not in grounds:
+        raise ValueError(f"unknown ground {ground_kind!r} for a {kind} "
+                         f"objective; expected {' or '.join(map(repr, grounds))}")
 
     graph = pairs = None
     if kind in ("facility", "logdet", "coverage_minus_dispersion"):
-        feats = load_features(objective["features"])
+        feats = load_features(_path("objective", objective, "features"))
         lam = float(objective.get("lambda", 0.1))
         sim = similarity_from_features(feats, lam)
         if kind == "facility":
@@ -440,18 +447,14 @@ def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
             factory = lambda: make_coverage_minus_dispersion(sim)
         ground = list(range(sim.shape[0]))
     elif kind == "sqrt_coverage":
-        table = load_keyword_table(objective["keywords"])
+        table = load_keyword_table(_path("objective", objective, "keywords"))
         factory = lambda: make_sqrt_coverage(table)
         ground = list(range(len(table)))
     elif kind in ("cut", "linear"):
         graph = _build_graph(instance, graph_seed)
-        ground_kind = cfg.get("ground")
         if ground_kind is None:
             ground_kind = "edges" if constraint.get("type") in ("planarity", "knapsack") \
                 or "intersect" in constraint else "nodes"
-        elif ground_kind not in ("nodes", "edges"):
-            raise ValueError(f"unknown ground {ground_kind!r}; "
-                             "expected 'nodes' or 'edges'")
         pairs = undirected_pairs(graph) if ground_kind == "edges" else None
         if kind == "cut":
             if ground_kind != "nodes":
@@ -468,7 +471,8 @@ def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
             else list(range(graph.n_vertices))
     else:
         raise ValueError(f"unknown objective kind {kind!r}")
-    _fill_constraint(constraint, len(ground), graph, pairs, cost_seed)
+    for leaf, offset in leaves:
+        _fill_constraint(leaf, len(ground), graph, pairs, cost_seed + offset)
     sys = make_system(constraint)
     if sys.n != len(ground):
         raise ValueError(f"constraint covers {sys.n} elements but the "

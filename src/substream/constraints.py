@@ -30,9 +30,9 @@ from collections import Counter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (ElementSet, GroundSetError, SizeLimitError,
-                   UnsupportedConstraintError, _outside, _spec_count,
-                   _spec_int)
-from .planarity import planarity_check
+                   UnsupportedConstraintError, _dense, _endpoints, _outside,
+                   _running_sum, _spec_count, _spec_int)
+from .planarity import _index, planarity_check
 
 CLASS_TAGS = ("matroid", "k_extendible", "k_system")
 
@@ -280,12 +280,9 @@ def knapsack_system(costs, budget: float) -> IndependenceSystem:
     must be positive.
     """
     if isinstance(costs, Mapping):
-        if set(costs) != set(range(len(costs))):
-            raise ValueError("cost map keys must be exactly 0..n-1")
-        c = [float(costs[i]) for i in range(len(costs))]
-    else:
-        c = [float(x) for x in costs]
-    if not c:
+        costs = _dense("cost map keys", costs)
+    c = [float(x) for x in costs]
+    if not c:  # max and min below need a cost
         raise ValueError("empty ground set")
     for x in c:
         if not 0 < x < math.inf:  # also false for NaN
@@ -305,24 +302,13 @@ def knapsack_system(costs, budget: float) -> IndependenceSystem:
     limit = budget + 1e-12
 
     def pred(s):
-        return _running_sum(c, s) <= limit
+        return _running_sum(map(c.__getitem__, s)) <= limit
 
     return IndependenceSystem(pred, len(c), k_param=max(k, 1),
                               class_tag="k_extendible", kind="knapsack",
                               rho_hint=rho,
                               open_fn=lambda system: _KnapsackState(
                                   system, c, limit))
-
-
-def _running_sum(costs: Sequence[float], ids: Iterable[int]) -> float:
-    """``costs[u]`` summed over ``ids`` left to right from 0.  ``sum``
-    compensates float rounding from Python 3.12 on, so a knapsack that
-    used it would answer differently near its budget on different
-    versions."""
-    total = 0.0
-    for u in ids:
-        total += costs[u]
-    return total
 
 
 def labeled_limit_system(labels: Sequence[Iterable], per_label_limit,
@@ -337,14 +323,12 @@ def labeled_limit_system(labels: Sequence[Iterable], per_label_limit,
     limits must be whole numbers of at least 1 (a float such as ``3.0`` is
     taken as 3); a NaN, infinite, fractional or smaller one raises
     ``ValueError`` naming it, and so does a ``per_label_limit`` mapping
-    that lacks a label in use.
+    that lacks a label in use; :class:`IndependenceSystem` rejects no labels.
     """
     labs = [frozenset(l) for l in labels]
-    if not labs:
-        raise ValueError("empty ground set")
     kind = "labeled_limit"
     total_limit = _spec_count(kind, "total_limit", total_limit)
-    all_labels = frozenset().union(*labs) if labs else frozenset()
+    all_labels = frozenset().union(*labs)
     if isinstance(per_label_limit, Mapping):
         checked = {lab: _spec_count(kind, "per_label_limit", v,
                                     f" for label {lab!r}")
@@ -367,21 +351,6 @@ def labeled_limit_system(labels: Sequence[Iterable], per_label_limit,
 
     return IndependenceSystem(pred, len(labs), k_param=k_param,
                               class_tag="k_extendible", kind=kind)
-
-
-def _endpoints(kind: str, e: Sequence, n: int) -> tuple[int, int]:
-    """The two vertices of a graph edge, checked like :func:`_spec_int`
-    and against ``range(n)``; errors name the edge."""
-    u, v = e[0], e[1]
-    if type(u) is not int or type(v) is not int:
-        where = f" in edge {tuple(e)!r}"
-        u = _spec_int(kind, "edges", u, where)
-        v = _spec_int(kind, "edges", v, where)
-    if u == v:
-        raise ValueError(f"self-loop at vertex {u}")
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"edge ({u}, {v}) outside vertex range")
-    return u, v
 
 
 def node_independent_set_system(n: int, edges: Iterable[Sequence[int]]) -> IndependenceSystem:
@@ -451,20 +420,13 @@ def planarity_system(n_vertices: int, edge_list: Sequence[Sequence[int]]) -> Ind
 
     ``n_vertices`` and the endpoints must be whole numbers (a float such
     as ``3.0`` is taken as 3); a NaN, infinite or fractional one raises
-    ``ValueError`` naming the field or the edge.
+    ``ValueError`` naming the field or the edge; the left-right kernel's
+    own edge check rejects a parallel edge, and :class:`IndependenceSystem`
+    an empty edge list.
     """
     n_vertices = _spec_int("planarity", "n_vertices", n_vertices)
-    edges = []
-    seen = set()
-    for e in edge_list:
-        u, v = _endpoints("planarity", e, n_vertices)
-        key = frozenset((u, v))
-        if key in seen:
-            raise ValueError(f"parallel edge between {u} and {v}")
-        seen.add(key)
-        edges.append((u, v))
-    if not edges:
-        raise ValueError("empty ground set")
+    edges = [_endpoints("planarity", e, n_vertices) for e in edge_list]
+    _index(edges)  # the kernel's own check rejects a parallel edge
     return _planarity(edges)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping, Sequence
 
 # Absolute tolerance for every inequality test performed by the algorithms.
 EPS = 1e-9
@@ -73,6 +73,41 @@ def _spec_count(kind: str, name: str, value, where: str = "") -> int:
     if count < 1:
         raise ValueError(f"{name}{where} must be a positive integer")
     return count
+
+
+def _dense(subject: str, table: Mapping) -> list:
+    """The values of the mapping ``table`` in key order; its keys must be
+    exactly ``0..n-1``, else ``ValueError`` names ``subject``."""
+    n = len(table)
+    if set(table) != set(range(n)):
+        raise ValueError(f"{subject} must be exactly 0..n-1")
+    return [table[i] for i in range(n)]
+
+
+def _endpoints(kind: str, e: Sequence, n: int) -> tuple[int, int]:
+    """The two vertices of a graph edge, checked like :func:`_spec_int`
+    and against ``range(n)``; errors name the edge."""
+    u, v = e[0], e[1]
+    if type(u) is not int or type(v) is not int:
+        where = f" in edge {tuple(e)!r}"
+        u = _spec_int(kind, "edges", u, where)
+        v = _spec_int(kind, "edges", v, where)
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) outside vertex range")
+    return u, v
+
+
+def _running_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0: the one rule for a float
+    sum whose result reaches a value, a weight or a cost.  ``sum``
+    compensates float rounding from Python 3.12 on, so a result that used
+    it would differ in its last bits between versions."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
 
 
 class ElementSet(dict):

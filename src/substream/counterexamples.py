@@ -27,7 +27,7 @@ import numpy as np
 from .objectives import CutGraph, make_directed_cut
 from .constraints import cardinality_system
 from .baselines import preemption_stream, ratio_swap_stream
-from .core import _spec_count
+from .core import _running_sum, _spec_count
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def w_sequence(rho: int) -> list[float]:
     rho = _spec_count("counterexample", "rho", rho)
     ws: list[float] = [2.0]
     for i in range(2, rho + 1):
-        ws.append((2 * rho + 1 - i + sum(ws)) / rho)
+        ws.append((2 * rho + 1 - i + _running_sum(ws)) / rho)
     return ws
 
 

@@ -15,9 +15,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .constraints import _endpoints
 from .core import (AccumulatingGainState, NumericError, Objective,
-                   SizeLimitError, TabulatedGainState, _spec_count, _spec_int)
+                   SizeLimitError, TabulatedGainState, _dense, _endpoints,
+                   _running_sum, _spec_count, _spec_int)
 from .prng import SplitMix64
 
 # Largest subset a log-determinant oracle will factorize.
@@ -157,24 +157,17 @@ class ReservoirConfig:
                            _spec_int("reservoir", "seed", self.seed))
 
 
-def _as_weight_list(weights) -> list[float]:
-    if isinstance(weights, Mapping):
-        n = len(weights)
-        if set(weights) != set(range(n)):
-            raise ValueError("weight map keys must be exactly 0..n-1")
-        return [float(weights[i]) for i in range(n)]
-    return [float(w) for w in weights]
-
-
 def make_modular(weights) -> Objective:
     """Additive objective: the value of a set is the sum of its weights."""
-    w = _as_weight_list(weights)
+    if isinstance(weights, Mapping):
+        weights = _dense("weight map keys", weights)
+    w = [float(x) for x in weights]
     for x in w:
         if x < 0:
             raise ValueError(f"negative weight {x}")
 
     def fn(ids):
-        return sum(w[u] for u in ids)
+        return _running_sum(map(w.__getitem__, ids))
 
     # gains and losses never change, so every state reads w itself
     return Objective(fn, len(w), open_fn=lambda f: TabulatedGainState(f, w))
@@ -275,7 +268,7 @@ def make_directed_cut(g: CutGraph) -> Objective:
         else:
             out_adj[u][v] = in_adj[v][u] = 0.0 + w
     in_adj = [out if out == inn else inn for out, inn in zip(out_adj, in_adj)]
-    out_total = [sum(adj.values()) for adj in out_adj]
+    out_total = [_running_sum(adj.values()) for adj in out_adj]
 
     def fn(ids):
         members = set(ids)
@@ -540,7 +533,7 @@ def make_sqrt_coverage(kw: KeywordTable) -> Objective:
                 continue
             for w in words[u]:
                 totals[w] = totals.get(w, 0.0) + val
-        return sum(math.sqrt(t) for t in totals.values())
+        return _running_sum(map(math.sqrt, totals.values()))
 
     return Objective(fn, len(kw))
 
@@ -586,9 +579,7 @@ def load_features(path) -> np.ndarray:
                 if not math.isfinite(x):
                     raise ValueError(f"line {lineno}: non-finite feature {x}")
             rows[ident] = feats
-    if set(rows) != set(range(len(rows))):
-        raise ValueError("feature ids must be exactly 0..n-1")
-    return np.array([rows[i] for i in range(len(rows))], dtype=float)
+    return np.array(_dense("feature ids", rows), dtype=float)
 
 
 def load_keyword_table(path) -> KeywordTable:
@@ -612,7 +603,6 @@ def load_keyword_table(path) -> KeywordTable:
                                  "not finite and non-negative")
             words = frozenset(w for w in (row[2].split(";") if len(row) > 2 else ()) if w)
             rows[ident] = (value, words)
-    if set(rows) != set(range(len(rows))):
-        raise ValueError("keyword ids must be exactly 0..n-1")
-    return KeywordTable(words=tuple(rows[i][1] for i in range(len(rows))),
-                        values=tuple(rows[i][0] for i in range(len(rows))))
+    table = _dense("keyword ids", rows)
+    return KeywordTable(words=tuple(words for _, words in table),
+                        values=tuple(value for value, _ in table))

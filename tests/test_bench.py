@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -531,12 +532,146 @@ def test_build_cell_rejects_a_constraint_over_another_ground_set(ground,
         build_cell(cfg, 0.3, 1)
 
 
-@pytest.mark.parametrize("objective", ["cut", "linear"])
+@pytest.mark.parametrize("objective", ["cut", "linear", "facility", "logdet",
+                                       "coverage_minus_dispersion",
+                                       "sqrt_coverage"])
 @pytest.mark.parametrize("ground", ["edge", "node", "vertices"])
 def test_build_cell_rejects_an_unknown_ground(objective, ground):
     cfg = _toy_config(objective={"kind": objective}, ground=ground)
     with pytest.raises(ValueError, match=f"unknown ground {ground!r}"):
         build_cell(cfg, 0.3, 1)
+
+
+DATA = Path(__file__).parent / "data"
+
+# the objectives read from a data file, whose rows are their one ground set
+FILE_OBJECTIVES = {
+    "facility": {"kind": "facility", "features": str(DATA / "features.csv")},
+    "logdet": {"kind": "logdet", "features": str(DATA / "features.csv")},
+    "coverage_minus_dispersion": {"kind": "coverage_minus_dispersion",
+                                  "features": str(DATA / "features.csv")},
+    "sqrt_coverage": {"kind": "sqrt_coverage",
+                      "keywords": str(DATA / "keywords.csv")},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FILE_OBJECTIVES))
+def test_a_file_objective_has_only_the_node_ground(kind):
+    cfg = _toy_config(objective=FILE_OBJECTIVES[kind],
+                      constraint={"type": "cardinality", "rho": 3}, sweep={})
+    assert build_cell({**cfg, "ground": "nodes"}, 0, 1).stream \
+        == build_cell(cfg, 0, 1).stream
+    with pytest.raises(ValueError, match=f"unknown ground 'edges' for a "
+                                         f"{kind} objective"):
+        build_cell({**cfg, "ground": "edges"}, 0, 1)
+
+
+@pytest.mark.parametrize("bad", [999_999, 2.5, None, ["g.tsv"], b"g.tsv"],
+                         ids=["int", "float", "none", "list", "bytes"])
+@pytest.mark.parametrize("section, field, fields", [
+    ("instance", "edge_list", {}),
+    ("objective", "features", {"kind": "facility"}),
+    ("objective", "keywords", {"kind": "sqrt_coverage"}),
+], ids=["edge_list", "features", "keywords"])
+def test_build_cell_rejects_a_file_field_that_is_not_a_path(section, field,
+                                                            fields, bad):
+    # open() would take an int as a file descriptor
+    cfg = _toy_config(sweep={}, **{section: {**fields, field: bad}})
+    with pytest.raises(ValueError, match=f"^config {section} field "
+                                         f"'{field}' must be a path, got "):
+        build_cell(cfg, 0.3, 1)
+
+
+def test_build_cell_takes_a_path_object(tmp_path):
+    graph = tmp_path / "g.tsv"
+    write_edge_list(gen_erdos_renyi(12, 0.3, seed=4), graph)
+    by_str = build_cell(_toy_config(instance={"edge_list": str(graph)},
+                                    sweep={}), 0, 1)
+    by_path = build_cell(_toy_config(instance={"edge_list": graph},
+                                     sweep={}), 0, 1)
+    assert by_path.stream == by_str.stream and by_path.sys.n == 12
+    cfg = _toy_config(objective={**FILE_OBJECTIVES["facility"],
+                                 "features": DATA / "features.csv"},
+                      constraint={"type": "cardinality", "rho": 3}, sweep={})
+    assert build_cell(cfg, 0, 1).sys.n == 24
+
+
+def _results(cfg):
+    """A config's rows without their sweep and ms fields."""
+    return [(r.algorithm, r.seed, r.value, r.oracle_calls, r.peak_elements)
+            for r in run_experiment(cfg, measure_time=False)]
+
+
+def _edge_config(constraint, **overrides):
+    return {"instance": {"model": "er", "n": 9, "p": 0.5},
+            "objective": {"kind": "linear"}, "constraint": constraint,
+            "algorithms": ["threshold_sieve", "repeated_greedy"],
+            "seeds": [5, 17], **overrides}
+
+
+def _knapsack(rule):
+    return {"type": "knapsack", "budget": 2.0, "cost_rule": rule}
+
+
+@pytest.mark.parametrize("constraint, target", [
+    # only the second part holds the parameter
+    ({"intersect": [{"type": "planarity"}, _knapsack("degree")]}, [1]),
+    # both parts hold it: the first takes it
+    ({"intersect": [_knapsack("degree"), _knapsack("random_int")]}, [0]),
+    ({"intersect": [{"type": "planarity"}, {"intersect": [
+        _knapsack("random_int"), _knapsack("degree")]}]}, [1, 0]),
+    # a stray key on the intersection node is no constraint field
+    ({"budget": 1.0,
+      "intersect": [{"type": "planarity"}, _knapsack("degree")]}, [1]),
+], ids=["second-part", "first-of-two", "nested-first-of-two", "stray-key"])
+def test_a_constraint_sweep_goes_to_the_first_leaf_that_holds_it(constraint,
+                                                                  target):
+    for value in (0.5, 9.0):
+        fixed = json.loads(json.dumps(constraint))
+        leaf = fixed
+        for index in target:
+            leaf = leaf["intersect"][index]
+        leaf["budget"] = value
+        swept = _edge_config(constraint,
+                             sweep={"param": "budget", "values": [value]})
+        assert _results(swept) == _results(_edge_config(fixed))
+
+
+def test_a_sweep_parameter_on_no_leaf_matches_no_config_key():
+    cfg = _edge_config({"rho": 3, "intersect": [{"type": "planarity"},
+                                                _knapsack("degree")]},
+                       sweep={"param": "rho", "values": [1]})
+    with pytest.raises(ValueError, match="sweep parameter 'rho' matches no "
+                                         "config key"):
+        run_experiment(cfg, measure_time=False)
+
+
+NESTED_ROWS = """\
+algorithm,sweep,seed,value,oracle_calls,peak_elements,ms
+repeated_greedy,0,5,8.0,56,12,0
+repeated_greedy,0,17,8.0,127,24,0
+repeated_greedy,0,29,8.0,85,17,0
+sieve_streaming,0,5,8.0,171,8,0
+sieve_streaming,0,17,6.0,143,6,0
+sieve_streaming,0,29,8.0,176,8,0
+threshold_sieve,0,5,8.0,27,16,0
+threshold_sieve,0,17,6.0,51,12,0
+threshold_sieve,0,29,8.0,37,16,0
+"""
+
+
+def test_a_nested_random_knapsack_draws_from_its_offset_cost_seed():
+    # the knapsack is part 1 of part 1, so its costs come from the cell's
+    # cost seed plus 2; rows recorded before the constraint walk was merged
+    cfg = _edge_config({"intersect": [
+        {"type": "planarity"},
+        {"intersect": [{"type": "cardinality", "rho": 8},
+                       {"type": "knapsack", "budget": 0.8,
+                        "cost_rule": "random_int",
+                        "normalize": "mean_tenth"}]}]},
+        algorithms=["threshold_sieve", "repeated_greedy", "sieve_streaming"],
+        seeds=[5, 17, 29])
+    assert rows_to_csv(run_experiment(cfg, measure_time=False)) == NESTED_ROWS
 
 
 def test_run_experiment_rejects_a_config_that_is_not_a_mapping():

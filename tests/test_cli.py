@@ -116,7 +116,12 @@ def test_bench_run_rejects_malformed_input(tmp_path, capsys):
              "config constraint intersect must be a list, got 2"),
             ("instance", [1], "config instance must be a mapping"),
             ("objective", "cut", "config objective must be a mapping"),
-            ("options", ["id"], "config options must be a mapping")]:
+            ("options", ["id"], "config options must be a mapping"),
+            # open() would take an int as a file descriptor
+            ("instance", {"edge_list": 999_999},
+             "config instance field 'edge_list' must be a path"),
+            ("objective", {"kind": "facility", "features": 999_999},
+             "config objective field 'features' must be a path")]:
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps({**cfg, key: value}))
         _fails_cleanly(["bench", "run", "--config", str(path)], capsys, message)

@@ -988,3 +988,26 @@ def test_reference_cycle_check_sees_a_factory_closing_over_its_system():
         return system
 
     assert _garbage_after(build) > 0
+
+
+@pytest.mark.parametrize("edges", [[(0, 1), (1, 0)], [(0, 1), (0, 1)],
+                                   [(0, 1), (1, 2), (2.0, 1.0)]])
+def test_planarity_system_rejects_a_parallel_edge(edges):
+    with pytest.raises(ValueError, match="parallel edge between"):
+        planarity_system(3, edges)
+
+
+def test_a_cost_map_must_be_keyed_from_zero():
+    with pytest.raises(ValueError,
+                       match=r"^cost map keys must be exactly 0\.\.n-1$"):
+        knapsack_system({1: 1.0, 2: 1.0}, 1.0)
+    sys = knapsack_system({1: 2.0, 0: 1.0}, 1.5)  # any key order
+    assert sys.is_independent([0]) and not sys.is_independent([1])
+
+
+@pytest.mark.parametrize("build", [lambda: planarity_system(3, []),
+                                   lambda: labeled_limit_system([], 1, 1)],
+                         ids=["planarity", "labeled_limit"])
+def test_an_empty_ground_set_gets_the_one_message(build):
+    with pytest.raises(ValueError, match="^ground set must be non-empty$"):
+        build()

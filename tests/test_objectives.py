@@ -417,3 +417,22 @@ def test_keyword_csv_parse_errors_name_their_line(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         load_keyword_table(path)
+
+
+def test_a_weight_map_must_be_keyed_from_zero():
+    with pytest.raises(ValueError,
+                       match=r"^weight map keys must be exactly 0\.\.n-1$"):
+        make_modular({1: 1.0, 2: 2.0})
+    assert make_modular({1: 2.0, 0: 1.0}).value([0]) == 1.0  # any key order
+
+
+@pytest.mark.parametrize("load, text, subject", [
+    (load_features, "id,f1\n1,0.5\n2,1.5\n", "feature ids"),
+    (load_keyword_table, "1,1.0,a\n2,2.0,b\n", "keyword ids"),
+])
+def test_data_file_ids_must_run_from_zero(tmp_path, load, text, subject):
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError,
+                       match=rf"^{subject} must be exactly 0\.\.n-1$"):
+        load(path)
