@@ -19,8 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (ElementSet, NumericError, Objective, _running_sum,
-                   _spec_int, first_best)
+from .core import ElementSet, Objective, _running_sum, _spec_int, first_best
 from .prng import SplitMix64
 from .objectives import (CutGraph, load_features, load_keyword_table,
                          make_coverage_minus_dispersion, make_directed_cut,
@@ -30,7 +29,7 @@ from .objectives import (CutGraph, load_features, load_keyword_table,
 from .constraints import IndependenceSystem, make_system
 from .offline import repeated_greedy, unweighted_greedy, weighted_greedy
 from .streaming import (AdaptiveSieve, AutoThresholdSieve, ThresholdSieve,
-                        cascade_run, _ceil_log2, _drive)
+                        cascade_run, _drive, _guess_exponent)
 from .baselines import GreedyStream, SieveGuessStream
 
 RESULT_HEADER = "algorithm,sweep,seed,value,oracle_calls,peak_elements,ms"
@@ -194,8 +193,9 @@ def gen_node_weights(n: int, seed: int, mode: str = "uniform") -> list[float]:
 def load_edge_list(path) -> tuple[CutGraph, dict]:
     """Parse ``u<TAB>v<TAB>weight`` lines into a graph.
 
-    ``#`` starts a comment line.  Vertices are renumbered densely in first
-    appearance order and the mapping is returned alongside the graph;
+    A ``u<TAB>v`` line weighs 1.0, ``#`` starts a comment line, and a file
+    with no edge lines gives one vertex.  Vertices are renumbered densely in
+    first appearance order and the mapping is returned alongside the graph;
     repeated directed edges have their weights summed.  Bad weights are
     errors naming the edge's (last) line and the file's labels.  The lines
     are read one at a time; the summed edges go to the graph as arrays, in
@@ -314,7 +314,11 @@ class Cell:
 
 def _build_graph(instance: Mapping, seed: int) -> CutGraph:
     if "edge_list" in instance:
-        return load_edge_list(_path("instance", instance, "edge_list"))[0]
+        path = _path("instance", instance, "edge_list")
+        graph, mapping = load_edge_list(path)
+        if mapping:
+            return graph
+        raise ValueError(f"config instance edge_list {path!r} has no edge lines")
     model = instance.get("model")
 
     def field(name):
@@ -502,9 +506,7 @@ def _prepass_tau(sys: IndependenceSystem, f: Objective, stream) -> float:
             best = max(best, f.singleton(u))
     if best <= 0.0:
         return 1.0  # degenerate instance; any threshold rejects everything
-    if best > 2.0 ** 1023:  # no finite power of two lies in [M, 2M]
-        raise NumericError(f"best singleton value {best} is above 2**1023")
-    return 2.0 ** _ceil_log2(best)
+    return 2.0 ** _guess_exponent(best)
 
 
 def _greedy_rho(sys: IndependenceSystem, stream, scale: int = 1) -> int:
@@ -567,7 +569,7 @@ def run_algorithm(name: str, sys: IndependenceSystem, f: Objective,
         copies = _spec_int("options", "cascade_copies",
                            options.get("cascade_copies", 2))
         trace = cascade_run([factory() for _ in range(copies)], stream,
-                            sys, f, _framework_offline)
+                            _framework_offline)
         return trace.best, trace.peak_stored
     elif name == "weighted_greedy":
         return weighted_greedy(f, sys, stream), len(stream)

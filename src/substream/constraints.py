@@ -290,16 +290,15 @@ def knapsack_system(costs, budget: float) -> IndependenceSystem:
     if not budget > 0:  # also false for NaN
         raise ValueError(f"budget must be positive, got {budget}")
     k = math.ceil(max(c) / min(c) - 1e-12)
+    limit = budget + 1e-12
     # rho: the cheapest elements fill the budget first
     rho = 0
     acc = 0.0
     for x in sorted(c):
-        if acc + x > budget + 1e-12:
+        if acc + x > limit:
             break
         acc += x
         rho += 1
-
-    limit = budget + 1e-12
 
     def pred(s):
         return _running_sum(map(c.__getitem__, s)) <= limit

@@ -135,9 +135,6 @@ class ElementSet(dict):
     def remove(self, u: int) -> None:
         del self[u]
 
-    def discard(self, u: int) -> None:
-        self.pop(u, None)
-
     def copy(self) -> "ElementSet":
         out = ElementSet()
         out.update(self)

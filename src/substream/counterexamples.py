@@ -27,7 +27,7 @@ import numpy as np
 from .objectives import CutGraph, make_directed_cut
 from .constraints import cardinality_system
 from .baselines import preemption_stream, ratio_swap_stream
-from .core import _running_sum, _spec_count
+from .core import _spec_count
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,10 @@ def w_sequence(rho: int) -> list[float]:
     """Bait weights for family g2, by the defining recurrence."""
     rho = _spec_count("counterexample", "rho", rho)
     ws: list[float] = [2.0]
+    total = 2.0  # _running_sum(ws), kept as ws grows
     for i in range(2, rho + 1):
-        ws.append((2 * rho + 1 - i + _running_sum(ws)) / rho)
+        ws.append((2 * rho + 1 - i + total) / rho)
+        total += ws[-1]
     return ws
 
 

@@ -24,13 +24,20 @@ from .prng import SplitMix64
 LOGDET_MAX_SUBSET = 512
 
 
-def _check_edge(n: int, u: int, v: int, w) -> None:
-    """Raise the error a bad edge ``(u, v, w)`` of an n-vertex graph gets;
-    a weight that is not a float is bad."""
-    _endpoints("graph", (u, v), n)
+def _check_edge(n: int, e) -> tuple[int, int, float]:
+    """The edge ``e = (u, v, w)`` of an n-vertex graph as ``(u, v, float(w))``
+    (:func:`_endpoints` checks u and v); a weight that is not a finite
+    non-negative number raises ``ValueError`` naming the edge."""
+    _, _, w = e
+    u, v = _endpoints("graph", e, n)
+    try:
+        w = float(w)
+    except (TypeError, ValueError):
+        pass  # named below, as it was given
     if type(w) is not float or not 0.0 <= w < math.inf:  # also for NaN
         raise ValueError(f"edge ({u}, {v}) has weight {w!r}; "
                          "weights must be finite and non-negative")
+    return u, v, w
 
 
 def _owned(values, dtype, kinds: str, what: str) -> np.ndarray:
@@ -54,8 +61,8 @@ class CutGraph:
     ``CutGraph(n, edges)`` converts a sequence of ``(u, v, w)`` triples
     as ``int(u), int(v), float(w)``; :meth:`from_arrays` copies three
     arrays.  ``n_vertices`` and the endpoints must be whole numbers (a
-    float such as ``3.0`` is taken as 3), ``n_vertices`` positive.  Every
-    edge is checked at once: the first edge that has a fractional
+    float such as ``3.0`` is taken as 3), ``n_vertices`` positive.  The
+    edges are checked in order: the first edge that has a fractional
     endpoint, is a self-loop, leaves the vertex range or has a weight
     that is not a finite non-negative number raises ``ValueError`` naming
     it.  A weight of ``-0.0`` is kept as it is.  ``edges`` lists the
@@ -66,25 +73,9 @@ class CutGraph:
 
     def __init__(self, n_vertices: int, edges=()):
         n = _spec_count("graph", "n_vertices", n_vertices)
-        triples: list[tuple[int, int, float]] = []
-        try:
-            for e in edges:
-                u, v, w = e
-                if type(u) is not int or type(v) is not int:
-                    u, v = _endpoints("graph", e, n)
-                try:
-                    w = float(w)
-                finally:  # a weight that float() rejects is named below
-                    triples.append((u, v, w))
-            src, dst = np.array([[u for u, _, _ in triples],
-                                 [v for _, v, _ in triples]], dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            # a bad endpoint or weight, or an endpoint beyond int64: name
-            # the first bad edge
-            for e in triples:
-                _check_edge(n, *e)
-            raise
-        self._init(n, src, dst, [w for _, _, w in triples])
+        triples = [_check_edge(n, e) for e in edges]
+        self._init(n, [u for u, _, _ in triples], [v for _, v, _ in triples],
+                   [w for _, _, w in triples])
 
     @classmethod
     def from_arrays(cls, n_vertices: int, src, dst, weight) -> CutGraph:
@@ -107,7 +98,7 @@ class CutGraph:
         bad |= ~(weight >= 0.0) | (weight == math.inf)  # negative, NaN, inf
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
-            _check_edge(n, int(src[i]), int(dst[i]), float(weight[i]))
+            _check_edge(n, (int(src[i]), int(dst[i]), float(weight[i])))
         for name, value in (("n_vertices", n), ("src", src), ("dst", dst),
                             ("weight", weight)):
             object.__setattr__(self, name, value)

@@ -37,6 +37,14 @@ def _ceil_log2(x: float) -> int:
     return math.ceil(math.log2(x) - _LOG_GUARD)
 
 
+def _guess_exponent(m: float) -> int:
+    """Exponent of the smallest power of two at or above ``m > 0``; above
+    ``2**1023`` no finite one is, and ``NumericError`` is raised."""
+    if m > 2.0 ** 1023:
+        raise NumericError(f"best singleton value {m} is above 2**1023")
+    return _ceil_log2(m)
+
+
 def bucket_count(rho: int) -> int:
     """Number of marginal-value bands kept for a capacity bound ``rho``."""
     return _floor_log2(4 * rho) + 1
@@ -322,9 +330,9 @@ class AutoThresholdSieve(StreamingComponent):
     copies in ``copies`` order and ``_live_states`` their kept gain
     states; :meth:`_move` rebuilds both.  Whether an arrival is a
     feasible singleton is asked of one state that never takes an
-    element.  A feasible singleton worth more than ``2**1023`` raises
-    ``NumericError``, since no finite power-of-two guess lies at or
-    above it.
+    element.  ``best_singleton`` is the best feasible singleton worth over
+    ``EPS`` (``-inf`` before one); :func:`_guess_exponent` checks a new
+    best before the base or any copy takes it.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective):
@@ -334,6 +342,7 @@ class AutoThresholdSieve(StreamingComponent):
         self.base = self._base.members
         self._empty = sys.open()  # never takes an element
         self.best_singleton = -math.inf
+        self._lo = 0  # _guess_exponent(best_singleton), once it is set
         self.copies: dict[int, AdaptiveSieve] = {}  # exponent -> copy
         self._live: list[AdaptiveSieve] = []
         self._live_states: list[GainState] = []
@@ -344,10 +353,9 @@ class AutoThresholdSieve(StreamingComponent):
         holds an element once a feasible singleton is worth over ``EPS``."""
         if self.best_singleton <= EPS:
             return range(0)
-        lo = _ceil_log2(self.best_singleton)
         width = 2 * math.log2(self.k * len(self.base)) + 5
         hi = math.floor(math.log2(self.best_singleton) + width + _LOG_GUARD)
-        return range(lo, min(hi, 1023) + 1)  # 2.0 ** 1024 overflows
+        return range(self._lo, min(hi, 1023) + 1)  # 2.0 ** 1024 overflows
 
     def _move(self) -> list[int]:
         """Fit the copies to the window after ``best_singleton`` or the
@@ -371,17 +379,17 @@ class AutoThresholdSieve(StreamingComponent):
         return evicted
 
     def _ingest(self, u: int) -> list[int]:
-        held = moved = self._base.can_add(u)
-        if held:
-            self._base.add(u)
+        moved = False
         if self._empty.can_add(u):
             value = self.f.singleton(u)
-            if value > self.best_singleton:
-                if value > 2.0 ** 1023:
-                    raise NumericError(
-                        f"best singleton value {value} is above 2**1023")
+            if value > self.best_singleton and value > EPS:
+                self._lo = _guess_exponent(value)
                 self.best_singleton = value
                 moved = True
+        held = self._base.can_add(u)
+        if held:
+            self._base.add(u)
+            moved = True
         evicted = self._move() if moved else []
         gains = self.f.gains(u, self._live_states)
         for copy, gain in zip(self._live, gains):
@@ -449,34 +457,32 @@ class CascadeTrace:
 
 
 def cascade_run(chain: Sequence[StreamingComponent], stream: Sequence[int],
-                sys: IndependenceSystem, f: Objective,
                 offline: Callable[..., ElementSet]) -> CascadeTrace:
     """Feed the stream through a chain of components and return the best of
     their solutions and their summaries polished by
-    ``offline(f, sys, summary)``.
+    ``offline(copy.f, copy.sys, summary)``.
 
     The chain, usually r fresh copies of one component, runs as one
     :func:`_drive` chain, so what copy i rejects or later drops is pushed
     to copy i+1, and the peak is summed over all copies.  An empty chain
-    raises ``ValueError``.  Every copy's solution must be independent in
-    ``sys``.  With deterministic components and offline solver the whole
-    run is deterministic.  A later candidate wins only when it beats the
-    best so far by more than ``EPS`` (:func:`first_best`): near-ties
-    resolve to the earliest candidate, lower copy index and streamed
-    before polished.
+    raises ``ValueError``.  Each copy's solution must be independent in
+    that copy's ``sys``, and its candidates are valued by its ``f``.  With
+    deterministic components and offline solver the whole run is
+    deterministic.  A later candidate wins only when it beats the best so
+    far by more than ``EPS`` (:func:`first_best`): near-ties resolve to
+    the earliest candidate, lower copy index and streamed before polished.
     """
     if not chain:
         raise ValueError("need at least one component copy")
     outcomes, peak, _ = _drive(chain, stream)
-    for outcome in outcomes:
-        if not sys.is_independent(outcome.solution):
-            raise ContractViolationError("component returned a dependent solution")
-
     candidates: list[tuple[str, ElementSet, float]] = []
-    for idx, outcome in enumerate(outcomes, start=1):
+    for idx, (copy, outcome) in enumerate(zip(chain, outcomes), start=1):
+        if not copy.sys.is_independent(outcome.solution):
+            raise ContractViolationError("component returned a dependent solution")
+        f = copy.f
         candidates.append((f"s{idx}", outcome.solution,
                            f.value(outcome.solution)))
-        polished = offline(f, sys, outcome.summary)
+        polished = offline(f, copy.sys, outcome.summary)
         candidates.append((f"s{idx}+offline", polished, f.value(polished)))
     best_label, best, best_val = candidates[first_best(
         val for _, _, val in candidates)]
@@ -494,16 +500,16 @@ class AuditReport:
     outcome: StreamOutcome
 
 
-def contract_audit(component: StreamingComponent, stream: Iterable[int],
-                   sys: IndependenceSystem) -> AuditReport:
+def contract_audit(component: StreamingComponent,
+                   stream: Iterable[int]) -> AuditReport:
     """Replay a stream through a fresh component, checking the protocol.
 
     Verifies that no element is dropped twice or lost (everything pushed
     is either discarded or accounted for in summary/residual), that the
-    solution sits inside the summary and is independent in ``sys``, the
-    component's system, and reports the peak
-    number of stored elements (candidate sets included).  Violations are
-    reported, never raised.
+    solution sits inside the summary and is independent in the
+    component's own ``sys``, and reports the peak number of stored
+    elements (candidate sets included).  Violations are reported, never
+    raised.
     """
     stream = list(stream)
     (outcome,), peak, evictions = _drive([component], stream)
@@ -520,7 +526,7 @@ def contract_audit(component: StreamingComponent, stream: Iterable[int],
     for u in position:
         if u not in evicted and u not in accounted:
             violations.append(f"element {u} lost (never evicted, not in A or D)")
-    if not sys.is_independent(outcome.solution):
+    if not component.sys.is_independent(outcome.solution):
         violations.append("solution is not independent")
     return AuditReport(ok=not violations, violations=violations,
                        peak_stored=peak, pushed=len(position), outcome=outcome)

@@ -154,7 +154,7 @@ def test_criterion_06_cascade_bound_with_measured_ratio():
         tau = 2.0 * m
         rho = exact_rho(sys)
         chain = [ThresholdSieve(sys, f, tau, rho) for _ in range(r)]
-        trace = cascade_run(chain, list(range(n)), sys, f, repeated_greedy)
+        trace = cascade_run(chain, list(range(n)), repeated_greedy)
         _, opt = brute_force_opt(f, sys, range(n))
         probe = ThresholdSieve(sys, f, tau, rho)
         alpha = 4 * probe.k * probe.h * (2 * probe.k + 1)
@@ -221,12 +221,12 @@ def test_criterion_08_space_accounting():
         rng.shuffle(stream)
 
         fixed = ThresholdSieve(sys, f, tau, rho)
-        report = contract_audit(fixed, stream, sys)
+        report = contract_audit(fixed, stream)
         ok &= report.ok
         ok &= report.peak_stored <= (fixed.ell + 1 + fixed.h) * rho
 
         adaptive = AdaptiveSieve(sys, f, tau)
-        report2 = contract_audit(adaptive, stream, sys)
+        report2 = contract_audit(adaptive, stream)
         ell_final = math.floor(2 * math.log2(adaptive.k * rho) + 3 + 1e-12)
         ok &= report2.ok
         ok &= report2.peak_stored <= (ell_final + 1 + adaptive.h + 1) * rho

@@ -1,12 +1,16 @@
+import math
+
 import pytest
 
-from substream import (CutGraph, ElementSet, UnsupportedConstraintError,
+from substream import (CutGraph, ElementSet, IndependenceSystem,
+                       SizeLimitError, UnsupportedConstraintError,
                        build_g1, build_g2, cardinality_system,
                        knapsack_system, make_directed_cut,
                        make_facility_location, make_modular,
                        preemption_stream, ratio_swap_stream, sieve_streaming,
                        streaming_greedy)
 from substream.baselines import PreemptionStream, RatioSwapStream, SieveGuessStream
+from substream.constraints import EXACT_RHO_LIMIT
 from substream.core import EPS
 from substream.prng import SplitMix64
 
@@ -84,6 +88,23 @@ def test_sieve_uses_rho_hint_or_explicit():
     f = make_modular([1.0] * 4)
     assert SieveGuessStream(sys, f).rho == 2
     assert SieveGuessStream(sys, f, rho=3).rho == 3
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, math.nan])
+def test_sieve_rejects_an_epsilon_outside_the_unit_interval(epsilon):
+    sys = cardinality_system(4, 2)
+    with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\)"):
+        SieveGuessStream(sys, make_modular([1.0] * 4), epsilon=epsilon)
+
+
+def test_sieve_needs_rho_beyond_the_exact_rho_limit():
+    n = EXACT_RHO_LIMIT + 1
+    sys = IndependenceSystem(lambda s: len(s) <= 2, n, k_param=1,
+                             class_tag="matroid")  # no rho_hint
+    f = make_modular([1.0] * n)
+    with pytest.raises(SizeLimitError, match="rho unknown"):
+        SieveGuessStream(sys, f)
+    assert SieveGuessStream(sys, f, rho=2).rho == 2
 
 
 def test_preemption_requires_cardinality():

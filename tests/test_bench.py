@@ -33,11 +33,22 @@ def test_splitmix_reference_stream():
     assert rng2.next_u64() == 0xE220A8397B1DCDAF
 
 
+def test_splitmix_rejects_an_empty_range_and_an_empty_sample():
+    rng = SplitMix64(0)
+    with pytest.raises(ValueError, match="randrange needs a positive bound"):
+        rng.randrange(0)
+    with pytest.raises(ValueError, match="sample size must be positive"):
+        rng.sample_indices(5, 0)
+
+
 def test_erdos_renyi_edge_probability_extremes():
     g = gen_erdos_renyi(2, 1.0, seed=1)
     assert len(undirected_pairs(g)) == 1
     assert len(g.edges) == 2  # both directions materialized
     assert gen_erdos_renyi(6, 0.0, seed=1).edges == ()
+    for p in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            gen_erdos_renyi(6, p, seed=1)
 
 
 def test_erdos_renyi_deterministic_per_seed():
@@ -65,6 +76,8 @@ def test_watts_strogatz_validation():
         gen_watts_strogatz(10, 3, 0.1, seed=0)  # odd k_ring
     with pytest.raises(ValueError):
         gen_watts_strogatz(4, 4, 0.1, seed=0)   # k_ring not below n
+    with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\]"):
+        gen_watts_strogatz(10, 2, 1.5, seed=0)
 
 
 def test_weight_modes():
@@ -78,6 +91,8 @@ def test_weight_modes():
     for (u, v), w in wmap.items():
         assert wmap[(v, u)] == w
     assert len(gen_node_weights(5, 3)) == 5
+    with pytest.raises(ValueError, match="unknown weight mode 'normal'"):
+        gen_node_weights(5, 3, "normal")
 
 
 def test_load_edge_list_roundtrip(tmp_path):
@@ -100,6 +115,8 @@ def test_load_edge_list_merge_and_comments(tmp_path):
     assert g.n_vertices == 3
     weights = {(u, v): w for (u, v, w) in g.edges}
     assert weights[(mapping["a"], mapping["b"])] == 3.5
+    path.write_text("a\tb\nb\tc\t2.0\n")  # a line without weight weighs 1.0
+    assert load_edge_list(path)[0].edges == ((0, 1, 1.0), (1, 2, 2.0))
 
 
 def test_load_edge_list_errors(tmp_path):
@@ -107,6 +124,13 @@ def test_load_edge_list_errors(tmp_path):
     path.write_text("a\tb\tnot_a_number\n")
     with pytest.raises(ValueError, match="bad.tsv:1"):
         load_edge_list(path)
+    for text, message in [("a\tb\t1.0\tx\n", "bad.tsv:1: expected u<TAB>v"),
+                          ("a\tb\t1.0\nb\n", "bad.tsv:2: expected u<TAB>v"),
+                          ("a\tb\t1.0\nb\tb\t1.0\n",
+                           "bad.tsv:2: self-loop at 'b'")]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_edge_list(path)
     empty = tmp_path / "c.tsv"
     empty.write_text("# nothing\n")
     g, _ = load_edge_list(empty)
@@ -147,6 +171,10 @@ def test_cost_rules_and_normalization():
     randoms = random_int_costs(20, seed=3)
     assert all(1.0 <= c <= 5.0 for c in randoms)
     assert randoms == random_int_costs(20, seed=3)
+    with pytest.raises(ValueError, match="non-positive cost mass"):
+        normalize_costs([], "sum_vertices", 4)
+    with pytest.raises(ValueError, match="unknown normalization 'median'"):
+        normalize_costs(costs, "median", 4)
 
 
 def _toy_config(**overrides):
@@ -392,6 +420,9 @@ def test_every_threshold_algorithm_raises_above_the_largest_guess(name):
 def test_unknown_algorithm_rejected():
     with pytest.raises(ValueError):
         run_experiment(_toy_config(algorithms=["nope"]), measure_time=False)
+    with pytest.raises(ValueError, match="unknown algorithm 'nope'"):
+        run_algorithm("nope", cardinality_system(2, 1), make_modular([1.0] * 2),
+                      [0, 1], {})
 
 
 def test_unknown_algorithm_rejected_before_any_cell_is_built(monkeypatch):
@@ -539,6 +570,15 @@ def test_build_cell_rejects_a_constraint_over_another_ground_set(ground,
 def test_build_cell_rejects_an_unknown_ground(objective, ground):
     cfg = _toy_config(objective={"kind": objective}, ground=ground)
     with pytest.raises(ValueError, match=f"unknown ground {ground!r}"):
+        build_cell(cfg, 0.3, 1)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"ground": "edges"}, {"constraint": {"type": "planarity"}}],
+    ids=["explicit", "default"])
+def test_a_cut_objective_rejects_the_edge_ground(overrides):
+    cfg = _toy_config(objective={"kind": "cut"}, **overrides)
+    with pytest.raises(ValueError, match="cut objective needs the node ground"):
         build_cell(cfg, 0.3, 1)
 
 

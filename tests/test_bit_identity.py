@@ -140,7 +140,7 @@ def test_stored_count_matches_bucket_sum_at_every_step(seed):
             return pairs[-1][0]
 
         comp.stored_count = checked
-        report = contract_audit(comp, stream, sys)
+        report = contract_audit(comp, stream)
         assert report.ok
         assert len(pairs) == len(stream) + 1
         assert all(new == old for new, old in pairs)

@@ -121,7 +121,16 @@ def test_bench_run_rejects_malformed_input(tmp_path, capsys):
             ("instance", {"edge_list": 999_999},
              "config instance field 'edge_list' must be a path"),
             ("objective", {"kind": "facility", "features": 999_999},
-             "config objective field 'features' must be a path")]:
+             "config objective field 'features' must be a path"),
+            ("algorithms", [], "config lists no algorithms"),
+            ("seeds", [], "config lists no seeds"),
+            ("instance", {"model": "grid", "n": 8},
+             "unknown instance spec"),
+            ("constraint", {"type": "knapsack", "budget": 2.0,
+                            "cost_rule": "uniform"},
+             "unknown cost rule 'uniform'"),
+            ("options", {"stream_order": "reverse"},
+             "unknown stream order 'reverse'")]:
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps({**cfg, key: value}))
         _fails_cleanly(["bench", "run", "--config", str(path)], capsys, message)
@@ -234,6 +243,25 @@ def test_run_stream_rejects_non_finite_edge_weight(tmp_path, capsys):
     _fails_cleanly(["run-stream", "--graph", str(graph_path), "--objective",
                     "cut", "--algo", "auto_sieve", "--constraint", str(spec)],
                    capsys, "g.tsv:2: edge 'b' -> 'c' has weight nan")
+
+
+@pytest.mark.parametrize("text", ["", "# u\tv\tweight\n\n"],
+                         ids=["empty", "comments-only"])
+def test_an_edge_list_without_edge_lines_fails_cleanly(tmp_path, capsys,
+                                                       text):
+    graph_path = tmp_path / "g.tsv"
+    graph_path.write_text(text)
+    spec = tmp_path / "constraint.json"
+    spec.write_text(json.dumps({"type": "cardinality", "rho": 2}))
+    message = f"config instance edge_list {str(graph_path)!r} has no edge lines"
+    _fails_cleanly(["run-stream", "--graph", str(graph_path), "--objective",
+                    "linear", "--algo", "streaming_greedy", "--constraint",
+                    str(spec)], capsys, message)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instance": {"edge_list": str(graph_path)},
+                               "constraint": {"type": "cardinality", "rho": 2},
+                               "algorithms": ["streaming_greedy"]}))
+    _fails_cleanly(["bench", "run", "--config", str(cfg)], capsys, message)
 
 
 def test_missing_subcommand_fails_cleanly(capsys):

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from substream import (ElementSet, GroundSetError, IndependenceSystem,
+                       SizeLimitError,
                        cardinality_system, exact_rho,
                        intersect, knapsack_system, labeled_limit_system,
                        make_system, node_independent_set_system,
                        planarity_system, unweighted_greedy)
-from substream.constraints import (FeasibilityState, _KnapsackState,
+from substream.constraints import (EXACT_RHO_LIMIT, FeasibilityState,
+                                   _KnapsackState,
                                    _NodeState, _PlanarityState, merged_block)
 from substream.planarity import planarity_check
 from substream.prng import SplitMix64
@@ -44,6 +46,23 @@ def test_knapsack_k_param_example():
 def test_knapsack_rejects_zero_cost():
     with pytest.raises(ValueError):
         knapsack_system([0.0, 1.0], budget=1.0)
+
+
+def test_a_system_needs_a_known_class_tag():
+    with pytest.raises(ValueError, match="class_tag must be one of"):
+        IndependenceSystem(_true, 3, k_param=1, class_tag="graphic")
+
+
+def test_knapsack_needs_a_cost():
+    with pytest.raises(ValueError, match="^empty ground set$"):
+        knapsack_system([], budget=1.0)
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+def test_make_system_intersects_exactly_two_specs(parts):
+    spec = {"type": "cardinality", "n": 2, "rho": 1}
+    with pytest.raises(ValueError, match="intersect expects exactly two"):
+        make_system({"intersect": [spec] * parts})
 
 
 @pytest.mark.parametrize("costs, budget, message", [
@@ -752,6 +771,8 @@ def test_exact_rho():
     assert exact_rho(sys) == 3
     path = node_independent_set_system(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     assert exact_rho(path) == 3
+    with pytest.raises(SizeLimitError, match="exact rho limited to 20"):
+        exact_rho(cardinality_system(EXACT_RHO_LIMIT + 1, 3))
 
 
 def _state_disagreements(sys, rng, runs=4, open_state=None):

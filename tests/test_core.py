@@ -213,6 +213,12 @@ def test_value_rejects_non_finite(bad):
         f.value([0])
 
 
+def test_value_clamps_just_below_zero_and_rejects_lower_values():
+    assert Objective(lambda ids: -0.5 * EPS, 3).value([0]) == 0.0
+    with pytest.raises(NumericError, match="oracle returned negative value"):
+        Objective(lambda ids: -2.0 * EPS, 3).value([0])
+
+
 # Each of these used to crash with an unrelated error (NaN: ValueError in
 # the sieves; inf: math domain error or OverflowError) or, for the greedy,
 # silently return a solution chosen by NaN comparisons.  The "marginal_fn"

@@ -7,6 +7,7 @@ from substream import (build_g1, build_g2, counterexamples,
                        make_directed_cut, verify_preemption_counterexample,
                        verify_ratio_swap_counterexample, w_sequence,
                        w_sequence_closed_form, w_sequence_total)
+from substream.core import _running_sum
 
 from helpers import brute_optimum_matches
 
@@ -18,6 +19,20 @@ def test_w_sequence_examples():
     assert abs(ws[1] - 7.0 / 3.0) <= 1e-12
     assert abs(ws[2] - 25.0 / 9.0) <= 1e-12
     assert abs(sum(ws) - 64.0 / 9.0) <= 1e-12
+
+
+def _w_sequence_quadratic(rho):
+    """The recurrence with every earlier weight added anew at each step."""
+    ws = [2.0]
+    for i in range(2, rho + 1):
+        ws.append((2 * rho + 1 - i + _running_sum(ws)) / rho)
+    return ws
+
+
+@pytest.mark.parametrize("rho", [*range(1, 65), 400])
+def test_w_sequence_keeps_the_bits_of_the_quadratic_recurrence(rho):
+    assert ([w.hex() for w in w_sequence(rho)]
+            == [w.hex() for w in _w_sequence_quadratic(rho)])
 
 
 def test_w_sequence_closed_form_agrees():

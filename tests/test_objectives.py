@@ -135,6 +135,18 @@ def test_cut_graph_takes_a_whole_float_vertex_count():
     assert make_directed_cut(g).value([0]) == 1.0
 
 
+@pytest.mark.parametrize("src, dst, weight, error, message", [
+    ([[0, 1]], [1], [1.0], ValueError, "src must be one-dimensional"),
+    (["0"], [1], [1.0], TypeError, "src must be numeric, got dtype <U1"),
+    ([0, 1], [1], [1.0], ValueError,
+     "src, dst and weight must have one entry per edge"),
+], ids=["2-d", "strings", "lengths"])
+def test_from_arrays_rejects_malformed_arrays(src, dst, weight, error,
+                                              message):
+    with pytest.raises(error, match=message):
+        CutGraph.from_arrays(2, src, dst, weight)
+
+
 def test_cut_graph_owns_read_only_arrays():
     src = np.array([0, 1, 2])
     dst = np.array([1, 2, 0])
@@ -280,12 +292,18 @@ def test_sqrt_coverage_examples():
     assert abs(f.value([0]) - 2.0) <= 1e-12
     assert abs(f.value([0, 1]) - math.sqrt(13.0)) <= 1e-12
     assert f.value([]) == 0.0
+    # a member of value 0 adds nothing, also to a word only it carries
+    zero = make_sqrt_coverage(KeywordTable(words=[{"w"}, {"w", "v"}],
+                                           values=[4.0, 0.0]))
+    assert zero.value([1]) == 0.0 and zero.value([0, 1]) == 2.0
 
 
 def test_keyword_table_validation():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="not finite and non-negative"):
             KeywordTable(words=[{"w"}], values=[bad])
+    with pytest.raises(ValueError, match="words and values must align"):
+        KeywordTable(words=[{"w"}, {"v"}], values=[1.0])
 
 
 def test_similarity_from_features_examples():
@@ -329,6 +347,8 @@ def test_sqrt_coverage_value_does_not_follow_string_hashing():
 def test_similarity_rejects_ragged_input():
     with pytest.raises(ValueError):
         similarity_from_features([[0.0, 1.0], [1.0]], lam=0.1)
+    with pytest.raises(ValueError, match="features must be a 2-d array"):
+        similarity_from_features(np.zeros((2, 2, 2)), lam=0.1)
 
 
 def test_similarity_matrix_validation():
@@ -338,6 +358,8 @@ def test_similarity_matrix_validation():
     neg = np.array([[1.0, -0.1], [-0.1, 1.0]])
     with pytest.raises(ValueError):
         make_logdet(neg, alpha=1.0)
+    with pytest.raises(ValueError, match="similarity matrix must be square"):
+        make_coverage_minus_dispersion(np.ones((2, 3)))
 
 
 def test_header_only_feature_csv_names_the_empty_similarity_matrix(tmp_path):
@@ -371,6 +393,10 @@ def test_feature_csv_errors(tmp_path):
     path.write_text("id,f1\n0,1.0\n2,2.0\n")
     with pytest.raises(ValueError):
         load_features(path)
+    for text in ("", "ident,f1\n0,1.0\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="must start with an 'id' header"):
+            load_features(path)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
@@ -385,6 +411,8 @@ def test_feature_csv_rejects_non_finite_values(tmp_path, bad):
     ("id,f1\n0,1.0\nx,2.0\n", "line 3: .*'x'"),
     ("id,f1,f2\n0,zz,1.0\n", "line 2: .*'zz'"),
     ("id,f1\n0,1.0\n\n2.5,1.0\n", "line 4: .*'2.5'"),
+    ("id,f1,f2\n0,1.0,2.0\n1,3.0\n", "line 3: expected 2 features"),
+    ("id,f1\n0,1.0\n0,2.0\n", "line 3: duplicate id 0"),
 ])
 def test_feature_csv_parse_errors_name_their_line(tmp_path, text, message):
     path = tmp_path / "bad.csv"
@@ -411,6 +439,8 @@ def test_keyword_csv(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("0,4.0,alpha\n1,abc,beta\n", "line 2: .*'abc'"),
     ("# ids\n0,4.0,alpha\nx,1.0,beta\n", "line 3: .*'x'"),
+    ("0,4.0,alpha\n1\n", "line 2: expected id,value,words"),
+    ("0,4.0,alpha\n0,1.0,beta\n", "line 2: duplicate id 0"),
 ])
 def test_keyword_csv_parse_errors_name_their_line(tmp_path, text, message):
     path = tmp_path / "kw.csv"

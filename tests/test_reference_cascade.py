@@ -83,7 +83,7 @@ def test_cascade_run_matches_reference(case):
     def make():
         return COMPONENTS[kind](sys, f, tau)
 
-    trace = cascade_run([make() for _ in range(copies)], stream, sys, f,
+    trace = cascade_run([make() for _ in range(copies)], stream,
                         repeated_greedy)
     outcomes, candidates, best, peak = reference_cascade(make, copies, stream,
                                                          sys, f)

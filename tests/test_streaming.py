@@ -10,7 +10,7 @@ from substream import (AdaptiveSieve, AutoThresholdSieve,
                        cascade_run, contract_audit, exact_rho,
                        knapsack_system, make_modular,
                        node_independent_set_system, repeated_greedy)
-from substream.core import EPS
+from substream.core import EPS, NumericError
 from substream.streaming import _ceil_log2, _floor_log2
 from substream.prng import SplitMix64
 
@@ -398,6 +398,18 @@ def test_stream_outcome_contract_validation():
         StreamOutcome(ElementSet(), ElementSet([1]), ElementSet([1]))
 
 
+def test_auto_sieve_raises_above_the_largest_guess_before_taking_it():
+    sys = cardinality_system(3, 2)
+    sieve = AutoThresholdSieve(sys, make_modular([1.0, 1e308, 1.0]))
+    sieve.push([0])
+    with pytest.raises(NumericError, match="above 2\\*\\*1023"):
+        sieve.push([1])
+    # neither the base nor a copy took element 1
+    assert list(sieve.base) == [0] and sieve.best_singleton == 1.0
+    assert sieve.copies and all(1 not in copy.kept
+                                for copy in sieve.copies.values())
+
+
 def test_cascade_single_copy_picks_better_candidate():
     n = 6
     f = make_modular([5.0, 4.0, 3.0, 2.0, 1.0, 0.5])
@@ -405,12 +417,12 @@ def test_cascade_single_copy_picks_better_candidate():
     # stream order puts weak elements first: greedy keeps {4, 5}, the
     # polished summary of a greedy stream is the same two elements, so the
     # cascade answer equals the better of the two
-    best = cascade_run([GreedyStream(sys, f)], [4, 5, 0, 1, 2, 3], sys, f,
+    best = cascade_run([GreedyStream(sys, f)], [4, 5, 0, 1, 2, 3],
                        repeated_greedy).best
     assert f.value(best) == f.value(ElementSet([4, 5]))
     # with a sieve component the offline pass can recover the top pair
     best2 = cascade_run([ThresholdSieve(sys, f, tau=8.0, rho=2)],
-                        [4, 5, 0, 1, 2, 3], sys, f, repeated_greedy).best
+                        [4, 5, 0, 1, 2, 3], repeated_greedy).best
     assert f.value(best2) == 9.0
 
 
@@ -428,7 +440,7 @@ def test_cascade_beats_bare_component():
         bare = ThresholdSieve(sys, f, tau, rho)
         v_bare = f.value(bare.finish(range(n)).solution)
         chain = [ThresholdSieve(sys, f, tau, rho) for _ in range(2)]
-        best = cascade_run(chain, list(range(n)), sys, f, repeated_greedy).best
+        best = cascade_run(chain, list(range(n)), repeated_greedy).best
         assert f.value(best) >= v_bare - 1e-9
 
 
@@ -437,7 +449,7 @@ def test_cascade_elements_flow_to_later_copies():
     f = make_modular([1.0] * n)
     sys = cardinality_system(n, 2)
     chain = [GreedyStream(sys, f) for _ in range(3)]
-    trace = cascade_run(chain, list(range(n)), sys, f,
+    trace = cascade_run(chain, list(range(n)),
                         lambda fo, so, ground: ElementSet())
     summaries = [set(o.summary) for o in trace.outcomes]
     assert summaries[0] == {0, 1}
@@ -452,7 +464,7 @@ def test_cascade_trace_candidate_order_and_determinism():
     f = random_modular(rng, n)
     sys = cardinality_system(n, 3)
     t1, t2 = (cascade_run([ThresholdSieve(sys, f, tau=16.0, rho=3)
-                           for _ in range(2)], list(range(n)), sys, f,
+                           for _ in range(2)], list(range(n)),
                           repeated_greedy) for _ in range(2))
     assert [c[0] for c in t1.candidates] == ["s1", "s1+offline", "s2", "s2+offline"]
     assert sorted(t1.best) == sorted(t2.best)
@@ -460,20 +472,23 @@ def test_cascade_trace_candidate_order_and_determinism():
 
 
 def test_cascade_needs_a_component():
-    f = make_modular([1.0] * 4)
-    sys = cardinality_system(4, 2)
     with pytest.raises(ValueError, match="need at least one component copy"):
-        cascade_run([], [0, 1, 2, 3], sys, f, repeated_greedy)
+        cascade_run([], [0, 1, 2, 3], repeated_greedy)
 
 
 def test_cascade_rejects_a_dependent_solution():
-    # the copy keeps three elements where the cascade's system allows one
+    class Overfull(GreedyStream):
+        def _ingest(self, u):
+            self.solution.add(u)  # ignores its own constraint
+            return []
+
+    # the second copy keeps two elements where its system allows one
+    sys = cardinality_system(4, 1)
     f = make_modular([1.0] * 4)
-    loose = GreedyStream(cardinality_system(4, 3), f)
+    chain = [GreedyStream(sys, f), Overfull(sys, f)]
     with pytest.raises(ContractViolationError,
                        match="component returned a dependent solution"):
-        cascade_run([loose], [0, 1, 2, 3], cardinality_system(4, 1), f,
-                    repeated_greedy)
+        cascade_run(chain, [0, 1, 2, 3], repeated_greedy)
 
 
 def test_contract_audit_threshold_sieve_space():
@@ -489,7 +504,7 @@ def test_contract_audit_threshold_sieve_space():
         sieve = ThresholdSieve(sys, f, 2 * m, rho)
         stream = list(range(n))
         rng.shuffle(stream)
-        report = contract_audit(sieve, stream, sys)
+        report = contract_audit(sieve, stream)
         assert report.ok, report.violations
         assert report.peak_stored <= (sieve.ell + 1 + sieve.h) * rho
 
@@ -525,7 +540,7 @@ def test_contract_audit_over_every_component(name):
         stream = list(range(n))
         rng.shuffle(stream)
         comp = AUDITED[name](sys, f, 2.0 ** _ceil_log2(m))
-        report = contract_audit(comp, stream, sys)
+        report = contract_audit(comp, stream)
         assert report.ok, report.violations
         assert report.pushed == n
         audited += 1
@@ -540,7 +555,7 @@ def test_contract_audit_flags_lost_elements():
 
     sys = cardinality_system(6, 6)
     f = make_modular([1.0] * 6)
-    report = contract_audit(Lossy(sys, f), list(range(6)), sys)
+    report = contract_audit(Lossy(sys, f), list(range(6)))
     assert not report.ok
     assert any("lost" in v for v in report.violations)
 
@@ -552,7 +567,7 @@ def test_contract_audit_flags_an_unknown_eviction():
 
     sys = cardinality_system(6, 6)
     report = contract_audit(EvictsAhead(sys, make_modular([1.0] * 6)),
-                            list(range(6)), sys)
+                            list(range(6)))
     assert not report.ok
     assert "step 0: evicted unknown element 1" in report.violations
 
@@ -564,7 +579,7 @@ def test_contract_audit_flags_an_element_evicted_twice():
 
     sys = cardinality_system(6, 6)
     report = contract_audit(EvictsAgain(sys, make_modular([1.0] * 6)),
-                            list(range(6)), sys)
+                            list(range(6)))
     assert not report.ok
     assert "step 2: element 0 evicted twice" in report.violations
 
@@ -577,7 +592,7 @@ def test_contract_audit_flags_a_dependent_solution():
 
     sys = cardinality_system(6, 2)
     report = contract_audit(Overfull(sys, make_modular([1.0] * 6)),
-                            list(range(6)), sys)
+                            list(range(6)))
     assert not report.ok
     assert report.violations == ["solution is not independent"]
 
