@@ -32,7 +32,7 @@ def _check_edge(n: int, e) -> tuple[int, int, float]:
     u, v = _endpoints("graph", e, n)
     try:
         w = float(w)
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         pass  # named below, as it was given
     if type(w) is not float or not 0.0 <= w < math.inf:  # also for NaN
         raise ValueError(f"edge ({u}, {v}) has weight {w!r}; "
@@ -81,9 +81,16 @@ class CutGraph:
     def from_arrays(cls, n_vertices: int, src, dst, weight) -> CutGraph:
         """The graph whose edge i is ``(src[i], dst[i], weight[i])``; the
         arrays are copied, so the caller may change them afterwards."""
+        n = _spec_count("graph", "n_vertices", n_vertices)
         g = cls.__new__(cls)
-        g._init(_spec_count("graph", "n_vertices", n_vertices), src, dst,
-                weight)
+        g._init(n, src, dst, weight)
+        bad = g.src == g.dst
+        # as uint64 a negative id reads as a huge one
+        bad |= np.maximum(g.src.view(np.uint64), g.dst.view(np.uint64)) >= n
+        bad |= ~(g.weight >= 0.0) | (g.weight == math.inf)  # negative, NaN, inf
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            _check_edge(n, (int(g.src[i]), int(g.dst[i]), float(g.weight[i])))
         return g
 
     def _init(self, n: int, src, dst, weight) -> None:
@@ -92,13 +99,6 @@ class CutGraph:
         weight = _owned(weight, np.float64, "biuf", "weight")
         if not len(src) == len(dst) == len(weight):
             raise ValueError("src, dst and weight must have one entry per edge")
-        bad = src == dst
-        # as uint64 a negative id reads as a huge one
-        bad |= np.maximum(src.view(np.uint64), dst.view(np.uint64)) >= n
-        bad |= ~(weight >= 0.0) | (weight == math.inf)  # negative, NaN, inf
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            _check_edge(n, (int(src[i]), int(dst[i]), float(weight[i])))
         for name, value in (("n_vertices", n), ("src", src), ("dst", dst),
                             ("weight", weight)):
             object.__setattr__(self, name, value)

@@ -458,15 +458,15 @@ class CascadeTrace:
 
 def cascade_run(chain: Sequence[StreamingComponent], stream: Sequence[int],
                 offline: Callable[..., ElementSet]) -> CascadeTrace:
-    """Feed the stream through a chain of components and return the best of
-    their solutions and their summaries polished by
-    ``offline(copy.f, copy.sys, summary)``.
+    """Feed a stream through a chain of components; return the best of their
+    solutions and their summaries polished by ``offline(f, sys, summary)``.
 
     The chain, usually r fresh copies of one component, runs as one
     :func:`_drive` chain, so what copy i rejects or later drops is pushed
-    to copy i+1, and the peak is summed over all copies.  An empty chain
-    raises ``ValueError``.  Each copy's solution must be independent in
-    that copy's ``sys``, and its candidates are valued by its ``f``.  With
+    to copy i+1, and the peak is summed over all copies.  The copies share
+    the first copy's ``sys``, in which each solution must be independent,
+    and its ``f``, which values every candidate; an empty chain or a copy
+    over another system or objective object raises ``ValueError``.  With
     deterministic components and offline solver the whole run is
     deterministic.  A later candidate wins only when it beats the best so
     far by more than ``EPS`` (:func:`first_best`): near-ties resolve to
@@ -474,15 +474,17 @@ def cascade_run(chain: Sequence[StreamingComponent], stream: Sequence[int],
     """
     if not chain:
         raise ValueError("need at least one component copy")
+    sys, f = chain[0].sys, chain[0].f
+    if any(copy.sys is not sys or copy.f is not f for copy in chain):
+        raise ValueError("copies must share one system and objective")
     outcomes, peak, _ = _drive(chain, stream)
     candidates: list[tuple[str, ElementSet, float]] = []
-    for idx, (copy, outcome) in enumerate(zip(chain, outcomes), start=1):
-        if not copy.sys.is_independent(outcome.solution):
+    for idx, outcome in enumerate(outcomes, start=1):
+        if not sys.is_independent(outcome.solution):
             raise ContractViolationError("component returned a dependent solution")
-        f = copy.f
         candidates.append((f"s{idx}", outcome.solution,
                            f.value(outcome.solution)))
-        polished = offline(f, copy.sys, outcome.summary)
+        polished = offline(f, sys, outcome.summary)
         candidates.append((f"s{idx}+offline", polished, f.value(polished)))
     best_label, best, best_val = candidates[first_best(
         val for _, _, val in candidates)]

@@ -4,21 +4,22 @@ names the tests that must catch it.
 A mutant is a file under ``src/substream``, an exact source snippet that
 must occur in it exactly once, the snippet's replacement, and the ids of
 the tests that must fail.  An id may name one test or a whole (for
-example parametrized) test function; it kills the mutant when at least
-one test it selects fails.
+example parametrized) test function; it kills the mutant when pytest,
+run on that id alone, exits 1 (some selected test failed).
 
 For each mutant the runner copies ``src/`` and ``tests/`` (and
 ``pyproject.toml``, for the pytest settings) to a temporary directory,
 since ``tests/conftest.py`` puts the ``src`` next to it first on
 ``sys.path``, applies the mutant to the copy and runs the named tests
 there.  Before any mutant it runs every named test on an unmutated copy,
-where all of them must pass.  It exits 1 when a snippet does not match
-exactly once, a named test is not found or fails unmutated, or a mutant
-survives.  It needs only the standard library and pytest.
+where pytest must exit 0.  It exits 1 when that baseline run fails, a
+snippet does not match exactly once, or pytest exits with anything but
+1 on a killer (0: the mutant survives).  It needs only the standard
+library and pytest.
 
-Run from anywhere, with the names of some mutants to run only those::
+Run from anywhere::
 
-    python tests/mutants.py [NAME ...]
+    python tests/mutants.py
 
 A change that rewrites mutated code updates the snippet with it; the
 file name stays outside pytest's default ``test_*.py`` pattern, so the
@@ -32,7 +33,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,7 +52,7 @@ MUTANTS = [
     Mutant(
         "cascade-skips-independence",
         "streaming.py",
-        "        if not copy.sys.is_independent(outcome.solution):\n"
+        "        if not sys.is_independent(outcome.solution):\n"
         "            raise ContractViolationError(",
         "        if False:\n"
         "            raise ContractViolationError(",
@@ -70,6 +70,20 @@ MUTANTS = [
         "        triples = [_check_edge(n, e) for e in edges]",
         "        triples = [_check_edge(n, e) for e in list(edges)[::-1]][::-1]",
         ("tests/test_objectives.py::test_cut_graph_names_the_first_bad_edge",)),
+    Mutant(
+        "cascade-takes-copies-over-other-inputs",
+        "streaming.py",
+        "    if any(copy.sys is not sys or copy.f is not f for copy in chain):",
+        "    if False:",
+        ("tests/test_streaming.py"
+         "::test_cascade_rejects_copies_over_different_inputs",)),
+    Mutant(
+        "from-arrays-skips-its-edge-check",
+        "objectives.py",
+        "        if bad.any():",
+        "        if False:",
+        ("tests/test_objectives.py"
+         "::test_from_arrays_names_the_first_bad_edge",)),
     Mutant(
         "no-bound-above-2**1023",
         "streaming.py",
@@ -150,48 +164,27 @@ def _copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def _outcomes(tree: Path, ids: list[str]) -> dict[str, bool]:
-    """Run the tests ``ids`` in ``tree``; returns each collected test's
-    node id and whether it failed."""
-    report = tree / "report.xml"
+def _pytest(tree: Path, ids: list[str]) -> int:
+    """pytest's exit code for the tests ``ids`` run in ``tree``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
-                    "no:cacheprovider", f"--junitxml={report}", *ids],
-                   cwd=tree, env=env, stdin=subprocess.DEVNULL,
-                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    if not report.exists():
-        return {}
-    failed = {}
-    for case in ET.parse(report).iter("testcase"):
-        module = case.get("classname", "").replace(".", "/") + ".py"
-        node = f"{module}::{case.get('name')}"
-        failed[node] = any(child.tag in ("failure", "error")
-                           for child in case)
-    return failed
-
-
-def _selected(test_id: str, outcomes: dict[str, bool]) -> list[bool]:
-    """The outcomes of the tests that ``test_id`` selects."""
-    return [failed for node, failed in outcomes.items()
-            if node == test_id or node.startswith(test_id + "[")]
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
+                           "no:cacheprovider", *ids],
+                          cwd=tree, env=env, stdin=subprocess.DEVNULL,
+                          stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
 
 
 def run(mutants: list[Mutant]) -> list[str]:
     """Every problem found, as one line each; empty when all is well."""
-    problems: list[str] = []
     ids = sorted({t for m in mutants for t in m.killers})
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         _copy_tree(tree)
-        outcomes = _outcomes(tree, ids)
-    for test_id in ids:
-        selected = _selected(test_id, outcomes)
-        if not selected:
-            problems.append(f"{test_id}: no such test")
-        elif any(selected):
-            problems.append(f"{test_id}: fails without a mutant")
-    if problems:
-        return problems
+        code = _pytest(tree, ids)
+    if code != 0:
+        return [f"baseline: pytest exits {code} on the named tests "
+                "without a mutant"]
+    problems: list[str] = []
     for m in mutants:
         with tempfile.TemporaryDirectory() as tmp:
             tree = Path(tmp)
@@ -204,25 +197,23 @@ def run(mutants: list[Mutant]) -> list[str]:
                                 f"in {m.path}")
                 continue
             target.write_text(text.replace(m.snippet, m.replacement))
-            outcomes = _outcomes(tree, list(m.killers))
-        survived = [t for t in m.killers if not any(_selected(t, outcomes))]
-        status = "survived" if survived else "killed"
-        print(f"{m.name}: {status}", flush=True)
-        problems += [f"{m.name}: survives {t}" for t in survived]
+            codes = {t: _pytest(tree, [t]) for t in m.killers}
+        killed = all(code == 1 for code in codes.values())
+        print(f"{m.name}: {'killed' if killed else 'not killed'}", flush=True)
+        for t, code in codes.items():
+            if code == 0:
+                problems.append(f"{m.name}: survives {t}")
+            elif code != 1:
+                problems.append(f"{m.name}: pytest exits {code} on {t}")
     return problems
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}")
-        return 1
-    problems = run(chosen)
+def main() -> int:
+    problems = run(MUTANTS)
     for line in problems:
         print(line)
     return 1 if problems else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -109,6 +109,7 @@ def test_cut_graph_normalizes_mixed_edges_like_a_plain_conversion():
     ([(0, 2, 1.0), (2, 1, None)], r"edge \(2, 1\) has weight None"),
     ([(1, 1, 1.0), (0, 1, "x")], "self-loop at vertex 1"),
     ([(0, 1, None), (0.5, 1, 1.0)], r"edge \(0, 1\) has weight None"),
+    ([(0, 2, 1.0), (0, 1, 10**400)], r"edge \(0, 1\) has weight 1000"),
 ])
 def test_cut_graph_names_the_first_bad_edge(edges, message):
     with pytest.raises(ValueError, match=message):
@@ -145,6 +146,19 @@ def test_from_arrays_rejects_malformed_arrays(src, dst, weight, error,
                                               message):
     with pytest.raises(error, match=message):
         CutGraph.from_arrays(2, src, dst, weight)
+
+
+@pytest.mark.parametrize("src, dst, weight, message", [
+    ([0, 1, 2], [1, 1, 0], [1.0, 1.0, 1.0], "self-loop at vertex 1"),
+    ([0, 1, 2], [1, 3, 0], [1.0, 1.0, -1.0], r"edge \(1, 3\) outside"),
+    ([0, -1], [1, 0], [1.0, 1.0], r"edge \(-1, 0\) outside"),
+    ([0, 1], [1, 2], [-1.0, math.nan], r"edge \(0, 1\) has weight -1\.0"),
+    ([0, 1], [1, 2], [1.0, math.nan], r"edge \(1, 2\) has weight nan"),
+    ([0, 1], [1, 2], [1.0, math.inf], r"edge \(1, 2\) has weight inf"),
+], ids=["self-loop", "range", "negative-id", "negative", "nan", "inf"])
+def test_from_arrays_names_the_first_bad_edge(src, dst, weight, message):
+    with pytest.raises(ValueError, match=message):
+        CutGraph.from_arrays(3, np.array(src), np.array(dst), np.array(weight))
 
 
 def test_cut_graph_owns_read_only_arrays():

@@ -491,6 +491,17 @@ def test_cascade_rejects_a_dependent_solution():
         cascade_run(chain, [0, 1, 2, 3], repeated_greedy)
 
 
+@pytest.mark.parametrize("mixed", ["objective", "system"])
+def test_cascade_rejects_copies_over_different_inputs(mixed):
+    sys = cardinality_system(4, 1)
+    f = make_modular([1.0] * 4)
+    other_sys = cardinality_system(4, 1) if mixed == "system" else sys
+    other_f = make_modular([2.0] * 4) if mixed == "objective" else f
+    chain = [GreedyStream(sys, f), GreedyStream(other_sys, other_f)]
+    with pytest.raises(ValueError, match="share one system and objective"):
+        cascade_run(chain, [0, 1, 2, 3], repeated_greedy)
+
+
 def test_contract_audit_threshold_sieve_space():
     rng = SplitMix64(49)
     for _ in range(10):
