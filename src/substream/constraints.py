@@ -32,7 +32,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .core import (ElementSet, GroundSetError, SizeLimitError,
                    UnsupportedConstraintError, _dense, _endpoints, _outside,
                    _running_sum, _spec_count, _spec_int)
-from .planarity import _index, planarity_check
+# planarity_check stays importable from here: perfbench/tracing.py patches it
+from .planarity import _check, _is_planar, planarity_check  # noqa: F401
 
 CLASS_TAGS = ("matroid", "k_extendible", "k_system")
 
@@ -419,13 +420,13 @@ def planarity_system(n_vertices: int, edge_list: Sequence[Sequence[int]]) -> Ind
 
     ``n_vertices`` and the endpoints must be whole numbers (a float such
     as ``3.0`` is taken as 3); a NaN, infinite or fractional one raises
-    ``ValueError`` naming the field or the edge; the left-right kernel's
-    own edge check rejects a parallel edge, and :class:`IndependenceSystem`
-    an empty edge list.
+    ``ValueError`` naming the field or the edge; a parallel edge is
+    rejected here, once, so the left-right tests skip the edge check, and
+    :class:`IndependenceSystem` rejects an empty edge list.
     """
     n_vertices = _spec_int("planarity", "n_vertices", n_vertices)
     edges = [_endpoints("planarity", e, n_vertices) for e in edge_list]
-    _index(edges)  # the kernel's own check rejects a parallel edge
+    _check(edges)  # rejects a parallel edge
     return _planarity(edges)
 
 
@@ -433,7 +434,7 @@ def _planarity(edges: list[tuple[int, int]]) -> IndependenceSystem:
     """The planarity system over checked edges, with empty memos."""
 
     def pred(s):
-        return len(s) <= 8 or planarity_check([edges[i] for i in s])
+        return len(s) <= 8 or _is_planar([edges[i] for i in s])
 
     memo: dict = {}
     memo_u = None
@@ -463,7 +464,7 @@ def _planarity(edges: list[tuple[int, int]]) -> IndependenceSystem:
         key = (u, frozenset(block))
         answer = tested.get(key)
         if answer is None:
-            tested[key] = answer = planarity_check(
+            tested[key] = answer = _is_planar(
                 [edges[i] for i in block] + [edges[u]])
         return answer
 

@@ -30,18 +30,12 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Sequence
 
 
-def _index(edges: Iterable[Sequence[Hashable]]):
-    """Check a simple undirected edge list and number it.
-
-    Returns ``(tips, adj)``: the XOR of the two vertex ids of each edge,
-    so that ``tips[x] ^ v`` is the end of edge x other than v, and the ids
-    of the edges at each vertex, in input order.
-    """
-    ids: dict = {}
+def _check(edges: Sequence[Sequence[Hashable]]) -> None:
+    """Raise ``ValueError`` unless ``edges`` is a simple undirected edge
+    list: every edge has two endpoints, no edge is a self-loop and no two
+    edges join the same pair."""
     seen = set()
-    tips = []
-    adj: list[list[int]] = []
-    for x, e in enumerate(edges):
+    for e in edges:
         try:
             u, v = e[0], e[1]
         except (IndexError, TypeError):
@@ -52,6 +46,20 @@ def _index(edges: Iterable[Sequence[Hashable]]):
         if (u, v) in seen or (v, u) in seen:
             raise ValueError(f"parallel edge between {u!r} and {v!r}")
         seen.add((u, v))
+
+
+def _index(edges: Sequence[Sequence[Hashable]]):
+    """Number an edge list that :func:`_check` accepts.
+
+    Returns ``(tips, adj)``: the XOR of the two vertex ids of each edge,
+    so that ``tips[x] ^ v`` is the end of edge x other than v, and the ids
+    of the edges at each vertex, in input order.
+    """
+    ids: dict = {}
+    tips = []
+    adj: list[list[int]] = []
+    for x, e in enumerate(edges):
+        u, v = e[0], e[1]
         a = ids.get(u)
         if a is None:
             a = ids[u] = len(adj)
@@ -77,6 +85,14 @@ def planarity_check(edges: Iterable[Sequence[Hashable]]) -> bool:
     endpoints the edges mention, so isolated vertices never enter the
     picture (they cannot affect planarity).
     """
+    edges = list(edges)
+    _check(edges)
+    return _is_planar(edges)
+
+
+def _is_planar(edges: Sequence[Sequence[Hashable]]) -> bool:
+    """:func:`planarity_check` of an edge list that :func:`_check`
+    already accepted, such as a part of a planarity system's edges."""
     tips, adj = _index(edges)
     m = len(tips)
     nv = len(adj)

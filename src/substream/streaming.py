@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Collection, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .core import (EPS, ContractViolationError, DuplicateElementError,
                    ElementSet, GainState, NumericError, Objective,
@@ -24,41 +25,37 @@ from .core import (EPS, ContractViolationError, DuplicateElementError,
 from .constraints import FeasibilityState, IndependenceSystem
 from .offline import unweighted_greedy
 
-# log2 is evaluated in floating point; the nudge keeps floor/ceil stable
-# when the argument sits on an exact power of two.
-_LOG_GUARD = 1e-12
-
-
-def _floor_log2(x: float) -> int:
-    return math.floor(math.log2(x) + _LOG_GUARD)
-
-
-def _ceil_log2(x: float) -> int:
-    return math.ceil(math.log2(x) - _LOG_GUARD)
-
-
 def _guess_exponent(m: float) -> int:
     """Exponent of the smallest power of two at or above ``m > 0``; above
     ``2**1023`` no finite one is, and ``NumericError`` is raised."""
     if m > 2.0 ** 1023:
         raise NumericError(f"best singleton value {m} is above 2**1023")
-    return _ceil_log2(m)
+    mantissa, exponent = math.frexp(m)  # m = mantissa * 2**exponent
+    return exponent - 1 if mantissa == 0.5 else exponent
+
+
+def _level(ratio: float) -> int:
+    """``floor(log2(ratio))`` for a positive finite ``ratio``, read off its
+    exponent; -1 for 0 and infinity, which lie off every band."""
+    return math.frexp(ratio)[1] - 1
 
 
 def bucket_count(rho: int) -> int:
-    """Number of marginal-value bands kept for a capacity bound ``rho``."""
-    return _floor_log2(4 * rho) + 1
+    """Number of marginal-value bands kept for a capacity bound ``rho``:
+    ``floor(log2(4 rho)) + 1``."""
+    return (4 * rho).bit_length()
 
 
 def band_top(k: int, base_size: int) -> int:
     """Deepest band of an adaptive sieve whose greedy base has
-    ``base_size`` elements."""
-    return math.floor(2 * math.log2(k * base_size) + 3 + _LOG_GUARD)
+    ``base_size`` elements: ``floor(2 log2(k base_size)) + 3``."""
+    return ((k * base_size) ** 2).bit_length() + 2
 
 
 def candidate_count(k: int) -> int:
-    """Number of interleaved candidate solutions built at end of stream."""
-    return _ceil_log2(2 * k + 1)
+    """Number of interleaved candidate solutions built at end of stream:
+    ``ceil(log2(2k + 1))``."""
+    return (2 * k).bit_length()
 
 
 def trace_to_csv(events) -> str:
@@ -156,8 +153,10 @@ class _BandedSieve(StreamingComponent):
     :class:`AdaptiveSieve`.
 
     Each arriving element is bucketed by how its marginal gain against
-    everything kept so far compares with ``tau``; each bucket independently
-    keeps a feasibility-greedy base in a feasibility state from
+    everything kept so far compares with ``tau``: the band of a gain g is
+    ``floor(log2(tau / g))``, read exactly off the float's exponent
+    (:func:`_level`).  Each bucket independently keeps a
+    feasibility-greedy base in a feasibility state from
     :meth:`IndependenceSystem.open`, and ``buckets`` lists their members.
     A bucket's state is opened the first time an element reaches its
     band, so a band that never takes one costs no state (``buckets``
@@ -167,9 +166,9 @@ class _BandedSieve(StreamingComponent):
     gain query.  At end of stream, :meth:`drain` builds
     ``candidate_count(sys.k_param)`` interleaved candidates from the
     buckets and returns the best one.  :meth:`widen` appends the bands
-    (``ell``, one bucket per band) that :meth:`place` sorts arrivals
-    into.  An arrival that no bucket takes is evicted unless ``base``
-    (what :class:`AdaptiveSieve` keeps outside the buckets) holds it.
+    (``ell``, one bucket per band) that arrivals are sorted into.  An
+    arrival that no bucket takes is evicted unless ``base`` (what
+    :class:`AdaptiveSieve` keeps outside the buckets) holds it.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float):
@@ -197,18 +196,13 @@ class _BandedSieve(StreamingComponent):
         return [ElementSet() if state is None else state.members
                 for state in self._bucket_states]
 
-    def place(self, u: int, gain: float) -> bool:
-        """Add ``u`` to the bucket of the band that ``gain``, u's gain
-        against ``kept``, falls in, if that bucket can take it; returns
-        whether it did.  A pushed sieve asks its own gain state for the
-        gain; the AutoThreshold window asks every copy's at once.
-        """
+    def _place(self, u: int) -> bool:
+        """Add ``u`` to the bucket of the band its gain falls in, if that
+        bucket can take it; returns whether it did."""
+        gain = self._kept_gains.gain(u)
         if gain <= EPS:
             return False  # band infinity
-        try:
-            i = _floor_log2(self.tau / gain)
-        except (OverflowError, ValueError):  # ratio inf or 0: off every band
-            return False
+        i = _level(self.tau / gain)
         if i < 0 or i > self.ell:
             return False
         bucket = self._bucket_states[i]
@@ -222,7 +216,7 @@ class _BandedSieve(StreamingComponent):
         return True
 
     def _ingest(self, u: int) -> list[int]:
-        if self.place(u, self._kept_gains.gain(u)) or u in self.base:
+        if self._place(u) or u in self.base:
             return []
         self._note("evict", u, -1, 0.0)
         return [u]
@@ -241,12 +235,11 @@ class _BandedSieve(StreamingComponent):
             for j in range(self.h)]
         return self.candidates
 
-    def drain(self, known: dict | None = None) -> tuple[ElementSet, float]:
+    def drain(self) -> tuple[ElementSet, float]:
         """Build the candidates and return the first best with its value;
-        each distinct candidate is valued once (:func:`values_once`), in
-        every drain that shares the memo ``known``."""
+        each distinct candidate is valued once (:func:`values_once`)."""
         cands = self.build_candidates()
-        values = values_once(self.f, cands, known)
+        values = values_once(self.f, cands)
         best = first_best(values)
         return cands[best], values[best]
 
@@ -286,13 +279,11 @@ class AdaptiveSieve(_BandedSieve):
     Instead of a known ``rho`` it tracks a feasibility-greedy base of the
     prefix seen so far and widens to ``band_top(k, |base|)`` each time the
     base grows.  ``tau`` keeps the same [M, 2M] contract as
-    :class:`ThresholdSieve`.  A window copy of :class:`AutoThresholdSieve`
-    is driven through :meth:`place` and :meth:`drain` alone: it opens no
-    base of its own, and the window widens it.  Unlike
-    :class:`ThresholdSieve` it takes no ``trace`` list.
+    :class:`ThresholdSieve`.  It is driven by ``push`` and ``finish``
+    alone, and unlike :class:`ThresholdSieve` it takes no ``trace`` list.
     """
 
-    # an __init__ of its own: perfbench/tracing.py counts window copies by it
+    # an __init__ of its own, which perfbench/tracing.py patches
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float):
         super().__init__(sys, f, tau)
         self._base: FeasibilityState | None = None  # opened on the first push
@@ -308,75 +299,197 @@ class AdaptiveSieve(_BandedSieve):
         return super()._ingest(u)
 
 
+class _Group:
+    """Window copies ``lo..hi`` that hold one kept set in one order.
+
+    ``gains`` is the kept set's gain state and ``buckets`` one
+    feasibility state per absolute level: copy e's band i holds the
+    members of level ``i - e``.
+    ``candidates`` holds one candidate per residue of a level mod h,
+    once the window drains.
+    """
+
+    __slots__ = ("lo", "hi", "gains", "buckets", "candidates")
+
+    def __init__(self, lo: int, hi: int, gains: GainState):
+        self.lo = lo
+        self.hi = hi
+        self.gains = gains
+        self.buckets: dict[int, FeasibilityState] = {}
+        self.candidates: list[ElementSet] | None = None
+
+    def bucket(self, level: int, sys: IndependenceSystem) -> FeasibilityState:
+        """The state of ``level``, opened on first use."""
+        state = self.buckets.get(level)
+        if state is None:
+            state = self.buckets[level] = sys.open()
+        return state
+
+    def add(self, u: int, bucket: FeasibilityState) -> None:
+        """Keep ``u`` in ``bucket``, the state of its level."""
+        bucket.add(u)
+        self.gains.add(u)
+
+
+class _CopyView:
+    """One window copy as a banded sieve with ``tau = 2**exponent`` shows
+    it: ``kept``, ``buckets`` (bands 0..``ell``), ``ell`` and
+    ``candidates``, all read from the copy's group."""
+
+    __slots__ = ("group", "exponent", "ell", "h")
+
+    def __init__(self, group: _Group, exponent: int, ell: int, h: int):
+        self.group = group
+        self.exponent = exponent
+        self.ell = ell
+        self.h = h
+
+    @property
+    def kept(self) -> ElementSet:
+        return self.group.gains.members
+
+    @property
+    def buckets(self) -> list[ElementSet]:
+        states = self.group.buckets
+        return [ElementSet() if state is None else state.members
+                for state in (states.get(i - self.exponent)
+                              for i in range(self.ell + 1))]
+
+    @property
+    def candidates(self) -> list[ElementSet] | None:
+        cands = self.group.candidates
+        if cands is None:
+            return None
+        return [cands[(j - self.exponent) % self.h] for j in range(self.h)]
+
+
 class AutoThresholdSieve(StreamingComponent):
     """Banded sieve needing neither the capacity bound nor the threshold.
 
-    Keeps one :class:`AdaptiveSieve` copy per active power-of-two threshold
-    guess.  The guess window follows the best feasible singleton seen so
-    far and the size of a greedy base kept here, so :meth:`_move` runs
-    only when one of those two grows: it drops the copies whose guess
-    left the window, makes the missing ones and widens every copy to
-    ``band_top`` of this base.  An element leaves when neither the base
-    nor any copy holds it any more.  Copies are driven through ``place``
-    and ``drain``; at end of stream they drain in exponent order with one
-    shared memo, so each distinct candidate is valued once across the
-    window (:func:`values_once`), and the first best winner wins.
-    ``stored_count()`` reads a running count: one per element a copy
-    places, less a dropped copy's kept set, plus the candidates once built.
+    Keeps one banded-sieve copy, with ``tau = 2**e``, per exponent e of
+    the active power-of-two threshold guesses.  The guess window follows
+    the best feasible singleton seen so far and the size of a greedy base
+    kept here, so :meth:`_move` runs only when one of those two grows.
+    Every copy's deepest band is ``ell = band_top(k, |base|)``.  An
+    element leaves when neither the base nor any copy holds it any more.
 
-    Each arrival's gain against every copy's kept set comes from one
-    :meth:`Objective.gains` call, asked before any copy takes it, so an
-    error leaves every copy without the element.  ``_live`` lists the
-    copies in ``copies`` order and ``_live_states`` their kept gain
-    states; :meth:`_move` rebuilds both.  Whether an arrival is a
-    feasible singleton is asked of one state that never takes an
-    element.  ``best_singleton`` is the best feasible singleton worth over
-    ``EPS`` (``-inf`` before one); :func:`_guess_exponent` checks a new
-    best before the base or any copy takes it.
+    Copies that hold one kept set in one order share one state: a
+    *group* (:class:`_Group`) is a contiguous run of exponents with one
+    gain state and one feasibility state per absolute level.  A gain g
+    has level ``floor(log2(1/g))`` (:func:`_level`), and copy e puts it in
+    band ``e + level``, so copy e can take it when
+    ``0 <= e + level <= ell``.  Each arrival's gain against every group's
+    kept set comes from one :meth:`Objective.gains` call, asked before
+    any group takes it, so an error leaves every copy without the
+    element.  A group then asks one ``can_add`` of its level's state.
+    When only some of its copies can take the element, the group splits
+    into at most three contiguous parts: the taking part keeps the live
+    states and adds the element, and each other part gets states rebuilt
+    by replaying the members in member order.  :meth:`_move` drops
+    exponents at the bottom and adds them at the top: a fully dropped
+    group evicts what no later group and not the base holds, a partly
+    dropped group evicts nothing, and new exponents join the top group
+    while it holds nothing, else form a new empty group.
+
+    At end of stream each group builds its h candidates once, one per
+    residue of a level mod h; copy e's candidate j is the group's
+    candidate ``(j - e) mod h``, as the copy's buckets j, j+h, ... hold
+    exactly those levels.  Copies choose in exponent order, each
+    distinct candidate valued once across the window
+    (:func:`values_once`), and the first best winner wins.
+    ``copies`` maps each exponent to a read-only view of its copy
+    (:class:`_CopyView`).  ``stored_count()`` counts per copy: one per
+    copy that takes an element, less a dropped copy's kept set, plus the
+    candidates once built.
+
+    Whether an arrival is a feasible singleton is asked of one state
+    that never takes an element.  ``best_singleton`` is the best feasible
+    singleton worth over ``EPS`` (``-inf`` before one);
+    :func:`_guess_exponent` checks a new best before the base or any copy
+    takes it.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective):
         super().__init__(sys, f)
         self.k = sys.k_param
+        self.h = candidate_count(self.k)
+        self.ell = -1  # every copy's deepest band
         self._base = sys.open()
         self.base = self._base.members
         self._empty = sys.open()  # never takes an element
         self.best_singleton = -math.inf
         self._lo = 0  # _guess_exponent(best_singleton), once it is set
-        self.copies: dict[int, AdaptiveSieve] = {}  # exponent -> copy
-        self._live: list[AdaptiveSieve] = []
-        self._live_states: list[GainState] = []
+        self._groups: list[_Group] = []  # ascending, contiguous exponents
         self._stored = 0  # the copies' kept elements, then their candidates
 
+    @property
+    def copies(self) -> Mapping[int, _CopyView]:
+        """Exponent -> view of its copy, in ascending exponent order."""
+        return MappingProxyType({
+            e: _CopyView(group, e, self.ell, self.h)
+            for group in self._groups for e in range(group.lo, group.hi + 1)})
+
     def active_exponents(self) -> range:
-        """Exponents i with best_singleton <= 2**i <= window top; the base
-        holds an element once a feasible singleton is worth over ``EPS``."""
+        """Exponents i with best_singleton <= 2**i <= window top, where the
+        top is ``best_singleton * 32 (k |base|)**2``; the base holds an
+        element once a feasible singleton is worth over ``EPS``."""
         if self.best_singleton <= EPS:
             return range(0)
-        width = 2 * math.log2(self.k * len(self.base)) + 5
-        hi = math.floor(math.log2(self.best_singleton) + width + _LOG_GUARD)
+        # floor(log2(p / q * 32 (k |base|)**2)), exactly, as q = 2**t
+        p, q = self.best_singleton.as_integer_ratio()
+        hi = ((p * 32 * (self.k * len(self.base)) ** 2).bit_length()
+              - q.bit_length())
         return range(self._lo, min(hi, 1023) + 1)  # 2.0 ** 1024 overflows
 
     def _move(self) -> list[int]:
-        """Fit the copies to the window after ``best_singleton`` or the
+        """Fit the groups to the window after ``best_singleton`` or the
         base grew; returns what only the dropped copies held."""
         window = self.active_exponents()
+        groups = self._groups
         evicted: list[int] = []
-        for exponent in [e for e in self.copies if e not in window]:
-            dropped = self.copies.pop(exponent).kept
-            self._stored -= len(dropped)
-            evicted += _unheld(dropped, [
-                self.base, *(c.kept for c in self.copies.values())])
-        top = band_top(self.k, len(self.base))
-        for exponent in window:
-            copy = self.copies.get(exponent)
-            if copy is None:
-                copy = self.copies[exponent] = AdaptiveSieve(
-                    self.sys, self.f, 2.0 ** exponent)
-            copy.widen(top)
-        self._live = list(self.copies.values())
-        self._live_states = [copy._kept_gains for copy in self._live]
+        while groups and groups[0].lo < window.start:
+            group = groups[0]
+            kept = group.gains.members
+            self._stored -= (min(group.hi + 1, window.start) - group.lo) * len(kept)
+            if group.hi < window.start:
+                groups.pop(0)
+                evicted += _unheld(kept, [
+                    self.base, *(later.gains.members for later in groups)])
+            else:
+                group.lo = window.start
+        first = groups[-1].hi + 1 if groups else window.start
+        if first < window.stop:
+            # the top copy's band for a gain up to best_singleton is past
+            # ell, so the top group holds nothing unless a gain against
+            # the empty set rounds above the best singleton
+            if groups and not groups[-1].gains.members:
+                groups[-1].hi = window.stop - 1
+            else:
+                groups.append(_Group(first, window.stop - 1, self.f.open()))
+        self.ell = band_top(self.k, len(self.base))
         return evicted
+
+    def _replay(self, group: _Group, lo: int, hi: int) -> _Group:
+        """A group of the copies ``lo..hi`` with states of their own,
+        rebuilt from ``group``'s members in member order."""
+        part = _Group(lo, hi, self.f.open())
+        level_of = {x: level for level, state in group.buckets.items()
+                    for x in state.members}
+        for x in group.gains.members:
+            part.add(x, part.bucket(level_of[x], self.sys))
+        return part
+
+    def _split(self, group: _Group, lo: int, hi: int) -> None:
+        """Cut ``group`` to its copies ``lo..hi``; the copies below and
+        above them become groups of their own (:meth:`_replay`)."""
+        parts = [group]
+        if group.lo < lo:
+            parts.insert(0, self._replay(group, group.lo, lo - 1))
+        if hi < group.hi:
+            parts.append(self._replay(group, hi + 1, group.hi))
+        group.lo, group.hi = lo, hi
+        i = self._groups.index(group)
+        self._groups = self._groups[:i] + parts + self._groups[i + 1:]
 
     def _ingest(self, u: int) -> list[int]:
         moved = False
@@ -391,23 +504,48 @@ class AutoThresholdSieve(StreamingComponent):
             self._base.add(u)
             moved = True
         evicted = self._move() if moved else []
-        gains = self.f.gains(u, self._live_states)
-        for copy, gain in zip(self._live, gains):
-            if copy.place(u, gain):
-                held = True
-                self._stored += 1
+        groups, ell = self._groups, self.ell
+        gains = self.f.gains(u, [group.gains for group in groups])
+        for group, gain in zip(groups, gains):  # _split replaces _groups
+            if gain <= EPS:
+                continue
+            level = _level(1.0 / gain)
+            lo, hi = max(group.lo, -level), min(group.hi, ell - level)
+            if lo > hi:
+                continue
+            bucket = group.bucket(level, self.sys)
+            if not bucket.can_add(u):
+                continue
+            if lo != group.lo or hi != group.hi:
+                self._split(group, lo, hi)
+            group.add(u, bucket)
+            self._stored += hi - lo + 1
+            held = True
         if not held:
             evicted.append(u)
         return evicted
 
     def _finalize(self):
-        copies = [self.copies[exponent] for exponent in sorted(self.copies)]
         known: dict[tuple[int, ...], float] = {}
-        winners = [copy.drain(known) for copy in copies]
-        self._stored += sum(len(t) for copy in copies for t in copy.candidates)
+        winners: list[tuple[ElementSet, float]] = []
+        h = self.h
+        for group in self._groups:
+            buckets = group.buckets
+            levels = sorted(buckets)
+            cands = group.candidates = [unweighted_greedy(
+                self.sys, chain.from_iterable(
+                    buckets[level].members for level in levels
+                    if level % h == r)) for r in range(h)]
+            values = values_once(self.f, cands, known)
+            for e in range(group.lo, group.hi + 1):
+                turn = [(j - e) % h for j in range(h)]
+                best = turn[first_best(values[r] for r in turn)]
+                winners.append((cands[best], values[best]))
+            self._stored += (group.hi - group.lo + 1) * sum(len(t) for t in cands)
         best = (winners[first_best(val for _, val in winners)][0] if winners
                 else ElementSet())
-        return best, ElementSet().union(*(copy.kept for copy in copies))
+        return best, ElementSet().union(
+            *(group.gains.members for group in self._groups))
 
     def stored_count(self) -> int:
         return len(self.base) + self._stored

@@ -3,13 +3,18 @@ the test modules."""
 
 import heapq
 import math
+from itertools import chain
 
 from substream import (CutGraph, brute_force_opt, build_g1, build_g2,
                        cardinality_system, constraints, knapsack_system,
                        labeled_limit_system, make_directed_cut, make_modular,
                        node_independent_set_system, similarity_from_features)
-from substream.core import EPS, ElementSet, TabulatedGainState, first_best
+from substream.core import (EPS, ElementSet, TabulatedGainState, first_best,
+                            values_once)
+from substream.offline import unweighted_greedy
 from substream.prng import SplitMix64
+from substream.streaming import (StreamingComponent, _guess_exponent, _level,
+                                 _unheld, band_top, candidate_count)
 
 
 def random_modular(rng: SplitMix64, n: int):
@@ -138,16 +143,17 @@ def sample_oracles(rng: SplitMix64, n: int = 10):
 
 
 def count_planarity_tests(monkeypatch) -> list[int]:
-    """Wrap ``constraints.planarity_check`` for one test; the returned
-    list gets the edge count of every left-right test made."""
+    """Wrap ``constraints._is_planar``, the left-right test a planarity
+    system asks, for one test; the returned list gets the edge count of
+    every test made."""
     calls = []
-    real = constraints.planarity_check
+    real = constraints._is_planar
 
     def counted(edges):
         calls.append(len(edges))
         return real(edges)
 
-    monkeypatch.setattr(constraints, "planarity_check", counted)
+    monkeypatch.setattr(constraints, "_is_planar", counted)
     return calls
 
 
@@ -292,8 +298,141 @@ def reference_drain(sieve):
     return cands[best], values[best]
 
 
+class ReferenceCopy:
+    """One copy of :class:`ReferenceWindow`: a banded sieve with
+    ``tau = 2**exponent`` and states of its own, driven by the window
+    through :meth:`place` and :meth:`drain`."""
+
+    def __init__(self, sys, f, exponent):
+        self.sys, self.f = sys, f
+        self.tau = 2.0 ** exponent
+        self.h = candidate_count(sys.k_param)
+        self.ell = -1
+        self.states = []  # one per band, None until it takes an element
+        self.gains = f.open()
+        self.kept = self.gains.members
+        self.candidates = None
+
+    def widen(self, ell):
+        while self.ell < ell:
+            self.states.append(None)
+            self.ell += 1
+
+    @property
+    def buckets(self):
+        return [ElementSet() if state is None else state.members
+                for state in self.states]
+
+    def place(self, u, gain):
+        """Add ``u`` to the bucket of band ``floor(log2(tau / gain))``, if
+        that bucket can take it; returns whether it did."""
+        if gain <= EPS:
+            return False
+        i = _level(self.tau / gain)
+        if i < 0 or i > self.ell:
+            return False
+        if self.states[i] is None:
+            self.states[i] = self.sys.open()
+        if not self.states[i].can_add(u):
+            return False
+        self.states[i].add(u)
+        self.gains.add(u)
+        return True
+
+    def build_candidates(self):
+        buckets = self.buckets
+        self.candidates = [unweighted_greedy(
+            self.sys, chain.from_iterable(buckets[j::self.h]))
+            for j in range(self.h)]
+        return self.candidates
+
+    def drain(self, known):
+        cands = self.build_candidates()
+        values = values_once(self.f, cands, known)
+        best = first_best(values)
+        return cands[best], values[best]
+
+
+class ReferenceWindow(StreamingComponent):
+    """The AutoThreshold window with one :class:`ReferenceCopy` per
+    exponent, each with states of its own: the window as it ran before
+    copies that hold one set shared one state.  Each arrival asks every
+    copy's gain in one :meth:`Objective.gains` call; at end of stream
+    the copies drain in exponent order with one shared memo."""
+
+    def __init__(self, sys, f):
+        super().__init__(sys, f)
+        self.k = sys.k_param
+        self._base = sys.open()
+        self.base = self._base.members
+        self._empty = sys.open()
+        self.best_singleton = -math.inf
+        self._lo = 0
+        self.copies = {}  # exponent -> ReferenceCopy, ascending
+        self._stored = 0
+
+    def active_exponents(self):
+        if self.best_singleton <= EPS:
+            return range(0)
+        p, q = self.best_singleton.as_integer_ratio()
+        hi = ((p * 32 * (self.k * len(self.base)) ** 2).bit_length()
+              - q.bit_length())
+        return range(self._lo, min(hi, 1023) + 1)
+
+    def _move(self):
+        window = self.active_exponents()
+        evicted = []
+        for exponent in [e for e in self.copies if e not in window]:
+            dropped = self.copies.pop(exponent).kept
+            self._stored -= len(dropped)
+            evicted += _unheld(dropped, [
+                self.base, *(c.kept for c in self.copies.values())])
+        top = band_top(self.k, len(self.base))
+        for exponent in window:
+            if exponent not in self.copies:
+                self.copies[exponent] = ReferenceCopy(self.sys, self.f,
+                                                      exponent)
+            self.copies[exponent].widen(top)
+        return evicted
+
+    def _ingest(self, u):
+        moved = False
+        if self._empty.can_add(u):
+            value = self.f.singleton(u)
+            if value > self.best_singleton and value > EPS:
+                self._lo = _guess_exponent(value)
+                self.best_singleton = value
+                moved = True
+        held = self._base.can_add(u)
+        if held:
+            self._base.add(u)
+            moved = True
+        evicted = self._move() if moved else []
+        copies = list(self.copies.values())
+        gains = self.f.gains(u, [copy.gains for copy in copies])
+        for copy, gain in zip(copies, gains):
+            if copy.place(u, gain):
+                held = True
+                self._stored += 1
+        if not held:
+            evicted.append(u)
+        return evicted
+
+    def _finalize(self):
+        copies = list(self.copies.values())
+        known = {}
+        winners = [copy.drain(known) for copy in copies]
+        self._stored += sum(len(t) for copy in copies for t in copy.candidates)
+        best = (winners[first_best(val for _, val in winners)][0] if winners
+                else ElementSet())
+        return best, ElementSet().union(*(copy.kept for copy in copies))
+
+    def stored_count(self):
+        return len(self.base) + self._stored
+
+
 def reference_window_finalize(window):
-    """The AutoThreshold window's end of stream as one drain per copy,
+    """A :class:`ReferenceWindow`'s end of stream as one drain per copy,
     each valuing its own candidates: ``(winner, value)``, or the empty
     set and None without copies."""
     copies = [window.copies[e] for e in sorted(window.copies)]

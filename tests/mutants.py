@@ -136,7 +136,7 @@ MUTANTS = [
     Mutant(
         "planarity-takes-a-parallel-edge",
         "constraints.py",
-        "    _index(edges)  # the kernel's own check rejects a parallel edge",
+        "    _check(edges)  # rejects a parallel edge",
         "    pass",
         ("tests/test_constraints.py"
          "::test_planarity_system_rejects_a_parallel_edge",)),
@@ -154,6 +154,41 @@ MUTANTS = [
         "    out_total = [sum(adj.values()) for adj in out_adj]",
         ("tests/test_float_sums.py::test_golden_csv_is_byte_identical_under_"
          "a_compensated_sum[nis]",)),
+    Mutant(
+        "split-gives-the-element-to-the-whole-group",
+        "streaming.py",
+        "                self._split(group, lo, hi)",
+        "                lo, hi = group.lo, group.hi",
+        ("tests/test_window_groups.py"
+         "::test_grouped_window_matches_the_per_copy_window",)),
+    Mutant(
+        "replay-out-of-member-order",
+        "streaming.py",
+        "        for x in group.gains.members:",
+        "        for x in reversed(group.gains.members):",
+        ("tests/test_window_groups.py"
+         "::test_grouped_window_matches_the_per_copy_window",)),
+    Mutant(
+        "new-top-exponents-join-a-non-empty-top-group",
+        "streaming.py",
+        "            if groups and not groups[-1].gains.members:",
+        "            if groups:",
+        ("tests/test_streaming.py::test_new_top_exponents_join_the_top_"
+         "group_only_while_it_holds_nothing",)),
+    Mutant(
+        "band-off-by-one-at-a-power-of-two",
+        "streaming.py",
+        "    return math.frexp(ratio)[1] - 1",
+        "    return math.frexp(math.nextafter(ratio, 0.0))[1] - 1",
+        ("tests/test_streaming.py"
+         "::test_levels_and_guess_exponents_at_powers_of_two",)),
+    Mutant(
+        "band-top-without-its-plus-two",
+        "streaming.py",
+        "    return ((k * base_size) ** 2).bit_length() + 2",
+        "    return ((k * base_size) ** 2).bit_length()",
+        ("tests/test_streaming.py"
+         "::test_integer_band_rules_at_powers_of_two",)),
 ]
 
 

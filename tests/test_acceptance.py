@@ -20,7 +20,7 @@ from substream import (AdaptiveSieve, AutoThresholdSieve,
                        w_sequence_closed_form, w_sequence_total)
 from substream import bench
 from substream.prng import SplitMix64
-from substream.streaming import _ceil_log2
+from substream.streaming import _guess_exponent
 
 from helpers import (downward_closure_violations, exchange_witness,
                      max_feasible_singleton, random_cut, random_labels,
@@ -248,7 +248,7 @@ def test_criterion_09_auto_threshold_dominance():
             continue
         stream = list(range(n))
         rng.shuffle(stream)
-        tau_bar = 2.0 ** _ceil_log2(m)
+        tau_bar = 2.0 ** _guess_exponent(m)
         fixed = AdaptiveSieve(sys, f, tau_bar)
         fixed_val = f.value(fixed.finish(stream).solution)
         auto = AutoThresholdSieve(sys, f)

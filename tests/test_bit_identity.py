@@ -22,7 +22,7 @@ from substream.bench import (gen_erdos_renyi, gen_watts_strogatz, run_algorithm,
 from substream.counterexamples import build_g1, build_g2, w_sequence
 from substream.core import DuplicateElementError, GainState, GroundSetError
 from substream.prng import SplitMix64
-from substream.streaming import _ceil_log2, _drive
+from substream.streaming import _drive, _guess_exponent
 
 from helpers import max_feasible_singleton, state_holding
 
@@ -120,7 +120,7 @@ def legacy_stored_count(comp):
 
 
 def _sieves(sys, f):
-    tau = 2.0 ** _ceil_log2(max_feasible_singleton(sys, f))
+    tau = 2.0 ** _guess_exponent(max_feasible_singleton(sys, f))
     return [ThresholdSieve(sys, f, tau, sys.n), AdaptiveSieve(sys, f, tau),
             AutoThresholdSieve(sys, f)]
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from substream import (ElementSet, GroundSetError, IndependenceSystem,
+                       constraints, planarity,
                        SizeLimitError,
                        cardinality_system, exact_rho,
                        intersect, knapsack_system, labeled_limit_system,
@@ -1016,6 +1017,32 @@ def test_reference_cycle_check_sees_a_factory_closing_over_its_system():
 def test_planarity_system_rejects_a_parallel_edge(edges):
     with pytest.raises(ValueError, match="parallel edge between"):
         planarity_system(3, edges)
+
+
+def test_planarity_system_checks_its_edges_once(monkeypatch):
+    # the left-right tests of the system's states and predicate run on
+    # edges checked when the system was built, and skip the edge check
+    checks = []
+    real = planarity._check
+
+    def counted(edges):
+        checks.append(len(edges))
+        return real(edges)
+
+    monkeypatch.setattr(planarity, "_check", counted)
+    monkeypatch.setattr(constraints, "_check", counted)
+    calls = count_planarity_tests(monkeypatch)
+    edges = list(combinations(range(6), 2))  # K6
+    sys = planarity_system(6, edges)
+    state = sys.open()
+    for u in range(len(edges)):
+        if state.can_add(u):
+            state.add(u)
+    assert not sys.is_independent(range(len(edges)))
+    assert calls and checks == [len(edges)]
+    with pytest.raises(ValueError, match="parallel edge between"):
+        planarity_check([(0, 1), (2, 3), (1, 0)])
+    assert checks == [len(edges), 3]
 
 
 def test_a_cost_map_must_be_keyed_from_zero():

@@ -19,11 +19,17 @@ results, run from the repository root::
     PYTHONPATH=src python tests/test_golden_csv.py planarity > tests/data/golden_planarity.csv
     PYTHONPATH=src python tests/test_golden_csv.py features > tests/data/golden_features.csv
 
-and say in the change log why the results moved.
+and say in the change log why the results moved.  Each file without
+its ``oracle_calls`` column is also pinned to a hash, so a change that
+moves only query counts (re-recorded as above) cannot move a value or a
+peak with them unseen.
 """
 
+import hashlib
 import sys
 from pathlib import Path
+
+import pytest
 
 from substream.bench import rows_to_csv, run_experiment
 
@@ -147,6 +153,25 @@ MATRICES = {"nis": NIS_MATRIX, "edges": EDGE_MATRIX,
             "planarity": PLANARITY_MATRIX, "features": FEATURE_MATRIX}
 
 
+# sha256 prefixes of each golden file without its oracle_calls column
+VALUES_HASHES = {"nis": "e83b947e11e47b47", "edges": "f7660a4c8de80f06",
+                 "planarity": "19d06b46db5933be",
+                 "features": "956db8c579321ea4"}
+
+
+def without_oracle_calls(text: str) -> str:
+    """``text`` with the oracle_calls field cut from every CSV line."""
+    lines, col = [], None
+    for line in text.splitlines(keepends=True):
+        fields = line.split(",")
+        if line.startswith("algorithm,"):
+            col = fields.index("oracle_calls")
+        if not line.startswith("#"):
+            del fields[col]
+        lines.append(",".join(fields))
+    return "".join(lines)
+
+
 def golden_text(matrix) -> str:
     return "".join(f"# {label}\n"
                    + rows_to_csv(run_experiment(cfg, measure_time=False))
@@ -169,6 +194,13 @@ def test_dense_planarity_csv_is_byte_identical():
 def test_feature_objective_csv_is_byte_identical():
     assert (golden_text(FEATURE_MATRIX)
             == (DATA / "golden_features.csv").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_golden_csv_values_and_peaks_keep_their_hash(name):
+    text = without_oracle_calls((DATA / f"golden_{name}.csv").read_text())
+    assert "oracle_calls" not in text
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == VALUES_HASHES[name]
 
 
 if __name__ == "__main__":

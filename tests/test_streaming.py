@@ -11,7 +11,8 @@ from substream import (AdaptiveSieve, AutoThresholdSieve,
                        knapsack_system, make_modular,
                        node_independent_set_system, repeated_greedy)
 from substream.core import EPS, NumericError
-from substream.streaming import _ceil_log2, _floor_log2
+from substream.streaming import (_guess_exponent, _level, band_top,
+                                 bucket_count, candidate_count)
 from substream.prng import SplitMix64
 
 from helpers import (max_feasible_singleton, random_cut, random_modular,
@@ -25,10 +26,89 @@ def sieve_for(n=8, rho=2, tau=8.0, weights=None):
 
 
 def test_log_helpers_guard_exact_powers():
-    assert _floor_log2(8.0) == 3
-    assert _ceil_log2(8.0) == 3
-    assert _floor_log2(8.0 / 3.0) == 1
-    assert _ceil_log2(5.0) == 3
+    assert _level(8.0) == 3
+    assert _guess_exponent(8.0) == 3
+    assert _level(8.0 / 3.0) == 1
+    assert _guess_exponent(5.0) == 3
+
+
+def _float_floor_log2(x):
+    """The float rule the exact band arithmetic replaced."""
+    return math.floor(math.log2(x) + 1e-12)
+
+
+def _float_ceil_log2(x):
+    return math.ceil(math.log2(x) - 1e-12)
+
+
+def test_integer_band_rules_match_the_float_rules_on_a_grid():
+    for n in range(1, 3000):
+        assert bucket_count(n) == _float_floor_log2(4 * n) + 1
+        assert candidate_count(n) == _float_ceil_log2(2 * n + 1)
+    for k in range(1, 13):
+        for b in range(1, 400):
+            assert band_top(k, b) == math.floor(
+                2 * math.log2(k * b) + 3 + 1e-12)
+
+
+def test_integer_band_rules_at_powers_of_two():
+    for t in range(2, 70):
+        assert bucket_count(2 ** t) == t + 3
+        assert bucket_count(2 ** t - 1) == t + 2
+        assert candidate_count(2 ** t) == t + 2
+        assert candidate_count(2 ** t - 1) == t + 1
+        assert band_top(1, 2 ** t) == band_top(2 ** t, 1) == 2 * t + 3
+        assert band_top(1, 2 ** t - 1) == 2 * t + 2
+    # the float rule's nudge lifts a square just below 2**90 to 2**90
+    assert band_top(1, 2 ** 45 - 1) == 92
+    assert math.floor(2 * math.log2(2 ** 45 - 1) + 3 + 1e-12) == 93
+
+
+def test_levels_and_guess_exponents_match_the_float_rules_on_a_grid():
+    for i in range(1, 5000):
+        x = i / 7.0
+        assert _level(x) == _float_floor_log2(x)
+        assert _guess_exponent(x) == _float_ceil_log2(x)
+        assert _level(8.0 / x) == _float_floor_log2(8.0 / x)
+
+
+def test_levels_and_guess_exponents_at_powers_of_two():
+    for t in range(-1070, 1023):
+        x = 2.0 ** t
+        below, above = math.nextafter(x, 0.0), math.nextafter(x, math.inf)
+        assert (_level(below), _level(x), _level(above)) == (t - 1, t, t)
+        assert (_guess_exponent(below), _guess_exponent(x),
+                _guess_exponent(above)) == (t, t, t + 1)
+    top = 2.0 ** 1023
+    assert _level(math.nextafter(top, math.inf)) == _guess_exponent(top) == 1023
+    with pytest.raises(NumericError):
+        _guess_exponent(math.nextafter(top, math.inf))
+    # 0 and infinity lie off every band
+    assert _level(0.0) == _level(math.inf) == -1
+    assert _float_floor_log2(math.nextafter(8.0, 0.0)) == 3  # one ulp below 8
+
+
+def test_window_top_is_exact():
+    def top(best, k, b):
+        auto = AutoThresholdSieve(cardinality_system(4, 4), make_modular(
+            [1.0] * 4))
+        auto.k, auto.best_singleton = k, best
+        auto._lo = _guess_exponent(best)
+        auto.base = range(b)
+        return auto.active_exponents()
+
+    for i in range(1, 400):
+        best = i / 3.0
+        for k, b in [(1, 1), (1, 7), (3, 5), (2, 60)]:
+            width = 2 * math.log2(k * b) + 5
+            hi = math.floor(math.log2(best) + width + 1e-12)
+            assert top(best, k, b) == range(_guess_exponent(best), hi + 1)
+    for t in range(-20, 40):
+        x = 2.0 ** t
+        assert top(x, 2, 8).stop - 1 == t + 13
+        assert top(math.nextafter(x, 0.0), 2, 8).stop - 1 == t + 12
+        assert top(math.nextafter(x, math.inf), 2, 8).stop - 1 == t + 13
+    assert top(2.0 ** 1020, 1, 1).stop - 1 == 1023  # 2.0 ** 1024 overflows
 
 
 def test_band_formula_examples():
@@ -262,7 +342,7 @@ def gains_outside_bands(sieve, f, n):
         gain = f.marginal(u, ElementSet(x for x in sieve.kept if x < u))
         g = base_size_at(sieve, u)
         ell = math.floor(2 * math.log2(sieve.k * g) + 3 + 1e-12) if g else -1
-        if gain <= EPS or not 0 <= _floor_log2(sieve.tau / gain) <= ell:
+        if gain <= EPS or not 0 <= _level(sieve.tau / gain) <= ell:
             gains[u] = gain
     return gains
 
@@ -309,12 +389,37 @@ def test_auto_sieve_window_lists_follow_the_copies():
         auto.push([u])
         after = set(auto.copies)
         only_dropped += after < before
-        copies = list(auto.copies.values())
-        assert len(auto._live) == len(copies) == len(auto._live_states)
-        assert all(a is b for a, b in zip(auto._live, copies))
-        assert all(s is c._kept_gains
-                   for s, c in zip(auto._live_states, copies))
+        # the groups tile the window in ascending runs of exponents, and
+        # each copy reads the state of the group that holds it
+        groups = auto._groups
+        assert all(g.lo <= g.hi for g in groups)
+        assert [e for g in groups for e in range(g.lo, g.hi + 1)] == list(
+            auto.copies) == list(auto.active_exponents())
+        assert all(c.group in groups and c.group.lo <= e <= c.group.hi
+                   and c.kept is c.group.gains.members
+                   for e, c in auto.copies.items())
+        for g in groups:  # the level states split kept, in member order
+            kept = list(g.gains.members)
+            assert sorted(x for s in g.buckets.values() for x in s.members) \
+                == sorted(kept)
+            assert all(list(s.members) == [x for x in kept if x in s.members]
+                       for s in g.buckets.values())
     assert only_dropped > 0
+
+
+def test_new_top_exponents_join_the_top_group_only_while_it_holds_nothing():
+    # the top copy takes an element only if a gain against the empty set
+    # rounds above the best singleton; put one in its group by hand
+    sys = cardinality_system(8, 8)
+    auto = AutoThresholdSieve(sys, make_modular([1.0] * 8))
+    auto.push([0])
+    top = auto._groups[-1]
+    assert not top.gains.members and not auto.copies[top.hi].kept
+    hi = top.hi
+    top.add(7, top.bucket(0, sys))
+    auto.push([1])  # the base grows, and so does the window top
+    assert auto._groups[-1] is not top and auto._groups[-1].lo == hi + 1
+    assert not auto._groups[-1].gains.members and 7 in top.gains.members
 
 
 def _record_opens(sys):
@@ -360,7 +465,11 @@ def test_window_run_opens_states_only_for_bands_that_take_an_element():
     bands = sum(copy.ell + 1 for copy in auto.copies.values())
     used = sum(1 for copy in auto.copies.values() for b in copy.buckets if b)
     assert 0 < used < bands
-    assert len(opened) >= 2 + used  # the base and the singleton test too
+    # copies of one group share the state of a level
+    shared = sum(1 for g in auto._groups for s in g.buckets.values()
+                 if s.members)
+    assert shared < used
+    assert len(opened) >= 2 + shared  # the base and the singleton test too
 
 
 def test_auto_sieve_no_feasible_singletons():
@@ -381,7 +490,7 @@ def test_auto_sieve_dominates_fixed_threshold_run():
         m = max_feasible_singleton(sys, f)
         if m <= 0:
             continue
-        tau_bar = 2.0 ** _ceil_log2(m)
+        tau_bar = 2.0 ** _guess_exponent(m)
         fixed = AdaptiveSieve(sys, f, tau_bar)
         v_fixed = f.value(fixed.finish(range(n)).solution)
         auto = AutoThresholdSieve(sys, f)
@@ -550,7 +659,7 @@ def test_contract_audit_over_every_component(name):
             continue
         stream = list(range(n))
         rng.shuffle(stream)
-        comp = AUDITED[name](sys, f, 2.0 ** _ceil_log2(m))
+        comp = AUDITED[name](sys, f, 2.0 ** _guess_exponent(m))
         report = contract_audit(comp, stream)
         assert report.ok, report.violations
         assert report.pushed == n

@@ -4,7 +4,7 @@ the same value bits, and one value query per distinct candidate set.
 
 Each case streams one seeded instance through two twin components, each
 on its own objective, then finishes one and runs the reference loop on
-the other.
+the other; the window's twin is the per-copy window of ``helpers``.
 """
 
 import pytest
@@ -16,8 +16,8 @@ from substream.bench import _prepass_tau, gen_erdos_renyi, undirected_pairs
 from substream.core import as_sorted_ids, values_once
 from substream.prng import SplitMix64
 
-from helpers import (reference_drain, reference_guess_finalize,
-                     reference_window_finalize)
+from helpers import (ReferenceWindow, reference_drain,
+                     reference_guess_finalize, reference_window_finalize)
 
 
 def _instance(seed):
@@ -51,11 +51,10 @@ SEEDS = [3, 4, 9, 12, 21]
 def test_window_values_each_distinct_candidate_once(seed):
     sys, make_f, stream = _instance(seed)
 
-    def make():
-        f = make_f()
-        return AutoThresholdSieve(sys, f), f
-
-    (window, f), (twin, f_ref) = _twins(make, stream)
+    f = make_f()
+    window, twin = AutoThresholdSieve(sys, f), ReferenceWindow(sys, make_f())
+    window.push(stream)
+    twin.push(stream)
     before = f.evaluations
     solution = window.finish().solution
     calls = f.evaluations - before
