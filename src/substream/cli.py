@@ -7,7 +7,9 @@ Subcommands:
   counterexample   -- build and verify an adversarial instance, emit JSON
 
 Exit codes: 0 on success, 1 when a counterexample does not hold, 2 on
-malformed input, reported as one ``substream: error:`` line on stderr.
+malformed input or an objective whose values are not finite (an
+overflowing weight sum, say), reported as one ``substream: error:`` line
+on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import sys as _sys
 
 from . import bench, counterexamples
+from .core import NumericError
 
 
 def _fail(message: str):
@@ -146,7 +149,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, NumericError) as exc:
         _fail(f"missing config key {exc}" if isinstance(exc, KeyError)
               else str(exc))
 

@@ -52,16 +52,12 @@ def _outside(u: int, n: int) -> GroundSetError:
 
 def _spec_int(kind: str, name: str, value, where: str = "") -> int:
     """An integer field of a spec or a constructor's bound: an integral
-    number, or a float whose value is finite and whole.  ``where`` narrows
-    the error message."""
-    whole = (not isinstance(value, numbers.Real)
-             or isinstance(value, numbers.Integral)
-             or (math.isfinite(value) and float(value).is_integer()))
-    if whole:
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
+    number (a bool too), or a real number whose value is finite and whole;
+    a string or bytes is no number.  ``where`` narrows the error message."""
+    if isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and math.isfinite(value)
+            and float(value).is_integer()):
+        return int(value)
     raise ValueError(f"{kind} spec field {name!r}{where} must be an "
                      f"integer, got {value!r}")
 

@@ -2,6 +2,11 @@
 the cascade that turns a monotone-capable component into one that handles
 non-monotone objectives.
 
+Every banded sieve is one window of sieve copies (:class:`_Window`):
+:class:`ThresholdSieve` and :class:`AdaptiveSieve` are windows of one
+copy with a given threshold, and :class:`AutoThresholdSieve` is a window
+of power-of-two guesses that follows the stream.
+
 Every component follows the same protocol: ``push(batch)`` feeds elements
 one batch at a time and returns whatever the component discarded, and
 ``finish(batch)`` closes the stream, returning a :class:`StreamOutcome`
@@ -148,165 +153,13 @@ class StreamingComponent:
         raise NotImplementedError
 
 
-class _BandedSieve(StreamingComponent):
-    """Value-banded sieve shared by :class:`ThresholdSieve` and
-    :class:`AdaptiveSieve`.
-
-    Each arriving element is bucketed by how its marginal gain against
-    everything kept so far compares with ``tau``: the band of a gain g is
-    ``floor(log2(tau / g))``, read exactly off the float's exponent
-    (:func:`_level`).  Each bucket independently keeps a
-    feasibility-greedy base in a feasibility state from
-    :meth:`IndependenceSystem.open`, and ``buckets`` lists their members.
-    A bucket's state is opened the first time an element reaches its
-    band, so a band that never takes one costs no state (``buckets``
-    reports it as an empty :class:`ElementSet`).
-    Nothing kept is ever dropped, so ``kept`` is the members of one
-    grow-only gain state from :meth:`Objective.open`, which answers every
-    gain query.  At end of stream, :meth:`drain` builds
-    ``candidate_count(sys.k_param)`` interleaved candidates from the
-    buckets and returns the best one.  :meth:`widen` appends the bands
-    (``ell``, one bucket per band) that arrivals are sorted into.  An
-    arrival that no bucket takes is evicted unless ``base`` (what
-    :class:`AdaptiveSieve` keeps outside the buckets) holds it.
-    """
-
-    def __init__(self, sys: IndependenceSystem, f: Objective, tau: float):
-        super().__init__(sys, f)
-        if not 0.0 < tau < math.inf:  # also false for NaN
-            raise ValueError(f"tau must be positive and finite, got {tau!r}")
-        self.tau = float(tau)
-        self.k = sys.k_param
-        self.h = candidate_count(self.k)
-        self.ell = -1
-        self._bucket_states: list[FeasibilityState | None] = []
-        self._kept_gains = f.open()
-        self.kept = self._kept_gains.members  # union of buckets, arrival order
-        self.candidates: list[ElementSet] | None = None
-
-    def widen(self, ell: int) -> None:
-        """Append empty buckets until the deepest band is ``ell``."""
-        while self.ell < ell:
-            self._bucket_states.append(None)
-            self.ell += 1
-
-    @property
-    def buckets(self) -> list[ElementSet]:
-        """Each bucket's members, deepest band last."""
-        return [ElementSet() if state is None else state.members
-                for state in self._bucket_states]
-
-    def _place(self, u: int) -> bool:
-        """Add ``u`` to the bucket of the band its gain falls in, if that
-        bucket can take it; returns whether it did."""
-        gain = self._kept_gains.gain(u)
-        if gain <= EPS:
-            return False  # band infinity
-        i = _level(self.tau / gain)
-        if i < 0 or i > self.ell:
-            return False
-        bucket = self._bucket_states[i]
-        if bucket is None:
-            bucket = self._bucket_states[i] = self.sys.open()
-        if not bucket.can_add(u):
-            return False
-        bucket.add(u)
-        self._kept_gains.add(u)
-        self._note("accept", u, i, gain)
-        return True
-
-    def _ingest(self, u: int) -> list[int]:
-        if self._place(u) or u in self.base:
-            return []
-        self._note("evict", u, -1, 0.0)
-        return [u]
-
-    def build_candidates(self) -> list[ElementSet]:
-        """Build the h candidates and keep them in ``candidates``.
-
-        Candidate j is the feasibility greedy (:func:`unweighted_greedy`)
-        over buckets j, j+h, ...  Buckets are visited in ascending index
-        (descending marginal band) and each bucket in insertion order, so
-        the construction is deterministic and stream-faithful.
-        """
-        buckets = self.buckets
-        self.candidates = [unweighted_greedy(
-            self.sys, chain.from_iterable(buckets[j::self.h]))
-            for j in range(self.h)]
-        return self.candidates
-
-    def drain(self) -> tuple[ElementSet, float]:
-        """Build the candidates and return the first best with its value;
-        each distinct candidate is valued once (:func:`values_once`)."""
-        cands = self.build_candidates()
-        values = values_once(self.f, cands)
-        best = first_best(values)
-        return cands[best], values[best]
-
-    def _finalize(self):
-        best, _ = self.drain()
-        return best, self.kept.copy()
-
-    def stored_count(self) -> int:
-        count = len(self.kept) + len(self.base)  # the buckets partition kept
-        if self.candidates is not None:
-            count += sum(len(t) for t in self.candidates)
-        return count
-
-
-class ThresholdSieve(_BandedSieve):
-    """Banded sieve with a known acceptance threshold and capacity bound.
-
-    ``tau`` must lie in [M, 2M] where M is the largest value of a feasible
-    singleton; ``rho`` is the size of the largest independent set (any
-    upper bound is sound, at the price of extra buckets).  The band range
-    is fixed at ``bucket_count(rho)`` buckets.  A ``tau`` that is not
-    positive and finite, or a ``rho`` that is not a whole number of at
-    least 1, raises ``ValueError``.
-    """
-
-    def __init__(self, sys: IndependenceSystem, f: Objective, tau: float,
-                 rho: int, *, trace: list | None = None):
-        super().__init__(sys, f, tau)
-        self.trace = trace
-        self.rho = _spec_count("ThresholdSieve", "rho", rho)
-        self.widen(bucket_count(self.rho) - 1)
-
-
-class AdaptiveSieve(_BandedSieve):
-    """Banded sieve that learns its capacity bound on the fly.
-
-    Instead of a known ``rho`` it tracks a feasibility-greedy base of the
-    prefix seen so far and widens to ``band_top(k, |base|)`` each time the
-    base grows.  ``tau`` keeps the same [M, 2M] contract as
-    :class:`ThresholdSieve`.  It is driven by ``push`` and ``finish``
-    alone, and unlike :class:`ThresholdSieve` it takes no ``trace`` list.
-    """
-
-    # an __init__ of its own, which perfbench/tracing.py patches
-    def __init__(self, sys: IndependenceSystem, f: Objective, tau: float):
-        super().__init__(sys, f, tau)
-        self._base: FeasibilityState | None = None  # opened on the first push
-
-    def _ingest(self, u: int) -> list[int]:
-        state = self._base
-        if state is None:
-            state = self._base = self.sys.open()
-            self.base = state.members
-        if state.can_add(u):
-            state.add(u)
-            self.widen(band_top(self.k, len(self.base)))
-        return super()._ingest(u)
-
-
 class _Group:
     """Window copies ``lo..hi`` that hold one kept set in one order.
 
     ``gains`` is the kept set's gain state and ``buckets`` one
-    feasibility state per absolute level: copy e's band i holds the
-    members of level ``i - e``.
-    ``candidates`` holds one candidate per residue of a level mod h,
-    once the window drains.
+    feasibility state per level: copy e's band i holds the members of
+    level ``i - e``.  ``candidates`` holds one candidate per residue of a
+    level mod h, once the window drains.
     """
 
     __slots__ = ("lo", "hi", "gains", "buckets", "candidates")
@@ -332,8 +185,8 @@ class _Group:
 
 
 class _CopyView:
-    """One window copy as a banded sieve with ``tau = 2**exponent`` shows
-    it: ``kept``, ``buckets`` (bands 0..``ell``), ``ell`` and
+    """One window copy as a banded sieve with threshold ``tau * 2**exponent``
+    shows it: ``kept``, ``buckets`` (bands 0..``ell``), ``ell`` and
     ``candidates``, all read from the copy's group."""
 
     __slots__ = ("group", "exponent", "ell", "h")
@@ -363,62 +216,56 @@ class _CopyView:
         return [cands[(j - self.exponent) % self.h] for j in range(self.h)]
 
 
-class AutoThresholdSieve(StreamingComponent):
-    """Banded sieve needing neither the capacity bound nor the threshold.
+class _Window(StreamingComponent):
+    """A window of value-banded sieve copies, one per exponent e, where
+    copy e is a banded sieve with threshold ``tau * 2**e``; every banded
+    sieve here is one.
 
-    Keeps one banded-sieve copy, with ``tau = 2**e``, per exponent e of
-    the active power-of-two threshold guesses.  The guess window follows
-    the best feasible singleton seen so far and the size of a greedy base
-    kept here, so :meth:`_move` runs only when one of those two grows.
-    Every copy's deepest band is ``ell = band_top(k, |base|)``.  An
-    element leaves when neither the base nor any copy holds it any more.
+    Each band of a copy keeps a feasibility-greedy base, opened the first
+    time an element reaches it, and a copy's bands 0..``ell`` are its
+    buckets.  A gain g has level ``floor(log2(tau / g))``, read exactly
+    off the float's exponent (:func:`_level`), and copy e puts it in band
+    ``e + level``, so copy e can take it when ``0 <= e + level <= ell``.
+    Nothing kept is dropped while its copy lives.
 
     Copies that hold one kept set in one order share one state: a
     *group* (:class:`_Group`) is a contiguous run of exponents with one
-    gain state and one feasibility state per absolute level.  A gain g
-    has level ``floor(log2(1/g))`` (:func:`_level`), and copy e puts it in
-    band ``e + level``, so copy e can take it when
-    ``0 <= e + level <= ell``.  Each arrival's gain against every group's
-    kept set comes from one :meth:`Objective.gains` call, asked before
-    any group takes it, so an error leaves every copy without the
-    element.  A group then asks one ``can_add`` of its level's state.
-    When only some of its copies can take the element, the group splits
-    into at most three contiguous parts: the taking part keeps the live
-    states and adds the element, and each other part gets states rebuilt
-    by replaying the members in member order.  :meth:`_move` drops
-    exponents at the bottom and adds them at the top: a fully dropped
-    group evicts what no later group and not the base holds, a partly
-    dropped group evicts nothing, and new exponents join the top group
-    while it holds nothing, else form a new empty group.
+    gain state from :meth:`Objective.open` and one feasibility state per
+    level.  Each arrival's gain against every group's kept set comes from
+    one :meth:`Objective.gains` call, asked before any group takes it, so
+    an error leaves every copy without the element.  A group then asks
+    one ``can_add`` of its level's state.  When only some of its copies
+    can take the element, the group splits into at most three contiguous
+    parts: the taking part keeps the live states and adds the element,
+    and each other part gets states rebuilt by replaying the members in
+    member order.  An arrival that no copy takes is evicted unless
+    ``base`` holds it.
 
-    At end of stream each group builds its h candidates once, one per
-    residue of a level mod h; copy e's candidate j is the group's
+    At end of stream each group builds its h = ``candidate_count(k)``
+    candidates once, one per residue of a level mod h: the feasibility
+    greedy (:func:`unweighted_greedy`) over those levels in ascending
+    order, each in member order.  Copy e's candidate j is the group's
     candidate ``(j - e) mod h``, as the copy's buckets j, j+h, ... hold
-    exactly those levels.  Copies choose in exponent order, each
-    distinct candidate valued once across the window
-    (:func:`values_once`), and the first best winner wins.
-    ``copies`` maps each exponent to a read-only view of its copy
-    (:class:`_CopyView`).  ``stored_count()`` counts per copy: one per
-    copy that takes an element, less a dropped copy's kept set, plus the
-    candidates once built.
+    exactly those levels.  Copies choose in exponent order, each distinct
+    candidate valued once across the window (:func:`values_once`), and
+    the first best winner wins.  ``copies`` maps each exponent to a
+    read-only view of its copy (:class:`_CopyView`).  ``stored_count()``
+    counts per copy: one per copy that takes an element, less a dropped
+    copy's kept set, plus the candidates once built, plus ``base``.
 
-    Whether an arrival is a feasible singleton is asked of one state
-    that never takes an element.  ``best_singleton`` is the best feasible
-    singleton worth over ``EPS`` (``-inf`` before one);
-    :func:`_guess_exponent` checks a new best before the base or any copy
-    takes it.
+    A subclass sets ``ell`` and the groups, and follows each arrival in
+    :meth:`_arrive` before any copy is offered it.  A ``tau`` that is not
+    positive and finite raises ``ValueError``.
     """
 
-    def __init__(self, sys: IndependenceSystem, f: Objective):
+    def __init__(self, sys: IndependenceSystem, f: Objective, tau: float):
         super().__init__(sys, f)
+        if not 0.0 < tau < math.inf:  # also false for NaN
+            raise ValueError(f"tau must be positive and finite, got {tau!r}")
+        self.tau = float(tau)
         self.k = sys.k_param
         self.h = candidate_count(self.k)
         self.ell = -1  # every copy's deepest band
-        self._base = sys.open()
-        self.base = self._base.members
-        self._empty = sys.open()  # never takes an element
-        self.best_singleton = -math.inf
-        self._lo = 0  # _guess_exponent(best_singleton), once it is set
         self._groups: list[_Group] = []  # ascending, contiguous exponents
         self._stored = 0  # the copies' kept elements, then their candidates
 
@@ -428,6 +275,181 @@ class AutoThresholdSieve(StreamingComponent):
         return MappingProxyType({
             e: _CopyView(group, e, self.ell, self.h)
             for group in self._groups for e in range(group.lo, group.hi + 1)})
+
+    def _arrive(self, u: int) -> tuple[bool, list[int]]:
+        """Follow the arrival ``u`` before any copy is offered it; returns
+        whether ``base`` took it and what a move of the window evicted."""
+        return False, []
+
+    def _replay(self, group: _Group, lo: int, hi: int) -> _Group:
+        """A group of the copies ``lo..hi`` with states of their own,
+        rebuilt from ``group``'s members in member order."""
+        part = _Group(lo, hi, self.f.open())
+        level_of = {x: level for level, state in group.buckets.items()
+                    for x in state.members}
+        for x in group.gains.members:
+            part.add(x, part.bucket(level_of[x], self.sys))
+        return part
+
+    def _split(self, group: _Group, lo: int, hi: int) -> None:
+        """Cut ``group`` to its copies ``lo..hi``; the copies below and
+        above them become groups of their own (:meth:`_replay`)."""
+        parts = [group]
+        if group.lo < lo:
+            parts.insert(0, self._replay(group, group.lo, lo - 1))
+        if hi < group.hi:
+            parts.append(self._replay(group, hi + 1, group.hi))
+        group.lo, group.hi = lo, hi
+        i = self._groups.index(group)
+        self._groups = self._groups[:i] + parts + self._groups[i + 1:]
+
+    def _ingest(self, u: int) -> list[int]:
+        held, evicted = self._arrive(u)
+        groups, ell, tau = self._groups, self.ell, self.tau
+        gains = self.f.gains(u, [group.gains for group in groups])
+        for group, gain in zip(groups, gains):  # _split replaces _groups
+            if gain <= EPS:
+                continue
+            level = _level(tau / gain)
+            lo, hi = max(group.lo, -level), min(group.hi, ell - level)
+            if lo > hi:
+                continue
+            bucket = group.bucket(level, self.sys)
+            if not bucket.can_add(u):
+                continue
+            if lo != group.lo or hi != group.hi:
+                self._split(group, lo, hi)
+            group.add(u, bucket)
+            self._stored += hi - lo + 1
+            self._note("accept", u, level, gain)
+            held = True
+        if not held:
+            self._note("evict", u, -1, 0.0)
+            evicted.append(u)
+        return evicted
+
+    def _finalize(self):
+        known: dict[tuple[int, ...], float] = {}
+        winners: list[tuple[ElementSet, float]] = []
+        h = self.h
+        for group in self._groups:
+            buckets = group.buckets
+            levels = sorted(buckets)
+            cands = group.candidates = [unweighted_greedy(
+                self.sys, chain.from_iterable(
+                    buckets[level].members for level in levels
+                    if level % h == r)) for r in range(h)]
+            values = values_once(self.f, cands, known)
+            for e in range(group.lo, group.hi + 1):
+                turn = [(j - e) % h for j in range(h)]
+                best = turn[first_best(values[r] for r in turn)]
+                winners.append((cands[best], values[best]))
+            self._stored += (group.hi - group.lo + 1) * sum(len(t) for t in cands)
+        best = (winners[first_best(val for _, val in winners)][0] if winners
+                else ElementSet())
+        return best, ElementSet().union(
+            *(group.gains.members for group in self._groups))
+
+    def stored_count(self) -> int:
+        return len(self.base) + self._stored
+
+
+class _OneCopy(_Window):
+    """A window of one copy, at exponent 0: one banded sieve with
+    threshold ``tau``, whose ``kept``, ``buckets`` and ``candidates`` it
+    shows as its own."""
+
+    def __init__(self, sys: IndependenceSystem, f: Objective, tau: float):
+        super().__init__(sys, f, tau)
+        self._groups.append(_Group(0, 0, f.open()))
+        self.kept = self._groups[0].gains.members  # arrival order
+
+    @property
+    def buckets(self) -> list[ElementSet]:
+        """Each bucket's members, deepest band last."""
+        return self.copies[0].buckets
+
+    @property
+    def candidates(self) -> list[ElementSet] | None:
+        """The h candidates, once the sieve drains."""
+        return self.copies[0].candidates
+
+
+class ThresholdSieve(_OneCopy):
+    """Banded sieve with a known acceptance threshold and capacity bound.
+
+    ``tau`` must lie in [M, 2M] where M is the largest value of a feasible
+    singleton; ``rho`` is the size of the largest independent set (any
+    upper bound is sound, at the price of extra buckets).  The band range
+    is fixed at ``bucket_count(rho)`` buckets.  A ``tau`` that is not
+    positive and finite, or a ``rho`` that is not a whole number of at
+    least 1, raises ``ValueError``.  A ``trace`` list gets one record per
+    accept, with the element's band, and per eviction.
+    """
+
+    def __init__(self, sys: IndependenceSystem, f: Objective, tau: float,
+                 rho: int, *, trace: list | None = None):
+        super().__init__(sys, f, tau)
+        self.trace = trace
+        self.rho = _spec_count("ThresholdSieve", "rho", rho)
+        self.ell = bucket_count(self.rho) - 1
+
+
+class AdaptiveSieve(_OneCopy):
+    """Banded sieve that learns its capacity bound on the fly.
+
+    Instead of a known ``rho`` it keeps a feasibility-greedy base of the
+    prefix seen so far and moves its deepest band to
+    ``ell = band_top(k, |base|)`` each time the base grows.  ``tau`` keeps
+    the same [M, 2M] contract as :class:`ThresholdSieve`.  It is driven by
+    ``push`` and ``finish`` alone, and unlike :class:`ThresholdSieve` it
+    takes no ``trace`` list.
+    """
+
+    # an __init__ of its own, which perfbench/tracing.py patches
+    def __init__(self, sys: IndependenceSystem, f: Objective, tau: float):
+        super().__init__(sys, f, tau)
+        self._base = sys.open()
+        self.base = self._base.members
+
+    def _arrive(self, u: int) -> tuple[bool, list[int]]:
+        if not self._base.can_add(u):
+            return False, []
+        self._base.add(u)
+        self.ell = band_top(self.k, len(self.base))
+        return True, []
+
+
+class AutoThresholdSieve(_Window):
+    """Banded sieve needing neither the capacity bound nor the threshold.
+
+    A window with ``tau = 1``: one copy, with threshold ``2**e``, per
+    exponent e of the active power-of-two threshold guesses.  The window
+    follows the best feasible singleton seen so far and the size of a
+    greedy base kept here, so :meth:`_move` runs only when one of those
+    two grows.  Every copy's deepest band is ``ell = band_top(k, |base|)``.
+    An element leaves when neither the base nor any copy holds it any
+    more.
+
+    :meth:`_move` drops exponents at the bottom and adds them at the top:
+    a fully dropped group evicts what no later group and not the base
+    holds, a partly dropped group evicts nothing, and new exponents join
+    the top group while it holds nothing, else form a new empty group.
+
+    Whether an arrival is a feasible singleton is asked of one state
+    that never takes an element.  ``best_singleton`` is the best feasible
+    singleton worth over ``EPS`` (``-inf`` before one);
+    :func:`_guess_exponent` checks a new best before the base or any copy
+    takes it.
+    """
+
+    def __init__(self, sys: IndependenceSystem, f: Objective):
+        super().__init__(sys, f, 1.0)
+        self._base = sys.open()
+        self.base = self._base.members
+        self._empty = sys.open()  # never takes an element
+        self.best_singleton = -math.inf
+        self._lo = 0  # _guess_exponent(best_singleton), once it is set
 
     def active_exponents(self) -> range:
         """Exponents i with best_singleton <= 2**i <= window top, where the
@@ -469,29 +491,7 @@ class AutoThresholdSieve(StreamingComponent):
         self.ell = band_top(self.k, len(self.base))
         return evicted
 
-    def _replay(self, group: _Group, lo: int, hi: int) -> _Group:
-        """A group of the copies ``lo..hi`` with states of their own,
-        rebuilt from ``group``'s members in member order."""
-        part = _Group(lo, hi, self.f.open())
-        level_of = {x: level for level, state in group.buckets.items()
-                    for x in state.members}
-        for x in group.gains.members:
-            part.add(x, part.bucket(level_of[x], self.sys))
-        return part
-
-    def _split(self, group: _Group, lo: int, hi: int) -> None:
-        """Cut ``group`` to its copies ``lo..hi``; the copies below and
-        above them become groups of their own (:meth:`_replay`)."""
-        parts = [group]
-        if group.lo < lo:
-            parts.insert(0, self._replay(group, group.lo, lo - 1))
-        if hi < group.hi:
-            parts.append(self._replay(group, hi + 1, group.hi))
-        group.lo, group.hi = lo, hi
-        i = self._groups.index(group)
-        self._groups = self._groups[:i] + parts + self._groups[i + 1:]
-
-    def _ingest(self, u: int) -> list[int]:
+    def _arrive(self, u: int) -> tuple[bool, list[int]]:
         moved = False
         if self._empty.can_add(u):
             value = self.f.singleton(u)
@@ -503,52 +503,7 @@ class AutoThresholdSieve(StreamingComponent):
         if held:
             self._base.add(u)
             moved = True
-        evicted = self._move() if moved else []
-        groups, ell = self._groups, self.ell
-        gains = self.f.gains(u, [group.gains for group in groups])
-        for group, gain in zip(groups, gains):  # _split replaces _groups
-            if gain <= EPS:
-                continue
-            level = _level(1.0 / gain)
-            lo, hi = max(group.lo, -level), min(group.hi, ell - level)
-            if lo > hi:
-                continue
-            bucket = group.bucket(level, self.sys)
-            if not bucket.can_add(u):
-                continue
-            if lo != group.lo or hi != group.hi:
-                self._split(group, lo, hi)
-            group.add(u, bucket)
-            self._stored += hi - lo + 1
-            held = True
-        if not held:
-            evicted.append(u)
-        return evicted
-
-    def _finalize(self):
-        known: dict[tuple[int, ...], float] = {}
-        winners: list[tuple[ElementSet, float]] = []
-        h = self.h
-        for group in self._groups:
-            buckets = group.buckets
-            levels = sorted(buckets)
-            cands = group.candidates = [unweighted_greedy(
-                self.sys, chain.from_iterable(
-                    buckets[level].members for level in levels
-                    if level % h == r)) for r in range(h)]
-            values = values_once(self.f, cands, known)
-            for e in range(group.lo, group.hi + 1):
-                turn = [(j - e) % h for j in range(h)]
-                best = turn[first_best(values[r] for r in turn)]
-                winners.append((cands[best], values[best]))
-            self._stored += (group.hi - group.lo + 1) * sum(len(t) for t in cands)
-        best = (winners[first_best(val for _, val in winners)][0] if winners
-                else ElementSet())
-        return best, ElementSet().union(
-            *(group.gains.members for group in self._groups))
-
-    def stored_count(self) -> int:
-        return len(self.base) + self._stored
+        return held, (self._move() if moved else [])
 
 
 def _drive(chain: Sequence[StreamingComponent], stream: Iterable[int]

@@ -289,10 +289,18 @@ def reference_weighted_greedy(f, sys, ground):
     return sol
 
 
+def reference_candidates(sieve):
+    """A banded sieve's h candidates, built from its ``buckets``:
+    candidate j is the feasibility greedy over buckets j, j+h, ..."""
+    buckets, h = sieve.buckets, sieve.h
+    return [unweighted_greedy(sieve.sys, chain.from_iterable(buckets[j::h]))
+            for j in range(h)]
+
+
 def reference_drain(sieve):
-    """The banded sieve's drain with one value query per candidate:
-    ``(winner, value)``."""
-    cands = sieve.build_candidates()
+    """A banded sieve's drain over :func:`reference_candidates`, with one
+    value query per candidate: ``(winner, value)``."""
+    cands = reference_candidates(sieve)
     values = [sieve.f.value(t) for t in cands]
     best = first_best(values)
     return cands[best], values[best]
@@ -339,15 +347,8 @@ class ReferenceCopy:
         self.gains.add(u)
         return True
 
-    def build_candidates(self):
-        buckets = self.buckets
-        self.candidates = [unweighted_greedy(
-            self.sys, chain.from_iterable(buckets[j::self.h]))
-            for j in range(self.h)]
-        return self.candidates
-
     def drain(self, known):
-        cands = self.build_candidates()
+        cands = self.candidates = reference_candidates(self)
         values = values_once(self.f, cands, known)
         best = first_best(values)
         return cands[best], values[best]

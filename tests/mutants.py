@@ -189,6 +189,47 @@ MUTANTS = [
         "    return ((k * base_size) ** 2).bit_length()",
         ("tests/test_streaming.py"
          "::test_integer_band_rules_at_powers_of_two",)),
+    Mutant(
+        "level-without-tau",
+        "streaming.py",
+        "            level = _level(tau / gain)",
+        "            level = _level(1.0 / gain)",
+        ("tests/test_reference_sieve.py::test_fixed_sieve_matches_reference",)),
+    Mutant(
+        "adaptive-base-growth-keeps-ell",
+        "streaming.py",
+        "        self.ell = band_top(self.k, len(self.base))\n"
+        "        return True, []",
+        "        return True, []",
+        ("tests/test_streaming.py::test_adaptive_band_growth_examples",)),
+    Mutant(
+        "spec-int-takes-strings",
+        "core.py",
+        "    if isinstance(value, numbers.Integral) or (",
+        "    if isinstance(value, (numbers.Integral, str, bytes)) or (",
+        ("tests/test_constraints.py"
+         "::test_make_system_rejects_non_integer_field[n-4]",
+         "tests/test_objectives.py"
+         "::test_cut_graph_names_the_first_bad_edge[string-endpoint]")),
+    Mutant(
+        "cli-lets-an-overflow-through",
+        "cli.py",
+        "    except (OSError, ValueError, KeyError, NumericError) as exc:",
+        "    except (OSError, ValueError, KeyError) as exc:",
+        ("tests/test_cli.py::test_an_overflowing_objective_fails_cleanly",)),
+    Mutant(
+        "window-drop-ignores-the-base",
+        "streaming.py",
+        "                    self.base, *(later.gains.members for later in groups)])",
+        "                    *(later.gains.members for later in groups)])",
+        ("tests/test_reference_auto_sieve.py"
+         "::test_auto_sieve_matches_reference_at_every_step",)),
+    Mutant(
+        "base-add-does-not-move-the-window",
+        "streaming.py",
+        "            self._base.add(u)\n            moved = True\n",
+        "            self._base.add(u)\n",
+        ("tests/test_streaming.py::test_auto_sieve_window_example",)),
 ]
 
 

@@ -756,7 +756,7 @@ INTEGER_FIELDS = ["n", "k_ring", "q", "r_cap", "seed", "cascade_copies",
                   "seeds"]
 
 
-@pytest.mark.parametrize("bad", [2.5, math.nan])
+@pytest.mark.parametrize("bad", [2.5, math.nan, "4"])
 @pytest.mark.parametrize("name", INTEGER_FIELDS)
 def test_integer_fields_reject_fractions_and_nan_by_name(tmp_path, name, bad):
     cfg, path = _integer_field_cases(tmp_path)[name]

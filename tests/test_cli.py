@@ -37,13 +37,25 @@ def test_run_stream_follows_the_stream_order(tmp_path, capsys, order, value):
     assert float(row.split(",")[3]) == value
 
 
-def test_gen_graph_ws_requires_parameters(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["bench", "gen-graph", "--model", "ws", "--n", "12",
-              "--seed", "0", "--out", str(tmp_path / "w.tsv")])
+def test_gen_graph_ws_requires_parameters(tmp_path, capsys):
+    out = tmp_path / "w.tsv"
+    base = ["bench", "gen-graph", "--model", "ws", "--n", "12", "--seed", "0",
+            "--out", str(out)]
+    for given in ([], ["--kring", "2"], ["--beta", "0.1"]):
+        _fails_cleanly(base + given, capsys,
+                       "--kring and --beta are required for the ws model")
+    assert not out.exists()
 
 
-def test_bench_run_writes_csv(tmp_path):
+def test_gen_graph_er_requires_p(tmp_path, capsys):
+    out = tmp_path / "g.tsv"
+    _fails_cleanly(["bench", "gen-graph", "--model", "er", "--n", "12",
+                    "--seed", "0", "--out", str(out)], capsys,
+                   "--p is required for the er model")
+    assert not out.exists()
+
+
+def test_bench_run_writes_csv(tmp_path, capsys):
     cfg = {
         "instance": {"model": "er", "n": 14, "p": 0.3},
         "objective": {"kind": "linear"},
@@ -57,9 +69,13 @@ def test_bench_run_writes_csv(tmp_path):
     out_path = tmp_path / "rows.csv"
     assert main(["bench", "run", "--config", str(cfg_path),
                  "--out", str(out_path), "--no-timing"]) == 0
+    assert capsys.readouterr().out == ""
     lines = out_path.read_text().splitlines()
     assert lines[0] == RESULT_HEADER
     assert len(lines) == 1 + 2 * 2
+    # --out holds what stdout shows without it
+    main(["bench", "run", "--config", str(cfg_path), "--no-timing"])
+    assert capsys.readouterr().out == out_path.read_text()
     # reproducible with timing zeroed
     out2 = tmp_path / "rows2.csv"
     main(["bench", "run", "--config", str(cfg_path), "--out", str(out2),
@@ -243,6 +259,24 @@ def test_run_stream_rejects_non_finite_edge_weight(tmp_path, capsys):
     _fails_cleanly(["run-stream", "--graph", str(graph_path), "--objective",
                     "cut", "--algo", "auto_sieve", "--constraint", str(spec)],
                    capsys, "g.tsv:2: edge 'b' -> 'c' has weight nan")
+
+
+def test_an_overflowing_objective_fails_cleanly(tmp_path, capsys):
+    # vertex 0's two 1e308 out-weights sum to inf
+    graph_path = tmp_path / "g.tsv"
+    graph_path.write_text("0\t1\t1e308\n0\t2\t1e308\n1\t2\t1.0\n")
+    spec = tmp_path / "constraint.json"
+    spec.write_text(json.dumps({"type": "cardinality", "rho": 2}))
+    message = "oracle returned non-finite value inf"
+    _fails_cleanly(["run-stream", "--graph", str(graph_path), "--objective",
+                    "cut", "--algo", "framework", "--constraint", str(spec)],
+                   capsys, message)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instance": {"edge_list": str(graph_path)},
+                               "objective": {"kind": "cut"},
+                               "constraint": {"type": "cardinality", "rho": 2},
+                               "algorithms": ["framework"]}))
+    _fails_cleanly(["bench", "run", "--config", str(cfg)], capsys, message)
 
 
 @pytest.mark.parametrize("text", ["", "# u\tv\tweight\n\n"],

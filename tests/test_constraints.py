@@ -279,7 +279,7 @@ _INT_FIELD_SPECS = {
 }
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 2.7])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 2.7, "4"])
 @pytest.mark.parametrize("name", list(_INT_FIELD_SPECS))
 def test_make_system_rejects_non_integer_field(name, bad):
     spec = dict(_INT_FIELD_SPECS[name])

@@ -19,6 +19,7 @@ from helpers import random_cut, random_modular, random_similarity
 def test_element_set_preserves_insertion_order():
     s = ElementSet([3, 1, 2])
     assert list(s) == [3, 1, 2]
+    assert repr(s) == "ElementSet([3, 1, 2])"
     assert s.sorted_ids() == (1, 2, 3)
     assert 1 in s and 5 not in s
 

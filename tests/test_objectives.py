@@ -110,6 +110,9 @@ def test_cut_graph_normalizes_mixed_edges_like_a_plain_conversion():
     ([(1, 1, 1.0), (0, 1, "x")], "self-loop at vertex 1"),
     ([(0, 1, None), (0.5, 1, 1.0)], r"edge \(0, 1\) has weight None"),
     ([(0, 2, 1.0), (0, 1, 10**400)], r"edge \(0, 1\) has weight 1000"),
+    pytest.param([(0, 1, 1.0), ("2", 1, 1.0), (0, 2.5, 1.0)],
+                 r"in edge \('2', 1, 1\.0\) must be an integer, got '2'",
+                 id="string-endpoint"),
 ])
 def test_cut_graph_names_the_first_bad_edge(edges, message):
     with pytest.raises(ValueError, match=message):
