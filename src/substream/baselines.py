@@ -10,7 +10,9 @@ makes runs exactly reproducible.
 from __future__ import annotations
 
 import heapq
-from typing import NamedTuple
+from bisect import bisect_left
+from collections.abc import Mapping
+from types import MappingProxyType
 
 from .core import (EPS, ElementSet, GainState, Objective, SizeLimitError,
                    UnsupportedConstraintError, _spec_count, first_best,
@@ -46,12 +48,17 @@ class GreedyStream(StreamingComponent):
         return len(self.solution)
 
 
-class _Guess(NamedTuple):
-    """One guess of :class:`SieveGuessStream`: the gain state and the
-    feasibility state of its solution, which hold the same members."""
+class _GuessGroup:
+    """Guesses ``values`` (ascending) that hold one set in one order: the
+    gain state and the feasibility state of that set, grown together."""
 
-    gains: GainState
-    fits: FeasibilityState
+    __slots__ = ("values", "gains", "fits")
+
+    def __init__(self, values: list[float], gains: GainState,
+                 fits: FeasibilityState):
+        self.values = values
+        self.gains = gains
+        self.fits = fits
 
     @property
     def members(self) -> ElementSet:
@@ -83,16 +90,28 @@ class SieveGuessStream(StreamingComponent):
     drops it, once a singleton worth more than v >= LB arrives.  The
     ``min(v, ...)`` keeps that guess: with a greedy ``rho`` below the
     true one, ``|S_v|`` can exceed ``2 * rho``, and the product alone
-    would exceed every guess.  Drops evict through the members no
-    remaining guess holds, guess by guess in dict order.
+    would exceed every guess.
 
-    A guess's solution only grows, so ``guesses`` maps a guess value to a
-    :class:`_Guess`: a gain state from :meth:`Objective.open` and a
-    feasibility state from :meth:`IndependenceSystem.open`, grown together.
-    The guesses whose feasibility state can take an arrival are listed
-    first, and one :meth:`Objective.gains` call answers all their gains,
-    so a full guess pays no gain query and an error leaves every guess
-    without the element.
+    Guesses that hold one set in one order share one state: a *group*
+    (:class:`_GuessGroup`) is a contiguous run of guess values with one
+    gain state from :meth:`Objective.open` and one feasibility state from
+    :meth:`IndependenceSystem.open`, grown together.  ``guesses`` maps
+    each guess value to its group, in ascending value order.  Each
+    arrival asks one ``can_add`` per group, and one
+    :meth:`Objective.gains` call answers the gains of the groups that can
+    take it, so a full group pays no gain query and an error leaves every
+    guess without the element.  The threshold rises with v, so the
+    guesses of a group that take the element are a prefix of it.  When
+    only some of them do, the group splits: the taking part keeps the
+    live states and adds the element, and the part above gets states
+    rebuilt by replaying the members in member order.  The LB term above
+    is non-decreasing in v, float for float, so it is evaluated once, at
+    the taking part's top value.  New grid values join the top group
+    while it holds nothing, else form a new empty group; a new value
+    below the top guess (within ``EPS`` under an old, off-grid top) gets
+    an empty group of its own at its place.  Drops trim groups from the
+    bottom: a group dropped whole evicts the members no remaining group
+    holds, and a partly dropped group evicts nothing.
 
     A ``rho`` passed in must be a whole number of at least 1; without one
     the system's ``rho_hint`` is used, else its exact rho.
@@ -115,9 +134,15 @@ class SieveGuessStream(StreamingComponent):
         self.anchor: float | None = None
         self.best_singleton = 0.0
         self.lower_bound = 0.0
-        self.guesses: dict[float, _Guess] = {}
+        self._groups: list[_GuessGroup] = []  # ascending, contiguous values
         self._held = 0  # distinct elements in the guesses' members
         self._empty = sys.open()  # never takes an element: the singleton test
+
+    @property
+    def guesses(self) -> Mapping[float, _GuessGroup]:
+        """Guess value -> its group, in ascending value order."""
+        return MappingProxyType({v: group for group in self._groups
+                                 for v in group.values})
 
     def _floor(self) -> float:
         return max(self.best_singleton - EPS, self.lower_bound)
@@ -135,19 +160,57 @@ class SieveGuessStream(StreamingComponent):
         values.append(top)  # top >= LB: LB is at most a held guess
         return values
 
+    def _open(self, values: list[float], members=()) -> _GuessGroup:
+        """A group of the guesses ``values`` with states of their own that
+        hold ``members``, added in order."""
+        group = _GuessGroup(values, self.f.open(), self.sys.open())
+        for x in members:
+            group.gains.add(x)
+            group.fits.add(x)
+        return group
+
+    def _split(self, group: _GuessGroup, k: int) -> None:
+        """Cut ``group`` to its lowest ``k`` guesses; the guesses above
+        them become a group of their own (:meth:`_open`)."""
+        upper = self._open(group.values[k:], group.members)
+        del group.values[k:]
+        groups = self._groups
+        groups.insert(groups.index(group) + 1, upper)
+
     def _drop_below(self, floor: float) -> list[int]:
         """Drop every guess below ``floor``; returns the evicted members."""
+        groups = self._groups
         evicted: list[int] = []
-        for v in [g for g in self.guesses if g < floor]:
-            evicted += _unheld(self.guesses.pop(v).members,
-                               [g.members for g in self.guesses.values()])
+        while groups and groups[0].values[0] < floor:
+            group = groups[0]
+            if group.values[-1] >= floor:
+                del group.values[:bisect_left(group.values, floor)]
+                break
+            groups.pop(0)
+            evicted += _unheld(group.members,
+                               [later.members for later in groups])
         self._held -= len(evicted)
         return evicted
 
     def _refresh_guesses(self) -> list[int]:
+        groups = self._groups
+        known = self.guesses
         for v in self._grid():
-            if v not in self.guesses:
-                self.guesses[v] = _Guess(self.f.open(), self.sys.open())
+            if v in known:
+                continue
+            if groups and v < groups[-1].values[-1]:
+                # only within EPS under an old top, which is off the grid
+                i = next(i for i, group in enumerate(groups)
+                         if v < group.values[-1])
+                k = bisect_left(groups[i].values, v)
+                if k:
+                    self._split(groups[i], k)
+                    i += 1
+                groups.insert(i, self._open([v]))
+            elif groups and not groups[-1].members:
+                groups[-1].values.append(v)
+            else:
+                groups.append(self._open([v]))
         return self._drop_below(self._floor())
 
     def _ingest(self, u: int) -> list[int]:
@@ -161,16 +224,24 @@ class SieveGuessStream(StreamingComponent):
                 evicted.extend(self._refresh_guesses())
         taken = False
         bound = self.lower_bound
-        takers = [(v, guess) for v, guess in self.guesses.items()
-                  if guess.fits.can_add(u)]
-        gains = self.f.gains(u, [guess.gains for _, guess in takers])
-        for (v, guess), gain in zip(takers, gains):
-            threshold = v / (2.0 * self.rho) - EPS
-            if gain >= threshold:
-                guess.gains.add(u)
-                guess.fits.add(u)
-                taken = True
-                bound = max(bound, min(v, len(guess.members) * threshold))
+        half = 2.0 * self.rho
+        fits = [group for group in self._groups if group.fits.can_add(u)]
+        gains = self.f.gains(u, [group.gains for group in fits])
+        for group, gain in zip(fits, gains):  # _split extends _groups
+            values = group.values
+            k = len(values)
+            if not gain >= values[-1] / half - EPS:
+                k = 0
+                while gain >= values[k] / half - EPS:
+                    k += 1
+                if not k:
+                    continue
+                self._split(group, k)
+            group.gains.add(u)
+            group.fits.add(u)
+            taken = True
+            top = values[k - 1]
+            bound = max(bound, min(top, len(group.members) * (top / half - EPS)))
         if taken:
             self._held += 1
             if bound > self.lower_bound:
@@ -182,7 +253,8 @@ class SieveGuessStream(StreamingComponent):
 
     def _finalize(self):
         cands = [ElementSet()]
-        cands += [self.guesses[v].members for v in sorted(self.guesses)]
+        cands += [group.members for group in self._groups
+                  for _ in group.values]
         best = cands[first_best(values_once(self.f, cands))]
         return best, ElementSet().union(*cands)
 

@@ -19,7 +19,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ElementSet, Objective, _running_sum, _spec_int, first_best
+from .core import (ElementSet, Objective, _running_sum, _spec_float, _spec_int,
+                   first_best)
 from .prng import SplitMix64
 from .objectives import (CutGraph, load_features, load_keyword_table,
                          make_coverage_minus_dispersion, make_directed_cut,
@@ -324,13 +325,15 @@ def _build_graph(instance: Mapping, seed: int) -> CutGraph:
     def field(name):
         return _spec_int("instance", name, instance[name])
 
+    def real(name):
+        return _spec_float("instance", name, instance[name])
+
     weight_mode = instance.get("edge_weights", "unit")
     if model == "er":
-        return gen_erdos_renyi(field("n"), float(instance["p"]), seed,
-                               weight_mode)
+        return gen_erdos_renyi(field("n"), real("p"), seed, weight_mode)
     if model == "ws":
-        return gen_watts_strogatz(field("n"), field("k_ring"),
-                                  float(instance["beta"]), seed, weight_mode)
+        return gen_watts_strogatz(field("n"), field("k_ring"), real("beta"),
+                                  seed, weight_mode)
     raise ValueError(f"unknown instance spec {instance!r}")
 
 
@@ -437,7 +440,7 @@ def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
     graph = pairs = None
     if kind in ("facility", "logdet", "coverage_minus_dispersion"):
         feats = load_features(_path("objective", objective, "features"))
-        lam = float(objective.get("lambda", 0.1))
+        lam = _spec_float("objective", "lambda", objective.get("lambda", 0.1))
         sim = similarity_from_features(feats, lam)
         if kind == "facility":
             res = objective.get("reservoir")
@@ -445,7 +448,8 @@ def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
                 res["r_cap"], res.get("seed", 0))
             factory = lambda: make_facility_location(sim, cfg_res)
         elif kind == "logdet":
-            alpha = float(objective.get("alpha", 20.0))
+            alpha = _spec_float("objective", "alpha",
+                                objective.get("alpha", 20.0))
             factory = lambda: make_logdet(sim, alpha)
         else:
             factory = lambda: make_coverage_minus_dispersion(sim)

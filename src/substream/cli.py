@@ -41,6 +41,8 @@ def _load_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: nested too deeply") from None
 
 
 def _cmd_bench_run(args) -> int:

@@ -26,12 +26,13 @@ and repeat a test.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (ElementSet, GroundSetError, SizeLimitError,
                    UnsupportedConstraintError, _dense, _endpoints, _outside,
-                   _running_sum, _spec_count, _spec_int)
+                   _running_sum, _spec_count, _spec_float, _spec_int)
 # planarity_check stays importable from here: perfbench/tracing.py patches it
 from .planarity import _check, _is_planar, planarity_check  # noqa: F401
 
@@ -278,18 +279,24 @@ def knapsack_system(costs, budget: float) -> IndependenceSystem:
     ``open()`` adds them in insertion order.  Costs must be finite and
     strictly positive (a zero cost would leave the exchange parameter
     ceil(c_max / c_min) undefined; clamp to an epsilon first); the budget
-    must be positive.
+    must be positive and finite.  Both must be real numbers
+    (:func:`_spec_float`): a string is none.
     """
     if isinstance(costs, Mapping):
         costs = _dense("cost map keys", costs)
-    c = [float(x) for x in costs]
-    if not c:  # max and min below need a cost
+    costs = list(costs)
+    if not costs:  # max and min below need a cost
         raise ValueError("empty ground set")
+    # a float needs only the range check below, which also catches NaN
+    c = [x if type(x) is float
+         else _spec_float("knapsack", "costs", x, f" at index {i}")
+         for i, x in enumerate(costs)]
     for x in c:
-        if not 0 < x < math.inf:  # also false for NaN
+        if not 0 < x < math.inf:
             raise ValueError(f"knapsack cost {x} is not finite and positive")
-    if not budget > 0:  # also false for NaN
+    if isinstance(budget, numbers.Real) and not budget > 0:
         raise ValueError(f"budget must be positive, got {budget}")
+    budget = _spec_float("knapsack", "budget", budget)
     k = math.ceil(max(c) / min(c) - 1e-12)
     limit = budget + 1e-12
     # rho: the cheapest elements fill the budget first
@@ -571,9 +578,10 @@ def make_system(spec: Mapping) -> IndependenceSystem:
     (costs, budget), ``labeled_limit`` (labels, per_label_limit,
     total_limit, optional k_param), ``node_independent_set`` (n, edges),
     ``planarity`` (n_vertices, edges).  ``{"intersect": [specA, specB]}``
-    combines two specs.  A missing field, or an integer field (n, rho,
+    combines two specs.  A missing field, an integer field (n, rho,
     per_label_limit, total_limit, k_param, n_vertices) holding a NaN,
-    infinite or fractional number, raises ``ValueError`` naming it.
+    infinite or fractional number, or a knapsack budget or cost that is
+    no finite number (a string, say), raises ``ValueError`` naming it.
     """
     if "intersect" in spec:
         parts = spec["intersect"]
@@ -587,7 +595,7 @@ def make_system(spec: Mapping) -> IndependenceSystem:
     if kind == "cardinality":
         return cardinality_system(spec["n"], spec["rho"])
     if kind == "knapsack":
-        return knapsack_system(spec["costs"], float(spec["budget"]))
+        return knapsack_system(spec["costs"], spec["budget"])
     if kind == "labeled_limit":
         return labeled_limit_system(spec["labels"], spec["per_label_limit"],
                                     spec["total_limit"], spec.get("k_param"))

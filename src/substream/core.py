@@ -62,6 +62,16 @@ def _spec_int(kind: str, name: str, value, where: str = "") -> int:
                      f"integer, got {value!r}")
 
 
+def _spec_float(kind: str, name: str, value, where: str = "") -> float:
+    """A real-valued field of a spec: a finite real number (an integral
+    one, a bool too); a string or bytes is no number, and NaN and the
+    infinities are not finite.  ``where`` narrows the error message."""
+    if isinstance(value, numbers.Real) and math.isfinite(value):
+        return float(value)
+    raise ValueError(f"{kind} spec field {name!r}{where} must be a finite "
+                     f"number, got {value!r}")
+
+
 def _spec_count(kind: str, name: str, value, where: str = "") -> int:
     """A whole-number field (:func:`_spec_int`, with the same ``where``)
     that must be at least 1."""

@@ -4,13 +4,20 @@ the test modules."""
 import heapq
 import math
 from itertools import chain
+from typing import NamedTuple
 
 from substream import (CutGraph, brute_force_opt, build_g1, build_g2,
-                       cardinality_system, constraints, knapsack_system,
-                       labeled_limit_system, make_directed_cut, make_modular,
-                       node_independent_set_system, similarity_from_features)
-from substream.core import (EPS, ElementSet, TabulatedGainState, first_best,
-                            values_once)
+                       cardinality_system, constraints, intersect,
+                       knapsack_system, labeled_limit_system,
+                       make_coverage_minus_dispersion, make_directed_cut,
+                       make_facility_location, make_logdet, make_modular,
+                       node_independent_set_system, planarity_system,
+                       similarity_from_features)
+from substream.constraints import (EXACT_RHO_LIMIT, FeasibilityState,
+                                   IndependenceSystem, exact_rho)
+from substream.core import (EPS, ElementSet, GainState, Objective,
+                            SizeLimitError, TabulatedGainState, _spec_count,
+                            first_best, values_once)
 from substream.offline import unweighted_greedy
 from substream.prng import SplitMix64
 from substream.streaming import (StreamingComponent, _guess_exponent, _level,
@@ -69,6 +76,58 @@ def max_feasible_singleton(sys, f):
         if sys.is_independent((u,)):
             best = max(best, f.singleton(u))
     return best
+
+
+OBJECTIVE_FAMILIES = ["modular", "cut", "facility", "logdet", "cmd"]
+SYSTEM_FAMILIES = ["cardinality", "node", "planarity", "knapsack", "intersect"]
+
+
+def _family_objective(kind, rng, n):
+    if kind == "modular":
+        # weights over many powers of two spread the gains over many levels
+        return make_modular([2.0 ** rng.uniform(-4.0, 16.0) for _ in range(n)])
+    if kind == "cut":
+        return random_cut(rng, n)
+    sim = random_similarity(rng, n)
+    if kind == "facility":
+        return make_facility_location(sim)
+    if kind == "logdet":
+        return make_logdet(sim, alpha=2.0)
+    return make_coverage_minus_dispersion(sim)
+
+
+def _family_knapsack(rng, n):
+    costs = [float(rng.randint(1, 4)) for _ in range(n)]
+    return knapsack_system(costs, float(rng.randint(4, 2 * n)))
+
+
+def _family_planarity(rng, n):
+    """Planarity over the first n edges of a shuffled K7."""
+    pairs = [(a, b) for a in range(7) for b in range(a + 1, 7)]
+    rng.shuffle(pairs)
+    return planarity_system(7, pairs[:n])
+
+
+def _family_system(kind, rng, n):
+    if kind == "cardinality":
+        return cardinality_system(n, rng.randint(1, max(1, n // 2)))
+    if kind == "node":
+        return node_independent_set_system(n, [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < 0.3])
+    if kind == "planarity":
+        return _family_planarity(rng, n)
+    if kind == "knapsack":
+        return _family_knapsack(rng, n)
+    return intersect(_family_planarity(rng, n), _family_knapsack(rng, n))
+
+
+def family_instance(n, seed, objective, system):
+    """A seeded ``(sys, f)`` over ``range(n)`` of one of the
+    ``SYSTEM_FAMILIES`` and one of the ``OBJECTIVE_FAMILIES`` (n <= 21,
+    the edges of K7)."""
+    rng = SplitMix64(seed)
+    return _family_system(system, rng, n), _family_objective(objective, rng, n)
 
 
 def random_independent_set(rng: SplitMix64, sys, keep_prob: float = 0.5):
@@ -430,6 +489,118 @@ class ReferenceWindow(StreamingComponent):
 
     def stored_count(self):
         return len(self.base) + self._stored
+
+
+class ReferenceGuess(NamedTuple):
+    """One guess of :class:`ReferenceGuesses`: the gain state and the
+    feasibility state of its solution, which hold the same members."""
+
+    gains: GainState
+    fits: FeasibilityState
+
+    @property
+    def members(self) -> ElementSet:
+        return self.gains.members
+
+
+class ReferenceGuesses(StreamingComponent):
+    """``SieveGuessStream`` with one :class:`ReferenceGuess` per guess
+    value, each with states of its own: the guess streamer as it ran
+    before guesses that hold one set shared one state.  ``guesses`` is a
+    dict in insertion order; each arrival asks every guess that can take
+    it for its gain in one :meth:`Objective.gains` call, and drops evict
+    guess by guess in dict order."""
+
+    def __init__(self, sys: IndependenceSystem, f: Objective,
+                 epsilon: float = 0.1, rho: int | None = None):
+        super().__init__(sys, f)
+        if not 0.0 < epsilon < 1.0:
+            raise ValueError("epsilon must be in (0, 1)")
+        rho = (sys.rho_hint if rho is None
+               else _spec_count("SieveGuessStream", "rho", rho))
+        if rho is None:
+            if sys.n > EXACT_RHO_LIMIT:
+                raise SizeLimitError(
+                    "rho unknown and too large to brute force; pass rho=")
+            rho = exact_rho(sys)
+        self.epsilon = float(epsilon)
+        self.rho = int(rho)
+        self.anchor: float | None = None
+        self.best_singleton = 0.0
+        self.lower_bound = 0.0
+        self.guesses: dict[float, ReferenceGuess] = {}
+        self._held = 0  # distinct elements in the guesses' members
+        self._empty = sys.open()  # never takes an element: the singleton test
+
+    def _floor(self) -> float:
+        return max(self.best_singleton - EPS, self.lower_bound)
+
+    def _grid(self) -> list[float]:
+        """Guess values currently in the window [floor, 2 * rho * best]."""
+        top = 2.0 * self.rho * self.best_singleton
+        floor = self._floor()
+        values = []
+        v = self.anchor
+        while v < top - EPS:
+            if v >= floor:
+                values.append(v)
+            v *= 1.0 + self.epsilon
+        values.append(top)  # top >= LB: LB is at most a held guess
+        return values
+
+    def _drop_below(self, floor: float) -> list[int]:
+        """Drop every guess below ``floor``; returns the evicted members."""
+        evicted: list[int] = []
+        for v in [g for g in self.guesses if g < floor]:
+            evicted += _unheld(self.guesses.pop(v).members,
+                               [g.members for g in self.guesses.values()])
+        self._held -= len(evicted)
+        return evicted
+
+    def _refresh_guesses(self) -> list[int]:
+        for v in self._grid():
+            if v not in self.guesses:
+                self.guesses[v] = ReferenceGuess(self.f.open(), self.sys.open())
+        return self._drop_below(self._floor())
+
+    def _ingest(self, u: int) -> list[int]:
+        evicted: list[int] = []
+        if self._empty.can_add(u):
+            value = self.f.singleton(u)
+            if value > self.best_singleton + EPS:
+                self.best_singleton = value
+                if self.anchor is None:
+                    self.anchor = value
+                evicted.extend(self._refresh_guesses())
+        taken = False
+        bound = self.lower_bound
+        takers = [(v, guess) for v, guess in self.guesses.items()
+                  if guess.fits.can_add(u)]
+        gains = self.f.gains(u, [guess.gains for _, guess in takers])
+        for (v, guess), gain in zip(takers, gains):
+            threshold = v / (2.0 * self.rho) - EPS
+            if gain >= threshold:
+                guess.gains.add(u)
+                guess.fits.add(u)
+                taken = True
+                bound = max(bound, min(v, len(guess.members) * threshold))
+        if taken:
+            self._held += 1
+            if bound > self.lower_bound:
+                self.lower_bound = bound
+                evicted += self._drop_below(bound)
+        else:
+            evicted.append(u)
+        return evicted
+
+    def _finalize(self):
+        cands = [ElementSet()]
+        cands += [self.guesses[v].members for v in sorted(self.guesses)]
+        best = cands[first_best(values_once(self.f, cands))]
+        return best, ElementSet().union(*cands)
+
+    def stored_count(self) -> int:
+        return self._held
 
 
 def reference_window_finalize(window):

@@ -230,6 +230,51 @@ MUTANTS = [
         "            self._base.add(u)\n            moved = True\n",
         "            self._base.add(u)\n",
         ("tests/test_streaming.py::test_auto_sieve_window_example",)),
+    Mutant(
+        "guess-split-gives-the-element-to-the-whole-group",
+        "baselines.py",
+        "                self._split(group, k)",
+        "                k = len(values)",
+        ("tests/test_guess_groups.py"
+         "::test_a_partial_take_splits_the_group_and_replays_the_part_above",)),
+    Mutant(
+        "guess-replay-out-of-member-order",
+        "baselines.py",
+        "        for x in members:",
+        "        for x in reversed(list(members)):",
+        ("tests/test_guess_groups.py"
+         "::test_grouped_guesses_match_the_per_guess_streamer",)),
+    Mutant(
+        "new-guesses-join-a-non-empty-top-group",
+        "baselines.py",
+        "            elif groups and not groups[-1].members:",
+        "            elif groups:",
+        ("tests/test_guess_groups.py::test_new_guesses_join_the_top_group_"
+         "only_while_it_holds_nothing",)),
+    Mutant(
+        "partial-guess-drop-evicts-the-members",
+        "baselines.py",
+        "                del group.values[:bisect_left(group.values, floor)]\n"
+        "                break",
+        "                del group.values[:bisect_left(group.values, floor)]\n"
+        "                evicted += group.members\n"
+        "                break",
+        ("tests/test_guess_groups.py"
+         "::test_a_partial_take_splits_the_group_and_replays_the_part_above",)),
+    Mutant(
+        "knapsack-budget-by-float",
+        "constraints.py",
+        '    budget = _spec_float("knapsack", "budget", budget)',
+        "    budget = float(budget)",
+        ("tests/test_constraints.py"
+         "::test_make_system_rejects_a_budget_that_is_no_finite_number",)),
+    Mutant(
+        "cli-lets-deep-json-through",
+        "cli.py",
+        "        except RecursionError:",
+        "        except ZeroDivisionError:",
+        ("tests/test_cli.py"
+         "::test_bench_run_rejects_a_config_nested_too_deeply",)),
 ]
 
 

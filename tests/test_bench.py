@@ -691,9 +691,9 @@ algorithm,sweep,seed,value,oracle_calls,peak_elements,ms
 repeated_greedy,0,5,8.0,56,12,0
 repeated_greedy,0,17,8.0,127,24,0
 repeated_greedy,0,29,8.0,85,17,0
-sieve_streaming,0,5,8.0,171,8,0
-sieve_streaming,0,17,6.0,143,6,0
-sieve_streaming,0,29,8.0,176,8,0
+sieve_streaming,0,5,8.0,23,8,0
+sieve_streaming,0,17,6.0,33,6,0
+sieve_streaming,0,29,8.0,28,8,0
 threshold_sieve,0,5,8.0,27,16,0
 threshold_sieve,0,17,6.0,51,12,0
 threshold_sieve,0,29,8.0,37,16,0

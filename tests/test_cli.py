@@ -1,10 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from substream.bench import RESULT_HEADER
 from substream.cli import main
+
+FEATURES = Path(__file__).parent / "data" / "features.csv"
 
 
 def test_gen_graph_and_run_stream(tmp_path, capsys):
@@ -146,7 +149,23 @@ def test_bench_run_rejects_malformed_input(tmp_path, capsys):
                             "cost_rule": "uniform"},
              "unknown cost rule 'uniform'"),
             ("options", {"stream_order": "reverse"},
-             "unknown stream order 'reverse'")]:
+             "unknown stream order 'reverse'"),
+            # float() would read a numeric string as a number
+            ("constraint", {"type": "knapsack", "budget": "5"},
+             "field 'budget' must be a finite number, got '5'"),
+            ("constraint", {"type": "knapsack", "budget": 5,
+                            "costs": [1.0] * 7 + ["1"]},
+             "field 'costs' at index 7 must be a finite number, got '1'"),
+            ("instance", {"model": "er", "n": 8, "p": "0.3"},
+             "field 'p' must be a finite number, got '0.3'"),
+            ("instance", {"model": "ws", "n": 8, "k_ring": 2, "beta": "0.3"},
+             "field 'beta' must be a finite number, got '0.3'"),
+            ("objective", {"kind": "facility", "features": str(FEATURES),
+                           "lambda": "0.1"},
+             "field 'lambda' must be a finite number, got '0.1'"),
+            ("objective", {"kind": "logdet", "features": str(FEATURES),
+                           "alpha": "20"},
+             "field 'alpha' must be a finite number, got '20'")]:
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps({**cfg, key: value}))
         _fails_cleanly(["bench", "run", "--config", str(path)], capsys, message)
@@ -249,6 +268,29 @@ def test_run_stream_rejects_malformed_input(tmp_path, capsys):
                    "field 'per_label_limit' has no limit for label 'b'")
     _fails_cleanly(base[:-3] + ["--algo", "nope", "--constraint", str(spec)],
                    capsys, "argument --algo: invalid choice: 'nope'")
+
+
+def _deep_intersect(path, depth=3000):
+    """A constraint file of ``depth`` nested intersects, too deep for
+    ``json.load``."""
+    path.write_text('{"intersect": [' * depth + "]}" * depth)
+    return path
+
+
+def test_run_stream_rejects_a_constraint_nested_too_deeply(tmp_path, capsys):
+    graph_path = tmp_path / "g.tsv"
+    main(["bench", "gen-graph", "--model", "er", "--n", "8", "--p", "0.3",
+          "--seed", "1", "--out", str(graph_path)])
+    spec = _deep_intersect(tmp_path / "deep.json")
+    _fails_cleanly(["run-stream", "--graph", str(graph_path), "--objective",
+                    "cut", "--algo", "auto_sieve", "--constraint", str(spec)],
+                   capsys, f"{spec}: nested too deeply")
+
+
+def test_bench_run_rejects_a_config_nested_too_deeply(tmp_path, capsys):
+    cfg = _deep_intersect(tmp_path / "deep.json")
+    _fails_cleanly(["bench", "run", "--config", str(cfg)], capsys,
+                   f"{cfg}: nested too deeply")
 
 
 def test_run_stream_rejects_non_finite_edge_weight(tmp_path, capsys):

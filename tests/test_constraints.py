@@ -290,6 +290,30 @@ def test_make_system_rejects_non_integer_field(name, bad):
         make_system(spec)
 
 
+_KNAPSACK = {"type": "knapsack", "costs": [1.0, 2.0], "budget": 2.0}
+
+
+@pytest.mark.parametrize("bad", [math.inf, "5", b"5", [2.0]])
+def test_make_system_rejects_a_budget_that_is_no_finite_number(bad):
+    make_system(_KNAPSACK)  # the unchanged spec is valid
+    with pytest.raises(ValueError, match=re.escape(
+            f"field 'budget' must be a finite number, got {bad!r}")):
+        make_system({**_KNAPSACK, "budget": bad})
+
+
+@pytest.mark.parametrize("bad", ["1", b"1", None, [1.0]])
+def test_make_system_rejects_a_cost_that_is_no_number(bad):
+    with pytest.raises(ValueError, match=re.escape(
+            f"field 'costs' at index 1 must be a finite number, got {bad!r}")):
+        make_system({**_KNAPSACK, "costs": [1.0, bad]})
+
+
+def test_knapsack_fields_take_any_real_number():
+    sys = make_system({"type": "knapsack", "costs": [np.float32(1.0), 2, True],
+                       "budget": np.int64(3)})
+    assert sys.is_independent([0, 1]) and not sys.is_independent([0, 1, 2])
+
+
 def test_make_system_integer_fields():
     assert make_system({"type": "cardinality", "n": 4.0,
                         "rho": np.int64(2)}).rho_hint == 2
