@@ -10,16 +10,17 @@ makes runs exactly reproducible.
 from __future__ import annotations
 
 import heapq
+import numbers
 from bisect import bisect_left
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .core import (EPS, ElementSet, GainState, Objective, SizeLimitError,
+from .core import (EPS, ElementSet, Objective, SizeLimitError,
                    UnsupportedConstraintError, _spec_count, first_best,
                    values_once)
-from .constraints import (EXACT_RHO_LIMIT, FeasibilityState,
-                          IndependenceSystem, exact_rho)
-from .streaming import StreamingComponent, StreamOutcome, _drive, _unheld
+from .constraints import EXACT_RHO_LIMIT, IndependenceSystem, exact_rho
+from .streaming import (StreamingComponent, StreamOutcome, _drive, _Group,
+                        _Grouped)
 
 
 class GreedyStream(StreamingComponent):
@@ -48,24 +49,7 @@ class GreedyStream(StreamingComponent):
         return len(self.solution)
 
 
-class _GuessGroup:
-    """Guesses ``values`` (ascending) that hold one set in one order: the
-    gain state and the feasibility state of that set, grown together."""
-
-    __slots__ = ("values", "gains", "fits")
-
-    def __init__(self, values: list[float], gains: GainState,
-                 fits: FeasibilityState):
-        self.values = values
-        self.gains = gains
-        self.fits = fits
-
-    @property
-    def members(self) -> ElementSet:
-        return self.gains.members
-
-
-class SieveGuessStream(StreamingComponent):
+class SieveGuessStream(_Grouped):
     """Threshold-guessing streamer: one growing solution per value guess,
     with the guess pruning of Sieve-Streaming++ (Kazemi et al., ICML 2019).
 
@@ -92,35 +76,26 @@ class SieveGuessStream(StreamingComponent):
     true one, ``|S_v|`` can exceed ``2 * rho``, and the product alone
     would exceed every guess.
 
-    Guesses that hold one set in one order share one state: a *group*
-    (:class:`_GuessGroup`) is a contiguous run of guess values with one
-    gain state from :meth:`Objective.open` and one feasibility state from
-    :meth:`IndependenceSystem.open`, grown together.  ``guesses`` maps
-    each guess value to its group, in ascending value order.  Each
-    arrival asks one ``can_add`` per group, and one
-    :meth:`Objective.gains` call answers the gains of the groups that can
-    take it, so a full group pays no gain query and an error leaves every
-    guess without the element.  The threshold rises with v, so the
-    guesses of a group that take the element are a prefix of it.  When
-    only some of them do, the group splits: the taking part keeps the
-    live states and adds the element, and the part above gets states
-    rebuilt by replaying the members in member order.  The LB term above
-    is non-decreasing in v, float for float, so it is evaluated once, at
-    the taking part's top value.  New grid values join the top group
-    while it holds nothing, else form a new empty group; a new value
-    below the top guess (within ``EPS`` under an old, off-grid top) gets
-    an empty group of its own at its place.  Drops trim groups from the
-    bottom: a group dropped whole evicts the members no remaining group
-    holds, and a partly dropped group evicts nothing.
+    Guesses are grouped by the rules of :class:`~.streaming._Grouped`;
+    ``guesses`` maps each guess value to its group, which keeps its
+    members at level 0, in a state opened with the group.  Each arrival
+    asks one ``can_add`` per group, and one :meth:`Objective.gains` call
+    answers the groups that can take it, so an error leaves every guess
+    without the element.  The threshold rises with v, so a group's
+    guesses that take it are a prefix, and the LB term, non-decreasing
+    in v float for float, is evaluated once, at that prefix's top.  A
+    new value below the top guess (within ``EPS`` under an old, off-grid
+    top) gets an empty group of its own at its place.
 
-    A ``rho`` passed in must be a whole number of at least 1; without one
-    the system's ``rho_hint`` is used, else its exact rho.
+    ``epsilon`` must be a number in (0, 1), and a ``rho`` passed in a
+    whole number of at least 1; without one the system's ``rho_hint`` is
+    used, else its exact rho.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective,
                  epsilon: float = 0.1, rho: int | None = None):
         super().__init__(sys, f)
-        if not 0.0 < epsilon < 1.0:
+        if not (isinstance(epsilon, numbers.Real) and 0 < epsilon < 1):
             raise ValueError("epsilon must be in (0, 1)")
         rho = (sys.rho_hint if rho is None
                else _spec_count("SieveGuessStream", "rho", rho))
@@ -134,15 +109,14 @@ class SieveGuessStream(StreamingComponent):
         self.anchor: float | None = None
         self.best_singleton = 0.0
         self.lower_bound = 0.0
-        self._groups: list[_GuessGroup] = []  # ascending, contiguous values
         self._held = 0  # distinct elements in the guesses' members
         self._empty = sys.open()  # never takes an element: the singleton test
 
     @property
-    def guesses(self) -> Mapping[float, _GuessGroup]:
+    def guesses(self) -> Mapping[float, _Group]:
         """Guess value -> its group, in ascending value order."""
         return MappingProxyType({v: group for group in self._groups
-                                 for v in group.values})
+                                 for v in group.keys})
 
     def _floor(self) -> float:
         return max(self.best_singleton - EPS, self.lower_bound)
@@ -160,58 +134,35 @@ class SieveGuessStream(StreamingComponent):
         values.append(top)  # top >= LB: LB is at most a held guess
         return values
 
-    def _open(self, values: list[float], members=()) -> _GuessGroup:
-        """A group of the guesses ``values`` with states of their own that
-        hold ``members``, added in order."""
-        group = _GuessGroup(values, self.f.open(), self.sys.open())
-        for x in members:
-            group.gains.add(x)
-            group.fits.add(x)
+    def _group(self, keys: list[float]) -> _Group:
+        group = super()._group(keys)
+        group.bucket(0, self.sys)  # read as buckets[0] at every arrival
         return group
 
-    def _split(self, group: _GuessGroup, k: int) -> None:
-        """Cut ``group`` to its lowest ``k`` guesses; the guesses above
-        them become a group of their own (:meth:`_open`)."""
-        upper = self._open(group.values[k:], group.members)
-        del group.values[k:]
-        groups = self._groups
-        groups.insert(groups.index(group) + 1, upper)
-
-    def _drop_below(self, floor: float) -> list[int]:
-        """Drop every guess below ``floor``; returns the evicted members."""
-        groups = self._groups
-        evicted: list[int] = []
-        while groups and groups[0].values[0] < floor:
-            group = groups[0]
-            if group.values[-1] >= floor:
-                del group.values[:bisect_left(group.values, floor)]
-                break
-            groups.pop(0)
-            evicted += _unheld(group.members,
-                               [later.members for later in groups])
+    def _drop(self, floor: float) -> list[int]:
+        """:meth:`_drop_below` ``floor``, counted in ``_held``."""
+        evicted = self._drop_below(floor)[0]
         self._held -= len(evicted)
         return evicted
 
     def _refresh_guesses(self) -> list[int]:
-        groups = self._groups
         known = self.guesses
         for v in self._grid():
             if v in known:
                 continue
-            if groups and v < groups[-1].values[-1]:
+            groups = self._groups  # _split replaces _groups
+            if groups and v < groups[-1].keys[-1]:
                 # only within EPS under an old top, which is off the grid
                 i = next(i for i, group in enumerate(groups)
-                         if v < group.values[-1])
-                k = bisect_left(groups[i].values, v)
+                         if v < group.keys[-1])
+                k = bisect_left(groups[i].keys, v)
                 if k:
-                    self._split(groups[i], k)
+                    self._split(groups[i], 0, k)
                     i += 1
-                groups.insert(i, self._open([v]))
-            elif groups and not groups[-1].members:
-                groups[-1].values.append(v)
+                self._groups.insert(i, self._group([v]))
             else:
-                groups.append(self._open([v]))
-        return self._drop_below(self._floor())
+                self._extend([v])
+        return self._drop(self._floor())
 
     def _ingest(self, u: int) -> list[int]:
         evicted: list[int] = []
@@ -225,28 +176,29 @@ class SieveGuessStream(StreamingComponent):
         taken = False
         bound = self.lower_bound
         half = 2.0 * self.rho
-        fits = [group for group in self._groups if group.fits.can_add(u)]
+        fits = [group for group in self._groups
+                if group.buckets[0].can_add(u)]
         gains = self.f.gains(u, [group.gains for group in fits])
-        for group, gain in zip(fits, gains):  # _split extends _groups
-            values = group.values
-            k = len(values)
-            if not gain >= values[-1] / half - EPS:
+        for group, gain in zip(fits, gains):  # _split replaces _groups
+            keys = group.keys
+            k = len(keys)
+            if not gain >= keys[-1] / half - EPS:
                 k = 0
-                while gain >= values[k] / half - EPS:
+                while gain >= keys[k] / half - EPS:
                     k += 1
                 if not k:
                     continue
-                self._split(group, k)
+                self._split(group, 0, k)
+            group.buckets[0].add(u)
             group.gains.add(u)
-            group.fits.add(u)
             taken = True
-            top = values[k - 1]
+            top = keys[k - 1]
             bound = max(bound, min(top, len(group.members) * (top / half - EPS)))
         if taken:
             self._held += 1
             if bound > self.lower_bound:
                 self.lower_bound = bound
-                evicted += self._drop_below(bound)
+                evicted += self._drop(bound)
         else:
             evicted.append(u)
         return evicted
@@ -254,7 +206,7 @@ class SieveGuessStream(StreamingComponent):
     def _finalize(self):
         cands = [ElementSet()]
         cands += [group.members for group in self._groups
-                  for _ in group.values]
+                  for _ in group.keys]
         best = cands[first_best(values_once(self.f, cands))]
         return best, ElementSet().union(*cands)
 

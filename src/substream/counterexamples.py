@@ -20,6 +20,7 @@ tuned per instance:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,9 +102,10 @@ def _build(rho: int, bait_weights: list[float],
 def build_g1(rho: int, epsilon: float = 0.01) -> CounterInstance:
     """Family g1: every bait edge weighs 2 + ``epsilon``.  A ``rho`` that is
     not a whole number of at least 1 (3.0 is taken as 3), or an ``epsilon``
-    that is not positive and finite, raises ``ValueError`` naming it."""
+    that is no positive finite number (NaN neither), raises ``ValueError``
+    naming it."""
     rho = _spec_count("counterexample", "rho", rho)
-    if not 0 < epsilon < math.inf:  # also false for NaN
+    if not (isinstance(epsilon, numbers.Real) and 0 < epsilon < math.inf):
         raise ValueError(f"epsilon must be positive and finite, "
                          f"got {epsilon!r}")
     return _build(rho, [2.0 + epsilon] * rho, epsilon)

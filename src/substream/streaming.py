@@ -19,6 +19,8 @@ D, so nothing a component ever received is lost.
 from __future__ import annotations
 
 import math
+import numbers
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
@@ -154,22 +156,26 @@ class StreamingComponent:
 
 
 class _Group:
-    """Window copies ``lo..hi`` that hold one kept set in one order.
+    """Copies or guesses ``keys`` (ascending) that hold one set in one
+    order: exponents for a window, guess values for the guess streamer.
 
-    ``gains`` is the kept set's gain state and ``buckets`` one
-    feasibility state per level: copy e's band i holds the members of
-    level ``i - e``.  ``candidates`` holds one candidate per residue of a
-    level mod h, once the window drains.
+    ``gains`` is the set's gain state and ``buckets`` one feasibility state
+    per level; together the level states hold the members, each in member
+    order.  A guess group keeps all its members at level 0.
+    ``candidates`` holds a window group's candidates once it drains.
     """
 
-    __slots__ = ("lo", "hi", "gains", "buckets", "candidates")
+    __slots__ = ("keys", "gains", "buckets", "candidates")
 
-    def __init__(self, lo: int, hi: int, gains: GainState):
-        self.lo = lo
-        self.hi = hi
+    def __init__(self, keys: list, gains: GainState):
+        self.keys = keys
         self.gains = gains
         self.buckets: dict[int, FeasibilityState] = {}
         self.candidates: list[ElementSet] | None = None
+
+    @property
+    def members(self) -> ElementSet:
+        return self.gains.members
 
     def bucket(self, level: int, sys: IndependenceSystem) -> FeasibilityState:
         """The state of ``level``, opened on first use."""
@@ -178,10 +184,87 @@ class _Group:
             state = self.buckets[level] = sys.open()
         return state
 
-    def add(self, u: int, bucket: FeasibilityState) -> None:
-        """Keep ``u`` in ``bucket``, the state of its level."""
-        bucket.add(u)
-        self.gains.add(u)
+
+class _Grouped(StreamingComponent):
+    """A component whose copies (or guesses) that hold one set in one
+    order share one state: ``_groups`` lists the groups (:class:`_Group`)
+    in ascending key order, and four rules keep them.
+
+    * :meth:`_replay` gives keys states of their own, rebuilt from a
+      group's members in member order, level by level.
+    * :meth:`_split` keeps a group's ``keys[i:j]`` on its live states and
+      replays the keys below and above them, when only those keys take an
+      element; it builds a new ``_groups`` list, so a loop over the old
+      one goes on unharmed.
+    * :meth:`_extend` adds new top keys: they join the top group while it
+      holds nothing, else form a new empty group.
+    * :meth:`_drop_below` trims groups from the bottom: a group dropped
+      whole evicts the members that neither ``base`` nor a later group
+      holds, and a group dropped in part evicts nothing.
+
+    A subclass writes its arrival loop and its own count, and may open
+    states of a new group in :meth:`_group`.
+    """
+
+    def __init__(self, sys: IndependenceSystem, f: Objective):
+        super().__init__(sys, f)
+        self._groups: list[_Group] = []
+
+    def _group(self, keys: list) -> _Group:
+        """A new empty group of ``keys``."""
+        return _Group(keys, self.f.open())
+
+    def _replay(self, group: _Group, keys: list) -> _Group:
+        """A group of ``keys`` with states of their own that hold
+        ``group``'s members, at their levels, in member order."""
+        part = self._group(keys)
+        for x in group.gains.members:
+            part.gains.add(x)
+        for level, state in group.buckets.items():
+            if state.members:  # else it refused all it was offered
+                bucket = part.bucket(level, self.sys)
+                for x in state.members:
+                    bucket.add(x)
+        return part
+
+    def _split(self, group: _Group, i: int, j: int) -> None:
+        """Cut ``group`` to its ``keys[i:j]``; the keys below and above
+        them become groups of their own (:meth:`_replay`)."""
+        keys = group.keys
+        parts = [group]
+        if i:
+            parts.insert(0, self._replay(group, keys[:i]))
+        if j < len(keys):
+            parts.append(self._replay(group, keys[j:]))
+        group.keys = keys[i:j]
+        at = self._groups.index(group)
+        self._groups = self._groups[:at] + parts + self._groups[at + 1:]
+
+    def _extend(self, keys: list) -> None:
+        """Add ``keys``, all above every key held, at the top."""
+        groups = self._groups
+        if groups and not groups[-1].gains.members:
+            groups[-1].keys += keys
+        else:
+            groups.append(self._group(keys))
+
+    def _drop_below(self, floor) -> tuple[list[int], int]:
+        """Drop every key below ``floor``; returns the evicted members and
+        the number of (key, member) pairs dropped."""
+        groups = self._groups
+        evicted: list[int] = []
+        dropped = 0
+        while groups and groups[0].keys[0] < floor:
+            keys, members = groups[0].keys, groups[0].gains.members
+            cut = bisect_left(keys, floor)
+            dropped += cut * len(members)
+            if cut < len(keys):
+                del keys[:cut]
+                break
+            groups.pop(0)
+            evicted += _unheld(members, [
+                self.base, *(later.gains.members for later in groups)])
+        return evicted, dropped
 
 
 class _CopyView:
@@ -216,7 +299,7 @@ class _CopyView:
         return [cands[(j - self.exponent) % self.h] for j in range(self.h)]
 
 
-class _Window(StreamingComponent):
+class _Window(_Grouped):
     """A window of value-banded sieve copies, one per exponent e, where
     copy e is a banded sieve with threshold ``tau * 2**e``; every banded
     sieve here is one.
@@ -228,18 +311,14 @@ class _Window(StreamingComponent):
     ``e + level``, so copy e can take it when ``0 <= e + level <= ell``.
     Nothing kept is dropped while its copy lives.
 
-    Copies that hold one kept set in one order share one state: a
-    *group* (:class:`_Group`) is a contiguous run of exponents with one
-    gain state from :meth:`Objective.open` and one feasibility state per
+    Copies are grouped by the rules of :class:`_Grouped`: a group's keys
+    are a contiguous run of exponents, with one feasibility state per
     level.  Each arrival's gain against every group's kept set comes from
     one :meth:`Objective.gains` call, asked before any group takes it, so
     an error leaves every copy without the element.  A group then asks
-    one ``can_add`` of its level's state.  When only some of its copies
-    can take the element, the group splits into at most three contiguous
-    parts: the taking part keeps the live states and adds the element,
-    and each other part gets states rebuilt by replaying the members in
-    member order.  An arrival that no copy takes is evicted unless
-    ``base`` holds it.
+    one ``can_add`` of its level's state, and splits when only some of
+    its copies can take the element.  An arrival that no copy takes is
+    evicted unless ``base`` holds it.
 
     At end of stream each group builds its h = ``candidate_count(k)``
     candidates once, one per residue of a level mod h: the feasibility
@@ -254,19 +333,18 @@ class _Window(StreamingComponent):
     copy's kept set, plus the candidates once built, plus ``base``.
 
     A subclass sets ``ell`` and the groups, and follows each arrival in
-    :meth:`_arrive` before any copy is offered it.  A ``tau`` that is not
-    positive and finite raises ``ValueError``.
+    :meth:`_arrive` before any copy is offered it.  A ``tau`` that is no
+    positive finite number (NaN neither) raises ``ValueError``.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float):
         super().__init__(sys, f)
-        if not 0.0 < tau < math.inf:  # also false for NaN
+        if not (isinstance(tau, numbers.Real) and 0 < tau < math.inf):
             raise ValueError(f"tau must be positive and finite, got {tau!r}")
         self.tau = float(tau)
         self.k = sys.k_param
         self.h = candidate_count(self.k)
         self.ell = -1  # every copy's deepest band
-        self._groups: list[_Group] = []  # ascending, contiguous exponents
         self._stored = 0  # the copies' kept elements, then their candidates
 
     @property
@@ -274,34 +352,12 @@ class _Window(StreamingComponent):
         """Exponent -> view of its copy, in ascending exponent order."""
         return MappingProxyType({
             e: _CopyView(group, e, self.ell, self.h)
-            for group in self._groups for e in range(group.lo, group.hi + 1)})
+            for group in self._groups for e in group.keys})
 
     def _arrive(self, u: int) -> tuple[bool, list[int]]:
         """Follow the arrival ``u`` before any copy is offered it; returns
         whether ``base`` took it and what a move of the window evicted."""
         return False, []
-
-    def _replay(self, group: _Group, lo: int, hi: int) -> _Group:
-        """A group of the copies ``lo..hi`` with states of their own,
-        rebuilt from ``group``'s members in member order."""
-        part = _Group(lo, hi, self.f.open())
-        level_of = {x: level for level, state in group.buckets.items()
-                    for x in state.members}
-        for x in group.gains.members:
-            part.add(x, part.bucket(level_of[x], self.sys))
-        return part
-
-    def _split(self, group: _Group, lo: int, hi: int) -> None:
-        """Cut ``group`` to its copies ``lo..hi``; the copies below and
-        above them become groups of their own (:meth:`_replay`)."""
-        parts = [group]
-        if group.lo < lo:
-            parts.insert(0, self._replay(group, group.lo, lo - 1))
-        if hi < group.hi:
-            parts.append(self._replay(group, hi + 1, group.hi))
-        group.lo, group.hi = lo, hi
-        i = self._groups.index(group)
-        self._groups = self._groups[:i] + parts + self._groups[i + 1:]
 
     def _ingest(self, u: int) -> list[int]:
         held, evicted = self._arrive(u)
@@ -311,15 +367,20 @@ class _Window(StreamingComponent):
             if gain <= EPS:
                 continue
             level = _level(tau / gain)
-            lo, hi = max(group.lo, -level), min(group.hi, ell - level)
+            keys = group.keys
+            first, last = keys[0], keys[-1]
+            lo, hi = max(first, -level), min(last, ell - level)
             if lo > hi:
                 continue
-            bucket = group.bucket(level, self.sys)
+            bucket = group.buckets.get(level)  # group.bucket, inlined
+            if bucket is None:
+                bucket = group.buckets[level] = self.sys.open()
             if not bucket.can_add(u):
                 continue
-            if lo != group.lo or hi != group.hi:
-                self._split(group, lo, hi)
-            group.add(u, bucket)
+            if lo != first or hi != last:
+                self._split(group, lo - first, hi - first + 1)
+            bucket.add(u)
+            group.gains.add(u)
             self._stored += hi - lo + 1
             self._note("accept", u, level, gain)
             held = True
@@ -340,11 +401,11 @@ class _Window(StreamingComponent):
                     buckets[level].members for level in levels
                     if level % h == r)) for r in range(h)]
             values = values_once(self.f, cands, known)
-            for e in range(group.lo, group.hi + 1):
+            for e in group.keys:
                 turn = [(j - e) % h for j in range(h)]
                 best = turn[first_best(values[r] for r in turn)]
                 winners.append((cands[best], values[best]))
-            self._stored += (group.hi - group.lo + 1) * sum(len(t) for t in cands)
+            self._stored += len(group.keys) * sum(len(t) for t in cands)
         best = (winners[first_best(val for _, val in winners)][0] if winners
                 else ElementSet())
         return best, ElementSet().union(
@@ -361,7 +422,7 @@ class _OneCopy(_Window):
 
     def __init__(self, sys: IndependenceSystem, f: Objective, tau: float):
         super().__init__(sys, f, tau)
-        self._groups.append(_Group(0, 0, f.open()))
+        self._extend([0])
         self.kept = self._groups[0].gains.members  # arrival order
 
     @property
@@ -381,8 +442,8 @@ class ThresholdSieve(_OneCopy):
     ``tau`` must lie in [M, 2M] where M is the largest value of a feasible
     singleton; ``rho`` is the size of the largest independent set (any
     upper bound is sound, at the price of extra buckets).  The band range
-    is fixed at ``bucket_count(rho)`` buckets.  A ``tau`` that is not
-    positive and finite, or a ``rho`` that is not a whole number of at
+    is fixed at ``bucket_count(rho)`` buckets.  A ``tau`` that is no
+    positive finite number, or a ``rho`` that is not a whole number of at
     least 1, raises ``ValueError``.  A ``trace`` list gets one record per
     accept, with the element's band, and per eviction.
     """
@@ -426,15 +487,11 @@ class AutoThresholdSieve(_Window):
     A window with ``tau = 1``: one copy, with threshold ``2**e``, per
     exponent e of the active power-of-two threshold guesses.  The window
     follows the best feasible singleton seen so far and the size of a
-    greedy base kept here, so :meth:`_move` runs only when one of those
-    two grows.  Every copy's deepest band is ``ell = band_top(k, |base|)``.
-    An element leaves when neither the base nor any copy holds it any
-    more.
-
-    :meth:`_move` drops exponents at the bottom and adds them at the top:
-    a fully dropped group evicts what no later group and not the base
-    holds, a partly dropped group evicts nothing, and new exponents join
-    the top group while it holds nothing, else form a new empty group.
+    greedy base kept here, so :meth:`_move`, which drops and adds
+    exponents by the rules of :class:`_Grouped`, runs only when one of
+    those two grows.  Every copy's deepest band is
+    ``ell = band_top(k, |base|)``.  An element leaves when neither the
+    base nor any copy holds it any more.
 
     Whether an arrival is a feasible singleton is asked of one state
     that never takes an element.  ``best_singleton`` is the best feasible
@@ -467,27 +524,14 @@ class AutoThresholdSieve(_Window):
         """Fit the groups to the window after ``best_singleton`` or the
         base grew; returns what only the dropped copies held."""
         window = self.active_exponents()
-        groups = self._groups
-        evicted: list[int] = []
-        while groups and groups[0].lo < window.start:
-            group = groups[0]
-            kept = group.gains.members
-            self._stored -= (min(group.hi + 1, window.start) - group.lo) * len(kept)
-            if group.hi < window.start:
-                groups.pop(0)
-                evicted += _unheld(kept, [
-                    self.base, *(later.gains.members for later in groups)])
-            else:
-                group.lo = window.start
-        first = groups[-1].hi + 1 if groups else window.start
+        evicted, dropped = self._drop_below(window.start)
+        self._stored -= dropped
+        first = self._groups[-1].keys[-1] + 1 if self._groups else window.start
         if first < window.stop:
             # the top copy's band for a gain up to best_singleton is past
             # ell, so the top group holds nothing unless a gain against
             # the empty set rounds above the best singleton
-            if groups and not groups[-1].gains.members:
-                groups[-1].hi = window.stop - 1
-            else:
-                groups.append(_Group(first, window.stop - 1, self.f.open()))
+            self._extend(list(range(first, window.stop)))
         self.ell = band_top(self.k, len(self.base))
         return evicted
 

@@ -130,6 +130,25 @@ def family_instance(n, seed, objective, system):
     return _family_system(system, rng, n), _family_objective(objective, rng, n)
 
 
+def check_groups(component, keys):
+    """Assert the group invariants of a grouped window or guess streamer
+    whose copies or guesses are ``keys``, in order: the groups' keys
+    ascend within and across groups and equal ``keys``, and each level
+    state holds its members in member order, the level states together
+    holding exactly the group's members."""
+    groups = component._groups
+    assert all(group.keys for group in groups)
+    flat = [key for group in groups for key in group.keys]
+    assert all(a < b for a, b in zip(flat, flat[1:]))
+    assert flat == list(keys)
+    for group in groups:
+        kept = list(group.members)
+        states = group.buckets.values()
+        assert sorted(x for s in states for x in s.members) == sorted(kept)
+        assert all(list(s.members) == [x for x in kept if x in s.members]
+                   for s in states)
+
+
 def random_independent_set(rng: SplitMix64, sys, keep_prob: float = 0.5):
     order = list(range(sys.n))
     rng.shuffle(order)

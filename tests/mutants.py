@@ -157,24 +157,73 @@ MUTANTS = [
     Mutant(
         "split-gives-the-element-to-the-whole-group",
         "streaming.py",
-        "                self._split(group, lo, hi)",
-        "                lo, hi = group.lo, group.hi",
+        "                self._split(group, lo - first, hi - first + 1)",
+        "                lo, hi = first, last",
         ("tests/test_window_groups.py"
          "::test_grouped_window_matches_the_per_copy_window",)),
+    Mutant(
+        "guess-split-gives-the-element-to-the-whole-group",
+        "baselines.py",
+        "                self._split(group, 0, k)",
+        "                k = len(keys)",
+        ("tests/test_guess_groups.py"
+         "::test_a_partial_take_splits_the_group_and_replays_the_part_above",)),
     Mutant(
         "replay-out-of-member-order",
         "streaming.py",
         "        for x in group.gains.members:",
         "        for x in reversed(group.gains.members):",
         ("tests/test_window_groups.py"
-         "::test_grouped_window_matches_the_per_copy_window",)),
+         "::test_grouped_window_matches_the_per_copy_window",
+         "tests/test_guess_groups.py"
+         "::test_grouped_guesses_match_the_per_guess_streamer")),
     Mutant(
-        "new-top-exponents-join-a-non-empty-top-group",
+        "new-top-keys-join-a-non-empty-top-group",
         "streaming.py",
-        "            if groups and not groups[-1].gains.members:",
-        "            if groups:",
+        "        if groups and not groups[-1].gains.members:",
+        "        if groups:",
         ("tests/test_streaming.py::test_new_top_exponents_join_the_top_"
-         "group_only_while_it_holds_nothing",)),
+         "group_only_while_it_holds_nothing",
+         "tests/test_guess_groups.py::test_new_guesses_join_the_top_group_"
+         "only_while_it_holds_nothing")),
+    Mutant(
+        "partial-drop-evicts-the-members",
+        "streaming.py",
+        "                del keys[:cut]\n",
+        "                del keys[:cut]\n"
+        "                evicted += members\n",
+        ("tests/test_streaming.py"
+         "::test_contract_audit_over_every_component[AutoThresholdSieve]",
+         "tests/test_guess_groups.py"
+         "::test_a_partial_take_splits_the_group_and_replays_the_part_above")),
+    Mutant(
+        "drop-ignores-the-base",
+        "streaming.py",
+        "                self.base, *(later.gains.members for later in groups)])",
+        "                *(later.gains.members for later in groups)])",
+        ("tests/test_reference_auto_sieve.py"
+         "::test_auto_sieve_matches_reference_at_every_step",)),
+    Mutant(
+        "cut-add-skips-in-edges",
+        "objectives.py",
+        "        for v, w in in_u.items():\n"
+        "            gains[v] -= w\n",
+        "",
+        ("tests/test_baselines.py::test_preemption_swap_trace_on_g1",)),
+    Mutant(
+        "node-masks-without-their-own-bit",
+        "constraints.py",
+        "    masks = [sum(map(bits.__getitem__, a)) | bits[u] for u, a in enumerate(adj)]",
+        "    masks = [sum(map(bits.__getitem__, a)) for u, a in enumerate(adj)]",
+        ("tests/test_bench.py"
+         "::test_oracle_calls_equal_an_independent_recount[cut]",)),
+    Mutant(
+        "fill-take-leaves-ever-held",
+        "baselines.py",
+        "        self.ever_held.add(u)\n",
+        "",
+        ("tests/test_baselines.py"
+         "::test_preemption_short_stream_behaves_like_filtered_greedy",)),
     Mutant(
         "band-off-by-one-at-a-power-of-two",
         "streaming.py",
@@ -218,49 +267,11 @@ MUTANTS = [
         "    except (OSError, ValueError, KeyError) as exc:",
         ("tests/test_cli.py::test_an_overflowing_objective_fails_cleanly",)),
     Mutant(
-        "window-drop-ignores-the-base",
-        "streaming.py",
-        "                    self.base, *(later.gains.members for later in groups)])",
-        "                    *(later.gains.members for later in groups)])",
-        ("tests/test_reference_auto_sieve.py"
-         "::test_auto_sieve_matches_reference_at_every_step",)),
-    Mutant(
         "base-add-does-not-move-the-window",
         "streaming.py",
         "            self._base.add(u)\n            moved = True\n",
         "            self._base.add(u)\n",
         ("tests/test_streaming.py::test_auto_sieve_window_example",)),
-    Mutant(
-        "guess-split-gives-the-element-to-the-whole-group",
-        "baselines.py",
-        "                self._split(group, k)",
-        "                k = len(values)",
-        ("tests/test_guess_groups.py"
-         "::test_a_partial_take_splits_the_group_and_replays_the_part_above",)),
-    Mutant(
-        "guess-replay-out-of-member-order",
-        "baselines.py",
-        "        for x in members:",
-        "        for x in reversed(list(members)):",
-        ("tests/test_guess_groups.py"
-         "::test_grouped_guesses_match_the_per_guess_streamer",)),
-    Mutant(
-        "new-guesses-join-a-non-empty-top-group",
-        "baselines.py",
-        "            elif groups and not groups[-1].members:",
-        "            elif groups:",
-        ("tests/test_guess_groups.py::test_new_guesses_join_the_top_group_"
-         "only_while_it_holds_nothing",)),
-    Mutant(
-        "partial-guess-drop-evicts-the-members",
-        "baselines.py",
-        "                del group.values[:bisect_left(group.values, floor)]\n"
-        "                break",
-        "                del group.values[:bisect_left(group.values, floor)]\n"
-        "                evicted += group.members\n"
-        "                break",
-        ("tests/test_guess_groups.py"
-         "::test_a_partial_take_splits_the_group_and_replays_the_part_above",)),
     Mutant(
         "knapsack-budget-by-float",
         "constraints.py",

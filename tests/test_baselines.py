@@ -90,7 +90,7 @@ def test_sieve_uses_rho_hint_or_explicit():
     assert SieveGuessStream(sys, f, rho=3).rho == 3
 
 
-@pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, math.nan])
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, math.nan, "0.1", None])
 def test_sieve_rejects_an_epsilon_outside_the_unit_interval(epsilon):
     sys = cardinality_system(4, 2)
     with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\)"):

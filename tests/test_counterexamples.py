@@ -93,7 +93,8 @@ def test_rho_must_be_a_positive_whole_number(name, bad, message):
         RHO_TAKERS[name](bad)
 
 
-@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -1.0, 0.0, "0.1",
+                                     None])
 def test_g1_epsilon_must_be_positive_and_finite(epsilon):
     message = f"epsilon must be positive and finite, got {epsilon!r}"
     for build in (build_g1, verify_preemption_counterexample):

@@ -5,9 +5,10 @@ every objective and system family, and the group rules one at a time.
 Guesses that hold one set share one state in the grouped streamer, and
 each guess keeps states of its own in the reference.  After every arrival
 both must agree on the evictions in order, every guess's members in
-member order, ``lower_bound`` and ``stored_count()``; at end of stream on
-the solution, summary and residual.  The grouped streamer must never ask
-more oracle queries than the reference.
+member order, ``lower_bound`` and ``stored_count()``, and the groups must
+keep their invariants (``helpers.check_groups``), each at level 0 alone;
+at end of stream on the solution, summary and residual.  The grouped
+streamer must never ask more oracle queries than the reference.
 """
 
 import math
@@ -18,7 +19,7 @@ from substream import cardinality_system, make_modular
 from substream.baselines import SieveGuessStream
 
 from helpers import (OBJECTIVE_FAMILIES, SYSTEM_FAMILIES, ReferenceGuesses,
-                     family_instance, max_feasible_singleton)
+                     check_groups, family_instance, max_feasible_singleton)
 
 
 def _members(stream):
@@ -26,7 +27,7 @@ def _members(stream):
 
 
 def _groups(stream):
-    return [(group.values, list(group.members)) for group in stream._groups]
+    return [(group.keys, list(group.members)) for group in stream._groups]
 
 
 @st.composite
@@ -60,6 +61,8 @@ def test_grouped_guesses_match_the_per_guess_streamer(case):
         assert _members(guesses) == _members(ref)
         assert guesses.lower_bound == ref.lower_bound
         assert guesses.stored_count() == ref.stored_count()
+        check_groups(guesses, guesses.guesses)
+        assert all(list(group.buckets) == [0] for group in guesses._groups)
     got, want = guesses.finish(), ref.finish()
     assert list(got.solution) == list(want.solution)
     assert list(got.summary) == list(want.summary)
@@ -82,7 +85,8 @@ def test_a_partial_take_splits_the_group_and_replays_the_part_above():
     assert _groups(stream) == [([6.0, 9.0], [0, 1]), ([13.5, 16.0], [0])]
     assert stream.guesses[6.0].gains is live
     assert stream.guesses[13.5].gains is not live
-    assert stream.guesses[13.5].fits is not stream.guesses[6.0].fits
+    assert stream.guesses[13.5].buckets[0] is not \
+        stream.guesses[6.0].buckets[0]
 
 
 def test_new_guesses_join_the_top_group_only_while_it_holds_nothing():

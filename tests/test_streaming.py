@@ -15,8 +15,8 @@ from substream.streaming import (_guess_exponent, _level, band_top,
                                  bucket_count, candidate_count)
 from substream.prng import SplitMix64
 
-from helpers import (max_feasible_singleton, random_cut, random_modular,
-                     random_system)
+from helpers import (check_groups, max_feasible_singleton, random_cut,
+                     random_modular, random_system)
 
 
 def sieve_for(n=8, rho=2, tau=8.0, weights=None):
@@ -167,7 +167,7 @@ def test_threshold_sieve_outcome_shape():
     assert sys.is_independent(out.solution)
 
 
-@pytest.mark.parametrize("tau", [math.nan, math.inf])
+@pytest.mark.parametrize("tau", [math.nan, math.inf, "1.0", None])
 def test_banded_sieves_reject_a_non_finite_tau(tau):
     f = make_modular([1.0] * 4)
     sys = cardinality_system(4, 2)
@@ -391,19 +391,11 @@ def test_auto_sieve_window_lists_follow_the_copies():
         only_dropped += after < before
         # the groups tile the window in ascending runs of exponents, and
         # each copy reads the state of the group that holds it
-        groups = auto._groups
-        assert all(g.lo <= g.hi for g in groups)
-        assert [e for g in groups for e in range(g.lo, g.hi + 1)] == list(
-            auto.copies) == list(auto.active_exponents())
-        assert all(c.group in groups and c.group.lo <= e <= c.group.hi
+        check_groups(auto, auto.active_exponents())
+        assert list(auto.copies) == list(auto.active_exponents())
+        assert all(c.group in auto._groups and e in c.group.keys
                    and c.kept is c.group.gains.members
                    for e, c in auto.copies.items())
-        for g in groups:  # the level states split kept, in member order
-            kept = list(g.gains.members)
-            assert sorted(x for s in g.buckets.values() for x in s.members) \
-                == sorted(kept)
-            assert all(list(s.members) == [x for x in kept if x in s.members]
-                       for s in g.buckets.values())
     assert only_dropped > 0
 
 
@@ -414,11 +406,12 @@ def test_new_top_exponents_join_the_top_group_only_while_it_holds_nothing():
     auto = AutoThresholdSieve(sys, make_modular([1.0] * 8))
     auto.push([0])
     top = auto._groups[-1]
-    assert not top.gains.members and not auto.copies[top.hi].kept
-    hi = top.hi
-    top.add(7, top.bucket(0, sys))
+    hi = top.keys[-1]
+    assert not top.gains.members and not auto.copies[hi].kept
+    top.bucket(0, sys).add(7)
+    top.gains.add(7)
     auto.push([1])  # the base grows, and so does the window top
-    assert auto._groups[-1] is not top and auto._groups[-1].lo == hi + 1
+    assert auto._groups[-1] is not top and auto._groups[-1].keys[0] == hi + 1
     assert not auto._groups[-1].gains.members and 7 in top.gains.members
 
 

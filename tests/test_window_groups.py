@@ -6,7 +6,8 @@ Copies that hold one kept set share one state in the grouped window, and
 each copy keeps states of its own in the reference, which also works out
 each band from its own ``tau / gain``.  After every arrival both must
 agree on the evictions in order, the live exponents, every copy's kept
-set and buckets in member order, and ``stored_count()``; at end of stream
+set and buckets in member order, and ``stored_count()``, and the groups
+must keep their invariants (``helpers.check_groups``); at end of stream
 on the solution, summary, residual, candidates and count.  The grouped
 window must never ask more oracle queries than the reference.
 """
@@ -16,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 from substream import AutoThresholdSieve
 
 from helpers import (OBJECTIVE_FAMILIES, SYSTEM_FAMILIES, ReferenceWindow,
-                     family_instance, max_feasible_singleton)
+                     check_groups, family_instance, max_feasible_singleton)
 
 
 def _copies(window):
@@ -50,6 +51,7 @@ def test_grouped_window_matches_the_per_copy_window(case):
         assert window.push([u]) == ref.push([u])
         assert _copies(window) == _copies(ref)
         assert window.stored_count() == ref.stored_count()
+        check_groups(window, window.active_exponents())
     got, want = window.finish(), ref.finish()
     assert list(got.solution) == list(want.solution)
     assert list(got.summary) == list(want.summary)
