@@ -10,6 +10,7 @@ makes runs exactly reproducible.
 from __future__ import annotations
 
 import heapq
+import math
 import numbers
 from bisect import bisect_left
 from collections.abc import Mapping
@@ -19,8 +20,8 @@ from .core import (EPS, ElementSet, Objective, SizeLimitError,
                    UnsupportedConstraintError, _spec_count, first_best,
                    values_once)
 from .constraints import EXACT_RHO_LIMIT, IndependenceSystem, exact_rho
-from .streaming import (StreamingComponent, StreamOutcome, _drive, _Group,
-                        _Grouped)
+from .streaming import (StreamingComponent, StreamOutcome, _drive,
+                        _gain_cap, _Group, _Grouped)
 
 
 class GreedyStream(StreamingComponent):
@@ -76,14 +77,22 @@ class SieveGuessStream(_Grouped):
     true one, ``|S_v|`` can exceed ``2 * rho``, and the product alone
     would exceed every guess.
 
+    The singleton prunes too.  For a submodular f no gain is above
+    f({u}), so a guess whose threshold ``v / (2 * rho) - EPS`` is above
+    it cannot take u.  Each arrival is offered only to the groups whose
+    lowest threshold is at most its singleton plus a float margin
+    (:meth:`~.streaming._Grouped._reach` with
+    :func:`~.streaming._gain_cap`), and an infeasible singleton to none.
+
     Guesses are grouped by the rules of :class:`~.streaming._Grouped`;
     ``guesses`` maps each guess value to its group, which keeps its
     members at level 0, in a state opened with the group.  Each arrival
-    asks one ``can_add`` per group, and one :meth:`Objective.gains` call
-    answers the groups that can take it, so an error leaves every guess
-    without the element.  The threshold rises with v, so a group's
-    guesses that take it are a prefix, and the LB term, non-decreasing
-    in v float for float, is evaluated once, at that prefix's top.  A
+    asks one ``can_add`` per group it is offered to, and one
+    :meth:`Objective.gains` call answers the groups that can take it, so
+    an error leaves every guess without the element.  The threshold
+    rises with v, so a group's guesses that take it are a prefix, and
+    the LB term, non-decreasing in v float for float, is evaluated once,
+    at that prefix's top.  A
     new value below the top guess (within ``EPS`` under an old, off-grid
     top) gets an empty group of its own at its place.
 
@@ -166,8 +175,10 @@ class SieveGuessStream(_Grouped):
 
     def _ingest(self, u: int) -> list[int]:
         evicted: list[int] = []
+        cap = -math.inf  # no state takes an infeasible singleton
         if self._empty.can_add(u):
             value = self.f.singleton(u)
+            cap = _gain_cap(value)
             if value > self.best_singleton + EPS:
                 self.best_singleton = value
                 if self.anchor is None:
@@ -176,7 +187,9 @@ class SieveGuessStream(_Grouped):
         taken = False
         bound = self.lower_bound
         half = 2.0 * self.rho
-        fits = [group for group in self._groups
+        # v / half - EPS <= cap, solved for v; rounding moves the bound by
+        # a few ulps, far inside the cap's margin
+        fits = [group for group in self._reach((cap + EPS) * half)
                 if group.buckets[0].can_add(u)]
         gains = self.f.gains(u, [group.gains for group in fits])
         for group, gain in zip(fits, gains):  # _split replaces _groups
@@ -306,18 +319,25 @@ class RatioSwapStream(_SwapStream):
     The swap victim is the held element whose removal (with the newcomer
     added) leaves the most value.  The value never decreases across a
     swap.  The swaps are weighed with the gain state's ``swap_values``:
-    each trial is one query, O(1) for the directed cut.
+    each trial is one query, O(1) for the directed cut.  f(S) is asked
+    once per solution: it is kept from the first full arrival until a
+    swap.
     """
+
+    _current: float | None = None  # f(solution), until the next swap
 
     def _swap_in(self, u: int) -> list[int]:
         state = self.state
-        current = self.f.value(state.members)
+        current = self._current
+        if current is None:
+            current = self._current = self.f.value(state.members)
         trial_vals = state.swap_values(u, current)
         best = first_best(trial_vals)
         if trial_vals[best] - current >= current / self.rho - EPS:
             victim = list(state.members)[best]
             state.remove(victim)
             self._take(u, trial_vals[best] - current)
+            self._current = None
             return [victim]
         return [u]
 

@@ -47,6 +47,14 @@ def _level(ratio: float) -> int:
     return math.frexp(ratio)[1] - 1
 
 
+def _gain_cap(singleton: float) -> float:
+    """The most gain an element with the singleton value ``singleton`` can
+    have against any set, for a submodular f: no gain is above f({u}).  A
+    gain read off running sums can round a few ulps above it, so the cap
+    adds a relative margin of ``EPS`` and ``EPS`` itself."""
+    return singleton + EPS * singleton + EPS
+
+
 def bucket_count(rho: int) -> int:
     """Number of marginal-value bands kept for a capacity bound ``rho``:
     ``floor(log2(4 rho)) + 1``."""
@@ -188,7 +196,8 @@ class _Group:
 class _Grouped(StreamingComponent):
     """A component whose copies (or guesses) that hold one set in one
     order share one state: ``_groups`` lists the groups (:class:`_Group`)
-    in ascending key order, and four rules keep them.
+    in ascending key order, four rules keep them and a fifth picks the
+    groups an arrival can reach.
 
     * :meth:`_replay` gives keys states of their own, rebuilt from a
       group's members in member order, level by level.
@@ -201,9 +210,17 @@ class _Grouped(StreamingComponent):
     * :meth:`_drop_below` trims groups from the bottom: a group dropped
       whole evicts the members that neither ``base`` nor a later group
       holds, and a group dropped in part evicts nothing.
+    * :meth:`_reach` lists the groups whose first key could take a gain
+      of at most a cap, a prefix, as keys ascend.  The cap is
+      :func:`_gain_cap` of the arrival's singleton value: for a
+      submodular f no gain is above f({u}), and the margin, a relative
+      ``EPS`` plus ``EPS``, covers a gain read off running sums that
+      rounds a few ulps above it.  An infeasible singleton reaches no
+      group: the families are downward closed, so no state can take it.
 
-    A subclass writes its arrival loop and its own count, and may open
-    states of a new group in :meth:`_group`.
+    A subclass writes its arrival loop, which passes :meth:`_reach` the
+    highest key that could take a gain of at most the cap, and its own
+    count, and may open states of a new group in :meth:`_group`.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective):
@@ -213,6 +230,17 @@ class _Grouped(StreamingComponent):
     def _group(self, keys: list) -> _Group:
         """A new empty group of ``keys``."""
         return _Group(keys, self.f.open())
+
+    def _reach(self, top) -> list[_Group]:
+        """The prefix of ``_groups`` whose first key is at most ``top``:
+        the groups an arrival can reach, when ``top`` is the highest key
+        that could take its gain.  Keys ascend, so the walk stops at the
+        first group that fails."""
+        groups = self._groups
+        for i, group in enumerate(groups):
+            if group.keys[0] > top:
+                return groups[:i]
+        return groups
 
     def _replay(self, group: _Group, keys: list) -> _Group:
         """A group of ``keys`` with states of their own that hold
@@ -313,12 +341,16 @@ class _Window(_Grouped):
 
     Copies are grouped by the rules of :class:`_Grouped`: a group's keys
     are a contiguous run of exponents, with one feasibility state per
-    level.  Each arrival's gain against every group's kept set comes from
-    one :meth:`Objective.gains` call, asked before any group takes it, so
-    an error leaves every copy without the element.  A group then asks
-    one ``can_add`` of its level's state, and splits when only some of
-    its copies can take the element.  An arrival that no copy takes is
-    evicted unless ``base`` holds it.
+    level.  :meth:`_arrive` returns a cap on the arrival's gain, and a
+    gain ``g <= cap`` has level at least ``_level(tau / cap)``, as
+    :func:`_level` does not fall as its ratio grows, so only the groups
+    with a first exponent of at most ``ell - _level(tau / cap)`` can place
+    it (:meth:`_reach`).  Each arrival's gain against each of those
+    groups' kept sets comes from one :meth:`Objective.gains` call, asked
+    before any group takes it, so an error leaves every copy without the
+    element.  A group then asks one ``can_add`` of its level's state, and
+    splits when only some of its copies can take the element.  An arrival
+    that no copy takes is evicted unless ``base`` holds it.
 
     At end of stream each group builds its h = ``candidate_count(k)``
     candidates once, one per residue of a level mod h: the feasibility
@@ -333,7 +365,8 @@ class _Window(_Grouped):
     copy's kept set, plus the candidates once built, plus ``base``.
 
     A subclass sets ``ell`` and the groups, and follows each arrival in
-    :meth:`_arrive` before any copy is offered it.  A ``tau`` that is no
+    :meth:`_arrive` before any copy is offered it; a window that asks no
+    singleton caps no gain and skips no group.  A ``tau`` that is no
     positive finite number (NaN neither) raises ``ValueError``.
     """
 
@@ -354,14 +387,20 @@ class _Window(_Grouped):
             e: _CopyView(group, e, self.ell, self.h)
             for group in self._groups for e in group.keys})
 
-    def _arrive(self, u: int) -> tuple[bool, list[int]]:
+    def _arrive(self, u: int) -> tuple[bool, list[int], float]:
         """Follow the arrival ``u`` before any copy is offered it; returns
-        whether ``base`` took it and what a move of the window evicted."""
-        return False, []
+        whether ``base`` took it, what a move of the window evicted and
+        a cap on its gain: :func:`_gain_cap` of its singleton value,
+        ``-inf`` for an infeasible singleton, or ``inf``."""
+        return False, [], math.inf
 
     def _ingest(self, u: int) -> list[int]:
-        held, evicted = self._arrive(u)
-        groups, ell, tau = self._groups, self.ell, self.tau
+        held, evicted, cap = self._arrive(u)
+        ell, tau = self.ell, self.tau
+        # a gain at most EPS goes nowhere; copy e places a gain of level L
+        # only if e + L <= ell
+        groups = self._reach(ell - _level(tau / cap) if cap > EPS
+                             else -math.inf)
         gains = self.f.gains(u, [group.gains for group in groups])
         for group, gain in zip(groups, gains):  # _split replaces _groups
             if gain <= EPS:
@@ -473,12 +512,12 @@ class AdaptiveSieve(_OneCopy):
         self._base = sys.open()
         self.base = self._base.members
 
-    def _arrive(self, u: int) -> tuple[bool, list[int]]:
+    def _arrive(self, u: int) -> tuple[bool, list[int], float]:
         if not self._base.can_add(u):
-            return False, []
+            return False, [], math.inf
         self._base.add(u)
         self.ell = band_top(self.k, len(self.base))
-        return True, []
+        return True, [], math.inf
 
 
 class AutoThresholdSieve(_Window):
@@ -494,10 +533,12 @@ class AutoThresholdSieve(_Window):
     base nor any copy holds it any more.
 
     Whether an arrival is a feasible singleton is asked of one state
-    that never takes an element.  ``best_singleton`` is the best feasible
-    singleton worth over ``EPS`` (``-inf`` before one);
-    :func:`_guess_exponent` checks a new best before the base or any copy
-    takes it.
+    that never takes an element.  Its singleton value caps its gain
+    (:func:`_gain_cap`), so only the groups it can reach ask a gain
+    (:meth:`_Grouped._reach`); an infeasible singleton asks none.
+    ``best_singleton`` is the best feasible singleton worth over ``EPS``
+    (``-inf`` before one); :func:`_guess_exponent` checks a new best
+    before the base or any copy takes it.
     """
 
     def __init__(self, sys: IndependenceSystem, f: Objective):
@@ -535,10 +576,12 @@ class AutoThresholdSieve(_Window):
         self.ell = band_top(self.k, len(self.base))
         return evicted
 
-    def _arrive(self, u: int) -> tuple[bool, list[int]]:
+    def _arrive(self, u: int) -> tuple[bool, list[int], float]:
         moved = False
+        cap = -math.inf  # no state takes an infeasible singleton
         if self._empty.can_add(u):
             value = self.f.singleton(u)
+            cap = _gain_cap(value)
             if value > self.best_singleton and value > EPS:
                 self._lo = _guess_exponent(value)
                 self.best_singleton = value
@@ -547,7 +590,7 @@ class AutoThresholdSieve(_Window):
         if held:
             self._base.add(u)
             moved = True
-        return held, (self._move() if moved else [])
+        return held, (self._move() if moved else []), cap
 
 
 def _drive(chain: Sequence[StreamingComponent], stream: Iterable[int]

@@ -248,8 +248,8 @@ MUTANTS = [
         "adaptive-base-growth-keeps-ell",
         "streaming.py",
         "        self.ell = band_top(self.k, len(self.base))\n"
-        "        return True, []",
-        "        return True, []",
+        "        return True, [], math.inf",
+        "        return True, [], math.inf",
         ("tests/test_streaming.py::test_adaptive_band_growth_examples",)),
     Mutant(
         "spec-int-takes-strings",
@@ -286,6 +286,22 @@ MUTANTS = [
         "        except ZeroDivisionError:",
         ("tests/test_cli.py"
          "::test_bench_run_rejects_a_config_nested_too_deeply",)),
+    Mutant(
+        "reach-drops-the-group-at-its-bound",
+        "streaming.py",
+        "            if group.keys[0] > top:",
+        "            if group.keys[0] >= top:",
+        ("tests/test_reach.py::test_a_window_copy_takes_a_gain_a_few_ulps_"
+         "above_the_singleton",)),
+    Mutant(
+        "gain-cap-without-its-margin",
+        "streaming.py",
+        "    return singleton + EPS * singleton + EPS",
+        "    return singleton",
+        ("tests/test_reach.py::test_a_guess_takes_a_gain_a_few_ulps_above_"
+         "the_singleton",
+         "tests/test_reach.py::test_a_window_copy_takes_a_gain_a_few_ulps_"
+         "above_the_singleton")),
 ]
 
 
