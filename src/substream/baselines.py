@@ -10,7 +10,6 @@ makes runs exactly reproducible.
 from __future__ import annotations
 
 import heapq
-import math
 import numbers
 from bisect import bisect_left
 from collections.abc import Mapping
@@ -20,8 +19,8 @@ from .core import (EPS, ElementSet, Objective, SizeLimitError,
                    UnsupportedConstraintError, _spec_count, first_best,
                    values_once)
 from .constraints import EXACT_RHO_LIMIT, IndependenceSystem, exact_rho
-from .streaming import (StreamingComponent, StreamOutcome, _drive,
-                        _gain_cap, _Group, _Grouped)
+from .streaming import (StreamingComponent, StreamOutcome, _drive, _Group,
+                        _Grouped)
 
 
 class GreedyStream(StreamingComponent):
@@ -80,9 +79,10 @@ class SieveGuessStream(_Grouped):
     The singleton prunes too.  For a submodular f no gain is above
     f({u}), so a guess whose threshold ``v / (2 * rho) - EPS`` is above
     it cannot take u.  Each arrival is offered only to the groups whose
-    lowest threshold is at most its singleton plus a float margin
-    (:meth:`~.streaming._Grouped._reach` with
-    :func:`~.streaming._gain_cap`), and an infeasible singleton to none.
+    lowest threshold is at most the gain cap that
+    :meth:`~.streaming._Grouped._singleton` gives
+    (:meth:`~.streaming._Grouped._reach`), and an infeasible singleton to
+    none.
 
     Guesses are grouped by the rules of :class:`~.streaming._Grouped`;
     ``guesses`` maps each guess value to its group, which keeps its
@@ -119,7 +119,6 @@ class SieveGuessStream(_Grouped):
         self.best_singleton = 0.0
         self.lower_bound = 0.0
         self._held = 0  # distinct elements in the guesses' members
-        self._empty = sys.open()  # never takes an element: the singleton test
 
     @property
     def guesses(self) -> Mapping[float, _Group]:
@@ -175,15 +174,12 @@ class SieveGuessStream(_Grouped):
 
     def _ingest(self, u: int) -> list[int]:
         evicted: list[int] = []
-        cap = -math.inf  # no state takes an infeasible singleton
-        if self._empty.can_add(u):
-            value = self.f.singleton(u)
-            cap = _gain_cap(value)
-            if value > self.best_singleton + EPS:
-                self.best_singleton = value
-                if self.anchor is None:
-                    self.anchor = value
-                evicted.extend(self._refresh_guesses())
+        value, cap = self._singleton(u)
+        if value > self.best_singleton + EPS:
+            self.best_singleton = value
+            if self.anchor is None:
+                self.anchor = value
+            evicted.extend(self._refresh_guesses())
         taken = False
         bound = self.lower_bound
         half = 2.0 * self.rho

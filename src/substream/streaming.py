@@ -47,14 +47,6 @@ def _level(ratio: float) -> int:
     return math.frexp(ratio)[1] - 1
 
 
-def _gain_cap(singleton: float) -> float:
-    """The most gain an element with the singleton value ``singleton`` can
-    have against any set, for a submodular f: no gain is above f({u}).  A
-    gain read off running sums can round a few ulps above it, so the cap
-    adds a relative margin of ``EPS`` and ``EPS`` itself."""
-    return singleton + EPS * singleton + EPS
-
-
 def bucket_count(rho: int) -> int:
     """Number of marginal-value bands kept for a capacity bound ``rho``:
     ``floor(log2(4 rho)) + 1``."""
@@ -211,12 +203,8 @@ class _Grouped(StreamingComponent):
       whole evicts the members that neither ``base`` nor a later group
       holds, and a group dropped in part evicts nothing.
     * :meth:`_reach` lists the groups whose first key could take a gain
-      of at most a cap, a prefix, as keys ascend.  The cap is
-      :func:`_gain_cap` of the arrival's singleton value: for a
-      submodular f no gain is above f({u}), and the margin, a relative
-      ``EPS`` plus ``EPS``, covers a gain read off running sums that
-      rounds a few ulps above it.  An infeasible singleton reaches no
-      group: the families are downward closed, so no state can take it.
+      of at most a cap, a prefix, as keys ascend.  The cap comes from
+      :meth:`_singleton`, the one place an arrival's singleton is asked.
 
     A subclass writes its arrival loop, which passes :meth:`_reach` the
     highest key that could take a gain of at most the cap, and its own
@@ -226,6 +214,24 @@ class _Grouped(StreamingComponent):
     def __init__(self, sys: IndependenceSystem, f: Objective):
         super().__init__(sys, f)
         self._groups: list[_Group] = []
+        self._empty = sys.open()  # never takes an element: _singleton asks it
+
+    def _singleton(self, u: int) -> tuple[float, float]:
+        """``u``'s singleton value and a cap on its gain against any set;
+        ``(-inf, -inf)`` when ``u`` alone is not independent, as then no
+        state can take it (the families are downward closed).
+
+        For a submodular f no gain is above f({u}).  The cap adds a
+        relative margin of ``EPS`` and ``EPS`` itself, for a gain read off
+        a table or running sums that rounds a few ulps above f({u}).  A
+        generic state's gain ``f(S + u) - f(S)`` rounds by about an ulp of
+        f(S) and can land above the cap, so a gain above it proves
+        nothing and raises no alarm; a custom ``Objective`` that is not
+        submodular may get another answer than with every group asked."""
+        if not self._empty.can_add(u):
+            return -math.inf, -math.inf
+        value = self.f.singleton(u)
+        return value, value + EPS * value + EPS
 
     def _group(self, keys: list) -> _Group:
         """A new empty group of ``keys``."""
@@ -390,8 +396,8 @@ class _Window(_Grouped):
     def _arrive(self, u: int) -> tuple[bool, list[int], float]:
         """Follow the arrival ``u`` before any copy is offered it; returns
         whether ``base`` took it, what a move of the window evicted and
-        a cap on its gain: :func:`_gain_cap` of its singleton value,
-        ``-inf`` for an infeasible singleton, or ``inf``."""
+        a cap on its gain: the one :meth:`_Grouped._singleton` gives, or
+        ``inf`` for a window that asks no singleton."""
         return False, [], math.inf
 
     def _ingest(self, u: int) -> list[int]:
@@ -532,10 +538,9 @@ class AutoThresholdSieve(_Window):
     ``ell = band_top(k, |base|)``.  An element leaves when neither the
     base nor any copy holds it any more.
 
-    Whether an arrival is a feasible singleton is asked of one state
-    that never takes an element.  Its singleton value caps its gain
-    (:func:`_gain_cap`), so only the groups it can reach ask a gain
-    (:meth:`_Grouped._reach`); an infeasible singleton asks none.
+    Each arrival's singleton value and gain cap come from
+    :meth:`_Grouped._singleton`, so only the groups it can reach ask a
+    gain (:meth:`_Grouped._reach`); an infeasible singleton asks none.
     ``best_singleton`` is the best feasible singleton worth over ``EPS``
     (``-inf`` before one); :func:`_guess_exponent` checks a new best
     before the base or any copy takes it.
@@ -545,7 +550,6 @@ class AutoThresholdSieve(_Window):
         super().__init__(sys, f, 1.0)
         self._base = sys.open()
         self.base = self._base.members
-        self._empty = sys.open()  # never takes an element
         self.best_singleton = -math.inf
         self._lo = 0  # _guess_exponent(best_singleton), once it is set
 
@@ -578,14 +582,11 @@ class AutoThresholdSieve(_Window):
 
     def _arrive(self, u: int) -> tuple[bool, list[int], float]:
         moved = False
-        cap = -math.inf  # no state takes an infeasible singleton
-        if self._empty.can_add(u):
-            value = self.f.singleton(u)
-            cap = _gain_cap(value)
-            if value > self.best_singleton and value > EPS:
-                self._lo = _guess_exponent(value)
-                self.best_singleton = value
-                moved = True
+        value, cap = self._singleton(u)
+        if value > self.best_singleton and value > EPS:
+            self._lo = _guess_exponent(value)
+            self.best_singleton = value
+            moved = True
         held = self._base.can_add(u)
         if held:
             self._base.add(u)

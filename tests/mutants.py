@@ -296,12 +296,19 @@ MUTANTS = [
     Mutant(
         "gain-cap-without-its-margin",
         "streaming.py",
-        "    return singleton + EPS * singleton + EPS",
-        "    return singleton",
+        "        return value, value + EPS * value + EPS",
+        "        return value, value",
         ("tests/test_reach.py::test_a_guess_takes_a_gain_a_few_ulps_above_"
          "the_singleton",
          "tests/test_reach.py::test_a_window_copy_takes_a_gain_a_few_ulps_"
          "above_the_singleton")),
+    Mutant(
+        "infeasible-singleton-reaches-every-group",
+        "streaming.py",
+        "            return -math.inf, -math.inf",
+        "            return -math.inf, math.inf",
+        ("tests/test_reach.py::test_an_arrival_with_an_infeasible_singleton_"
+         "asks_no_gain",)),
 ]
 
 

@@ -6,11 +6,14 @@ For a submodular f no gain is above the singleton f({u}), so a guess
 whose threshold ``v / (2 rho) - EPS`` is above it, or a window copy whose
 top band a gain that small cannot reach, never takes u.  The cap on a
 gain is the singleton plus a relative margin of ``EPS`` and ``EPS``
-itself (``streaming._gain_cap``).  The tests below check the batches that
-reach ``Objective.gains`` against that rule, written out here, that an
-infeasible singleton asks no gain, and that a gain a few ulps above its
-singleton is still taken, as the per-copy and per-guess references take
-it.
+itself (``streaming._Grouped._singleton``).  The tests below check the
+batches that reach ``Objective.gains`` against that rule, written out
+here, that an infeasible singleton asks no gain, and that a gain a few
+ulps above its singleton is still taken, as the per-copy and per-guess
+references take it.  A generic state's gain, a difference of two values,
+can round above the cap; the last test shows such gains and that the
+answers still match the references', which is why no gain above the cap
+raises.
 """
 
 import math
@@ -19,8 +22,9 @@ import pytest
 
 from substream import AutoThresholdSieve, cardinality_system, knapsack_system
 from substream.baselines import SieveGuessStream
-from substream.core import EPS, Objective, TabulatedGainState
-from substream.streaming import _level
+from substream.core import EPS, Objective, TabulatedGainState, _running_sum
+from substream.prng import SplitMix64
+from substream.streaming import _level, band_top
 
 from helpers import (OBJECTIVE_FAMILIES, SYSTEM_FAMILIES, ReferenceGuesses,
                      ReferenceWindow, family_instance, max_feasible_singleton)
@@ -166,3 +170,52 @@ def test_a_window_copy_takes_a_gain_a_few_ulps_above_the_singleton():
     assert list(got.solution) == list(want.solution)
     assert list(got.summary) == list(want.summary)
     assert window.stored_count() == ref.stored_count()
+
+
+def test_generic_state_gains_above_the_cap_change_no_answer(monkeypatch):
+    # no open_fn, so a gain is f(S + u) - f(S): two left-to-right sums
+    # near 1e14, and each arrival has the lowest id yet, so the sums differ
+    # from their first term on and the gain rounds by some ulps of f(S),
+    # near 0.01 each.  The last ten weights lie in the lowest band the
+    # window still reaches, near 2**23, where the cap's margin is about as
+    # small, so a gain can land above its cap.
+    n = 100
+    ell = band_top(1, n)  # every copy's deepest band once the base holds 91
+    stream = list(range(n))[::-1]
+    weights = [0.0] * n
+    watched = None  # the objective of the grouped component running
+    over = 0
+    real = Objective.gains
+
+    def gains(self, u, states):
+        nonlocal over
+        out = real(self, u, states)
+        if self is watched:
+            over += sum(gain > _cap(weights[u]) for gain in out)
+        return out
+
+    def make():
+        return Objective(
+            lambda ids: _running_sum(map(weights.__getitem__, ids)), n)
+
+    monkeypatch.setattr(Objective, "gains", gains)
+    for seed in range(3):
+        rng = SplitMix64(seed)
+        for i, u in enumerate(stream):
+            low = 39 if i < 90 else 39 - ell
+            weights[u] = rng.uniform(2.0 ** low, 2.0 ** (low + 1))
+        for build, build_ref in (
+                (AutoThresholdSieve, ReferenceWindow),
+                (lambda sys, f: SieveGuessStream(sys, f, rho=n),
+                 lambda sys, f: ReferenceGuesses(sys, f, rho=n))):
+            watched = make()
+            component = build(cardinality_system(n, n), watched)
+            ref = build_ref(cardinality_system(n, n), make())
+            for u in stream:
+                assert component.push([u]) == ref.push([u])
+                assert component.stored_count() == ref.stored_count()
+            got, want = component.finish(), ref.finish()
+            assert list(got.solution) == list(want.solution)
+            assert list(got.summary) == list(want.summary)
+            assert component.stored_count() == ref.stored_count()
+    assert over
