@@ -246,15 +246,25 @@ class Objective:
     with running sums or a table, and the two of each :meth:`marginal`
     call for generic states.
 
+    ``table_fn()``, when provided, returns n values, entry u with the bits
+    of ``fn((u,))``; the objective builders whose singletons are numbers
+    they already hold (additive, directed cut, facility location and
+    coverage-minus-dispersion) pass one.  It is called once, on the first
+    :meth:`singleton` call, and each entry gets ``fn``'s checks when its
+    element is first asked, so a singleton answers, counts and raises as
+    ``value((u,))`` would.
+
     Instances are read-only after construction apart from the call
-    counter and the singleton table, which are not synchronized: use one
-    oracle per run when running concurrently.
+    counter, the singleton table and the ``table_fn`` values, which are
+    not synchronized: use one oracle per run when running concurrently.
     """
 
-    __slots__ = ("n", "evaluations", "_fn", "_open_fn", "_singletons")
+    __slots__ = ("n", "evaluations", "_fn", "_open_fn", "_singletons",
+                 "_table_fn", "_table")
 
     def __init__(self, fn: Callable[[tuple[int, ...]], float], n: int, *,
-                 open_fn: Callable[["Objective"], "GainState"] | None = None):
+                 open_fn: Callable[["Objective"], "GainState"] | None = None,
+                 table_fn: Callable[[], Sequence[float]] | None = None):
         n = _spec_int("Objective", "n", n)
         if n <= 0:
             raise ValueError("ground set must be non-empty")
@@ -263,6 +273,8 @@ class Objective:
         self._fn = fn
         self._open_fn = open_fn
         self._singletons: list[float | None] = [None] * n
+        self._table_fn = table_fn
+        self._table: Sequence[float] | None = None
 
     def _key(self, subset: Iterable[int]) -> tuple[int, ...]:
         key = as_sorted_ids(subset)
@@ -299,15 +311,29 @@ class Objective:
         return self.value(base + (u,)) - self._eval(base)
 
     def singleton(self, u: int) -> float:
-        """``value((u,))``, computed on the first call for ``u`` and read
-        from an n-slot table after that; every call counts one query."""
+        """``value((u,))``: the first call for ``u`` computes it, or reads
+        it off the ``table_fn`` values with :meth:`_eval`'s checks, and
+        later calls read it from an n-slot table; every call counts one
+        query."""
         if u < 0 or u >= self.n:
             raise _outside(u, self.n)
         val = self._singletons[u]
-        if val is None:
+        if val is not None:
+            self.evaluations += 1
+        elif self._table_fn is None:
             self._singletons[u] = val = self._eval((u,))
         else:
+            if self._table is None:
+                self._table = self._table_fn()
             self.evaluations += 1
+            val = self._table[u]
+            if not math.isfinite(val):
+                raise NumericError(f"oracle returned non-finite value {val}")
+            if val < 0.0:
+                if val < -EPS:
+                    raise NumericError(f"oracle returned negative value {val}")
+                val = 0.0
+            self._singletons[u] = val
         return val
 
     def open(self) -> "GainState":

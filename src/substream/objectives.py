@@ -2,8 +2,9 @@
 the adversarial instances.
 
 Every constructor returns a counted :class:`~substream.core.Objective`
-over integer ids ``0..n-1``.  Oracles are immutable after construction and
-safe for concurrent reads.
+over integer ids ``0..n-1``.  An oracle's set function never changes
+after construction; its query counter and singleton table are not
+synchronized, so use one oracle per run when running concurrently.
 """
 
 from __future__ import annotations
@@ -160,8 +161,10 @@ def make_modular(weights) -> Objective:
     def fn(ids):
         return _running_sum(map(w.__getitem__, ids))
 
-    # gains and losses never change, so every state reads w itself
-    return Objective(fn, len(w), open_fn=lambda f: TabulatedGainState(f, w))
+    # gains and losses never change, so every state reads w itself; a
+    # singleton is 0.0 + w[u], as fn's sum from 0.0 gives, so -0.0 reads 0.0
+    return Objective(fn, len(w), open_fn=lambda f: TabulatedGainState(f, w),
+                     table_fn=lambda: [0.0 + x for x in w])
 
 
 class CutGainState(TabulatedGainState):
@@ -271,9 +274,12 @@ def make_directed_cut(g: CutGraph) -> Objective:
                     total -= w
         return total
 
+    # with no self-loops fn((u,)) is 0.0 + out_total[u], and a sum from
+    # 0.0 is never -0.0, so out_total is the singleton table as it is
     return Objective(fn, g.n_vertices,
                      open_fn=lambda f: CutGainState(f, out_total, out_adj,
-                                                    in_adj))
+                                                    in_adj),
+                     table_fn=lambda: out_total)
 
 
 def validate_similarity(m: np.ndarray) -> np.ndarray:
@@ -342,9 +348,11 @@ def make_coverage_minus_dispersion(m: np.ndarray) -> Objective:
         idx = list(ids)
         return float(row_sums[idx].sum() - m.take(idx, 0).take(idx, 1).sum())
 
+    # fn((u,)) is row_sums[u] - m[u, u], one float64 subtraction
     return Objective(fn, m.shape[0],
                      open_fn=lambda f: DispersionGainState(f, m, row_sum_list,
-                                                           diagonal))
+                                                           diagonal),
+                     table_fn=lambda: (row_sums - m.diagonal()).tolist())
 
 
 class FacilityGainState(AccumulatingGainState):
@@ -425,7 +433,10 @@ def make_facility_location(m: np.ndarray,
             return 0.0
         return float(cols.take(ids, 0).max(axis=0).sum()) / divisor
 
-    return Objective(fn, n, open_fn=lambda f: FacilityGainState(f, cols, divisor))
+    # each row of cols sums as fn's one-row max does, contiguous and
+    # pairwise, so row u's sum over the divisor is fn((u,))
+    return Objective(fn, n, open_fn=lambda f: FacilityGainState(f, cols, divisor),
+                     table_fn=lambda: (cols.sum(axis=1) / divisor).tolist())
 
 
 class LogdetGainState(AccumulatingGainState):

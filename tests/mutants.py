@@ -19,7 +19,10 @@ library and pytest.
 
 Run from anywhere::
 
-    python tests/mutants.py
+    python tests/mutants.py [NAME...]
+
+With names, only those mutants run (their killers' baseline run first);
+an unknown name exits 2 and lists the known ones.  Without, all run.
 
 A change that rewrites mutated code updates the snippet with it; the
 file name stays outside pytest's default ``test_*.py`` pattern, so the
@@ -309,6 +312,36 @@ MUTANTS = [
         "            return -math.inf, math.inf",
         ("tests/test_reach.py::test_an_arrival_with_an_infeasible_singleton_"
          "asks_no_gain",)),
+    Mutant(
+        "facility-table-without-its-divisor",
+        "objectives.py",
+        "table_fn=lambda: (cols.sum(axis=1) / divisor).tolist())",
+        "table_fn=lambda: cols.sum(axis=1).tolist())",
+        ("tests/test_core.py"
+         "::test_singleton_tables_keep_the_bits_of_fn[facility-1]",)),
+    Mutant(
+        "dispersion-table-without-the-diagonal",
+        "objectives.py",
+        "table_fn=lambda: (row_sums - m.diagonal()).tolist())",
+        "table_fn=lambda: row_sums.tolist())",
+        ("tests/test_core.py"
+         "::test_singleton_tables_keep_the_bits_of_fn[dispersion-1]",)),
+    Mutant(
+        "modular-table-keeps-negative-zero",
+        "objectives.py",
+        "table_fn=lambda: [0.0 + x for x in w])",
+        "table_fn=lambda: [x for x in w])",
+        ("tests/test_core.py"
+         "::test_singleton_tables_keep_the_bits_of_fn[modular-1]",)),
+    Mutant(
+        "table-singleton-skips-the-finite-check",
+        "core.py",
+        "            if not math.isfinite(val):\n"
+        "                raise NumericError(",
+        "            if False:\n"
+        "                raise NumericError(",
+        ("tests/test_core.py"
+         "::test_a_table_singleton_keeps_the_checks_of_fn[table]",)),
 ]
 
 
@@ -363,12 +396,19 @@ def run(mutants: list[Mutant]) -> list[str]:
     return problems
 
 
-def main() -> int:
-    problems = run(MUTANTS)
+def main(names: list[str]) -> int:
+    known = {m.name: m for m in MUTANTS}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}\nknown mutants:\n  "
+              + "\n  ".join(known), file=sys.stderr)
+        return 2
+    chosen = [known[name] for name in dict.fromkeys(names)] or MUTANTS
+    problems = run(chosen)
     for line in problems:
         print(line)
     return 1 if problems else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

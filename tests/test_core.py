@@ -3,13 +3,15 @@ import math
 import pytest
 
 from substream import (AutoThresholdSieve, DuplicateElementError, ElementSet,
-                       GroundSetError, IndependenceSystem, NumericError,
-                       Objective, ReservoirConfig, SieveGuessStream,
-                       ThresholdSieve, build_g1, build_g2, cardinality_system,
-                       labeled_limit_system, make_directed_cut,
+                       GroundSetError, IndependenceSystem, KeywordTable,
+                       NumericError, Objective, ReservoirConfig,
+                       SieveGuessStream, ThresholdSieve, build_g1, build_g2,
+                       cardinality_system, labeled_limit_system,
+                       make_coverage_minus_dispersion, make_directed_cut,
                        make_facility_location, make_logdet, make_modular,
-                       sieve_streaming, verify_ratio_swap_counterexample,
-                       w_sequence, weighted_greedy, CutGraph)
+                       make_sqrt_coverage, sieve_streaming,
+                       verify_ratio_swap_counterexample, w_sequence,
+                       weighted_greedy, CutGraph)
 from substream.core import EPS, first_best
 from substream.prng import SplitMix64
 
@@ -172,6 +174,111 @@ def test_singleton_table_matches_fn_and_counts_every_call(label):
     for bad in (-1, f.n):
         with pytest.raises(GroundSetError):
             f.singleton(bad)
+
+
+def _tabled_objective(family, seed):
+    """An objective whose builder passes ``table_fn``, over inputs that
+    reach the edges of each table: a weight of -0.0, parallel arcs, a
+    vertex with no out-edges, and more than 128 sampled facility rows,
+    where numpy's pairwise sum splits a row."""
+    rng = SplitMix64(seed)
+    if family == "modular":
+        w = [rng.uniform(0.0, 10.0) for _ in range(12)]
+        w[seed % 12] = -0.0
+        return make_modular(w)
+    if family == "cut":
+        n = 10
+        edges = [(u, v, rng.uniform(0.1, 5.0)) for u in range(n - 1)
+                 for v in range(n) if u != v and rng.random() < 0.3]
+        edges += [edges[0], edges[-1],  # parallel arcs
+                  (seed % (n - 1), n - 1, -0.0), (n - 2, 0, -0.0)]
+        return make_directed_cut(CutGraph(n, edges))  # n - 1 has no out-edges
+    n = 9 + 70 * seed
+    sim = random_similarity(rng, n)
+    if family == "facility":
+        return make_facility_location(sim)
+    if family == "facility-sampled":
+        return make_facility_location(sim, ReservoirConfig(n - seed, seed))
+    return make_coverage_minus_dispersion(sim)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("family", ["modular", "cut", "facility",
+                                    "facility-sampled", "dispersion"])
+def test_singleton_tables_keep_the_bits_of_fn(family, seed):
+    f = _tabled_objective(family, seed)
+    table = f._table_fn()
+    assert len(table) == f.n
+    for u in range(f.n):
+        bits = float.hex(float(f._fn((u,))))
+        assert float.hex(table[u]) == bits
+        assert float.hex(f.singleton(u)) == bits
+    assert f.evaluations == f.n
+
+
+def test_logdet_and_sqrt_coverage_have_no_singleton_table():
+    sim = random_similarity(SplitMix64(3), 6)
+    words = KeywordTable(words=({"a"}, {"a", "b"}), values=(1.0, 4.0))
+    for f in (make_logdet(sim, 2.0), make_sqrt_coverage(words)):
+        assert f._table_fn is None
+        assert f.singleton(1) == f._fn((1,))
+        assert f._table is None
+
+
+def test_a_singleton_table_is_filled_once_on_the_first_singleton():
+    calls = []
+
+    def spy():
+        calls.append(None)
+        return [2.0, 3.0, 5.0]
+
+    f = Objective(lambda ids: float(len(ids)), 3, table_fn=spy)
+    assert calls == []
+    f.value([0, 1])
+    f.value([2])
+    assert calls == []
+    for u in (2, 0, 2, 1, 0):
+        f.singleton(u)
+    assert calls == [None]
+    assert f.evaluations == 7
+    for family in ("modular", "cut", "facility", "facility-sampled",
+                   "dispersion"):
+        g = _tabled_objective(family, 1)
+        g.value([0, 1])
+        assert g._table is None
+        g.singleton(1)
+        assert g._table is not None
+
+
+@pytest.mark.parametrize("tabled", [True, False], ids=["table", "fn"])
+def test_a_table_singleton_keeps_the_checks_of_fn(tabled):
+    raw = [1.0, math.nan, -1e-20, -1.0]
+    if tabled:
+        f = Objective(lambda ids: 0.0, 4, table_fn=lambda: raw)
+    else:
+        f = Objective(lambda ids: raw[ids[0]], 4)
+    with pytest.raises(NumericError, match="non-finite value nan"):
+        f.singleton(1)
+    assert f.evaluations == 1
+    assert float.hex(f.singleton(2)) == float.hex(0.0)
+    with pytest.raises(NumericError, match="negative value -1.0"):
+        f.singleton(3)
+    assert f.singleton(0) == 1.0
+    assert f.evaluations == 4
+    with pytest.raises(NumericError, match="non-finite value nan"):
+        f.singleton(1)
+    assert f.evaluations == 5
+
+
+def test_a_cut_singleton_that_overflows_raises_as_fn_does():
+    # vertex 0's two 1e308 out-weights sum to inf, as in the CLI's test
+    f = make_directed_cut(CutGraph(3, [(0, 1, 1e308), (0, 2, 1e308),
+                                       (1, 2, 1.0)]))
+    for ask in (f.singleton, lambda u: f.value([u])):
+        with pytest.raises(NumericError,
+                           match="^oracle returned non-finite value inf$"):
+            ask(0)
+    assert f.singleton(1) == 1.0
 
 
 # --- non-finite oracle values -------------------------------------------
