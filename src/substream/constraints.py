@@ -9,18 +9,17 @@ every call.  A caller whose set only grows asks ``open()`` for a
 :class:`FeasibilityState` instead: the one incremental path.  A state
 keeps running summaries of its members (a count, a running cost, a
 bitmask of blocked vertices built from the neighbour masks that the node
-predicate reads too, a memoized block test) and answers ``can_add(u)``
-from them, exactly as the predicate would.
+predicate reads too, a block-cut forest) and answers ``can_add(u)`` from
+them, exactly as the predicate would.
 
 The oracles are stateless except the planarity system, whose states
-keep the answers of their block tests in memos shared by every state of
-one system.  ``fresh()`` returns a system with nothing kept (the system
-itself when it keeps nothing), and ``bench.run_algorithm`` starts each
-run with it, so no kept answer outlives a run and runs that share a
-system share none.  Within one system the memos are not synchronized,
-but each entry is keyed by everything its answer depends on, so
-concurrent queries stay exact; at worst they empty each other's entries
-and repeat a test.
+keep the answers of their block tests in one memo shared by every state
+of one system.  ``fresh()`` returns a system with nothing kept (the
+system itself when it keeps nothing), and ``bench.run_algorithm`` starts
+each run with it, so no kept answer outlives a run and runs that share a
+system share none.  Within one system the memo is not synchronized, but
+each entry is keyed by everything its answer depends on, so concurrent
+queries stay exact; at worst two of them run the same test.
 """
 
 from __future__ import annotations
@@ -216,22 +215,149 @@ class _NodeState(FeasibilityState):
 
 
 class _PlanarityState(FeasibilityState):
-    """Asks the system's memoized block test (see
-    :func:`planarity_system`), whose memos every state of one system
-    shares."""
+    """Keeps the block-cut forest of its members' graph and asks the
+    system's ``block_test`` about the one block that ``u`` would change
+    (see :func:`planarity_system`).
 
-    __slots__ = ("block_test",)
+    The forest is rooted: ``vb`` maps each member vertex to its parent
+    block, or to None for the root of its tree, and a block's ``head``
+    is its vertex nearest the root.  A block is named by the id of the
+    edge that opened it, and ``uf`` is a union-find over those names
+    (:meth:`_find` gives a block's current name; a merge keeps the name
+    of its longest part).  Each current block keeps its edge ids in
+    ``block_edges`` and its vertex count in ``n_vertices``.
+    ``block_test(u, block, n_block)`` answers whether the edge ids
+    ``block`` with ``u``, on ``n_block`` vertices, are planar.  Only
+    ``add`` changes the forest; ``can_add`` at most shortens union-find
+    paths, so concurrent queries of one state stay exact.
+    """
+
+    __slots__ = ("block_test", "edges", "vb", "uf", "head", "block_edges",
+                 "n_vertices")
 
     def __init__(self, sys: IndependenceSystem,
-                 block_test: Callable[[int, ElementSet], bool]):
+                 block_test: Callable[[int, list[int], int], bool],
+                 edges: list[tuple[int, int]]):
         super().__init__(sys)
         self.block_test = block_test
+        self.edges = edges
+        self.vb: dict[int, int | None] = {}
+        self.uf: dict[int, int] = {}
+        self.head: dict[int, int] = {}
+        self.block_edges: dict[int, list[int]] = {}
+        self.n_vertices: dict[int, int] = {}
 
     def can_add(self, u: int) -> bool:
         if not (0 <= u < self.n):
             raise _outside(u, self.n)
-        members = self.members
-        return u not in members and self.block_test(u, members)
+        if u in self.members:
+            return False
+        if len(self.members) <= 7:
+            return True
+        return self.block_test(u, *self.merged_block(u))
+
+    def merged_block(self, u: int) -> tuple[list[int], int]:
+        """The members in the block of ``members + u`` that holds edge
+        ``u``, and the number of that block's vertices: the members'
+        blocks on the a-b path, merged.  Empty, on 2 vertices, when ab is
+        a bridge."""
+        found = self._path(*self.edges[u])
+        if found is None:
+            return [], 2
+        path = found[0]
+        block_edges, n_vertices = self.block_edges, self.n_vertices
+        return ([i for x in path for i in block_edges[x]],
+                sum(n_vertices[x] for x in path) - len(path) + 1)
+
+    def add(self, u: int) -> None:
+        super().add(u)
+        a, b = self.edges[u]
+        found = self._path(a, b)
+        if found is None:
+            self._bridge(u, a, b)
+            return
+        path, top = found
+        uf = self.uf
+        block_edges, n_vertices, head = (self.block_edges, self.n_vertices,
+                                         self.head)
+        # keep the longest edge list and extend it with the others
+        keep = max(path, key=lambda x: len(block_edges[x]))
+        kept = block_edges[keep]
+        n_block = n_vertices[keep]
+        for x in path:
+            if x != keep:
+                uf[x] = keep
+                kept += block_edges.pop(x)
+                n_block += n_vertices.pop(x) - 1
+                del head[x]
+        kept.append(u)
+        n_vertices[keep] = n_block
+        head[keep] = top
+
+    def _find(self, x: int) -> int:
+        uf = self.uf
+        while uf[x] != x:
+            uf[x] = x = uf[uf[x]]
+        return x
+
+    def _climb(self, v: int) -> tuple[list[int], int]:
+        """The blocks from ``v`` up to its tree's root, and that root."""
+        vb, head, find = self.vb, self.head, self._find
+        blocks = []
+        parent = vb[v]
+        while parent is not None:
+            parent = find(parent)
+            blocks.append(parent)
+            v = head[parent]
+            parent = vb[v]
+        return blocks, v
+
+    def _path(self, a: int, b: int) -> tuple[list[int], int] | None:
+        """The blocks on the a-b path of the forest and the head of their
+        merge, or None when a and b are not in one tree."""
+        vb = self.vb
+        if a not in vb or b not in vb:
+            return None
+        up_a, root = self._climb(a)
+        up_b, root_b = self._climb(b)
+        if root != root_b:
+            return None
+        last = None
+        while up_a and up_b and up_a[-1] == up_b[-1]:
+            last = up_a.pop()
+            up_b.pop()
+        head = self.head
+        end_a = head[up_a[-1]] if up_a else a
+        end_b = head[up_b[-1]] if up_b else b
+        up_a += up_b
+        if end_a == end_b:  # the path turns at a cut vertex
+            return up_a, end_a
+        up_a.append(last)  # it turns inside the lowest common block
+        return up_a, head[last]
+
+    def _bridge(self, u: int, a: int, b: int) -> None:
+        """Hang b's tree, rerooted at b, below a through the new block
+        ``{u}``."""
+        vb, head = self.vb, self.head
+        if a not in vb:
+            if b in vb:  # hang a below b instead: no reroot
+                a, b = b, a
+            else:
+                vb[a] = None
+        if b in vb:  # reverse the pointers along b's path to its root
+            v, parent = b, vb[b]
+            while parent is not None:
+                parent = self._find(parent)
+                up = head[parent]
+                above = vb[up]
+                head[parent] = v
+                vb[up] = parent
+                v, parent = up, above
+        vb[b] = u
+        self.uf[u] = u
+        head[u] = a
+        self.block_edges[u] = [u]
+        self.n_vertices[u] = 2
 
 
 class _PairState(FeasibilityState):
@@ -406,24 +532,22 @@ def planarity_system(n_vertices: int, edge_list: Sequence[Sequence[int]]) -> Ind
     blocks is (Hopcroft and Tarjan, CACM 1973), and adding the edge ab to
     the members changes only one block: the block of ``members + ab``
     that holds ab, which is the union of the members' blocks on the a-b
-    path of their block-cut tree, plus ab (see :func:`merged_block`).
-    The state's ``can_add`` tests that merged block alone, and only when
-    the test can fail: never on at most 8 edges, so never for a bridge or
-    a pendant edge, and not when the block already breaks Euler's bound
-    e <= 3v - 6.
+    path of their block-cut tree, plus ab.  Each state keeps its own
+    block-cut forest and updates it as members arrive (blocks kept on
+    line, as in Westbrook and Tarjan, Algorithmica 7, 1992), so
+    ``can_add`` reads the a-b path off the forest
+    (:meth:`_PlanarityState.merged_block`) and tests that merged block
+    alone, and only when the test can fail: never on at most 8 edges, so
+    never for a bridge or a pendant edge, and not when the block already
+    breaks Euler's bound e <= 3v - 6.
 
-    The block answers are kept in two memos, both exact, that every
-    state of the system shares.  The first is keyed by the edge and the
-    member set, so the many sieve buckets and threshold guesses that hold
-    the same members share one block pass; it is emptied when another
-    edge is asked about.  The second is keyed by the edge and the merged
-    block's edge set, so member sets that differ only outside that block
-    share one left-right test, also when the same edge arrives again
-    later (cascade copies, later window copies, repeated greedy rounds);
-    it is kept for the life of the system.  ``fresh()`` returns the same
-    system with both memos empty, and ``bench.run_algorithm`` starts
-    every run with it, so no answer carries over from one run to the
-    next.
+    The left-right answers are kept in one exact memo that every state of
+    the system shares, keyed by the edge and the merged block's edge set:
+    member sets that differ only outside that block share one test, also
+    when the same edge arrives again later (cascade copies, later window
+    copies, repeated greedy rounds).  ``fresh()`` returns the same system
+    with the memo empty, and ``bench.run_algorithm`` starts every run
+    with it, so no answer carries over from one run to the next.
 
     ``n_vertices`` and the endpoints must be whole numbers (a float such
     as ``3.0`` is taken as 3); a NaN, infinite or fractional one raises
@@ -438,31 +562,14 @@ def planarity_system(n_vertices: int, edge_list: Sequence[Sequence[int]]) -> Ind
 
 
 def _planarity(edges: list[tuple[int, int]]) -> IndependenceSystem:
-    """The planarity system over checked edges, with empty memos."""
+    """The planarity system over checked edges, with an empty memo."""
 
     def pred(s):
         return len(s) <= 8 or _is_planar([edges[i] for i in s])
 
-    memo: dict = {}
-    memo_u = None
     tested: dict = {}
 
-    def block_test(u, members):
-        nonlocal memo_u
-        if len(members) <= 7:
-            return True
-        s = frozenset(members)
-        hit = memo.get((u, s))
-        if hit is not None:
-            return hit
-        if u != memo_u:
-            memo.clear()
-            memo_u = u
-        memo[u, s] = answer = planar_with(u, s)
-        return answer
-
-    def planar_with(u, members):
-        block, n_block = merged_block(edges, u, members)
+    def block_test(u, block, n_block):
         m = len(block) + 1
         if m <= 8:
             return True
@@ -478,73 +585,9 @@ def _planarity(edges: list[tuple[int, int]]) -> IndependenceSystem:
     system = IndependenceSystem(pred, len(edges), k_param=3,
                                 class_tag="k_system", kind="planarity",
                                 open_fn=lambda system: _PlanarityState(
-                                    system, block_test))
+                                    system, block_test, edges))
     system._fresh = lambda: _planarity(edges)
     return system
-
-
-def merged_block(edges: Sequence[tuple[int, int]], u: int,
-                 members: Iterable[int]) -> tuple[list[int], int]:
-    """The members in the biconnected block of ``members + u`` that holds
-    edge ``u``, and the number of vertices of that block.
-
-    With (a, b) = ``edges[u]``, that block is the union of the members'
-    blocks on the a-b path of their block-cut tree, plus ab.  One
-    iterative Hopcroft-Tarjan pass with an edge stack finds it: a is the
-    root and b its only child, so the pass walks just the part of the
-    members' graph that b reaches without a, and cuts every block that
-    closes below b off the stack.  What is left when b is done is the
-    merged block; it is empty when ab is a bridge or a pendant edge.  The
-    edges must be distinct and ``u`` no member.
-    """
-    a, b = edges[u]
-    adj: dict = {}
-    for i in members:
-        x, y = edges[i]
-        adj.setdefault(x, []).append(i)
-        adj.setdefault(y, []).append(i)
-    if a not in adj or b not in adj:
-        return [], 2
-    disc = {a: 0, b: 1}
-    low = [0, 1]  # by discovery number
-    block: list[int] = []  # the edge stack
-    # stack height and tree-edge count when each open tree edge was pushed
-    marks = []
-    # tree edges on the stack: one per block vertex other than a and b
-    trees = 0
-    path = [(b, u, iter(adj[b]))]
-    while path:
-        v, via, todo = path[-1]
-        dv = disc[v]
-        for i in todo:
-            if i == via:
-                continue
-            x, y = edges[i]
-            w = y if x == v else x
-            dw = disc.get(w)
-            if dw is None:
-                disc[w] = dw = len(low)
-                low.append(dw)
-                marks.append((len(block), trees))
-                block.append(i)
-                trees += 1
-                path.append((w, i, iter(adj[w])))
-                break
-            if dw < dv:  # a back edge; seen from below it is already stacked
-                block.append(i)
-                if dw < low[dv]:
-                    low[dv] = dw
-        else:
-            path.pop()
-            if path:
-                dp = disc[path[-1][0]]
-                height, count = marks.pop()
-                if low[dv] >= dp:  # v's subtree closes a block without ab
-                    del block[height:]
-                    trees = count
-                elif low[dv] < low[dp]:
-                    low[dp] = low[dv]
-    return block, trees + 2
 
 
 def intersect(a: IndependenceSystem, b: IndependenceSystem) -> IndependenceSystem:

@@ -342,6 +342,27 @@ MUTANTS = [
         "                raise NumericError(",
         ("tests/test_core.py"
          "::test_a_table_singleton_keeps_the_checks_of_fn[table]",)),
+    Mutant(
+        "planarity-bridge-skips-the-reroot",
+        "constraints.py",
+        "        if b in vb:  # reverse the pointers along b's path to its root",
+        "        if False:",
+        ("tests/test_constraints.py"
+         "::test_planarity_forest_follows_block_chains_and_cacti",)),
+    Mutant(
+        "planarity-path-drops-the-top-block",
+        "constraints.py",
+        "        up_a.append(last)  # it turns inside the lowest common block\n",
+        "",
+        ("tests/test_constraints.py"
+         "::test_planarity_forest_follows_block_chains_and_cacti",)),
+    Mutant(
+        "planarity-merge-keeps-a-stale-head",
+        "constraints.py",
+        "        head[keep] = top\n",
+        "",
+        ("tests/test_constraints.py"
+         "::test_planarity_forest_follows_block_chains_and_cacti",)),
 ]
 
 

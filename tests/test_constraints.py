@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import re
 import sys as sys_module
 import threading
@@ -19,7 +20,7 @@ from substream import (ElementSet, GroundSetError, IndependenceSystem,
                        planarity_system, unweighted_greedy)
 from substream.constraints import (EXACT_RHO_LIMIT, FeasibilityState,
                                    _KnapsackState,
-                                   _NodeState, _PlanarityState, merged_block)
+                                   _NodeState, _PlanarityState)
 from substream.planarity import planarity_check
 from substream.prng import SplitMix64
 
@@ -593,12 +594,13 @@ def test_merged_block_matches_networkx():
         else:
             edges = _random_graph(rng, 3 + rng.randrange(10),
                                   rng.uniform(0.1, 0.9)) or [(0, 1)]
+        sys = planarity_system(1 + max(max(e) for e in edges), edges)
         for _ in range(5):
             u = rng.randrange(len(edges))
             keep = rng.uniform(0.3, 1.0)
             members = [i for i in range(len(edges))
                        if i != u and rng.random() < keep]
-            block, n_block = merged_block(edges, u, members)
+            block, n_block = state_holding(sys, members).merged_block(u)
             expected = _oracle_block(edges, u, members)
             assert len(block) == len(set(block))
             assert set(block) <= set(members)
@@ -606,6 +608,129 @@ def test_merged_block_matches_networkx():
                 frozenset(edges[u])} == expected
             assert n_block == len(set().union(*expected))
 
+
+
+_K4 = list(combinations(range(4), 2))
+_K33_LESS_AN_EDGE = [(x, y) for x in range(3) for y in range(3, 6)][1:]
+
+
+def _block_chain(rng, n, count):
+    """``count`` blocks on fresh vertices from ``n`` on, each K4 or K3,3
+    less an edge.  Each block after the first shares a cut vertex with an
+    earlier block (mostly the one before) or hangs from it by a bridge.
+    Returns the edges and the next fresh vertex."""
+    edges, blocks = [], []
+    for _ in range(count):
+        shape = _K4 if rng.random() < 0.5 else _K33_LESS_AN_EDGE
+        names = list(range(n, n + 1 + max(map(max, shape))))
+        n += len(names)
+        rng.shuffle(names)
+        if blocks:
+            below = blocks[-1] if rng.random() < 0.7 else rng.choice(blocks)
+            glue = rng.choice(below)
+            if rng.random() < 0.7:
+                names[0] = glue
+            else:
+                edges.append((glue, names[0]))
+        blocks.append(names)
+        edges += [(names[x], names[y]) for x, y in shape]
+    return edges, n
+
+
+def _cactus(rng, n, count):
+    """``count`` cycles of 3 to 5 vertices, each after the first sharing
+    one vertex with the earlier ones, from vertex ``n`` on."""
+    edges, vertices = [], [n]
+    n += 1
+    for _ in range(count):
+        fresh = range(n, n + 2 + rng.randrange(3))
+        cycle = [rng.choice(vertices), *fresh]
+        n += len(cycle) - 1
+        vertices += cycle[1:]
+        edges += zip(cycle, cycle[1:] + cycle[:1])
+    return edges, n
+
+
+def _two_trees_and_their_links(rng):
+    """Two connected graphs of many blocks, block chains or cacti, whose
+    edges come first in random order, then a few edges between the two
+    and chords inside each, in random order: the first edge between the
+    two is a bridge joining two trees of blocks.  Endpoints are flipped
+    at random."""
+    parts, n = [], 0
+    for _ in range(2):
+        if rng.random() < 0.5:
+            part, end = _block_chain(rng, n, 3)
+        else:
+            part, end = _cactus(rng, n, 4)
+        parts.append((part, range(n, end)))
+        n = end
+    (left, left_range), (right, right_range) = parts
+    links = [(rng.choice(left_range), rng.choice(right_range))
+             for _ in range(3)]
+    for _, vertices in parts:
+        links += [(rng.choice(vertices), rng.choice(vertices))
+                  for _ in range(2)]
+    seen, edges = set(), []
+    for x, y in rng.sample(left + right, len(left + right)) + rng.sample(
+            links, len(links)):
+        if x != y and frozenset((x, y)) not in seen:
+            seen.add(frozenset((x, y)))
+            edges.append((x, y) if rng.random() < 0.5 else (y, x))
+    return edges
+
+
+def _forest_faults(state, edges):
+    """The blocks of a planarity state's forest that break its rules: a
+    block's head is one of its vertices, the block is the parent of each
+    of its other vertices, and every climb reaches a root within as many
+    steps as there are blocks."""
+    find, vb, head = state._find, state.vb, state.head
+    faults = []
+    for x, block in state.block_edges.items():
+        vertices = {v for i in block for v in edges[i]}
+        if (len(vertices) != state.n_vertices[x] or head[x] not in vertices
+                or any(find(vb[v]) != x for v in vertices - {head[x]})):
+            faults.append(x)
+    for v in vb:
+        above = v
+        for _ in range(len(state.block_edges) + 1):
+            if vb[above] is None:
+                break
+            above = head[find(vb[above])]
+        else:
+            faults.append(("no root above", v))
+    return faults
+
+
+def test_planarity_forest_follows_block_chains_and_cacti():
+    # every edge is offered in the order built; before each offer, every
+    # non-member's answer and merged block must match the whole-set test
+    # and networkx, through bridges that reroot a tree and links that
+    # merge long block paths
+    rng = random.Random(4343)
+    answers = set()
+    for _ in range(10):
+        edges = _two_trees_and_their_links(rng)
+        sys = planarity_system(1 + max(map(max, edges)), edges)
+        state = sys.open()
+        for offered in range(len(edges)):
+            members = state.members
+            for u in range(len(edges)):
+                if u in members:
+                    continue
+                answer = state.can_add(u)
+                assert answer == sys.can_add(u, members), (u, list(members))
+                answers.add(answer)
+                block, n_block = state.merged_block(u)
+                expected = _oracle_block(edges, u, members)
+                assert {frozenset(edges[i]) for i in block} | {
+                    frozenset(edges[u])} == expected, (u, list(members))
+                assert n_block == len(set().union(*expected))
+            if state.can_add(offered):
+                state.add(offered)
+                assert _forest_faults(state, edges) == [], offered
+    assert answers == {True, False}
 
 _K33 = [(x, y) for x in range(3) for y in range(3, 6)]
 
@@ -660,16 +785,16 @@ def test_planarity_block_answers_are_shared_until_fresh(monkeypatch):
     assert not state_holding(sys, one).can_add(u) and calls == [9]
     # the members differ outside the block: the answer is kept
     assert not state_holding(sys, other).can_add(u) and len(calls) == 1
-    # another edge empties the per-edge memo, the block answer stays
+    # asking about another edge in between keeps the block answer
     assert state_holding(sys, other).can_add(len(_K33)) and len(calls) == 1
     assert not state_holding(sys, one).can_add(u) and len(calls) == 1
     assert not state_holding(sys.fresh(), one).can_add(u) and len(calls) == 2
 
 
 def test_planarity_can_add_stays_exact_under_concurrent_queries():
-    # threads ask states of one system, which share its memos and empty
-    # each other's per-edge entries; every answer must still be the full
-    # test's
+    # threads ask states of one system, which share its memo, and each
+    # state is asked by several threads at once; every answer must still
+    # be the full test's
     rng = SplitMix64(515)
     edges = _random_graph(rng, 9, 0.8)
     sys = planarity_system(9, edges)
@@ -947,7 +1072,8 @@ def test_agreement_check_catches_a_block_test_that_always_fits():
     sys = planarity_system(9, edges)
     assert _state_disagreements(sys, rng) == []
     lax = _state_disagreements(
-        sys, rng, open_state=lambda: _PlanarityState(sys, lambda u, m: True))
+        sys, rng, open_state=lambda: _PlanarityState(
+            sys, lambda u, block, n_block: True, edges))
     assert lax
 
 

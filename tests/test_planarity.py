@@ -8,8 +8,9 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from substream import planarity_check
-from substream.constraints import merged_block
+from substream import planarity_check, planarity_system
+
+from helpers import state_holding
 
 
 def k_complete(n):
@@ -190,8 +191,9 @@ def merged_blocks(rng):
         for i in rng.sample(range(57), rng.randint(20, 57)):
             if nx_planar([edges[j] for j in members] + [edges[i]]):
                 members.append(i)
+        state = state_holding(planarity_system(20, edges), members)
         for u in set(range(57)).difference(members):
-            block, n_block = merged_block(edges, u, members)
+            block, n_block = state.merged_block(u)
             part = [edges[i] for i in block] + [edges[u]]
             if 9 <= len(part) <= 54 and len(part) <= 3 * n_block - 6:
                 made += 1
