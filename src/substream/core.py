@@ -50,6 +50,19 @@ def _outside(u: int, n: int) -> GroundSetError:
     return GroundSetError(f"id {u} outside range(0, {n})")
 
 
+def _checked(val: float) -> float:
+    """An oracle value as the toolkit takes it: a NaN, an infinity or a
+    value below ``-EPS`` raises ``NumericError``, one in ``[-EPS, 0)``
+    reads ``0.0``."""
+    if not math.isfinite(val):
+        raise NumericError(f"oracle returned non-finite value {val}")
+    if val < 0.0:
+        if val < -EPS:
+            raise NumericError(f"oracle returned negative value {val}")
+        val = 0.0
+    return val
+
+
 def _spec_int(kind: str, name: str, value, where: str = "") -> int:
     """An integer field of a spec or a constructor's bound: an integral
     number (a bool too), or a real number whose value is finite and whole;
@@ -286,14 +299,7 @@ class Objective:
         """``fn`` of a key already validated by :meth:`_key`, checked and
         counted."""
         self.evaluations += 1
-        val = float(self._fn(key))
-        if not math.isfinite(val):
-            raise NumericError(f"oracle returned non-finite value {val}")
-        if val < 0.0:
-            if val < -EPS:
-                raise NumericError(f"oracle returned negative value {val}")
-            val = 0.0
-        return val
+        return _checked(float(self._fn(key)))
 
     def value(self, subset: Iterable[int]) -> float:
         return self._eval(self._key(subset))
@@ -312,9 +318,8 @@ class Objective:
 
     def singleton(self, u: int) -> float:
         """``value((u,))``: the first call for ``u`` computes it, or reads
-        it off the ``table_fn`` values with :meth:`_eval`'s checks, and
-        later calls read it from an n-slot table; every call counts one
-        query."""
+        it off the ``table_fn`` values through :func:`_checked`, and later
+        calls read it from an n-slot table; every call counts one query."""
         if u < 0 or u >= self.n:
             raise _outside(u, self.n)
         val = self._singletons[u]
@@ -326,14 +331,7 @@ class Objective:
             if self._table is None:
                 self._table = self._table_fn()
             self.evaluations += 1
-            val = self._table[u]
-            if not math.isfinite(val):
-                raise NumericError(f"oracle returned non-finite value {val}")
-            if val < 0.0:
-                if val < -EPS:
-                    raise NumericError(f"oracle returned negative value {val}")
-                val = 0.0
-            self._singletons[u] = val
+            self._singletons[u] = val = _checked(self._table[u])
         return val
 
     def open(self) -> "GainState":
@@ -386,11 +384,12 @@ class GainState:
         """:meth:`Objective.gains` for states of this class: one
         :meth:`gain` call per state.
 
-        A subclass may answer the batch at once when ``u`` is in range and
-        outside every state and every gain is finite, counting one query
-        per state.  Otherwise it calls this loop, which raises and counts
-        what the first failing state raises and counts; a gain never
-        changes its state, so nothing else needs undoing.
+        :class:`TabulatedGainState` and ``objectives.FacilityGainState``
+        answer the batch at once when ``u`` is in range and outside every
+        state and every gain is finite, counting one query per state.
+        Otherwise they call this loop, which raises and counts what the
+        first failing state raises and counts; a gain never changes its
+        state, so nothing else needs undoing.
         """
         return [s.gain(u) for s in states]
 
@@ -496,10 +495,7 @@ class AccumulatingGainState(GainState):
     :meth:`remove` clears the sums and absorbs the remaining members again
     in member order; the swap baselines and the double greedy's pool
     remove, so that path is cold.  Losses and swap trials stay the
-    generic :meth:`Objective.value` calls.  A batch
-    (:meth:`Objective.gains`) checks u once for every state and reads the
-    gains through ``_gains(u, states)``, one ``_gain`` per state unless a
-    subclass reads them at once.
+    generic :meth:`Objective.value` calls.
     """
 
     __slots__ = ()
@@ -515,26 +511,6 @@ class AccumulatingGainState(GainState):
         if not math.isfinite(gain):
             raise NumericError(f"marginal oracle returned non-finite gain {gain}")
         return gain
-
-    @classmethod
-    def gains_of(cls, u: int, states: list[GainState]) -> list[float]:
-        f = states[0].f
-        if 0 <= u < f.n and not any([u in s.members for s in states]):
-            try:
-                out = cls._gains(u, states)
-            except (ValueError, ArithmeticError):
-                pass  # replayed state by state below
-            else:
-                if math.isfinite(sum(out)):
-                    f.evaluations += len(out)
-                    return out
-        return super().gains_of(u, states)
-
-    @staticmethod
-    def _gains(u: int, states: list[AccumulatingGainState]) -> list[float]:
-        """``_gain(u)`` of each state, which the batch has checked;
-        a subclass may read them all at once."""
-        return [s._gain(u) for s in states]
 
     def add(self, u: int) -> None:
         self._check_outside(u)

@@ -365,7 +365,8 @@ class FacilityGainState(AccumulatingGainState):
     length as the oracle's, so every gain is the float ``f(S + u) - f(S)``
     gives, with or without row sampling.  A batch (:meth:`Objective.gains`)
     stacks the states' ``best`` rows and takes one max and one row-wise
-    sum, float for float the same gains.
+    sum, float for float the same gains; when ``u`` is out of range or in
+    a state, or a gain is not finite, it asks the states one by one.
     """
 
     __slots__ = ("cols", "divisor", "best", "value", "_scratch")
@@ -389,17 +390,24 @@ class FacilityGainState(AccumulatingGainState):
         covered = np.maximum(self.best, self.cols[u], out=self._scratch)
         return float(covered.sum()) / self.divisor - self.value
 
-    @staticmethod
-    def _gains(u: int, states: list[FacilityGainState]) -> list[float]:
+    @classmethod
+    def gains_of(cls, u: int, states: list[FacilityGainState]) -> list[float]:
+        first = states[0]
+        f = first.f
+        if not 0 <= u < f.n or any([u in s.members for s in states]):
+            return super().gains_of(u, states)
         # one (states x rows) max; each row sums as the single-state
         # vector does, contiguous and pairwise, so every gain is the same
-        first = states[0]
         covered = np.concatenate([s.best for s in states]).reshape(
             len(states), -1)
         np.maximum(covered, first.cols[u], out=covered)
         divisor = first.divisor
-        return [total / divisor - s.value
-                for total, s in zip(covered.sum(axis=1).tolist(), states)]
+        out = [total / divisor - s.value
+               for total, s in zip(covered.sum(axis=1).tolist(), states)]
+        if not math.isfinite(sum(out)):
+            return super().gains_of(u, states)
+        f.evaluations += len(out)
+        return out
 
 
 def make_facility_location(m: np.ndarray,
@@ -453,9 +461,7 @@ class LogdetGainState(AccumulatingGainState):
     positive (the factorization of ``S + v`` failed) raises
     ``NumericError``, as the oracle does.  The factorization runs in member
     order, not sorted order, so a gain may differ from ``f(S + v) - f(S)``
-    in the last bits (the agreement tests allow 1e-12 relative).  A batch
-    (:meth:`Objective.gains`) still takes ``math.log`` state by state:
-    numpy's ``log`` may differ from it in the last bit.
+    in the last bits (the agreement tests allow 1e-12 relative).
     """
 
     __slots__ = ("shifted", "factor", "resid")

@@ -14,8 +14,10 @@ since ``tests/conftest.py`` puts the ``src`` next to it first on
 there.  Before any mutant it runs every named test on an unmutated copy,
 where pytest must exit 0.  It exits 1 when that baseline run fails, a
 snippet does not match exactly once, or pytest exits with anything but
-1 on a killer (0: the mutant survives).  It needs only the standard
-library and pytest.
+1 on a killer (0: the mutant survives).  A pytest run that takes longer
+than ``TIMEOUT_S`` is killed and reported, never counted as a kill, so
+a mutant that sends a test into an endless loop cannot hang the run.
+It needs only the standard library and pytest.
 
 Run from anywhere::
 
@@ -40,6 +42,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the limit on one pytest run, start-up included: the slowest killer
+# takes about 2.5 s alone and the baseline run of all of them about 6 s,
+# so a run this long was sent into a loop by its mutant
+TIMEOUT_S = 60
 
 
 @dataclass(frozen=True)
@@ -336,12 +342,26 @@ MUTANTS = [
     Mutant(
         "table-singleton-skips-the-finite-check",
         "core.py",
-        "            if not math.isfinite(val):\n"
-        "                raise NumericError(",
-        "            if False:\n"
-        "                raise NumericError(",
+        "            self._singletons[u] = val = _checked(self._table[u])",
+        "            self._singletons[u] = val = self._table[u]",
         ("tests/test_core.py"
          "::test_a_table_singleton_keeps_the_checks_of_fn[table]",)),
+    Mutant(
+        "facility-batch-skips-the-finite-check",
+        "objectives.py",
+        "        if not math.isfinite(sum(out)):\n"
+        "            return super().gains_of(u, states)",
+        "        if False:\n"
+        "            return super().gains_of(u, states)",
+        ("tests/test_gain_state.py"
+         "::test_batched_gains_raise_on_a_non_finite_facility_gain",)),
+    Mutant(
+        "facility-batch-skips-the-member-check",
+        "objectives.py",
+        "        if not 0 <= u < f.n or any([u in s.members for s in states]):",
+        "        if not 0 <= u < f.n:",
+        ("tests/test_gain_state.py"
+         "::test_batched_gains_raise_what_the_first_failing_state_raises",)),
     Mutant(
         "planarity-bridge-skips-the-reroot",
         "constraints.py",
@@ -373,14 +393,24 @@ def _copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def _pytest(tree: Path, ids: list[str]) -> int:
-    """pytest's exit code for the tests ``ids`` run in ``tree``."""
+def _pytest(tree: Path, ids: list[str]) -> int | None:
+    """pytest's exit code for the tests ``ids`` run in ``tree``, or None
+    when it runs longer than ``TIMEOUT_S`` and is killed."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
-                           "no:cacheprovider", *ids],
-                          cwd=tree, env=env, stdin=subprocess.DEVNULL,
-                          stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
+                               "no:cacheprovider", *ids],
+                              cwd=tree, env=env, stdin=subprocess.DEVNULL,
+                              stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL,
+                              timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def _exits(code: int | None) -> str:
+    return (f"runs over the {TIMEOUT_S} s limit" if code is None
+            else f"exits {code}")
 
 
 def run(mutants: list[Mutant]) -> list[str]:
@@ -391,7 +421,7 @@ def run(mutants: list[Mutant]) -> list[str]:
         _copy_tree(tree)
         code = _pytest(tree, ids)
     if code != 0:
-        return [f"baseline: pytest exits {code} on the named tests "
+        return [f"baseline: pytest {_exits(code)} on the named tests "
                 "without a mutant"]
     problems: list[str] = []
     for m in mutants:
@@ -413,7 +443,7 @@ def run(mutants: list[Mutant]) -> list[str]:
             if code == 0:
                 problems.append(f"{m.name}: survives {t}")
             elif code != 1:
-                problems.append(f"{m.name}: pytest exits {code} on {t}")
+                problems.append(f"{m.name}: pytest {_exits(code)} on {t}")
     return problems
 
 
