@@ -20,7 +20,7 @@ from .core import (EPS, ElementSet, Objective, SizeLimitError,
                    values_once)
 from .constraints import EXACT_RHO_LIMIT, IndependenceSystem, exact_rho
 from .streaming import (StreamingComponent, StreamOutcome, _drive, _Group,
-                        _Grouped)
+                        _Grouped, _singleton)
 
 
 class GreedyStream(StreamingComponent):
@@ -80,7 +80,7 @@ class SieveGuessStream(_Grouped):
     f({u}), so a guess whose threshold ``v / (2 * rho) - EPS`` is above
     it cannot take u.  Each arrival is offered only to the groups whose
     lowest threshold is at most the gain cap that
-    :meth:`~.streaming._Grouped._singleton` gives
+    :func:`~.streaming._singleton` gives
     (:meth:`~.streaming._Grouped._reach`), and an infeasible singleton to
     none.
 
@@ -118,6 +118,7 @@ class SieveGuessStream(_Grouped):
         self.anchor: float | None = None
         self.best_singleton = 0.0
         self.lower_bound = 0.0
+        self._empty = sys.open()  # never takes an element: _singleton asks it
         self._held = 0  # distinct elements in the guesses' members
 
     @property
@@ -174,7 +175,7 @@ class SieveGuessStream(_Grouped):
 
     def _ingest(self, u: int) -> list[int]:
         evicted: list[int] = []
-        value, cap = self._singleton(u)
+        value, cap = _singleton(self._empty, self.f, u)
         if value > self.best_singleton + EPS:
             self.best_singleton = value
             if self.anchor is None:

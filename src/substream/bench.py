@@ -30,7 +30,7 @@ from .objectives import (CutGraph, load_features, load_keyword_table,
 from .constraints import IndependenceSystem, make_system
 from .offline import repeated_greedy, unweighted_greedy, weighted_greedy
 from .streaming import (AdaptiveSieve, AutoThresholdSieve, ThresholdSieve,
-                        cascade_run, _drive, _guess_exponent)
+                        cascade_run, _drive, _guess_exponent, _singleton)
 from .baselines import GreedyStream, SieveGuessStream
 
 RESULT_HEADER = "algorithm,sweep,seed,value,oracle_calls,peak_elements,ms"
@@ -92,6 +92,8 @@ def gen_erdos_renyi(n: int, p: float, seed: int,
         raise ValueError("p must lie in [0, 1]")
     rng = SplitMix64(seed)
     weighted = weight_mode != "unit"
+    if weighted:
+        _weight_of(0.5, weight_mode)  # an unknown mode raises before any draw
     npairs = max(n, 0) * (n - 1) // 2
     hits: list[int] = []       # indices, in row order, of the pairs drawn
     weights: list[float] = []
@@ -443,7 +445,8 @@ def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
         lam = _spec_float("objective", "lambda", objective.get("lambda", 0.1))
         sim = similarity_from_features(feats, lam)
         if kind == "facility":
-            res = objective.get("reservoir")
+            res = _shaped("config objective reservoir",
+                          objective.get("reservoir") or {})  # empty is none
             cfg_res = None if not res else ReservoirConfig(
                 res["r_cap"], res.get("seed", 0))
             factory = lambda: make_facility_location(sim, cfg_res)
@@ -503,11 +506,8 @@ def build_cell(cfg: Mapping, sweep_value, seed: int) -> Cell:
 
 def _prepass_tau(sys: IndependenceSystem, f: Objective, stream) -> float:
     """Power-of-two threshold in [M, 2M] from a singleton sweep."""
-    best = 0.0
-    empty = sys.open()  # never takes an element: the singleton test
-    for u in stream:
-        if empty.can_add(u):
-            best = max(best, f.singleton(u))
+    empty = sys.open()  # never takes an element: _singleton asks it
+    best = max([0.0, *(_singleton(empty, f, u)[0] for u in stream)])
     if best <= 0.0:
         return 1.0  # degenerate instance; any threshold rejects everything
     return 2.0 ** _guess_exponent(best)

@@ -31,7 +31,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (ElementSet, GroundSetError, SizeLimitError,
                    UnsupportedConstraintError, _dense, _endpoints, _outside,
-                   _running_sum, _spec_count, _spec_float, _spec_int)
+                   _running_sum, _spec_count, _spec_float, _spec_int,
+                   _spec_iter)
 # planarity_check stays importable from here: perfbench/tracing.py patches it
 from .planarity import _check, _is_planar, planarity_check  # noqa: F401
 
@@ -410,7 +411,7 @@ def knapsack_system(costs, budget: float) -> IndependenceSystem:
     """
     if isinstance(costs, Mapping):
         costs = _dense("cost map keys", costs)
-    costs = list(costs)
+    costs = list(_spec_iter("knapsack", "costs", costs))
     if not costs:  # max and min below need a cost
         raise ValueError("empty ground set")
     # a float needs only the range check below, which also catches NaN
@@ -458,8 +459,9 @@ def labeled_limit_system(labels: Sequence[Iterable], per_label_limit,
     ``ValueError`` naming it, and so does a ``per_label_limit`` mapping
     that lacks a label in use; :class:`IndependenceSystem` rejects no labels.
     """
-    labs = [frozenset(l) for l in labels]
     kind = "labeled_limit"
+    labs = [frozenset(_spec_iter(kind, "labels", l, f" at index {i}"))
+            for i, l in enumerate(_spec_iter(kind, "labels", labels))]
     total_limit = _spec_count(kind, "total_limit", total_limit)
     all_labels = frozenset().union(*labs)
     if isinstance(per_label_limit, Mapping):
@@ -497,7 +499,7 @@ def node_independent_set_system(n: int, edges: Iterable[Sequence[int]]) -> Indep
     """
     n = _spec_int("node_independent_set", "n", n)
     adj: list[set[int]] = [set() for _ in range(n)]
-    for e in edges:
+    for e in _spec_iter("node_independent_set", "edges", edges):
         u, v = _endpoints("node_independent_set", e, n)
         adj[u].add(v)
         adj[v].add(u)
@@ -556,7 +558,8 @@ def planarity_system(n_vertices: int, edge_list: Sequence[Sequence[int]]) -> Ind
     :class:`IndependenceSystem` rejects an empty edge list.
     """
     n_vertices = _spec_int("planarity", "n_vertices", n_vertices)
-    edges = [_endpoints("planarity", e, n_vertices) for e in edge_list]
+    edges = [_endpoints("planarity", e, n_vertices)
+             for e in _spec_iter("planarity", "edges", edge_list)]
     _check(edges)  # rejects a parallel edge
     return _planarity(edges)
 
@@ -607,24 +610,32 @@ def intersect(a: IndependenceSystem, b: IndependenceSystem) -> IndependenceSyste
     return system
 
 
-# fields each spec type must carry
-_SPEC_FIELDS = {"cardinality": ("n", "rho"), "knapsack": ("costs", "budget"),
-                "labeled_limit": ("labels", "per_label_limit", "total_limit"),
-                "node_independent_set": ("n", "edges"),
-                "planarity": ("n_vertices", "edges")}
+# type -> (builder, required fields, optional fields), in argument order
+_SPECS = {
+    "cardinality": (cardinality_system, ("n", "rho"), ()),
+    "knapsack": (knapsack_system, ("costs", "budget"), ()),
+    "labeled_limit": (labeled_limit_system,
+                      ("labels", "per_label_limit", "total_limit"),
+                      ("k_param",)),
+    "node_independent_set": (node_independent_set_system, ("n", "edges"), ()),
+    "planarity": (planarity_system, ("n_vertices", "edges"), ()),
+}
 
 
 def make_system(spec: Mapping) -> IndependenceSystem:
     """Build a system from a JSON-style config mapping.
 
-    Recognized ``type`` values: ``cardinality`` (n, rho), ``knapsack``
-    (costs, budget), ``labeled_limit`` (labels, per_label_limit,
-    total_limit, optional k_param), ``node_independent_set`` (n, edges),
-    ``planarity`` (n_vertices, edges).  ``{"intersect": [specA, specB]}``
-    combines two specs.  A missing field, an integer field (n, rho,
-    per_label_limit, total_limit, k_param, n_vertices) holding a NaN,
-    infinite or fractional number, or a knapsack budget or cost that is
-    no finite number (a string, say), raises ``ValueError`` naming it.
+    Recognized ``type`` values (:data:`_SPECS`): ``cardinality`` (n,
+    rho), ``knapsack`` (costs, budget), ``labeled_limit`` (labels,
+    per_label_limit, total_limit, optional k_param),
+    ``node_independent_set`` (n, edges), ``planarity`` (n_vertices,
+    edges).  ``{"intersect": [specA, specB]}`` combines two specs.  A
+    missing field, an integer field (n, rho, per_label_limit,
+    total_limit, k_param, n_vertices) holding a NaN, infinite or
+    fractional number, a knapsack budget or cost that is no finite
+    number (a string, say), or a collection field (costs, labels and
+    each label entry, edges) holding something that is not iterable,
+    raises ``ValueError`` naming it.
     """
     if "intersect" in spec:
         parts = spec["intersect"]
@@ -632,21 +643,14 @@ def make_system(spec: Mapping) -> IndependenceSystem:
             raise ValueError("intersect expects exactly two specs")
         return intersect(make_system(parts[0]), make_system(parts[1]))
     kind = spec.get("type")
-    for name in _SPEC_FIELDS.get(kind, ()):
+    if kind not in _SPECS:
+        raise UnsupportedConstraintError(f"unknown constraint spec {spec!r}")
+    build, required, optional = _SPECS[kind]
+    for name in required:
         if spec.get(name) is None:
             raise ValueError(f"{kind} spec is missing field {name!r}")
-    if kind == "cardinality":
-        return cardinality_system(spec["n"], spec["rho"])
-    if kind == "knapsack":
-        return knapsack_system(spec["costs"], spec["budget"])
-    if kind == "labeled_limit":
-        return labeled_limit_system(spec["labels"], spec["per_label_limit"],
-                                    spec["total_limit"], spec.get("k_param"))
-    if kind == "node_independent_set":
-        return node_independent_set_system(spec["n"], spec["edges"])
-    if kind == "planarity":
-        return planarity_system(spec["n_vertices"], spec["edges"])
-    raise UnsupportedConstraintError(f"unknown constraint spec {spec!r}")
+    return build(*(spec[name] for name in required),
+                 *(spec.get(name) for name in optional))
 
 
 def exact_rho(sys: IndependenceSystem) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 # Absolute tolerance for every inequality test performed by the algorithms.
 EPS = 1e-9
@@ -85,6 +85,17 @@ def _spec_float(kind: str, name: str, value, where: str = "") -> float:
                      f"number, got {value!r}")
 
 
+def _spec_iter(kind: str, name: str, value, where: str = "") -> Iterator:
+    """An iterator over a field that must hold a collection: anything
+    iterable (a string reads as its characters); anything else raises
+    ``ValueError`` naming the field.  ``where`` narrows the message."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValueError(f"{kind} spec field {name!r}{where} must be a "
+                         f"collection, got {value!r}") from None
+
+
 def _spec_count(kind: str, name: str, value, where: str = "") -> int:
     """A whole-number field (:func:`_spec_int`, with the same ``where``)
     that must be at least 1."""
@@ -105,8 +116,13 @@ def _dense(subject: str, table: Mapping) -> list:
 
 def _endpoints(kind: str, e: Sequence, n: int) -> tuple[int, int]:
     """The two vertices of a graph edge, checked like :func:`_spec_int`
-    and against ``range(n)``; errors name the edge."""
-    u, v = e[0], e[1]
+    and against ``range(n)``; errors name the edge, also one that is not
+    a sequence of two endpoints (a longer one is read by its first two)."""
+    try:
+        u, v = e[0], e[1]
+    except (IndexError, KeyError, TypeError):
+        raise ValueError(f"edge {e!r} is not a sequence of two "
+                         "endpoints") from None
     if type(u) is not int or type(v) is not int:
         where = f" in edge {tuple(e)!r}"
         u = _spec_int(kind, "edges", u, where)

@@ -27,9 +27,14 @@ LOGDET_MAX_SUBSET = 512
 
 def _check_edge(n: int, e) -> tuple[int, int, float]:
     """The edge ``e = (u, v, w)`` of an n-vertex graph as ``(u, v, float(w))``
-    (:func:`_endpoints` checks u and v); a weight that is not a finite
-    non-negative number raises ``ValueError`` naming the edge."""
-    _, _, w = e
+    (:func:`_endpoints` checks u and v); an edge that is not a sequence
+    of three fields, or a weight that is not a finite non-negative
+    number, raises ``ValueError`` naming the edge."""
+    try:
+        _, _, w = e
+    except (TypeError, ValueError):
+        raise ValueError(f"edge {e!r} is not a sequence of three fields "
+                         "(u, v, w)") from None
     u, v = _endpoints("graph", e, n)
     try:
         w = float(w)
@@ -173,12 +178,13 @@ class CutGainState(TabulatedGainState):
 
     Starts from a copy of ``out_total``.  Adding x takes x's out-edge
     weights and then its in-edge weights off each neighbour's entry, in
-    adjacency order; removing x adds them back in the same order: O(deg x)
-    per add or remove and O(1) per gain.  When x's two dicts are one
-    shared dict (:func:`make_directed_cut`), one walk takes ``w`` off
-    twice, ``gains[v] - w - w``: each entry gets the same two operations
-    in the same order as in two walks, and no entry reads another, so
-    every gain keeps its bits.  For a member x, ``gains[x]`` is
+    adjacency order; removing x walks its out-edges and then its in-edges
+    and adds them back in the same order: O(deg x) per add or remove and
+    O(1) per gain.  When x's two dicts are one shared dict
+    (:func:`make_directed_cut`), ``add`` walks it once and takes ``w``
+    off twice, ``gains[v] - w - w``: each entry gets the same two
+    operations in the same order as in two walks, and no entry reads
+    another, so every gain keeps its bits.  For a member x, ``gains[x]`` is
     ``f(S) - f(S - x)``, x's loss, so a swap trial ``f(S - x + u)`` is
     ``f(S) - gains[x] + gains[u]`` plus the weight between u and x, which
     ``gains[u]`` took off: O(1) per trial, counted as one query.  The
@@ -212,15 +218,9 @@ class CutGainState(TabulatedGainState):
     def remove(self, x: int) -> None:
         super().remove(x)
         gains = self.gains
-        out_x = self.out_adj[x]
-        in_x = self.in_adj[x]
-        if out_x is in_x:
-            for v, w in out_x.items():
-                gains[v] = gains[v] + w + w
-            return
-        for v, w in out_x.items():
+        for v, w in self.out_adj[x].items():
             gains[v] += w
-        for v, w in in_x.items():
+        for v, w in self.in_adj[x].items():
             gains[v] += w
 
     def swap_values(self, u: int, current: float) -> list[float]:
@@ -243,7 +243,7 @@ def make_directed_cut(g: CutGraph) -> Objective:
     one list of ids), so a membership test that finds it compares
     identities.  A vertex whose two dicts are equal, as every vertex of a
     graph that stores each edge both ways with one weight, keeps one dict
-    under both names, and :class:`CutGainState` walks it once.  Equal
+    under both names, and :meth:`CutGainState.add` walks it once.  Equal
     dicts may differ in order, but a walk touches each neighbour's entry
     once per dict and no entry reads another, so the order does not reach
     a gain.

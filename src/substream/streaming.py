@@ -65,6 +65,25 @@ def candidate_count(k: int) -> int:
     return (2 * k).bit_length()
 
 
+def _singleton(empty: FeasibilityState, f: Objective,
+               u: int) -> tuple[float, float]:
+    """``u``'s singleton value and a cap on its gain against any set;
+    ``(-inf, -inf)`` when ``empty``, a state that never takes an element,
+    cannot take u, as then no state can (the families are downward closed).
+
+    For a submodular f no gain is above f({u}).  The cap adds a relative
+    margin of ``EPS`` and ``EPS`` itself, for a gain read off a table or
+    running sums that rounds a few ulps above f({u}).  A generic state's
+    gain ``f(S + u) - f(S)`` rounds by about an ulp of f(S) and can land
+    above the cap, so a gain above it proves nothing and raises no alarm;
+    a custom ``Objective`` that is not submodular may get another answer
+    than with every group asked."""
+    if not empty.can_add(u):
+        return -math.inf, -math.inf
+    value = f.singleton(u)
+    return value, value + EPS * value + EPS
+
+
 def trace_to_csv(events) -> str:
     """Render trace events (step, event, element, bucket, value) as CSV.
 
@@ -204,7 +223,7 @@ class _Grouped(StreamingComponent):
       holds, and a group dropped in part evicts nothing.
     * :meth:`_reach` lists the groups whose first key could take a gain
       of at most a cap, a prefix, as keys ascend.  The cap comes from
-      :meth:`_singleton`, the one place an arrival's singleton is asked.
+      :func:`_singleton`, the one place an arrival's singleton is asked.
 
     A subclass writes its arrival loop, which passes :meth:`_reach` the
     highest key that could take a gain of at most the cap, and its own
@@ -214,24 +233,6 @@ class _Grouped(StreamingComponent):
     def __init__(self, sys: IndependenceSystem, f: Objective):
         super().__init__(sys, f)
         self._groups: list[_Group] = []
-        self._empty = sys.open()  # never takes an element: _singleton asks it
-
-    def _singleton(self, u: int) -> tuple[float, float]:
-        """``u``'s singleton value and a cap on its gain against any set;
-        ``(-inf, -inf)`` when ``u`` alone is not independent, as then no
-        state can take it (the families are downward closed).
-
-        For a submodular f no gain is above f({u}).  The cap adds a
-        relative margin of ``EPS`` and ``EPS`` itself, for a gain read off
-        a table or running sums that rounds a few ulps above f({u}).  A
-        generic state's gain ``f(S + u) - f(S)`` rounds by about an ulp of
-        f(S) and can land above the cap, so a gain above it proves
-        nothing and raises no alarm; a custom ``Objective`` that is not
-        submodular may get another answer than with every group asked."""
-        if not self._empty.can_add(u):
-            return -math.inf, -math.inf
-        value = self.f.singleton(u)
-        return value, value + EPS * value + EPS
 
     def _group(self, keys: list) -> _Group:
         """A new empty group of ``keys``."""
@@ -396,8 +397,8 @@ class _Window(_Grouped):
     def _arrive(self, u: int) -> tuple[bool, list[int], float]:
         """Follow the arrival ``u`` before any copy is offered it; returns
         whether ``base`` took it, what a move of the window evicted and
-        a cap on its gain: the one :meth:`_Grouped._singleton` gives, or
-        ``inf`` for a window that asks no singleton."""
+        a cap on its gain: the one :func:`_singleton` gives, or ``inf``
+        for a window that asks no singleton."""
         return False, [], math.inf
 
     def _ingest(self, u: int) -> list[int]:
@@ -539,8 +540,8 @@ class AutoThresholdSieve(_Window):
     base nor any copy holds it any more.
 
     Each arrival's singleton value and gain cap come from
-    :meth:`_Grouped._singleton`, so only the groups it can reach ask a
-    gain (:meth:`_Grouped._reach`); an infeasible singleton asks none.
+    :func:`_singleton`, so only the groups it can reach ask a gain
+    (:meth:`_Grouped._reach`); an infeasible singleton asks none.
     ``best_singleton`` is the best feasible singleton worth over ``EPS``
     (``-inf`` before one); :func:`_guess_exponent` checks a new best
     before the base or any copy takes it.
@@ -550,6 +551,7 @@ class AutoThresholdSieve(_Window):
         super().__init__(sys, f, 1.0)
         self._base = sys.open()
         self.base = self._base.members
+        self._empty = sys.open()  # never takes an element: _singleton asks it
         self.best_singleton = -math.inf
         self._lo = 0  # _guess_exponent(best_singleton), once it is set
 
@@ -582,7 +584,7 @@ class AutoThresholdSieve(_Window):
 
     def _arrive(self, u: int) -> tuple[bool, list[int], float]:
         moved = False
-        value, cap = self._singleton(u)
+        value, cap = _singleton(self._empty, self.f, u)
         if value > self.best_singleton and value > EPS:
             self._lo = _guess_exponent(value)
             self.best_singleton = value

@@ -305,8 +305,8 @@ MUTANTS = [
     Mutant(
         "gain-cap-without-its-margin",
         "streaming.py",
-        "        return value, value + EPS * value + EPS",
-        "        return value, value",
+        "    return value, value + EPS * value + EPS",
+        "    return value, value",
         ("tests/test_reach.py::test_a_guess_takes_a_gain_a_few_ulps_above_"
          "the_singleton",
          "tests/test_reach.py::test_a_window_copy_takes_a_gain_a_few_ulps_"
@@ -314,8 +314,8 @@ MUTANTS = [
     Mutant(
         "infeasible-singleton-reaches-every-group",
         "streaming.py",
-        "            return -math.inf, -math.inf",
-        "            return -math.inf, math.inf",
+        "        return -math.inf, -math.inf",
+        "        return -math.inf, math.inf",
         ("tests/test_reach.py::test_an_arrival_with_an_infeasible_singleton_"
          "asks_no_gain",)),
     Mutant(
@@ -383,6 +383,34 @@ MUTANTS = [
         "",
         ("tests/test_constraints.py"
          "::test_planarity_forest_follows_block_chains_and_cacti",)),
+    Mutant(
+        "cut-remove-skips-in-edges",
+        "objectives.py",
+        "        for v, w in self.in_adj[x].items():\n"
+        "            gains[v] += w\n",
+        "",
+        ("tests/test_gain_state.py"
+         "::test_cut_swap_values_match_fn_after_adds_and_removes[11]",
+         "tests/test_gain_state.py"
+         "::test_cut_state_matches_the_two_loop_reference_exactly"
+         "[symmetric-51]")),
+    Mutant(
+        "edge-of-one-endpoint-gets-through",
+        "core.py",
+        "    except (IndexError, KeyError, TypeError):",
+        "    except ZeroDivisionError:",
+        ("tests/test_constraints.py"
+         "::test_an_edge_that_is_not_two_endpoints_is_named"
+         "[node_independent_set-one-endpoint]",)),
+    Mutant(
+        "spec-table-requires-the-optional-field",
+        "constraints.py",
+        '"per_label_limit", "total_limit"),\n'
+        '                      ("k_param",)),',
+        '"per_label_limit", "total_limit", "k_param"),\n'
+        '                      ()),',
+        ("tests/test_constraints.py"
+         "::test_make_system_rejects_non_integer_field[total_limit-nan]",)),
 ]
 
 

@@ -720,6 +720,26 @@ def test_run_experiment_rejects_a_config_that_is_not_a_mapping():
         run_experiment([1])
 
 
+@pytest.mark.parametrize("reservoir", [5, "x", [1]],
+                         ids=["int", "string", "list"])
+def test_a_reservoir_that_is_no_mapping_is_named(tmp_path, reservoir):
+    cfg = _facility_config(tmp_path, {"type": "cardinality", "rho": 2})
+    cfg["objective"]["reservoir"] = reservoir
+    with pytest.raises(ValueError, match=re.escape(
+            "config objective reservoir must be a mapping of names to "
+            f"values, got {reservoir!r}")):
+        build_cell(cfg, None, 1)
+    cfg["objective"]["reservoir"] = 0  # an empty reservoir is none
+    assert build_cell(cfg, None, 1).objective_factory().value([0, 1]) > 0
+
+
+@pytest.mark.parametrize("n, p", [(5, 0.0), (1, 0.5)])
+def test_an_unknown_weight_mode_is_rejected_before_any_draw(n, p):
+    # with no pair drawn, or no edge, no draw is ever weighed
+    with pytest.raises(ValueError, match="^unknown weight mode 'bogus'$"):
+        gen_erdos_renyi(n, p, 1, "bogus")
+
+
 def _with(cfg, path, value):
     """A deep copy of ``cfg`` with the field at ``path`` set to ``value``."""
     cfg = json.loads(json.dumps(cfg))

@@ -188,6 +188,34 @@ def test_bench_run_rejects_a_malformed_sweep(tmp_path, capsys, sweep,
     _fails_cleanly(["bench", "run", "--config", str(path)], capsys, message)
 
 
+_LABELS = {"type": "labeled_limit", "per_label_limit": 1, "total_limit": 2}
+
+
+@pytest.mark.parametrize("constraint, message", [
+    ({**_LABELS, "labels": 5}, "field 'labels' must be a collection, got 5"),
+    ({**_LABELS, "labels": [1, 2, 3, 4]},
+     "field 'labels' at index 0 must be a collection, got 1"),
+    ({"type": "node_independent_set", "edges": [[0]]},
+     "edge [0] is not a sequence of two endpoints"),
+    ({"type": "node_independent_set", "edges": 5},
+     "field 'edges' must be a collection, got 5"),
+    ({"type": "planarity", "edges": [[0]]},
+     "edge [0] is not a sequence of two endpoints"),
+    ({"type": "planarity", "edges": 5},
+     "field 'edges' must be a collection, got 5"),
+    ({"type": "knapsack", "budget": 5, "costs": 5},
+     "field 'costs' must be a collection, got 5"),
+], ids=["labels", "label-entry", "nis-edge", "nis-edges", "planarity-edge",
+        "planarity-edges", "costs"])
+def test_bench_run_names_a_malformed_collection_field(tmp_path, capsys,
+                                                      constraint, message):
+    cfg = {"instance": {"model": "er", "n": 8, "p": 0.3},
+           "constraint": constraint, "algorithms": ["streaming_greedy"]}
+    path = tmp_path / "collection.json"
+    path.write_text(json.dumps(cfg))
+    _fails_cleanly(["bench", "run", "--config", str(path)], capsys, message)
+
+
 def test_bench_run_rejects_bad_budget_and_unknown_option(tmp_path, capsys):
     cfg = {"instance": {"model": "er", "n": 10, "p": 0.3},
            "constraint": {"type": "knapsack", "budget": math.nan},

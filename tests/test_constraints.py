@@ -1209,3 +1209,41 @@ def test_a_cost_map_must_be_keyed_from_zero():
 def test_an_empty_ground_set_gets_the_one_message(build):
     with pytest.raises(ValueError, match="^ground set must be non-empty$"):
         build()
+
+
+_LABELS = {"type": "labeled_limit", "per_label_limit": 1, "total_limit": 2}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({**_LABELS, "labels": 5}, "field 'labels' must be a collection, got 5"),
+    ({**_LABELS, "labels": [1, 2, 3, 4]},
+     "field 'labels' at index 0 must be a collection, got 1"),
+    ({"type": "node_independent_set", "n": 3, "edges": 5},
+     "node_independent_set spec field 'edges' must be a collection, got 5"),
+    ({"type": "planarity", "n_vertices": 3, "edges": 5},
+     "planarity spec field 'edges' must be a collection, got 5"),
+    ({"type": "knapsack", "budget": 2.0, "costs": 5},
+     "knapsack spec field 'costs' must be a collection, got 5"),
+], ids=["labels", "label-entry", "nis-edges", "planarity-edges", "costs"])
+def test_a_collection_field_that_is_not_iterable_is_named(spec, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_system(spec)
+    # a string entry of labels still reads as its characters
+    chars = make_system({**_LABELS, "labels": ["ab", "c", "b"]})
+    sets = make_system({**_LABELS, "labels": [["a", "b"], ["c"], ["b"]]})
+    for s in [(0, 1), (0, 2), (1, 2)]:
+        assert chars.is_independent(s) == sets.is_independent(s)
+    assert not chars.is_independent((0, 2))
+
+
+@pytest.mark.parametrize("edge", [[0], [], 0, None, {"a": 1}],
+                         ids=["one-endpoint", "empty", "int", "none", "map"])
+@pytest.mark.parametrize("kind", ["node_independent_set", "planarity"])
+def test_an_edge_that_is_not_two_endpoints_is_named(kind, edge):
+    n = "n" if kind == "node_independent_set" else "n_vertices"
+    spec = {"type": kind, n: 3, "edges": [[0, 1], edge]}
+    with pytest.raises(ValueError, match=re.escape(
+            f"edge {edge!r} is not a sequence of two endpoints")):
+        make_system(spec)
+    spec["edges"] = [[0, 1], [1, 2, 7.5]]  # a longer edge reads as two
+    assert make_system(spec).n == (3 if kind == "node_independent_set" else 2)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +114,11 @@ def test_cut_graph_normalizes_mixed_edges_like_a_plain_conversion():
     pytest.param([(0, 1, 1.0), ("2", 1, 1.0), (0, 2.5, 1.0)],
                  r"in edge \('2', 1, 1\.0\) must be an integer, got '2'",
                  id="string-endpoint"),
+    *(pytest.param([(0, 2, 1.0), edge, (1, 1, 1.0)],
+                   rf"edge {re.escape(repr(edge))} is not a sequence of "
+                   r"three fields \(u, v, w\)", id=name)
+      for name, edge in [("two-fields", (0, 1)), ("four-fields", (0, 1, 1, 2)),
+                         ("int", 5), ("none", None)]),
 ])
 def test_cut_graph_names_the_first_bad_edge(edges, message):
     with pytest.raises(ValueError, match=message):

@@ -6,7 +6,7 @@ For a submodular f no gain is above the singleton f({u}), so a guess
 whose threshold ``v / (2 rho) - EPS`` is above it, or a window copy whose
 top band a gain that small cannot reach, never takes u.  The cap on a
 gain is the singleton plus a relative margin of ``EPS`` and ``EPS``
-itself (``streaming._Grouped._singleton``).  The tests below check the
+itself (``streaming._singleton``).  The tests below check the
 batches that reach ``Objective.gains`` against that rule, written out
 here, that an infeasible singleton asks no gain, and that a gain a few
 ulps above its singleton is still taken, as the per-copy and per-guess
